@@ -17,10 +17,8 @@ certifies series tails elsewhere in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "BesselEval",
     "bessel_i",
     "bessel_i_derivative",
     "bessel_i_quadrature",
@@ -32,17 +30,6 @@ __all__ = [
 
 # exp() overflows just above 709; keep a margin for the n-term prefactors
 _EXP_LIMIT = 700.0
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    """One Bessel evaluation with enough metadata to audit it."""
-
-    order: int
-    argument: float
-    value: float
-    method: str  # "series" or "quadrature"
-    terms_or_nodes: int
 
 
 def _check_order_arg(order: int, t: float) -> None:
@@ -138,22 +125,6 @@ def bessel_i_quadrature(order: int, t: float, nodes: int = 64) -> float:
         theta = i * h
         total += math.exp(t * math.cos(theta)) * math.cos(theta * order)
     return total * h / math.pi
-
-
-def bessel_i_adaptive_quadrature(order: int, t: float, tol: float = 1e-12) -> BesselEval:
-    """Node-doubling wrapper around bessel_i_quadrature.
-
-    Doubles the node count until two successive evaluations agree to tol.
-    """
-    nodes = 32
-    prev = bessel_i_quadrature(order, t, nodes)
-    while nodes < 1 << 16:
-        nodes *= 2
-        cur = bessel_i_quadrature(order, t, nodes)
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return BesselEval(order, t, cur, "quadrature", nodes)
-        prev = cur
-    raise RuntimeError("quadrature failed to converge")  # pragma: no cover
 
 
 def bessel_i_derivative(order: int, t: float, tol: float = 1e-15) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,9 +31,13 @@ def _fmt(x: float) -> str:
 
 def _parse_float_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise GraphError(f"bad numeric list {text!r}: {exc}") from exc
+    for value in values:
+        if not math.isfinite(value):
+            raise GraphError(f"t must be finite, got {value} in {text!r}")
+    return values
 
 
 def _resolve_graph(args) -> graphs.Graph:
@@ -131,7 +136,10 @@ def cmd_heat(args) -> int:
     rows = []
     for t in ts:
         for x in range(g.n_vertices):
-            series = heat_graph.heat_kernel_series(g, 0, x, t, args.tol)
+            try:
+                series = heat_graph.heat_kernel_series(g, 0, x, t, args.tol)
+            except OverflowError as exc:
+                raise GraphError(f"t = {t}: the Bessel series overflows ({exc})") from exc
             delta = (
                 abs(series - heat_graph.heat_kernel_spectral(g, 0, x, t))
                 if use_spectral
@@ -239,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, help="tree degree parameter (tree mode)")
         p.add_argument("--order", type=int, default=10, help="table/series order M")
         p.add_argument("--t", help="comma-separated time grid")
-        p.add_argument("--u", help="comma-separated u grid")
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", help="output path (default stdout)")

@@ -5,10 +5,6 @@ o(y), terminus t(y) and an involution bar(y) satisfying bar(bar(y)) = y,
 bar(y) != y, o(y) = t(bar(y)).  An undirected edge is the pair {y, bar(y)};
 multi-edges and self-loops (with two distinct orientations) are allowed.
 
-All counting is done in Python integers, so results are exact at any
-length.  The recursions are validated against brute-force depth-first
-enumeration, which is the ground-truth oracle for every count here.
-
 Counting functions, all relative to a base vertex x0:
 
 * a_k(x): walks of length k from x0 to x,
@@ -17,17 +13,30 @@ Counting functions, all relative to a base vertex x0:
 * N_k^0: closed geodesics at x0 (no backtracking and no tail),
 * N_k: closed geodesics from any starting vertex, with direction,
 * pi_k: prime geodesic classes of length k.
+
+Routes.  Production counts on regular graphs come from one engine, the
+three-term non-backtracking recursion run on integer arrays
+(``_geodesic_matrices``): one indicator column gives c_k(x) for one base
+vertex, the identity gives every base vertex at once, and the traces give
+the loop totals behind N_k (the integer form of the Ihara-Bass identity).
+Arrays are int64 only while the bound proved in ``_int64_safe`` shows no
+entry can overflow, and dtype=object (Python ints) above it; every count
+leaves the engine as a Python int, so results are exact at any length.
+The edge-transfer recursion ``geodesic_counts`` and the depth-first
+enumerations are oracles: ``verify`` and the tests compare the engine
+against them, and no production path calls them.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
-from sympy import mobius
+import numpy as np
 
 __all__ = [
     "CountTable",
@@ -65,6 +74,14 @@ class Graph:
     n_vertices: int
     origin: tuple[int, ...]
     terminus: tuple[int, ...]
+    # out_edges[v]: edge indices leaving v, built once at construction
+    out_edges: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        out: list[list[int]] = [[] for _ in range(self.n_vertices)]
+        for e, u in enumerate(self.origin):
+            out[u].append(e)
+        object.__setattr__(self, "out_edges", tuple(tuple(es) for es in out))
 
     @property
     def n_edges(self) -> int:
@@ -72,18 +89,6 @@ class Graph:
 
     def bar(self, e: int) -> int:
         return e ^ 1
-
-    @property
-    def out_edges(self) -> tuple[tuple[int, ...], ...]:
-        """Edge indices leaving each vertex (cached)."""
-        cached = _OUT_EDGES.get(self)
-        if cached is None:
-            out: list[list[int]] = [[] for _ in range(self.n_vertices)]
-            for e, u in enumerate(self.origin):
-                out[u].append(e)
-            cached = tuple(tuple(es) for es in out)
-            _OUT_EDGES[self] = cached
-        return cached
 
     def degree(self, v: int) -> int:
         return len(self.out_edges[v])
@@ -104,10 +109,6 @@ class Graph:
         for e in range(self.n_edges):
             rows[self.origin[e]][self.terminus[e]] += 1
         return rows
-
-
-# out-edge cache keyed by graph identity (Graph is frozen/hashable)
-_OUT_EDGES: dict[Graph, tuple[tuple[int, ...], ...]] = {}
 
 
 @dataclass
@@ -140,18 +141,22 @@ def _build_graph(n: int, undirected_edges: list[tuple[int, int]]) -> Graph:
     return g
 
 
-def _require_connected(g: Graph) -> None:
-    seen = [False] * g.n_vertices
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
+def _bfs(g: Graph, s: int) -> tuple[list[int], list[int]]:
+    """Distances from s (-1 where unreachable) and the vertices in BFS order."""
+    dist = [-1] * g.n_vertices
+    dist[s] = 0
+    order = [s]
+    for u in order:
         for e in g.out_edges[u]:
             v = g.terminus[e]
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    missing = [v for v, s in enumerate(seen) if not s]
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                order.append(v)
+    return dist, order
+
+
+def _require_connected(g: Graph) -> None:
+    missing = [v for v, d in enumerate(_bfs(g, 0)[0]) if d < 0]
     if missing:
         raise GraphError(f"graph is disconnected: vertices {missing} unreachable from 0")
 
@@ -253,11 +258,11 @@ def path_counts(g: Graph, x0: int, K: int) -> list[list[int]]:
 
 
 def geodesic_counts(g: Graph, x0: int, K: int) -> list[list[int]]:
-    """c_k(x): non-backtracking walks of length k from x0 to x, k = 0..K.
+    """c_k(x) by the edge-transfer recursion, k = 0..K (oracle).
 
-    Computed by the edge-transfer recursion: the state is a count per
-    directed edge, and an edge e may be followed by any f with
-    o(f) = t(e), f != bar(e).  Works on any graph, regular or not.
+    The state is a count per directed edge, and an edge e may be followed
+    by any f with o(f) = t(e), f != bar(e).  Works on any graph, regular
+    or not; production counts come from geodesic_counts_recursion.
     """
     n = g.n_vertices
     c0 = [0] * n
@@ -291,32 +296,69 @@ def _edge_counts_to_vertex(g: Graph, w: list[int]) -> list[int]:
     return out
 
 
-def geodesic_counts_recursion(g: Graph, x0: int, K: int) -> list[list[int]]:
-    """c_k(x) by the three-term adjacency recursion (regular graphs only).
+def _int64_safe(q: int, K: int) -> bool:
+    """True when no number the engine forms up to order K can overflow int64.
 
-    c_1 = A delta_{x0}, c_2 = A c_1 - (q+1) c_0, and
-    c_{k+1} = A c_k - q c_{k-1} for k >= 2.
+    C_k[x, y] counts the geodesics of length k from y to x, and the
+    geodesics of length k >= 1 from y number (q+1) q^{k-1}, so
+    0 <= C_k <= (q+1) q^{k-1} entrywise.  The largest intermediate is the
+    gather A C_{k-1} = C_k + q C_{k-2} (C_2 + (q+1) C_0 at k = 2), whose
+    entries are at most (q+1) q^{k-1} + (q+1) q^{k-2} = (q+1)^2 q^{k-2};
+    its partial sums and q C_{k-2} are smaller.  Traces are summed as
+    Python ints, so no factor n enters.
+    """
+    return (q + 1) ** 2 * q ** max(K - 2, 0) < 2**63
+
+
+def _geodesic_matrices(g: Graph, K: int, x0: int | None = None) -> Iterator[np.ndarray]:
+    """Yield C_0, ..., C_K of the three-term non-backtracking recursion.
+
+    C_0 = X, C_1 = A X, C_2 = A C_1 - (q+1) X and C_k = A C_{k-1} - q C_{k-2},
+    where X = e_{x0} (C_k[x] = c_k(x)) or, when x0 is None, X = I
+    (C_k[x, y] = c_k(x) from base vertex y).  A M is a gather over the
+    (n, q+1) neighbour table, in which multi-edges and self-loops repeat,
+    so the recursion holds on every (q+1)-regular graph of this module.
+    The dtype is int64 where _int64_safe allows it and object otherwise.
     """
     q = g.regularity()
     n = g.n_vertices
+    dtype = np.int64 if _int64_safe(q, K) else object
+    nbr = np.array([[g.terminus[e] for e in es] for es in g.out_edges])
 
-    def apply_a(vec: list[int]) -> list[int]:
-        out = [0] * n
-        for e in range(g.n_edges):
-            out[g.terminus[e]] += vec[g.origin[e]]
+    def apply_a(m: np.ndarray) -> np.ndarray:
+        out = m[nbr[:, 0]]
+        for j in range(1, q + 1):
+            out += m[nbr[:, j]]
         return out
 
-    c0 = [0] * n
-    c0[x0] = 1
-    table = [c0]
-    if K >= 1:
-        table.append(apply_a(c0))
-    if K >= 2:
-        table.append([a - (q + 1) * b for a, b in zip(apply_a(table[1]), c0)])
-    for k in range(2, K):
-        nxt = [a - q * b for a, b in zip(apply_a(table[k]), table[k - 1])]
-        table.append(nxt)
-    return table
+    if x0 is None:
+        cur = np.zeros((n, n), dtype)
+        cur[np.arange(n), np.arange(n)] = 1
+    else:
+        cur = np.zeros(n, dtype)
+        cur[x0] = 1
+    prev = cur
+    yield cur
+    for k in range(1, K + 1):
+        nxt = apply_a(cur)
+        if k >= 2:
+            nxt -= (q + 1 if k == 2 else q) * prev
+        prev, cur = cur, nxt
+        yield cur
+
+
+def geodesic_counts_recursion(g: Graph, x0: int, K: int) -> list[list[int]]:
+    """c_k(x) for k = 0..K from base vertex x0 (regular graphs only).
+
+    The single-vertex entry point of the counting engine: c_1 = A e_{x0},
+    c_2 = A c_1 - (q+1) c_0 and c_{k+1} = A c_k - q c_{k-1} for k >= 2.
+    """
+    return [c.tolist() for c in _geodesic_matrices(g, K, x0)]
+
+
+def _geodesic_loop_totals(g: Graph, K: int) -> list[int]:
+    """sum over base vertices of c_k^0, k = 0..K, as tr C_k with X = I."""
+    return [sum(c.diagonal().tolist()) for c in _geodesic_matrices(g, K)]
 
 
 def closed_geodesics_at_vertex(g: Graph, x0: int, K: int) -> list[int]:
@@ -326,9 +368,8 @@ def closed_geodesics_at_vertex(g: Graph, x0: int, K: int) -> list[int]:
     N_k^0 - N_{k-2}^0 = c_k^0 - q c_{k-2}^0 with N_1^0 = c_1^0 and
     N_2^0 = c_2^0.  The caller is responsible for transitivity.
     """
-    q = g.regularity()
-    c_loops = [row[x0] for row in geodesic_counts(g, x0, K)]
-    return _closed_from_loops(c_loops, q, base_zero=1)
+    c_loops = [int(c[x0]) for c in _geodesic_matrices(g, K, x0)]
+    return _closed_from_loops(c_loops, g.regularity(), base_zero=1)
 
 
 def _closed_from_loops(c_loops: list[int], q: int, base_zero: int) -> list[int]:
@@ -344,17 +385,25 @@ def _closed_from_loops(c_loops: list[int], q: int, base_zero: int) -> list[int]:
 def closed_geodesics_total(g: Graph, K: int) -> list[int]:
     """N_k: closed geodesics of length k over all starting vertices.
 
-    Uses c_k = sum over base vertices of c_k^0 and the same alternating-tail
-    recursion; N_0 is set to the vertex count by the zero-path convention
-    but never enters a zeta coefficient.
+    Uses c_k = tr C_k, the geodesic loops summed over base vertices, and
+    the same alternating-tail recursion; N_0 is set to the vertex count by
+    the zero-path convention but never enters a zeta coefficient.
     """
-    q = g.regularity()
-    totals = [0] * (K + 1)
-    for x0 in range(g.n_vertices):
-        loops = geodesic_counts(g, x0, K)
-        for k in range(K + 1):
-            totals[k] += loops[k][x0]
-    return _closed_from_loops(totals, q, base_zero=g.n_vertices)
+    return _closed_from_loops(_geodesic_loop_totals(g, K), g.regularity(), g.n_vertices)
+
+
+def mobius(m: int) -> int:
+    """Moebius function mu(m) for m >= 1, by trial division."""
+    sign = 1
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if m > 1 else sign
 
 
 def prime_geodesic_counts(n_table: list[int], K: int) -> list[int]:
@@ -370,7 +419,7 @@ def prime_geodesic_counts(n_table: list[int], K: int) -> list[int]:
         total = Fraction(0)
         for d in range(1, m + 1):
             if m % d == 0:
-                total += int(mobius(m // d)) * n_table[d]
+                total += mobius(m // d) * n_table[d]
         value = total / m
         if value.denominator != 1 or value < 0:
             raise ValueError(f"pi_{m} = {value} is not a nonnegative integer")
@@ -437,23 +486,6 @@ def enumerate_closed_geodesics(g: Graph, x0: int, k: int) -> list[tuple[int, ...
 TRANSITIVITY_CAP = 64
 
 
-def _distance_matrix(g: Graph) -> list[list[int]]:
-    dist = []
-    for s in range(g.n_vertices):
-        row = [-1] * g.n_vertices
-        row[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for e in g.out_edges[u]:
-                v = g.terminus[e]
-                if row[v] < 0:
-                    row[v] = row[u] + 1
-                    queue.append(v)
-        dist.append(row)
-    return dist
-
-
 def check_vertex_transitive(
     g: Graph, cap: int = TRANSITIVITY_CAP
 ) -> tuple[bool | None, dict[int, list[int]]]:
@@ -470,25 +502,14 @@ def check_vertex_transitive(
     degrees = [g.degree(v) for v in range(n)]
     if len(set(degrees)) != 1:
         return False, {}
-    dist = _distance_matrix(g)
+    dist = [_bfs(g, s)[0] for s in range(n)]
     # distance profile: sorted multiset of distances; automorphisms preserve it
     profiles = [tuple(sorted(row)) for row in dist]
     if len(set(profiles)) != 1:
         return False, {}
     adj = g.adjacency_counts()
     # BFS vertex order from 0 keeps each new vertex adjacent to a mapped one
-    order: list[int] = []
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for e in g.out_edges[u]:
-            v = g.terminus[e]
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
+    order = _bfs(g, 0)[1]
 
     def search(target: int) -> list[int] | None:
         image = [-1] * n
@@ -540,26 +561,19 @@ def count_table(g: Graph, x0: int, K: int, assume_transitive: bool = False) -> C
     unconditionally and it is the caller's business (or the transitivity
     check's) to decide whether to trust it.
     """
-    a = path_counts(g, x0, K)
-    c = geodesic_counts(g, x0, K)
     q = g.regularity()
+    c = geodesic_counts_recursion(g, x0, K)
     c0 = [row[x0] for row in c]
-    n0 = _closed_from_loops(c0, q, base_zero=1)
-    n_total = closed_geodesics_total(g, K)
-    c_total = [0] * (K + 1)
-    for base in range(g.n_vertices):
-        loops = geodesic_counts(g, base, K)
-        for k in range(K + 1):
-            c_total[k] += loops[k][base]
-    primes = prime_geodesic_counts(n_total, K)
+    c_total = _geodesic_loop_totals(g, K)
+    n_total = _closed_from_loops(c_total, q, base_zero=g.n_vertices)
     return CountTable(
         x0=x0,
         K=K,
-        a=a,
+        a=path_counts(g, x0, K),
         c=c,
         c0=c0,
-        n0=n0,
+        n0=_closed_from_loops(c0, q, base_zero=1),
         c_total=c_total,
         n_total=n_total,
-        primes=primes,
+        primes=prime_geodesic_counts(n_total, K),
     )

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from heatzeta.bessel import bessel_upper_bound, building_block
-from heatzeta.graphs import Graph, geodesic_counts
+from heatzeta.graphs import Graph, geodesic_counts_recursion
 from heatzeta.heat_tree import tree_heat_kernel
 
 __all__ = [
@@ -77,8 +77,12 @@ def spectral_data(g: Graph) -> SpectralData:
 
 
 @lru_cache(maxsize=512)
-def _geodesic_count_rows(g: Graph, x0: int, order: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(row) for row in geodesic_counts(g, x0, order))
+def _b_rows(g: Graph, x0: int, M: int) -> tuple[tuple[int, ...], ...]:
+    c = np.array(geodesic_counts_recursion(g, x0, M), dtype=object)
+    tails = np.zeros_like(c)  # tails[m] = c_{m-2} + c_{m-4} + ...
+    for m in range(2, M + 1):
+        tails[m] = tails[m - 2] + c[m - 2]
+    return tuple(map(tuple, (c - (g.regularity() - 1) * tails).tolist()))
 
 
 def b_coefficients(g: Graph, x0: int, M: int) -> list[list[int]]:
@@ -88,30 +92,24 @@ def b_coefficients(g: Graph, x0: int, M: int) -> list[list[int]]:
     b_0 = c_0 and b_1 = c_1.  Entries are exact integers and may be
     negative.
     """
-    q = g.regularity()
-    c = _geodesic_count_rows(g, x0, M)
-    n = g.n_vertices
-    out: list[list[int]] = []
-    # running[x] tracks c_{m-2}(x) + c_{m-4}(x) + ... for the current parity
-    running = {0: [0] * n, 1: [0] * n}
-    for m in range(M + 1):
-        if m >= 2:
-            prev = c[m - 2]
-            acc = running[m % 2]
-            for x in range(n):
-                acc[x] += prev[x]
-            out.append([c[m][x] - (q - 1) * acc[x] for x in range(n)])
-        else:
-            out.append(list(c[m]))
-    return out
+    return [list(row) for row in _b_rows(g, x0, M)]
 
 
 def series_truncation_order(q: int, t: float, tol: float) -> int:
     """Smallest safe order M for the graph heat-kernel Bessel series.
 
-    Certified through |b_m(x)| <= c_m(x) <= (q+1) q^{m-1} and the uniform
-    Bessel bound; scanning stops once consecutive bound terms shrink by at
-    least a factor two and the remaining geometric tail is below tol.
+    Certified through |b_m(x)| <= (q+1) q^{m-1} and the uniform Bessel
+    bound; scanning stops once consecutive bound terms shrink by at least a
+    factor two and the remaining geometric tail is below tol.
+
+    The coefficient bound: b_m = c_m - (q-1) sum_{j>=1} c_{m-2j} is the
+    difference of two nonnegative parts, so |b_m| is at most the larger
+    part.  The geodesics of length k >= 1 number (q+1) q^{k-1}, so
+    c_k(x) <= (q+1) q^{k-1} and c_0(x) <= 1.  Hence
+    (q-1) sum_{j>=1} c_{m-2j}(x) <= (q^2-1) q^{m-1} sum_{j>=1} q^{-2j} + (q-1)
+    <= q^{m-1} + q - 1 <= (q+1) q^{m-1} for m >= 2 (b_0 = c_0, b_1 = c_1;
+    for q = 1 the second part vanishes).
+    It is not true that |b_m(x)| <= c_m(x): on k4, b_2(0) = -1, c_2(0) = 0.
     """
     if t == 0.0:
         return 0

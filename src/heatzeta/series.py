@@ -55,9 +55,6 @@ class PowerSeries:
     def __repr__(self) -> str:
         return f"PowerSeries({list(self.coeffs)!r})"
 
-    def truncate(self, order: int) -> "PowerSeries":
-        return PowerSeries.from_coefficients(self.coeffs, order)
-
     def _common_order(self, other: "PowerSeries") -> int:
         return min(self.order, other.order)
 
@@ -80,9 +77,6 @@ class PowerSeries:
                 if b != 0:
                     out[i + j] += a * b
         return PowerSeries(out)
-
-    def scale(self, factor) -> "PowerSeries":
-        return PowerSeries([factor * a for a in self.coeffs])
 
     def derivative(self) -> "PowerSeries":
         """Formal d/du; the result has one order less (or order 0)."""

@@ -119,6 +119,28 @@ class TestHeat:
         assert code == 2
         assert "numeric" in err
 
+    @pytest.mark.parametrize("t", ["inf", "nan", "-inf", "0.5,inf"])
+    def test_non_finite_time_rejected(self, capsys, t):
+        code, out, err = run(capsys, "heat", "--graph", "k4", f"--t={t}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: t must be finite")
+
+    @pytest.mark.parametrize(
+        "graph, t", [("k4", "1e6"), ("k4", "200"), ("petersen", "200")]
+    )
+    def test_series_overflow_is_input_error(self, capsys, graph, t):
+        code, out, err = run(capsys, "heat", "--graph", graph, "--t", t)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: t = {float(t)}: the Bessel series overflows")
+
+    def test_u_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--graph", "k4", "--u", "0.1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --u" in capsys.readouterr().err
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "heat", "--graph", "petersen", "--t", "0.3")
         _, second, _ = run(capsys, "heat", "--graph", "petersen", "--t", "0.3")

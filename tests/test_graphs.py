@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatzeta import graphs as G
 from heatzeta.graphs import GraphError
+from strategies import regular_multigraphs
 
 
 def brute_force_vertex_counts(g, x0, k):
@@ -120,7 +122,8 @@ class TestGeodesicCounts:
     @pytest.mark.parametrize("name", ["k4", "c5", "c8", "petersen", "cube", "k33"])
     def test_transfer_vs_adjacency_recursion(self, name):
         g = G.builtin_graph(name)
-        assert G.geodesic_counts(g, 0, 10) == G.geodesic_counts_recursion(g, 0, 10)
+        for x0 in range(g.n_vertices):
+            assert G.geodesic_counts(g, x0, 12) == G.geodesic_counts_recursion(g, x0, 12)
 
     @pytest.mark.parametrize("name", ["k4", "c5", "petersen", "cube", "k33"])
     @pytest.mark.parametrize("k", range(8))
@@ -134,6 +137,119 @@ class TestGeodesicCounts:
         # two parallel edges: each step may continue through the other edge
         assert c[2][0] == 2
         assert G.geodesic_counts_recursion(g, 0, 4) == c
+
+
+def oracle_loop_totals(g, K):
+    """sum over base vertices of c_k^0 from the edge-transfer oracle."""
+    totals = [0] * (K + 1)
+    for base in range(g.n_vertices):
+        rows = G.geodesic_counts(g, base, K)
+        for k in range(K + 1):
+            totals[k] += rows[k][base]
+    return totals
+
+
+def all_python_ints(values):
+    return all(type(v) is int for v in values)
+
+
+class TestCountingEngine:
+    """The integer engine against the edge-transfer and DFS oracles."""
+
+    @given(g=regular_multigraphs(), K=st.integers(0, 10), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_single_vertex_rows_match_oracle(self, g, K, data):
+        x0 = data.draw(st.integers(0, g.n_vertices - 1))
+        rows = G.geodesic_counts_recursion(g, x0, K)
+        assert rows == G.geodesic_counts(g, x0, K)
+        assert all(all_python_ints(row) for row in rows)
+
+    @given(g=regular_multigraphs(), K=st.integers(0, 10))
+    @settings(max_examples=150, deadline=None)
+    def test_loop_totals_and_closed_totals_match_oracle(self, g, K):
+        q = g.regularity()
+        totals = oracle_loop_totals(g, K)
+        assert G._geodesic_loop_totals(g, K) == totals
+        n_total = G.closed_geodesics_total(g, K)
+        assert n_total == G._closed_from_loops(totals, q, base_zero=g.n_vertices)
+        assert all_python_ints(n_total)
+        for k in range(1, min(K, 4) + 1):
+            dfs = sum(len(G.enumerate_closed_geodesics(g, v, k)) for v in range(g.n_vertices))
+            assert n_total[k] == dfs
+
+    @given(g=regular_multigraphs(), K=st.integers(1, 10))
+    @settings(max_examples=100, deadline=None)
+    def test_count_table_matches_oracle(self, g, K):
+        q = g.regularity()
+        c = G.geodesic_counts(g, 0, K)
+        c0 = [row[0] for row in c]
+        totals = oracle_loop_totals(g, K)
+        n_total = G._closed_from_loops(totals, q, base_zero=g.n_vertices)
+        table = G.count_table(g, 0, K)
+        assert table.a == G.path_counts(g, 0, K)
+        assert table.c == c
+        assert table.c0 == c0
+        assert table.n0 == G._closed_from_loops(c0, q, base_zero=1)
+        assert table.n0 == G.closed_geodesics_at_vertex(g, 0, K)
+        assert table.c_total == totals
+        assert table.n_total == n_total
+        assert table.primes == G.prime_geodesic_counts(n_total, K)
+        assert all_python_ints(table.c_total + table.n_total + table.n0 + table.primes)
+
+    @given(g=regular_multigraphs(), K=st.integers(0, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_entry_bound_behind_int64_guard(self, g, K):
+        # C_k[x, y] >= 0 and every column sums to (q+1) q^{k-1} (k >= 1)
+        q = g.regularity()
+        for k, mat in enumerate(G._geodesic_matrices(g, K)):
+            column_sums = mat.sum(axis=0).tolist()
+            expected = 1 if k == 0 else (q + 1) * q ** (k - 1)
+            assert column_sums == [expected] * g.n_vertices
+            assert mat.min() >= 0
+
+    @pytest.mark.parametrize("name", ["k4", "c5", "c8", "petersen", "cube", "k33"])
+    def test_builtin_totals_against_oracles_to_order_12(self, name):
+        g = G.builtin_graph(name)
+        K = 12
+        totals = oracle_loop_totals(g, K)
+        n_total = G._closed_from_loops(totals, g.regularity(), base_zero=g.n_vertices)
+        assert G.closed_geodesics_total(g, K) == n_total
+        table = G.count_table(g, 0, K)
+        assert table.c_total == totals and table.n_total == n_total
+        for k in range(1, 7):
+            dfs = sum(len(G.enumerate_closed_geodesics(g, v, k)) for v in range(g.n_vertices))
+            assert n_total[k] == dfs
+
+    def test_int64_guard_boundary(self):
+        # (q+1)^2 q^{K-2} < 2^63 holds at q = 3 up to K = 39
+        assert G._int64_safe(3, 39)
+        assert not G._int64_safe(3, 40)
+        assert G._int64_safe(1, 10_000)
+
+    def test_object_fallback_matches_oracle(self):
+        k5 = G.load_graph("\n".join(f"{u} {v}" for u in range(5) for v in range(u + 1, 5)))
+        assert k5.regularity() == 3
+        for K, dtype in ((39, np.int64), (40, object), (45, object)):
+            assert all(c.dtype == dtype for c in G._geodesic_matrices(k5, K, 0))
+            assert all(c.dtype == dtype for c in G._geodesic_matrices(k5, K))
+            rows = G.geodesic_counts_recursion(k5, 0, K)
+            assert rows == G.geodesic_counts(k5, 0, K)
+            assert all(all_python_ints(row) for row in rows)
+            totals = oracle_loop_totals(k5, K)
+            n_total = G.closed_geodesics_total(k5, K)
+            assert n_total == G._closed_from_loops(totals, 3, base_zero=5)
+            assert all_python_ints(n_total)
+            n0 = G.closed_geodesics_at_vertex(k5, 0, K)
+            assert all_python_ints(n0) and [5 * v for v in n0[1:]] == n_total[1:]
+        # by K = 45 every single count exceeds int64
+        assert min(G.geodesic_counts_recursion(k5, 0, 45)[45]) > 2**63
+
+    def test_out_edges_built_at_construction(self):
+        g = G.builtin_graph("k4")
+        assert g.out_edges == ((0, 2, 4), (1, 6, 8), (3, 7, 10), (5, 9, 11))
+        assert "out_edges" not in repr(g)
+        assert g == G.Graph(g.n_vertices, g.origin, g.terminus)
+        assert hash(g) == hash(G.Graph(g.n_vertices, g.origin, g.terminus))
 
 
 class TestClosedGeodesics:
@@ -235,6 +351,27 @@ class TestPrimeGeodesics:
         for m in range(1, 13):
             n[m] = sum(d * pi[d] for d in range(1, m + 1) if m % d == 0)
         assert G.prime_geodesic_counts(n, 12) == pi
+
+
+class TestMobius:
+    def test_dirichlet_inverse_of_one(self):
+        # sum_{d|m} mu(d) = [m == 1] determines mu uniquely
+        limit = 5000
+        mu = [0] + [G.mobius(m) for m in range(1, limit + 1)]
+        divisor_sums = [0] * (limit + 1)
+        for d in range(1, limit + 1):
+            for m in range(d, limit + 1, d):
+                divisor_sums[m] += mu[d]
+        assert divisor_sums[1:] == [1] + [0] * (limit - 1)
+
+    def test_squarefree_prime_count_definition(self):
+        def brute(m):
+            primes = [p for p in range(2, m + 1) if m % p == 0 and all(p % r for r in range(2, p))]
+            if any(m % (p * p) == 0 for p in primes):
+                return 0
+            return (-1) ** len(primes)
+
+        assert [G.mobius(m) for m in range(1, 5001)] == [brute(m) for m in range(1, 5001)]
 
 
 class TestTransitivity:

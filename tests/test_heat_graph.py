@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatzeta import graphs as G
 from heatzeta.bessel import bessel_i
@@ -15,6 +17,7 @@ from heatzeta.heat_graph import (
     laplacian,
     spectral_data,
 )
+from strategies import regular_multigraphs
 
 GRAPH_NAMES = ["k4", "c5", "c8", "cube", "k33", "petersen"]
 
@@ -96,6 +99,17 @@ class TestBCoefficients:
             n0 = G.closed_geodesics_at_vertex(g, 0, 10)
             for m in range(1, 11):
                 assert b[m][0] == n0[m] - (q - 1) * (1 - m % 2)
+
+    @given(g=regular_multigraphs(), M=st.integers(0, 20), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_truncation_coefficient_bound(self, g, M, data):
+        # the bound series_truncation_order certifies with: |b_m(x)| <= (q+1) q^{m-1}
+        q = g.regularity()
+        x0 = data.draw(st.integers(0, g.n_vertices - 1))
+        b = b_coefficients(g, x0, M)
+        assert all(abs(v) <= 1 for v in b[0])
+        for m in range(1, M + 1):
+            assert max(abs(v) for v in b[m]) <= (q + 1) * q ** (m - 1)
 
     def test_alternating_tail_definition(self):
         g = G.builtin_graph("petersen")
