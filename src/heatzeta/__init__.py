@@ -20,6 +20,7 @@ from heatzeta.bessel import (
     bessel_i_scaled,
     bessel_upper_bound,
     building_block,
+    building_blocks,
 )
 from heatzeta.graphs import (
     CountTable,
@@ -46,8 +47,10 @@ from heatzeta.heat_graph import (
     b_coefficients,
     diagonal_tree_decomposition,
     heat_kernel_ode,
+    heat_kernel_row,
     heat_kernel_series,
     heat_kernel_spectral,
+    heat_kernel_spectral_row,
     laplacian,
     spectral_data,
 )
@@ -82,6 +85,7 @@ __all__ = [
     "bessel_i_scaled",
     "bessel_upper_bound",
     "building_block",
+    "building_blocks",
     "builtin_graph",
     "check_vertex_transitive",
     "closed_geodesics_at_vertex",
@@ -93,8 +97,10 @@ __all__ = [
     "g_transform_numeric",
     "geodesic_counts",
     "heat_kernel_ode",
+    "heat_kernel_row",
     "heat_kernel_series",
     "heat_kernel_spectral",
+    "heat_kernel_spectral_row",
     "horocycle_solution",
     "ihara_determinant_series",
     "kesten_tree_measure",

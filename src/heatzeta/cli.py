@@ -40,15 +40,19 @@ def _parse_float_list(text: str) -> list[float]:
     return values
 
 
+def _is_builtin(spec: str) -> bool:
+    lowered = spec.lower()
+    return lowered in graphs.BUILTIN_NAMES or (
+        lowered.startswith("c") and lowered[1:].isdigit()
+    )
+
+
 def _resolve_graph(args) -> graphs.Graph:
     spec = args.graph
     if spec is None:
         raise GraphError("--graph is required")
-    lowered = spec.lower()
-    if lowered in graphs.BUILTIN_NAMES or (
-        lowered.startswith("c") and lowered[1:].isdigit()
-    ):
-        return graphs.builtin_graph(lowered)
+    if _is_builtin(spec):
+        return graphs.builtin_graph(spec.lower())
     path = Path(spec)
     if not path.exists():
         raise GraphError(f"graph file {spec!r} not found and not a builtin name")
@@ -115,11 +119,18 @@ def cmd_heat(args) -> int:
         for t in ts:
             for r in range(args.order + 1):
                 value = heat_tree.tree_heat_kernel(q, t, r, args.tol)
-                cross = (
-                    heat_tree.tree_heat_kernel_integral(q, t, r, min(args.tol, 1e-10))
-                    if q >= 2 and t > 0
-                    else value.value
-                )
+                try:
+                    cross = (
+                        heat_tree.tree_heat_kernel_integral(q, t, r, min(args.tol, 1e-10))
+                        if q >= 2 and t > 0
+                        else value.value
+                    )
+                except RuntimeError as exc:
+                    print(
+                        f"error: t = {t}, r = {r}: integral cross-check failed ({exc})",
+                        file=sys.stderr,
+                    )
+                    return EXIT_INVARIANT_FAILURE
                 rows.append(
                     {
                         "t": t,
@@ -135,17 +146,15 @@ def cmd_heat(args) -> int:
     use_spectral = g.n_vertices <= heat_graph.DENSE_EIGEN_CAP
     rows = []
     for t in ts:
-        for x in range(g.n_vertices):
-            try:
-                series = heat_graph.heat_kernel_series(g, 0, x, t, args.tol)
-            except OverflowError as exc:
-                raise GraphError(f"t = {t}: the Bessel series overflows ({exc})") from exc
-            delta = (
-                abs(series - heat_graph.heat_kernel_spectral(g, 0, x, t))
-                if use_spectral
-                else None
-            )
-            rows.append({"t": t, "x": x, "value": series, "cross_check_delta": delta})
+        try:
+            series = heat_graph.heat_kernel_row(g, 0, t, args.tol).tolist()
+        except OverflowError as exc:
+            raise GraphError(f"t = {t}: the Bessel series overflows ({exc})") from exc
+        if use_spectral:
+            spectral = heat_graph.heat_kernel_spectral_row(g, 0, t).tolist()
+        for x, value in enumerate(series):
+            delta = abs(value - spectral[x]) if use_spectral else None
+            rows.append({"t": t, "x": x, "value": value, "cross_check_delta": delta})
     return _emit_heat(args, args.graph, q, rows)
 
 
@@ -211,7 +220,11 @@ def cmd_verify(args) -> int:
             raise GraphError("tree mode needs --q >= 1")
         results = verify.run_tree_checks((q,))
     elif args.graph:
-        _resolve_graph(args)  # validates the name / file
+        if not _is_builtin(args.graph):
+            raise GraphError(
+                f"verify runs on builtin graphs only (k4, c{{n}}, petersen, cube, k33, "
+                f"tree), not {args.graph!r}: its enumeration oracles are sized for them"
+            )
         results = verify.run_graph_checks((args.graph.lower(),))
     else:
         results = verify.run_all_checks()

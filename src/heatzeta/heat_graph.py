@@ -5,6 +5,13 @@
 2. finite spectral expansion through the Laplacian eigendecomposition,
 3. direct high-order ODE integration of dK/dt = -Laplacian K (oracle only).
 
+The building-block vector of the series is the same for every x, so the
+production route, heat_kernel_row, evaluates it once per t with
+bessel.building_blocks and takes one product with the exact b_m rows;
+heat_kernel_spectral_row is its batched spectral counterpart.  The scalar
+heat_kernel_series and heat_kernel_spectral, one entry at a time, are the
+independent oracles that verify and the tests compare against.
+
 The diagonal of the series collapses, on vertex-transitive graphs, to the
 tree heat kernel plus a closed-geodesic correction; that identity is
 exposed as diagonal_tree_decomposition.
@@ -19,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from heatzeta.bessel import bessel_upper_bound, building_block
+from heatzeta.bessel import _check_time, bessel_upper_bound, building_block, building_blocks
 from heatzeta.graphs import Graph, geodesic_counts_recursion
 from heatzeta.heat_tree import tree_heat_kernel
 
@@ -28,8 +35,10 @@ __all__ = [
     "b_coefficients",
     "diagonal_tree_decomposition",
     "heat_kernel_ode",
+    "heat_kernel_row",
     "heat_kernel_series",
     "heat_kernel_spectral",
+    "heat_kernel_spectral_row",
     "laplacian",
     "spectral_data",
     "series_truncation_order",
@@ -135,9 +144,12 @@ def series_truncation_order(q: int, t: float, tol: float) -> int:
 
 
 def heat_kernel_series(g: Graph, x0: int, x: int, t: float, tol: float = 1e-10) -> float:
-    """Bessel-series heat kernel value K(t, x0, x) on a finite regular graph."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    """Bessel-series heat kernel value K(t, x0, x) on a finite regular graph.
+
+    One entry at a time, one scalar building_block per order: the oracle
+    that heat_kernel_row is checked against.
+    """
+    _check_time(t)
     if t == 0.0:
         return 1.0 if x == x0 else 0.0
     q = g.regularity()
@@ -146,13 +158,34 @@ def heat_kernel_series(g: Graph, x0: int, x: int, t: float, tol: float = 1e-10) 
     return math.fsum(b[m][x] * building_block(q, m, t) for m in range(M + 1))
 
 
+def heat_kernel_row(g: Graph, x0: int, t: float, tol: float = 1e-10) -> np.ndarray:
+    """The row K(t, x0, .) of the Bessel series, all vertices at once.
+
+    Same certified order and exact b_m as heat_kernel_series, but the
+    building blocks are one vector from building_blocks and the sum over m
+    is one matrix-vector product.  Converting b rows too large for a float
+    raises OverflowError, as the scalar route does.
+    """
+    _check_time(t)
+    q = g.regularity()
+    M = series_truncation_order(q, t, tol)
+    b = np.array(_b_rows(g, x0, M), dtype=float)
+    return building_blocks(q, M, (t,))[0] @ b
+
+
 def heat_kernel_spectral(g: Graph, x0: int, x: int, t: float) -> float:
     """Spectral heat kernel: sum_j e^{-lambda_j t} psi_j(x) psi_j(x0)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     sd = spectral_data(g)
     weights = sd.eigenvectors[x, :] * sd.eigenvectors[x0, :]
     return float(np.sum(np.exp(-sd.eigenvalues * t) * weights))
+
+
+def heat_kernel_spectral_row(g: Graph, x0: int, t: float) -> np.ndarray:
+    """The row K(t, x0, .) of the spectral expansion: V (e^{-lambda t} V[x0])."""
+    _check_time(t)
+    sd = spectral_data(g)
+    return sd.eigenvectors @ (np.exp(-sd.eigenvalues * t) * sd.eigenvectors[x0, :])
 
 
 def heat_kernel_ode(g: Graph, x0: int, t: float, tol: float = 1e-10) -> np.ndarray:
@@ -161,8 +194,7 @@ def heat_kernel_ode(g: Graph, x0: int, t: float, tol: float = 1e-10) -> np.ndarr
     Integrates dK/dt = -Laplacian K from the indicator initial condition
     with an eighth-order Runge-Kutta scheme.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     lap = laplacian(g)
     y0 = np.zeros(g.n_vertices)
     y0[x0] = 1.0
@@ -189,8 +221,7 @@ def diagonal_tree_decomposition(g: Graph, x0: int, t: float, tol: float = 1e-10)
     """
     from heatzeta.graphs import closed_geodesics_at_vertex
 
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     q = g.regularity()
     tree_part = tree_heat_kernel(q, t, 0, tol).value
     if t == 0.0:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from scipy.integrate import quad
 
 from heatzeta.bessel import (
+    _check_time,
     bessel_i,
     bessel_upper_bound,
     building_block,
@@ -72,8 +73,7 @@ def tree_heat_kernel(q: int, t: float, r: int, tol: float = 1e-12) -> TreeHeatVa
         raise ValueError("r must be >= 0")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     if t == 0.0:
         return TreeHeatValue(q, t, r, 1.0 if r == 0 else 0.0, 0, 0.0)
     if q == 1:
@@ -131,6 +131,11 @@ def tree_heat_kernel_integral(q: int, t: float, r: int, tol: float = 1e-10) -> f
         (2 q (q+1) e^{-(q+1)t} / pi) *
         int_0^pi e^{2t sqrt(q) cos u} sin^2 u / ((q+1)^2 - 4q cos^2 u) du.
 
+    The factor e^{2t sqrt(q)} is moved out of the integral, which leaves
+    e^{2t sqrt(q)(cos u - 1)} <= 1 inside and e^{-(sqrt(q)-1)^2 t} in the
+    prefactor: the integrand stays of order one for every t.  The error
+    guard, error <= max(tol, 10 tol |value|), is applied to the returned K.
+
     The denominators degenerate at q = 1, so that case is refused here and
     served by the series route.
     """
@@ -139,27 +144,29 @@ def tree_heat_kernel_integral(q: int, t: float, r: int, tol: float = 1e-10) -> f
     if r < 0:
         raise ValueError("r must be >= 0")
     sq = math.sqrt(q)
+    shrink = (sq - 1.0) ** 2  # (q+1) - 2 sqrt(q)
 
     if r > 0:
 
         def integrand(u: float) -> float:
             num = math.sin(u) * (q * math.sin((r + 1) * u) - math.sin((r - 1) * u))
             den = (q + 1) ** 2 - 4 * q * math.cos(u) ** 2
-            return math.exp(2 * t * sq * math.cos(u)) * num / den
+            return math.exp(2 * t * sq * (math.cos(u) - 1.0)) * num / den
 
-        prefactor = 2.0 * math.exp(-(q + 1) * t) / (math.pi * q ** (r / 2.0 - 1.0))
+        prefactor = 2.0 * math.exp(-shrink * t) / (math.pi * q ** (r / 2.0 - 1.0))
     else:
 
         def integrand(u: float) -> float:
             den = (q + 1) ** 2 - 4 * q * math.cos(u) ** 2
-            return math.exp(2 * t * sq * math.cos(u)) * math.sin(u) ** 2 / den
+            return math.exp(2 * t * sq * (math.cos(u) - 1.0)) * math.sin(u) ** 2 / den
 
-        prefactor = 2.0 * q * (q + 1) * math.exp(-(q + 1) * t) / math.pi
+        prefactor = 2.0 * q * (q + 1) * math.exp(-shrink * t) / math.pi
 
     value, err = quad(integrand, 0.0, math.pi, epsabs=tol * 1e-2, epsrel=tol, limit=200)
+    value, err = prefactor * value, prefactor * err
     if err > max(tol, abs(value) * tol * 10):
         raise RuntimeError(f"quadrature did not converge: estimated error {err}")
-    return prefactor * value
+    return value
 
 
 def horocycle_solution(q: int, t: float, n: int) -> float:

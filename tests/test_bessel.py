@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from heatzeta.bessel import (
     bessel_upper_bound,
     building_block,
     building_block_time_derivative,
+    building_blocks,
 )
 
 
@@ -158,3 +160,49 @@ class TestBuildingBlock:
     def test_derivative_matches_finite_difference(self):
         fd = central_difference(lambda s: building_block(2, 3, s), 1.5)
         assert building_block_time_derivative(2, 3, 1.5) == pytest.approx(fd, abs=1e-9)
+
+
+class TestBuildingBlocks:
+    @pytest.mark.parametrize("q", [1, 2, 3, 7])
+    @pytest.mark.parametrize("t", [0.0, 0.05, 1.0, 8.0, 40.0])
+    def test_matches_scalar_blocks(self, q, t):
+        M = 80
+        blocks = building_blocks(q, M, [t, 2 * t])
+        assert blocks.shape == (2, M + 1)
+        for k, tk in enumerate((t, 2 * t)):
+            for m in range(M + 1):
+                # the scalar series stops once a term is below 1e-15 of the
+                # running sum plus 1e-30, so values below ~1e-28 carry that
+                # absolute error in the oracle itself
+                assert blocks[k, m] == pytest.approx(
+                    building_block(q, m, tk), rel=1e-13, abs=1e-28
+                )
+
+    def test_time_zero_is_the_indicator(self):
+        assert building_blocks(3, 5, [0.0]).tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]
+
+    @pytest.mark.parametrize("q,t", [(1, 300.0), (2, 200.0), (4, 130.0)])
+    def test_large_argument(self, q, t):
+        # 2 sqrt(q) t > 500: the scalar route sums the series in the log
+        # domain (bessel_i_scaled), which loses about 1e-12 relative there;
+        # high-precision values pin the batched route to 1e-13
+        mp = pytest.importorskip("mpmath")
+        assert 2 * math.sqrt(q) * t > 500
+        blocks = building_blocks(q, 60, [t])[0]
+        for m in range(61):
+            assert blocks[m] == pytest.approx(building_block(q, m, t), rel=5e-12)
+        with mp.workdps(40):
+            for m in range(0, 61, 6):
+                exact = mp.power(q, -mp.mpf(m) / 2) * mp.exp(-(q + 1) * mp.mpf(t)) * mp.besseli(
+                    m, 2 * mp.sqrt(q) * t
+                )
+                assert blocks[m] == pytest.approx(float(exact), rel=1e-13)
+
+    def test_no_overflow_at_huge_time(self):
+        blocks = building_blocks(2, 10, [1e6])
+        assert np.all(np.isfinite(blocks)) and np.all(blocks >= 0.0) and blocks[0, 0] < 1e-3
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0])
+    def test_rejects_bad_time(self, t):
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            building_blocks(2, 3, [0.5, t])

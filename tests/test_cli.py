@@ -105,6 +105,26 @@ class TestHeat:
             assert float(row["cross_check_delta"]) <= 1e-8
             assert 0.0 < float(row["value"]) < 1.0
 
+    def test_tree_rows_at_larger_time(self, capsys):
+        code, out, _ = run(
+            capsys, "heat", "--graph", "tree", "--q", "2", "--order", "30", "--t", "5"
+        )
+        assert code == 0
+        for row in json.loads(out)["rows"]:
+            assert float(row["cross_check_delta"]) <= 1e-10
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_tree_cross_check_failure_is_invariant_failure(self, capsys):
+        # no double-precision quadrature meets a 1e-16 error guard
+        code, out, err = run(
+            capsys, "heat", "--graph", "tree", "--q", "2", "--order", "2", "--t", "1",
+            "--tol", "1e-16",
+        )
+        assert code == 3
+        assert out == ""
+        assert "error: t = 1.0, r = 0: integral cross-check failed" in err
+        assert "Traceback" not in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             capsys, "heat", "--graph", "c5", "--t", "0.5", "--format", "csv"
@@ -186,6 +206,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--graph", "k4")
         assert code == 0
         assert "FAIL" not in out
+
+    def test_graph_file_refused(self, capsys, tmp_path):
+        path = tmp_path / "triangle.txt"
+        path.write_text("0 1\n1 2\n2 0\n")
+        code, out, err = run(capsys, "verify", "--graph", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: verify runs on builtin graphs only")
 
     def test_bad_tolerance(self, capsys):
         code, _, err = run(capsys, "verify", "--tol", "-1")

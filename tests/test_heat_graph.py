@@ -12,11 +12,14 @@ from heatzeta.heat_graph import (
     b_coefficients,
     diagonal_tree_decomposition,
     heat_kernel_ode,
+    heat_kernel_row,
     heat_kernel_series,
     heat_kernel_spectral,
+    heat_kernel_spectral_row,
     laplacian,
     spectral_data,
 )
+from heatzeta.heat_tree import tree_heat_kernel
 from strategies import regular_multigraphs
 
 GRAPH_NAMES = ["k4", "c5", "c8", "cube", "k33", "petersen"]
@@ -159,6 +162,46 @@ class TestThreeWayAgreement:
             assert heat_kernel_series(g, 0, x, t, 1e-12) == pytest.approx(wrapped, abs=1e-9)
 
 
+class TestBatchedRows:
+    @given(g=regular_multigraphs(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_scalar_routes(self, g, data):
+        x0 = data.draw(st.integers(0, g.n_vertices - 1))
+        for t in (0.0, 0.1, 2.0, 20.0):
+            row = heat_kernel_row(g, x0, t)
+            spectral_row = heat_kernel_spectral_row(g, x0, t)
+            assert row.shape == spectral_row.shape == (g.n_vertices,)
+            for x in range(g.n_vertices):
+                assert abs(row[x] - heat_kernel_series(g, x0, x, t)) <= 1e-13
+                assert abs(spectral_row[x] - heat_kernel_spectral(g, x0, x, t)) <= 1e-12
+        indicator = [1.0 if x == x0 else 0.0 for x in range(g.n_vertices)]
+        assert heat_kernel_row(g, x0, 0.0).tolist() == indicator
+
+    def test_overflow_contract_kept(self):
+        # b rows too large for a float raise, as in the scalar route
+        with pytest.raises(OverflowError):
+            heat_kernel_row(G.builtin_graph("petersen"), 0, 200.0)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, -0.5])
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda g, t: heat_kernel_series(g, 0, 1, t),
+        lambda g, t: heat_kernel_row(g, 0, t),
+        lambda g, t: heat_kernel_spectral(g, 0, 1, t),
+        lambda g, t: heat_kernel_spectral_row(g, 0, t),
+        lambda g, t: heat_kernel_ode(g, 0, t),
+        lambda g, t: diagonal_tree_decomposition(g, 0, t),
+        lambda g, t: tree_heat_kernel(g.regularity(), t, 0),
+    ],
+    ids=["series", "row", "spectral", "spectral_row", "ode", "diagonal", "tree"],
+)
+def test_time_validated(route, t):
+    with pytest.raises(ValueError, match="t must be finite and >= 0, got"):
+        route(G.builtin_graph("k4"), t)
+
+
 class TestGlobalProperties:
     @pytest.mark.parametrize("name", GRAPH_NAMES)
     def test_mass_conservation(self, name):
@@ -204,8 +247,6 @@ class TestGlobalProperties:
 class TestDiagonalTreeDecomposition:
     def test_tree_reduction(self):
         # a large even cycle has girth > horizon: no closed-geodesic terms matter
-        from heatzeta.heat_tree import tree_heat_kernel
-
         g = G.builtin_graph("c8")
         value = diagonal_tree_decomposition(g, 0, 0.2, 1e-12)
         tree = tree_heat_kernel(1, 0.2, 0, 1e-12).value

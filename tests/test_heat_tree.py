@@ -58,6 +58,15 @@ class TestIntegralRoute:
         integral = tree_heat_kernel_integral(q, t, r, 1e-11)
         assert series == pytest.approx(integral, abs=1e-9)
 
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("t", [3.5, 5.0, 8.0])
+    def test_converges_at_larger_times(self, q, t):
+        # the integrand is scaled by e^{-2t sqrt(q)}, so the error guard
+        # meets tol on the returned value where e^{2t sqrt(q)} used to defeat it
+        for r in range(31):
+            series = tree_heat_kernel(q, t, r, 1e-12).value
+            assert tree_heat_kernel_integral(q, t, r, 1e-10) == pytest.approx(series, abs=1e-11)
+
     def test_initial_condition(self):
         assert tree_heat_kernel_integral(2, 0.0, 0) == pytest.approx(1.0, abs=1e-10)
 
