@@ -15,7 +15,6 @@ checkable numerically or in exact integer arithmetic.
 
 from heatzeta.bessel import (
     bessel_i,
-    bessel_i_derivative,
     bessel_i_quadrature,
     bessel_i_scaled,
     bessel_upper_bound,
@@ -80,7 +79,6 @@ __all__ = [
     "TreeHeatValue",
     "b_coefficients",
     "bessel_i",
-    "bessel_i_derivative",
     "bessel_i_quadrature",
     "bessel_i_scaled",
     "bessel_upper_bound",

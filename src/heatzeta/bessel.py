@@ -11,11 +11,12 @@ large arguments from overflowing, and a uniform bound
 
     sqrt(t) e^{-t} I_n(t) <= (1 + n/t)^{-n/2}
 
-certifies series tails elsewhere in the package.
+gives building_block_bound, which certifies every series tail in the package.
 
 building_blocks evaluates the whole vector of building blocks for a grid of
 times at once from scipy's exponentially scaled ive (the AMOS algorithm,
-ACM TOMS 644); the scalar routes above stay as its independent oracle.
+ACM TOMS 644): the production evaluator behind every heat value.  The scalar
+building_block and the routes above stay as its independent oracle.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from scipy.special import ive
 
 __all__ = [
     "bessel_i",
-    "bessel_i_derivative",
     "bessel_i_quadrature",
     "bessel_i_scaled",
     "bessel_upper_bound",
     "building_block",
+    "building_block_bound",
     "building_block_time_derivative",
     "building_blocks",
 ]
@@ -52,12 +53,18 @@ def _check_time(t: float) -> None:
         raise ValueError(f"t must be finite and >= 0, got {t}")
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def bessel_i(order: int, t: float, tol: float = 1e-15) -> float:
     """I_order(t) by direct summation of the power series.
 
-    Terms are accumulated until the next term is below tol relative to the
-    running sum and the term index is past the mode of the summand, after
-    which the terms decay faster than geometrically.
+    Terms are accumulated until a term is below tol * (sum + tol) and the
+    term index is past the mode of the summand, after which the terms decay
+    faster than geometrically: relative to the sum, with an absolute floor
+    of about tol^2 below which values carry no relative accuracy.
     """
     _check_order_arg(order, t)
     if tol <= 0:
@@ -140,18 +147,6 @@ def bessel_i_quadrature(order: int, t: float, nodes: int = 64) -> float:
     return total * h / math.pi
 
 
-def bessel_i_derivative(order: int, t: float, tol: float = 1e-15) -> float:
-    """d/dt I_order(t) via the recurrence I_{n-1} + I_{n+1} = 2 I_n'.
-
-    Uses I_{-1} = I_1 for the order-zero case.
-    """
-    _check_order_arg(order, t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    lower = abs(order - 1)  # I_{-1} = I_1
-    return 0.5 * (bessel_i(lower, t, tol) + bessel_i(order + 1, t, tol))
-
-
 def bessel_upper_bound(order: int, t: float) -> float:
     """Upper bound on the scaled value: e^{-t} I_order(t) <= this.
 
@@ -188,6 +183,19 @@ def building_block(q: int, r: int, t: float, tol: float = 1e-15) -> float:
     return math.exp(-0.5 * r * math.log(q) - shrink * t) * scaled
 
 
+def building_block_bound(q: int, m: int, t: float, power: int = 0) -> float:
+    """Uniform bound q^power * building_block(q, m, t) <= this, for t > 0.
+
+    Returns q^{power - m/2} e^{-(sqrt(q)-1)^2 t} bessel_upper_bound(m, 2 sqrt(q) t).
+    The power of q a caller's coefficient bound carries enters the exponent
+    together with q^{-m/2}, so a coefficient growing like q^{m-1} never
+    overflows on its own.
+    """
+    shrink = (math.sqrt(q) - 1.0) ** 2  # (q+1) - 2 sqrt(q)
+    log_scale = (power - 0.5 * m) * math.log(q) - shrink * t
+    return math.exp(log_scale) * bessel_upper_bound(m, 2.0 * math.sqrt(q) * t)
+
+
 def building_blocks(q: int, M: int, ts) -> np.ndarray:
     """blocks[k, m] = building_block(q, m, ts[k]) for m = 0..M, as one array.
 
@@ -211,21 +219,11 @@ def building_blocks(q: int, M: int, ts) -> np.ndarray:
 def building_block_time_derivative(q: int, r: int, t: float, tol: float = 1e-15) -> float:
     """Analytic d/dt of building_block(q, r, t).
 
-    Product rule plus the derivative recurrence for I_r; used to make
-    heat-equation residual checks tight.
+    The derivative recurrence 2 I_r' = I_{r-1} + I_{r+1} gives
+    B_{r-1} + q B_{r+1} - (q+1) B_r, with B_{-1} = q B_1 because
+    I_{-1} = I_1; used to make heat-equation residual checks tight.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    _check_order_arg(r, t)
     if t <= 0:
         raise ValueError("t must be positive")
-    arg = 2.0 * math.sqrt(q) * t
-    if arg > 500.0:
-        i_r = bessel_i_scaled(r, arg)
-        i_pair = bessel_i_scaled(abs(r - 1), arg) + bessel_i_scaled(r + 1, arg)
-        prefactor = math.exp(-0.5 * r * math.log(q) - ((math.sqrt(q) - 1.0) ** 2) * t)
-    else:
-        i_r = bessel_i(r, arg, tol)
-        i_pair = bessel_i(abs(r - 1), arg, tol) + bessel_i(r + 1, arg, tol)
-        prefactor = math.exp(-0.5 * r * math.log(q) - (q + 1) * t)
-    return prefactor * (math.sqrt(q) * i_pair - (q + 1) * i_r)
+    below = building_block(q, r - 1, t, tol) if r > 0 else q * building_block(q, 1, t, tol)
+    return below + q * building_block(q, r + 1, t, tol) - (q + 1) * building_block(q, r, t, tol)

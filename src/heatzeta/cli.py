@@ -270,8 +270,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.tol <= 0:
-            raise GraphError("--tol must be positive")
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise GraphError(f"--tol must be finite and positive, got {args.tol}")
         if args.order < 1:
             raise GraphError("--order must be >= 1")
         if args.command == "analyze":

@@ -127,6 +127,8 @@ class CountTable:
 
 
 def _build_graph(n: int, undirected_edges: list[tuple[int, int]]) -> Graph:
+    if n > len(undirected_edges) + 1:  # refused before anything of size n is allocated
+        raise GraphError(f"graph is disconnected: {n} vertices, {len(undirected_edges)} edges")
     origin: list[int] = []
     terminus: list[int] = []
     for u, v in undirected_edges:
@@ -203,10 +205,15 @@ def load_graph(source: str | Path | dict) -> Graph:
             return _build_graph(n, edges)
     if isinstance(source, dict):
         try:
-            n = int(source["vertices"])
-            edges = [(int(u), int(v)) for u, v in source["edges"]]
+            n = source["vertices"]
+            edges = [(u, v) for u, v in source["edges"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"malformed graph document: {exc}") from exc
+        # no bools, no floats such as 2.0 or 1e400, no strings
+        if not all(type(x) is int for x in (n, *(x for edge in edges for x in edge))):
+            raise GraphError("malformed graph document: vertex numbers must be integers")
+        if n < 0:
+            raise GraphError(f"vertex count must be >= 0, got {n}")
         return _build_graph(n, edges)
     raise GraphError(f"unsupported graph source type {type(source).__name__}")
 
@@ -554,7 +561,7 @@ def check_vertex_transitive(
 # convenience bundle
 
 
-def count_table(g: Graph, x0: int, K: int, assume_transitive: bool = False) -> CountTable:
+def count_table(g: Graph, x0: int, K: int) -> CountTable:
     """All counting tables for one base vertex in a single pass.
 
     N_k^0 is only meaningful for vertex-transitive graphs; it is reported

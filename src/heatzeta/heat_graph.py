@@ -26,8 +26,14 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from heatzeta.bessel import _check_time, bessel_upper_bound, building_block, building_blocks
-from heatzeta.graphs import Graph, geodesic_counts_recursion
+from heatzeta.bessel import (
+    _check_time,
+    _check_tol,
+    building_block,
+    building_block_bound,
+    building_blocks,
+)
+from heatzeta.graphs import Graph, closed_geodesics_at_vertex, geodesic_counts_recursion
 from heatzeta.heat_tree import tree_heat_kernel
 
 __all__ = [
@@ -107,8 +113,8 @@ def b_coefficients(g: Graph, x0: int, M: int) -> list[list[int]]:
 def series_truncation_order(q: int, t: float, tol: float) -> int:
     """Smallest safe order M for the graph heat-kernel Bessel series.
 
-    Certified through |b_m(x)| <= (q+1) q^{m-1} and the uniform Bessel
-    bound; scanning stops once consecutive bound terms shrink by at least a
+    Certified through |b_m(x)| <= (q+1) q^{m-1} and building_block_bound;
+    scanning stops once consecutive bound terms shrink by at least a
     factor two and the remaining geometric tail is below tol.
 
     The coefficient bound: b_m = c_m - (q-1) sum_{j>=1} c_{m-2j} is the
@@ -120,18 +126,14 @@ def series_truncation_order(q: int, t: float, tol: float) -> int:
     for q = 1 the second part vanishes).
     It is not true that |b_m(x)| <= c_m(x): on k4, b_2(0) = -1, c_2(0) = 0.
     """
+    _check_tol(tol)
     if t == 0.0:
         return 0
     tau = 2.0 * math.sqrt(q) * t
-    shrink = (math.sqrt(q) - 1.0) ** 2
 
     def term_bound(m: int) -> float:
-        # (q+1) q^{m-1} * q^{-m/2} * e^{-(sqrt(q)-1)^2 t} * ub(m, tau)
-        return (
-            (q + 1)
-            * math.exp((0.5 * m - 1.0) * math.log(q) - shrink * t)
-            * bessel_upper_bound(m, tau)
-        )
+        # (q+1) q^{m-1} times the bound on one block
+        return (q + 1) * building_block_bound(q, m, t, m - 1)
 
     m = max(2, int(tau) + 2)
     while True:
@@ -217,16 +219,14 @@ def diagonal_tree_decomposition(g: Graph, x0: int, t: float, tol: float = 1e-10)
     """Diagonal heat kernel as tree value plus closed-geodesic correction.
 
     K(t, x0, x0) = K_tree(t, 0) + e^{-(q+1)t} sum_{m>=1} N_m^0 q^{-m/2} I_m(...),
-    valid on vertex-transitive graphs (the caller asserts transitivity).
+    valid on vertex-transitive graphs (the caller asserts transitivity).  The
+    correction is N_m^0 against one building-block vector.
     """
-    from heatzeta.graphs import closed_geodesics_at_vertex
-
     _check_time(t)
     q = g.regularity()
     tree_part = tree_heat_kernel(q, t, 0, tol).value
-    if t == 0.0:
-        return tree_part
     M = series_truncation_order(q, t, tol)
     n0 = closed_geodesics_at_vertex(g, x0, M)
-    correction = math.fsum(n0[m] * building_block(q, m, t) for m in range(1, M + 1))
+    blocks = building_blocks(q, M, (t,))[0].tolist()
+    correction = math.fsum(n0[m] * blocks[m] for m in range(1, M + 1))
     return tree_part + correction

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from heatzeta.bessel import (
     bessel_i,
-    bessel_i_derivative,
     bessel_i_quadrature,
     bessel_i_scaled,
     bessel_upper_bound,
     building_block,
+    building_block_bound,
     building_block_time_derivative,
     building_blocks,
 )
@@ -88,15 +88,7 @@ class TestScaled:
 
 
 class TestDerivative:
-    def test_small_t_order_one(self):
-        # I_0 ~ 1 and I_2 ~ 0 near zero, so the derivative of I_1 is ~ 1/2
-        assert bessel_i_derivative(1, 1e-6) == pytest.approx(0.5, abs=1e-6)
-
-    @pytest.mark.parametrize("order,t", [(0, 2.0), (3, 5.0)])
-    def test_against_finite_difference(self, order, t):
-        fd = central_difference(lambda s: bessel_i(order, s, 1e-15), t)
-        assert bessel_i_derivative(order, t, 1e-12) == pytest.approx(fd, abs=1e-8)
-
+    # the recurrence 2 I_r' = I_{r-1} + I_{r+1} that building_block_time_derivative uses
     @pytest.mark.parametrize("order", range(0, 12, 3))
     @pytest.mark.parametrize("t", [0.1, 1.0, 5.0])
     def test_recurrence_residual(self, order, t):
@@ -160,6 +152,49 @@ class TestBuildingBlock:
     def test_derivative_matches_finite_difference(self):
         fd = central_difference(lambda s: building_block(2, 3, s), 1.5)
         assert building_block_time_derivative(2, 3, 1.5) == pytest.approx(fd, abs=1e-9)
+
+    @pytest.mark.parametrize("q", [1, 2, 4])
+    @pytest.mark.parametrize("t", [0.01, 0.7, 3.0, 130.0, 300.0])
+    def test_derivative_matches_product_rule(self, q, t):
+        # q^{-r/2} e^{-(q+1)t} (sqrt(q) (I_{|r-1|} + I_{r+1}) - (q+1) I_r),
+        # with the e^{-2 sqrt(q) t} scaling moved into I past 2 sqrt(q) t = 500
+        arg = 2.0 * math.sqrt(q) * t
+        scaled = arg > 500.0
+        for r in range(12):
+            if scaled:
+                i = lambda n: bessel_i_scaled(n, arg)
+                prefactor = math.exp(-0.5 * r * math.log(q) - (math.sqrt(q) - 1.0) ** 2 * t)
+            else:
+                i = lambda n: bessel_i(n, arg)
+                prefactor = math.exp(-0.5 * r * math.log(q) - (q + 1) * t)
+            expected = prefactor * (math.sqrt(q) * (i(abs(r - 1)) + i(r + 1)) - (q + 1) * i(r))
+            assert building_block_time_derivative(q, r, t) == pytest.approx(
+                expected, rel=1e-11, abs=1e-16
+            )
+
+
+class TestBlockBound:
+    @given(
+        q=st.integers(1, 7),
+        m=st.integers(0, 80),
+        t=st.floats(1e-3, 60.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_the_block(self, q, m, t):
+        assert building_block(q, m, t) <= building_block_bound(q, m, t) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("q,m,t", [(2, 30, 1.0), (3, 120, 8.0), (7, 300, 40.0)])
+    def test_power_is_a_factor_of_q(self, q, m, t):
+        assert building_block_bound(q, m, t, m - 1) == pytest.approx(
+            q ** (m - 1) * building_block_bound(q, m, t), rel=1e-11
+        )
+
+    def test_power_folded_before_exponentiation(self):
+        # q^{m-1} alone overflows a float here, the weighted bound does not
+        q, m, t = 4, 1200, 123.0
+        with pytest.raises(OverflowError):
+            float(q ** (m - 1))
+        assert 0.0 < building_block_bound(q, m, t, m - 1) < math.inf
 
 
 class TestBuildingBlocks:

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -7,15 +8,27 @@ from pathlib import Path
 
 import pytest
 
+import heatzeta
 from heatzeta.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SOURCE_ROOT = str(Path(heatzeta.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(*argv, timeout=120):
+    """``python -m heatzeta.cli`` in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SOURCE_ROOT, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "heatzeta.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
 
 
 class TestAnalyze:
@@ -113,7 +126,6 @@ class TestHeat:
         for row in json.loads(out)["rows"]:
             assert float(row["cross_check_delta"]) <= 1e-10
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_tree_cross_check_failure_is_invariant_failure(self, capsys):
         # no double-precision quadrature meets a 1e-16 error guard
         code, out, err = run(
@@ -124,6 +136,55 @@ class TestHeat:
         assert out == ""
         assert "error: t = 1.0, r = 0: integral cross-check failed" in err
         assert "Traceback" not in err
+
+    def test_tree_cross_check_failure_prints_one_line(self):
+        # scipy's IntegrationWarning stays out of stderr; the error guard decides
+        proc = run_cli_process(
+            "heat", "--graph", "tree", "--q", "2", "--order", "2", "--t", "1", "--tol", "1e-16"
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+    def test_tree_at_huge_time_finishes(self):
+        proc = run_cli_process(
+            "heat", "--graph", "tree", "--q", "2", "--order", "2", "--t", "1e6", timeout=30
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(proc.stdout)["rows"]
+        assert [float(row["value"]) for row in rows] == [0.0, 0.0, 0.0]
+
+    def test_tree_order_cap_is_input_error(self, capsys):
+        code, out, err = run(capsys, "heat", "--graph", "tree", "--q", "2", "--t", "1e8")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: t = 100000000.0, r = 0: the series needs order 282842712 > ")
+
+    @pytest.mark.parametrize("graph", [["--graph", "k4"], ["--graph", "tree", "--q", "2"]])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tol_must_be_finite_and_positive(self, capsys, graph, tol):
+        code, out, err = run(capsys, "heat", *graph, "--t", "1", f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --tol must be finite and positive, got {float(tol)}\n"
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            '{"vertices": -1, "edges": []}',
+            '{"vertices": 1e400, "edges": [[0, 1], [1, 0]]}',
+            '{"vertices": 2.7, "edges": [[0, 1], [1, 0]]}',
+        ],
+        ids=["negative", "overflowing", "fractional"],
+    )
+    def test_bad_vertex_count_is_input_error(self, capsys, tmp_path, document):
+        path = tmp_path / "graph.json"
+        path.write_text(document)
+        code, out, err = run(capsys, "heat", "--graph", str(path), "--t", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_csv_format(self, capsys):
         code, out, _ = run(

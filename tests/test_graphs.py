@@ -76,6 +76,65 @@ class TestLoading:
             G.builtin_graph("dodecahedron")
 
 
+# a small grammar of graph documents: ints (negative up to 10^18), floats
+# (inf, nan), strings, booleans, null, and edge pairs that are short or long
+_SCALARS = st.one_of(
+    st.integers(-2, 5),
+    st.integers(-(10**18), 10**18),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.booleans(),
+    st.none(),
+)
+_EDGES = st.lists(st.lists(_SCALARS, max_size=3), max_size=8)
+_DOCUMENTS = st.one_of(
+    st.fixed_dictionaries({"vertices": _SCALARS, "edges": _EDGES}),
+    st.dictionaries(st.sampled_from(["vertices", "edges"]), _SCALARS | _EDGES, max_size=2),
+)
+
+
+class TestLoadGraphInput:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"vertices": -1, "edges": []}',
+            '{"vertices": 1e400, "edges": [[0, 1]]}',
+            '{"vertices": 2.7, "edges": [[0, 1], [1, 0]]}',
+            '{"vertices": 2.0, "edges": [[0, 1], [1, 0]]}',
+            '{"vertices": true, "edges": []}',
+            '{"vertices": "3", "edges": [[0, 1], [1, 2], [2, 0]]}',
+            '{"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0.0]]}',
+            '{"vertices": 1000000000000000000, "edges": [[0, 1]]}',
+        ],
+        ids=["negative", "overflowing", "fractional", "float", "bool", "string", "float-end", "huge"],
+    )
+    def test_bad_vertex_numbers_refused(self, text):
+        with pytest.raises(GraphError):
+            G.load_graph(text)
+
+    def test_huge_index_refused_before_allocation(self):
+        with pytest.raises(GraphError, match="disconnected: 1000000000000000001 vertices"):
+            G.load_graph("0 1\n1 1000000000000000000\n")
+
+    @given(doc=_DOCUMENTS, as_text=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_json_documents_load_or_raise_graph_error(self, doc, as_text):
+        try:
+            g = G.load_graph(json.dumps(doc) if as_text else doc)
+        except GraphError:
+            return
+        assert isinstance(g, G.Graph) and g.n_vertices == doc["vertices"]
+
+    @given(lines=st.lists(st.lists(_SCALARS.map(str), max_size=3), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_edge_list_text_loads_or_raises_graph_error(self, lines):
+        try:
+            g = G.load_graph("\n".join(" ".join(parts) for parts in lines))
+        except GraphError:
+            return
+        assert isinstance(g, G.Graph)
+
+
 class TestPathCounts:
     def test_k4_two_step_return(self):
         assert G.path_counts(G.builtin_graph("k4"), 0, 2)[2][0] == 3

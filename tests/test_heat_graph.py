@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatzeta import graphs as G
-from heatzeta.bessel import bessel_i
+from heatzeta.bessel import bessel_i, building_block
 from heatzeta.heat_graph import (
     DENSE_EIGEN_CAP,
     b_coefficients,
@@ -17,9 +17,10 @@ from heatzeta.heat_graph import (
     heat_kernel_spectral,
     heat_kernel_spectral_row,
     laplacian,
+    series_truncation_order,
     spectral_data,
 )
-from heatzeta.heat_tree import tree_heat_kernel
+from heatzeta.heat_tree import horocycle_solution, tree_heat_kernel
 from strategies import regular_multigraphs
 
 GRAPH_NAMES = ["k4", "c5", "c8", "cube", "k33", "petersen"]
@@ -194,12 +195,19 @@ class TestBatchedRows:
         lambda g, t: heat_kernel_ode(g, 0, t),
         lambda g, t: diagonal_tree_decomposition(g, 0, t),
         lambda g, t: tree_heat_kernel(g.regularity(), t, 0),
+        lambda g, t: horocycle_solution(g.regularity(), t, 1),
     ],
-    ids=["series", "row", "spectral", "spectral_row", "ode", "diagonal", "tree"],
+    ids=["series", "row", "spectral", "spectral_row", "ode", "diagonal", "tree", "horocycle"],
 )
 def test_time_validated(route, t):
     with pytest.raises(ValueError, match="t must be finite and >= 0, got"):
         route(G.builtin_graph("k4"), t)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+def test_truncation_tol_validated(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive, got"):
+        series_truncation_order(2, 1.0, tol)
 
 
 class TestGlobalProperties:
@@ -252,6 +260,18 @@ class TestDiagonalTreeDecomposition:
         tree = tree_heat_kernel(1, 0.2, 0, 1e-12).value
         # girth 8 corrections are ~ I_8(0.4), far below 1e-9
         assert value == pytest.approx(tree + 2 * math.exp(-0.4) * bessel_i(8, 0.4), rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["k4", "petersen", "cube"])
+    @pytest.mark.parametrize("t", [0.1, 1.0, 6.0])
+    def test_correction_matches_scalar_blocks(self, name, t):
+        # the block vector against N_m^0 equals the sum of scalar blocks
+        g = G.builtin_graph(name)
+        q = g.regularity()
+        M = series_truncation_order(q, t, 1e-11)
+        n0 = G.closed_geodesics_at_vertex(g, 0, M)
+        correction = math.fsum(n0[m] * building_block(q, m, t) for m in range(1, M + 1))
+        expected = tree_heat_kernel(q, t, 0, 1e-11).value + correction
+        assert diagonal_tree_decomposition(g, 0, t, 1e-11) == pytest.approx(expected, abs=1e-14)
 
     @pytest.mark.parametrize("name,t", [("k4", 0.5), ("petersen", 1.0), ("cube", 0.7)])
     def test_matches_spectral_diagonal(self, name, t):

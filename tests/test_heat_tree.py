@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from heatzeta.bessel import bessel_i
+from heatzeta.bessel import bessel_i, bessel_i_scaled, bessel_upper_bound, building_block
 from heatzeta.heat_tree import (
+    MAX_TREE_ORDER,
     horocycle_solution,
     tree_heat_kernel,
     tree_heat_kernel_integral,
@@ -49,6 +50,49 @@ class TestSeries:
             tree_heat_kernel(2, 1.0, -1)
         with pytest.raises(ValueError):
             tree_heat_kernel(2, 1.0, 0, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            tree_heat_kernel(2, 1.0, 0, tol)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    @pytest.mark.parametrize("t", [0.0, 0.1, 2.0, 8.0])
+    def test_matches_scalar_alternating_sum(self, q, t):
+        # the scan and the per-term sum of scalar building blocks, written
+        # out independently of heat_tree's helpers
+        tol = 1e-12
+        for r in range(31):
+            result = tree_heat_kernel(q, t, r, tol)
+            j, bound, value = 0, 0.0, building_block(q, r, t)
+            if q > 1 and t > 0:
+                tau = 2.0 * math.sqrt(q) * t
+                while True:
+                    order = r + 2 * (j + 1)
+                    if order > tau:
+                        bound = (
+                            q
+                            * math.exp(-0.5 * order * math.log(q) - (math.sqrt(q) - 1.0) ** 2 * t)
+                            * bessel_upper_bound(order, tau)
+                        )
+                        if bound < tol:
+                            break
+                    j += 1
+                    value -= (q - 1) * building_block(q, r + 2 * j, t)
+            assert result.truncation_index == j
+            assert result.tail_bound == pytest.approx(bound, rel=1e-14)
+            assert result.value == pytest.approx(value, abs=1e-13)
+
+    def test_large_time_finishes(self):
+        # every block underflows at t = 1e6; the certified order r + 2J is
+        # still about 2 sqrt(q) t, evaluated as one vector
+        result = tree_heat_kernel(2, 1e6, 3, 1e-10)
+        assert result.value == 0.0
+        assert result.truncation_index == pytest.approx(math.sqrt(2) * 1e6, abs=3)
+
+    def test_order_cap(self):
+        with pytest.raises(ValueError, match=f"needs order 282842712 > {MAX_TREE_ORDER}"):
+            tree_heat_kernel(2, 1e8, 0)
 
 
 class TestIntegralRoute:
@@ -104,6 +148,20 @@ class TestHorocycle:
         assert horocycle_solution(2, 0.0, 0) == 1.0
         assert horocycle_solution(2, 0.0, 3) == 0.0
         assert horocycle_solution(2, 0.0, -2) == 0.0
+
+    @pytest.mark.parametrize("q", [1, 2, 5])
+    @pytest.mark.parametrize("t", [0.3, 1.0, 4.0, 200.0])
+    def test_closed_form(self, q, t):
+        # q^{-n/2} e^{-(q+1)t} I_|n|(2 sqrt(q) t), scaled past 2 sqrt(q) t = 500
+        tau = 2.0 * math.sqrt(q) * t
+        for n in range(-6, 7):
+            if tau > 500.0:
+                expected = math.exp(
+                    -0.5 * n * math.log(q) - (math.sqrt(q) - 1.0) ** 2 * t
+                ) * bessel_i_scaled(abs(n), tau)
+            else:
+                expected = math.exp(-0.5 * n * math.log(q) - (q + 1) * t) * bessel_i(abs(n), tau)
+            assert horocycle_solution(q, t, n) == pytest.approx(expected, rel=1e-12)
 
     def test_reflection_symmetry(self):
         # q^{n/2} f(t, n) is even in n
