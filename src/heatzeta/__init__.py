@@ -48,6 +48,7 @@ from heatzeta.heat_graph import (
     heat_kernel_ode,
     heat_kernel_row,
     heat_kernel_series,
+    heat_kernel_series_row,
     heat_kernel_spectral,
     heat_kernel_spectral_row,
     laplacian,
@@ -97,6 +98,7 @@ __all__ = [
     "heat_kernel_ode",
     "heat_kernel_row",
     "heat_kernel_series",
+    "heat_kernel_series_row",
     "heat_kernel_spectral",
     "heat_kernel_spectral_row",
     "horocycle_solution",

@@ -192,9 +192,22 @@ def cmd_zeta(args) -> int:
     q = g.regularity()
     M = args.order
     n_total = graphs.closed_geodesics_total(g, M)
+    det_series = zeta.ihara_determinant_series(g, M)
+    out_of_range = next(
+        (
+            m
+            for m in range(1, M + 1)
+            if n_total[m] > sys.float_info.max or not math.isfinite(m * float(det_series[m]))
+        ),
+        None,
+    )
+    if out_of_range is not None:
+        raise GraphError(
+            f"--order {M}: from order {out_of_range} the determinant coefficients or N_m "
+            f"leave float range; use --order {out_of_range - 1} or less"
+        )
     primes = graphs.prime_geodesic_counts(n_total, M)
     log_series = zeta.zeta_log_series_from_counts(n_total, M)
-    det_series = zeta.ihara_determinant_series(g, M)
     max_disc = max(
         abs(m * float(det_series[m]) - n_total[m]) for m in range(1, M + 1)
     )

@@ -8,9 +8,12 @@
 The building-block vector of the series is the same for every x, so the
 production route, heat_kernel_row, evaluates it once per t with
 bessel.building_blocks and takes one product with the exact b_m rows;
-heat_kernel_spectral_row is its batched spectral counterpart.  The scalar
-heat_kernel_series and heat_kernel_spectral, one entry at a time, are the
-independent oracles that verify and the tests compare against.
+heat_kernel_spectral_row is its batched spectral counterpart.  The
+independent oracles that verify and the tests compare against are
+heat_kernel_series_row, which sums one list of scalar building_block values
+per (x0, t) with math.fsum, no arrays and no ive; heat_kernel_series, one
+entry of that row; the scalar heat_kernel_spectral; and heat_kernel_ode,
+the whole propagator e^{-Lt} from one matrix ODE solve.
 
 The diagonal of the series collapses, on vertex-transitive graphs, to the
 tree heat kernel plus a closed-geodesic correction; that identity is
@@ -43,6 +46,7 @@ __all__ = [
     "heat_kernel_ode",
     "heat_kernel_row",
     "heat_kernel_series",
+    "heat_kernel_series_row",
     "heat_kernel_spectral",
     "heat_kernel_spectral_row",
     "laplacian",
@@ -135,29 +139,40 @@ def series_truncation_order(q: int, t: float, tol: float) -> int:
         # (q+1) q^{m-1} times the bound on one block
         return (q + 1) * building_block_bound(q, m, t, m - 1)
 
-    m = max(2, int(tau) + 2)
+    m = start = max(2, int(tau) + 2)
     while True:
         b_next = term_bound(m + 1)
-        if b_next < 0.5 * term_bound(m) and 2.0 * b_next < tol:
+        # <=: on q = 1 both terms underflow to 0 at large t, which still certifies
+        if b_next <= 0.5 * term_bound(m) and 2.0 * b_next < tol:
             return m
         m += 1
-        if m > 100_000:  # pragma: no cover
+        if m > start + 100_000:  # pragma: no cover
             raise RuntimeError("no safe truncation order found")
 
 
-def heat_kernel_series(g: Graph, x0: int, x: int, t: float, tol: float = 1e-10) -> float:
-    """Bessel-series heat kernel value K(t, x0, x) on a finite regular graph.
+def heat_kernel_series_row(g: Graph, x0: int, t: float, tol: float = 1e-10) -> list[float]:
+    """Bessel-series row K(t, x0, .) from scalar building blocks (oracle).
 
-    One entry at a time, one scalar building_block per order: the oracle
-    that heat_kernel_row is checked against.
+    One certified order M and one list of scalar building_block values per
+    (x0, t), then one math.fsum per vertex: no arrays and no ive, so the
+    oracle stays independent of heat_kernel_row.  Converting b values too
+    large for a float raises OverflowError.
     """
     _check_time(t)
     if t == 0.0:
-        return 1.0 if x == x0 else 0.0
+        return [1.0 if x == x0 else 0.0 for x in range(g.n_vertices)]
     q = g.regularity()
     M = series_truncation_order(q, t, tol)
     b = b_coefficients(g, x0, M)
-    return math.fsum(b[m][x] * building_block(q, m, t) for m in range(M + 1))
+    blocks = [building_block(q, m, t) for m in range(M + 1)]
+    return [
+        math.fsum(b[m][x] * blocks[m] for m in range(M + 1)) for x in range(g.n_vertices)
+    ]
+
+
+def heat_kernel_series(g: Graph, x0: int, x: int, t: float, tol: float = 1e-10) -> float:
+    """Bessel-series heat kernel value K(t, x0, x): entry x of heat_kernel_series_row."""
+    return heat_kernel_series_row(g, x0, t, tol)[x]
 
 
 def heat_kernel_row(g: Graph, x0: int, t: float, tol: float = 1e-10) -> np.ndarray:
@@ -190,29 +205,29 @@ def heat_kernel_spectral_row(g: Graph, x0: int, t: float) -> np.ndarray:
     return sd.eigenvectors @ (np.exp(-sd.eigenvalues * t) * sd.eigenvectors[x0, :])
 
 
-def heat_kernel_ode(g: Graph, x0: int, t: float, tol: float = 1e-10) -> np.ndarray:
-    """Heat kernel row K(t, x0, .) by adaptive ODE integration (oracle).
+def heat_kernel_ode(g: Graph, t: float, tol: float = 1e-10) -> np.ndarray:
+    """Heat propagator e^{-Lt} by adaptive ODE integration (oracle).
 
-    Integrates dK/dt = -Laplacian K from the indicator initial condition
-    with an eighth-order Runge-Kutta scheme.
+    Integrates dY/dt = -Y L from Y(0) = I with one eighth-order Runge-Kutta
+    (DOP853) solve; row x0 of the returned n x n matrix is K(t, x0, .).
+    The state holds n^2 values, so this serves small graphs only.
     """
     _check_time(t)
     lap = laplacian(g)
-    y0 = np.zeros(g.n_vertices)
-    y0[x0] = 1.0
+    n = g.n_vertices
     if t == 0.0:
-        return y0
+        return np.eye(n)
     sol = solve_ivp(
-        lambda _t, y: -lap @ y,
+        lambda _t, y: -(y.reshape(n, n) @ lap).ravel(),
         (0.0, t),
-        y0,
+        np.eye(n).ravel(),
         method="DOP853",
         rtol=tol,
         atol=tol * 1e-2,
     )
     if not sol.success:  # pragma: no cover
         raise RuntimeError(f"ODE integration failed: {sol.message}")
-    return sol.y[:, -1]
+    return sol.y[:, -1].reshape(n, n)
 
 
 def diagonal_tree_decomposition(g: Graph, x0: int, t: float, tol: float = 1e-10) -> float:

@@ -155,7 +155,8 @@ def tree_heat_kernel_integral(q: int, t: float, r: int, tol: float = 1e-10) -> f
             den = (q + 1) ** 2 - 4 * q * math.cos(u) ** 2
             return math.exp(2 * t * sq * (math.cos(u) - 1.0)) * num / den
 
-        prefactor = 2.0 * math.exp(-shrink * t) / (math.pi * q ** (r / 2.0 - 1.0))
+        # q^{1 - r/2} enters the exponent: q ** (r/2 - 1) alone overflows from r = 2050 at q = 2
+        prefactor = 2.0 * math.exp(-shrink * t - (r / 2.0 - 1.0) * math.log(q)) / math.pi
     else:
 
         def integrand(u: float) -> float:

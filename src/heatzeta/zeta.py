@@ -92,7 +92,8 @@ def ihara_determinant_series(g: Graph, M: int) -> PowerSeries:
         m [u^m] log zeta^{Ih} = sum_j s_m(alpha_j) + n (q - 1) [m even].
 
     Coefficients are floats (they come through the eigen-solve); use
-    recover_counts to round them back to the integers N_m.
+    recover_counts to round them back to the integers N_m.  Past float
+    range they come out inf or nan, silently: the caller checks.
     """
     sd = spectral_data(g)
     q = sd.q
@@ -101,13 +102,14 @@ def ihara_determinant_series(g: Graph, M: int) -> PowerSeries:
     s_prev = np.full_like(alphas, 2.0)  # s_0 = 2 roots
     s_cur = alphas.copy()  # s_1
     coeffs = [0.0, float(np.sum(s_cur))]
-    for m in range(2, M + 1):
-        s_next = alphas * s_cur - q * s_prev
-        s_prev, s_cur = s_cur, s_next
-        total = float(np.sum(s_cur))
-        if m % 2 == 0:
-            total += n * (q - 1)
-        coeffs.append(total / m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(2, M + 1):
+            s_next = alphas * s_cur - q * s_prev
+            s_prev, s_cur = s_cur, s_next
+            total = float(np.sum(s_cur))
+            if m % 2 == 0:
+                total += n * (q - 1)
+            coeffs.append(total / m)
     return PowerSeries(coeffs)
 
 

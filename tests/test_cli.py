@@ -1,8 +1,10 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import warnings
 from importlib.metadata import EntryPoint, entry_points
 from pathlib import Path
 
@@ -117,6 +119,24 @@ class TestHeat:
         for row in rows:
             assert float(row["cross_check_delta"]) <= 1e-8
             assert 0.0 < float(row["value"]) < 1.0
+
+    def test_tree_order_past_power_overflow(self, capsys):
+        # q ** (r/2 - 1) leaves float range from r = 208 at q = 1000 (r = 2050 at q = 2)
+        code, out, err = run(
+            capsys, "heat", "--graph", "tree", "--q", "1000", "--order", "210", "--t", "1"
+        )
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 211
+        for row in rows:
+            assert float(row["cross_check_delta"]) <= 1e-10
+
+    def test_cycle_at_large_time(self, capsys):
+        # the q = 1 truncation bound underflows to 0 at t = 3000
+        code, out, err = run(capsys, "heat", "--graph", "c5", "--t", "3000")
+        assert (code, err) == (0, "")
+        for row in json.loads(out)["rows"]:
+            assert float(row["value"]) == pytest.approx(0.2, abs=1e-12)
 
     def test_tree_rows_at_larger_time(self, capsys):
         code, out, _ = run(
@@ -250,23 +270,56 @@ class TestZeta:
         _, second, _ = run(capsys, "zeta", "--graph", "cube", "--order", "10")
         assert first == second
 
+    def test_order_past_float_range_refused(self, capsys):
+        # N_1024 = 2^1024 + ... on k4 is past the largest float; order 1023 still works
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "zeta", "--graph", "k4", "--order", "1100")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --order 1100: from order 1024 ")
+        assert err.count("\n") == 1
+
     def test_bad_order(self, capsys):
         code, _, err = run(capsys, "zeta", "--graph", "k4", "--order", "0")
         assert code == 2
         assert "order" in err
 
 
-class TestVerify:
-    def test_tree_mode(self, capsys):
-        code, out, _ = run(capsys, "verify", "--graph", "tree", "--q", "2")
-        assert code == 0
-        assert "[pass]" in out
-        assert "FAIL" not in out
+TREE_CHECKS = [
+    ("bessel series vs quadrature", 1e-9),
+    ("bessel uniform bound and order monotonicity", 0.0),
+    ("tree heat kernel series vs integral", 1e-8),
+    ("tree heat equation residual", 1e-8),
+    ("tree heat kernel mass conservation", 1e-6),
+    ("G-transform of building blocks", 1e-6),
+    ("tree zeta identity and spectral moments", 1e-7),
+    ("Laplace transform calibration", 1e-9),
+]
+K4_CHECKS = [
+    ("counting recursions vs enumeration", 0.0),
+    ("heat kernel series vs spectral vs ODE", 1e-7),
+    ("four-way zeta agreement", 1e-8),
+    ("diagonal tree-plus-correction decomposition", 1e-8),
+    ("G-transform of diagonal heat kernel", 1e-6),
+]
 
-    def test_single_graph(self, capsys):
-        code, out, _ = run(capsys, "verify", "--graph", "k4")
-        assert code == 0
-        assert "FAIL" not in out
+
+class TestVerify:
+    @pytest.mark.parametrize(
+        "argv, checks",
+        [(("--graph", "tree", "--q", "2"), TREE_CHECKS), (("--graph", "k4"), K4_CHECKS)],
+        ids=["tree", "k4"],
+    )
+    def test_check_list_pinned(self, capsys, argv, checks):
+        # a speed-up must not drop, rename, reorder or loosen a check
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, err) == (0, "")
+        lines = [
+            re.fullmatch(r"\[pass\] (.+): worst \S+ \(budget (\S+)\)", line)
+            for line in out.splitlines()
+        ]
+        assert all(lines), out
+        assert [(m[1], m[2]) for m in lines] == [(name, f"{b:.14e}") for name, b in checks]
 
     def test_graph_file_refused(self, capsys, tmp_path):
         path = tmp_path / "triangle.txt"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from heatzeta import graphs as G
 from heatzeta.bessel import bessel_i, building_block
@@ -14,6 +15,7 @@ from heatzeta.heat_graph import (
     heat_kernel_ode,
     heat_kernel_row,
     heat_kernel_series,
+    heat_kernel_series_row,
     heat_kernel_spectral,
     heat_kernel_spectral_row,
     laplacian,
@@ -137,7 +139,7 @@ class TestThreeWayAgreement:
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 2.0])
     def test_series_vs_spectral_vs_ode(self, name, t):
         g = G.builtin_graph(name)
-        ode_row = heat_kernel_ode(g, 0, t, 1e-11)
+        ode_row = heat_kernel_ode(g, t, 1e-11)[0]
         for x in range(g.n_vertices):
             series = heat_kernel_series(g, 0, x, t, 1e-10)
             spectral = heat_kernel_spectral(g, 0, x, t)
@@ -178,6 +180,24 @@ class TestBatchedRows:
         indicator = [1.0 if x == x0 else 0.0 for x in range(g.n_vertices)]
         assert heat_kernel_row(g, x0, 0.0).tolist() == indicator
 
+    @given(g=regular_multigraphs(), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_series_row_is_the_scalar_series(self, g, data):
+        x0 = data.draw(st.integers(0, g.n_vertices - 1))
+        q = g.regularity()
+        for t in (0.0, 0.1, 2.0, 20.0):
+            row = heat_kernel_series_row(g, x0, t)
+            assert len(row) == g.n_vertices
+            if t > 0.0:
+                # the per-entry sum the row replaces, written out
+                M = series_truncation_order(q, t, 1e-10)
+                b = b_coefficients(g, x0, M)
+                blocks = [building_block(q, m, t) for m in range(M + 1)]
+            for x in range(g.n_vertices):
+                assert row[x] == heat_kernel_series(g, x0, x, t)
+                if t > 0.0:
+                    assert row[x] == math.fsum(b[m][x] * blocks[m] for m in range(M + 1))
+
     def test_overflow_contract_kept(self):
         # b rows too large for a float raise, as in the scalar route
         with pytest.raises(OverflowError):
@@ -192,7 +212,7 @@ class TestBatchedRows:
         lambda g, t: heat_kernel_row(g, 0, t),
         lambda g, t: heat_kernel_spectral(g, 0, 1, t),
         lambda g, t: heat_kernel_spectral_row(g, 0, t),
-        lambda g, t: heat_kernel_ode(g, 0, t),
+        lambda g, t: heat_kernel_ode(g, t),
         lambda g, t: diagonal_tree_decomposition(g, 0, t),
         lambda g, t: tree_heat_kernel(g.regularity(), t, 0),
         lambda g, t: horocycle_solution(g.regularity(), t, 1),
@@ -202,6 +222,14 @@ class TestBatchedRows:
 def test_time_validated(route, t):
     with pytest.raises(ValueError, match="t must be finite and >= 0, got"):
         route(G.builtin_graph("k4"), t)
+
+
+@pytest.mark.parametrize("t", [3000.0, 60000.0])
+def test_truncation_on_cycles_at_large_time(t):
+    # on q = 1 both bound terms underflow to 0 there, which still certifies the order
+    assert 2.0 * t < series_truncation_order(1, t, 1e-10) <= 2.0 * t + 2
+    if t < 10000.0:
+        assert np.abs(heat_kernel_row(G.builtin_graph("c5"), 0, t) - 0.2).max() <= 1e-12
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
@@ -282,14 +310,31 @@ class TestDiagonalTreeDecomposition:
 
 
 class TestOde:
+    @given(g=regular_multigraphs(), t=st.sampled_from([0.05, 0.7, 3.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_are_per_vector_solves(self, g, t):
+        n, tol = g.n_vertices, 1e-11
+        lap = laplacian(g)
+        propagator = heat_kernel_ode(g, t, tol)
+        assert propagator.shape == (n, n)
+        assert np.abs(propagator - propagator.T).max() <= 1e-9
+        for x0 in range(n):
+            y0 = np.zeros(n)
+            y0[x0] = 1.0
+            sol = solve_ivp(
+                lambda _t, y: -lap @ y, (0.0, t), y0, method="DOP853", rtol=tol, atol=tol * 1e-2
+            )
+            assert sol.success
+            assert np.abs(propagator[x0] - sol.y[:, -1]).max() <= 1e-9
+
     def test_initial_condition(self):
         g = G.builtin_graph("k33")
-        row = heat_kernel_ode(g, 2, 0.0)
+        row = heat_kernel_ode(g, 0.0)[2]
         assert row[2] == 1.0 and row.sum() == 1.0
 
     def test_matches_spectral(self):
         g = G.builtin_graph("petersen")
-        row = heat_kernel_ode(g, 0, 1.3, 1e-11)
+        row = heat_kernel_ode(g, 1.3, 1e-11)[0]
         for x in range(10):
             assert row[x] == pytest.approx(
                 heat_kernel_spectral(g, 0, x, 1.3), abs=1e-8

@@ -114,6 +114,12 @@ class TestIntegralRoute:
     def test_initial_condition(self):
         assert tree_heat_kernel_integral(2, 0.0, 0) == pytest.approx(1.0, abs=1e-10)
 
+    def test_no_overflow_past_order_2048(self):
+        # q ** (r/2 - 1) alone leaves float range at r = 2050, q = 2; the value underflows instead
+        value = tree_heat_kernel_integral(2, 1.0, 2100)
+        assert 0.0 <= value < 1e-300
+        assert value == pytest.approx(tree_heat_kernel(2, 1.0, 2100).value, abs=1e-300)
+
     def test_q_one_refused(self):
         with pytest.raises(ValueError):
             tree_heat_kernel_integral(1, 1.0, 0)
