@@ -67,8 +67,7 @@ def bessel_i(order: int, t: float, tol: float = 1e-15) -> float:
     of about tol^2 below which values carry no relative accuracy.
     """
     _check_order_arg(order, t)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     if t == 0.0:
         return 1.0 if order == 0 else 0.0
     if t > _EXP_LIMIT:

@@ -24,6 +24,10 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_INVARIANT_FAILURE = 3
 
+# analyze and zeta take about 1.3 s at order 2000 and grow like order^2; k4's
+# a_k = 3^k passes Python's 4300-digit int-to-str limit near order 9000
+MAX_ORDER = 2000
+
 
 def _fmt(x: float) -> str:
     return f"{x:.14e}"
@@ -45,6 +49,12 @@ def _is_builtin(spec: str) -> bool:
     return lowered in graphs.BUILTIN_NAMES or (
         lowered.startswith("c") and lowered[1:].isdigit()
     )
+
+
+def _tree_q(args) -> int:
+    if args.q is None or args.q < 1:
+        raise GraphError("tree mode needs --q >= 1")
+    return args.q
 
 
 def _resolve_graph(args) -> graphs.Graph:
@@ -92,9 +102,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_analyze_tree(args) -> int:
-    q = args.q
-    if q is None or q < 1:
-        raise GraphError("tree mode needs --q >= 1")
+    q = _tree_q(args)
     zeros = [0] * (args.order + 1)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -112,9 +120,7 @@ def cmd_analyze_tree(args) -> int:
 def cmd_heat(args) -> int:
     ts = _parse_float_list(args.t) if args.t else [0.1, 1.0]
     if args.graph and args.graph.lower() == "tree":
-        q = args.q
-        if q is None or q < 1:
-            raise GraphError("tree mode needs --q >= 1")
+        q = _tree_q(args)
         rows = []
         for t in ts:
             for r in range(args.order + 1):
@@ -228,10 +234,7 @@ def cmd_zeta(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.graph and args.graph.lower() == "tree":
-        q = args.q
-        if q is None or q < 1:
-            raise GraphError("tree mode needs --q >= 1")
-        results = verify.run_tree_checks((q,))
+        results = verify.run_tree_checks((_tree_q(args),))
     elif args.graph:
         if not _is_builtin(args.graph):
             raise GraphError(
@@ -287,6 +290,8 @@ def main(argv: list[str] | None = None) -> int:
             raise GraphError(f"--tol must be finite and positive, got {args.tol}")
         if args.order < 1:
             raise GraphError("--order must be >= 1")
+        if args.order > MAX_ORDER:
+            raise GraphError(f"--order must be at most {MAX_ORDER}, got {args.order}")
         if args.command == "analyze":
             if args.graph and args.graph.lower() == "tree":
                 return cmd_analyze_tree(args)

@@ -7,13 +7,13 @@
 
 The building-block vector of the series is the same for every x, so the
 production route, heat_kernel_row, evaluates it once per t with
-bessel.building_blocks and takes one product with the exact b_m rows;
-heat_kernel_spectral_row is its batched spectral counterpart.  The
-independent oracles that verify and the tests compare against are
-heat_kernel_series_row, which sums one list of scalar building_block values
-per (x0, t) with math.fsum, no arrays and no ive; heat_kernel_series, one
-entry of that row; the scalar heat_kernel_spectral; and heat_kernel_ode,
-the whole propagator e^{-Lt} from one matrix ODE solve.
+bessel.building_blocks and takes one product with the exact b_m rows.
+heat_kernel_spectral_row is the one spectral route; heat_kernel_spectral
+is one entry of it.  The independent oracles that verify and the tests
+compare against are heat_kernel_series_row, which sums one list of scalar
+building_block values per (x0, t) with math.fsum, no arrays and no ive;
+heat_kernel_series, one entry of that row; and heat_kernel_ode, the whole
+propagator e^{-Lt} from one matrix ODE solve.
 
 The diagonal of the series collapses, on vertex-transitive graphs, to the
 tree heat kernel plus a closed-geodesic correction; that identity is
@@ -159,10 +159,8 @@ def heat_kernel_series_row(g: Graph, x0: int, t: float, tol: float = 1e-10) -> l
     large for a float raises OverflowError.
     """
     _check_time(t)
-    if t == 0.0:
-        return [1.0 if x == x0 else 0.0 for x in range(g.n_vertices)]
     q = g.regularity()
-    M = series_truncation_order(q, t, tol)
+    M = series_truncation_order(q, t, tol)  # 0 at t = 0, where the row is c_0 = e_{x0}
     b = b_coefficients(g, x0, M)
     blocks = [building_block(q, m, t) for m in range(M + 1)]
     return [
@@ -190,19 +188,16 @@ def heat_kernel_row(g: Graph, x0: int, t: float, tol: float = 1e-10) -> np.ndarr
     return building_blocks(q, M, (t,))[0] @ b
 
 
-def heat_kernel_spectral(g: Graph, x0: int, x: int, t: float) -> float:
-    """Spectral heat kernel: sum_j e^{-lambda_j t} psi_j(x) psi_j(x0)."""
-    _check_time(t)
-    sd = spectral_data(g)
-    weights = sd.eigenvectors[x, :] * sd.eigenvectors[x0, :]
-    return float(np.sum(np.exp(-sd.eigenvalues * t) * weights))
-
-
 def heat_kernel_spectral_row(g: Graph, x0: int, t: float) -> np.ndarray:
     """The row K(t, x0, .) of the spectral expansion: V (e^{-lambda t} V[x0])."""
     _check_time(t)
     sd = spectral_data(g)
     return sd.eigenvectors @ (np.exp(-sd.eigenvalues * t) * sd.eigenvectors[x0, :])
+
+
+def heat_kernel_spectral(g: Graph, x0: int, x: int, t: float) -> float:
+    """Spectral heat kernel K(t, x0, x): entry x of heat_kernel_spectral_row."""
+    return float(heat_kernel_spectral_row(g, x0, t)[x])
 
 
 def heat_kernel_ode(g: Graph, t: float, tol: float = 1e-10) -> np.ndarray:
@@ -215,8 +210,6 @@ def heat_kernel_ode(g: Graph, t: float, tol: float = 1e-10) -> np.ndarray:
     _check_time(t)
     lap = laplacian(g)
     n = g.n_vertices
-    if t == 0.0:
-        return np.eye(n)
     sol = solve_ivp(
         lambda _t, y: -(y.reshape(n, n) @ lap).ravel(),
         (0.0, t),

@@ -7,10 +7,11 @@ The production route is the alternating Bessel series
 with B the building block from heatzeta.bessel, summed over one vector from
 bessel.building_blocks.  The second route is a pair of classical oscillatory
 integrals over [0, pi], and the third is the horocycle-coordinate solution of
-the associated difference-differential equation.  Truncation of the series is
-certified by bessel.building_block_bound, and the certificate is reported with
-each value.  The horocycle solution and the time derivative read the scalar
-building_block, so the heat-equation residual also checks ive against it.
+the associated difference-differential equation, the sum of K over a
+horocycle.  Truncation of the series is certified by bessel.building_block_bound,
+and the certificate is reported with each value.  The horocycle solution and
+the time derivative read the scalar building_block, so the heat-equation
+residual and verify's horocycle check also test ive against it.
 """
 
 from __future__ import annotations
@@ -181,6 +182,8 @@ def horocycle_solution(q: int, t: float, n: int) -> float:
     Defined for all integers n through I_{-n} = I_n, which makes it
     q^{max(-n, 0)} building_block(q, |n|, t); solves
     (q+1) f(t,n) - q f(t,n+1) - f(t,n-1) + df/dt = 0 with f(0,n) = [n = 0].
+    It is the sum of the tree kernel over the horocycle at height n: q^{max(-n,0)}
+    points at distance |n| and q^{max(-n,0)} (q-1) q^{j-1} at |n| + 2j, j >= 1.
     """
     _check_time(t)
     return q ** max(-n, 0) * building_block(q, abs(n), t)

@@ -2,14 +2,14 @@
 
 Coefficients default to exact rationals (Fraction); any field supporting
 +, *, / works, so the same class carries float series coming from
-eigenvalue computations.  All operations truncate to the smaller order of
-their operands, and exp/log are mutually inverse to that order.
+eigenvalue computations.  A product truncates to the smaller order of its
+factors, and exp/log are mutually inverse to the order of their argument.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = ["PowerSeries"]
 
@@ -25,19 +25,8 @@ class PowerSeries:
             raise ValueError("a power series needs at least the constant term")
 
     @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls([Fraction(0)] * (order + 1))
-
-    @classmethod
     def one(cls, order: int) -> "PowerSeries":
         return cls([Fraction(1)] + [Fraction(0)] * order)
-
-    @classmethod
-    def from_coefficients(cls, coeffs: Sequence, order: int) -> "PowerSeries":
-        """Build from a coefficient list, padding or truncating to order."""
-        items = list(coeffs[: order + 1])
-        items += [Fraction(0)] * (order + 1 - len(items))
-        return cls(items)
 
     @property
     def order(self) -> int:
@@ -49,25 +38,8 @@ class PowerSeries:
     def __eq__(self, other) -> bool:
         return isinstance(other, PowerSeries) and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"PowerSeries({list(self.coeffs)!r})"
-
-    def _common_order(self, other: "PowerSeries") -> int:
-        return min(self.order, other.order)
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        m = self._common_order(other)
-        return PowerSeries([self.coeffs[i] + other.coeffs[i] for i in range(m + 1)])
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        m = self._common_order(other)
-        return PowerSeries([self.coeffs[i] - other.coeffs[i] for i in range(m + 1)])
-
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        m = self._common_order(other)
+        m = min(self.order, other.order)
         out = [Fraction(0)] * (m + 1)
         for i, a in enumerate(self.coeffs[: m + 1]):
             if a == 0:
@@ -77,12 +49,6 @@ class PowerSeries:
                 if b != 0:
                     out[i + j] += a * b
         return PowerSeries(out)
-
-    def derivative(self) -> "PowerSeries":
-        """Formal d/du; the result has one order less (or order 0)."""
-        if self.order == 0:
-            return PowerSeries([0 * self.coeffs[0]])
-        return PowerSeries([i * self.coeffs[i] for i in range(1, self.order + 1)])
 
     def exp(self) -> "PowerSeries":
         """exp of a series with zero constant term.
@@ -118,20 +84,6 @@ class PowerSeries:
                     acc -= k * out[k] * self.coeffs[n - k]
             out[n] = Fraction(acc, n) if isinstance(acc, int) else acc / n
         return PowerSeries(out)
-
-    def pow_int(self, exponent: int) -> "PowerSeries":
-        """Integer power by binary exponentiation (exponent >= 0)."""
-        if exponent < 0:
-            raise ValueError("exponent must be >= 0")
-        result = PowerSeries.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def evaluate(self, u) -> float:
         """Horner evaluation at a numeric point."""

@@ -79,6 +79,34 @@ def check_tree_heat_equation(qs: Iterable[int] = (2, 3, 4)) -> CheckResult:
     return CheckResult("tree heat equation residual", worst, 1e-8)
 
 
+def check_horocycle_transform(qs: Iterable[int] = (2, 3, 4)) -> CheckResult:
+    """Tree kernel summed over the horocycle at height n = -3..3 vs horocycle_solution.
+
+    K(t, s) enters with weight at most q^s and is computed to 1e-12 / q^s.  Each
+    sum takes the orders r, r + 2, ... below 3 + 2j: as 0 <= K <= the building
+    block, the tail from there on is at most twice its first weighted block bound
+    (past tau successive bounds at least halve), below 1e-11 at the largest lead q^3.
+    """
+    worst = 0.0
+    for q in qs:
+        for t in (0.5, 2.0, 5.0):
+            tau = 2.0 * math.sqrt(q) * t
+            j = 1
+            while 3 + 2 * j <= tau or (
+                2 * q**3 * (q - 1) * bessel.building_block_bound(q, 3 + 2 * j, t, j - 1) >= 1e-11
+            ):
+                j += 1
+            orders = range(3 + 2 * j)
+            kernel = [heat_tree.tree_heat_kernel(q, t, s, 1e-12 / q**s).value for s in orders]
+            for r in range(4):
+                weights = [1] + [(q - 1) * q ** (i - 1) for i in range(1, 2 + j - (r + 1) // 2)]
+                transform = math.fsum(w * kernel[r + 2 * i] for i, w in enumerate(weights))
+                for n in {r, -r}:
+                    expected = heat_tree.horocycle_solution(q, t, n)
+                    worst = max(worst, abs(q ** max(-n, 0) * transform - expected))
+    return CheckResult("horocyclic transform of the tree heat kernel", worst, 1e-9)
+
+
 def check_tree_mass(q: int = 2) -> CheckResult:
     worst = 0.0
     for t in (0.1, 0.5, 1.0, 2.0):
@@ -141,9 +169,9 @@ def check_three_way_heat(names: Iterable[str] = FINITE_BUILTINS) -> CheckResult:
             for x0 in range(g.n_vertices):
                 series_row = heat_graph.heat_kernel_series_row(g, x0, t, 1e-10)
                 row = heat_graph.heat_kernel_row(g, x0, t, 1e-10)
+                spectral = heat_graph.heat_kernel_spectral_row(g, x0, t)
                 for x, series in enumerate(series_row):
-                    spectral = heat_graph.heat_kernel_spectral(g, x0, x, t)
-                    worst = max(worst, abs(series - spectral))
+                    worst = max(worst, abs(series - spectral[x]))
                     # the batched production route against the scalar oracle
                     worst = max(worst, abs(series - row[x]))
                     # ODE budget is 1e-6; rescale so one budget covers both
@@ -214,18 +242,11 @@ def check_g_transform_diagonal(names: Iterable[str] = ("k4", "petersen")) -> Che
     for name in names:
         g = graphs.builtin_graph(name)
         q = g.regularity()
-        sd = heat_graph.spectral_data(g)
-        weights = sd.eigenvectors[0, :] ** 2
-        lams = sd.eigenvalues
-
-        def diag(t: float) -> float:
-            return math.fsum(
-                w * math.exp(-lam * t) for lam, w in zip(lams, weights)
-            )
-
         n0 = graphs.closed_geodesics_at_vertex(g, 0, 60)
         for u in (0.02, 0.05):
-            transform = zeta.g_transform_numeric(diag, q, u, tol=1e-11)
+            transform = zeta.g_transform_numeric(
+                lambda t, g=g: heat_graph.heat_kernel_spectral(g, 0, 0, t), q, u, tol=1e-11
+            )
             expected = (
                 1.0 / u
                 - (q - 1) * u / (1.0 - u * u)
@@ -233,6 +254,21 @@ def check_g_transform_diagonal(names: Iterable[str] = ("k4", "petersen")) -> Che
             )
             worst = max(worst, abs(transform.value - expected))
     return CheckResult("G-transform of diagonal heat kernel", worst, 1e-6)
+
+
+def check_two_variable_zeta(names: Iterable[str] = ("k4", "petersen", "k33")) -> CheckResult:
+    """Off-diagonal two-variable zeta, every x != 0: exact log-series vs spectral.
+
+    As |b_m(x)| <= (q+1) q^{m-1}, the series tail past M = 60 is below (qu)^60.
+    """
+    worst = 0.0
+    for name in names:
+        g = graphs.builtin_graph(name)
+        for x in range(1, g.n_vertices):
+            series, spectral = zeta.two_variable_zeta(g, 0, x, 60)
+            for u in (0.02, 0.05):
+                worst = max(worst, abs(series.evaluate(u) - spectral(u)))
+    return CheckResult("two-variable zeta series vs spectral", worst, 1e-8)
 
 
 def check_tree_zeta_identity(qs: Iterable[int] = (2, 3)) -> CheckResult:
@@ -260,7 +296,7 @@ def check_laplace_calibration() -> CheckResult:
 
 
 def run_tree_checks(qs: Iterable[int] = (2, 3, 4)) -> list[CheckResult]:
-    results = [
+    return [
         check_bessel_agreement(),
         check_bessel_bound_and_monotonicity(),
         check_tree_formula_agreement(qs),
@@ -269,14 +305,15 @@ def run_tree_checks(qs: Iterable[int] = (2, 3, 4)) -> list[CheckResult]:
         check_g_transform_building_blocks(),
         check_tree_zeta_identity([q for q in qs if q in (2, 3)] or (2,)),
         check_laplace_calibration(),
+        check_horocycle_transform(qs),
     ]
-    return results
 
 
 def run_graph_checks(names: Iterable[str]) -> list[CheckResult]:
     names = tuple(names)
     diag_names = tuple(n for n in names if n in ("k4", "petersen", "cube"))
     gdiag_names = tuple(n for n in names if n in ("k4", "petersen"))
+    zeta2_names = tuple(n for n in names if n in ("k4", "petersen", "k33"))
     results = [
         check_counting_oracles(names),
         check_three_way_heat(names),
@@ -286,6 +323,8 @@ def run_graph_checks(names: Iterable[str]) -> list[CheckResult]:
         results.append(check_diagonal_decomposition(diag_names))
     if gdiag_names:
         results.append(check_g_transform_diagonal(gdiag_names))
+    if zeta2_names:
+        results.append(check_two_variable_zeta(zeta2_names))
     return results
 
 

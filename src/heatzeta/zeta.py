@@ -276,7 +276,8 @@ def g_transform_numeric(
     defaults to q+1 (right for bounded f such as finite-graph heat
     kernels); pass 2 sqrt(q) for single tree building blocks.  The
     truncation point of the t-integral is certified from the resulting
-    decay margin.
+    decay margin.  Raises RuntimeError when quad's error estimate exceeds
+    100 max(tol, |value| tol), the rule of TreeDensity.integrate.
     """
     if u <= 0:
         raise ValueError("u must be positive")
@@ -294,11 +295,17 @@ def g_transform_numeric(
     def integrand(t: float) -> float:
         return math.exp(rate * t) * f(t)
 
-    integral, err = quad(
-        integrand, 0.0, upper, epsabs=tol * 1e-2, epsrel=tol, limit=400
-    )
+    with warnings.catch_warnings():
+        # the error guard below decides; quad's warning would only repeat it
+        warnings.simplefilter("ignore", IntegrationWarning)
+        integral, err = quad(
+            integrand, 0.0, upper, epsabs=tol * 1e-2, epsrel=tol, limit=400
+        )
     prefactor = 1.0 / (u * u) - q
-    return GTransformResult(u, prefactor * integral, abs(prefactor) * err)
+    value, err = prefactor * integral, abs(prefactor) * err
+    if err > 100 * max(tol, abs(value) * tol):
+        raise RuntimeError(f"G-transform quadrature did not converge: estimated error {err}")
+    return GTransformResult(u, value, err)
 
 
 def laplace_identity_check(n: int, s: float, tol: float = 1e-12) -> tuple[float, float]:
@@ -338,8 +345,8 @@ def two_variable_zeta(
 
     Returns (log-series sum_m b_m(x) u^m / m with exact coefficients, and a
     callable evaluating -sum_j psi_j(x) psi_j(x0) log(1 - (q+1-lambda_j) u
-    + q u^2)); the two agree on (0, 1/q).  The diagonal x = x0 carries an
-    extra d/du log u term and is not served by this function.
+    + q u^2)); the two agree on (0, 1/q) (verify checks it).  The diagonal
+    x = x0 carries an extra d/du log u term and is not served here.
     """
     if x == x0:
         raise ValueError("diagonal case is served by zeta_log_series_from_counts")

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from importlib.metadata import EntryPoint, entry_points
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import heatzeta
+from heatzeta import cli
 from heatzeta.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -284,6 +286,15 @@ class TestZeta:
         assert code == 2
         assert "order" in err
 
+    @pytest.mark.parametrize("command", ["analyze", "zeta"])
+    def test_order_above_cap_refused_before_counting(self, capsys, command):
+        start = time.perf_counter()
+        order = cli.MAX_ORDER + 1
+        code, out, err = run(capsys, command, "--graph", "k4", "--order", str(order))
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err == f"error: --order must be at most {cli.MAX_ORDER}, got {order}\n"
+
 
 TREE_CHECKS = [
     ("bessel series vs quadrature", 1e-9),
@@ -294,6 +305,7 @@ TREE_CHECKS = [
     ("G-transform of building blocks", 1e-6),
     ("tree zeta identity and spectral moments", 1e-7),
     ("Laplace transform calibration", 1e-9),
+    ("horocyclic transform of the tree heat kernel", 1e-9),
 ]
 K4_CHECKS = [
     ("counting recursions vs enumeration", 0.0),
@@ -301,6 +313,7 @@ K4_CHECKS = [
     ("four-way zeta agreement", 1e-8),
     ("diagonal tree-plus-correction decomposition", 1e-8),
     ("G-transform of diagonal heat kernel", 1e-6),
+    ("two-variable zeta series vs spectral", 1e-8),
 ]
 
 

@@ -209,6 +209,11 @@ class TestGTransform:
         with pytest.raises(ValueError, match="decay"):
             g_transform_numeric(lambda t: 1.0, 2, 0.9, growth_rate=3.0)
 
+    def test_unconverged_quadrature_refused(self):
+        # 50,000 periods on [0, 32] defeat quad's 400 subintervals
+        with pytest.raises(RuntimeError, match="did not converge"):
+            g_transform_numeric(lambda t: math.sin(1e4 * t), 2, 0.25, tol=1e-12)
+
 
 class TestLaplaceIdentity:
     def test_n0_s1(self):
