@@ -61,10 +61,11 @@ def _check_tol(tol: float) -> None:
 def bessel_i(order: int, t: float, tol: float = 1e-15) -> float:
     """I_order(t) by direct summation of the power series.
 
-    Terms are accumulated until a term is below tol * (sum + tol) and the
-    term index is past the mode of the summand, after which the terms decay
-    faster than geometrically: relative to the sum, with an absolute floor
-    of about tol^2 below which values carry no relative accuracy.
+    Terms are accumulated until a term is at most tol times the sum and
+    the term index is past the mode of the summand, after which the terms
+    decay faster than geometrically, so the rule is relative at every
+    magnitude.  "At most" rather than "below": where tol times a subnormal
+    sum rounds to 0, the sum ends once the terms underflow to 0 as well.
     """
     _check_order_arg(order, t)
     _check_tol(tol)
@@ -87,7 +88,7 @@ def bessel_i(order: int, t: float, tol: float = 1e-15) -> float:
         n += 1
         term *= half * half / (n * (n + order))
         total += term
-        if term < tol * (total + tol) and 2 * n + order > t:
+        if term <= tol * total and 2 * n + order > t:
             break
         if n > 10_000_000:  # pragma: no cover
             raise RuntimeError("bessel_i series failed to terminate")

@@ -234,7 +234,12 @@ def cmd_zeta(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.graph and args.graph.lower() == "tree":
-        results = verify.run_tree_checks((_tree_q(args),))
+        if args.q is None or args.q < 2:
+            raise GraphError(
+                "verify --graph tree needs --q >= 2: its tree heat kernel series vs "
+                "integral check has no integral route for q = 1"
+            )
+        results = verify.run_tree_checks((args.q,))
     elif args.graph:
         if not _is_builtin(args.graph):
             raise GraphError(
@@ -264,21 +269,27 @@ def build_parser() -> argparse.ArgumentParser:
             "a file with 'u v' edge lines / a JSON {vertices, edges} document."
         ),
     )
+    options = {
+        "--graph": {"help": "builtin name or path to an edge-list file"},
+        "--q": {"type": int, "help": "tree degree parameter (tree mode)"},
+        "--order": {"type": int, "default": 10, "help": "table/series order M"},
+        "--t": {"help": "comma-separated time grid"},
+        "--tol": {"type": float, "default": 1e-10},
+        "--format": {"choices": ("csv", "json"), "default": "json"},
+        "--out": {"help": "output path (default stdout)"},
+    }
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("analyze", "emit exact counting tables"),
-        ("heat", "tabulate heat kernel values with cross-checks"),
-        ("zeta", "emit the zeta report (counts, primes, coefficients)"),
-        ("verify", "run the full identity suite; nonzero exit on failure"),
+    # each subcommand accepts exactly the options it reads
+    for name, help_text, accepted in (
+        ("analyze", "emit exact counting tables", ("--graph", "--q", "--order", "--out")),
+        ("heat", "tabulate heat kernel values with cross-checks", tuple(options)),
+        ("zeta", "emit the zeta report (counts, primes, coefficients)",
+         ("--graph", "--order", "--out")),
+        ("verify", "run the full identity suite; nonzero exit on failure", ("--graph", "--q")),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--graph", help="builtin name or path to an edge-list file")
-        p.add_argument("--q", type=int, help="tree degree parameter (tree mode)")
-        p.add_argument("--order", type=int, default=10, help="table/series order M")
-        p.add_argument("--t", help="comma-separated time grid")
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--out", help="output path (default stdout)")
+        for option in accepted:
+            p.add_argument(option, **options[option])
     return parser
 
 
@@ -286,11 +297,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not (math.isfinite(args.tol) and args.tol > 0):
+        if hasattr(args, "tol") and not (math.isfinite(args.tol) and args.tol > 0):
             raise GraphError(f"--tol must be finite and positive, got {args.tol}")
-        if args.order < 1:
+        if hasattr(args, "order") and args.order < 1:
             raise GraphError("--order must be >= 1")
-        if args.order > MAX_ORDER:
+        if hasattr(args, "order") and args.order > MAX_ORDER:
             raise GraphError(f"--order must be at most {MAX_ORDER}, got {args.order}")
         if args.command == "analyze":
             if args.graph and args.graph.lower() == "tree":

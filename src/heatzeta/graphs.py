@@ -19,9 +19,11 @@ three-term non-backtracking recursion run on integer arrays
 (``_geodesic_matrices``): one indicator column gives c_k(x) for one base
 vertex, the identity gives every base vertex at once, and the traces give
 the loop totals behind N_k (the integer form of the Ihara-Bass identity).
-Arrays are int64 only while the bound proved in ``_int64_safe`` shows no
-entry can overflow, and dtype=object (Python ints) above it; every count
-leaves the engine as a Python int, so results are exact at any length.
+The same recursion with 2q for q+1 at k = 2 gives the heat coefficients
+b_m of ``heat_graph.b_coefficients``.  Arrays are int64 only while the
+bound proved in ``_int64_safe`` shows no entry can overflow, and
+dtype=object (Python ints) above it; every value leaves the engine as a
+Python int, so results are exact at any length.
 The edge-transfer recursion ``geodesic_counts`` and the depth-first
 enumerations are oracles: ``verify`` and the tests compare the engine
 against them, and no production path calls them.
@@ -234,13 +236,7 @@ def builtin_graph(name: str) -> Graph:
         inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
         return _build_graph(10, outer + spokes + inner)
     if name == "cube":
-        edges = []
-        for u in range(8):
-            for bit in (1, 2, 4):
-                v = u ^ bit
-                if u < v:
-                    edges.append((u, v))
-        return _build_graph(8, edges)
+        return _build_graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b])
     if name == "k33":
         return _build_graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
     raise GraphError(f"unknown builtin graph {name!r}")
@@ -312,22 +308,34 @@ def _int64_safe(q: int, K: int) -> bool:
     gather A C_{k-1} = C_k + q C_{k-2} (C_2 + (q+1) C_0 at k = 2), whose
     entries are at most (q+1) q^{k-1} + (q+1) q^{k-2} = (q+1)^2 q^{k-2};
     its partial sums and q C_{k-2} are smaller.  Traces are summed as
-    Python ints, so no factor n enters.
+    Python ints, so no factor n enters.  For the signed heat coefficients,
+    |b_0| <= 1 and |b_m| <= (q+1) q^{m-1} (heat_graph.series_truncation_order),
+    so A b_{m-1} and its partial sums are at most (q+1)^2 q^{m-2} in absolute
+    value, and 2q |b_0| and q |b_{m-2}| are smaller: the same predicate holds.
     """
     return (q + 1) ** 2 * q ** max(K - 2, 0) < 2**63
 
 
-def _geodesic_matrices(g: Graph, K: int, x0: int | None = None) -> Iterator[np.ndarray]:
+def _geodesic_matrices(
+    g: Graph, K: int, x0: int | None = None, s2: int | None = None
+) -> Iterator[np.ndarray]:
     """Yield C_0, ..., C_K of the three-term non-backtracking recursion.
 
-    C_0 = X, C_1 = A X, C_2 = A C_1 - (q+1) X and C_k = A C_{k-1} - q C_{k-2},
+    C_0 = X, C_1 = A X, C_2 = A C_1 - s_2 X and C_k = A C_{k-1} - q C_{k-2},
     where X = e_{x0} (C_k[x] = c_k(x)) or, when x0 is None, X = I
     (C_k[x, y] = c_k(x) from base vertex y).  A M is a gather over the
     (n, q+1) neighbour table, in which multi-edges and self-loops repeat,
     so the recursion holds on every (q+1)-regular graph of this module.
     The dtype is int64 where _int64_safe allows it and object otherwise.
+
+    s2 = q + 1 (the default) gives c_k; s2 = 2q gives the heat coefficients
+    b_m = c_m - (q-1) T_m, T_m = c_{m-2} + c_{m-4} + ...  By A c_0 = c_1,
+    A c_1 = c_2 + (q+1) c_0 and A c_m = c_{m+1} + q c_{m-1} (m >= 2),
+    b_2 = c_2 - (q-1) c_0 = A b_1 - 2q b_0.  For m >= 3, A c_i summed over
+    the terms of T_{m-1} is T_m + q T_{m-2}, so A b_{m-1} = b_m + q b_{m-2}.
     """
     q = g.regularity()
+    s2 = q + 1 if s2 is None else s2
     n = g.n_vertices
     dtype = np.int64 if _int64_safe(q, K) else object
     nbr = np.array([[g.terminus[e] for e in es] for es in g.out_edges])
@@ -349,7 +357,7 @@ def _geodesic_matrices(g: Graph, K: int, x0: int | None = None) -> Iterator[np.n
     for k in range(1, K + 1):
         nxt = apply_a(cur)
         if k >= 2:
-            nxt -= (q + 1 if k == 2 else q) * prev
+            nxt -= (s2 if k == 2 else q) * prev
         prev, cur = cur, nxt
         yield cur
 
@@ -380,12 +388,9 @@ def closed_geodesics_at_vertex(g: Graph, x0: int, K: int) -> list[int]:
 
 
 def _closed_from_loops(c_loops: list[int], q: int, base_zero: int) -> list[int]:
-    n_table = [base_zero]
-    for k in range(1, len(c_loops)):
-        if k <= 2:
-            n_table.append(c_loops[k])
-        else:
-            n_table.append(n_table[k - 2] + c_loops[k] - q * c_loops[k - 2])
+    n_table = [base_zero, *c_loops[1:3]]
+    for k in range(3, len(c_loops)):
+        n_table.append(n_table[k - 2] + c_loops[k] - q * c_loops[k - 2])
     return n_table
 
 
@@ -531,12 +536,7 @@ def check_vertex_transitive(
             for cand in range(n):
                 if used[cand] or profiles[cand] != profiles[u]:
                     continue
-                ok = True
-                for w in order[:idx]:
-                    if adj[u][w] != adj[cand][image[w]]:
-                        ok = False
-                        break
-                if not ok:
+                if any(adj[u][w] != adj[cand][image[w]] for w in order[:idx]):
                     continue
                 image[u] = cand
                 used[cand] = True

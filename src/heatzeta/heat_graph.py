@@ -18,6 +18,11 @@ propagator e^{-Lt} from one matrix ODE solve.
 The diagonal of the series collapses, on vertex-transitive graphs, to the
 tree heat kernel plus a closed-geodesic correction; that identity is
 exposed as diagonal_tree_decomposition.
+
+The b_m rows come from the counting engine of graphs on every call, with
+no cache.  spectral_data keeps its cache: the benchmark reads its
+cache_info(), and verify's G-transform check integrates heat_kernel_spectral
+at hundreds of quadrature nodes per graph.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from heatzeta.bessel import (
     building_block_bound,
     building_blocks,
 )
-from heatzeta.graphs import Graph, closed_geodesics_at_vertex, geodesic_counts_recursion
+from heatzeta.graphs import Graph, _geodesic_matrices, closed_geodesics_at_vertex
 from heatzeta.heat_tree import tree_heat_kernel
 
 __all__ = [
@@ -73,12 +78,8 @@ class SpectralData:
 
 def laplacian(g: Graph) -> np.ndarray:
     """(q+1) I minus the adjacency matrix, multi-edges counted."""
-    q = g.regularity()
-    n = g.n_vertices
-    mat = np.zeros((n, n))
-    for e in range(g.n_edges):
-        mat[g.origin[e], g.terminus[e]] -= 1.0
-    mat[np.diag_indices(n)] += q + 1.0
+    mat = (g.regularity() + 1.0) * np.eye(g.n_vertices)
+    np.subtract.at(mat, (g.origin, g.terminus), 1.0)
     return mat
 
 
@@ -95,23 +96,15 @@ def spectral_data(g: Graph) -> SpectralData:
     return SpectralData(g.regularity(), eigenvalues, eigenvectors)
 
 
-@lru_cache(maxsize=512)
-def _b_rows(g: Graph, x0: int, M: int) -> tuple[tuple[int, ...], ...]:
-    c = np.array(geodesic_counts_recursion(g, x0, M), dtype=object)
-    tails = np.zeros_like(c)  # tails[m] = c_{m-2} + c_{m-4} + ...
-    for m in range(2, M + 1):
-        tails[m] = tails[m - 2] + c[m - 2]
-    return tuple(map(tuple, (c - (g.regularity() - 1) * tails).tolist()))
-
-
 def b_coefficients(g: Graph, x0: int, M: int) -> list[list[int]]:
     """b_m(x) = c_m(x) - (q-1)(c_{m-2}(x) + c_{m-4}(x) + ...), m = 0..M.
 
     The alternating tail ends at c_1(x) for odd m and c_0(x) for even m;
     b_0 = c_0 and b_1 = c_1.  Entries are exact integers and may be
-    negative.
+    negative.  Computed by the counting engine with b_2 = A b_1 - 2q b_0 and
+    b_m = A b_{m-1} - q b_{m-2} (derived at graphs._geodesic_matrices).
     """
-    return [list(row) for row in _b_rows(g, x0, M)]
+    return [b.tolist() for b in _geodesic_matrices(g, M, x0, s2=2 * g.regularity())]
 
 
 def series_truncation_order(q: int, t: float, tol: float) -> int:
@@ -184,7 +177,7 @@ def heat_kernel_row(g: Graph, x0: int, t: float, tol: float = 1e-10) -> np.ndarr
     _check_time(t)
     q = g.regularity()
     M = series_truncation_order(q, t, tol)
-    b = np.array(_b_rows(g, x0, M), dtype=float)
+    b = np.array(b_coefficients(g, x0, M), dtype=float)
     return building_blocks(q, M, (t,))[0] @ b
 
 

@@ -46,6 +46,14 @@ class TestSeries:
         with pytest.raises(OverflowError):
             bessel_i(0, 800.0)
 
+    def test_subnormal_sum_terminates(self):
+        # the leading term is about e^{-730}: tol times the sum rounds to 0,
+        # and the sum still ends once the terms underflow to 0
+        mp = pytest.importorskip("mpmath")
+        value = bessel_i(200, 3.89)
+        assert 0.0 < value < 1e-300
+        assert value == pytest.approx(float(mp.besseli(200, 3.89)), rel=1e-5)
+
 
 class TestQuadrature:
     def test_at_zero(self):
@@ -206,12 +214,22 @@ class TestBuildingBlocks:
         assert blocks.shape == (2, M + 1)
         for k, tk in enumerate((t, 2 * t)):
             for m in range(M + 1):
-                # the scalar series stops once a term is below 1e-15 of the
-                # running sum plus 1e-30, so values below ~1e-28 carry that
-                # absolute error in the oracle itself
+                # the scalar series stops relative to its sum at every
+                # magnitude, so no absolute floor is needed
                 assert blocks[k, m] == pytest.approx(
-                    building_block(q, m, tk), rel=1e-13, abs=1e-28
+                    building_block(q, m, tk), rel=1e-13, abs=0.0
                 )
+
+    @pytest.mark.parametrize("q,t,m", [(3, 8.0, 84), (2, 20.0, 130), (4, 0.5, 60), (3, 2.0, 150)])
+    def test_scalar_block_relative_at_tiny_values(self, q, t, m):
+        # values from 1e-64 down to 1e-221, where a stopping rule with an
+        # absolute floor loses every digit
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            exact = mp.power(q, -mp.mpf(m) / 2) * mp.exp(-(q + 1) * mp.mpf(t)) * mp.besseli(
+                m, 2 * mp.sqrt(q) * t
+            )
+        assert building_block(q, m, t) == pytest.approx(float(exact), rel=2e-13, abs=0.0)
 
     def test_time_zero_is_the_indicator(self):
         assert building_blocks(3, 5, [0.0]).tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]

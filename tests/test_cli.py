@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -10,10 +12,13 @@ from importlib.metadata import EntryPoint, entry_points
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import heatzeta
 from heatzeta import cli
 from heatzeta.cli import main
+from strategies import regular_multigraphs
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SOURCE_ROOT = str(Path(heatzeta.__file__).resolve().parents[1])
@@ -343,9 +348,112 @@ class TestVerify:
         assert err.startswith("error: verify runs on builtin graphs only")
 
     def test_bad_tolerance(self, capsys):
-        code, _, err = run(capsys, "verify", "--tol", "-1")
-        assert code == 2
-        assert "tol" in err
+        # verify reads no tolerance; --tol is checked where heat reads it
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--tol", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --tol -1" in captured.err
+
+    @pytest.mark.parametrize("q", ["1", "0", None])
+    def test_tree_needs_q_at_least_two(self, capsys, q):
+        # the tree series-vs-integral check has no integral route at q = 1
+        argv = ["verify", "--graph", "tree"] + (["--q", q] if q else [])
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: verify --graph tree needs --q >= 2: its tree heat kernel series vs "
+            "integral check has no integral route for q = 1\n"
+        )
+
+
+DROPPED_OPTIONS = [
+    ("analyze", "--t", "1"),
+    ("analyze", "--tol", "1e-10"),
+    ("analyze", "--format", "csv"),
+    ("zeta", "--q", "2"),
+    ("zeta", "--t", "1"),
+    ("zeta", "--tol", "1e-10"),
+    ("zeta", "--format", "csv"),
+    ("verify", "--order", "5"),
+    ("verify", "--t", "1"),
+    ("verify", "--tol", "1e-10"),
+    ("verify", "--format", "csv"),
+    ("verify", "--out", "report.txt"),
+]
+
+
+@pytest.mark.parametrize("command, option, value", DROPPED_OPTIONS)
+def test_subcommand_refuses_options_it_does_not_read(capsys, command, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--graph", "k4", option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {option} {value}" in captured.err
+
+
+FUZZ_GRAPHS = [None, "k4", "c5", "c8", "petersen", "cube", "k33", "tree", "file", "missing"]
+# t = 1e6 is left out: heat --graph c5 --t 1e6 alone takes about 8 s in-process
+FUZZ_T = ["0", "0.1", "2", "60", "200", "inf", "nan", "-1", "a"]
+FUZZ_TOL = ["1e-10", "0", "nan", "-1"]
+FUZZ_ORDER = ["0", "1", "6", "12", "2001"]
+FUZZ_Q = ["0", "1", "2", "3"]
+FUZZ_FORMAT = ["csv", "json"]
+
+
+@given(data=st.data())
+@settings(
+    max_examples=600,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_fuzz_exit_codes_and_error_lines(tmp_path, data):
+    # every subcommand, graph kind (or none) and subset of the other six
+    # options, accepted or not: exit 0, 2 or 3, an error: line last on
+    # stderr, no traceback
+    draw = data.draw
+    argv = [draw(st.sampled_from(["analyze", "heat", "zeta", "verify"]))]
+    # half the draws pass only options the subcommand reads, so that the
+    # accepted paths are reached as often as the argparse refusals
+    skipped = {opt for cmd, opt, _ in DROPPED_OPTIONS if cmd == argv[0]}
+    if draw(st.booleans()):
+        skipped = set()
+    graph = draw(st.sampled_from(FUZZ_GRAPHS))  # "file": a tests/strategies.py graph
+    if graph == "file":
+        g = draw(regular_multigraphs())
+        path = tmp_path / "graph.txt"
+        path.write_text(
+            "".join(f"{g.origin[e]} {g.terminus[e]}\n" for e in range(0, g.n_edges, 2))
+        )
+        graph = str(path)
+    elif graph == "missing":
+        graph = str(tmp_path / "missing.txt")
+    if graph is not None:
+        argv.append(f"--graph={graph}")
+    for option, values in (
+        ("--q", FUZZ_Q),
+        ("--order", FUZZ_ORDER),
+        ("--t", FUZZ_T),
+        ("--tol", FUZZ_TOL),
+        ("--format", FUZZ_FORMAT),
+        ("--out", [str(tmp_path / "out.txt")]),
+    ):
+        value = draw(st.none() | st.sampled_from(values))  # absent half the time
+        if value is not None and option not in skipped:
+            argv.append(f"{option}={value}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    stderr = err.getvalue()
+    assert code in (0, 2, 3), (argv, stderr)
+    assert "Traceback" not in stderr, argv
+    if code != 0:
+        assert stderr.splitlines() and "error:" in stderr.splitlines()[-1], (argv, stderr)
 
 
 def _run_script(command, *argv):

@@ -28,6 +28,14 @@ from strategies import regular_multigraphs
 GRAPH_NAMES = ["k4", "c5", "c8", "cube", "k33", "petersen"]
 
 
+def definition_rows(c, q):
+    """b_m = c_m - (q-1)(c_{m-2} + c_{m-4} + ...) on Python ints."""
+    return [
+        [c[m][x] - (q - 1) * sum(c[j][x] for j in range(m - 2, -1, -2)) for x in range(len(c[m]))]
+        for m in range(len(c))
+    ]
+
+
 class TestLaplacian:
     def test_k4_matrix(self):
         g = G.builtin_graph("k4")
@@ -119,13 +127,27 @@ class TestBCoefficients:
 
     def test_alternating_tail_definition(self):
         g = G.builtin_graph("petersen")
+        assert b_coefficients(g, 0, 9) == definition_rows(G.geodesic_counts(g, 0, 9), 2)
+
+    @given(g=regular_multigraphs(), M=st.integers(0, 20))
+    @settings(max_examples=100, deadline=None)
+    def test_engine_rows_are_the_definition(self, g, M):
+        # c from the edge-transfer oracle, every base vertex, self-loops and
+        # multi-edges included
         q = g.regularity()
-        c = G.geodesic_counts(g, 0, 9)
-        b = b_coefficients(g, 0, 9)
-        for m in range(2, 10):
-            for x in range(g.n_vertices):
-                tail = sum(c[j][x] for j in range(m - 2, -1, -2))
-                assert b[m][x] == c[m][x] - (q - 1) * tail
+        for x0 in range(g.n_vertices):
+            assert b_coefficients(g, x0, M) == definition_rows(G.geodesic_counts(g, x0, M), q)
+
+    def test_object_fallback_matches_definition(self):
+        # the engine's int64/object switch, at the same K as for the counts
+        k5 = G.load_graph("\n".join(f"{u} {v}" for u in range(5) for v in range(u + 1, 5)))
+        assert k5.regularity() == 3
+        for M, dtype in ((39, np.int64), (40, object), (45, object)):
+            assert all(b.dtype == dtype for b in G._geodesic_matrices(k5, M, 0, s2=6))
+            rows = b_coefficients(k5, 0, M)
+            assert rows == definition_rows(G.geodesic_counts(k5, 0, M), 3)
+            assert all(type(v) is int for row in rows for v in row)
+        assert max(abs(v) for v in rows[45]) > 2**63
 
 
 class TestThreeWayAgreement:
