@@ -51,6 +51,10 @@ def _is_builtin(spec: str) -> bool:
     )
 
 
+def _is_tree(args) -> bool:
+    return args.graph is not None and args.graph.lower() == "tree"
+
+
 def _tree_q(args) -> int:
     if args.q is None or args.q < 1:
         raise GraphError("tree mode needs --q >= 1")
@@ -119,33 +123,35 @@ def cmd_analyze_tree(args) -> int:
 
 def cmd_heat(args) -> int:
     ts = _parse_float_list(args.t) if args.t else [0.1, 1.0]
-    if args.graph and args.graph.lower() == "tree":
+    if _is_tree(args):
         q = _tree_q(args)
+        radii = range(args.order + 1)
         rows = []
         for t in ts:
-            for r in range(args.order + 1):
-                value = heat_tree.tree_heat_kernel(q, t, r, args.tol)
+            values = heat_tree.tree_heat_kernels(q, t, radii, args.tol)
+            if q >= 2 and t > 0:
                 try:
-                    cross = (
-                        heat_tree.tree_heat_kernel_integral(q, t, r, min(args.tol, 1e-10))
-                        if q >= 2 and t > 0
-                        else value.value
-                    )
-                except RuntimeError as exc:
+                    cross = heat_tree.tree_heat_kernel_integrals(
+                        q, t, radii, min(args.tol, 1e-10)
+                    ).tolist()
+                except heat_tree.QuadratureError as exc:
                     print(
-                        f"error: t = {t}, r = {r}: integral cross-check failed ({exc})",
+                        f"error: t = {t}, r = {exc.r}: integral cross-check failed ({exc})",
                         file=sys.stderr,
                     )
                     return EXIT_INVARIANT_FAILURE
-                rows.append(
-                    {
-                        "t": t,
-                        "r": r,
-                        "value": value.value,
-                        "tail_bound": value.tail_bound,
-                        "cross_check_delta": abs(value.value - cross),
-                    }
-                )
+            else:
+                cross = [value.value for value in values]
+            rows.extend(
+                {
+                    "t": t,
+                    "r": value.r,
+                    "value": value.value,
+                    "tail_bound": value.tail_bound,
+                    "cross_check_delta": abs(value.value - integral),
+                }
+                for value, integral in zip(values, cross)
+            )
         return _emit_heat(args, "tree", q, rows)
     g = _resolve_graph(args)
     q = g.regularity()
@@ -233,7 +239,7 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.graph and args.graph.lower() == "tree":
+    if _is_tree(args):
         if args.q is None or args.q < 2:
             raise GraphError(
                 "verify --graph tree needs --q >= 2: its tree heat kernel series vs "
@@ -299,12 +305,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if hasattr(args, "tol") and not (math.isfinite(args.tol) and args.tol > 0):
             raise GraphError(f"--tol must be finite and positive, got {args.tol}")
-        if hasattr(args, "order") and args.order < 1:
-            raise GraphError("--order must be >= 1")
-        if hasattr(args, "order") and args.order > MAX_ORDER:
-            raise GraphError(f"--order must be at most {MAX_ORDER}, got {args.order}")
+        # graph-mode heat accepts --order with the tree options but never reads it
+        if args.command in ("analyze", "zeta") or (args.command == "heat" and _is_tree(args)):
+            if args.order < 1:
+                raise GraphError("--order must be >= 1")
+            if args.order > MAX_ORDER:
+                raise GraphError(f"--order must be at most {MAX_ORDER}, got {args.order}")
         if args.command == "analyze":
-            if args.graph and args.graph.lower() == "tree":
+            if _is_tree(args):
                 return cmd_analyze_tree(args)
             return cmd_analyze(args)
         if args.command == "heat":

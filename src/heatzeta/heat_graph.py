@@ -28,6 +28,7 @@ at hundreds of quadrature nodes per graph.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,8 +38,8 @@ from scipy.integrate import solve_ivp
 from heatzeta.bessel import (
     _check_time,
     _check_tol,
+    bessel_upper_bound,
     building_block,
-    building_block_bound,
     building_blocks,
 )
 from heatzeta.graphs import Graph, _geodesic_matrices, closed_geodesics_at_vertex
@@ -60,6 +61,8 @@ __all__ = [
 ]
 
 DENSE_EIGEN_CAP = 2048
+_LOG_TWO = math.log(2.0)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -110,9 +113,11 @@ def b_coefficients(g: Graph, x0: int, M: int) -> list[list[int]]:
 def series_truncation_order(q: int, t: float, tol: float) -> int:
     """Smallest safe order M for the graph heat-kernel Bessel series.
 
-    Certified through |b_m(x)| <= (q+1) q^{m-1} and building_block_bound;
-    scanning stops once consecutive bound terms shrink by at least a
-    factor two and the remaining geometric tail is below tol.
+    Certified through |b_m(x)| <= (q+1) q^{m-1} and building_block_bound,
+    compared as logarithms so that no bound leaves float range; scanning
+    stops once consecutive bound terms shrink by at least a factor two and
+    the remaining geometric tail is below tol.  ValueError when no order
+    within 100,000 past tau = 2 sqrt(q) t is certified.
 
     The coefficient bound: b_m = c_m - (q-1) sum_{j>=1} c_{m-2j} is the
     difference of two nonnegative parts, so |b_m| is at most the larger
@@ -127,20 +132,54 @@ def series_truncation_order(q: int, t: float, tol: float) -> int:
     if t == 0.0:
         return 0
     tau = 2.0 * math.sqrt(q) * t
+    log_q, log_tol = math.log(q), math.log(tol)
+    shift = math.log(q + 1) - (math.sqrt(q) - 1.0) ** 2 * t
 
-    def term_bound(m: int) -> float:
-        # (q+1) q^{m-1} times the bound on one block
-        return (q + 1) * building_block_bound(q, m, t, m - 1)
+    def log_term_bound(m: int) -> tuple[float, float]:
+        # log of (q+1) q^{m-1} building_block_bound(q, m, t), whose factor
+        # q^{m/2} alone leaves float range near m = 1418 / ln q: exact, and
+        # with the Bessel factor as bessel_upper_bound rounds it (-inf at 0),
+        # which the ratio test reads so that M is the one the float bounds
+        # gave wherever they stayed in range
+        log_power = shift + (0.5 * m - 1.0) * log_q
+        rounded = bessel_upper_bound(m, tau)
+        exact = log_power - 0.5 * math.log(tau) - 0.5 * m * math.log1p(m / tau)
+        return exact, log_power + math.log(rounded) if rounded > 0.0 else -math.inf
 
     m = start = max(2, int(tau) + 2)
+    exact, rounded = log_term_bound(m)
     while True:
-        b_next = term_bound(m + 1)
-        # <=: on q = 1 both terms underflow to 0 at large t, which still certifies
-        if b_next <= 0.5 * term_bound(m) and 2.0 * b_next < tol:
+        exact_next, rounded_next = log_term_bound(m + 1)
+        if rounded_next > -math.inf:
+            # consecutive bounds at least halve and the geometric tail is below tol
+            if rounded_next <= rounded - _LOG_TWO and rounded_next + _LOG_TWO < log_tol:
+                return m
+        # where the rounded Bessel factor is 0: the log bound is concave in m,
+        # so once it falls the tail past m is at most next / (1 - next / bound)
+        elif exact_next < exact and (
+            exact_next - math.log1p(-math.exp(exact_next - exact)) < log_tol
+        ):
             return m
+        exact, rounded = exact_next, rounded_next
         m += 1
-        if m > start + 100_000:  # pragma: no cover
-            raise RuntimeError("no safe truncation order found")
+        if m > start + 100_000:
+            raise ValueError(
+                f"t = {t}: no certified truncation order within 100000 orders past 2 sqrt(q) t"
+            )
+
+
+def _row_order(g: Graph, t: float, tol: float) -> tuple[int, int]:
+    """q and the certified order M of a heat-kernel row of g.
+
+    Raises OverflowError, before any counting, where some b_M(x) cannot be
+    a float: the entries of b_m sum to q^m + 1 for m >= 1, so one of them
+    is at least q^M / n.
+    """
+    q = g.regularity()
+    M = series_truncation_order(q, t, tol)
+    if M * math.log(q) - math.log(g.n_vertices) > _LOG_FLOAT_MAX:
+        raise OverflowError(f"an entry of b_{M} is at least q^{M} / n, past the largest float")
+    return q, M
 
 
 def heat_kernel_series_row(g: Graph, x0: int, t: float, tol: float = 1e-10) -> list[float]:
@@ -152,8 +191,7 @@ def heat_kernel_series_row(g: Graph, x0: int, t: float, tol: float = 1e-10) -> l
     large for a float raises OverflowError.
     """
     _check_time(t)
-    q = g.regularity()
-    M = series_truncation_order(q, t, tol)  # 0 at t = 0, where the row is c_0 = e_{x0}
+    q, M = _row_order(g, t, tol)  # M = 0 at t = 0, where the row is c_0 = e_{x0}
     b = b_coefficients(g, x0, M)
     blocks = [building_block(q, m, t) for m in range(M + 1)]
     return [
@@ -175,8 +213,7 @@ def heat_kernel_row(g: Graph, x0: int, t: float, tol: float = 1e-10) -> np.ndarr
     raises OverflowError, as the scalar route does.
     """
     _check_time(t)
-    q = g.regularity()
-    M = series_truncation_order(q, t, tol)
+    q, M = _row_order(g, t, tol)
     b = np.array(b_coefficients(g, x0, M), dtype=float)
     return building_blocks(q, M, (t,))[0] @ b
 

@@ -57,10 +57,10 @@ def check_tree_formula_agreement(qs: Iterable[int] = (2, 3, 4)) -> CheckResult:
     worst = 0.0
     for q in qs:
         for t in (0.1, 0.5, 1.0, 2.0, 5.0):
-            for r in range(11):
-                series = heat_tree.tree_heat_kernel(q, t, r, 1e-12).value
-                integral = heat_tree.tree_heat_kernel_integral(q, t, r, 1e-11)
-                worst = max(worst, abs(series - integral))
+            series = heat_tree.tree_heat_kernels(q, t, range(11), 1e-12)
+            integrals = heat_tree.tree_heat_kernel_integrals(q, t, range(11), 1e-11)
+            for value, integral in zip(series, integrals):
+                worst = max(worst, abs(value.value - integral))
     return CheckResult("tree heat kernel series vs integral", worst, 1e-8)
 
 
@@ -68,7 +68,7 @@ def check_tree_heat_equation(qs: Iterable[int] = (2, 3, 4)) -> CheckResult:
     worst = 0.0
     for q in qs:
         for t in (0.1, 0.5, 1.0, 2.0, 5.0):
-            values = [heat_tree.tree_heat_kernel(q, t, r, 1e-13).value for r in range(13)]
+            values = [value.value for value in heat_tree.tree_heat_kernels(q, t, range(13), 1e-13)]
             dots = [heat_tree.tree_heat_kernel_time_derivative(q, t, r, 1e-13) for r in range(12)]
             worst = max(worst, abs((q + 1) * values[0] - (q + 1) * values[1] + dots[0]))
             for r in range(1, 11):
@@ -113,10 +113,11 @@ def check_tree_mass(q: int = 2) -> CheckResult:
         radius = 1
         while heat_tree._series_tail_bound(q, t, radius) > 1e-10 or radius < 2 * q * t + 8:
             radius += 1
-        total = heat_tree.tree_heat_kernel(q, t, 0, 1e-12).value
+        values = heat_tree.tree_heat_kernels(q, t, range(radius + 60), 1e-12)
+        total = values[0].value
         for r in range(1, radius + 60):
             sphere = (q + 1) * q ** (r - 1)
-            total += sphere * heat_tree.tree_heat_kernel(q, t, r, 1e-12).value
+            total += sphere * values[r].value
         worst = max(worst, abs(total - 1.0))
     return CheckResult("tree heat kernel mass conservation", worst, 1e-6)
 

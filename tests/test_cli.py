@@ -165,7 +165,7 @@ class TestHeat:
         assert "Traceback" not in err
 
     def test_tree_cross_check_failure_prints_one_line(self):
-        # scipy's IntegrationWarning stays out of stderr; the error guard decides
+        # the trapezoid row's error guard decides, and its error: line is all of stderr
         proc = run_cli_process(
             "heat", "--graph", "tree", "--q", "2", "--order", "2", "--t", "1", "--tol", "1e-16"
         )
@@ -181,6 +181,38 @@ class TestHeat:
         assert proc.returncode == 0, proc.stderr
         rows = json.loads(proc.stdout)["rows"]
         assert [float(row["value"]) for row in rows] == [0.0, 0.0, 0.0]
+
+    def test_tree_table_at_the_order_cap_finishes(self):
+        proc = run_cli_process(
+            "heat", "--graph", "tree", "--q", "2", "--order", "2000", "--t", "1", timeout=30
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(json.loads(proc.stdout)["rows"]) == 2001
+
+    def test_tree_order_above_cap_refused(self, capsys):
+        code, out, err = run(
+            capsys, "heat", "--graph", "tree", "--q", "2", "--t", "1", "--order", "2001"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --order must be at most {cli.MAX_ORDER}, got 2001\n"
+
+    @pytest.mark.parametrize("order", ["0", "2001"])
+    def test_graph_rows_ignore_order(self, capsys, order):
+        # only the tree tables read --order
+        expected = run(capsys, "heat", "--graph", "k4", "--t", "60")
+        assert expected[0] == 0
+        assert run(capsys, "heat", "--graph", "k4", "--t", "60", "--order", order) == expected
+
+    def test_uncertified_truncation_is_input_error(self, capsys, tmp_path):
+        # K6, q = 4: at t = 60000 the scan finds no certified order within its range
+        path = tmp_path / "k6.txt"
+        path.write_text("".join(f"{u} {v}\n" for u in range(6) for v in range(u + 1, 6)))
+        code, out, err = run(capsys, "heat", "--graph", str(path), "--t", "60000")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: t = 60000.0: no certified truncation order within 100000 orders "
+            "past 2 sqrt(q) t\n"
+        )
 
     def test_tree_order_cap_is_input_error(self, capsys):
         code, out, err = run(capsys, "heat", "--graph", "tree", "--q", "2", "--t", "1e8")

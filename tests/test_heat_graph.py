@@ -260,6 +260,43 @@ def test_truncation_tol_validated(tol):
         series_truncation_order(2, 1.0, tol)
 
 
+@pytest.mark.parametrize(
+    "q, t, tol, M",
+    [
+        (1, 8.0, 1e-10, 37),
+        (2, 1.0, 1e-10, 27),
+        (3, 8.0, 1e-12, 120),
+        (4, 40.0, 1e-10, 817),  # the next bound's Bessel factor is subnormal
+        (5, 40.0, 1e-14, 847),
+        (6, 20.0, 1e-8, 705),  # the next bound's Bessel factor is 0.0
+        (7, 20.0, 1e-10, 722),
+    ],
+)
+def test_truncation_orders_pinned(q, t, tol, M):
+    assert series_truncation_order(q, t, tol) == M
+
+
+@pytest.mark.parametrize("q", [5, 6, 7])
+@pytest.mark.parametrize("t", [30.0, 40.0, 200.0])
+def test_truncation_certified_where_the_power_leaves_float_range(q, t):
+    # q^{m/2} alone passes 1e308 within the scan; the next term's bound,
+    # (q+1) q^{m-1} q^{-m/2} e^{-(sqrt(q)-1)^2 t} tau^{-1/2} (1 + m/tau)^{-m/2},
+    # written out as a logarithm, must be below tol
+    tol = 1e-10
+    M = series_truncation_order(q, t, tol)
+    tau = 2.0 * math.sqrt(q) * t
+    m = M + 1
+    log_bound = (
+        math.log(q + 1)
+        + (m / 2 - 1) * math.log(q)
+        - (math.sqrt(q) - 1.0) ** 2 * t
+        - 0.5 * math.log(tau)
+        - 0.5 * m * math.log1p(m / tau)
+    )
+    assert M > tau
+    assert log_bound < math.log(tol)
+
+
 class TestGlobalProperties:
     @pytest.mark.parametrize("name", GRAPH_NAMES)
     def test_mass_conservation(self, name):

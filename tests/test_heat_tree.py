@@ -1,14 +1,18 @@
 import math
 
 import pytest
+from scipy.integrate import quad
 
+from heatzeta import heat_tree
 from heatzeta.bessel import bessel_i, bessel_i_scaled, bessel_upper_bound, building_block
 from heatzeta.heat_tree import (
     MAX_TREE_ORDER,
     horocycle_solution,
     tree_heat_kernel,
     tree_heat_kernel_integral,
+    tree_heat_kernel_integrals,
     tree_heat_kernel_time_derivative,
+    tree_heat_kernels,
 )
 
 
@@ -123,6 +127,57 @@ class TestIntegralRoute:
     def test_q_one_refused(self):
         with pytest.raises(ValueError):
             tree_heat_kernel_integral(1, 1.0, 0)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("t", [0.0, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0])
+    def test_trapezoid_row_matches_adaptive_quadrature(self, q, t):
+        # the integral formula written out and integrated by QUADPACK, per r
+        row = tree_heat_kernel_integrals(q, t, range(31), 1e-12)
+        sq = math.sqrt(q)
+        for r in range(31):
+
+            def integrand(u):
+                num = math.sin(u) * (q * math.sin((r + 1) * u) - math.sin((r - 1) * u))
+                den = (q + 1) ** 2 - 4 * q * math.cos(u) ** 2
+                return math.exp(2 * t * sq * (math.cos(u) - 1.0)) * num / den
+
+            value, _ = quad(integrand, 0.0, math.pi, epsabs=1e-14, epsrel=1e-12, limit=200)
+            prefactor = 2.0 * math.exp(-((sq - 1.0) ** 2) * t - (r / 2.0 - 1.0) * math.log(q))
+            assert row[r] == pytest.approx(prefactor / math.pi * value, abs=1e-12)
+
+    def test_row_spanning_node_chunks_matches_single_radii(self):
+        # 174 radii times at least 1023 nodes pass one chunk of the node loop
+        radii = range(0, 520, 3)
+        row = tree_heat_kernel_integrals(3, 1.0, radii, 1e-12)
+        assert len(radii) * 1023 > heat_tree._CHUNK_ENTRIES
+        for r, value in zip(radii, row):
+            assert value == pytest.approx(tree_heat_kernel_integral(3, 1.0, r, 1e-12), abs=2e-12)
+
+    @pytest.mark.parametrize("radii, failed", [(range(3), 0), (range(5, 9), 5)])
+    def test_unmet_guard_names_the_radius(self, radii, failed):
+        # no double-precision rule meets a 1e-16 guard on these values
+        with pytest.raises(RuntimeError, match=f"^r = {failed}: rounding error") as exc:
+            tree_heat_kernel_integrals(2, 1.0, radii, 1e-16)
+        assert exc.value.r == failed
+
+
+class TestRows:
+    @pytest.mark.parametrize("q", [1, 2, 4])
+    @pytest.mark.parametrize("t", [0.0, 0.7, 5.0])
+    def test_series_row_entries_are_the_scalar_values(self, q, t):
+        row = tree_heat_kernels(q, t, range(25), 1e-12)
+        assert row == [tree_heat_kernel(q, t, r, 1e-12) for r in range(25)]
+
+    @pytest.mark.parametrize("t", [0.0, 0.7, 5.0])
+    def test_integral_row_entry_is_the_scalar_integral(self, t):
+        for r in (0, 1, 9):
+            assert tree_heat_kernel_integral(3, t, r) == tree_heat_kernel_integrals(3, t, (r,))[0]
+
+    def test_series_row_needs_nonnegative_radii(self):
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            tree_heat_kernels(2, 1.0, [0, 1, -1])
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            tree_heat_kernel_integrals(2, 1.0, [0, -1])
 
 
 class TestHeatEquation:

@@ -34,3 +34,12 @@ def test_two_variable_zeta_check_catches_a_shifted_spectral_side(monkeypatch):
 
     monkeypatch.setattr(zeta, "two_variable_zeta", shifted)
     assert not verify.check_two_variable_zeta(("k4",)).passed
+
+
+def test_tree_formula_check_catches_a_shifted_integral_row(monkeypatch):
+    assert verify.check_tree_formula_agreement((2,)).passed
+    original = heat_tree.tree_heat_kernel_integrals
+    monkeypatch.setattr(
+        heat_tree, "tree_heat_kernel_integrals", lambda *args: original(*args) + 1e-5
+    )
+    assert not verify.check_tree_formula_agreement((2,)).passed
