@@ -136,7 +136,7 @@ def cmd_heat(args) -> int:
                     ).tolist()
                 except heat_tree.QuadratureError as exc:
                     print(
-                        f"error: t = {t}, r = {exc.r}: integral cross-check failed ({exc})",
+                        f"error: t = {t}, r = {exc.r}: integral cross-check failed ({exc.reason})",
                         file=sys.stderr,
                     )
                     return EXIT_INVARIANT_FAILURE

@@ -153,9 +153,10 @@ def tree_heat_kernel_time_derivative(q: int, t: float, r: int, tol: float = 1e-1
 class QuadratureError(RuntimeError):
     """The trapezoid rule missed its error guard; r is the first radius that did."""
 
-    def __init__(self, r: int, message: str):
-        super().__init__(f"r = {r}: {message}")
+    def __init__(self, r: int, reason: str):
+        super().__init__(f"r = {r}: {reason}")
         self.r = r
+        self.reason = reason
 
 
 def _trapezoid_sums(q: int, tau: float, radii: np.ndarray, u: np.ndarray):
