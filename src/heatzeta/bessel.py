@@ -11,7 +11,8 @@ large arguments from overflowing, and a uniform bound
 
     sqrt(t) e^{-t} I_n(t) <= (1 + n/t)^{-n/2}
 
-gives building_block_bound, which certifies every series tail in the package.
+gives log_block_bound.  certified_truncation turns it into the one truncation
+rule of every building-block series in the package, whatever its weights.
 
 building_blocks evaluates the whole vector of building blocks for a grid of
 times at once from scipy's exponentially scaled ive (the AMOS algorithm,
@@ -32,13 +33,16 @@ __all__ = [
     "bessel_i_scaled",
     "bessel_upper_bound",
     "building_block",
-    "building_block_bound",
     "building_block_time_derivative",
     "building_blocks",
+    "certified_truncation",
+    "log_block_bound",
 ]
 
 # exp() overflows just above 709; keep a margin for the n-term prefactors
 _EXP_LIMIT = 700.0
+# scipy's ive returns NaN for arguments past 2^30
+_IVE_MAX_ARG = 2.0**30
 
 
 def _check_order_arg(order: int, t: float) -> None:
@@ -183,19 +187,6 @@ def building_block(q: int, r: int, t: float, tol: float = 1e-15) -> float:
     return math.exp(-0.5 * r * math.log(q) - shrink * t) * scaled
 
 
-def building_block_bound(q: int, m: int, t: float, power: int = 0) -> float:
-    """Uniform bound q^power * building_block(q, m, t) <= this, for t > 0.
-
-    Returns q^{power - m/2} e^{-(sqrt(q)-1)^2 t} bessel_upper_bound(m, 2 sqrt(q) t).
-    The power of q a caller's coefficient bound carries enters the exponent
-    together with q^{-m/2}, so a coefficient growing like q^{m-1} never
-    overflows on its own.
-    """
-    shrink = (math.sqrt(q) - 1.0) ** 2  # (q+1) - 2 sqrt(q)
-    log_scale = (power - 0.5 * m) * math.log(q) - shrink * t
-    return math.exp(log_scale) * bessel_upper_bound(m, 2.0 * math.sqrt(q) * t)
-
-
 def building_blocks(q: int, M: int, ts) -> np.ndarray:
     """blocks[k, m] = building_block(q, m, ts[k]) for m = 0..M, as one array.
 
@@ -227,3 +218,67 @@ def building_block_time_derivative(q: int, r: int, t: float, tol: float = 1e-15)
         raise ValueError("t must be positive")
     below = building_block(q, r - 1, t, tol) if r > 0 else q * building_block(q, 1, t, tol)
     return below + q * building_block(q, r + 1, t, tol) - (q + 1) * building_block(q, r, t, tol)
+
+
+def log_block_bound(q: int, m: int, t: float) -> float:
+    """ln of a bound on building_block(q, m, t), t > 0, in float range for every m.
+
+    -(m/2) ln q - (sqrt(q)-1)^2 t + ln bessel_upper_bound(m, tau), tau = 2 sqrt(q) t:
+    it falls in m and is concave in m, as m ln(1 + m/tau) is convex.
+    """
+    tau = 2.0 * math.sqrt(q) * t
+    return (
+        -0.5 * m * math.log(q)
+        - (math.sqrt(q) - 1.0) ** 2 * t
+        - 0.5 * math.log(tau)
+        - 0.5 * m * math.log1p(m / tau)
+    )
+
+
+def certified_truncation(
+    q: int, t: float, tol: float, first: int, step: int, weight: float, power: float = 0.0
+) -> tuple[int, float]:
+    """Smallest certified last order M of a building-block series, and its tail bound.
+
+    The terms sit at orders first, first + step, ... (first >= 1) and are at
+    most weight q^{power m} building_block(q, m, t).  Their log bound
+    beta(m) = ln weight + power m ln q + log_block_bound(q, m, t) is concave
+    in m, so once beta(M + step) < beta(M) the tail past M is at most
+    next / (1 - next / current), next = e^{beta(M + step)}, current = e^{beta(M)}.
+    That test fails before the peak of beta and holds for good after, so
+    doubling, then bisection, from first - step (or first if negative) finds M.
+    A zero weight, or t = 0, has no tail: M is that start and the bound 0.
+    ValueError past tau = 2 sqrt(q) t = 2^30, where scipy's ive returns NaN.
+    """
+    _check_tol(tol)
+    _check_time(t)
+    if 2.0 * math.sqrt(q) * t > _IVE_MAX_ARG:
+        raise ValueError(f"t = {t}: 2 sqrt(q) t is past {_IVE_MAX_ARG:.0f}, the range of ive")
+    start = first - step if first >= step else first
+    if weight == 0.0 or t == 0.0:
+        return start, 0.0
+    log_tol = math.log(tol)
+
+    def beta(m: int) -> float:
+        return math.log(weight) + power * m * math.log(q) + log_block_bound(q, m, t)
+
+    def log_tail(m: int) -> float:
+        current, following = beta(m), beta(m + step)
+        if following == -math.inf:  # 1 + m/tau overflows where t is subnormal
+            return -math.inf
+        if following >= current:
+            return math.inf
+        return following - math.log1p(-math.exp(following - current))
+
+    # lo is uncertified (start - step stands for "no order yet") and hi certified
+    lo, width = start - step, step
+    while log_tail(lo + width) >= log_tol:
+        lo, width = lo + width, 2 * width
+    hi = lo + width
+    while hi - lo > step:
+        mid = lo + (hi - lo) // (2 * step) * step
+        if log_tail(mid) < log_tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi, math.exp(log_tail(hi))

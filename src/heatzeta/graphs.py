@@ -309,7 +309,8 @@ def _int64_safe(q: int, K: int) -> bool:
     entries are at most (q+1) q^{k-1} + (q+1) q^{k-2} = (q+1)^2 q^{k-2};
     its partial sums and q C_{k-2} are smaller.  Traces are summed as
     Python ints, so no factor n enters.  For the signed heat coefficients,
-    |b_0| <= 1 and |b_m| <= (q+1) q^{m-1} (heat_graph.series_truncation_order),
+    |b_0| <= 1 and |b_m| <= (q+1) q^{m-1} (proved at
+    heat_graph.series_truncation_order, whose truncation weight it is),
     so A b_{m-1} and its partial sums are at most (q+1)^2 q^{m-2} in absolute
     value, and 2q |b_0| and q |b_{m-2}| are smaller: the same predicate holds.
     """

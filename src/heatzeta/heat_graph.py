@@ -8,6 +8,9 @@
 The building-block vector of the series is the same for every x, so the
 production route, heat_kernel_row, evaluates it once per t with
 bessel.building_blocks and takes one product with the exact b_m rows.
+Every series route, the diagonal decomposition included, stops at
+series_truncation_order: bessel.certified_truncation with the coefficient
+bound |b_m(x)| <= (q+1) q^{m-1} as weight.
 heat_kernel_spectral_row is the one spectral route; heat_kernel_spectral
 is one entry of it.  The independent oracles that verify and the tests
 compare against are heat_kernel_series_row, which sums one list of scalar
@@ -37,10 +40,9 @@ from scipy.integrate import solve_ivp
 
 from heatzeta.bessel import (
     _check_time,
-    _check_tol,
-    bessel_upper_bound,
     building_block,
     building_blocks,
+    certified_truncation,
 )
 from heatzeta.graphs import Graph, _geodesic_matrices, closed_geodesics_at_vertex
 from heatzeta.heat_tree import tree_heat_kernel
@@ -61,7 +63,6 @@ __all__ = [
 ]
 
 DENSE_EIGEN_CAP = 2048
-_LOG_TWO = math.log(2.0)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -111,13 +112,10 @@ def b_coefficients(g: Graph, x0: int, M: int) -> list[list[int]]:
 
 
 def series_truncation_order(q: int, t: float, tol: float) -> int:
-    """Smallest safe order M for the graph heat-kernel Bessel series.
+    """Smallest certified order M for the graph heat-kernel Bessel series.
 
-    Certified through |b_m(x)| <= (q+1) q^{m-1} and building_block_bound,
-    compared as logarithms so that no bound leaves float range; scanning
-    stops once consecutive bound terms shrink by at least a factor two and
-    the remaining geometric tail is below tol.  ValueError when no order
-    within 100,000 past tau = 2 sqrt(q) t is certified.
+    bessel.certified_truncation with the coefficient bound
+    |b_m(x)| <= (q+1) q^{m-1} as its weight, on every order m >= 1.
 
     The coefficient bound: b_m = c_m - (q-1) sum_{j>=1} c_{m-2j} is the
     difference of two nonnegative parts, so |b_m| is at most the larger
@@ -128,44 +126,7 @@ def series_truncation_order(q: int, t: float, tol: float) -> int:
     for q = 1 the second part vanishes).
     It is not true that |b_m(x)| <= c_m(x): on k4, b_2(0) = -1, c_2(0) = 0.
     """
-    _check_tol(tol)
-    if t == 0.0:
-        return 0
-    tau = 2.0 * math.sqrt(q) * t
-    log_q, log_tol = math.log(q), math.log(tol)
-    shift = math.log(q + 1) - (math.sqrt(q) - 1.0) ** 2 * t
-
-    def log_term_bound(m: int) -> tuple[float, float]:
-        # log of (q+1) q^{m-1} building_block_bound(q, m, t), whose factor
-        # q^{m/2} alone leaves float range near m = 1418 / ln q: exact, and
-        # with the Bessel factor as bessel_upper_bound rounds it (-inf at 0),
-        # which the ratio test reads so that M is the one the float bounds
-        # gave wherever they stayed in range
-        log_power = shift + (0.5 * m - 1.0) * log_q
-        rounded = bessel_upper_bound(m, tau)
-        exact = log_power - 0.5 * math.log(tau) - 0.5 * m * math.log1p(m / tau)
-        return exact, log_power + math.log(rounded) if rounded > 0.0 else -math.inf
-
-    m = start = max(2, int(tau) + 2)
-    exact, rounded = log_term_bound(m)
-    while True:
-        exact_next, rounded_next = log_term_bound(m + 1)
-        if rounded_next > -math.inf:
-            # consecutive bounds at least halve and the geometric tail is below tol
-            if rounded_next <= rounded - _LOG_TWO and rounded_next + _LOG_TWO < log_tol:
-                return m
-        # where the rounded Bessel factor is 0: the log bound is concave in m,
-        # so once it falls the tail past m is at most next / (1 - next / bound)
-        elif exact_next < exact and (
-            exact_next - math.log1p(-math.exp(exact_next - exact)) < log_tol
-        ):
-            return m
-        exact, rounded = exact_next, rounded_next
-        m += 1
-        if m > start + 100_000:
-            raise ValueError(
-                f"t = {t}: no certified truncation order within 100000 orders past 2 sqrt(q) t"
-            )
+    return certified_truncation(q, t, tol, 1, 1, (q + 1) / q, 1.0)[0]
 
 
 def _row_order(g: Graph, t: float, tol: float) -> tuple[int, int]:
@@ -190,8 +151,7 @@ def heat_kernel_series_row(g: Graph, x0: int, t: float, tol: float = 1e-10) -> l
     oracle stays independent of heat_kernel_row.  Converting b values too
     large for a float raises OverflowError.
     """
-    _check_time(t)
-    q, M = _row_order(g, t, tol)  # M = 0 at t = 0, where the row is c_0 = e_{x0}
+    q, M = _row_order(g, t, tol)  # validates t; M = 0 at t = 0, where the row is c_0 = e_{x0}
     b = b_coefficients(g, x0, M)
     blocks = [building_block(q, m, t) for m in range(M + 1)]
     return [
@@ -212,8 +172,7 @@ def heat_kernel_row(g: Graph, x0: int, t: float, tol: float = 1e-10) -> np.ndarr
     is one matrix-vector product.  Converting b rows too large for a float
     raises OverflowError, as the scalar route does.
     """
-    _check_time(t)
-    q, M = _row_order(g, t, tol)
+    q, M = _row_order(g, t, tol)  # validates t
     b = np.array(b_coefficients(g, x0, M), dtype=float)
     return building_blocks(q, M, (t,))[0] @ b
 

@@ -10,12 +10,13 @@ route is a pair of classical oscillatory integrals over [0, pi], which
 tree_heat_kernel_integrals evaluates for a whole row per t with the
 trapezoid rule on one (radii x nodes) array, and the third is the
 horocycle-coordinate solution of the associated difference-differential
-equation, the sum of K over a horocycle.  Truncation of the series is
-certified by bessel.building_block_bound, and the certificate is reported
-with each value.  The single-radius tree_heat_kernel and
-tree_heat_kernel_integral are one entry of their rows.  The horocycle
-solution and the time derivative read the scalar building_block, so the
-heat-equation residual and verify's horocycle check also test ive against it.
+equation, the sum of K over a horocycle.  The series and its time
+derivative stop where bessel.certified_truncation certifies the tail, and
+the tail bound is reported with each value.  The single-radius
+tree_heat_kernel and tree_heat_kernel_integral are one entry of their rows.
+The horocycle solution and the time derivative read the scalar
+building_block, so the heat-equation residual and verify's horocycle check
+also test ive against it.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from heatzeta.bessel import (
     _check_time,
     _check_tol,
     building_block,
-    building_block_bound,
     building_block_time_derivative,
     building_blocks,
+    certified_truncation,
 )
 
 __all__ = [
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 
-# largest order r + 2J evaluated: t = 1e6 needs 2.9e6 at q = 2; 5e6 blocks peak near 0.15 GB
+# largest order r + 2J evaluated, a memory guard: 5e6 blocks peak near 0.15 GB
 MAX_TREE_ORDER = 5_000_000
 # (radii x nodes) entries per chunk of the trapezoid rule: 2^17 floats are 1 MB an array
 _CHUNK_ENTRIES = 1 << 17
@@ -64,44 +65,12 @@ class TreeHeatValue:
     tail_bound: float
 
 
-def _series_tail_bound(q: int, t: float, order: int) -> float:
-    """Bound on (q-1) * B(q, order, t) plus the whole remaining tail.
-
-    Uses e^{-tau} I_x(tau) <= (1 + x/tau)^{-x/2} / sqrt(tau) with
-    tau = 2 sqrt(q) t; consecutive terms shrink by at least 1/q, so the
-    geometric factor q/(q-1) closes the sum.
-    """
-    single = (q - 1) * building_block_bound(q, order, t)
-    return single * q / (q - 1)
-
-
-def _truncation_index(q: int, t: float, r: int, tol: float) -> tuple[int, float]:
-    """Certified truncation index J of the series at radius r, and its tail bound.
-
-    J is the first j with r + 2(j+1) > tau = 2 sqrt(q) t whose tail bound is
-    below tol; for q = 1 the correction carries the factor q - 1 = 0, so J = 0.
-    """
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    j, bound = 0, 0.0
-    if q > 1 and t > 0:
-        tau = 2.0 * math.sqrt(q) * t
-        j = start = max(0, math.floor((tau - r) / 2))  # first order past tau
-        while (bound := _series_tail_bound(q, t, r + 2 * (j + 1))) >= tol:
-            j += 1
-            if j > start + 1_000_000:  # pragma: no cover
-                raise RuntimeError("tree heat kernel series failed to terminate")
-    if r + 2 * j > MAX_TREE_ORDER:
-        raise ValueError(
-            f"t = {t}, r = {r}: the series needs order {r + 2 * j} > {MAX_TREE_ORDER}"
-        )
-    return j, bound
-
-
 def tree_heat_kernels(q: int, t: float, radii, tol: float = 1e-12) -> list[TreeHeatValue]:
     """K(t, r) on the (q+1)-regular tree for every r in radii, by the Bessel series.
 
-    Each r keeps its own certified truncation index J_r, and every value is
+    Each r keeps its own truncation index J_r: the terms (q-1) B(q, r + 2j, t),
+    j >= 1, go to bessel.certified_truncation with weight q - 1 on the lattice
+    r + 2, r + 4, ... (at q = 1 that weight is 0 and J_r = 0).  Every value is
     B_r - (q-1)(B_{r+2} + ... + B_{r+2J_r}) read from one building-block
     vector up to max_r (r + 2 J_r).  The blocks are computed elementwise, so
     each value equals the one a vector of its own would give.
@@ -111,13 +80,17 @@ def tree_heat_kernels(q: int, t: float, radii, tol: float = 1e-12) -> list[TreeH
     _check_tol(tol)
     _check_time(t)
     radii = list(radii)
-    scans = [_truncation_index(q, t, r, tol) for r in radii]
-    top = max((r + 2 * j for r, (j, _) in zip(radii, scans)), default=0)
+    if any(r < 0 for r in radii):
+        raise ValueError("r must be >= 0")
+    cuts = [certified_truncation(q, t, tol, r + 2, 2, q - 1) for r in radii]
+    top = max((order for order, _ in cuts), default=0)
+    if top > MAX_TREE_ORDER:
+        raise ValueError(f"t = {t}: the series needs order {top} > {MAX_TREE_ORDER}")
     blocks = building_blocks(q, top, (t,))[0]
     values = []
-    for r, (j, bound) in zip(radii, scans):
-        value = blocks[r] - (q - 1) * math.fsum(blocks[r + 2 : r + 2 * j + 1 : 2])
-        values.append(TreeHeatValue(q, t, r, float(value), j, bound))
+    for r, (order, bound) in zip(radii, cuts):
+        value = blocks[r] - (q - 1) * math.fsum(blocks[r + 2 : order + 1 : 2])
+        values.append(TreeHeatValue(q, t, r, float(value), (order - r) // 2, bound))
     return values
 
 
@@ -127,27 +100,16 @@ def tree_heat_kernel(q: int, t: float, r: int, tol: float = 1e-12) -> TreeHeatVa
 
 
 def tree_heat_kernel_time_derivative(q: int, t: float, r: int, tol: float = 1e-12) -> float:
-    """Analytic d/dt of the tree heat kernel series, truncated like the value.
+    """Analytic d/dt of the tree heat kernel series, for heat-equation residuals.
 
-    Used by residual checks of the heat equation; finite differences are
-    kept out of the residual path so the test tolerances stay tight.
+    B'_m = B_{m-1} + q B_{m+1} - (q+1) B_m with nonnegative blocks, and the
+    block bound falls in m, so the term (q-1)|B'_{r+2j}| is at most 2 (q^2-1)
+    times the bound at order r + 2j - 1: bessel.certified_truncation cuts the
+    series on that lattice with that weight.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if q == 1:
-        return building_block_time_derivative(1, r, t, tol)
-    tau = 2.0 * math.sqrt(q) * t
-    value = building_block_time_derivative(q, r, t, tol)
-    j = 0
-    while True:
-        next_order = r + 2 * (j + 1)
-        # derivative terms carry an extra O(q) prefactor; demand a stricter tail
-        if next_order > tau + 2 and _series_tail_bound(q, t, next_order) < tol / (3 * q):
-            return value
-        j += 1
-        value -= (q - 1) * building_block_time_derivative(q, r + 2 * j, t, tol)
-        if j > 1_000_000:  # pragma: no cover
-            raise RuntimeError("derivative series failed to terminate")
+    order, _ = certified_truncation(q, t, tol, r + 1, 2, 2 * (q * q - 1))
+    terms = [building_block_time_derivative(q, m + 1, t, tol) for m in range(r + 1, order + 1, 2)]
+    return building_block_time_derivative(q, r, t, tol) - (q - 1) * math.fsum(terms)
 
 
 class QuadratureError(RuntimeError):

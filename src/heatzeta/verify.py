@@ -85,25 +85,21 @@ def check_tree_heat_equation(qs: Iterable[int] = (2, 3, 4)) -> CheckResult:
 def check_horocycle_transform(qs: Iterable[int] = (2, 3, 4)) -> CheckResult:
     """Tree kernel summed over the horocycle at height n = -3..3 vs horocycle_solution.
 
-    K(t, s) enters with weight at most q^s and is computed to 1e-12 / q^s.  Each
-    sum takes the orders r, r + 2, ... below 3 + 2j: as 0 <= K <= the building
-    block, the tail from there on is at most twice its first weighted block bound
-    (past tau successive bounds at least halve), below 1e-11 at the largest lead q^3.
+    As 0 <= K <= the building block, the sums at heights r and -r stop where
+    bessel.certified_truncation puts the tail below 1e-11 for the larger lead's
+    weight (q-1) q^{(m-r)/2-1} q^r on the lattice r + 2, r + 4, ...  Each
+    K(t, m) enters with weight at most q^m and is computed to 1e-12 / q^top.
     """
     worst = 0.0
     for q in qs:
         for t in (0.5, 2.0, 5.0):
-            tau = 2.0 * math.sqrt(q) * t
-            j = 1
-            while 3 + 2 * j <= tau or (
-                2 * q**3 * (q - 1) * bessel.building_block_bound(q, 3 + 2 * j, t, j - 1) >= 1e-11
-            ):
-                j += 1
-            orders = range(3 + 2 * j)
-            kernel = [heat_tree.tree_heat_kernel(q, t, s, 1e-12 / q**s).value for s in orders]
             for r in range(4):
-                weights = [1] + [(q - 1) * q ** (i - 1) for i in range(1, 2 + j - (r + 1) // 2)]
-                transform = math.fsum(w * kernel[r + 2 * i] for i, w in enumerate(weights))
+                weight = (q - 1) * q ** (r / 2 - 1)
+                top, _ = bessel.certified_truncation(q, t, 1e-11, r + 2, 2, weight, 0.5)
+                orders = range(r, top + 1, 2)
+                kernel = heat_tree.tree_heat_kernels(q, t, orders, 1e-12 / q**top)
+                weights = [1] + [(q - 1) * q ** (i - 1) for i in range(1, len(orders))]
+                transform = math.fsum(w * k.value for w, k in zip(weights, kernel))
                 for n in {r, -r}:
                     expected = heat_tree.horocycle_solution(q, t, n)
                     worst = max(worst, abs(q ** max(-n, 0) * transform - expected))
@@ -111,17 +107,17 @@ def check_horocycle_transform(qs: Iterable[int] = (2, 3, 4)) -> CheckResult:
 
 
 def check_tree_mass(q: int = 2) -> CheckResult:
+    """Sum of K(t, r) over the spheres, against 1.
+
+    As 0 <= K <= the building block, the radii past series_truncation_order,
+    whose weight (q+1) q^{r-1} is the sphere size, hold less than 1e-10.
+    """
     worst = 0.0
     for t in (0.1, 0.5, 1.0, 2.0):
-        radius = 1
-        while heat_tree._series_tail_bound(q, t, radius) > 1e-10 or radius < 2 * q * t + 8:
-            radius += 1
-        values = heat_tree.tree_heat_kernels(q, t, range(radius + 60), 1e-12)
-        total = values[0].value
-        for r in range(1, radius + 60):
-            sphere = (q + 1) * q ** (r - 1)
-            total += sphere * values[r].value
-        worst = max(worst, abs(total - 1.0))
+        radius = heat_graph.series_truncation_order(q, t, 1e-10)
+        values = heat_tree.tree_heat_kernels(q, t, range(radius + 1), 1e-12)
+        spheres = [1] + [(q + 1) * q ** (r - 1) for r in range(1, radius + 1)]
+        worst = max(worst, abs(math.fsum(s * v.value for s, v in zip(spheres, values)) - 1.0))
     return CheckResult("tree heat kernel mass conservation", worst, 1e-6)
 
 

@@ -51,6 +51,22 @@ __all__ = [
 ]
 
 
+def _guarded_quad(f, upper, tol, epsabs, limit, what, scale=1.0) -> tuple[float, float]:
+    """scale times quad's integral of f over [0, upper], and its error estimate.
+
+    The one guard of every quadrature here: quad's IntegrationWarning is
+    silenced, and RuntimeError is raised when the scaled estimate exceeds
+    100 max(tol, |value| tol).
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        integral, err = quad(f, 0.0, upper, epsabs=epsabs, epsrel=tol, limit=limit)
+    value, err = scale * integral, abs(scale) * err
+    if err > 100 * max(tol, abs(value) * tol):
+        raise RuntimeError(f"{what} did not converge: estimated error {err}")
+    return value, err
+
+
 # ---------------------------------------------------------------------------
 # series-side zeta
 
@@ -171,16 +187,7 @@ class TreeDensity:
             )
             return f(lam) * density
 
-        # epsabs is scaled by the value later; silence the roundoff warning
-        # and enforce the error budget ourselves
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            value, err = quad(
-                integrand, 0.0, math.pi, epsabs=tol, epsrel=tol, limit=300
-            )
-        if err > 100 * max(tol, abs(value) * tol):  # pragma: no cover
-            raise RuntimeError(f"spectral integral did not converge: error {err}")
-        return value
+        return _guarded_quad(integrand, math.pi, tol, tol, 300, "spectral integral")[0]
 
 
 def kesten_tree_measure(q: int) -> TreeDensity:
@@ -277,7 +284,7 @@ def g_transform_numeric(
     kernels); pass 2 sqrt(q) for single tree building blocks.  The
     truncation point of the t-integral is certified from the resulting
     decay margin.  Raises RuntimeError when quad's error estimate exceeds
-    100 max(tol, |value| tol), the rule of TreeDensity.integrate.
+    100 max(tol, |value| tol), the guard of every quadrature in this module.
     """
     if u <= 0:
         raise ValueError("u must be positive")
@@ -295,16 +302,8 @@ def g_transform_numeric(
     def integrand(t: float) -> float:
         return math.exp(rate * t) * f(t)
 
-    with warnings.catch_warnings():
-        # the error guard below decides; quad's warning would only repeat it
-        warnings.simplefilter("ignore", IntegrationWarning)
-        integral, err = quad(
-            integrand, 0.0, upper, epsabs=tol * 1e-2, epsrel=tol, limit=400
-        )
-    prefactor = 1.0 / (u * u) - q
-    value, err = prefactor * integral, abs(prefactor) * err
-    if err > 100 * max(tol, abs(value) * tol):
-        raise RuntimeError(f"G-transform quadrature did not converge: estimated error {err}")
+    scale = 1.0 / (u * u) - q
+    value, err = _guarded_quad(integrand, upper, tol, tol * 1e-2, 400, "G-transform", scale)
     return GTransformResult(u, value, err)
 
 
@@ -321,14 +320,11 @@ def laplace_identity_check(n: int, s: float, tol: float = 1e-12) -> tuple[float,
     if n < 0:
         raise ValueError("n must be >= 0")
     upper = (math.log(1.0 / tol) + 20.0) / s
-    numeric, _err = quad(
-        lambda t: math.exp(-s * t) * bessel_i_scaled(n, t),
-        0.0,
-        upper,
-        epsabs=tol,
-        epsrel=tol,
-        limit=400,
-    )
+
+    def integrand(t: float) -> float:
+        return math.exp(-s * t) * bessel_i_scaled(n, t)
+
+    numeric, _ = _guarded_quad(integrand, upper, tol, tol, 400, "calibration integral")
     root = math.sqrt(s * s + 2.0 * s)
     closed = (s + 1.0 - root) ** n / root
     return numeric, closed

@@ -11,9 +11,10 @@ from heatzeta.bessel import (
     bessel_i_scaled,
     bessel_upper_bound,
     building_block,
-    building_block_bound,
     building_block_time_derivative,
     building_blocks,
+    certified_truncation,
+    log_block_bound,
 )
 
 
@@ -189,20 +190,112 @@ class TestBlockBound:
     )
     @settings(max_examples=200, deadline=None)
     def test_bounds_the_block(self, q, m, t):
-        assert building_block(q, m, t) <= building_block_bound(q, m, t) * (1 + 1e-12)
+        assert building_block(q, m, t) <= math.exp(log_block_bound(q, m, t)) * (1 + 1e-12)
 
     @pytest.mark.parametrize("q,m,t", [(2, 30, 1.0), (3, 120, 8.0), (7, 300, 40.0)])
     def test_power_is_a_factor_of_q(self, q, m, t):
-        assert building_block_bound(q, m, t, m - 1) == pytest.approx(
-            q ** (m - 1) * building_block_bound(q, m, t), rel=1e-11
+        # a coefficient bound q^{m-1} adds (m-1) ln q to the log form of
+        # q^{-m/2} e^{-(sqrt(q)-1)^2 t} bessel_upper_bound(m, 2 sqrt(q) t)
+        product = (
+            q ** (m - 1)
+            * q ** (-m / 2)
+            * math.exp(-((math.sqrt(q) - 1.0) ** 2) * t)
+            * bessel_upper_bound(m, 2.0 * math.sqrt(q) * t)
+        )
+        assert math.exp(log_block_bound(q, m, t) + (m - 1) * math.log(q)) == pytest.approx(
+            product, rel=1e-11
         )
 
     def test_power_folded_before_exponentiation(self):
-        # q^{m-1} alone overflows a float here, the weighted bound does not
+        # q^{m-1} alone overflows a float here, the weighted log bound does not
         q, m, t = 4, 1200, 123.0
         with pytest.raises(OverflowError):
             float(q ** (m - 1))
-        assert 0.0 < building_block_bound(q, m, t, m - 1) < math.inf
+        assert 0.0 < math.exp(log_block_bound(q, m, t) + (m - 1) * math.log(q)) < math.inf
+
+    @pytest.mark.parametrize("q,t", [(1, 0.01), (2, 1.0), (5, 40.0), (7, 60000.0)])
+    def test_concave_in_m(self, q, t):
+        values = [log_block_bound(q, m, t) for m in range(0, 4000, 7)]
+        assert all(b < a for a, b in zip(values, values[1:]))
+        assert all(c - 2 * b + a <= 1e-9 * abs(b) for a, b, c in zip(values, values[1:], values[2:]))
+
+
+CERT_TIMES = [0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 8.0, 20.0, 40.0, 200.0, 3000.0, 60000.0]
+CERT_TOLS = [1e-3, 1e-8, 1e-12, 1e-16]
+
+
+def _log_terms(q, t, weight, power, m):
+    """ln of weight q^{power m} q^{-m/2} e^{-(sqrt(q)-1)^2 t} tau^{-1/2} (1 + m/tau)^{-m/2}."""
+    tau = 2.0 * math.sqrt(q) * t
+    return (
+        math.log(weight)
+        + (power - 0.5) * m * math.log(q)
+        - (math.sqrt(q) - 1.0) ** 2 * t
+        - 0.5 * math.log(tau)
+        - 0.5 * m * np.log1p(m / tau)
+    )
+
+
+def _brute_log_tail(q, t, weight, power, M, step, stop):
+    """ln of the sum of the bound terms past M, summed until they fall below stop.
+
+    The rest past the last term is closed by its ratio to the one before,
+    which bounds every later ratio because the log terms are concave.
+    """
+    total, lo = -math.inf, M + step
+    while True:
+        m = lo + step * np.arange(1 << 14, dtype=float)
+        terms = _log_terms(q, t, weight, power, m)
+        total = np.logaddexp(total, np.logaddexp.reduce(terms))
+        if terms[-1] < terms[-2] and terms[-1] < stop:
+            rest = terms[-1] - math.log1p(-math.exp(terms[-1] - terms[-2]))
+            return float(np.logaddexp(total, rest))
+        lo = int(m[-1]) + step
+
+
+def _lattices(q):
+    """(weight, power, first, step) of the graph, tree and tree-derivative series."""
+    yield (q + 1) / q, 1.0, 1, 1
+    for r in (0, 7, 30):
+        yield q - 1, 0.0, r + 2, 2
+        yield 2 * (q * q - 1), 0.0, r + 1, 2
+
+
+class TestCertifiedTruncation:
+    @pytest.mark.parametrize("q", range(1, 8))
+    @pytest.mark.parametrize("t", CERT_TIMES)
+    def test_tail_below_tol_and_order_smallest(self, q, t):
+        # includes the cases whose next bound's Bessel factor is subnormal
+        # (q = 4, 5 at t = 40) or 0.0 as a float (q = 6, 7 at t = 20)
+        for tol in CERT_TOLS:
+            for weight, power, first, step in _lattices(q):
+                M, bound = certified_truncation(q, t, tol, first, step, weight, power)
+                start = first - step if first >= step else first
+                assert M >= start and (M - start) % step == 0
+                if weight == 0:
+                    assert (M, bound) == (start, 0.0)
+                    continue
+                log_tail = _brute_log_tail(q, t, weight, power, M, step, math.log(tol) - 60.0)
+                assert log_tail < math.log(tol), (tol, weight, first, step, M)
+                assert math.exp(log_tail) <= bound * (1 + 1e-9)
+                if M > start:
+                    # one step earlier the concave-tail test fails
+                    below, at, after = _log_terms(q, t, weight, power, np.array([M - step, M, M + step]))
+                    assert at >= below or at - math.log1p(-math.exp(at - below)) >= math.log(tol)
+
+    def test_time_zero_and_zero_weight_have_no_tail(self):
+        assert certified_truncation(3, 0.0, 1e-10, 1, 1, 4 / 3, 1.0) == (0, 0.0)
+        assert certified_truncation(1, 5.0, 1e-10, 9, 2, 0.0) == (7, 0.0)
+        # the derivative lattice at r = 0 starts at its first order, not at -1
+        assert certified_truncation(2, 0.0, 1e-10, 1, 2, 6.0) == (1, 0.0)
+
+    def test_extreme_times_terminate(self):
+        # at a subnormal t, 1 + m/tau overflows and every bound past order 0 is 0
+        assert certified_truncation(2, 1e-320, 1e-10, 9, 2, 1.0) == (7, 0.0)
+        # the largest t within ive's range at q = 2, where the first bound is e^{-5e7}
+        assert certified_truncation(2, 3.79e8, 1e-10, 2, 2, 1.0) == (0, 0.0)
+        with pytest.raises(ValueError, match="2 sqrt\\(q\\) t is past 1073741824, the range of ive"):
+            certified_truncation(2, 4e8, 1e-10, 2, 2, 1.0)
 
 
 class TestBuildingBlocks:

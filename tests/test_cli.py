@@ -139,11 +139,19 @@ class TestHeat:
             assert float(row["cross_check_delta"]) <= 1e-10
 
     def test_cycle_at_large_time(self, capsys):
-        # the q = 1 truncation bound underflows to 0 at t = 3000
-        code, out, err = run(capsys, "heat", "--graph", "c5", "--t", "3000")
+        # each row meets the --tol it asks for, the default 1e-10 and 1e-12
+        for tol, accuracy in (([], 1e-10), (["--tol", "1e-12"], 1e-12)):
+            code, out, err = run(capsys, "heat", "--graph", "c5", "--t", "3000", *tol)
+            assert (code, err) == (0, "")
+            for row in json.loads(out)["rows"]:
+                assert float(row["value"]) == pytest.approx(0.2, abs=accuracy)
+
+    def test_cycle_at_huge_time(self, capsys):
+        # the certified order is 9,356 at t = 1e6, not 2t
+        code, out, err = run(capsys, "heat", "--graph", "c5", "--t", "1e6")
         assert (code, err) == (0, "")
         for row in json.loads(out)["rows"]:
-            assert float(row["value"]) == pytest.approx(0.2, abs=1e-12)
+            assert float(row["value"]) == pytest.approx(0.2, abs=1e-10)
 
     def test_tree_rows_at_larger_time(self, capsys):
         code, out, _ = run(
@@ -203,22 +211,33 @@ class TestHeat:
         assert expected[0] == 0
         assert run(capsys, "heat", "--graph", "k4", "--t", "60", "--order", order) == expected
 
-    def test_uncertified_truncation_is_input_error(self, capsys, tmp_path):
-        # K6, q = 4: at t = 60000 the scan finds no certified order within its range
+    def test_k6_at_huge_time_is_input_error(self, capsys, tmp_path):
+        # K6, q = 4: at t = 60000 the certified order is 523,345, whose b rows
+        # are refused before any counting
         path = tmp_path / "k6.txt"
         path.write_text("".join(f"{u} {v}\n" for u in range(6) for v in range(u + 1, 6)))
         code, out, err = run(capsys, "heat", "--graph", str(path), "--t", "60000")
         assert (code, out) == (2, "")
         assert err == (
-            "error: t = 60000.0: no certified truncation order within 100000 orders "
-            "past 2 sqrt(q) t\n"
+            "error: t = 60000.0: the Bessel series overflows (an entry of b_523345 is at "
+            "least q^523345 / n, past the largest float)\n"
         )
 
-    def test_tree_order_cap_is_input_error(self, capsys):
+    @pytest.mark.parametrize("graph", [["--graph", "c5"], ["--graph", "tree", "--q", "2"]])
+    def test_time_past_the_block_range_is_input_error(self, capsys, graph):
+        # scipy's ive, which evaluates every block, returns NaN past 2 sqrt(q) t = 2^30
+        code, out, err = run(capsys, "heat", *graph, "--t", "1e9")
+        assert (code, out) == (2, "")
+        assert err == "error: t = 1000000000.0: 2 sqrt(q) t is past 1073741824, the range of ive\n"
+
+    def test_tree_at_huge_time_has_certified_zero_rows(self, capsys):
+        # every first correction term's log bound is far below tol: J = 0
         code, out, err = run(capsys, "heat", "--graph", "tree", "--q", "2", "--t", "1e8")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: t = 100000000.0, r = 0: the series needs order 282842712 > ")
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 11  # the default --order 10
+        for row in rows:
+            assert float(row["value"]) == float(row["tail_bound"]) == 0.0
 
     @pytest.mark.parametrize("graph", [["--graph", "k4"], ["--graph", "tree", "--q", "2"]])
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
@@ -267,7 +286,7 @@ class TestHeat:
         assert err.startswith("error: t must be finite")
 
     @pytest.mark.parametrize(
-        "graph, t", [("k4", "1e6"), ("k4", "200"), ("petersen", "200")]
+        "graph, t", [("k4", "1e6"), ("k4", "1000"), ("petersen", "1000")]
     )
     def test_series_overflow_is_input_error(self, capsys, graph, t):
         code, out, err = run(capsys, "heat", "--graph", graph, "--t", t)
@@ -427,8 +446,7 @@ def test_subcommand_refuses_options_it_does_not_read(capsys, command, option, va
 
 
 FUZZ_GRAPHS = [None, "k4", "c5", "c8", "petersen", "cube", "k33", "tree", "file", "missing"]
-# t = 1e6 is left out: heat --graph c5 --t 1e6 alone takes about 8 s in-process
-FUZZ_T = ["0", "0.1", "2", "60", "200", "inf", "nan", "-1", "a"]
+FUZZ_T = ["0", "0.1", "2", "60", "200", "1e6", "1e8", "inf", "nan", "-1", "a"]
 FUZZ_TOL = ["1e-10", "0", "nan", "-1"]
 FUZZ_ORDER = ["0", "1", "6", "12", "2001"]
 FUZZ_Q = ["0", "1", "2", "3"]

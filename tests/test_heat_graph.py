@@ -221,9 +221,17 @@ class TestBatchedRows:
                     assert row[x] == math.fsum(b[m][x] * blocks[m] for m in range(M + 1))
 
     def test_overflow_contract_kept(self):
-        # b rows too large for a float raise, as in the scalar route
+        # b rows too large for a float raise, as in the scalar route: M = 2062 at t = 1000
         with pytest.raises(OverflowError):
-            heat_kernel_row(G.builtin_graph("petersen"), 0, 200.0)
+            heat_kernel_row(G.builtin_graph("petersen"), 0, 1000.0)
+
+    @pytest.mark.parametrize("name", ["k4", "petersen"])
+    def test_rows_at_t_200(self, name):
+        # M = 512 there, so the b rows stay floats; the row matches the spectral one
+        g = G.builtin_graph(name)
+        assert series_truncation_order(2, 200.0, 1e-10) == 512
+        row = heat_kernel_row(g, 0, 200.0)
+        assert np.abs(row - heat_kernel_spectral_row(g, 0, 200.0)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("t", [math.inf, math.nan, -0.5])
@@ -248,10 +256,12 @@ def test_time_validated(route, t):
 
 @pytest.mark.parametrize("t", [3000.0, 60000.0])
 def test_truncation_on_cycles_at_large_time(t):
-    # on q = 1 both bound terms underflow to 0 there, which still certifies the order
-    assert 2.0 * t < series_truncation_order(1, t, 1e-10) <= 2.0 * t + 2
-    if t < 10000.0:
-        assert np.abs(heat_kernel_row(G.builtin_graph("c5"), 0, t) - 0.2).max() <= 1e-12
+    # on q = 1 the bound terms fall like e^{-m^2 / (2 tau)}, so M is near
+    # sqrt(tau), far below 2t; the rows meet the tol they are asked for
+    assert series_truncation_order(1, t, 1e-10) == {3000.0: 523, 60000.0: 2300}[t]
+    c5 = G.builtin_graph("c5")
+    assert np.abs(heat_kernel_row(c5, 0, t) - 0.2).max() <= 1e-10
+    assert np.abs(heat_kernel_row(c5, 0, t, 1e-12) - 0.2).max() <= 1e-12
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
@@ -260,8 +270,20 @@ def test_truncation_tol_validated(tol):
         series_truncation_order(2, 1.0, tol)
 
 
+# (q, t, tol): M of bessel.certified_truncation
+PINNED_ORDERS = {
+    (1, 8.0, 1e-10): 37,
+    (2, 1.0, 1e-10): 27,
+    (3, 8.0, 1e-12): 102,
+    (4, 40.0, 1e-10): 428,
+    (5, 40.0, 1e-14): 634,
+    (6, 20.0, 1e-8): 425,
+    (7, 20.0, 1e-10): 553,
+}
+
+
 @pytest.mark.parametrize(
-    "q, t, tol, M",
+    "q, t, tol, scan_M",
     [
         (1, 8.0, 1e-10, 37),
         (2, 1.0, 1e-10, 27),
@@ -272,8 +294,12 @@ def test_truncation_tol_validated(tol):
         (7, 20.0, 1e-10, 722),
     ],
 )
-def test_truncation_orders_pinned(q, t, tol, M):
-    assert series_truncation_order(q, t, tol) == M
+def test_truncation_orders_pinned(q, t, tol, scan_M):
+    # scan_M: the order of the linear scan past 2 sqrt(q) t that the concave
+    # tail test replaced, which never needs more orders
+    M = series_truncation_order(q, t, tol)
+    assert M == PINNED_ORDERS[q, t, tol]
+    assert M <= scan_M
 
 
 @pytest.mark.parametrize("q", [5, 6, 7])

@@ -4,7 +4,7 @@ import pytest
 from scipy.integrate import quad
 
 from heatzeta import heat_tree
-from heatzeta.bessel import bessel_i, bessel_i_scaled, bessel_upper_bound, building_block
+from heatzeta.bessel import bessel_i, bessel_i_scaled, building_block
 from heatzeta.heat_tree import (
     MAX_TREE_ORDER,
     horocycle_solution,
@@ -63,22 +63,31 @@ class TestSeries:
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     @pytest.mark.parametrize("t", [0.0, 0.1, 2.0, 8.0])
     def test_matches_scalar_alternating_sum(self, q, t):
-        # the scan and the per-term sum of scalar building blocks, written
-        # out independently of heat_tree's helpers
+        # the truncation rule and the per-term sum of scalar building blocks,
+        # written out independently of bessel's helpers: J is the first index
+        # whose next log bound term has fallen and whose concave tail
+        # next / (1 - next / current) is below tol
         tol = 1e-12
+
+        def log_term(order):
+            # ln of (q-1) q^{-order/2} e^{-(sqrt(q)-1)^2 t} tau^{-1/2} (1 + order/tau)^{-order/2}
+            return (
+                math.log(q - 1)
+                - 0.5 * order * math.log(q)
+                - (math.sqrt(q) - 1.0) ** 2 * t
+                - 0.5 * math.log(tau)
+                - 0.5 * order * math.log1p(order / tau)
+            )
+
         for r in range(31):
             result = tree_heat_kernel(q, t, r, tol)
             j, bound, value = 0, 0.0, building_block(q, r, t)
             if q > 1 and t > 0:
                 tau = 2.0 * math.sqrt(q) * t
                 while True:
-                    order = r + 2 * (j + 1)
-                    if order > tau:
-                        bound = (
-                            q
-                            * math.exp(-0.5 * order * math.log(q) - (math.sqrt(q) - 1.0) ** 2 * t)
-                            * bessel_upper_bound(order, tau)
-                        )
+                    current, following = log_term(r + 2 * j), log_term(r + 2 * j + 2)
+                    if following < current:
+                        bound = math.exp(following) / (1.0 - math.exp(following - current))
                         if bound < tol:
                             break
                     j += 1
@@ -88,15 +97,16 @@ class TestSeries:
             assert result.value == pytest.approx(value, abs=1e-13)
 
     def test_large_time_finishes(self):
-        # every block underflows at t = 1e6; the certified order r + 2J is
-        # still about 2 sqrt(q) t, evaluated as one vector
+        # every block underflows at t = 1e6, and so does the log bound of the
+        # first correction term: the certified index is 0
         result = tree_heat_kernel(2, 1e6, 3, 1e-10)
         assert result.value == 0.0
-        assert result.truncation_index == pytest.approx(math.sqrt(2) * 1e6, abs=3)
+        assert result.truncation_index == 0
 
     def test_order_cap(self):
-        with pytest.raises(ValueError, match=f"needs order 282842712 > {MAX_TREE_ORDER}"):
-            tree_heat_kernel(2, 1e8, 0)
+        # r + 2J is the length of the block vector, refused past the memory guard
+        with pytest.raises(ValueError, match=f"needs order {MAX_TREE_ORDER + 1} > {MAX_TREE_ORDER}"):
+            tree_heat_kernel(2, 1.0, MAX_TREE_ORDER + 1)
 
 
 class TestIntegralRoute:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from heatzeta import graphs as G
+from heatzeta import zeta
 from heatzeta.bessel import building_block
 from heatzeta.heat_graph import spectral_data
 from heatzeta.zeta import (
@@ -231,6 +232,13 @@ class TestLaplaceIdentity:
     def test_grid(self, n, s):
         numeric, closed = laplace_identity_check(n, s)
         assert numeric == pytest.approx(closed, abs=1e-9)
+
+    def test_unconverged_integral_refused(self, monkeypatch):
+        # a scaled Bessel factor oscillating 20,000 times over [0, 47.6]
+        # defeats quad's 400 subintervals, and the guard says so
+        monkeypatch.setattr(zeta, "bessel_i_scaled", lambda n, t: math.sin(2.6e3 * t))
+        with pytest.raises(RuntimeError, match="calibration integral did not converge"):
+            laplace_identity_check(0, 1.0)
 
 
 class TestTwoVariableZeta:
