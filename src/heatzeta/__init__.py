@@ -19,7 +19,7 @@ from heatzeta.bessel import (
     bessel_i_scaled,
     bessel_upper_bound,
     building_block,
-    building_blocks,
+    log_building_blocks,
 )
 from heatzeta.graphs import (
     CountTable,
@@ -84,7 +84,6 @@ __all__ = [
     "bessel_i_scaled",
     "bessel_upper_bound",
     "building_block",
-    "building_blocks",
     "builtin_graph",
     "check_vertex_transitive",
     "closed_geodesics_at_vertex",
@@ -107,6 +106,7 @@ __all__ = [
     "laplace_identity_check",
     "laplacian",
     "load_graph",
+    "log_building_blocks",
     "path_counts",
     "prime_geodesic_counts",
     "recover_counts",

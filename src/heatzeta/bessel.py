@@ -14,10 +14,11 @@ large arguments from overflowing, and a uniform bound
 gives log_block_bound.  certified_truncation turns it into the one truncation
 rule of every building-block series in the package, whatever its weights.
 
-building_blocks evaluates the whole vector of building blocks for a grid of
-times at once from scipy's exponentially scaled ive (the AMOS algorithm,
-ACM TOMS 644): the production evaluator behind every heat value.  The scalar
-building_block and the routes above stay as its independent oracle.
+log_building_blocks evaluates the log of the whole vector of building blocks
+at one time from Miller's backward recurrence for the ratios I_{m+1}/I_m:
+the production evaluator behind every heat value, in float range at any t.
+The scalar building_block and the routes above stay as its independent
+oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ive
 
 __all__ = [
     "bessel_i",
@@ -34,15 +34,17 @@ __all__ = [
     "bessel_upper_bound",
     "building_block",
     "building_block_time_derivative",
-    "building_blocks",
     "certified_truncation",
     "log_block_bound",
+    "log_building_blocks",
 ]
 
 # exp() overflows just above 709; keep a margin for the n-term prefactors
 _EXP_LIMIT = 700.0
-# scipy's ive returns NaN for arguments past 2^30
-_IVE_MAX_ARG = 2.0**30
+# longest ratio recurrence log_building_blocks runs: a time and memory guard
+MAX_RECURRENCE = 1_000_000
+# L of the Miller start of log_building_blocks
+_MILLER_LOG = 54.0
 
 
 def _check_order_arg(order: int, t: float) -> None:
@@ -80,12 +82,13 @@ def bessel_i(order: int, t: float, tol: float = 1e-15) -> float:
             f"bessel_i overflows for t={t}; use bessel_i_scaled(order, t)"
         )
     half = t / 2.0
-    # leading term (t/2)^order / order!, in log form so large orders underflow
-    # gracefully instead of tripping pow() overflow on intermediate factors
-    log_lead = order * math.log(half) - math.lgamma(order + 1)
-    if log_lead < -745.0:
+    # leading term (t/2)^order / order! as a product, whose partial products stay
+    # below e^{t/2}: the log form, two logs near 300 apart, loses 1e-13 relative
+    if order * math.log(half) - math.lgamma(order + 1) < -745.0:
         return 0.0
-    term = math.exp(log_lead)
+    term = 1.0
+    for j in range(1, order + 1):
+        term *= half / j
     total = term
     n = 0
     while True:
@@ -187,24 +190,60 @@ def building_block(q: int, r: int, t: float, tol: float = 1e-15) -> float:
     return math.exp(-0.5 * r * math.log(q) - shrink * t) * scaled
 
 
-def building_blocks(q: int, M: int, ts) -> np.ndarray:
-    """blocks[k, m] = building_block(q, m, ts[k]) for m = 0..M, as one array.
+def log_building_blocks(q: int, M: int, t: float) -> np.ndarray:
+    """ln building_block(q, m, t) for m = 0..M at one t, as one vector.
 
-    Computed as exp(-m/2 log q - (sqrt(q)-1)^2 t) * ive(m, 2 sqrt(q) t),
-    where ive(m, x) = e^{-x} I_m(x) lies in [0, 1]: both factors are at most
-    one, so nothing overflows for any finite t, and t = 0 gives the
-    indicator of m = 0 exactly.
+    With tau = 2 sqrt(q) t, Miller's backward recurrence
+    r_k = 1 / (2(k+1)/tau + r_{k+1}) from r_N = 0 (Gautschi, SIAM Review 1967)
+    gives the ratios r_k = I_{k+1}(tau) / I_k(tau); the cumulative sums of
+    their logs, compensated for rounding, are ln(I_m / I_0);
+    e^tau = I_0 (1 + 2 sum_{m>=1} I_m / I_0) normalises them, and
+    -(m/2) ln q - (sqrt(q)-1)^2 t is added.  No ratio exceeds 1, so nothing
+    overflows at any t; t = 0 gives 0 and -inf.
+
+    The start N = M + d, d >= L/3 + sqrt(L^2/9 + 2 L tau), L = 54: Turan's
+    inequality r_k <= r_{k-1} and the log-convexity of K_m in m give
+    r_k <= e^{-a_k} <= K_k / K_{k+1}, a_k = asinh(k/tau), so the start is off
+    by I_{N+1} K_m / (I_m K_{N+1}) <= exp(-2 sum_{k=m}^N a_k) relative at
+    order m, and the normalisation, terms past N included, by at most
+    (4N + 5 + 3 tau / N) e^{-A}, A = sum_{k=M}^N a_k.  As a_{M+j} >= ln(1 + j/tau),
+    A >= (tau + d) ln(1 + d/tau) - d >= d^2 / (2 tau + 2d/3) >= L, and with
+    N <= MAX_RECURRENCE no ln value is off by 2e-17 before rounding.
+    ValueError, before anything is allocated, where M + d > MAX_RECURRENCE.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     if M < 0:
         raise ValueError(f"order must be >= 0, got {M}")
-    ts = np.asarray(ts, dtype=float).reshape(-1)
-    for t in ts.tolist():
-        _check_time(t)
-    m = np.arange(M + 1)
-    log_prefactor = -0.5 * math.log(q) * m - (math.sqrt(q) - 1.0) ** 2 * ts[:, None]
-    return np.exp(log_prefactor) * ive(m, 2.0 * math.sqrt(q) * ts[:, None])
+    _check_time(t)
+    if t == 0.0:
+        return np.where(np.arange(M + 1) == 0, 0.0, -np.inf)
+    tau = 2.0 * math.sqrt(q) * t
+    third = _MILLER_LOG / 3.0
+    margin = third + math.hypot(third, math.sqrt(2.0 * _MILLER_LOG) * math.sqrt(tau))
+    if M + margin > MAX_RECURRENCE:  # in float, so that tau = inf refuses too
+        raise ValueError(
+            f"t = {t}: the Bessel ratio recurrence needs {M + margin:.4g} terms, "
+            f"more than {MAX_RECURRENCE}"
+        )
+    ratio, ratios = 0.0, []
+    for k in range(M + math.ceil(margin), 0, -1):
+        ratio = 1.0 / (2.0 * k / tau + ratio)  # I_k / I_{k-1}
+        ratios.append(ratio)
+    # TwoSum: each addition's exact rounding error, summed apart; the plain
+    # cumulative sum loses about 1e-11 relative at t = 1e4.  Where tau is
+    # subnormal, 2k / tau overflows and the ratios are 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log([1.0] + ratios[::-1])
+        log_rel = np.cumsum(logs)
+        before = np.concatenate(([0.0], log_rel[:-1]))
+        added = log_rel - before
+        rounding = np.nan_to_num((before - (log_rel - added)) + (logs - added), nan=0.0)
+    log_rel += np.cumsum(rounding)
+    log_norm = math.log(2.0 * np.exp(log_rel).sum() - 1.0)  # ln(e^tau / I_0)
+    # the constants first: each rounding at the size of ln B costs about |ln B| eps
+    offset = 0.5 * math.log(q) * np.arange(M + 1) + (log_norm + (math.sqrt(q) - 1.0) ** 2 * t)
+    return log_rel[: M + 1] - offset
 
 
 def building_block_time_derivative(q: int, r: int, t: float, tol: float = 1e-15) -> float:
@@ -248,12 +287,11 @@ def certified_truncation(
     That test fails before the peak of beta and holds for good after, so
     doubling, then bisection, from first - step (or first if negative) finds M.
     A zero weight, or t = 0, has no tail: M is that start and the bound 0.
-    ValueError past tau = 2 sqrt(q) t = 2^30, where scipy's ive returns NaN.
+    ValueError where the search passes order 2^53, past which orders are
+    inexact as floats.
     """
     _check_tol(tol)
     _check_time(t)
-    if 2.0 * math.sqrt(q) * t > _IVE_MAX_ARG:
-        raise ValueError(f"t = {t}: 2 sqrt(q) t is past {_IVE_MAX_ARG:.0f}, the range of ive")
     start = first - step if first >= step else first
     if weight == 0.0 or t == 0.0:
         return start, 0.0
@@ -274,6 +312,8 @@ def certified_truncation(
     lo, width = start - step, step
     while log_tail(lo + width) >= log_tol:
         lo, width = lo + width, 2 * width
+        if lo + width > 2**53:
+            raise ValueError(f"t = {t}: the series runs past order 2^53, where floats are inexact")
     hi = lo + width
     while hi - lo > step:
         mid = lo + (hi - lo) // (2 * step) * step

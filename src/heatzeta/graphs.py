@@ -20,7 +20,8 @@ three-term non-backtracking recursion run on integer arrays
 vertex, the identity gives every base vertex at once, and the traces give
 the loop totals behind N_k (the integer form of the Ihara-Bass identity).
 The same recursion with 2q for q+1 at k = 2 gives the heat coefficients
-b_m of ``heat_graph.b_coefficients``.  Arrays are int64 only while the
+b_m of ``heat_graph.b_coefficients``; ``heat_graph.heat_kernel_row`` runs it
+on floats through the same gather.  Arrays are int64 only while the
 bound proved in ``_int64_safe`` shows no entry can overflow, and
 dtype=object (Python ints) above it; every value leaves the engine as a
 Python int, so results are exact at any length.
@@ -36,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -317,6 +318,19 @@ def _int64_safe(q: int, K: int) -> bool:
     return (q + 1) ** 2 * q ** max(K - 2, 0) < 2**63
 
 
+def _adjacency_gather(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
+    """M -> A M in M's dtype, a gather over the (n, q+1) neighbour table of a regular g."""
+    nbr = np.array([[g.terminus[e] for e in es] for es in g.out_edges])
+
+    def apply_a(m: np.ndarray) -> np.ndarray:
+        out = m[nbr[:, 0]]
+        for j in range(1, nbr.shape[1]):
+            out += m[nbr[:, j]]
+        return out
+
+    return apply_a
+
+
 def _geodesic_matrices(
     g: Graph, K: int, x0: int | None = None, s2: int | None = None
 ) -> Iterator[np.ndarray]:
@@ -324,9 +338,9 @@ def _geodesic_matrices(
 
     C_0 = X, C_1 = A X, C_2 = A C_1 - s_2 X and C_k = A C_{k-1} - q C_{k-2},
     where X = e_{x0} (C_k[x] = c_k(x)) or, when x0 is None, X = I
-    (C_k[x, y] = c_k(x) from base vertex y).  A M is a gather over the
-    (n, q+1) neighbour table, in which multi-edges and self-loops repeat,
-    so the recursion holds on every (q+1)-regular graph of this module.
+    (C_k[x, y] = c_k(x) from base vertex y).  In _adjacency_gather's table
+    multi-edges and self-loops repeat, so the recursion holds on every
+    (q+1)-regular graph of this module.
     The dtype is int64 where _int64_safe allows it and object otherwise.
 
     s2 = q + 1 (the default) gives c_k; s2 = 2q gives the heat coefficients
@@ -339,14 +353,7 @@ def _geodesic_matrices(
     s2 = q + 1 if s2 is None else s2
     n = g.n_vertices
     dtype = np.int64 if _int64_safe(q, K) else object
-    nbr = np.array([[g.terminus[e] for e in es] for es in g.out_edges])
-
-    def apply_a(m: np.ndarray) -> np.ndarray:
-        out = m[nbr[:, 0]]
-        for j in range(1, q + 1):
-            out += m[nbr[:, j]]
-        return out
-
+    apply_a = _adjacency_gather(g)
     if x0 is None:
         cur = np.zeros((n, n), dtype)
         cur[np.arange(n), np.arange(n)] = 1

@@ -5,25 +5,25 @@
 2. finite spectral expansion through the Laplacian eigendecomposition,
 3. direct high-order ODE integration of dK/dt = -Laplacian K (oracle only).
 
-The building-block vector of the series is the same for every x, so the
-production route, heat_kernel_row, evaluates it once per t with
-bessel.building_blocks and takes one product with the exact b_m rows.
-Every series route, the diagonal decomposition included, stops at
-series_truncation_order: bessel.certified_truncation with the coefficient
-bound |b_m(x)| <= (q+1) q^{m-1} as weight.
+The production route, heat_kernel_row, streams the series in float64 with
+O(n) memory at any t: bessel.log_building_blocks and the b_m recursion of
+the counting engine on two rescaled float vectors.  Every series route, the
+diagonal decomposition included, stops at series_truncation_order:
+bessel.certified_truncation with the coefficient bound
+|b_m(x)| <= (q+1) q^{m-1} as weight.
 heat_kernel_spectral_row is the one spectral route; heat_kernel_spectral
 is one entry of it.  The independent oracles that verify and the tests
-compare against are heat_kernel_series_row, which sums one list of scalar
-building_block values per (x0, t) with math.fsum, no arrays and no ive;
-heat_kernel_series, one entry of that row; and heat_kernel_ode, the whole
-propagator e^{-Lt} from one matrix ODE solve.
+compare against are heat_kernel_series_row, which sums the exact b_m against
+one list of scalar building_block values per (x0, t) with math.fsum, no
+arrays; heat_kernel_series, one entry of that row; and heat_kernel_ode, the
+whole propagator e^{-Lt} from one matrix ODE solve.
 
 The diagonal of the series collapses, on vertex-transitive graphs, to the
 tree heat kernel plus a closed-geodesic correction; that identity is
 exposed as diagonal_tree_decomposition.
 
-The b_m rows come from the counting engine of graphs on every call, with
-no cache.  spectral_data keeps its cache: the benchmark reads its
+The exact b_m rows come from the counting engine of graphs on every call,
+with no cache.  spectral_data keeps its cache: the benchmark reads its
 cache_info(), and verify's G-transform check integrates heat_kernel_spectral
 at hundreds of quadrature nodes per graph.
 """
@@ -31,7 +31,6 @@ at hundreds of quadrature nodes per graph.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,10 +40,10 @@ from scipy.integrate import solve_ivp
 from heatzeta.bessel import (
     _check_time,
     building_block,
-    building_blocks,
     certified_truncation,
+    log_building_blocks,
 )
-from heatzeta.graphs import Graph, _geodesic_matrices, closed_geodesics_at_vertex
+from heatzeta.graphs import Graph, _adjacency_gather, _geodesic_matrices, closed_geodesics_at_vertex
 from heatzeta.heat_tree import tree_heat_kernel
 
 __all__ = [
@@ -63,7 +62,9 @@ __all__ = [
 ]
 
 DENSE_EIGEN_CAP = 2048
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# heat_kernel_row's rescale; times 2^9, ln 2 keeps its float's relative error, 3e-17
+_RESCALE_AT = 2.0**512
+_LOG_RESCALE = 512 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,9 @@ def spectral_data(g: Graph) -> SpectralData:
         )
     lap = laplacian(g)
     eigenvalues, eigenvectors = np.linalg.eigh(lap)
+    # exact for a connected regular graph; eigh's rounding of it would grow like t
+    eigenvalues[0] = 0.0
+    eigenvectors[:, 0] = 1.0 / math.sqrt(g.n_vertices)
     return SpectralData(g.regularity(), eigenvalues, eigenvectors)
 
 
@@ -129,29 +133,16 @@ def series_truncation_order(q: int, t: float, tol: float) -> int:
     return certified_truncation(q, t, tol, 1, 1, (q + 1) / q, 1.0)[0]
 
 
-def _row_order(g: Graph, t: float, tol: float) -> tuple[int, int]:
-    """q and the certified order M of a heat-kernel row of g.
-
-    Raises OverflowError, before any counting, where some b_M(x) cannot be
-    a float: the entries of b_m sum to q^m + 1 for m >= 1, so one of them
-    is at least q^M / n.
-    """
-    q = g.regularity()
-    M = series_truncation_order(q, t, tol)
-    if M * math.log(q) - math.log(g.n_vertices) > _LOG_FLOAT_MAX:
-        raise OverflowError(f"an entry of b_{M} is at least q^{M} / n, past the largest float")
-    return q, M
-
-
 def heat_kernel_series_row(g: Graph, x0: int, t: float, tol: float = 1e-10) -> list[float]:
     """Bessel-series row K(t, x0, .) from scalar building blocks (oracle).
 
-    One certified order M and one list of scalar building_block values per
-    (x0, t), then one math.fsum per vertex: no arrays and no ive, so the
-    oracle stays independent of heat_kernel_row.  Converting b values too
-    large for a float raises OverflowError.
+    One certified order M, the exact b_m and one list of scalar
+    building_block values per (x0, t), then one math.fsum per vertex: no
+    arrays and no log blocks, so the oracle stays independent of
+    heat_kernel_row.  A b value too large for a float raises OverflowError.
     """
-    q, M = _row_order(g, t, tol)  # validates t; M = 0 at t = 0, where the row is c_0 = e_{x0}
+    q = g.regularity()
+    M = series_truncation_order(q, t, tol)  # validates t; M = 0 at t = 0, where the row is e_{x0}
     b = b_coefficients(g, x0, M)
     blocks = [building_block(q, m, t) for m in range(M + 1)]
     return [
@@ -165,16 +156,32 @@ def heat_kernel_series(g: Graph, x0: int, x: int, t: float, tol: float = 1e-10) 
 
 
 def heat_kernel_row(g: Graph, x0: int, t: float, tol: float = 1e-10) -> np.ndarray:
-    """The row K(t, x0, .) of the Bessel series, all vertices at once.
+    """The row K(t, x0, .) of the Bessel series, all vertices at once, in float64.
 
-    Same certified order and exact b_m as heat_kernel_series, but the
-    building blocks are one vector from building_blocks and the sum over m
-    is one matrix-vector product.  Converting b rows too large for a float
-    raises OverflowError, as the scalar route does.
+    Same certified order M as heat_kernel_series, and the integer recursion
+    b_2 = A b_1 - 2q b_0, b_m = A b_{m-1} - q b_{m-2} of
+    graphs._geodesic_matrices on two float vectors, so no rounding bias
+    builds up over m.  When an entry passes 2^512 both are multiplied by
+    2^-512, exactly; the row adds e^{ln B_m + 512 k ln 2} b_m after k such
+    steps, with ln B_m from bessel.log_building_blocks.
     """
-    q, M = _row_order(g, t, tol)  # validates t
-    b = np.array(b_coefficients(g, x0, M), dtype=float)
-    return building_blocks(q, M, (t,))[0] @ b
+    q = g.regularity()
+    M = series_truncation_order(q, t, tol)  # validates t
+    log_blocks = log_building_blocks(q, M, t)
+    apply_a = _adjacency_gather(g)
+    prev = np.zeros(g.n_vertices)
+    cur = np.zeros(g.n_vertices)
+    cur[x0] = 1.0
+    row = math.exp(log_blocks[0]) * cur
+    rescales = 0
+    for m in range(1, M + 1):
+        prev, cur = cur, apply_a(cur) - (2 * q if m == 2 else q) * prev
+        if np.abs(cur).max() > _RESCALE_AT:
+            prev *= 1.0 / _RESCALE_AT
+            cur *= 1.0 / _RESCALE_AT
+            rescales += 1
+        row += math.exp(log_blocks[m] + rescales * _LOG_RESCALE) * cur
+    return row
 
 
 def heat_kernel_spectral_row(g: Graph, x0: int, t: float) -> np.ndarray:
@@ -224,6 +231,6 @@ def diagonal_tree_decomposition(g: Graph, x0: int, t: float, tol: float = 1e-10)
     tree_part = tree_heat_kernel(q, t, 0, tol).value
     M = series_truncation_order(q, t, tol)
     n0 = closed_geodesics_at_vertex(g, x0, M)
-    blocks = building_blocks(q, M, (t,))[0].tolist()
+    blocks = np.exp(log_building_blocks(q, M, t)).tolist()
     correction = math.fsum(n0[m] * blocks[m] for m in range(1, M + 1))
     return tree_part + correction

@@ -5,7 +5,7 @@ The production route is the alternating Bessel series
     K(t, r) = B(q, r, t) - (q - 1) sum_{j>=1} B(q, r + 2j, t),
 
 with B the building block from heatzeta.bessel: tree_heat_kernels reads a
-whole table row per t from one bessel.building_blocks vector.  The second
+whole table row per t from one vector of bessel.log_building_blocks.  The second
 route is a pair of classical oscillatory integrals over [0, pi], which
 tree_heat_kernel_integrals evaluates for a whole row per t with the
 trapezoid rule on one (radii x nodes) array, and the third is the
@@ -16,7 +16,7 @@ the tail bound is reported with each value.  The single-radius
 tree_heat_kernel and tree_heat_kernel_integral are one entry of their rows.
 The horocycle solution and the time derivative read the scalar
 building_block, so the heat-equation residual and verify's horocycle check
-also test ive against it.
+also test the log evaluator against it.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from heatzeta.bessel import (
     _check_tol,
     building_block,
     building_block_time_derivative,
-    building_blocks,
     certified_truncation,
+    log_building_blocks,
 )
 
 __all__ = [
@@ -47,8 +47,6 @@ __all__ = [
 ]
 
 
-# largest order r + 2J evaluated, a memory guard: 5e6 blocks peak near 0.15 GB
-MAX_TREE_ORDER = 5_000_000
 # (radii x nodes) entries per chunk of the trapezoid rule: 2^17 floats are 1 MB an array
 _CHUNK_ENTRIES = 1 << 17
 # the rule converges long before this; t up to about 1e10 starts below it
@@ -72,8 +70,8 @@ def tree_heat_kernels(q: int, t: float, radii, tol: float = 1e-12) -> list[TreeH
     j >= 1, go to bessel.certified_truncation with weight q - 1 on the lattice
     r + 2, r + 4, ... (at q = 1 that weight is 0 and J_r = 0).  Every value is
     B_r - (q-1)(B_{r+2} + ... + B_{r+2J_r}) read from one building-block
-    vector up to max_r (r + 2 J_r).  The blocks are computed elementwise, so
-    each value equals the one a vector of its own would give.
+    vector up to max_r (r + 2 J_r), whose length bessel.log_building_blocks
+    guards.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -84,9 +82,7 @@ def tree_heat_kernels(q: int, t: float, radii, tol: float = 1e-12) -> list[TreeH
         raise ValueError("r must be >= 0")
     cuts = [certified_truncation(q, t, tol, r + 2, 2, q - 1) for r in radii]
     top = max((order for order, _ in cuts), default=0)
-    if top > MAX_TREE_ORDER:
-        raise ValueError(f"t = {t}: the series needs order {top} > {MAX_TREE_ORDER}")
-    blocks = building_blocks(q, top, (t,))[0]
+    blocks = np.exp(log_building_blocks(q, top, t))
     values = []
     for r, (order, bound) in zip(radii, cuts):
         value = blocks[r] - (q - 1) * math.fsum(blocks[r + 2 : order + 1 : 2])

@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatzeta.bessel import (
+    MAX_RECURRENCE,
     bessel_i,
     bessel_i_quadrature,
     bessel_i_scaled,
     bessel_upper_bound,
     building_block,
     building_block_time_derivative,
-    building_blocks,
     certified_truncation,
     log_block_bound,
+    log_building_blocks,
 )
 
 
@@ -292,10 +293,24 @@ class TestCertifiedTruncation:
     def test_extreme_times_terminate(self):
         # at a subnormal t, 1 + m/tau overflows and every bound past order 0 is 0
         assert certified_truncation(2, 1e-320, 1e-10, 9, 2, 1.0) == (7, 0.0)
-        # the largest t within ive's range at q = 2, where the first bound is e^{-5e7}
+        # past 2 sqrt(q) t = 2^30 too, where the first bound is e^{-5e7} and below
         assert certified_truncation(2, 3.79e8, 1e-10, 2, 2, 1.0) == (0, 0.0)
-        with pytest.raises(ValueError, match="2 sqrt\\(q\\) t is past 1073741824, the range of ive"):
-            certified_truncation(2, 4e8, 1e-10, 2, 2, 1.0)
+        assert certified_truncation(2, 4e8, 1e-10, 2, 2, 1.0) == (0, 0.0)
+        # where float orders are inexact the search refuses instead of looping on
+        # bounds that rounding makes equal
+        for t in (1e300, 1e307):
+            with pytest.raises(ValueError, match="runs past order 2\\^53"):
+                certified_truncation(3, t, 1e-10, 1, 1, 4 / 3, 1.0)
+
+
+def _exact_log_block(q, m, t):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        return float(
+            -mp.mpf(m) / 2 * mp.log(q)
+            - (q + 1) * mp.mpf(t)
+            + mp.log(mp.besseli(m, 2 * mp.sqrt(q) * mp.mpf(t)))
+        )
 
 
 class TestBuildingBlocks:
@@ -303,15 +318,55 @@ class TestBuildingBlocks:
     @pytest.mark.parametrize("t", [0.0, 0.05, 1.0, 8.0, 40.0])
     def test_matches_scalar_blocks(self, q, t):
         M = 80
-        blocks = building_blocks(q, M, [t, 2 * t])
-        assert blocks.shape == (2, M + 1)
-        for k, tk in enumerate((t, 2 * t)):
+        for tk in (t, 2 * t):
+            blocks = np.exp(log_building_blocks(q, M, tk))
+            assert blocks.shape == (M + 1,)
             for m in range(M + 1):
                 # the scalar series stops relative to its sum at every
                 # magnitude, so no absolute floor is needed
-                assert blocks[k, m] == pytest.approx(
-                    building_block(q, m, tk), rel=1e-13, abs=0.0
-                )
+                assert blocks[m] == pytest.approx(building_block(q, m, tk), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("q,t", [(2, 0.5), (3, 20.0), (7, 60.0), (1, 5e4)])
+    def test_matches_ive_where_it_is_nonzero(self, q, t):
+        # scipy's exponentially scaled ive (AMOS), the former production
+        # route, in the log form of the mpmath pins below
+        ive = pytest.importorskip("scipy.special").ive
+        m = np.arange(200)
+        scaled = ive(m, 2 * math.sqrt(q) * t)
+        kept = scaled > 1e-300
+        assert kept.sum() > 100
+        old = np.log(scaled[kept]) - 0.5 * math.log(q) * m[kept] - (math.sqrt(q) - 1.0) ** 2 * t
+        new = log_building_blocks(q, 199, t)[kept]
+        assert np.all(np.abs(new - old) <= 1e-13 * np.maximum(1.0, np.abs(old)))
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 7])
+    @pytest.mark.parametrize("t", [0.05, 1.0, 8.0, 40.0])
+    def test_log_matches_mpmath_on_the_grid(self, q, t):
+        M = 80
+        for tk in (t, 2 * t):
+            logs = log_building_blocks(q, M, tk)
+            for m in range(0, M + 1, 4):
+                exact = _exact_log_block(q, m, tk)
+                assert abs(logs[m] - exact) <= 1e-13 * max(1.0, abs(exact)), (m, tk)
+
+    @pytest.mark.parametrize("q,t", [(3, 1000.0), (1, 5000.0), (1, 1.4e8)])
+    def test_log_matches_mpmath_where_the_start_matters(self, q, t):
+        # tau = 3,464, 1e4 and 2.8e8 with M = 60 << sqrt(tau): a Miller start
+        # of M + 32 + 4 sqrt(tau + 1) drops a normalisation tail of about
+        # e^{-8} here and misses these by 5e-9 to 6e-6 relative
+        logs = log_building_blocks(q, 60, t)
+        for m in range(0, 61, 6):
+            exact = _exact_log_block(q, m, t)
+            assert abs(logs[m] - exact) <= 1e-13 * max(1.0, abs(exact)), m
+
+    def test_log_matches_mpmath_past_float_range(self):
+        # q = 3, t = 1000: the blocks from m = 2,231 on lie below the smallest
+        # float (scaled e^{-tau} I_m alone is 0.0 in double precision there)
+        logs = log_building_blocks(3, 2500, 1000.0)
+        assert math.exp(logs[2231]) == 0.0
+        for m in range(2231, 2501, 9):
+            exact = _exact_log_block(3, m, 1000.0)
+            assert abs(logs[m] - exact) <= 1e-13 * abs(exact), m
 
     @pytest.mark.parametrize("q,t,m", [(3, 8.0, 84), (2, 20.0, 130), (4, 0.5, 60), (3, 2.0, 150)])
     def test_scalar_block_relative_at_tiny_values(self, q, t, m):
@@ -325,16 +380,17 @@ class TestBuildingBlocks:
         assert building_block(q, m, t) == pytest.approx(float(exact), rel=2e-13, abs=0.0)
 
     def test_time_zero_is_the_indicator(self):
-        assert building_blocks(3, 5, [0.0]).tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]
+        assert log_building_blocks(3, 5, 0.0).tolist() == [0.0] + [-math.inf] * 5
+        assert np.exp(log_building_blocks(3, 5, 0.0)).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("q,t", [(1, 300.0), (2, 200.0), (4, 130.0)])
     def test_large_argument(self, q, t):
         # 2 sqrt(q) t > 500: the scalar route sums the series in the log
         # domain (bessel_i_scaled), which loses about 1e-12 relative there;
-        # high-precision values pin the batched route to 1e-13
+        # high-precision values pin the vector route to 1e-13
         mp = pytest.importorskip("mpmath")
         assert 2 * math.sqrt(q) * t > 500
-        blocks = building_blocks(q, 60, [t])[0]
+        blocks = np.exp(log_building_blocks(q, 60, t))
         for m in range(61):
             assert blocks[m] == pytest.approx(building_block(q, m, t), rel=5e-12)
         with mp.workdps(40):
@@ -345,10 +401,20 @@ class TestBuildingBlocks:
                 assert blocks[m] == pytest.approx(float(exact), rel=1e-13)
 
     def test_no_overflow_at_huge_time(self):
-        blocks = building_blocks(2, 10, [1e6])
-        assert np.all(np.isfinite(blocks)) and np.all(blocks >= 0.0) and blocks[0, 0] < 1e-3
+        # every block is below the smallest float at t = 1e6, every log is finite
+        logs = log_building_blocks(2, 10, 1e6)
+        assert np.all(np.isfinite(logs)) and np.all(np.diff(logs) < 0.0)
+        assert logs[0] == pytest.approx(_exact_log_block(2, 0, 1e6), rel=1e-13)
 
     @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0])
     def test_rejects_bad_time(self, t):
         with pytest.raises(ValueError, match="t must be finite and >= 0"):
-            building_blocks(2, 3, [0.5, t])
+            log_building_blocks(2, 3, t)
+
+    @pytest.mark.parametrize(
+        "M,t", [(MAX_RECURRENCE, 1.0), (10, 1e10), (10, 1e300), (10, 1e308)]
+    )
+    def test_recurrence_length_guard(self, M, t):
+        # refused before anything is allocated; at t = 1e308, tau is inf
+        with pytest.raises(ValueError, match=f"more than {MAX_RECURRENCE}"):
+            log_building_blocks(2, M, t)

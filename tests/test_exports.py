@@ -7,10 +7,13 @@ each other subcommand must then call every one, so an export that nothing
 runs fails here.
 """
 
+import ast
 import importlib
 import inspect
 import sys
+from pathlib import Path
 
+import heatzeta
 from heatzeta import cli
 
 MODULES = ("cli", "verify", "graphs", "heat_graph", "heat_tree", "bessel", "series", "zeta")
@@ -70,3 +73,18 @@ def test_every_export_is_called(monkeypatch, capsys, tmp_path):
     capsys.readouterr()
     assert "heat_graph.heat_kernel_series" in exports
     assert sorted(set(exports) - EXEMPT - called) == []
+
+
+def test_no_module_imports_scipy_special():
+    # the building blocks come from the package's own log evaluator
+    found = []
+    for path in sorted(Path(heatzeta.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if name.startswith("scipy.special")]
+    assert found == []

@@ -221,13 +221,19 @@ class TestBatchedRows:
                     assert row[x] == math.fsum(b[m][x] * blocks[m] for m in range(M + 1))
 
     def test_overflow_contract_kept(self):
-        # b rows too large for a float raise, as in the scalar route: M = 2062 at t = 1000
+        # M = 2062 at t = 1000: the scalar oracle still raises converting its
+        # exact b rows to float, while the float row answers within the
+        # pinned spectral row's bounds
+        g = G.builtin_graph("petersen")
         with pytest.raises(OverflowError):
-            heat_kernel_row(G.builtin_graph("petersen"), 0, 1000.0)
+            heat_kernel_series_row(g, 0, 1000.0)
+        row = heat_kernel_row(g, 0, 1000.0)
+        assert np.abs(row - heat_kernel_spectral_row(g, 0, 1000.0)).max() <= 1e-12
+        assert math.fsum(row) == pytest.approx(1.0, abs=1e-11)
 
     @pytest.mark.parametrize("name", ["k4", "petersen"])
     def test_rows_at_t_200(self, name):
-        # M = 512 there, so the b rows stay floats; the row matches the spectral one
+        # M = 512 there; the row matches the spectral one
         g = G.builtin_graph(name)
         assert series_truncation_order(2, 200.0, 1e-10) == 512
         row = heat_kernel_row(g, 0, 200.0)

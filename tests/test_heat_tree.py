@@ -4,9 +4,8 @@ import pytest
 from scipy.integrate import quad
 
 from heatzeta import heat_tree
-from heatzeta.bessel import bessel_i, bessel_i_scaled, building_block
+from heatzeta.bessel import MAX_RECURRENCE, bessel_i, bessel_i_scaled, building_block
 from heatzeta.heat_tree import (
-    MAX_TREE_ORDER,
     horocycle_solution,
     tree_heat_kernel,
     tree_heat_kernel_integral,
@@ -104,9 +103,10 @@ class TestSeries:
         assert result.truncation_index == 0
 
     def test_order_cap(self):
-        # r + 2J is the length of the block vector, refused past the memory guard
-        with pytest.raises(ValueError, match=f"needs order {MAX_TREE_ORDER + 1} > {MAX_TREE_ORDER}"):
-            tree_heat_kernel(2, 1.0, MAX_TREE_ORDER + 1)
+        # r + 2J is the length of the block vector, refused by the guard of
+        # the block recurrence before anything is allocated
+        with pytest.raises(ValueError, match=f"recurrence needs .* terms, more than {MAX_RECURRENCE}"):
+            tree_heat_kernel(2, 1.0, MAX_RECURRENCE)
 
 
 class TestIntegralRoute:
