@@ -5,9 +5,10 @@ trapezoidal quadrature of the integral representation
 
     I_n(t) = (1/pi) int_0^pi e^{t cos(theta)} cos(n theta) dtheta,
 
-which is spectrally accurate because the integrand extends to a smooth
-2pi-periodic function.  A log-domain scaled evaluation e^{-t} I_n(t) keeps
-large arguments from overflowing, and a uniform bound
+spectrally accurate on this smooth 2pi-periodic integrand; _nested_trapezoid,
+the package's one trapezoid rule, also serves heat_tree and zeta.  A
+log-domain scaled evaluation e^{-t} I_n(t) keeps large arguments from
+overflowing, and a uniform bound
 
     sqrt(t) e^{-t} I_n(t) <= (1 + n/t)^{-n/2}
 
@@ -45,6 +46,10 @@ _EXP_LIMIT = 700.0
 MAX_RECURRENCE = 1_000_000
 # L of the Miller start of log_building_blocks
 _MILLER_LOG = 54.0
+# (rows x nodes) entries per chunk of the trapezoid rule: 2^17 floats are 1 MB an array
+_CHUNK_ENTRIES = 1 << 17
+# the trapezoid rule converges long before this; t up to about 1e10 starts below it
+_MAX_NODES = 1 << 20
 
 
 def _check_order_arg(order: int, t: float) -> None:
@@ -133,25 +138,74 @@ def bessel_i_scaled(order: int, t: float) -> float:
     return math.exp(log_max + math.log(acc) - t)
 
 
-def bessel_i_quadrature(order: int, t: float, nodes: int = 64) -> float:
-    """I_order(t) via the trapezoidal rule on the integral representation.
-
-    The rule uses a fixed number of nodes on [0, pi]; for this analytic
-    periodic integrand the error decays geometrically in the node count.
-    """
+def bessel_i_quadrature(order: int, t: float, tol: float = 1e-10) -> float:
+    """I_order(t) by _nested_trapezoid on the integral representation, from
+    order + 4 sqrt(t + 1) + 8 nodes, which resolve e^{t cos(theta)} cos(order theta)."""
     _check_order_arg(order, t)
-    if nodes < 16:
-        raise ValueError("nodes must be >= 16")
+    _check_tol(tol)
     if t > _EXP_LIMIT:
-        raise OverflowError(
-            f"bessel_i_quadrature overflows for t={t}; use bessel_i_scaled"
-        )
-    h = math.pi / nodes
-    total = 0.5 * (math.exp(t) + math.exp(-t) * math.cos(math.pi * order))
-    for i in range(1, nodes):
-        theta = i * h
-        total += math.exp(t * math.cos(theta)) * math.cos(theta * order)
-    return total * h / math.pi
+        raise OverflowError(f"bessel_i_quadrature overflows for t={t}; use bessel_i_scaled")
+    ends = 0.5 * (math.exp(t) + math.exp(-t) * (-1) ** order)
+    value = _nested_trapezoid(
+        lambda x: np.exp(t * np.cos(x)) * np.cos(order * x)[None, :],
+        np.array([order]), 1.0 / math.pi, tol, order + 4.0 * math.sqrt(t + 1.0) + 8.0, ends,
+    )
+    return float(value[0])
+
+
+class QuadratureError(RuntimeError):
+    """The trapezoid rule missed its error guard; r is the first row (radius or order) that did."""
+
+    def __init__(self, r: int, reason: str):
+        super().__init__(f"r = {r}: {reason}")
+        self.r = r
+        self.reason = reason
+
+
+def _nested_trapezoid(integrand, rows: np.ndarray, scale, tol: float, start: float, ends=0.0):
+    """scale (pi/n) (ends + sum_{0<j<n} f(j pi / n)) per row: the trapezoid rule on [0, pi].
+
+    f = integrand(nodes) is a (rows x nodes) array, evaluated in chunks of
+    about _CHUNK_ENTRIES entries; ends is half its sum at 0 and pi, which are
+    never evaluated.  n starts at the power of two past start and doubles over
+    nested nodes until each row's |T_2n - T_n| plus QUADPACK's rounding term
+    50 eps (pi/n) scale sum |f| is at most max(tol, 10 tol |value|).
+    QuadratureError names the first row whose rounding term alone exceeds
+    that guard, or that misses it at _MAX_NODES.
+    """
+    step = max(1, _CHUNK_ENTRIES // max(1, len(rows)))
+
+    def sums(nodes):  # per row, the sums of f and of |f| over the nodes
+        both = np.zeros((2, len(rows)))
+        for lo in range(0, len(nodes), step):
+            f = integrand(nodes[lo : lo + step])
+            both += f.sum(axis=1), np.abs(f).sum(axis=1)
+        return both
+
+    n = 1 << math.ceil(math.log2(start))
+    total = sums(np.arange(1, n) * (math.pi / n)) + [[ends], [abs(ends)]]
+    value = scale * (math.pi / n) * total[0]
+    while True:
+        n *= 2
+        total += sums(np.arange(1, n, 2) * (math.pi / n))
+        previous, value = value, scale * (math.pi / n) * total[0]
+        rounding = 50.0 * np.finfo(float).eps * (math.pi / n) * scale * total[1]
+        error = np.abs(value - previous) + rounding
+        guard = np.maximum(tol, 10.0 * tol * np.abs(value))
+        if np.all(error <= guard):
+            return value
+        if np.any(rounding > guard):
+            first = int(np.argmax(rounding > guard))
+            raise QuadratureError(
+                int(rows[first]),
+                f"rounding error {rounding[first]:.3g} exceeds the guard {guard[first]:.3g}",
+            )
+        if n >= _MAX_NODES:
+            first = int(np.argmax(error > guard))
+            raise QuadratureError(
+                int(rows[first]),
+                f"estimated error {error[first]:.3g} > guard {guard[first]:.3g} at {n} nodes",
+            )
 
 
 def bessel_upper_bound(order: int, t: float) -> float:

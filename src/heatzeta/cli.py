@@ -38,6 +38,8 @@ def _parse_float_list(text: str) -> list[float]:
         values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise GraphError(f"bad numeric list {text!r}: {exc}") from exc
+    if not values:
+        raise GraphError(f"--t needs at least one time, got {text!r}")
     for value in values:
         if not math.isfinite(value):
             raise GraphError(f"t must be finite, got {value} in {text!r}")
@@ -122,7 +124,7 @@ def cmd_analyze_tree(args) -> int:
 
 
 def cmd_heat(args) -> int:
-    ts = _parse_float_list(args.t) if args.t else [0.1, 1.0]
+    ts = _parse_float_list(args.t) if args.t is not None else [0.1, 1.0]
     if _is_tree(args):
         q = _tree_q(args)
         radii = range(args.order + 1)

@@ -3,20 +3,19 @@
 1. Bessel series: K(t, x0, x) = e^{-(q+1)t} sum_m b_m(x) q^{-m/2} I_m(2 sqrt(q) t)
    with integer coefficients b_m(x) built from geodesic counts,
 2. finite spectral expansion through the Laplacian eigendecomposition,
-3. direct high-order ODE integration of dK/dt = -Laplacian K (oracle only).
+3. the propagator e^{-Lt} of dK/dt = -Laplacian K (oracle only).
 
 The production route, heat_kernel_row, streams the series in float64 with
 O(n) memory at any t: bessel.log_building_blocks and the b_m recursion of
 the counting engine on two rescaled float vectors.  Every series route, the
 diagonal decomposition included, stops at series_truncation_order:
-bessel.certified_truncation with the coefficient bound
-|b_m(x)| <= (q+1) q^{m-1} as weight.
-heat_kernel_spectral_row is the one spectral route; heat_kernel_spectral
-is one entry of it.  The independent oracles that verify and the tests
-compare against are heat_kernel_series_row, which sums the exact b_m against
-one list of scalar building_block values per (x0, t) with math.fsum, no
-arrays; heat_kernel_series, one entry of that row; and heat_kernel_ode, the
-whole propagator e^{-Lt} from one matrix ODE solve.
+bessel.certified_truncation with the coefficient bound |b_m(x)| <= (q+1) q^{m-1}
+as weight.  heat_kernel_spectral_row is the one spectral route;
+heat_kernel_spectral is one entry of it.  The independent oracles that
+verify and the tests compare against are heat_kernel_series_row, which sums
+the exact b_m against one list of scalar building_block values per (x0, t)
+with math.fsum, no arrays; heat_kernel_series, one entry of that row; and
+heat_kernel_ode, the whole propagator e^{-Lt} by Taylor scaling and squaring.
 
 The diagonal of the series collapses, on vertex-transitive graphs, to the
 tree heat kernel plus a closed-geodesic correction; that identity is
@@ -35,7 +34,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from heatzeta.bessel import (
     _check_time,
@@ -196,27 +194,27 @@ def heat_kernel_spectral(g: Graph, x0: int, x: int, t: float) -> float:
     return float(heat_kernel_spectral_row(g, x0, t)[x])
 
 
-def heat_kernel_ode(g: Graph, t: float, tol: float = 1e-10) -> np.ndarray:
-    """Heat propagator e^{-Lt} by adaptive ODE integration (oracle).
+def heat_kernel_ode(g: Graph, t: float) -> np.ndarray:
+    """Heat propagator e^{-Lt}, which solves dY/dt = -Y L, Y(0) = I (oracle).
 
-    Integrates dY/dt = -Y L from Y(0) = I with one eighth-order Runge-Kutta
-    (DOP853) solve; row x0 of the returned n x n matrix is K(t, x0, .).
-    The state holds n^2 values, so this serves small graphs only.
+    Scaling and squaring (Moler and Van Loan, SIAM Review 2003): the degree-18
+    Taylor polynomial T of e^{-A}, A = L t / 2^s with the least s >= 0 making
+    ||A||_1 <= 1, squared s times.  In the 1-norm e^{-A} - T(A) is at most
+    sum_{k>=19} 1/k! < (1/19!)(1 + 1/20 + 1/20^2 + ...) < 8.7e-18 < 2^-53, and
+    as e^{-A} is doubly stochastic a squaring turns an error E into at most
+    2||E|| + ||E||^2.  Row x0 is K(t, x0, .), with neither eigensolve nor
+    Bessel series; its n^2 entries suit small graphs only.
     """
     _check_time(t)
     lap = laplacian(g)
-    n = g.n_vertices
-    sol = solve_ivp(
-        lambda _t, y: -(y.reshape(n, n) @ lap).ravel(),
-        (0.0, t),
-        np.eye(n).ravel(),
-        method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-2,
-    )
-    if not sol.success:  # pragma: no cover
-        raise RuntimeError(f"ODE integration failed: {sol.message}")
-    return sol.y[:, -1].reshape(n, n)
+    squarings = max(0, math.frexp(np.abs(lap).sum(axis=0).max() * t)[1])
+    a = lap * math.ldexp(t, -squarings)
+    propagator = identity = np.eye(g.n_vertices)
+    for k in range(18, 0, -1):
+        propagator = identity - (a @ propagator) / k
+    for _ in range(squarings):
+        propagator = propagator @ propagator
+    return propagator
 
 
 def diagonal_tree_decomposition(g: Graph, x0: int, t: float, tol: float = 1e-10) -> float:
@@ -224,13 +222,14 @@ def diagonal_tree_decomposition(g: Graph, x0: int, t: float, tol: float = 1e-10)
 
     K(t, x0, x0) = K_tree(t, 0) + e^{-(q+1)t} sum_{m>=1} N_m^0 q^{-m/2} I_m(...),
     valid on vertex-transitive graphs (the caller asserts transitivity).  The
-    correction is N_m^0 against one building-block vector.
+    correction terms are exp(ln N_m^0 + ln B_m): N_m^0 leaves float range
+    from m = 1026 on k4.
     """
     _check_time(t)
     q = g.regularity()
     tree_part = tree_heat_kernel(q, t, 0, tol).value
     M = series_truncation_order(q, t, tol)
     n0 = closed_geodesics_at_vertex(g, x0, M)
-    blocks = np.exp(log_building_blocks(q, M, t)).tolist()
-    correction = math.fsum(n0[m] * blocks[m] for m in range(1, M + 1))
-    return tree_part + correction
+    log_blocks = log_building_blocks(q, M, t)
+    terms = [math.exp(math.log(n0[m]) + log_blocks[m]) for m in range(1, M + 1) if n0[m]]
+    return tree_part + math.fsum(terms)

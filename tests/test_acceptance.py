@@ -81,7 +81,7 @@ def test_criterion_03_three_way_heat_kernel_agreement():
     for name in FINITE:
         g = G.builtin_graph(name)
         for t in (0.1, 0.5, 1.0, 2.0):
-            ode_row = heat_kernel_ode(g, t, 1e-11)[0]
+            ode_row = heat_kernel_ode(g, t)[0]
             for x in range(g.n_vertices):
                 series = heat_kernel_series(g, 0, x, t, 1e-10)
                 worst_spectral = max(

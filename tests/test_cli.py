@@ -297,6 +297,16 @@ class TestHeat:
         assert code == 2
         assert "numeric" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "graph", [("--graph", "k4"), ("--graph", "tree", "--q", "2")], ids=["graph", "tree"]
+    )
+    @pytest.mark.parametrize("t", [",", ""])
+    def test_empty_time_grid_refused(self, capsys, graph, fmt, t):
+        code, out, err = run(capsys, "heat", *graph, f"--t={t}", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == f"error: --t needs at least one time, got {t!r}\n"
+
     @pytest.mark.parametrize("t", ["inf", "nan", "-inf", "0.5,inf"])
     def test_non_finite_time_rejected(self, capsys, t):
         code, out, err = run(capsys, "heat", "--graph", "k4", f"--t={t}")
@@ -564,6 +574,17 @@ class TestEntryPoint:
         assert json.loads(proc.stdout)["N_k"][3] == 24
         proc = _run_script(wrapper)
         assert proc.returncode == 2, proc.stdout + proc.stderr
+
+    def test_runtime_depends_on_numpy_only(self):
+        tomllib = pytest.importorskip("tomllib")
+        with PYPROJECT.open("rb") as fh:
+            project = tomllib.load(fh)["project"]
+
+        def names(requirements):
+            return [re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower() for req in requirements]
+
+        assert names(project["dependencies"]) == ["numpy"]
+        assert "scipy" in names(project["optional-dependencies"]["test"])
 
     @pytest.mark.skipif(
         not entry_points(group="console_scripts", name="heatzeta"),

@@ -10,6 +10,8 @@ runs fails here.
 import ast
 import importlib
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -75,16 +77,34 @@ def test_every_export_is_called(monkeypatch, capsys, tmp_path):
     assert sorted(set(exports) - EXEMPT - called) == []
 
 
-def test_no_module_imports_scipy_special():
-    # the building blocks come from the package's own log evaluator
+def test_no_module_imports_scipy():
+    # every integral and the propagator run on numpy alone; scipy serves the tests
     found = []
     for path in sorted(Path(heatzeta.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module:
-                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+                names = [node.module]
             else:
                 continue
-            found += [f"{path.name}: {name}" for name in names if name.startswith("scipy.special")]
+            found += [
+                f"{path.name}: {name}" for name in names if name.split(".")[0] == "scipy"
+            ]
     assert found == []
+
+
+def test_fresh_verify_loads_no_scipy():
+    code = (
+        "import sys; import heatzeta.cli as cli; "
+        "assert cli.main(['verify', '--graph', 'k4']) == 0; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)"
+    )
+    env = dict(os.environ)
+    source_root = str(Path(heatzeta.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n"

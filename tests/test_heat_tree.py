@@ -3,7 +3,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from heatzeta import heat_tree
+from heatzeta import bessel
 from heatzeta.bessel import MAX_RECURRENCE, bessel_i, bessel_i_scaled, building_block
 from heatzeta.heat_tree import (
     horocycle_solution,
@@ -159,7 +159,7 @@ class TestIntegralRoute:
         # 174 radii times at least 1023 nodes pass one chunk of the node loop
         radii = range(0, 520, 3)
         row = tree_heat_kernel_integrals(3, 1.0, radii, 1e-12)
-        assert len(radii) * 1023 > heat_tree._CHUNK_ENTRIES
+        assert len(radii) * 1023 > bessel._CHUNK_ENTRIES
         for r, value in zip(radii, row):
             assert value == pytest.approx(tree_heat_kernel_integral(3, 1.0, r, 1e-12), abs=2e-12)
 

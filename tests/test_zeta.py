@@ -211,7 +211,7 @@ class TestGTransform:
             g_transform_numeric(lambda t: 1.0, 2, 0.9, growth_rate=3.0)
 
     def test_unconverged_quadrature_refused(self):
-        # 50,000 periods on [0, 32] defeat quad's 400 subintervals
+        # 50,000 periods on [0, 32] defeat Clenshaw-Curtis capped at 4,097 nodes
         with pytest.raises(RuntimeError, match="did not converge"):
             g_transform_numeric(lambda t: math.sin(1e4 * t), 2, 0.25, tol=1e-12)
 
@@ -235,7 +235,7 @@ class TestLaplaceIdentity:
 
     def test_unconverged_integral_refused(self, monkeypatch):
         # a scaled Bessel factor oscillating 20,000 times over [0, 47.6]
-        # defeats quad's 400 subintervals, and the guard says so
+        # defeats Clenshaw-Curtis capped at 4,097 nodes, and the guard says so
         monkeypatch.setattr(zeta, "bessel_i_scaled", lambda n, t: math.sin(2.6e3 * t))
         with pytest.raises(RuntimeError, match="calibration integral did not converge"):
             laplace_identity_check(0, 1.0)
