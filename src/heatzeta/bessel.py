@@ -6,9 +6,9 @@ trapezoidal quadrature of the integral representation
     I_n(t) = (1/pi) int_0^pi e^{t cos(theta)} cos(n theta) dtheta,
 
 spectrally accurate on this smooth 2pi-periodic integrand; _nested_trapezoid,
-the package's one trapezoid rule, also serves heat_tree and zeta.  A
-log-domain scaled evaluation e^{-t} I_n(t) keeps large arguments from
-overflowing, and a uniform bound
+the package's one quadrature rule, also serves every integral of heat_tree
+and zeta.  A log-domain scaled evaluation e^{-t} I_n(t) keeps large arguments
+from overflowing, and a uniform bound
 
     sqrt(t) e^{-t} I_n(t) <= (1 + n/t)^{-n/2}
 
@@ -69,17 +69,16 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
-def bessel_i(order: int, t: float, tol: float = 1e-15) -> float:
+def bessel_i(order: int, t: float) -> float:
     """I_order(t) by direct summation of the power series.
 
-    Terms are accumulated until a term is at most tol times the sum and
+    Terms are accumulated until a term is at most 1e-15 times the sum and
     the term index is past the mode of the summand, after which the terms
     decay faster than geometrically, so the rule is relative at every
-    magnitude.  "At most" rather than "below": where tol times a subnormal
+    magnitude.  "At most" rather than "below": where 1e-15 times a subnormal
     sum rounds to 0, the sum ends once the terms underflow to 0 as well.
     """
     _check_order_arg(order, t)
-    _check_tol(tol)
     if t == 0.0:
         return 1.0 if order == 0 else 0.0
     if t > _EXP_LIMIT:
@@ -100,7 +99,7 @@ def bessel_i(order: int, t: float, tol: float = 1e-15) -> float:
         n += 1
         term *= half * half / (n * (n + order))
         total += term
-        if term <= tol * total and 2 * n + order > t:
+        if term <= 1e-15 * total and 2 * n + order > t:
             break
         if n > 10_000_000:  # pragma: no cover
             raise RuntimeError("bessel_i series failed to terminate")
@@ -138,17 +137,16 @@ def bessel_i_scaled(order: int, t: float) -> float:
     return math.exp(log_max + math.log(acc) - t)
 
 
-def bessel_i_quadrature(order: int, t: float, tol: float = 1e-10) -> float:
-    """I_order(t) by _nested_trapezoid on the integral representation, from
+def bessel_i_quadrature(order: int, t: float) -> float:
+    """I_order(t) by _nested_trapezoid on the integral representation, tol 1e-10, from
     order + 4 sqrt(t + 1) + 8 nodes, which resolve e^{t cos(theta)} cos(order theta)."""
     _check_order_arg(order, t)
-    _check_tol(tol)
     if t > _EXP_LIMIT:
         raise OverflowError(f"bessel_i_quadrature overflows for t={t}; use bessel_i_scaled")
     ends = 0.5 * (math.exp(t) + math.exp(-t) * (-1) ** order)
     value = _nested_trapezoid(
         lambda x: np.exp(t * np.cos(x)) * np.cos(order * x)[None, :],
-        np.array([order]), 1.0 / math.pi, tol, order + 4.0 * math.sqrt(t + 1.0) + 8.0, ends,
+        np.array([order]), 1.0 / math.pi, 1e-10, order + 4.0 * math.sqrt(t + 1.0) + 8.0, ends,
     )
     return float(value[0])
 
@@ -169,7 +167,7 @@ def _nested_trapezoid(integrand, rows: np.ndarray, scale, tol: float, start: flo
     about _CHUNK_ENTRIES entries; ends is half its sum at 0 and pi, which are
     never evaluated.  n starts at the power of two past start and doubles over
     nested nodes until each row's |T_2n - T_n| plus QUADPACK's rounding term
-    50 eps (pi/n) scale sum |f| is at most max(tol, 10 tol |value|).
+    50 eps (pi/n) |scale| sum |f| is at most max(tol, 10 tol |value|).
     QuadratureError names the first row whose rounding term alone exceeds
     that guard, or that misses it at _MAX_NODES.
     """
@@ -189,7 +187,7 @@ def _nested_trapezoid(integrand, rows: np.ndarray, scale, tol: float, start: flo
         n *= 2
         total += sums(np.arange(1, n, 2) * (math.pi / n))
         previous, value = value, scale * (math.pi / n) * total[0]
-        rounding = 50.0 * np.finfo(float).eps * (math.pi / n) * scale * total[1]
+        rounding = 50.0 * np.finfo(float).eps * (math.pi / n) * np.abs(scale) * total[1]
         error = np.abs(value - previous) + rounding
         guard = np.maximum(tol, 10.0 * tol * np.abs(value))
         if np.all(error <= guard):
@@ -223,7 +221,7 @@ def bessel_upper_bound(order: int, t: float) -> float:
     )
 
 
-def building_block(q: int, r: int, t: float, tol: float = 1e-15) -> float:
+def building_block(q: int, r: int, t: float) -> float:
     """The radial building block q^{-r/2} e^{-(q+1)t} I_r(2 sqrt(q) t).
 
     Since (q+1) - 2 sqrt(q) = (sqrt(q)-1)^2 >= 0 the value lies in [0, 1];
@@ -240,7 +238,7 @@ def building_block(q: int, r: int, t: float, tol: float = 1e-15) -> float:
     if arg > 500.0:
         scaled = bessel_i_scaled(r, arg)
     else:
-        scaled = math.exp(-arg) * bessel_i(r, arg, tol)
+        scaled = math.exp(-arg) * bessel_i(r, arg)
     return math.exp(-0.5 * r * math.log(q) - shrink * t) * scaled
 
 
@@ -300,7 +298,7 @@ def log_building_blocks(q: int, M: int, t: float) -> np.ndarray:
     return log_rel[: M + 1] - offset
 
 
-def building_block_time_derivative(q: int, r: int, t: float, tol: float = 1e-15) -> float:
+def building_block_time_derivative(q: int, r: int, t: float) -> float:
     """Analytic d/dt of building_block(q, r, t).
 
     The derivative recurrence 2 I_r' = I_{r-1} + I_{r+1} gives
@@ -309,8 +307,8 @@ def building_block_time_derivative(q: int, r: int, t: float, tol: float = 1e-15)
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    below = building_block(q, r - 1, t, tol) if r > 0 else q * building_block(q, 1, t, tol)
-    return below + q * building_block(q, r + 1, t, tol) - (q + 1) * building_block(q, r, t, tol)
+    below = building_block(q, r - 1, t) if r > 0 else q * building_block(q, 1, t)
+    return below + q * building_block(q, r + 1, t) - (q + 1) * building_block(q, r, t)
 
 
 def log_block_bound(q: int, m: int, t: float) -> float:

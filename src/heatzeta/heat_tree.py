@@ -91,17 +91,17 @@ def tree_heat_kernel(q: int, t: float, r: int, tol: float = 1e-12) -> TreeHeatVa
     return tree_heat_kernels(q, t, (r,), tol)[0]
 
 
-def tree_heat_kernel_time_derivative(q: int, t: float, r: int, tol: float = 1e-12) -> float:
+def tree_heat_kernel_time_derivative(q: int, t: float, r: int) -> float:
     """Analytic d/dt of the tree heat kernel series, for heat-equation residuals.
 
     B'_m = B_{m-1} + q B_{m+1} - (q+1) B_m with nonnegative blocks, and the
     block bound falls in m, so the term (q-1)|B'_{r+2j}| is at most 2 (q^2-1)
     times the bound at order r + 2j - 1: bessel.certified_truncation cuts the
-    series on that lattice with that weight.
+    series on that lattice with that weight, at a certified tail of 1e-13.
     """
-    order, _ = certified_truncation(q, t, tol, r + 1, 2, 2 * (q * q - 1))
-    terms = [building_block_time_derivative(q, m + 1, t, tol) for m in range(r + 1, order + 1, 2)]
-    return building_block_time_derivative(q, r, t, tol) - (q - 1) * math.fsum(terms)
+    order, _ = certified_truncation(q, t, 1e-13, r + 1, 2, 2 * (q * q - 1))
+    terms = [building_block_time_derivative(q, m + 1, t) for m in range(r + 1, order + 1, 2)]
+    return building_block_time_derivative(q, r, t) - (q - 1) * math.fsum(terms)
 
 
 def tree_heat_kernel_integrals(q: int, t: float, radii, tol: float = 1e-10) -> np.ndarray:

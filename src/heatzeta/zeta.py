@@ -14,7 +14,8 @@ The bridge is the weighted Laplace transform
 
 which sends each heat-kernel building block of order k to u^{k-1} and the
 diagonal heat kernel to the logarithmic derivative of zeta plus elementary
-terms.  Its integrals run on nested Clenshaw-Curtis, _guarded_quad.
+terms.  Its half-line integrals, like every integral in the package, run on
+bessel._nested_trapezoid, here in the variable x = ln t.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from heatzeta.bessel import _nested_trapezoid, bessel_i_scaled
+from heatzeta.bessel import QuadratureError, _nested_trapezoid, bessel_i_scaled
 from heatzeta.graphs import Graph
 from heatzeta.heat_graph import b_coefficients, spectral_data
 from heatzeta.series import PowerSeries
@@ -48,44 +49,33 @@ __all__ = [
     "zeta_spectral",
 ]
 
-# node cap of the Clenshaw-Curtis rule: 4097 evaluations of f at most
-_CC_MAX_NODES = 1 << 12
+# tol of the G-transform's half-line integral, which its guard also reports
+_G_TOL = 1e-11
 
 
-def _guarded_quad(f, decay, tol, what, scale=1.0) -> tuple[float, float]:
-    """scale times the integral over [0, inf) of f, which decays like e^{-decay t}, and its error.
+def _half_line(f, decay, tol, what, scale=1.0) -> float:
+    """scale times the integral over [0, inf) of f, which decays like e^{-decay t}.
 
-    The cut is at upper = (ln(1/tol) + 20) / decay.  Nested Clenshaw-Curtis
-    (Trefethen, SIAM Review 2008): the nodes t_j = upper (1 - cos(j pi / n)) / 2
-    double up to n = _CC_MAX_NODES, f is evaluated at the new ones only, and
-    one real FFT of the values, extended evenly, gives the cosine coefficients
-    a_k of f(t(theta)), each adding upper a_k / (1 - k^2) for even k.  From
-    n = 16 the doubling ends once the unresolved tail upper |scale| max |a_k|,
-    k > n - 4 (after Gentleman, Comm. ACM 1972), plus 50 eps |scale| Q_n(|f|)
-    is at most max(tol, |value| tol); RuntimeError where it is above 100 times that.
+    With t = e^x, x runs from ln(tol) - 20 to ln(upper), upper = (ln(1/tol) + 20) / decay,
+    so each cut drops about e^{-20} tol times the size of f, and x is mapped
+    linearly onto [0, pi] for bessel._nested_trapezoid, from 32 nodes.  There
+    the integrand e^x f(e^x) and its derivatives are negligible at both ends,
+    so the rule converges as on the whole line, geometrically (Trefethen and
+    Weideman, SIAM Review 2014).  RuntimeError where it misses the guard
+    max(tol, 10 tol |value|).
     """
-    upper = (math.log(1.0 / tol) + 20.0) / decay
+    lo = math.log(tol) - 20.0
+    width = math.log((math.log(1.0 / tol) + 20.0) / decay) - lo
 
-    def coefficients(values: np.ndarray) -> np.ndarray:  # a_0 and a_n halved
-        coeffs = np.fft.rfft(np.concatenate((values, values[-2:0:-1]))).real / (len(values) - 1)
-        coeffs[[0, -1]] /= 2.0
-        return coeffs
+    def integrand(theta: np.ndarray) -> np.ndarray:
+        t = np.exp(lo + (width / math.pi) * theta)
+        return (np.array([f(s) for s in t.tolist()]) * t)[None, :]
 
-    n, values = 1, np.array([f(0.0), f(upper)])
-    while True:
-        n *= 2
-        new = [f(upper * math.sin(j * math.pi / (2 * n)) ** 2) for j in range(1, n, 2)]
-        values = np.insert(values, range(1, len(values)), new)
-        weights = upper / (1.0 - np.arange(0, n + 1, 2) ** 2)
-        coeffs = coefficients(values)
-        value = scale * float(coeffs[::2] @ weights)
-        modulus = float(coefficients(np.abs(values))[::2] @ weights)
-        err = abs(scale) * (upper * np.abs(coeffs[-4:]).max() + 50.0 * np.finfo(float).eps * modulus)
-        if (n >= 16 and err <= max(tol, abs(value) * tol)) or n >= _CC_MAX_NODES:
-            break
-    if err > 100 * max(tol, abs(value) * tol):
-        raise RuntimeError(f"{what} did not converge: estimated error {err}")
-    return value, err
+    try:
+        value = _nested_trapezoid(integrand, np.array([0]), scale * width / math.pi, tol, 32.0)
+    except QuadratureError as exc:
+        raise RuntimeError(f"{what} did not converge: {exc.reason}") from exc
+    return float(value[0])
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +181,14 @@ class TreeDensity:
 
     q: int
 
-    def integrate(self, f: Callable[[float], float], tol: float = 1e-9) -> float:
+    def integrate(self, f: Callable[[float], float]) -> float:
         """Integral of f against the measure by bessel._nested_trapezoid in theta,
         q + 1 - lam = 2 sqrt(q) cos(theta), density (2q(q+1)/pi) sin^2 / ((q-1)^2 + 4q sin^2).
 
         It is analytic in |Im theta| < ln(q)/2 and vanishes at 0 and pi, but
-        for q = 1, where it is 1/pi and those ends enter in closed form.  The
-        default tol is 1e-9 as the guard is absolute near 0, where the
-        rounding term alone reaches 1e-10 (the 11th moment at q = 3).
+        for q = 1, where it is 1/pi and those ends enter in closed form.  Its
+        tol is 1e-9 as the guard is absolute near 0, where the rounding term
+        alone reaches 1e-10 (the 11th moment at q = 3).
         """
         q = self.q
         sq = math.sqrt(q)
@@ -210,7 +200,7 @@ class TreeDensity:
 
         ends = 0.125 * (f(q + 1.0 - 2.0 * sq) + f(q + 1.0 + 2.0 * sq)) if q == 1 else 0.0
         scale = 2.0 * q * (q + 1.0) / math.pi
-        return float(_nested_trapezoid(integrand, np.array([0]), scale, tol, 8.0, ends)[0])
+        return float(_nested_trapezoid(integrand, np.array([0]), scale, 1e-9, 8.0, ends)[0])
 
 
 def kesten_tree_measure(q: int) -> TreeDensity:
@@ -277,6 +267,9 @@ def zeta_spectral(measure: AtomicMeasure | TreeDensity, q: int, u: float) -> flo
 
 @dataclass(frozen=True)
 class GTransformResult:
+    """The transform at u; quadrature_error is the guard max(tol, 10 tol |value|),
+    tol = 1e-11, that the trapezoid rule's error estimate met."""
+
     u: float
     value: float
     quadrature_error: float
@@ -286,7 +279,6 @@ def g_transform_numeric(
     f: Callable[[float], float],
     q: int,
     u: float,
-    tol: float = 1e-10,
     growth_rate: float | None = None,
 ) -> GTransformResult:
     """(u^{-2} - q) int_0^inf e^{-(qu + 1/u)t} e^{(q+1)t} f(t) dt, numerically.
@@ -295,8 +287,8 @@ def g_transform_numeric(
     defaults to q+1 (right for bounded f such as finite-graph heat
     kernels); pass 2 sqrt(q) for single tree building blocks.  The
     truncation point of the t-integral is certified from the resulting
-    decay margin.  Raises RuntimeError when the error estimate exceeds
-    100 max(tol, |value| tol), the guard of every half-line integral here.
+    decay margin.  Raises RuntimeError when the error estimate misses
+    the guard max(tol, 10 tol |value|), tol = 1e-11.
     """
     if u <= 0:
         raise ValueError("u must be positive")
@@ -309,26 +301,26 @@ def g_transform_numeric(
             "the transform integral does not converge"
         )
     rate = (q + 1.0) - q * u - 1.0 / u
-    value, err = _guarded_quad(
-        lambda t: math.exp(rate * t) * f(t), decay, tol, "G-transform", 1.0 / (u * u) - q
+    value = _half_line(
+        lambda t: math.exp(rate * t) * f(t), decay, _G_TOL, "G-transform", 1.0 / (u * u) - q
     )
-    return GTransformResult(u, value, err)
+    return GTransformResult(u, value, max(_G_TOL, 10.0 * _G_TOL * abs(value)))
 
 
-def laplace_identity_check(n: int, s: float, tol: float = 1e-12) -> tuple[float, float]:
+def laplace_identity_check(n: int, s: float) -> tuple[float, float]:
     """Calibration identity for the quadrature stack:
 
         int_0^inf e^{-st} e^{-t} I_n(t) dt
             = (s + 1 - sqrt(s^2 + 2s))^n / sqrt(s^2 + 2s).
 
-    Returns (numeric integral, closed form).
+    Returns (numeric integral at tol 1e-12, closed form).
     """
     if s <= 0:
         raise ValueError("s must be positive")
     if n < 0:
         raise ValueError("n must be >= 0")
-    numeric, _ = _guarded_quad(
-        lambda t: math.exp(-s * t) * bessel_i_scaled(n, t), s, tol, "calibration integral"
+    numeric = _half_line(
+        lambda t: math.exp(-s * t) * bessel_i_scaled(n, t), s, 1e-12, "calibration integral"
     )
     root = math.sqrt(s * s + 2.0 * s)
     closed = (s + 1.0 - root) ** n / root

@@ -65,7 +65,7 @@ def test_criterion_02_tree_heat_equation_residual():
         for t in (0.1, 0.5, 1.0, 2.0, 5.0):
             f = [tree_heat_kernel(q, t, r, 1e-13).value for r in range(12)]
             fdot = [
-                tree_heat_kernel_time_derivative(q, t, r, 1e-13) for r in range(11)
+                tree_heat_kernel_time_derivative(q, t, r) for r in range(11)
             ]
             worst = max(worst, abs((q + 1) * f[0] - (q + 1) * f[1] + fdot[0]))
             for r in range(1, 11):
@@ -179,7 +179,6 @@ def test_criterion_07_g_transform_building_blocks():
                     lambda t: building_block(q, k, t),
                     q,
                     u,
-                    tol=1e-11,
                     growth_rate=2.0 * math.sqrt(q),
                 )
                 worst = max(worst, abs(result.value - u ** (k - 1)))
@@ -208,7 +207,7 @@ def test_criterion_08_diagonal_g_transform_identity():
                 - (q - 1) * u / (1.0 - u * u)
                 + math.fsum(n0[m] * u ** (m - 1) for m in range(1, 61))
             )
-            result = g_transform_numeric(diag, q, u, tol=1e-11)
+            result = g_transform_numeric(diag, q, u)
             worst = max(worst, abs(result.value - expected))
     report(8, "diagonal G-transform identity", worst, 1e-6, worst <= 1e-6)
 

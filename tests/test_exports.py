@@ -94,6 +94,23 @@ def test_no_module_imports_scipy():
     assert found == []
 
 
+def test_no_module_uses_numpy_fft():
+    # every integral runs on bessel._nested_trapezoid, with no FFT error estimate beside it
+    found = []
+    for path in sorted(Path(heatzeta.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names if "fft" in name.split(".")]
+    assert found == []
+
+
 def test_fresh_verify_loads_no_scipy():
     code = (
         "import sys; import heatzeta.cli as cli; "

@@ -195,7 +195,7 @@ class TestHeatEquation:
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 2.0, 5.0])
     def test_residuals(self, q, t):
         f = [tree_heat_kernel(q, t, r, 1e-13).value for r in range(12)]
-        fdot = [tree_heat_kernel_time_derivative(q, t, r, 1e-13) for r in range(11)]
+        fdot = [tree_heat_kernel_time_derivative(q, t, r) for r in range(11)]
         assert abs((q + 1) * f[0] - (q + 1) * f[1] + fdot[0]) <= 1e-8
         for r in range(1, 11):
             residual = (q + 1) * f[r] - q * f[r + 1] - f[r - 1] + fdot[r]

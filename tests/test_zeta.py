@@ -158,14 +158,13 @@ class TestKestenMoments:
 class TestGTransform:
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("k", range(7))
-    @pytest.mark.parametrize("factor", [0.1, 0.25])
+    @pytest.mark.parametrize("factor", [0.1, 0.25, 0.8])
     def test_building_block_identity(self, q, k, factor):
         u = factor / math.sqrt(q)
         result = g_transform_numeric(
             lambda t: building_block(q, k, t),
             q,
             u,
-            tol=1e-11,
             growth_rate=2.0 * math.sqrt(q),
         )
         assert result.value == pytest.approx(u ** (k - 1), abs=1e-6)
@@ -178,7 +177,6 @@ class TestGTransform:
             lambda t: tree_heat_kernel(q, t, 0, 1e-13).value,
             q,
             u,
-            tol=1e-11,
             growth_rate=2.0 * math.sqrt(q),
         )
         expected = 1.0 / u - (q - 1) * u / (1.0 - u * u)
@@ -203,7 +201,7 @@ class TestGTransform:
             - (q - 1) * u / (1.0 - u * u)
             + math.fsum(n0[m] * u ** (m - 1) for m in range(1, 61))
         )
-        result = g_transform_numeric(diag, q, u, tol=1e-11)
+        result = g_transform_numeric(diag, q, u)
         assert result.value == pytest.approx(expected, abs=1e-6)
 
     def test_divergent_domain_rejected(self):
@@ -211,9 +209,9 @@ class TestGTransform:
             g_transform_numeric(lambda t: 1.0, 2, 0.9, growth_rate=3.0)
 
     def test_unconverged_quadrature_refused(self):
-        # 50,000 periods on [0, 32] defeat Clenshaw-Curtis capped at 4,097 nodes
+        # 48,000 periods on [0, 30] defeat the trapezoid rule in ln t capped at 2^20 nodes
         with pytest.raises(RuntimeError, match="did not converge"):
-            g_transform_numeric(lambda t: math.sin(1e4 * t), 2, 0.25, tol=1e-12)
+            g_transform_numeric(lambda t: math.sin(1e4 * t), 2, 0.25)
 
 
 class TestLaplaceIdentity:
@@ -228,14 +226,14 @@ class TestLaplaceIdentity:
         assert numeric == pytest.approx(closed, abs=1e-9)
 
     @pytest.mark.parametrize("n", range(7))
-    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("s", [0.05, 0.1, 0.5, 1.0, 2.0])
     def test_grid(self, n, s):
         numeric, closed = laplace_identity_check(n, s)
         assert numeric == pytest.approx(closed, abs=1e-9)
 
     def test_unconverged_integral_refused(self, monkeypatch):
         # a scaled Bessel factor oscillating 20,000 times over [0, 47.6]
-        # defeats Clenshaw-Curtis capped at 4,097 nodes, and the guard says so
+        # defeats the trapezoid rule in ln t capped at 2^20 nodes, and the guard says so
         monkeypatch.setattr(zeta, "bessel_i_scaled", lambda n, t: math.sin(2.6e3 * t))
         with pytest.raises(RuntimeError, match="calibration integral did not converge"):
             laplace_identity_check(0, 1.0)
