@@ -34,7 +34,7 @@ __all__ = [
     "bessel_i_scaled",
     "bessel_upper_bound",
     "building_block",
-    "building_block_time_derivative",
+    "building_block_time_derivatives",
     "certified_truncation",
     "log_block_bound",
     "log_building_blocks",
@@ -298,17 +298,21 @@ def log_building_blocks(q: int, M: int, t: float) -> np.ndarray:
     return log_rel[: M + 1] - offset
 
 
-def building_block_time_derivative(q: int, r: int, t: float) -> float:
-    """Analytic d/dt of building_block(q, r, t).
+def building_block_time_derivatives(q: int, M: int, t: float) -> list[float]:
+    """Analytic d/dt of building_block(q, m, t) for m = 0..M, from one list of blocks.
 
-    The derivative recurrence 2 I_r' = I_{r-1} + I_{r+1} gives
-    B_{r-1} + q B_{r+1} - (q+1) B_r, with B_{-1} = q B_1 because
-    I_{-1} = I_1; used to make heat-equation residual checks tight.
+    The derivative recurrence 2 I_m' = I_{m-1} + I_{m+1} gives
+    B'_m = B_{m-1} + q B_{m+1} - (q+1) B_m, with B_{-1} = q B_1 because
+    I_{-1} = I_1; every B_m is one scalar building_block value, read from
+    the list B_0..B_{M+1}.  Used to make heat-equation residual checks tight.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    below = building_block(q, r - 1, t) if r > 0 else q * building_block(q, 1, t)
-    return below + q * building_block(q, r + 1, t) - (q + 1) * building_block(q, r, t)
+    if M < 0:
+        raise ValueError(f"M must be >= 0, got {M}")
+    blocks = [building_block(q, m, t) for m in range(M + 2)]
+    below = [q * blocks[1]] + blocks[:M]
+    return [below[m] + q * blocks[m + 1] - (q + 1) * blocks[m] for m in range(M + 1)]
 
 
 def log_block_bound(q: int, m: int, t: float) -> float:

@@ -204,7 +204,7 @@ def cmd_zeta(args) -> int:
     M = args.order
     n_total = graphs.closed_geodesics_total(g, M)
     det_series = zeta.ihara_determinant_series(g, M)
-    out_of_range = next(
+    past_float = next(
         (
             m
             for m in range(1, M + 1)
@@ -212,11 +212,21 @@ def cmd_zeta(args) -> int:
         ),
         None,
     )
-    if out_of_range is not None:
-        raise GraphError(
-            f"--order {M}: from order {out_of_range} the determinant coefficients or N_m "
-            f"leave float range; use --order {out_of_range - 1} or less"
-        )
+    # past 2^53 the float determinant route cannot resolve N_m, so max_discrepancy is noise
+    past_exact = next((m for m in range(1, M + 1) if n_total[m] > 2**53), None)
+    if past_float is not None or past_exact is not None:
+        reasons = []
+        if past_float is not None:
+            reasons.append(
+                f"from order {past_float} the determinant coefficients or N_m leave float range"
+            )
+        if past_exact is not None:
+            reasons.append(
+                f"from order {past_exact} N_m passes 2^53, which the float determinant "
+                "route cannot resolve"
+            )
+        limit = min(m for m in (past_float, past_exact) if m is not None)
+        raise GraphError(f"--order {M}: {', and '.join(reasons)}; use --order {limit - 1} or less")
     primes = graphs.prime_geodesic_counts(n_total, M)
     log_series = zeta.zeta_log_series_from_counts(n_total, M)
     max_disc = max(

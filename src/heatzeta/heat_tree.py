@@ -14,9 +14,10 @@ horocycle.  The series and its time derivative stop where
 bessel.certified_truncation certifies the tail, and the tail bound is
 reported with each value.  The single-radius
 tree_heat_kernel and tree_heat_kernel_integral are one entry of their rows.
-The horocycle solution and the time derivative read the scalar
-building_block, so the heat-equation residual and verify's horocycle check
-also test the log evaluator against it.
+The horocycle solution and the time-derivative row
+tree_heat_kernel_time_derivatives read the scalar building_block (the row
+from one list of blocks per t), so the heat-equation residual and verify's
+horocycle check also test the log evaluator against it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from heatzeta.bessel import (
     _check_tol,
     _nested_trapezoid,
     building_block,
-    building_block_time_derivative,
+    building_block_time_derivatives,
     certified_truncation,
     log_building_blocks,
 )
@@ -44,7 +45,7 @@ __all__ = [
     "tree_heat_kernel",
     "tree_heat_kernel_integral",
     "tree_heat_kernel_integrals",
-    "tree_heat_kernel_time_derivative",
+    "tree_heat_kernel_time_derivatives",
     "tree_heat_kernels",
 ]
 
@@ -91,17 +92,30 @@ def tree_heat_kernel(q: int, t: float, r: int, tol: float = 1e-12) -> TreeHeatVa
     return tree_heat_kernels(q, t, (r,), tol)[0]
 
 
-def tree_heat_kernel_time_derivative(q: int, t: float, r: int) -> float:
-    """Analytic d/dt of the tree heat kernel series, for heat-equation residuals.
+def tree_heat_kernel_time_derivatives(q: int, t: float, radii) -> list[float]:
+    """Analytic d/dt of the tree heat kernel series for every r in radii, for
+    heat-equation residuals.
 
     B'_m = B_{m-1} + q B_{m+1} - (q+1) B_m with nonnegative blocks, and the
     block bound falls in m, so the term (q-1)|B'_{r+2j}| is at most 2 (q^2-1)
-    times the bound at order r + 2j - 1: bessel.certified_truncation cuts the
-    series on that lattice with that weight, at a certified tail of 1e-13.
+    times the bound at order r + 2j - 1: bessel.certified_truncation cuts each
+    r's series on that lattice with that weight, at a certified tail of 1e-13.
+    Every B'_m comes from one bessel.building_block_time_derivatives list per
+    (q, t), up to the largest order any r needs: scalar building_block values,
+    independent of log_building_blocks.
     """
-    order, _ = certified_truncation(q, t, 1e-13, r + 1, 2, 2 * (q * q - 1))
-    terms = [building_block_time_derivative(q, m + 1, t) for m in range(r + 1, order + 1, 2)]
-    return building_block_time_derivative(q, r, t) - (q - 1) * math.fsum(terms)
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    radii = list(radii)
+    if any(r < 0 for r in radii):
+        raise ValueError("r must be >= 0")
+    cuts = [certified_truncation(q, t, 1e-13, r + 1, 2, 2 * (q * q - 1))[0] for r in radii]
+    top = max((max(r, order + 1) for r, order in zip(radii, cuts)), default=0)
+    dots = building_block_time_derivatives(q, top, t)
+    return [
+        dots[r] - (q - 1) * math.fsum(dots[r + 2 : order + 2 : 2])
+        for r, order in zip(radii, cuts)
+    ]
 
 
 def tree_heat_kernel_integrals(q: int, t: float, radii, tol: float = 1e-10) -> np.ndarray:

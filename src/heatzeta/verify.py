@@ -72,7 +72,7 @@ def check_tree_heat_equation(qs: Iterable[int] = (2, 3, 4)) -> CheckResult:
     for q in qs:
         for t in (0.1, 0.5, 1.0, 2.0, 5.0):
             values = [value.value for value in heat_tree.tree_heat_kernels(q, t, range(13), 1e-13)]
-            dots = [heat_tree.tree_heat_kernel_time_derivative(q, t, r) for r in range(12)]
+            dots = heat_tree.tree_heat_kernel_time_derivatives(q, t, range(12))
             worst = max(worst, abs((q + 1) * values[0] - (q + 1) * values[1] + dots[0]))
             for r in range(1, 11):
                 residual = (

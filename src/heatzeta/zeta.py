@@ -15,7 +15,11 @@ The bridge is the weighted Laplace transform
 which sends each heat-kernel building block of order k to u^{k-1} and the
 diagonal heat kernel to the logarithmic derivative of zeta plus elementary
 terms.  Its half-line integrals, like every integral in the package, run on
-bessel._nested_trapezoid, here in the variable x = ln t.
+bessel._nested_trapezoid, here in the variable s of the double-exponential
+map t = exp(s - e^{-s}) / decay (Takahasi and Mori 1974; Mori and Sugihara
+2001), decay the integrand's exponential rate: t falls to 0 like e^{-e^{-s}}
+at one end and e^{-decay t} like e^{-e^{s}} at the other, so the cut ends
+are negligible and the nodes gather where the integrand lives.
 """
 
 from __future__ import annotations
@@ -53,26 +57,47 @@ __all__ = [
 _G_TOL = 1e-11
 
 
+def _double_exponential_cut(y: float) -> float:
+    """s with s - e^{-s} = y, from below: four Newton steps from y (y >= 0) or
+    -ln(1 - y), where s - e^{-s} - y is -e^{-y} and -ln(1 - y) - 1, both < 0.
+    On this concave increasing function every Newton step stays below the root."""
+    s = y if y >= 0.0 else -math.log1p(-y)
+    for _ in range(4):
+        e = math.exp(-s)
+        s -= (s - e - y) / (1.0 + e)
+    return s
+
+
 def _half_line(f, decay, tol, what, scale=1.0) -> float:
     """scale times the integral over [0, inf) of f, which decays like e^{-decay t}.
 
-    With t = e^x, x runs from ln(tol) - 20 to ln(upper), upper = (ln(1/tol) + 20) / decay,
-    so each cut drops about e^{-20} tol times the size of f, and x is mapped
-    linearly onto [0, pi] for bessel._nested_trapezoid, from 32 nodes.  There
-    the integrand e^x f(e^x) and its derivatives are negligible at both ends,
-    so the rule converges as on the whole line, geometrically (Trefethen and
-    Weideman, SIAM Review 2014).  RuntimeError where it misses the guard
-    max(tol, 10 tol |value|).
+    The t-integral runs from tol e^{-20} to upper = (ln(1/tol) + 20) / decay,
+    so each cut drops about e^{-20} tol times the size of f.  In between it
+    is taken in s on the double-exponential map t = exp(s - e^{-s}) / decay,
+    dt = t (1 + e^{-s}) ds (Takahasi and Mori 1974; Mori and Sugihara,
+    J. Comput. Appl. Math. 2001).  As s falls, t goes to 0 like e^{-e^{-s}};
+    as s rises, e^{-decay t} goes to 0 like e^{-e^{s}}.  So at both s-cuts
+    the integrand and its derivatives are negligible, the trapezoid rule
+    converges as on the whole line, geometrically (Trefethen and Weideman,
+    SIAM Review 2014), and its nodes crowd at the peak near decay t = 1
+    instead of spreading over the tiny-t end.  The s-cuts solve
+    s - e^{-s} = ln(decay t) at the t-cuts from below, by
+    _double_exponential_cut: the lower one reaches past its t-cut, the upper
+    one meets its t-cut to rounding.  s is mapped linearly onto [0, pi] for
+    bessel._nested_trapezoid, from 8 nodes.  RuntimeError where it misses
+    the guard max(tol, 10 tol |value|).
     """
-    lo = math.log(tol) - 20.0
-    width = math.log((math.log(1.0 / tol) + 20.0) / decay) - lo
+    lo = _double_exponential_cut(math.log(decay * tol) - 20.0)
+    width = _double_exponential_cut(math.log(math.log(1.0 / tol) + 20.0)) - lo
 
     def integrand(theta: np.ndarray) -> np.ndarray:
-        t = np.exp(lo + (width / math.pi) * theta)
-        return (np.array([f(s) for s in t.tolist()]) * t)[None, :]
+        s = lo + (width / math.pi) * theta
+        e = np.exp(-s)
+        t = np.exp(s - e) / decay
+        return (np.array([f(x) for x in t.tolist()]) * t * (1.0 + e))[None, :]
 
     try:
-        value = _nested_trapezoid(integrand, np.array([0]), scale * width / math.pi, tol, 32.0)
+        value = _nested_trapezoid(integrand, np.array([0]), scale * width / math.pi, tol, 8.0)
     except QuadratureError as exc:
         raise RuntimeError(f"{what} did not converge: {exc.reason}") from exc
     return float(value[0])

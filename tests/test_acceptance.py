@@ -23,7 +23,7 @@ from heatzeta.heat_graph import (
 from heatzeta.heat_tree import (
     tree_heat_kernel,
     tree_heat_kernel_integral,
-    tree_heat_kernel_time_derivative,
+    tree_heat_kernel_time_derivatives,
 )
 from heatzeta.zeta import (
     g_transform_numeric,
@@ -64,9 +64,7 @@ def test_criterion_02_tree_heat_equation_residual():
     for q in (2, 3, 4):
         for t in (0.1, 0.5, 1.0, 2.0, 5.0):
             f = [tree_heat_kernel(q, t, r, 1e-13).value for r in range(12)]
-            fdot = [
-                tree_heat_kernel_time_derivative(q, t, r) for r in range(11)
-            ]
+            fdot = tree_heat_kernel_time_derivatives(q, t, range(11))
             worst = max(worst, abs((q + 1) * f[0] - (q + 1) * f[1] + fdot[0]))
             for r in range(1, 11):
                 residual = (q + 1) * f[r] - q * f[r + 1] - f[r - 1] + fdot[r]

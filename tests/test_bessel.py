@@ -12,7 +12,7 @@ from heatzeta.bessel import (
     bessel_i_scaled,
     bessel_upper_bound,
     building_block,
-    building_block_time_derivative,
+    building_block_time_derivatives,
     certified_truncation,
     log_block_bound,
     log_building_blocks,
@@ -90,7 +90,7 @@ class TestScaled:
 
 
 class TestDerivative:
-    # the recurrence 2 I_r' = I_{r-1} + I_{r+1} that building_block_time_derivative uses
+    # the recurrence 2 I_r' = I_{r-1} + I_{r+1} that building_block_time_derivatives uses
     @pytest.mark.parametrize("order", range(0, 12, 3))
     @pytest.mark.parametrize("t", [0.1, 1.0, 5.0])
     def test_recurrence_residual(self, order, t):
@@ -153,7 +153,7 @@ class TestBuildingBlock:
 
     def test_derivative_matches_finite_difference(self):
         fd = central_difference(lambda s: building_block(2, 3, s), 1.5)
-        assert building_block_time_derivative(2, 3, 1.5) == pytest.approx(fd, abs=1e-9)
+        assert building_block_time_derivatives(2, 3, 1.5)[3] == pytest.approx(fd, abs=1e-9)
 
     @pytest.mark.parametrize("q", [1, 2, 4])
     @pytest.mark.parametrize("t", [0.01, 0.7, 3.0, 130.0, 300.0])
@@ -162,6 +162,7 @@ class TestBuildingBlock:
         # with the e^{-2 sqrt(q) t} scaling moved into I past 2 sqrt(q) t = 500
         arg = 2.0 * math.sqrt(q) * t
         scaled = arg > 500.0
+        dots = building_block_time_derivatives(q, 11, t)
         for r in range(12):
             if scaled:
                 i = lambda n: bessel_i_scaled(n, arg)
@@ -170,7 +171,7 @@ class TestBuildingBlock:
                 i = lambda n: bessel_i(n, arg)
                 prefactor = math.exp(-0.5 * r * math.log(q) - (q + 1) * t)
             expected = prefactor * (math.sqrt(q) * (i(abs(r - 1)) + i(r + 1)) - (q + 1) * i(r))
-            assert building_block_time_derivative(q, r, t) == pytest.approx(
+            assert dots[r] == pytest.approx(
                 expected, rel=1e-11, abs=1e-16
             )
 

@@ -374,6 +374,19 @@ class TestZeta:
         assert err.startswith("error: --order 1100: from order 1024 ")
         assert err.count("\n") == 1
 
+    def test_order_past_exact_float_integers_refused(self, capsys):
+        # N_54 on k4 passes 2^53, where the float determinant route misreads it
+        # (max_discrepancy 384 at order 60)
+        code, out, err = run(capsys, "zeta", "--graph", "k4", "--order", "60")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --order 60: from order 54 N_m passes 2^53")
+        assert err.endswith("use --order 53 or less\n")
+
+    def test_order_below_exact_float_integers_answers(self, capsys):
+        code, out, _ = run(capsys, "zeta", "--graph", "k4", "--order", "40")
+        assert code == 0
+        assert float(json.loads(out)["max_discrepancy"]) <= 1e-6
+
     def test_bad_order(self, capsys):
         code, _, err = run(capsys, "zeta", "--graph", "k4", "--order", "0")
         assert code == 2

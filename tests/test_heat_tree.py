@@ -10,7 +10,7 @@ from heatzeta.heat_tree import (
     tree_heat_kernel,
     tree_heat_kernel_integral,
     tree_heat_kernel_integrals,
-    tree_heat_kernel_time_derivative,
+    tree_heat_kernel_time_derivatives,
     tree_heat_kernels,
 )
 
@@ -195,11 +195,31 @@ class TestHeatEquation:
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 2.0, 5.0])
     def test_residuals(self, q, t):
         f = [tree_heat_kernel(q, t, r, 1e-13).value for r in range(12)]
-        fdot = [tree_heat_kernel_time_derivative(q, t, r) for r in range(11)]
+        fdot = tree_heat_kernel_time_derivatives(q, t, range(11))
         assert abs((q + 1) * f[0] - (q + 1) * f[1] + fdot[0]) <= 1e-8
         for r in range(1, 11):
             residual = (q + 1) * f[r] - q * f[r + 1] - f[r - 1] + fdot[r]
             assert abs(residual) <= 1e-8
+
+
+    @pytest.mark.parametrize("q", [1, 2, 4])
+    @pytest.mark.parametrize("t", [0.1, 2.0, 300.0])
+    def test_derivative_row_is_the_per_radius_sum(self, q, t):
+        # each radius on its own: three scalar blocks per B'_m, the cut recomputed
+        def block_dot(m):
+            below = building_block(q, m - 1, t) if m > 0 else q * building_block(q, 1, t)
+            return below + q * building_block(q, m + 1, t) - (q + 1) * building_block(q, m, t)
+
+        row = tree_heat_kernel_time_derivatives(q, t, range(12))
+        for r in range(12):
+            order, _ = bessel.certified_truncation(q, t, 1e-13, r + 1, 2, 2 * (q * q - 1))
+            terms = [block_dot(m + 1) for m in range(r + 1, order + 1, 2)]
+            assert row[r] == block_dot(r) - (q - 1) * math.fsum(terms)
+            assert tree_heat_kernel_time_derivatives(q, t, (r,)) == [row[r]]
+
+    def test_derivative_row_needs_nonnegative_radii(self):
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            tree_heat_kernel_time_derivatives(2, 1.0, [0, -1])
 
 
 class TestMassConservation:
@@ -259,10 +279,10 @@ class TestHorocycle:
 
     def test_residual_with_analytic_derivative(self):
         # derivative through the Bessel recurrence instead of differencing
-        from heatzeta.bessel import building_block_time_derivative
+        from heatzeta.bessel import building_block_time_derivatives
 
         q, t, n = 2, 1.0, 0
-        fdot = building_block_time_derivative(q, n, t)
+        fdot = building_block_time_derivatives(q, n, t)[n]
         residual = (
             (q + 1) * horocycle_solution(q, t, n)
             - q * horocycle_solution(q, t, n + 1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heatzeta import heat_graph, heat_tree, verify, zeta
+from heatzeta import bessel, heat_graph, heat_tree, verify, zeta
 
 
 ROUTES = ["heat_kernel_row", "heat_kernel_spectral_row", "heat_kernel_ode", "heat_kernel_series_row"]
@@ -48,3 +48,60 @@ def test_tree_formula_check_catches_a_shifted_integral_row(monkeypatch):
         heat_tree, "tree_heat_kernel_integrals", lambda *args: original(*args) + 1e-5
     )
     assert not verify.check_tree_formula_agreement((2,)).passed
+
+
+def test_laplace_calibration_catches_a_scaled_bessel_factor(monkeypatch):
+    assert verify.check_laplace_calibration().passed
+    original = zeta.bessel_i_scaled
+    monkeypatch.setattr(zeta, "bessel_i_scaled", lambda n, t: original(n, t) * (1.0 + 1e-6))
+    assert not verify.check_laplace_calibration().passed
+
+
+def test_g_transform_of_blocks_catches_a_shifted_block(monkeypatch):
+    assert verify.check_g_transform_building_blocks().passed
+    original = bessel.building_block
+    monkeypatch.setattr(bessel, "building_block", lambda *args: original(*args) + 1e-7)
+    assert not verify.check_g_transform_building_blocks().passed
+
+
+def test_tree_heat_equation_catches_a_shifted_derivative_row(monkeypatch):
+    assert verify.check_tree_heat_equation((2,)).passed
+    original = heat_tree.tree_heat_kernel_time_derivatives
+    monkeypatch.setattr(
+        heat_tree,
+        "tree_heat_kernel_time_derivatives",
+        lambda *args: [dot + 1e-7 for dot in original(*args)],
+    )
+    assert not verify.check_tree_heat_equation((2,)).passed
+
+
+@pytest.mark.parametrize(
+    "check, module, integrand, ceiling",
+    [
+        # a third of the 9,444, 9,963 and 1,020 evaluations of the trapezoid rule in ln t
+        pytest.param(
+            "check_g_transform_building_blocks", bessel, "building_block", 9444 // 3,
+            id="g_transform_building_blocks",
+        ),
+        pytest.param(
+            "check_laplace_calibration", zeta, "bessel_i_scaled", 9963 // 3,
+            id="laplace_calibration",
+        ),
+        pytest.param(
+            "check_g_transform_diagonal", heat_graph, "heat_kernel_spectral", 1020 // 3,
+            id="g_transform_diagonal",
+        ),
+    ],
+)
+def test_half_line_checks_evaluate_few_nodes(monkeypatch, check, module, integrand, ceiling):
+    # the integrand's only calls are the quadrature nodes, a deterministic count
+    calls = []
+    original = getattr(module, integrand)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, integrand, counted)
+    assert getattr(verify, check)().passed
+    assert 0 < len(calls) <= ceiling

@@ -209,9 +209,15 @@ class TestGTransform:
             g_transform_numeric(lambda t: 1.0, 2, 0.9, growth_rate=3.0)
 
     def test_unconverged_quadrature_refused(self):
-        # 48,000 periods on [0, 30] defeat the trapezoid rule in ln t capped at 2^20 nodes
+        # 96,000 jumps on [0, 30]: the trapezoid rule's error falls only like its
+        # step, 3e-4 at the 2^20-node cap against the guard 1e-11
         with pytest.raises(RuntimeError, match="did not converge"):
-            g_transform_numeric(lambda t: math.sin(1e4 * t), 2, 0.25)
+            g_transform_numeric(lambda t: math.copysign(1.0, math.sin(1e4 * t)), 2, 0.25)
+
+    def test_fast_oscillation_converges(self):
+        # (u^-2 - q) w / (a^2 + w^2), a = qu + 1/u - (q + 1) = 1.5, the transform of sin(w t)
+        result = g_transform_numeric(lambda t: math.sin(1e4 * t), 2, 0.25)
+        assert result.value == pytest.approx(14.0 * 1e4 / (2.25 + 1e8), abs=result.quadrature_error)
 
 
 class TestLaplaceIdentity:
@@ -232,11 +238,19 @@ class TestLaplaceIdentity:
         assert numeric == pytest.approx(closed, abs=1e-9)
 
     def test_unconverged_integral_refused(self, monkeypatch):
-        # a scaled Bessel factor oscillating 20,000 times over [0, 47.6]
-        # defeats the trapezoid rule in ln t capped at 2^20 nodes, and the guard says so
-        monkeypatch.setattr(zeta, "bessel_i_scaled", lambda n, t: math.sin(2.6e3 * t))
+        # a scaled Bessel factor jumping 40,000 times over [0, 47.6] keeps the
+        # trapezoid rule's error at 1e-5 at the 2^20-node cap, and the guard says so
+        monkeypatch.setattr(
+            zeta, "bessel_i_scaled", lambda n, t: math.copysign(1.0, math.sin(2.6e3 * t))
+        )
         with pytest.raises(RuntimeError, match="calibration integral did not converge"):
             laplace_identity_check(0, 1.0)
+
+    def test_fast_oscillation_converges(self, monkeypatch):
+        # int_0^inf e^{-t} sin(w t) dt = w / (1 + w^2)
+        monkeypatch.setattr(zeta, "bessel_i_scaled", lambda n, t: math.sin(2.6e3 * t))
+        numeric, _ = laplace_identity_check(0, 1.0)
+        assert numeric == pytest.approx(2.6e3 / (1.0 + 2.6e3**2), abs=1e-12)
 
 
 class TestTwoVariableZeta:
