@@ -1,14 +1,15 @@
 """Modified Bessel functions I_n of integer order, and the heat-kernel building block.
 
-Two independent evaluation routes are provided: the power series and a
+Two independent evaluation routes are provided: one power series and a
 trapezoidal quadrature of the integral representation
 
     I_n(t) = (1/pi) int_0^pi e^{t cos(theta)} cos(n theta) dtheta,
 
 spectrally accurate on this smooth 2pi-periodic integrand; _nested_trapezoid,
 the package's one quadrature rule, also serves every integral of heat_tree
-and zeta.  A log-domain scaled evaluation e^{-t} I_n(t) keeps large arguments
-from overflowing, and a uniform bound
+and zeta.  The series rescales itself by exact powers 2^-512, so bessel_i
+is the plain sum and bessel_i_scaled, e^{-t} I_n(t), is in float range at
+any t with no switch of route.  A uniform bound
 
     sqrt(t) e^{-t} I_n(t) <= (1 + n/t)^{-n/2}
 
@@ -42,6 +43,9 @@ __all__ = [
 
 # exp() overflows just above 709; keep a margin for the n-term prefactors
 _EXP_LIMIT = 700.0
+# the power series' exact rescale, and fdlibm's Cody-Waite split of ln 2
+_RESCALE, _UNSCALE = 2.0**512, 2.0**-512
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 # longest ratio recurrence log_building_blocks runs: a time and memory guard
 MAX_RECURRENCE = 1_000_000
 # L of the Miller start of log_building_blocks
@@ -69,72 +73,67 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
-def bessel_i(order: int, t: float) -> float:
-    """I_order(t) by direct summation of the power series.
+def _power_series(order: int, t: float) -> tuple[float, int]:
+    """I_order(t) = mantissa 2^{512 s}, by summing the power series.
 
-    Terms are accumulated until a term is at most 1e-15 times the sum and
-    the term index is past the mode of the summand, after which the terms
-    decay faster than geometrically, so the rule is relative at every
-    magnitude.  "At most" rather than "below": where 1e-15 times a subnormal
-    sum rounds to 0, the sum ends once the terms underflow to 0 as well.
+    The leading term (t/2)^order / order! is a product (the log form loses
+    1e-13 relative).  Terms are added until one is at most 1e-15 times the
+    sum past the mode of the summand: relative at every magnitude, and a
+    subnormal sum ends once its terms underflow to 0.  In both loops a value
+    past 2^512 is multiplied by 2^-512, exactly, and s counts those rescales:
+    the mantissa ends at most 2^512, and s = 0 below t = 354 (I_order <= e^t).
     """
-    _check_order_arg(order, t)
     if t == 0.0:
-        return 1.0 if order == 0 else 0.0
-    if t > _EXP_LIMIT:
-        raise OverflowError(
-            f"bessel_i overflows for t={t}; use bessel_i_scaled(order, t)"
-        )
+        return (1.0 if order == 0 else 0.0), 0
     half = t / 2.0
-    # leading term (t/2)^order / order! as a product, whose partial products stay
-    # below e^{t/2}: the log form, two logs near 300 apart, loses 1e-13 relative
     if order * math.log(half) - math.lgamma(order + 1) < -745.0:
-        return 0.0
-    term = 1.0
+        return 0.0, 0
+    term, s = 1.0, 0
     for j in range(1, order + 1):
         term *= half / j
+        if term > _RESCALE:
+            term, s = term * _UNSCALE, s + 1
     total = term
     n = 0
     while True:
         n += 1
         term *= half * half / (n * (n + order))
         total += term
+        if total > _RESCALE:
+            term, total, s = term * _UNSCALE, total * _UNSCALE, s + 1
         if term <= 1e-15 * total and 2 * n + order > t:
             break
         if n > 10_000_000:  # pragma: no cover
-            raise RuntimeError("bessel_i series failed to terminate")
-    return total
+            raise RuntimeError("Bessel power series failed to terminate")
+    return total, s
+
+
+def bessel_i(order: int, t: float) -> float:
+    """I_order(t) from _power_series, whose exact rescales leave the plain sum's bits."""
+    _check_order_arg(order, t)
+    if t > _EXP_LIMIT:
+        raise OverflowError(f"bessel_i overflows for t={t}; use bessel_i_scaled(order, t)")
+    mantissa, s = _power_series(order, t)
+    return math.ldexp(mantissa, 512 * s)
 
 
 def bessel_i_scaled(order: int, t: float) -> float:
     """Exponentially scaled value e^{-t} I_order(t), safe for any t >= 0.
 
-    The series is summed entirely in the log domain (streaming log-sum-exp),
-    so no intermediate quantity can overflow.
+    With I_order(t) = mantissa 2^k from _power_series (k = 512 s, plus one more
+    2^512 taken from the mantissa and returned by ldexp where s > 0, so that
+    the exponential is at least the value and underflows only where it does),
+    the value is mantissa e^{k ln2_hi - t} e^{k ln2_lo}, ln 2 split as in fdlibm.
+    ln2_hi has 32 significant bits, so k ln2_hi is exact for k < 2^21 (t up to
+    about 1.4e6); at orders up to t/2 with s > 0, ln I_order(t) <= k ln 2 <=
+    ln I_order(t) + 355 puts k ln2_hi in [t/2, 2t], and by Sterbenz's lemma
+    k ln2_hi - t is exact.
     """
     _check_order_arg(order, t)
-    if t == 0.0:
-        return 1.0 if order == 0 else 0.0
-    log_half = math.log(t / 2.0)
-    log_term = order * log_half - math.lgamma(order + 1)
-    # streaming log-sum-exp: track the running max and rescaled sum
-    log_max = log_term
-    acc = 1.0
-    n = 0
-    quarter_sq = (t / 2.0) ** 2
-    while True:
-        n += 1
-        log_term += 2.0 * log_half - math.log(n) - math.log(n + order)
-        if log_term > log_max:
-            acc = acc * math.exp(log_max - log_term) + 1.0
-            log_max = log_term
-        else:
-            acc += math.exp(log_term - log_max)
-        if n * (n + order) > quarter_sq and log_term < log_max - 45.0:
-            break
-        if n > 10_000_000:  # pragma: no cover
-            raise RuntimeError("bessel_i_scaled series failed to terminate")
-    return math.exp(log_max + math.log(acc) - t)
+    mantissa, s = _power_series(order, t)
+    fold = 512 if s else 0
+    k = 512 * s + fold
+    return math.ldexp(mantissa * math.exp(k * _LN2_HI - t) * math.exp(k * _LN2_LO), -fold)
 
 
 def bessel_i_quadrature(order: int, t: float) -> float:
@@ -224,22 +223,15 @@ def bessel_upper_bound(order: int, t: float) -> float:
 def building_block(q: int, r: int, t: float) -> float:
     """The radial building block q^{-r/2} e^{-(q+1)t} I_r(2 sqrt(q) t).
 
-    Since (q+1) - 2 sqrt(q) = (sqrt(q)-1)^2 >= 0 the value lies in [0, 1];
-    large arguments are routed through the scaled evaluation so the result
-    never overflows.
+    As (q+1) - 2 sqrt(q) = (sqrt(q)-1)^2 >= 0, it is q^{-r/2} e^{-(sqrt(q)-1)^2 t}
+    times bessel_i_scaled(r, 2 sqrt(q) t): both factors lie in [0, 1], so
+    nothing overflows at any t.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     _check_order_arg(r, t)
-    if t == 0.0:
-        return 1.0 if r == 0 else 0.0
-    arg = 2.0 * math.sqrt(q) * t
-    shrink = (math.sqrt(q) - 1.0) ** 2  # (q+1) - 2 sqrt(q)
-    if arg > 500.0:
-        scaled = bessel_i_scaled(r, arg)
-    else:
-        scaled = math.exp(-arg) * bessel_i(r, arg)
-    return math.exp(-0.5 * r * math.log(q) - shrink * t) * scaled
+    prefactor = math.exp(-0.5 * r * math.log(q) - (math.sqrt(q) - 1.0) ** 2 * t)
+    return prefactor * bessel_i_scaled(r, 2.0 * math.sqrt(q) * t)
 
 
 def log_building_blocks(q: int, M: int, t: float) -> np.ndarray:

@@ -186,10 +186,15 @@ def recover_counts(log_series: PowerSeries, guard: float = 1e-6) -> list[int]:
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """Finite-graph spectral measure at a base vertex: weights psi_j(x0)^2."""
+    """Atoms at the Laplacian eigenvalues lambda_j: weights psi_j(x0)^2 for the
+    spectral measure at a base vertex, psi_j(x) psi_j(x0) off the diagonal."""
 
     points: tuple[float, ...]
     weights: tuple[float, ...]
+
+    def integrate(self, f: Callable[[float], float]) -> float:
+        """sum_j w_j f(lambda_j), by math.fsum."""
+        return math.fsum(w * f(lam) for lam, w in zip(self.points, self.weights))
 
 
 @dataclass(frozen=True)
@@ -276,13 +281,7 @@ def zeta_spectral(measure: AtomicMeasure | TreeDensity, q: int, u: float) -> flo
     """
     if not 0.0 < u < 1.0 / q:
         raise ValueError(f"u={u} outside the admissible interval (0, 1/{q})")
-    if isinstance(measure, AtomicMeasure):
-        integral = math.fsum(
-            w * _log_quadratic(q + 1.0 - lam, q, u)
-            for lam, w in zip(measure.points, measure.weights)
-        )
-    else:
-        integral = measure.integrate(lambda lam: _log_quadratic(q + 1.0 - lam, q, u))
+    integral = measure.integrate(lambda lam: _log_quadratic(q + 1.0 - lam, q, u))
     return (1.0 - u * u) ** ((q - 1) / 2.0) * math.exp(integral)
 
 
@@ -374,14 +373,11 @@ def two_variable_zeta(
     sd = spectral_data(g)
     q = sd.q
     weights = sd.eigenvectors[x, :] * sd.eigenvectors[x0, :]
-    lams = sd.eigenvalues
+    measure = AtomicMeasure(tuple(sd.eigenvalues.tolist()), tuple(weights.tolist()))
 
     def spectral_log_zeta(u: float) -> float:
         if not 0.0 < u < 1.0 / q:
             raise ValueError(f"u={u} outside (0, 1/{q})")
-        return -math.fsum(
-            w * _log_quadratic(q + 1.0 - lam, q, u)
-            for lam, w in zip(lams, weights)
-        )
+        return -measure.integrate(lambda lam: _log_quadratic(q + 1.0 - lam, q, u))
 
     return series, spectral_log_zeta

@@ -88,6 +88,24 @@ class TestScaled:
         # asymptotically 1/sqrt(2 pi t)
         assert value == pytest.approx(1.0 / math.sqrt(2 * math.pi * 5000.0), rel=1e-2)
 
+    @pytest.mark.parametrize("t", [570.0, 2830.0, 1e4, 1e5])
+    def test_matches_mpmath_at_large_argument(self, t):
+        # 40-digit values: 1e-13 relative fails any route whose exponent is off
+        # by about eps t, as a log-domain sum's is (2e-9 at t = 1e5)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for order in range(0, 61, 6):
+                exact = mp.exp(-mp.mpf(t)) * mp.besseli(order, mp.mpf(t))
+                assert bessel_i_scaled(order, t) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+    def test_far_tail_stays_in_float_range(self):
+        # e^{-t} I_3000(t) at t = 1e4 is 3.9e-197 while its mantissa needs 26
+        # rescales: the exponential must not underflow before the product
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            exact = mp.exp(-mp.mpf(1e4)) * mp.besseli(3000, mp.mpf(1e4))
+        assert bessel_i_scaled(3000, 1e4) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
 
 class TestDerivative:
     # the recurrence 2 I_r' = I_{r-1} + I_{r+1} that building_block_time_derivatives uses
@@ -159,17 +177,12 @@ class TestBuildingBlock:
     @pytest.mark.parametrize("t", [0.01, 0.7, 3.0, 130.0, 300.0])
     def test_derivative_matches_product_rule(self, q, t):
         # q^{-r/2} e^{-(q+1)t} (sqrt(q) (I_{|r-1|} + I_{r+1}) - (q+1) I_r),
-        # with the e^{-2 sqrt(q) t} scaling moved into I past 2 sqrt(q) t = 500
+        # with the e^{-2 sqrt(q) t} scaling moved into I
         arg = 2.0 * math.sqrt(q) * t
-        scaled = arg > 500.0
         dots = building_block_time_derivatives(q, 11, t)
+        i = lambda n: bessel_i_scaled(n, arg)
         for r in range(12):
-            if scaled:
-                i = lambda n: bessel_i_scaled(n, arg)
-                prefactor = math.exp(-0.5 * r * math.log(q) - (math.sqrt(q) - 1.0) ** 2 * t)
-            else:
-                i = lambda n: bessel_i(n, arg)
-                prefactor = math.exp(-0.5 * r * math.log(q) - (q + 1) * t)
+            prefactor = math.exp(-0.5 * r * math.log(q) - (math.sqrt(q) - 1.0) ** 2 * t)
             expected = prefactor * (math.sqrt(q) * (i(abs(r - 1)) + i(r + 1)) - (q + 1) * i(r))
             assert dots[r] == pytest.approx(
                 expected, rel=1e-11, abs=1e-16
@@ -378,20 +391,18 @@ class TestBuildingBlocks:
 
     @pytest.mark.parametrize("q,t", [(1, 300.0), (2, 200.0), (4, 130.0)])
     def test_large_argument(self, q, t):
-        # 2 sqrt(q) t > 500: the scalar route sums the series in the log
-        # domain (bessel_i_scaled), which loses about 1e-12 relative there;
+        # 2 sqrt(q) t = 566 to 1,040, where the scalar series rescales;
         # high-precision values pin the vector route to 1e-13
         mp = pytest.importorskip("mpmath")
-        assert 2 * math.sqrt(q) * t > 500
         blocks = np.exp(log_building_blocks(q, 60, t))
         for m in range(61):
-            assert blocks[m] == pytest.approx(building_block(q, m, t), rel=5e-12)
+            assert blocks[m] == pytest.approx(building_block(q, m, t), rel=1e-13, abs=0.0)
         with mp.workdps(40):
             for m in range(0, 61, 6):
                 exact = mp.power(q, -mp.mpf(m) / 2) * mp.exp(-(q + 1) * mp.mpf(t)) * mp.besseli(
                     m, 2 * mp.sqrt(q) * t
                 )
-                assert blocks[m] == pytest.approx(float(exact), rel=1e-13)
+                assert blocks[m] == pytest.approx(float(exact), rel=1e-13, abs=0.0)
 
     def test_no_overflow_at_huge_time(self):
         # every block is below the smallest float at t = 1e6, every log is finite

@@ -366,24 +366,42 @@ class TestZeta:
         assert first == second
 
     def test_order_past_float_range_refused(self, capsys):
-        # N_1024 = 2^1024 + ... on k4 is past the largest float; order 1023 still works
+        # N_1024 = 2^1024 + ... on k4 is past the largest float; the rounding
+        # bound refuses long before, and before any counting
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "zeta", "--graph", "k4", "--order", "1100")
         assert (code, out) == (2, "")
-        assert err.startswith("error: --order 1100: from order 1024 ")
+        assert err.startswith("error: --order 1100: from order 41 ")
         assert err.count("\n") == 1
 
     def test_order_past_exact_float_integers_refused(self, capsys):
-        # N_54 on k4 passes 2^53, where the float determinant route misreads it
-        # (max_discrepancy 384 at order 60)
+        # 8 eps n m (q^m + m q^(m/2)) reaches 1/2 at order 41 on k4, where the
+        # float determinant route drifts (max_discrepancy 2.0 at order 53, 384 at 60)
         code, out, err = run(capsys, "zeta", "--graph", "k4", "--order", "60")
         assert (code, out) == (2, "")
-        assert err.startswith("error: --order 60: from order 54 N_m passes 2^53")
-        assert err.endswith("use --order 53 or less\n")
+        assert err.startswith(
+            "error: --order 60: from order 41 the float determinant route's rounding bound"
+        )
+        assert err.endswith("use --order 40 or less\n")
+
+    @pytest.mark.parametrize("order", [44, 51])
+    def test_cancelling_float_terms_refused(self, capsys, order):
+        # k33's odd N_m are 0, but float terms of size 2^m cancel to them, and
+        # max_discrepancy reads about 0.5 at order 44 and 1e2 at 51 while N_m
+        # is still below 2^53
+        code, out, err = run(capsys, "zeta", "--graph", "k33", "--order", str(order))
+        assert (code, out) == (2, "")
+        assert err.endswith("use --order 40 or less\n")
 
     def test_order_below_exact_float_integers_answers(self, capsys):
         code, out, _ = run(capsys, "zeta", "--graph", "k4", "--order", "40")
+        assert code == 0
+        assert float(json.loads(out)["max_discrepancy"]) <= 1e-6
+
+    def test_cycle_answers_at_the_order_cap(self, capsys):
+        # q = 1: the bound grows like m^2 only, 8 eps n m (1 + m) = 5.7e-8 at 2000
+        code, out, _ = run(capsys, "zeta", "--graph", "c8", "--order", "2000")
         assert code == 0
         assert float(json.loads(out)["max_discrepancy"]) <= 1e-6
 

@@ -243,15 +243,12 @@ class TestHorocycle:
     @pytest.mark.parametrize("q", [1, 2, 5])
     @pytest.mark.parametrize("t", [0.3, 1.0, 4.0, 200.0])
     def test_closed_form(self, q, t):
-        # q^{-n/2} e^{-(q+1)t} I_|n|(2 sqrt(q) t), scaled past 2 sqrt(q) t = 500
+        # q^{-n/2} e^{-(q+1)t} I_|n|(2 sqrt(q) t), with e^{-2 sqrt(q) t} moved into I
         tau = 2.0 * math.sqrt(q) * t
         for n in range(-6, 7):
-            if tau > 500.0:
-                expected = math.exp(
-                    -0.5 * n * math.log(q) - (math.sqrt(q) - 1.0) ** 2 * t
-                ) * bessel_i_scaled(abs(n), tau)
-            else:
-                expected = math.exp(-0.5 * n * math.log(q) - (q + 1) * t) * bessel_i(abs(n), tau)
+            expected = math.exp(
+                -0.5 * n * math.log(q) - (math.sqrt(q) - 1.0) ** 2 * t
+            ) * bessel_i_scaled(abs(n), tau)
             assert horocycle_solution(q, t, n) == pytest.approx(expected, rel=1e-12)
 
     def test_reflection_symmetry(self):

@@ -123,6 +123,24 @@ class TestSpectralZeta:
             zeta_spectral(measure, 2, 0.0)
 
 
+class TestAtomicMeasure:
+    def test_moments_count_closed_walks(self):
+        # closed walks of length k at a vertex of K4: (3^k + 3 (-1)^k) / 4
+        measure = atomic_measure(G.builtin_graph("k4"), 0)
+        assert measure.integrate(lambda lam: 1.0) == pytest.approx(1.0, abs=1e-15)
+        for k in range(1, 9):
+            moment = measure.integrate(lambda lam, k=k: (3.0 - lam) ** k)
+            assert moment == pytest.approx((3**k + 3 * (-1) ** k) / 4, rel=1e-13, abs=1e-13)
+
+    def test_off_diagonal_weights_have_no_mass(self):
+        sd = spectral_data(G.builtin_graph("petersen"))
+        weights = sd.eigenvectors[1, :] * sd.eigenvectors[0, :]
+        measure = zeta.AtomicMeasure(tuple(sd.eigenvalues.tolist()), tuple(weights.tolist()))
+        assert measure.integrate(lambda lam: 1.0) == pytest.approx(0.0, abs=1e-15)
+        # one step of the walk: the Laplacian's off-diagonal entry -1 for an edge
+        assert measure.integrate(lambda lam: lam) == pytest.approx(-1.0, abs=1e-14)
+
+
 class TestKestenMoments:
     def test_mass(self):
         assert kesten_tree_measure(2).integrate(lambda lam: 1.0) == pytest.approx(
