@@ -13,8 +13,9 @@ any t with no switch of route.  A uniform bound
 
     sqrt(t) e^{-t} I_n(t) <= (1 + n/t)^{-n/2}
 
-gives log_block_bound.  certified_truncation turns it into the one truncation
-rule of every building-block series in the package, whatever its weights.
+in log form, _log_bessel_bound, gives bessel_upper_bound and log_block_bound;
+certified_truncation turns it into the one truncation rule of every
+building-block series in the package, whatever its weights.
 
 log_building_blocks evaluates the log of the whole vector of building blocks
 at one time from Miller's backward recurrence for the ratios I_{m+1}/I_m:
@@ -205,19 +206,20 @@ def _nested_trapezoid(integrand, rows: np.ndarray, scale, tol: float, start: flo
             )
 
 
-def bessel_upper_bound(order: int, t: float) -> float:
-    """Upper bound on the scaled value: e^{-t} I_order(t) <= this.
+def _log_bessel_bound(order: int, tau: float, offset: float = 0.0) -> float:
+    """offset + ln of the module docstring's uniform bound on e^{-tau} I_order(tau).
 
-    Returns (1/sqrt(t)) (1 + order/t)^{-order/2}.
+    offset comes first, so that a caller's prefix keeps its left-to-right sum.
     """
+    return offset - 0.5 * math.log(tau) - 0.5 * order * math.log1p(order / tau)
+
+
+def bessel_upper_bound(order: int, t: float) -> float:
+    """Upper bound on the scaled value: e^{-t} I_order(t) <= this, from _log_bessel_bound."""
     _check_order_arg(order, t)
     if t <= 0:
         raise ValueError("t must be positive")
-    if order == 0:
-        return 1.0 / math.sqrt(t)
-    return math.exp(
-        -0.5 * math.log(t) - 0.5 * order * math.log1p(order / t)
-    )
+    return math.exp(_log_bessel_bound(order, t))
 
 
 def building_block(q: int, r: int, t: float) -> float:
@@ -310,16 +312,11 @@ def building_block_time_derivatives(q: int, M: int, t: float) -> list[float]:
 def log_block_bound(q: int, m: int, t: float) -> float:
     """ln of a bound on building_block(q, m, t), t > 0, in float range for every m.
 
-    -(m/2) ln q - (sqrt(q)-1)^2 t + ln bessel_upper_bound(m, tau), tau = 2 sqrt(q) t:
+    -(m/2) ln q - (sqrt(q)-1)^2 t + _log_bessel_bound(m, tau), tau = 2 sqrt(q) t:
     it falls in m and is concave in m, as m ln(1 + m/tau) is convex.
     """
-    tau = 2.0 * math.sqrt(q) * t
-    return (
-        -0.5 * m * math.log(q)
-        - (math.sqrt(q) - 1.0) ** 2 * t
-        - 0.5 * math.log(tau)
-        - 0.5 * m * math.log1p(m / tau)
-    )
+    offset = -0.5 * m * math.log(q) - (math.sqrt(q) - 1.0) ** 2 * t
+    return _log_bessel_bound(m, 2.0 * math.sqrt(q) * t, offset)
 
 
 def certified_truncation(

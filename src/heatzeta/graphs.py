@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -171,10 +170,11 @@ def load_graph(source: str | Path | dict) -> Graph:
 
     Accepted forms:
 
-    * a path to (or the text of) a file with one undirected edge per line,
-      "u v" with 0-based indices; duplicate lines create multi-edges;
+    * edge-list text, one undirected edge per line, "u v" with 0-based
+      indices; duplicate lines create multi-edges;
     * a dict {"vertices": n, "edges": [[u, v], ...]} or its JSON text.
 
+    A str is always parsed as document text; only a Path is read as a file.
     Each undirected edge expands to the directed pair {y, bar(y)}.
     """
     if isinstance(source, Path):
@@ -429,21 +429,24 @@ def mobius(m: int) -> int:
 def prime_geodesic_counts(n_table: list[int], K: int) -> list[int]:
     """pi_k from N via Moebius inversion of N_m = sum_{d|m} d pi_d.
 
-    pi_m = (1/m) sum_{d|m} mu(m/d) N_d; raises if any value fails to be a
+    m pi_m = sum_{d|m} mu(m/d) N_d, summed in Python ints over the multiples
+    m of each d, then divided exactly; raises if any pi_m fails to be a
     nonnegative integer, which signals an inconsistent N table.
     """
     if len(n_table) <= K:
         raise ValueError(f"need N_k up to k={K}, got {len(n_table) - 1}")
+    mu = [0] + [mobius(j) for j in range(1, K + 1)]
+    sums = [0] * (K + 1)
+    for d in range(1, K + 1):
+        for j in range(1, K // d + 1):
+            if mu[j]:
+                sums[j * d] += mu[j] * n_table[d]
     primes = [0] * (K + 1)
     for m in range(1, K + 1):
-        total = Fraction(0)
-        for d in range(1, m + 1):
-            if m % d == 0:
-                total += mobius(m // d) * n_table[d]
-        value = total / m
-        if value.denominator != 1 or value < 0:
-            raise ValueError(f"pi_{m} = {value} is not a nonnegative integer")
-        primes[m] = int(value)
+        value, rest = divmod(sums[m], m)
+        if rest or value < 0:
+            raise ValueError(f"pi_{m} = {sums[m]}/{m} is not a nonnegative integer")
+        primes[m] = value
     return primes
 
 
@@ -506,18 +509,16 @@ def enumerate_closed_geodesics(g: Graph, x0: int, k: int) -> list[tuple[int, ...
 TRANSITIVITY_CAP = 64
 
 
-def check_vertex_transitive(
-    g: Graph, cap: int = TRANSITIVITY_CAP
-) -> tuple[bool | None, dict[int, list[int]]]:
+def check_vertex_transitive(g: Graph) -> tuple[bool | None, dict[int, list[int]]]:
     """Decide vertex transitivity by explicit automorphism search.
 
     Returns (verdict, witnesses) where witnesses maps each target vertex v
     to one automorphism (as an image list) sending vertex 0 to v.  The
-    verdict is None when the graph exceeds the vertex cap, in which case
-    the caller may assert transitivity manually.
+    verdict is None when the graph has more than TRANSITIVITY_CAP vertices,
+    in which case the caller may assert transitivity manually.
     """
     n = g.n_vertices
-    if n > cap:
+    if n > TRANSITIVITY_CAP:
         return None, {}
     degrees = [g.degree(v) for v in range(n)]
     if len(set(degrees)) != 1:

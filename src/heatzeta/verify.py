@@ -139,13 +139,9 @@ def check_counting_oracles(names: Iterable[str] = FINITE_BUILTINS, k_max: int = 
             for x in range(g.n_vertices):
                 worst = max(worst, abs(c_transfer[k][x] - by_vertex[x]))
                 worst = max(worst, abs(c_adjacency[k][x] - by_vertex[x]))
-            worst = max(worst, abs(n0[k] - len(graphs.enumerate_closed_geodesics(g, 0, k))))
-            if k >= 1:
-                total = sum(
-                    len(graphs.enumerate_closed_geodesics(g, v, k))
-                    for v in range(g.n_vertices)
-                )
-                worst = max(worst, abs(n_total[k] - total))
+            # at k = 0 each vertex has the empty geodesic: N_0^0 = 1, N_0 = n
+            closed = [len(graphs.enumerate_closed_geodesics(g, v, k)) for v in range(g.n_vertices)]
+            worst = max(worst, abs(n0[k] - closed[0]), abs(n_total[k] - sum(closed)))
         # Moebius consistency: sum_{d|m} d pi_d = N_m
         primes = graphs.prime_geodesic_counts(n_total, k_max)
         for m in range(1, k_max + 1):

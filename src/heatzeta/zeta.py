@@ -55,6 +55,8 @@ __all__ = [
 
 # tol of the G-transform's half-line integral, which its guard also reports
 _G_TOL = 1e-11
+# largest distance from an integer that recover_counts rounds away
+_ROUNDING_GUARD = 1e-6
 
 
 def _double_exponential_cut(y: float) -> float:
@@ -165,17 +167,17 @@ def ihara_determinant_series(g: Graph, M: int) -> PowerSeries:
     return PowerSeries(coeffs)
 
 
-def recover_counts(log_series: PowerSeries, guard: float = 1e-6) -> list[int]:
+def recover_counts(log_series: PowerSeries) -> list[int]:
     """m * [u^m] of a float log-zeta series, rounded to the integers N_m.
 
-    Raises if any pre-round deviation exceeds the guard.
+    Raises if any pre-round deviation exceeds _ROUNDING_GUARD.
     """
     counts = [0]
     for m in range(1, log_series.order + 1):
         raw = m * float(log_series[m])
         rounded = round(raw)
-        if abs(raw - rounded) > guard:
-            raise ValueError(f"coefficient m={m}: {raw} is not integral within {guard}")
+        if abs(raw - rounded) > _ROUNDING_GUARD:
+            raise ValueError(f"coefficient m={m}: {raw} is not integral within {_ROUNDING_GUARD}")
         counts.append(int(rounded))
     return counts
 

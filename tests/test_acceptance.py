@@ -132,7 +132,7 @@ def test_criterion_05_determinant_formula_recovery():
         for m in range(1, 13):
             raw = m * float(series[m])
             worst = max(worst, abs(raw - expected[m]))
-        if recover_counts(series, guard=1e-6)[1:] != expected[1:]:
+        if recover_counts(series)[1:] != expected[1:]:
             exact_failures += 1
     spot = {
         "k4": (3, 24),

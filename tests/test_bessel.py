@@ -50,7 +50,7 @@ class TestSeries:
         mp = pytest.importorskip("mpmath")
         value = bessel_i(200, 3.89)
         assert 0.0 < value < 1e-300
-        assert value == pytest.approx(float(mp.besseli(200, 3.89)), rel=1e-5)
+        assert value == pytest.approx(float(mp.besseli(200, 3.89)), rel=1e-5, abs=0)
 
 
 class TestQuadrature:
@@ -64,7 +64,7 @@ class TestQuadrature:
 
     def test_agrees_with_series_large(self):
         assert bessel_i_quadrature(5, 10.0) == pytest.approx(
-            bessel_i(5, 10.0), rel=1e-9
+            bessel_i(5, 10.0), rel=1e-9, abs=0
         )
 
     @pytest.mark.parametrize("order", range(0, 21, 4))
@@ -80,13 +80,13 @@ class TestScaled:
     def test_matches_direct_product(self, t):
         for order in (0, 1, 7):
             assert bessel_i_scaled(order, t) == pytest.approx(
-                math.exp(-t) * bessel_i(order, t), rel=1e-12
+                math.exp(-t) * bessel_i(order, t), rel=1e-12, abs=0
             )
 
     def test_huge_argument_no_overflow(self):
         value = bessel_i_scaled(2, 5000.0)
         # asymptotically 1/sqrt(2 pi t)
-        assert value == pytest.approx(1.0 / math.sqrt(2 * math.pi * 5000.0), rel=1e-2)
+        assert value == pytest.approx(1.0 / math.sqrt(2 * math.pi * 5000.0), rel=1e-2, abs=0)
 
     @pytest.mark.parametrize("t", [570.0, 2830.0, 1e4, 1e5])
     def test_matches_mpmath_at_large_argument(self, t):
@@ -125,7 +125,7 @@ class TestUpperBound:
 
     def test_order_ten(self):
         bound = bessel_upper_bound(10, 1.0)
-        assert bound == pytest.approx(11.0 ** -5, rel=1e-12)
+        assert bound == pytest.approx(11.0 ** -5, rel=1e-12, abs=0)
         assert math.exp(-1.0) * bessel_i(10, 1.0) <= bound
 
     def test_order_four(self):
@@ -156,15 +156,15 @@ class TestBuildingBlock:
     def test_q_one_specialization(self):
         for r in range(4):
             assert building_block(1, r, 1.3) == pytest.approx(
-                math.exp(-2 * 1.3) * bessel_i(r, 2 * 1.3), rel=1e-12
+                math.exp(-2 * 1.3) * bessel_i(r, 2 * 1.3), rel=1e-12, abs=0
             )
 
     def test_cross_checked_value(self):
         expected = 0.5 * math.exp(-3.0) * bessel_i(2, 2 * math.sqrt(2.0))
         quadrature = 0.5 * math.exp(-3.0) * bessel_i_quadrature(2, 2 * math.sqrt(2.0))
         value = building_block(2, 2, 1.0)
-        assert value == pytest.approx(expected, rel=1e-12)
-        assert value == pytest.approx(quadrature, rel=1e-10)
+        assert value == pytest.approx(expected, rel=1e-12, abs=0)
+        assert value == pytest.approx(quadrature, rel=1e-10, abs=0)
 
     def test_large_time_no_overflow(self):
         assert 0.0 < building_block(2, 1, 400.0) < 1.0
@@ -210,7 +210,7 @@ class TestBlockBound:
             * bessel_upper_bound(m, 2.0 * math.sqrt(q) * t)
         )
         assert math.exp(log_block_bound(q, m, t) + (m - 1) * math.log(q)) == pytest.approx(
-            product, rel=1e-11
+            product, rel=1e-11, abs=0
         )
 
     def test_power_folded_before_exponentiation(self):
@@ -408,7 +408,7 @@ class TestBuildingBlocks:
         # every block is below the smallest float at t = 1e6, every log is finite
         logs = log_building_blocks(2, 10, 1e6)
         assert np.all(np.isfinite(logs)) and np.all(np.diff(logs) < 0.0)
-        assert logs[0] == pytest.approx(_exact_log_block(2, 0, 1e6), rel=1e-13)
+        assert logs[0] == pytest.approx(_exact_log_block(2, 0, 1e6), rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0])
     def test_rejects_bad_time(self, t):

@@ -125,3 +125,28 @@ def test_fresh_verify_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "[]\n"
+
+
+def test_package_namespace_binds_no_function_or_class():
+    # the modules are the one import path: heatzeta.graphs, heatzeta.zeta, ...
+    bound = [
+        name
+        for name, value in vars(heatzeta).items()
+        if inspect.isfunction(value) or inspect.isclass(value)
+    ]
+    assert bound == []
+
+
+def test_every_approx_states_abs():
+    # pytest.approx's default abs of 1e-12 would pass any pin on a value below it
+    found = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "approx"
+                and "abs" not in {keyword.arg for keyword in node.keywords}
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

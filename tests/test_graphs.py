@@ -459,7 +459,7 @@ class TestTransitivity:
         assert verdict is False
 
     def test_cap_returns_unknown(self):
-        verdict, witnesses = G.check_vertex_transitive(G.builtin_graph("c5"), cap=3)
+        verdict, witnesses = G.check_vertex_transitive(G.builtin_graph(f"c{G.TRANSITIVITY_CAP + 1}"))
         assert verdict is None
         assert witnesses == {}
 

@@ -49,7 +49,7 @@ def test_exp_of_geometric_log():
 
 def test_evaluate_horner():
     s = PowerSeries([1, 2, 1])
-    assert s.evaluate(0.5) == pytest.approx(2.25)
+    assert s.evaluate(0.5) == pytest.approx(2.25, abs=0)
 
 
 @given(series_with_zero_constant())
