@@ -161,8 +161,7 @@ def cmd_heat(args) -> int:
     q = g.regularity()
     use_spectral = g.n_vertices <= heat_graph.DENSE_EIGEN_CAP
     rows = []
-    for t in ts:
-        series = heat_graph.heat_kernel_row(g, 0, t, args.tol).tolist()
+    for t, series in zip(ts, heat_graph.heat_kernel_rows(g, 0, ts, args.tol).tolist()):
         if use_spectral:
             spectral = heat_graph.heat_kernel_spectral_row(g, 0, t).tolist()
         for x, value in enumerate(series):

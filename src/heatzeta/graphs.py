@@ -20,7 +20,7 @@ three-term non-backtracking recursion run on integer arrays
 vertex, the identity gives every base vertex at once, and the traces give
 the loop totals behind N_k (the integer form of the Ihara-Bass identity).
 The same recursion with 2q for q+1 at k = 2 gives the heat coefficients
-b_m of ``heat_graph.b_coefficients``; ``heat_graph.heat_kernel_row`` runs it
+b_m of ``heat_graph.b_coefficients``; ``heat_graph.heat_kernel_rows`` runs it
 on floats through the same gather.  Arrays are int64 only while the
 bound proved in ``_int64_safe`` shows no entry can overflow, and
 dtype=object (Python ints) above it; every value leaves the engine as a
@@ -487,15 +487,20 @@ def enumerate_geodesics(g: Graph, x0: int, k: int) -> list[tuple[int, ...]]:
     return results
 
 
-def enumerate_closed_geodesics(g: Graph, x0: int, k: int) -> list[tuple[int, ...]]:
+def enumerate_closed_geodesics(
+    g: Graph, x0: int, k: int, walks: list[tuple[int, ...]] | None = None
+) -> list[tuple[int, ...]]:
     """Closed geodesics at x0 of length k: closed, no backtracking, no tail.
 
     The tail condition excludes sequences with y_0 = bar(y_{k-1}).  Length
-    zero yields the single empty sequence by convention.
+    zero yields the single empty sequence by convention.  walks, when given,
+    is enumerate_geodesics(g, x0, k), which a caller that already holds it
+    need not enumerate again.
     """
     if k == 0:
         return [()]
-    walks = enumerate_geodesics(g, x0, k)
+    if walks is None:
+        walks = enumerate_geodesics(g, x0, k)
     return [
         w
         for w in walks
@@ -571,16 +576,21 @@ def check_vertex_transitive(g: Graph) -> tuple[bool | None, dict[int, list[int]]
 
 
 def count_table(g: Graph, x0: int, K: int) -> CountTable:
-    """All counting tables for one base vertex in a single pass.
+    """All counting tables for one base vertex from one run of the counting engine.
+
+    The identity run gives both c_k(x) from x0 (column x0) and the loop
+    totals (the traces).
 
     N_k^0 is only meaningful for vertex-transitive graphs; it is reported
     unconditionally and it is the caller's business (or the transitivity
     check's) to decide whether to trust it.
     """
     q = g.regularity()
-    c = geodesic_counts_recursion(g, x0, K)
+    c, c_total = [], []
+    for mat in _geodesic_matrices(g, K):  # column x0 is c_k(x) from x0
+        c.append(mat[:, x0].tolist())
+        c_total.append(sum(mat.diagonal().tolist()))
     c0 = [row[x0] for row in c]
-    c_total = _geodesic_loop_totals(g, K)
     n_total = _closed_from_loops(c_total, q, base_zero=g.n_vertices)
     return CountTable(
         x0=x0,

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from heatzeta import graphs as G
+from heatzeta import heat_graph
 from heatzeta.bessel import bessel_i, building_block
 from heatzeta.heat_graph import (
     DENSE_EIGEN_CAP,
     b_coefficients,
     diagonal_tree_decomposition,
     heat_kernel_ode,
-    heat_kernel_row,
+    heat_kernel_rows,
     heat_kernel_series,
     heat_kernel_series_row,
     heat_kernel_spectral,
@@ -193,14 +194,14 @@ class TestBatchedRows:
     def test_rows_match_scalar_routes(self, g, data):
         x0 = data.draw(st.integers(0, g.n_vertices - 1))
         for t in (0.0, 0.1, 2.0, 20.0):
-            row = heat_kernel_row(g, x0, t)
+            row = heat_kernel_rows(g, x0, [t])[0]
             spectral_row = heat_kernel_spectral_row(g, x0, t)
             assert row.shape == spectral_row.shape == (g.n_vertices,)
             for x in range(g.n_vertices):
                 assert abs(row[x] - heat_kernel_series(g, x0, x, t)) <= 1e-13
                 assert abs(spectral_row[x] - heat_kernel_spectral(g, x0, x, t)) <= 1e-12
         indicator = [1.0 if x == x0 else 0.0 for x in range(g.n_vertices)]
-        assert heat_kernel_row(g, x0, 0.0).tolist() == indicator
+        assert heat_kernel_rows(g, x0, [0.0])[0].tolist() == indicator
 
     @given(g=regular_multigraphs(), data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -227,7 +228,7 @@ class TestBatchedRows:
         g = G.builtin_graph("petersen")
         with pytest.raises(OverflowError):
             heat_kernel_series_row(g, 0, 1000.0)
-        row = heat_kernel_row(g, 0, 1000.0)
+        row = heat_kernel_rows(g, 0, [1000.0])[0]
         assert np.abs(row - heat_kernel_spectral_row(g, 0, 1000.0)).max() <= 1e-12
         assert math.fsum(row) == pytest.approx(1.0, abs=1e-11)
 
@@ -236,8 +237,85 @@ class TestBatchedRows:
         # M = 512 there; the row matches the spectral one
         g = G.builtin_graph(name)
         assert series_truncation_order(2, 200.0, 1e-10) == 512
-        row = heat_kernel_row(g, 0, 200.0)
+        row = heat_kernel_rows(g, 0, [200.0])[0]
         assert np.abs(row - heat_kernel_spectral_row(g, 0, 200.0)).max() <= 1e-12
+
+
+# t = 0, small times, and t = 200, where every q >= 2 takes 2^-512 rescales (q = 4 seven)
+GRID = (0.0, 0.1, 2.0, 200.0)
+
+
+class TestGridRows:
+    @given(g=regular_multigraphs(), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_grid_rows_are_the_single_time_rows(self, g, data):
+        x0 = data.draw(st.integers(0, g.n_vertices - 1))
+        rows = heat_kernel_rows(g, x0, GRID)
+        assert rows.shape == (len(GRID), g.n_vertices)
+        for i, t in enumerate(GRID):
+            assert rows[i].tobytes() == heat_kernel_rows(g, x0, [t])[0].tobytes()
+
+    @given(g=regular_multigraphs())
+    @settings(max_examples=25, deadline=None)
+    def test_all_base_vertices_are_the_columns(self, g):
+        # the fixed rescale schedule makes every column the same float computation
+        block = heat_kernel_rows(g, None, GRID)
+        assert block.shape == (len(GRID), g.n_vertices, g.n_vertices)
+        for y in range(g.n_vertices):
+            assert block[:, :, y].tobytes() == heat_kernel_rows(g, y, GRID).tobytes()
+
+    @given(g=regular_multigraphs())
+    @settings(max_examples=25, deadline=None)
+    def test_series_oracle_of_all_base_vertices(self, g):
+        # t = 200 is left out: its exact b pass float range for q >= 3
+        q = g.regularity()
+        for t in (0.0, 0.1, 2.0, 20.0):
+            matrix = heat_kernel_series_row(g, None, t)
+            for y in range(g.n_vertices):
+                assert [row[y] for row in matrix] == heat_kernel_series_row(g, y, t)
+        M = series_truncation_order(q, 2.0, 1e-10)
+        b = b_coefficients(g, None, M)
+        for y in range(g.n_vertices):
+            assert [[row[y] for row in b_m] for b_m in b] == b_coefficients(g, y, M)
+
+    @given(g=regular_multigraphs(), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_long_grid_runs_in_passes(self, g, data):
+        x0 = data.draw(st.integers(0, g.n_vertices - 1))
+        grid = GRID + (0.1, 200.0)
+        orders = {t: series_truncation_order(g.regularity(), t, 1e-10) for t in grid}
+        cap = 2 * (orders[200.0] + 1)
+        expected = [heat_kernel_rows(g, x0, [t])[0].tobytes() for t in grid]
+        passes = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heat_graph, "_PASS_WEIGHTS", cap)
+            original = heat_graph._rows_pass
+            mp.setattr(
+                heat_graph, "_rows_pass", lambda *args: passes.append(args[3]) or original(*args)
+            )
+            rows = heat_kernel_rows(g, x0, grid)
+        assert len(passes) > 1
+        for ts in passes:
+            assert len(ts) * (max(orders[t] for t in ts) + 1) <= cap
+        assert [row.tobytes() for row in rows] == expected
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 6])
+def test_rescale_schedule_keeps_the_bound_in_range(q):
+    # beta_m = (q+1) q^{m-1} bounds |b_m|; the schedule keeps beta_m 2^{-512 r_m} in [1, 2^513]
+    scales = heat_graph._rescale_schedule(q, 3000).tolist()
+    assert scales[0] == 0
+    assert all(r - before in (0, 1) for before, r in zip(scales, scales[1:]))
+    beta = 1
+    for m, r in enumerate(scales):
+        assert 2 ** (512 * r) <= beta <= 2 ** (512 * r + 513)
+        beta = q + 1 if m == 0 else beta * q
+
+
+@pytest.mark.parametrize("name, t, rescales", [("petersen", 1000.0, 4), ("k4", 200.0, 1)])
+def test_rescales_fire_on_the_builtins(name, t, rescales):
+    q = G.builtin_graph(name).regularity()
+    assert heat_graph._rescale_schedule(q, series_truncation_order(q, t, 1e-10))[-1] == rescales
 
 
 @pytest.mark.parametrize("t", [math.inf, math.nan, -0.5])
@@ -245,7 +323,7 @@ class TestBatchedRows:
     "route",
     [
         lambda g, t: heat_kernel_series(g, 0, 1, t),
-        lambda g, t: heat_kernel_row(g, 0, t),
+        lambda g, t: heat_kernel_rows(g, 0, [t]),
         lambda g, t: heat_kernel_spectral(g, 0, 1, t),
         lambda g, t: heat_kernel_spectral_row(g, 0, t),
         lambda g, t: heat_kernel_ode(g, t),
@@ -266,8 +344,8 @@ def test_truncation_on_cycles_at_large_time(t):
     # sqrt(tau), far below 2t; the rows meet the tol they are asked for
     assert series_truncation_order(1, t, 1e-10) == {3000.0: 523, 60000.0: 2300}[t]
     c5 = G.builtin_graph("c5")
-    assert np.abs(heat_kernel_row(c5, 0, t) - 0.2).max() <= 1e-10
-    assert np.abs(heat_kernel_row(c5, 0, t, 1e-12) - 0.2).max() <= 1e-12
+    assert np.abs(heat_kernel_rows(c5, 0, [t]) - 0.2).max() <= 1e-10
+    assert np.abs(heat_kernel_rows(c5, 0, [t], 1e-12) - 0.2).max() <= 1e-12
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
@@ -399,7 +477,7 @@ class TestDiagonalTreeDecomposition:
         # N_m^0 passes float range from m = 1026 on k4, and t = 1000 needs M = 2062 there
         g = G.builtin_graph(name)
         value = diagonal_tree_decomposition(g, 0, t, tol)
-        assert abs(value - heat_kernel_row(g, 0, t, tol)[0]) <= tol
+        assert abs(value - heat_kernel_rows(g, 0, [t], tol)[0, 0]) <= tol
 
     @pytest.mark.parametrize("name,t", [("k4", 0.5), ("petersen", 1.0), ("cube", 0.7)])
     def test_matches_spectral_diagonal(self, name, t):

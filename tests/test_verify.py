@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from heatzeta import bessel, heat_graph, heat_tree, verify, zeta
+from heatzeta import bessel, graphs, heat_graph, heat_tree, verify, zeta
 
 
-ROUTES = ["heat_kernel_row", "heat_kernel_spectral_row", "heat_kernel_ode", "heat_kernel_series_row"]
+ROUTES = ["heat_kernel_rows", "heat_kernel_spectral_row", "heat_kernel_ode", "heat_kernel_series_row"]
 
 
 @pytest.mark.parametrize(
@@ -105,3 +105,13 @@ def test_half_line_checks_evaluate_few_nodes(monkeypatch, check, module, integra
     monkeypatch.setattr(module, integrand, counted)
     assert getattr(verify, check)().passed
     assert 0 < len(calls) <= ceiling
+
+
+def test_counting_check_enumerates_each_vertex_and_length_once(monkeypatch):
+    calls = []
+    original = graphs.enumerate_geodesics
+    monkeypatch.setattr(
+        graphs, "enumerate_geodesics", lambda g, x0, k: calls.append((x0, k)) or original(g, x0, k)
+    )
+    assert verify.check_counting_oracles(("petersen",)).passed
+    assert len(calls) == len(set(calls)) == 11 + 10 * 9
