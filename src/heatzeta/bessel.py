@@ -31,6 +31,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "QuadratureError",
     "bessel_i",
     "bessel_i_quadrature",
     "bessel_i_scaled",

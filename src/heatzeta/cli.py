@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from heatzeta import graphs, heat_graph, heat_tree, verify, zeta
+from heatzeta import bessel, graphs, heat_graph, heat_tree, verify, zeta
 from heatzeta.graphs import GraphError
 
 __all__ = ["main"]
@@ -99,7 +99,7 @@ def cmd_analyze(args) -> int:
         "q": q,
         "n": g.n_vertices,
         "vertex_transitive": verdict,
-        "a_k": [table.a[k][0] for k in range(args.order + 1)],
+        "a_k": table.a0,
         "c_k0": table.c0,
         "N_k0": table.n0,
         "N_k": table.n_total,
@@ -138,7 +138,7 @@ def cmd_heat(args) -> int:
                     cross = heat_tree.tree_heat_kernel_integrals(
                         q, t, radii, min(args.tol, 1e-10)
                     ).tolist()
-                except heat_tree.QuadratureError as exc:
+                except bessel.QuadratureError as exc:
                     print(
                         f"error: t = {t}, r = {exc.r}: integral cross-check failed ({exc.reason})",
                         file=sys.stderr,

@@ -14,17 +14,18 @@ Counting functions, all relative to a base vertex x0:
 * N_k: closed geodesics from any starting vertex, with direction,
 * pi_k: prime geodesic classes of length k.
 
-Routes.  Production counts on regular graphs come from one engine, the
-three-term non-backtracking recursion run on integer arrays
-(``_geodesic_matrices``): one indicator column gives c_k(x) for one base
-vertex, the identity gives every base vertex at once, and the traces give
-the loop totals behind N_k (the integer form of the Ihara-Bass identity).
-The same recursion with 2q for q+1 at k = 2 gives the heat coefficients
-b_m of ``heat_graph.b_coefficients``; ``heat_graph.heat_kernel_rows`` runs it
-on floats through the same gather.  Arrays are int64 only while the
-bound proved in ``_int64_safe`` shows no entry can overflow, and
-dtype=object (Python ints) above it; every value leaves the engine as a
-Python int, so results are exact at any length.
+Routes.  This module is the integer counting engine: the three-term
+non-backtracking recursion run on integer arrays (``_geodesic_matrices``)
+through one gather over the neighbour table (``_adjacency_gather``).  One
+indicator column gives c_k(x) for one base vertex, the identity gives every
+base vertex at once, and the traces give the loop totals behind N_k (the
+integer form of the Ihara-Bass identity).  ``count_table`` runs the identity
+once and, beside it, the gather on the indicator of x0 for the walks a_k.
+Arrays are int64 only while a proved bound (``_int64_safe``, and the walk
+bound at ``count_table``) shows no entry can overflow, and dtype=object
+(Python ints) above it; every value leaves the engine as a Python int, so
+results are exact at any length.  ``heat_graph`` builds the heat
+coefficients b_m from the engine's c_k by their definition.
 The edge-transfer recursion ``geodesic_counts`` and the depth-first
 enumerations are oracles: ``verify`` and the tests compare the engine
 against them, and no production path calls them.
@@ -54,7 +55,6 @@ __all__ = [
     "geodesic_counts",
     "geodesic_counts_recursion",
     "load_graph",
-    "path_counts",
     "prime_geodesic_counts",
 ]
 
@@ -115,17 +115,13 @@ class Graph:
 
 @dataclass
 class CountTable:
-    """Exact counting tables for one graph and base vertex, up to order K."""
+    """The exact counts analyze reports for one graph and base vertex x0, k = 0..K."""
 
-    x0: int
-    K: int
-    a: list[list[int]] = field(repr=False)  # a[k][x]
-    c: list[list[int]] = field(repr=False)  # c[k][x]
-    c0: list[int] = field(default_factory=list)  # c_k(x0)
-    n0: list[int] = field(default_factory=list)  # N_k^0 (transitive graphs)
-    c_total: list[int] | None = None
-    n_total: list[int] | None = None
-    primes: list[int] | None = None
+    a0: list[int]  # a_k(x0): closed walks at x0
+    c0: list[int]  # c_k(x0): geodesic loops at x0
+    n0: list[int]  # N_k^0 (transitive graphs)
+    n_total: list[int]  # N_k
+    primes: list[int]  # pi_k
 
 
 def _build_graph(n: int, undirected_edges: list[tuple[int, int]]) -> Graph:
@@ -247,20 +243,6 @@ def builtin_graph(name: str) -> Graph:
 # counting recursions
 
 
-def path_counts(g: Graph, x0: int, K: int) -> list[list[int]]:
-    """a_k(x): walks of length k from x0 to x, for k = 0..K.  Exact integers."""
-    cur = [0] * g.n_vertices
-    cur[x0] = 1
-    table = [cur]
-    for _ in range(K):
-        nxt = [0] * g.n_vertices
-        for e in range(g.n_edges):
-            nxt[g.terminus[e]] += cur[g.origin[e]]
-        table.append(nxt)
-        cur = nxt
-    return table
-
-
 def geodesic_counts(g: Graph, x0: int, K: int) -> list[list[int]]:
     """c_k(x) by the edge-transfer recursion, k = 0..K (oracle).
 
@@ -309,11 +291,7 @@ def _int64_safe(q: int, K: int) -> bool:
     gather A C_{k-1} = C_k + q C_{k-2} (C_2 + (q+1) C_0 at k = 2), whose
     entries are at most (q+1) q^{k-1} + (q+1) q^{k-2} = (q+1)^2 q^{k-2};
     its partial sums and q C_{k-2} are smaller.  Traces are summed as
-    Python ints, so no factor n enters.  For the signed heat coefficients,
-    |b_0| <= 1 and |b_m| <= (q+1) q^{m-1} (proved at
-    heat_graph.series_truncation_order, whose truncation weight it is),
-    so A b_{m-1} and its partial sums are at most (q+1)^2 q^{m-2} in absolute
-    value, and 2q |b_0| and q |b_{m-2}| are smaller: the same predicate holds.
+    Python ints, so no factor n enters.
     """
     return (q + 1) ** 2 * q ** max(K - 2, 0) < 2**63
 
@@ -331,26 +309,17 @@ def _adjacency_gather(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
     return apply_a
 
 
-def _geodesic_matrices(
-    g: Graph, K: int, x0: int | None = None, s2: int | None = None
-) -> Iterator[np.ndarray]:
+def _geodesic_matrices(g: Graph, K: int, x0: int | None = None) -> Iterator[np.ndarray]:
     """Yield C_0, ..., C_K of the three-term non-backtracking recursion.
 
-    C_0 = X, C_1 = A X, C_2 = A C_1 - s_2 X and C_k = A C_{k-1} - q C_{k-2},
+    C_0 = X, C_1 = A X, C_2 = A C_1 - (q+1) X and C_k = A C_{k-1} - q C_{k-2},
     where X = e_{x0} (C_k[x] = c_k(x)) or, when x0 is None, X = I
     (C_k[x, y] = c_k(x) from base vertex y).  In _adjacency_gather's table
     multi-edges and self-loops repeat, so the recursion holds on every
     (q+1)-regular graph of this module.
     The dtype is int64 where _int64_safe allows it and object otherwise.
-
-    s2 = q + 1 (the default) gives c_k; s2 = 2q gives the heat coefficients
-    b_m = c_m - (q-1) T_m, T_m = c_{m-2} + c_{m-4} + ...  By A c_0 = c_1,
-    A c_1 = c_2 + (q+1) c_0 and A c_m = c_{m+1} + q c_{m-1} (m >= 2),
-    b_2 = c_2 - (q-1) c_0 = A b_1 - 2q b_0.  For m >= 3, A c_i summed over
-    the terms of T_{m-1} is T_m + q T_{m-2}, so A b_{m-1} = b_m + q b_{m-2}.
     """
     q = g.regularity()
-    s2 = q + 1 if s2 is None else s2
     n = g.n_vertices
     dtype = np.int64 if _int64_safe(q, K) else object
     apply_a = _adjacency_gather(g)
@@ -365,7 +334,7 @@ def _geodesic_matrices(
     for k in range(1, K + 1):
         nxt = apply_a(cur)
         if k >= 2:
-            nxt -= (s2 if k == 2 else q) * prev
+            nxt -= (q + 1 if k == 2 else q) * prev
         prev, cur = cur, nxt
         yield cur
 
@@ -377,11 +346,6 @@ def geodesic_counts_recursion(g: Graph, x0: int, K: int) -> list[list[int]]:
     c_2 = A c_1 - (q+1) c_0 and c_{k+1} = A c_k - q c_{k-1} for k >= 2.
     """
     return [c.tolist() for c in _geodesic_matrices(g, K, x0)]
-
-
-def _geodesic_loop_totals(g: Graph, K: int) -> list[int]:
-    """sum over base vertices of c_k^0, k = 0..K, as tr C_k with X = I."""
-    return [sum(c.diagonal().tolist()) for c in _geodesic_matrices(g, K)]
 
 
 def closed_geodesics_at_vertex(g: Graph, x0: int, K: int) -> list[int]:
@@ -409,7 +373,8 @@ def closed_geodesics_total(g: Graph, K: int) -> list[int]:
     the same alternating-tail recursion; N_0 is set to the vertex count by
     the zero-path convention but never enters a zeta coefficient.
     """
-    return _closed_from_loops(_geodesic_loop_totals(g, K), g.regularity(), g.n_vertices)
+    c_total = [sum(c.diagonal().tolist()) for c in _geodesic_matrices(g, K)]
+    return _closed_from_loops(c_total, g.regularity(), g.n_vertices)
 
 
 def mobius(m: int) -> int:
@@ -576,30 +541,34 @@ def check_vertex_transitive(g: Graph) -> tuple[bool | None, dict[int, list[int]]
 
 
 def count_table(g: Graph, x0: int, K: int) -> CountTable:
-    """All counting tables for one base vertex from one run of the counting engine.
+    """The counts of analyze for one base vertex from one run of the counting engine.
 
-    The identity run gives both c_k(x) from x0 (column x0) and the loop
-    totals (the traces).
+    The identity run gives c_k(x0) (entry (x0, x0)) and the loop totals (the
+    traces); beside it the gather carries the walk vector A^k e_{x0}.  The
+    walks of length k from x0 number (q+1)^k, which bounds every entry and
+    partial sum of that vector, so it is int64 while (q+1)^K < 2^63 and
+    dtype=object above.
 
     N_k^0 is only meaningful for vertex-transitive graphs; it is reported
     unconditionally and it is the caller's business (or the transitivity
     check's) to decide whether to trust it.
     """
     q = g.regularity()
-    c, c_total = [], []
-    for mat in _geodesic_matrices(g, K):  # column x0 is c_k(x) from x0
-        c.append(mat[:, x0].tolist())
+    apply_a = _adjacency_gather(g)
+    walks = np.zeros(g.n_vertices, np.int64 if (q + 1) ** K < 2**63 else object)
+    walks[x0] = 1
+    a0, c0, c_total = [], [], []
+    for k, mat in enumerate(_geodesic_matrices(g, K)):
+        if k:
+            walks = apply_a(walks)
+        a0.append(int(walks[x0]))
+        c0.append(int(mat[x0, x0]))
         c_total.append(sum(mat.diagonal().tolist()))
-    c0 = [row[x0] for row in c]
     n_total = _closed_from_loops(c_total, q, base_zero=g.n_vertices)
     return CountTable(
-        x0=x0,
-        K=K,
-        a=path_counts(g, x0, K),
-        c=c,
+        a0=a0,
         c0=c0,
         n0=_closed_from_loops(c0, q, base_zero=1),
-        c_total=c_total,
         n_total=n_total,
         primes=prime_geodesic_counts(n_total, K),
     )

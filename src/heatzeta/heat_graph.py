@@ -6,11 +6,11 @@
 3. the propagator e^{-Lt} of dK/dt = -Laplacian K (oracle only).
 
 The production route, heat_kernel_rows, streams the series in float64 for a
-whole grid of times, one base vertex or all of them: the b_m recursion of the
-counting engine, which depends on neither t nor x0, runs once per grid on
-rescaled float arrays, against weights built ahead from one vector of
-bessel.log_building_blocks per t.  Every series route, the diagonal
-decomposition included, stops at series_truncation_order:
+whole grid of times, one base vertex or all of them: its own three-term
+recursion for b_m, which depends on neither t nor x0, runs once per grid on
+rescaled float arrays through the gather of graphs, against weights built
+ahead from one vector of bessel.log_building_blocks per t.  Every series
+route, the diagonal decomposition included, stops at series_truncation_order:
 bessel.certified_truncation with the coefficient bound |b_m(x)| <= (q+1) q^{m-1}
 as weight.  heat_kernel_spectral_row is the one spectral route;
 heat_kernel_spectral is one entry of it.  The independent oracles that
@@ -23,10 +23,11 @@ The diagonal of the series collapses, on vertex-transitive graphs, to the
 tree heat kernel plus a closed-geodesic correction; that identity is
 exposed as diagonal_tree_decomposition.
 
-The exact b_m rows come from the counting engine of graphs on every call,
-with no cache.  spectral_data keeps its cache: the benchmark reads its
-cache_info(), and verify's G-transform check integrates heat_kernel_spectral
-at hundreds of quadrature nodes per graph.
+b_coefficients builds the exact b_m by their definition from the counting
+engine's c_m on every call, with no cache, so the series oracle shares no
+recursion with heat_kernel_rows.  spectral_data keeps its cache: the
+benchmark reads its cache_info(), and verify's G-transform check integrates
+heat_kernel_spectral at hundreds of quadrature nodes per graph.
 """
 
 from __future__ import annotations
@@ -113,12 +114,19 @@ def b_coefficients(g: Graph, x0: int | None, M: int) -> list[list]:
 
     The alternating tail ends at c_1(x) for odd m and c_0(x) for even m;
     b_0 = c_0 and b_1 = c_1.  Entries are exact integers and may be
-    negative.  Computed by the counting engine with b_2 = A b_1 - 2q b_0 and
-    b_m = A b_{m-1} - q b_{m-2} (derived at graphs._geodesic_matrices).
-    Row m is [b_m(x) for x] from base vertex x0, or for x0 = None the
-    matrix [[b_m(x) from base vertex y for y] for x].
+    negative.  Built by that definition from the counting engine's c_m, in
+    its dtype: a stored tail c_m + c_{m-2} + ... is at most q^{m+1}/(q-1) + 1
+    (m + 1 for q = 1), and (q-1) times the tail of b_m and |b_m| are at most
+    (q+1) q^{m-1} (series_truncation_order), none above the (q+1)^2 q^{m-2}
+    of graphs._int64_safe.  Row m is [b_m(x) for x] from base vertex x0, or
+    for x0 = None the matrix [[b_m(x) from base vertex y for y] for x].
     """
-    return [b.tolist() for b in _geodesic_matrices(g, M, x0, s2=2 * g.regularity())]
+    q = g.regularity()
+    rows, tails = [], [0, 0]  # tails[m % 2] = c_{m-2} + c_{m-4} + ...
+    for m, c in enumerate(_geodesic_matrices(g, M, x0)):
+        rows.append((c - (q - 1) * tails[m % 2]).tolist())
+        tails[m % 2] += c
+    return rows
 
 
 def series_truncation_order(q: int, t: float, tol: float) -> int:
@@ -236,7 +244,18 @@ def heat_kernel_rows(
 
 
 def _rows_pass(g: Graph, q: int, x0: int | None, ts: list[float], orders: list[int]) -> np.ndarray:
-    """One recursion to max(orders) against weights built ahead: heat_kernel_rows of ts."""
+    """One recursion to max(orders) against weights built ahead: heat_kernel_rows of ts.
+
+    The recursion is b_1 = A b_0, b_2 = A b_1 - 2q b_0, b_m = A b_{m-1} - q b_{m-2}.
+    By A c_0 = c_1, A c_1 = c_2 + (q+1) c_0 and A c_m = c_{m+1} + q c_{m-1}
+    (m >= 2, graphs._geodesic_matrices), b_2 = c_2 - (q-1) c_0 = A b_1 - 2q b_0;
+    for m >= 3, A c_i summed over the terms of T_{m-1} = c_{m-3} + c_{m-5} + ...
+    is T_m + q T_{m-2}, so A b_{m-1} = b_m + q b_{m-2}.  As |b_0| <= 1 and
+    |b_m| <= (q+1) q^{m-1} (series_truncation_order), A b_{m-1} and its partial
+    sums are at most (q+1)^2 q^{m-2} in absolute value, and 2q |b_0| and
+    q |b_{m-2}| are smaller: while that is below 2^53 and no rescale has
+    fired, every array entry is the exact integer b_m(x).
+    """
     top = max(orders)
     columns = []  # log_building_blocks refuses a t before anything of its size is allocated
     for t, M in zip(ts, orders):

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from heatzeta.bessel import (
-    QuadratureError,
     _check_time,
     _check_tol,
     _nested_trapezoid,
@@ -39,7 +38,6 @@ from heatzeta.bessel import (
 )
 
 __all__ = [
-    "QuadratureError",
     "TreeHeatValue",
     "horocycle_solution",
     "tree_heat_kernel",
@@ -131,7 +129,7 @@ def tree_heat_kernel_integrals(q: int, t: float, radii, tol: float = 1e-10) -> n
     even, 2 pi-periodic, analytic in |Im u| < ln(q)/2 and 0 at 0 and pi, so
     bessel._nested_trapezoid converges geometrically (Trefethen and Weideman,
     SIAM Review 2014) from max r + 4 sqrt(tau + 1) + 8 nodes, tau = 2 sqrt(q) t,
-    which resolve the peak of e^{tau(cos u - 1)}; QuadratureError names the
+    which resolve the peak of e^{tau(cos u - 1)}; bessel.QuadratureError names the
     first r that misses the guard max(tol, 10 tol |value|).  q = 1, where the
     denominators degenerate, is refused: the series serves it.
     """

@@ -4,7 +4,9 @@ Each function named in a module's ``__all__`` and defined in that module
 (the selection ``perfbench/tracer.py`` traces) is wrapped and rebound in
 every ``heatzeta.*`` namespace that holds it.  Full ``verify`` and one op of
 each other subcommand must then call every one, so an export that nothing
-runs fails here.
+runs fails here.  The other way round, the production subcommands must run
+with every oracle patched to raise, and every name a module exports must be
+defined in that module.
 """
 
 import ast
@@ -41,6 +43,19 @@ def _exports() -> dict:
     return found
 
 
+def _patch_everywhere(monkeypatch, fn, replacement) -> None:
+    """Rebind fn to replacement in every heatzeta.* namespace that holds it."""
+    namespaces = [
+        module
+        for name, module in sys.modules.items()
+        if name == "heatzeta" or name.startswith("heatzeta.")
+    ]
+    for namespace in namespaces:
+        for attr, value in list(vars(namespace).items()):
+            if value is fn:
+                monkeypatch.setattr(namespace, attr, replacement)
+
+
 def _recording(fn, name: str, called: set):
     def wrapper(*args, **kwargs):
         called.add(name)
@@ -52,17 +67,8 @@ def _recording(fn, name: str, called: set):
 def test_every_export_is_called(monkeypatch, capsys, tmp_path):
     exports = _exports()
     called: set = set()
-    namespaces = [
-        module
-        for name, module in sys.modules.items()
-        if name == "heatzeta" or name.startswith("heatzeta.")
-    ]
     for name, fn in exports.items():
-        wrapper = _recording(fn, name, called)
-        for namespace in namespaces:
-            for attr, value in list(vars(namespace).items()):
-                if value is fn:
-                    monkeypatch.setattr(namespace, attr, wrapper)
+        _patch_everywhere(monkeypatch, fn, _recording(fn, name, called))
     path = tmp_path / "k4.txt"
     path.write_text(K4_EDGES)
     for argv in (
@@ -75,6 +81,69 @@ def test_every_export_is_called(monkeypatch, capsys, tmp_path):
     capsys.readouterr()
     assert "heat_graph.heat_kernel_series" in exports
     assert sorted(set(exports) - EXEMPT - called) == []
+
+
+# the slow independent routes that only verify and the tests may run
+ORACLES = (
+    "graphs.geodesic_counts",
+    "graphs.enumerate_geodesics",
+    "graphs.enumerate_closed_geodesics",
+    "heat_graph.heat_kernel_series_row",
+    "heat_graph.heat_kernel_series",
+    "heat_graph.heat_kernel_ode",
+    "bessel.bessel_i",
+    "bessel.bessel_i_quadrature",
+    "bessel.building_block",
+    "bessel.building_block_time_derivatives",
+)
+
+
+def _refusing(name: str):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"production path called the oracle {name}")
+
+    return refuse
+
+
+def test_production_commands_call_no_oracle(monkeypatch, capsys):
+    commands = [
+        [command, "--graph", graph, *options]
+        for graph in ("k4", "petersen", "cube", "k33", "c5")
+        for command, options in (
+            ("analyze", ["--order", "12"]),
+            ("zeta", ["--order", "12"]),
+            ("heat", ["--t", "0.1,1,20,200"]),
+        )
+    ]
+    commands += [
+        ["heat", "--graph", "tree", "--q", q, "--order", "12", "--t", "0.1,1,5"] for q in "234"
+    ]
+    expected = []
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+        expected.append(capsys.readouterr())
+    exports = _exports()
+    for name in ORACLES:
+        _patch_everywhere(monkeypatch, exports[name], _refusing(name))
+    for argv, before in zip(commands, expected):
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr() == before, argv
+
+
+def test_every_public_name_is_defined_in_its_module():
+    # one place per name: a module lists in __all__ only what it defines itself
+    found = []
+    for short in MODULES:
+        module = importlib.import_module(f"heatzeta.{short}")
+        defined = set()
+        for node in ast.parse(Path(module.__file__).read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        found += [f"{short}.{name}" for name in module.__all__ if name not in defined]
+    assert found == []
 
 
 def test_no_module_imports_scipy():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -135,30 +136,59 @@ class TestLoadGraphInput:
         assert isinstance(g, G.Graph)
 
 
+def adjacency_power_walks(g, x0, K):
+    """a_k(x0), k = 0..K, by multiplying out adjacency powers on Python ints."""
+    adj = g.adjacency_counts()
+    cur, walks = {x0: 1}, [1]
+    for _ in range(K):
+        nxt = {}
+        for u, mult in cur.items():
+            for v, m2 in adj[u].items():
+                nxt[v] = nxt.get(v, 0) + mult * m2
+        cur = nxt
+        walks.append(cur.get(x0, 0))
+    return walks
+
+
 class TestPathCounts:
+    """The walks a_k(x0) of count_table against adjacency powers."""
+
     def test_k4_two_step_return(self):
-        assert G.path_counts(G.builtin_graph("k4"), 0, 2)[2][0] == 3
+        assert G.count_table(G.builtin_graph("k4"), 0, 2).a0[2] == 3
 
     def test_c5_two_step_return(self):
-        assert G.path_counts(G.builtin_graph("c5"), 0, 2)[2][0] == 2
+        assert G.count_table(G.builtin_graph("c5"), 0, 2).a0[2] == 2
 
     def test_length_zero_is_indicator(self):
         g = G.builtin_graph("petersen")
-        assert G.path_counts(g, 3, 0)[0] == [0] * 3 + [1] + [0] * 6
+        assert G.count_table(g, 3, 0).a0 == [1]
+        assert G.count_table(g, 3, 1).a0 == [1, 0]
 
     @pytest.mark.parametrize("name", ["k4", "c5", "petersen", "cube", "k33"])
     def test_matches_adjacency_powers(self, name):
         g = G.builtin_graph(name)
-        adj = g.adjacency_counts()
-        cur = {0: 1}
-        for k in range(1, 6):
-            nxt = {}
-            for u, mult in cur.items():
-                for v, m2 in adj[u].items():
-                    nxt[v] = nxt.get(v, 0) + mult * m2
-            cur = nxt
-            table = G.path_counts(g, 0, k)[k]
-            assert table == [cur.get(x, 0) for x in range(g.n_vertices)]
+        for x0 in range(g.n_vertices):
+            assert G.count_table(g, x0, 12).a0 == adjacency_power_walks(g, x0, 12)
+
+    @given(g=regular_multigraphs(), K=st.integers(0, 12), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_multigraphs_match_matrix_powers(self, g, K, data):
+        x0 = data.draw(st.integers(0, g.n_vertices - 1))
+        adj = np.zeros((g.n_vertices, g.n_vertices), np.int64)
+        np.add.at(adj, (g.origin, g.terminus), 1)
+        expected = [int(np.linalg.matrix_power(adj, k)[x0, x0]) for k in range(K + 1)]
+        assert G.count_table(g, x0, K).a0 == expected
+
+    # the walk vector is int64 while (q+1)^K < 2^63: up to K = 39 on k4
+    # (q = 2) and K = 31 on k5 (q = 3); int64 would wrap by K = 60
+    @pytest.mark.parametrize(
+        "n, K", [(4, 31), (4, 32), (4, 39), (4, 40), (4, 60), (5, 31), (5, 32), (5, 60)]
+    )
+    def test_int64_object_boundary(self, n, K):
+        g = G.load_graph("\n".join(f"{u} {v}" for u in range(n) for v in range(u + 1, n)))
+        a0 = G.count_table(g, 0, K).a0
+        assert a0 == adjacency_power_walks(g, 0, K)
+        assert all_python_ints(a0)
 
 
 class TestGeodesicCounts:
@@ -228,7 +258,6 @@ class TestCountingEngine:
     def test_loop_totals_and_closed_totals_match_oracle(self, g, K):
         q = g.regularity()
         totals = oracle_loop_totals(g, K)
-        assert G._geodesic_loop_totals(g, K) == totals
         n_total = G.closed_geodesics_total(g, K)
         assert n_total == G._closed_from_loops(totals, q, base_zero=g.n_vertices)
         assert all_python_ints(n_total)
@@ -245,15 +274,13 @@ class TestCountingEngine:
         totals = oracle_loop_totals(g, K)
         n_total = G._closed_from_loops(totals, q, base_zero=g.n_vertices)
         table = G.count_table(g, 0, K)
-        assert table.a == G.path_counts(g, 0, K)
-        assert table.c == c
+        assert table.a0 == adjacency_power_walks(g, 0, K)
         assert table.c0 == c0
         assert table.n0 == G._closed_from_loops(c0, q, base_zero=1)
         assert table.n0 == G.closed_geodesics_at_vertex(g, 0, K)
-        assert table.c_total == totals
         assert table.n_total == n_total
         assert table.primes == G.prime_geodesic_counts(n_total, K)
-        assert all_python_ints(table.c_total + table.n_total + table.n0 + table.primes)
+        assert all_python_ints(table.a0 + table.c0 + table.n_total + table.n0 + table.primes)
 
     @given(g=regular_multigraphs(), K=st.integers(0, 12))
     @settings(max_examples=100, deadline=None)
@@ -274,7 +301,7 @@ class TestCountingEngine:
         n_total = G._closed_from_loops(totals, g.regularity(), base_zero=g.n_vertices)
         assert G.closed_geodesics_total(g, K) == n_total
         table = G.count_table(g, 0, K)
-        assert table.c_total == totals and table.n_total == n_total
+        assert table.n_total == n_total
         for k in range(1, 7):
             dfs = sum(len(G.enumerate_closed_geodesics(g, v, k)) for v in range(g.n_vertices))
             assert n_total[k] == dfs
@@ -472,7 +499,10 @@ class TestCountTable:
         assert table.n0[0] == 1
         assert table.n_total[3] == 24
         assert table.primes[3] == 8
-        assert table.a[2][0] == 3
+        assert table.a0[2] == 3
+        # exactly the five lists analyze prints
+        fields = [f.name for f in dataclasses.fields(table)]
+        assert fields == ["a0", "c0", "n0", "n_total", "primes"]
         # conventions: c_0^0 = N_0^0 = 1, c_1^0 = N_1^0, c_2^0 = N_2^0
         assert table.n0[1] == table.c0[1]
         assert table.n0[2] == table.c0[2]

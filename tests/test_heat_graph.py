@@ -144,7 +144,7 @@ class TestBCoefficients:
         k5 = G.load_graph("\n".join(f"{u} {v}" for u in range(5) for v in range(u + 1, 5)))
         assert k5.regularity() == 3
         for M, dtype in ((39, np.int64), (40, object), (45, object)):
-            assert all(b.dtype == dtype for b in G._geodesic_matrices(k5, M, 0, s2=6))
+            assert all(b.dtype == dtype for b in G._geodesic_matrices(k5, M, 0))
             rows = b_coefficients(k5, 0, M)
             assert rows == definition_rows(G.geodesic_counts(k5, 0, M), 3)
             assert all(type(v) is int for row in rows for v in row)
@@ -263,6 +263,28 @@ class TestGridRows:
         assert block.shape == (len(GRID), g.n_vertices, g.n_vertices)
         for y in range(g.n_vertices):
             assert block[:, :, y].tobytes() == heat_kernel_rows(g, y, GRID).tobytes()
+
+    @given(g=regular_multigraphs(), m=st.integers(0, 20), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_rows_run_the_b_recursion_exactly(self, g, m, data):
+        # weight 1 at order m and 0 at every other: the rows are b_m, exactly,
+        # as up to order 20 the entries stay below 2^53 and no rescale fires
+        q = g.regularity()
+        M = series_truncation_order(q, 2.0, 1e-10)
+        assert M >= 20 and heat_graph._rescale_schedule(q, 20).max() == 0
+
+        def one_block(q, M, t):
+            exponents = np.full(M + 1, -np.inf)
+            exponents[m] = 0.0
+            return exponents
+
+        x0 = data.draw(st.integers(0, g.n_vertices - 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heat_graph, "log_building_blocks", one_block)
+            row = heat_kernel_rows(g, x0, [2.0])[0]
+            block = heat_kernel_rows(g, None, [2.0])[0]
+        assert row.tolist() == b_coefficients(g, x0, M)[m]
+        assert block.tolist() == b_coefficients(g, None, M)[m]
 
     @given(g=regular_multigraphs())
     @settings(max_examples=25, deadline=None)
@@ -440,13 +462,18 @@ class TestGlobalProperties:
         g = G.builtin_graph(name)
         q = g.regularity()
         sd = spectral_data(g)
-        a = G.path_counts(g, 0, 8)
-        for n in range(9):
-            moments = sd.eigenvectors @ (
-                ((q + 1.0) - sd.eigenvalues) ** n * sd.eigenvectors[0, :]
-            )
-            for x in range(g.n_vertices):
-                assert moments[x] == pytest.approx(a[n][x], rel=1e-10, abs=1e-8)
+        adj = np.zeros((g.n_vertices, g.n_vertices), np.int64)
+        np.add.at(adj, (g.origin, g.terminus), 1)
+        for x0 in range(g.n_vertices):
+            a0 = G.count_table(g, x0, 8).a0
+            for n in range(9):
+                moments = sd.eigenvectors @ (
+                    ((q + 1.0) - sd.eigenvalues) ** n * sd.eigenvectors[x0, :]
+                )
+                a = np.linalg.matrix_power(adj, n)[x0]
+                assert a[x0] == a0[n]
+                for x in range(g.n_vertices):
+                    assert moments[x] == pytest.approx(a[x], rel=1e-10, abs=1e-8)
 
 
 class TestDiagonalTreeDecomposition:
