@@ -13,7 +13,7 @@ any t with no switch of route.  A uniform bound
 
     sqrt(t) e^{-t} I_n(t) <= (1 + n/t)^{-n/2}
 
-in log form, _log_bessel_bound, gives bessel_upper_bound and log_block_bound;
+in log form gives log_block_bound, the one bound on a building block;
 certified_truncation turns it into the one truncation rule of every
 building-block series in the package, whatever its weights.
 
@@ -35,7 +35,6 @@ __all__ = [
     "bessel_i",
     "bessel_i_quadrature",
     "bessel_i_scaled",
-    "bessel_upper_bound",
     "building_block",
     "building_block_time_derivatives",
     "certified_truncation",
@@ -207,22 +206,6 @@ def _nested_trapezoid(integrand, rows: np.ndarray, scale, tol: float, start: flo
             )
 
 
-def _log_bessel_bound(order: int, tau: float, offset: float = 0.0) -> float:
-    """offset + ln of the module docstring's uniform bound on e^{-tau} I_order(tau).
-
-    offset comes first, so that a caller's prefix keeps its left-to-right sum.
-    """
-    return offset - 0.5 * math.log(tau) - 0.5 * order * math.log1p(order / tau)
-
-
-def bessel_upper_bound(order: int, t: float) -> float:
-    """Upper bound on the scaled value: e^{-t} I_order(t) <= this, from _log_bessel_bound."""
-    _check_order_arg(order, t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return math.exp(_log_bessel_bound(order, t))
-
-
 def building_block(q: int, r: int, t: float) -> float:
     """The radial building block q^{-r/2} e^{-(q+1)t} I_r(2 sqrt(q) t).
 
@@ -313,11 +296,17 @@ def building_block_time_derivatives(q: int, M: int, t: float) -> list[float]:
 def log_block_bound(q: int, m: int, t: float) -> float:
     """ln of a bound on building_block(q, m, t), t > 0, in float range for every m.
 
-    -(m/2) ln q - (sqrt(q)-1)^2 t + _log_bessel_bound(m, tau), tau = 2 sqrt(q) t:
-    it falls in m and is concave in m, as m ln(1 + m/tau) is convex.
+    -(m/2) ln q - (sqrt(q)-1)^2 t plus the log of the module docstring's
+    uniform bound on e^{-tau} I_m(tau), tau = 2 sqrt(q) t: it falls in m and
+    is concave in m, as m ln(1 + m/tau) is convex.
     """
-    offset = -0.5 * m * math.log(q) - (math.sqrt(q) - 1.0) ** 2 * t
-    return _log_bessel_bound(m, 2.0 * math.sqrt(q) * t, offset)
+    tau = 2.0 * math.sqrt(q) * t
+    return (
+        -0.5 * m * math.log(q)
+        - (math.sqrt(q) - 1.0) ** 2 * t
+        - 0.5 * math.log(tau)
+        - 0.5 * m * math.log1p(m / tau)
+    )
 
 
 def certified_truncation(

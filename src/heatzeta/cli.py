@@ -199,48 +199,14 @@ def _emit_heat(args, name: str, q: int, rows: list[dict]) -> int:
     return EXIT_OK
 
 
-# c of the float determinant route's rounding bound (see _determinant_order_limit)
-_DETERMINANT_ROUNDING = 8
-
-
-def _determinant_order_limit(n: int, q: int, M: int) -> int | None:
-    """First order m <= M at which c eps n m (q^m + m q^{m/2}), the rounding bound
-    of m det_m, reaches 1/2, so that the float route no longer pins N_m; or None.
-
-    zeta.ihara_determinant_series sums n power sums s_m = beta^m + beta'^m,
-    beta beta' = q, |alpha| = |beta + beta'| <= q + 1, so |beta|, |beta'| <= q,
-    by s_m = alpha s_{m-1} - q s_{m-2}.  An error entering at step k reaches m
-    times U_{m-k} = sum_{i<=m-k} beta^i beta'^{m-k-i}, and ds_m/dalpha = m U_{m-1}:
-    |U_j| is about q^j for real roots far apart (alpha = -(q+1), bipartite) and
-    (j+1) q^{j/2} where they meet (alpha = -2 sqrt(q), an even cycle's
-    eigenvalue 4).  eigh's eigenvalue errors of a few eps and each step's
-    rounding of eps/2 (q+1) q^{k-1} so add up to a few eps m (q^m + m q^{m/2})
-    per power sum.  Worst-case alignment would make c a few tens; c = 8 is
-    five times the largest measured ratio to eps n m (q^m + m q^{m/2}): 1.5
-    (c8, m = 1) on c3-c20 to order 2000 and k4, petersen, cube, k33 to 60,
-    0.83 on seeded random 3-, 4- and 6-regular graphs.  Against eps n m q^m
-    alone the even cycles reach 250-1000.
-    """
-
-    def bound(m: int) -> float:  # increasing in m: the search stops before q^m leaves float range
-        return _DETERMINANT_ROUNDING * sys.float_info.epsilon * n * m * (q**m + m * q ** (m / 2))
-
-    return next((m for m in range(1, M + 1) if bound(m) >= 0.5), None)
-
-
 def cmd_zeta(args) -> int:
     g = _resolve_graph(args)
     q = g.regularity()
     M = args.order
-    limit = _determinant_order_limit(g.n_vertices, q, M)
-    if limit is not None:
-        raise GraphError(
-            f"--order {M}: from order {limit} the float determinant route's rounding bound "
-            f"{_DETERMINANT_ROUNDING} eps n m (q^m + m q^(m/2)) reaches 1/2, so it cannot "
-            f"resolve N_m; use --order {limit - 1} or less"
-        )
-    n_total = graphs.closed_geodesics_total(g, M)
+    # first: the determinant route refuses orders it cannot resolve and graphs
+    # past the dense eigen-solve cap, so no refusal waits on the counting
     det_series = zeta.ihara_determinant_series(g, M)
+    n_total = graphs.closed_geodesics_total(g, M)
     primes = graphs.prime_geodesic_counts(n_total, M)
     log_series = zeta.zeta_log_series_from_counts(n_total, M)
     max_disc = max(abs(m * float(det_series[m]) - n_total[m]) for m in range(1, M + 1))

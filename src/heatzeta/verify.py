@@ -42,18 +42,20 @@ def check_bessel_agreement() -> CheckResult:
 
 
 def check_bessel_bound_and_monotonicity() -> CheckResult:
+    """e^{-t} I_order(t) against the uniform bound certified_truncation reads:
+    the block bound at q = 1 and t/2, where tau = t and both prefactors are 1."""
     worst = 0.0
     for order in range(21):
         for t in (0.01, 0.1, 1.0, 5.0, 20.0):
             scaled = math.exp(-t) * bessel.bessel_i(order, t)
-            bound = bessel.bessel_upper_bound(order, t)
+            bound = math.exp(bessel.log_block_bound(1, order, t / 2))
             worst = max(worst, scaled - bound)
             nxt = bessel.bessel_i(order + 1, t)
             worst = max(worst, nxt - bessel.bessel_i(order, t))
     return CheckResult("bessel uniform bound and order monotonicity", worst, 0.0)
 
 
-def check_tree_formula_agreement(qs: Iterable[int] = (2, 3, 4)) -> CheckResult:
+def check_tree_formula_agreement(qs: Iterable[int]) -> CheckResult:
     worst = 0.0
     for q in qs:
         for t in (0.1, 0.5, 1.0, 2.0, 5.0):
@@ -67,7 +69,7 @@ def check_tree_formula_agreement(qs: Iterable[int] = (2, 3, 4)) -> CheckResult:
     return CheckResult("tree heat kernel series vs integral", worst, 1e-8)
 
 
-def check_tree_heat_equation(qs: Iterable[int] = (2, 3, 4)) -> CheckResult:
+def check_tree_heat_equation(qs: Iterable[int]) -> CheckResult:
     worst = 0.0
     for q in qs:
         for t in (0.1, 0.5, 1.0, 2.0, 5.0):
@@ -82,7 +84,7 @@ def check_tree_heat_equation(qs: Iterable[int] = (2, 3, 4)) -> CheckResult:
     return CheckResult("tree heat equation residual", worst, 1e-8)
 
 
-def check_horocycle_transform(qs: Iterable[int] = (2, 3, 4)) -> CheckResult:
+def check_horocycle_transform(qs: Iterable[int]) -> CheckResult:
     """Tree kernel summed over the horocycle at height n = -3..3 vs horocycle_solution.
 
     As 0 <= K <= the building block, the sums at heights r and -r stop where
@@ -106,12 +108,13 @@ def check_horocycle_transform(qs: Iterable[int] = (2, 3, 4)) -> CheckResult:
     return CheckResult("horocyclic transform of the tree heat kernel", worst, 1e-9)
 
 
-def check_tree_mass(q: int = 2) -> CheckResult:
-    """Sum of K(t, r) over the spheres, against 1.
+def check_tree_mass() -> CheckResult:
+    """Sum of K(t, r) over the spheres of the 3-regular tree, against 1.
 
     As 0 <= K <= the building block, the radii past series_truncation_order,
     whose weight (q+1) q^{r-1} is the sphere size, hold less than 1e-10.
     """
+    q = 2
     worst = 0.0
     for t in (0.1, 0.5, 1.0, 2.0):
         radius = heat_graph.series_truncation_order(q, t, 1e-10)
@@ -121,8 +124,9 @@ def check_tree_mass(q: int = 2) -> CheckResult:
     return CheckResult("tree heat kernel mass conservation", worst, 1e-6)
 
 
-def check_counting_oracles(names: Iterable[str] = FINITE_BUILTINS, k_max: int = 10) -> CheckResult:
-    """Recursion counts must equal brute-force enumeration, exactly."""
+def check_counting_oracles(names: Iterable[str]) -> CheckResult:
+    """Recursion counts must equal brute-force enumeration, exactly, to length 10."""
+    k_max = 10
     worst = 0
     for name in names:
         g = graphs.builtin_graph(name)
@@ -157,7 +161,7 @@ def check_counting_oracles(names: Iterable[str] = FINITE_BUILTINS, k_max: int = 
     return CheckResult("counting recursions vs enumeration", float(worst), 0.0)
 
 
-def check_three_way_heat(names: Iterable[str] = FINITE_BUILTINS) -> CheckResult:
+def check_three_way_heat(names: Iterable[str]) -> CheckResult:
     """Scalar series oracle vs spectral, batched rows and ODE at every (x0, x, t).
 
     One production pass per graph gives every (t, x0) row; one oracle
@@ -182,7 +186,7 @@ def check_three_way_heat(names: Iterable[str] = FINITE_BUILTINS) -> CheckResult:
     return CheckResult("heat kernel series vs spectral vs ODE", worst, 1e-7)
 
 
-def check_diagonal_decomposition(names: Iterable[str] = ("k4", "petersen", "cube")) -> CheckResult:
+def check_diagonal_decomposition(names: Iterable[str]) -> CheckResult:
     worst = 0.0
     for name in names:
         g = graphs.builtin_graph(name)
@@ -193,7 +197,8 @@ def check_diagonal_decomposition(names: Iterable[str] = ("k4", "petersen", "cube
     return CheckResult("diagonal tree-plus-correction decomposition", worst, 1e-8)
 
 
-def check_four_way_zeta(names: Iterable[str] = FINITE_BUILTINS, M: int = 12) -> CheckResult:
+def check_four_way_zeta(names: Iterable[str]) -> CheckResult:
+    M = 12
     worst = 0.0
     for name in names:
         g = graphs.builtin_graph(name)
@@ -238,7 +243,7 @@ def check_g_transform_building_blocks() -> CheckResult:
     return CheckResult("G-transform of building blocks", worst, 1e-6)
 
 
-def check_g_transform_diagonal(names: Iterable[str] = ("k4", "petersen")) -> CheckResult:
+def check_g_transform_diagonal(names: Iterable[str]) -> CheckResult:
     """Transform of the diagonal heat kernel vs the zeta logarithmic derivative."""
     worst = 0.0
     for name in names:
@@ -258,7 +263,7 @@ def check_g_transform_diagonal(names: Iterable[str] = ("k4", "petersen")) -> Che
     return CheckResult("G-transform of diagonal heat kernel", worst, 1e-6)
 
 
-def check_two_variable_zeta(names: Iterable[str] = ("k4", "petersen", "k33")) -> CheckResult:
+def check_two_variable_zeta(names: Iterable[str]) -> CheckResult:
     """Off-diagonal two-variable zeta, every x != 0: exact log-series vs spectral.
 
     As |b_m(x)| <= (q+1) q^{m-1}, the series tail past M = 60 is below (qu)^60.
@@ -273,7 +278,7 @@ def check_two_variable_zeta(names: Iterable[str] = ("k4", "petersen", "k33")) ->
     return CheckResult("two-variable zeta series vs spectral", worst, 1e-8)
 
 
-def check_tree_zeta_identity(qs: Iterable[int] = (2, 3)) -> CheckResult:
+def check_tree_zeta_identity(qs: Iterable[int]) -> CheckResult:
     worst = 0.0
     for q in qs:
         measure = zeta.kesten_tree_measure(q)
@@ -310,21 +315,17 @@ def run_tree_checks(qs: Iterable[int] = (2, 3, 4)) -> list[CheckResult]:
 
 
 def run_graph_checks(names: Iterable[str]) -> list[CheckResult]:
+    """Every graph check on names; the last three only on the builtins each lists."""
     names = tuple(names)
-    diag_names = tuple(n for n in names if n in ("k4", "petersen", "cube"))
-    gdiag_names = tuple(n for n in names if n in ("k4", "petersen"))
-    zeta2_names = tuple(n for n in names if n in ("k4", "petersen", "k33"))
-    results = [
-        check_counting_oracles(names),
-        check_three_way_heat(names),
-        check_four_way_zeta(names),
-    ]
-    if diag_names:
-        results.append(check_diagonal_decomposition(diag_names))
-    if gdiag_names:
-        results.append(check_g_transform_diagonal(gdiag_names))
-    if zeta2_names:
-        results.append(check_two_variable_zeta(zeta2_names))
+    results = [check_counting_oracles(names), check_three_way_heat(names), check_four_way_zeta(names)]
+    for check, builtins in (
+        (check_diagonal_decomposition, ("k4", "petersen", "cube")),
+        (check_g_transform_diagonal, ("k4", "petersen")),
+        (check_two_variable_zeta, ("k4", "petersen", "k33")),
+    ):
+        chosen = tuple(n for n in names if n in builtins)
+        if chosen:
+            results.append(check(chosen))
     return results
 
 

@@ -4,7 +4,8 @@ log zeta is computed four ways and cross-checked:
 
 * directly from closed-geodesic counts, sum_m N_m u^m / m, exact rationals,
 * as an Euler product over prime geodesic classes, prod (1 - u^k)^{-pi_k},
-* from the determinant formula through Laplacian eigenvalues,
+* from the determinant formula through Laplacian eigenvalues, in floats,
+  refused from the order where their rounding bound reaches 1/2,
 * pointwise from a spectral measure (atomic for finite graphs, the
   arcsine-type density of the infinite regular tree otherwise).
 
@@ -25,6 +26,7 @@ are negligible and the nodes gather where the integrand lives.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -136,6 +138,35 @@ def euler_product_series(pi_table: Sequence[int], M: int) -> PowerSeries:
     return result
 
 
+# c of the float determinant route's rounding bound (see _determinant_order_limit)
+_DETERMINANT_ROUNDING = 8
+
+
+def _determinant_order_limit(n: int, q: int, M: int) -> int | None:
+    """First order m <= M at which c eps n m (q^m + m q^{m/2}), the rounding bound
+    of m det_m, reaches 1/2, so that the float route no longer pins N_m; or None.
+
+    zeta.ihara_determinant_series sums n power sums s_m = beta^m + beta'^m,
+    beta beta' = q, |alpha| = |beta + beta'| <= q + 1, so |beta|, |beta'| <= q,
+    by s_m = alpha s_{m-1} - q s_{m-2}.  An error entering at step k reaches m
+    times U_{m-k} = sum_{i<=m-k} beta^i beta'^{m-k-i}, and ds_m/dalpha = m U_{m-1}:
+    |U_j| is about q^j for real roots far apart (alpha = -(q+1), bipartite) and
+    (j+1) q^{j/2} where they meet (alpha = -2 sqrt(q), an even cycle's
+    eigenvalue 4).  eigh's eigenvalue errors of a few eps and each step's
+    rounding of eps/2 (q+1) q^{k-1} so add up to a few eps m (q^m + m q^{m/2})
+    per power sum.  Worst-case alignment would make c a few tens; c = 8 is
+    five times the largest measured ratio to eps n m (q^m + m q^{m/2}): 1.5
+    (c8, m = 1) on c3-c20 to order 2000 and k4, petersen, cube, k33 to 60,
+    0.83 on seeded random 3-, 4- and 6-regular graphs.  Against eps n m q^m
+    alone the even cycles reach 250-1000.
+    """
+
+    def bound(m: int) -> float:  # increasing in m: the search stops before q^m leaves float range
+        return _DETERMINANT_ROUNDING * sys.float_info.epsilon * n * m * (q**m + m * q ** (m / 2))
+
+    return next((m for m in range(1, M + 1) if bound(m) >= 0.5), None)
+
+
 def ihara_determinant_series(g: Graph, M: int) -> PowerSeries:
     """log zeta^{Ih} to order M from the determinant formula.
 
@@ -146,24 +177,33 @@ def ihara_determinant_series(g: Graph, M: int) -> PowerSeries:
         m [u^m] log zeta^{Ih} = sum_j s_m(alpha_j) + n (q - 1) [m even].
 
     Coefficients are floats (they come through the eigen-solve); use
-    recover_counts to round them back to the integers N_m.  Past float
-    range they come out inf or nan, silently: the caller checks.
+    recover_counts to round them back to the integers N_m.  ValueError,
+    before the eigen-solve, from the first order where the rounding bound
+    of _determinant_order_limit reaches 1/2; below it |s_m| <= 2 q^m stays
+    far inside float range.  An admitted order is pinned only to within
+    1/2: k33 at order 40 is off by 3.9e-2, and from order 26 on k33
+    misses the 1e-6 guard of recover_counts.
     """
-    sd = spectral_data(g)
-    q = sd.q
     n = g.n_vertices
-    alphas = (q + 1.0) - sd.eigenvalues
+    q = g.regularity()
+    limit = _determinant_order_limit(n, q, M)
+    if limit is not None:
+        raise ValueError(
+            f"order {M}: from order {limit} the float determinant route's rounding bound "
+            f"{_DETERMINANT_ROUNDING} eps n m (q^m + m q^(m/2)) reaches 1/2, so it cannot "
+            f"resolve N_m; use order {limit - 1} or less"
+        )
+    alphas = (q + 1.0) - spectral_data(g).eigenvalues
     s_prev = np.full_like(alphas, 2.0)  # s_0 = 2 roots
     s_cur = alphas.copy()  # s_1
     coeffs = [0.0, float(np.sum(s_cur))]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(2, M + 1):
-            s_next = alphas * s_cur - q * s_prev
-            s_prev, s_cur = s_cur, s_next
-            total = float(np.sum(s_cur))
-            if m % 2 == 0:
-                total += n * (q - 1)
-            coeffs.append(total / m)
+    for m in range(2, M + 1):
+        s_next = alphas * s_cur - q * s_prev
+        s_prev, s_cur = s_cur, s_next
+        total = float(np.sum(s_cur))
+        if m % 2 == 0:
+            total += n * (q - 1)
+        coeffs.append(total / m)
     return PowerSeries(coeffs)
 
 

@@ -10,7 +10,6 @@ from heatzeta.bessel import (
     bessel_i,
     bessel_i_quadrature,
     bessel_i_scaled,
-    bessel_upper_bound,
     building_block,
     building_block_time_derivatives,
     certified_truncation,
@@ -21,6 +20,11 @@ from heatzeta.bessel import (
 
 def central_difference(f, t, h=1e-5):
     return (f(t + h) - f(t - h)) / (2 * h)
+
+
+def uniform_bound(n, t):
+    """The bound t^{-1/2} (1 + n/t)^{-n/2} on e^{-t} I_n(t), written out."""
+    return t**-0.5 * (1.0 + n / t) ** (-n / 2)
 
 
 class TestSeries:
@@ -119,12 +123,14 @@ class TestDerivative:
 
 
 class TestUpperBound:
+    # the block bound at q = 1 and t/2 is the uniform bound at t, as verify reads it
     def test_order_zero(self):
-        assert bessel_upper_bound(0, 1.0) == 1.0
+        assert math.exp(log_block_bound(1, 0, 0.5)) == uniform_bound(0, 1.0) == 1.0
         assert math.exp(-1.0) * bessel_i(0, 1.0) <= 1.0
 
     def test_order_ten(self):
-        bound = bessel_upper_bound(10, 1.0)
+        bound = math.exp(log_block_bound(1, 10, 0.5))
+        assert bound == pytest.approx(uniform_bound(10, 1.0), rel=1e-12, abs=0)
         assert bound == pytest.approx(11.0 ** -5, rel=1e-12, abs=0)
         assert math.exp(-1.0) * bessel_i(10, 1.0) <= bound
 
@@ -137,7 +143,7 @@ class TestUpperBound:
     )
     @settings(max_examples=200, deadline=None)
     def test_bound_holds_everywhere(self, order, t):
-        assert bessel_i_scaled(order, t) <= bessel_upper_bound(order, t) * (1 + 1e-12)
+        assert bessel_i_scaled(order, t) <= uniform_bound(order, t) * (1 + 1e-12)
 
     @given(
         order=st.integers(min_value=0, max_value=30),
@@ -202,12 +208,12 @@ class TestBlockBound:
     @pytest.mark.parametrize("q,m,t", [(2, 30, 1.0), (3, 120, 8.0), (7, 300, 40.0)])
     def test_power_is_a_factor_of_q(self, q, m, t):
         # a coefficient bound q^{m-1} adds (m-1) ln q to the log form of
-        # q^{-m/2} e^{-(sqrt(q)-1)^2 t} bessel_upper_bound(m, 2 sqrt(q) t)
+        # q^{-m/2} e^{-(sqrt(q)-1)^2 t} uniform_bound(m, 2 sqrt(q) t)
         product = (
             q ** (m - 1)
             * q ** (-m / 2)
             * math.exp(-((math.sqrt(q) - 1.0) ** 2) * t)
-            * bessel_upper_bound(m, 2.0 * math.sqrt(q) * t)
+            * uniform_bound(m, 2.0 * math.sqrt(q) * t)
         )
         assert math.exp(log_block_bound(q, m, t) + (m - 1) * math.log(q)) == pytest.approx(
             product, rel=1e-11, abs=0

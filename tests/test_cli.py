@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import heatzeta
-from heatzeta import cli
+from heatzeta import cli, graphs
 from heatzeta.cli import main
 from strategies import regular_multigraphs
 
@@ -371,7 +372,7 @@ class TestZeta:
             warnings.simplefilter("error")
             code, out, err = run(capsys, "zeta", "--graph", "k4", "--order", "1100")
         assert (code, out) == (2, "")
-        assert err.startswith("error: --order 1100: from order 41 ")
+        assert err.startswith("error: order 1100: from order 41 ")
         assert err.count("\n") == 1
 
     def test_order_past_exact_float_integers_refused(self, capsys):
@@ -380,9 +381,9 @@ class TestZeta:
         code, out, err = run(capsys, "zeta", "--graph", "k4", "--order", "60")
         assert (code, out) == (2, "")
         assert err.startswith(
-            "error: --order 60: from order 41 the float determinant route's rounding bound"
+            "error: order 60: from order 41 the float determinant route's rounding bound"
         )
-        assert err.endswith("use --order 40 or less\n")
+        assert err.endswith("use order 40 or less\n")
 
     @pytest.mark.parametrize("order", [44, 51])
     def test_cancelling_float_terms_refused(self, capsys, order):
@@ -391,7 +392,43 @@ class TestZeta:
         # is still below 2^53
         code, out, err = run(capsys, "zeta", "--graph", "k33", "--order", str(order))
         assert (code, out) == (2, "")
-        assert err.endswith("use --order 40 or less\n")
+        assert err.endswith("use order 40 or less\n")
+
+    @pytest.mark.parametrize("graph, limit", [("k4", 41), ("k33", 41), ("petersen", 40), ("cube", 40)])
+    def test_refusal_order_pinned(self, capsys, graph, limit):
+        # below the refusal order the rounding bound, and so max_discrepancy, is under 1/2
+        code, out, _ = run(capsys, "zeta", "--graph", graph, "--order", str(limit - 1))
+        assert code == 0
+        assert float(json.loads(out)["max_discrepancy"]) < 0.5
+        code, out, err = run(capsys, "zeta", "--graph", graph, "--order", str(limit))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: order {limit}: from order {limit} ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("graph", ["k4", "random"])
+    def test_determinant_refusals_come_before_counting(self, capsys, monkeypatch, tmp_path, graph):
+        # k4 at order 60 is past the rounding bound; a 4-regular graph on 2,100
+        # vertices is past the dense eigen-solve cap
+        argv = ["zeta", "--graph", "k4", "--order", "60"]
+        expected = "error: order 60: from order 41 "
+        if graph == "random":
+            n, rng = 2100, random.Random(0)
+            points = [v for v in range(n) for _ in range(2)]
+            rng.shuffle(points)
+            edges = [(v, (v + 1) % n) for v in range(n)] + list(zip(points[::2], points[1::2]))
+            path = tmp_path / "random4.txt"
+            path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+            argv = ["zeta", "--graph", str(path), "--order", "12"]
+            expected = "error: 2100 vertices exceeds the dense eigen-solve cap"
+
+        def counting(*args):
+            raise AssertionError("zeta counted before refusing")
+
+        monkeypatch.setattr(graphs, "closed_geodesics_total", counting)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(expected)
+        assert err.count("\n") == 1
 
     def test_order_below_exact_float_integers_answers(self, capsys):
         code, out, _ = run(capsys, "zeta", "--graph", "k4", "--order", "40")
@@ -438,13 +475,21 @@ K4_CHECKS = [
     ("G-transform of diagonal heat kernel", 1e-6),
     ("two-variable zeta series vs spectral", 1e-8),
 ]
+# k33 has no diagonal checks, c5 none of the three builtin-listed ones
+K33_CHECKS = K4_CHECKS[:3] + K4_CHECKS[5:]
+C5_CHECKS = K4_CHECKS[:3]
 
 
 class TestVerify:
     @pytest.mark.parametrize(
         "argv, checks",
-        [(("--graph", "tree", "--q", "2"), TREE_CHECKS), (("--graph", "k4"), K4_CHECKS)],
-        ids=["tree", "k4"],
+        [
+            (("--graph", "tree", "--q", "2"), TREE_CHECKS),
+            (("--graph", "k4"), K4_CHECKS),
+            (("--graph", "k33"), K33_CHECKS),
+            (("--graph", "c5"), C5_CHECKS),
+        ],
+        ids=["tree", "k4", "k33", "c5"],
     )
     def test_check_list_pinned(self, capsys, argv, checks):
         # a speed-up must not drop, rename, reorder or loosen a check

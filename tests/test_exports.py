@@ -219,3 +219,17 @@ def test_every_approx_states_abs():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_verify_check_has_a_default():
+    # each check's graphs or trees come from its run_* caller, and a value used
+    # once is a constant in the check
+    tree = ast.parse(Path(importlib.import_module("heatzeta.verify").__file__).read_text())
+    found = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("check_")
+        and (node.args.defaults or any(node.args.kw_defaults))
+    ]
+    assert found == []

@@ -76,24 +76,25 @@ def test_tree_heat_equation_catches_a_shifted_derivative_row(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "check, module, integrand, ceiling",
+    "check, args, module, integrand, ceiling",
     [
         # a third of the 9,444, 9,963 and 1,020 evaluations of the trapezoid rule in ln t
         pytest.param(
-            "check_g_transform_building_blocks", bessel, "building_block", 9444 // 3,
+            "check_g_transform_building_blocks", (), bessel, "building_block", 9444 // 3,
             id="g_transform_building_blocks",
         ),
         pytest.param(
-            "check_laplace_calibration", zeta, "bessel_i_scaled", 9963 // 3,
+            "check_laplace_calibration", (), zeta, "bessel_i_scaled", 9963 // 3,
             id="laplace_calibration",
         ),
         pytest.param(
-            "check_g_transform_diagonal", heat_graph, "heat_kernel_spectral", 1020 // 3,
+            "check_g_transform_diagonal", (("k4", "petersen"),), heat_graph,
+            "heat_kernel_spectral", 1020 // 3,
             id="g_transform_diagonal",
         ),
     ],
 )
-def test_half_line_checks_evaluate_few_nodes(monkeypatch, check, module, integrand, ceiling):
+def test_half_line_checks_evaluate_few_nodes(monkeypatch, check, args, module, integrand, ceiling):
     # the integrand's only calls are the quadrature nodes, a deterministic count
     calls = []
     original = getattr(module, integrand)
@@ -103,7 +104,7 @@ def test_half_line_checks_evaluate_few_nodes(monkeypatch, check, module, integra
         return original(*args)
 
     monkeypatch.setattr(module, integrand, counted)
-    assert getattr(verify, check)().passed
+    assert getattr(verify, check)(*args).passed
     assert 0 < len(calls) <= ceiling
 
 

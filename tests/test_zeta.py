@@ -86,6 +86,16 @@ class TestDeterminantFormula:
         assert recovered[5] == 10 and recovered[10] == 10
         assert sum(recovered[m] for m in range(1, 13) if m % 5) == 0
 
+    @pytest.mark.parametrize("name, limit", [("k4", 41), ("cube", 40)])
+    def test_unresolved_order_refused_before_the_eigensolve(self, monkeypatch, name, limit):
+        # at order 60 the float route returns wrong N_m (k4 from N_53, cube N_54)
+        def eigensolve(g):
+            raise AssertionError("eigen-solve ran before the refusal")
+
+        monkeypatch.setattr(zeta, "spectral_data", eigensolve)
+        with pytest.raises(ValueError, match=rf"^order 60: from order {limit} .* use order {limit - 1} or less$"):
+            ihara_determinant_series(G.builtin_graph(name), 60)
+
     def test_guard_rejects_noise(self):
         from heatzeta.series import PowerSeries
 
