@@ -26,9 +26,10 @@ bound at ``count_table``) shows no entry can overflow, and dtype=object
 (Python ints) above it; every value leaves the engine as a Python int, so
 results are exact at any length.  ``heat_graph`` builds the heat
 coefficients b_m from the engine's c_k by their definition.
-The edge-transfer recursion ``geodesic_counts`` and the depth-first
-enumerations are oracles: ``verify`` and the tests compare the engine
-against them, and no production path calls them.
+The edge-transfer recursion ``geodesic_counts``, the depth-first census
+``enumerate_geodesic_counts`` and the explicit enumerations are oracles:
+``verify`` and the tests compare the engine against them, and no
+production path calls them.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "closed_geodesics_total",
     "count_table",
     "enumerate_closed_geodesics",
+    "enumerate_geodesic_counts",
     "enumerate_geodesics",
     "geodesic_counts",
     "geodesic_counts_recursion",
@@ -424,32 +426,71 @@ ENUMERATION_CAP = 12
 def enumerate_geodesics(g: Graph, x0: int, k: int) -> list[tuple[int, ...]]:
     """All non-backtracking edge sequences of length k starting at x0.
 
-    Exhaustive depth-first search in canonical (lexicographic edge-index)
-    order; this is the oracle the counting recursions are tested against.
+    Exhaustive, in canonical (lexicographic edge-index) order: the
+    sequences of each length are extended, in order, by every edge leaving
+    their end except the reverse of their last edge.  The explicit list
+    that the depth-first census enumerate_geodesic_counts and, in the
+    tests, the counting recursions are checked against.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > ENUMERATION_CAP:
         raise ValueError(f"enumeration capped at length {ENUMERATION_CAP}")
-    results: list[tuple[int, ...]] = []
     if k == 0:
         return [()]
-    stack: list[int] = []
+    out_edges, terminus = g.out_edges, g.terminus
+    walks = [(e,) for e in out_edges[x0]]
+    for _ in range(k - 1):
+        walks = [w + (f,) for w in walks for f in out_edges[terminus[w[-1]]] if f != w[-1] ^ 1]
+    return walks
 
-    def descend(vertex: int, depth: int) -> None:
-        if depth == k:
-            results.append(tuple(stack))
-            return
-        forbidden = g.bar(stack[-1]) if stack else -1
-        for e in g.out_edges[vertex]:
-            if e == forbidden:
+
+def enumerate_geodesic_counts(g: Graph, x0: int, K: int) -> tuple[list[list[int]], list[int]]:
+    """The census of one depth-first search from x0: (ends, closed), k = 0..K.
+
+    ends[k][x] counts the non-backtracking edge sequences of length k from
+    x0 that end at x, and closed[k] the closed, tailless ones at x0 (by
+    convention ends[0] = e_{x0} and closed[0] = 1).  Every geodesic of
+    length k < K is a prefix of one of length K, so the search visits each
+    geodesic of every length once, counting it where it stands; no tuples
+    are built.  Capped at ENUMERATION_CAP like enumerate_geodesics.
+    """
+    if K < 0:
+        raise ValueError("K must be >= 0")
+    if K > ENUMERATION_CAP:
+        raise ValueError(f"enumeration capped at length {ENUMERATION_CAP}")
+    terminus = g.terminus
+    ends = [[0] * g.n_vertices for _ in range(K + 1)]
+    closed = [1] + [0] * K
+    ends[0][x0] = 1
+    # the edges f that may follow e, with t(f): f leaves t(e) and f != bar(e)
+    follow = [
+        tuple((f, terminus[f]) for f in g.out_edges[v] if f != e ^ 1)
+        for e, v in enumerate(terminus)
+    ]
+
+    def visit(steps: tuple[tuple[int, int], ...], k: int, tail: int) -> None:
+        # count the geodesics of length k that end with one of steps and their
+        # one-edge extensions at k + 1: calls come only at every other length
+        row = ends[k]
+        for e, v in steps:
+            row[v] += 1
+            if v == x0 and e != tail:
+                closed[k] += 1
+            if k == K:
                 continue
-            stack.append(e)
-            descend(g.terminus[e], depth + 1)
-            stack.pop()
+            below = ends[k + 1]
+            for f, w in follow[e]:
+                below[w] += 1
+                if w == x0 and f != tail:
+                    closed[k + 1] += 1
+                if k + 1 < K:
+                    visit(follow[f], k + 2, tail)
 
-    descend(x0, 0)
-    return results
+    if K:
+        for e in g.out_edges[x0]:
+            visit(((e, terminus[e]),), 1, e ^ 1)
+    return ends, closed
 
 
 def enumerate_closed_geodesics(

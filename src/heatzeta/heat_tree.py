@@ -12,7 +12,11 @@ package's trapezoid rule, and the third is the horocycle-coordinate solution
 of the associated difference-differential equation, the sum of K over a
 horocycle.  The series and its time derivative stop where
 bessel.certified_truncation certifies the tail, and the tail bound is
-reported with each value.  The single-radius
+reported with each value.  Its tail test reads the order m only, not the
+radius, and once past the peak of the bound it holds for good, so a row
+runs one search per parity p, from p to m*_p, and cuts the radius whose
+lattice starts at start_r, of parity p, at max(start_r, m*_p)
+(_certified_cuts).  The single-radius
 tree_heat_kernel and tree_heat_kernel_integral are one entry of their rows.
 The horocycle solution and the time-derivative row
 tree_heat_kernel_time_derivatives read the scalar building_block (the row
@@ -58,12 +62,41 @@ class TreeHeatValue:
     tail_bound: float
 
 
+def _certified_cuts(
+    q: int, t: float, tol: float, firsts: list[int], weight: float
+) -> list[tuple[int, float]]:
+    """certified_truncation(q, t, tol, first, 2, weight) for every first, from
+    one search per parity.
+
+    A search on the lattice first, first + 2, ... starts at s = first - 2 (at
+    first where first < 2) and returns the first order m >= s of that parity
+    whose tail test holds.  The test reads m only and holds for good past the
+    peak of the bound, so that order is max(s, m*_p), with m*_p the end of
+    the search started at p = s % 2.  Where s passes m*_p,
+    certified_truncation started at s certifies it at once and gives its
+    tail bound, once per distinct cut.
+    """
+    starts = [first - 2 if first >= 2 else first for first in firsts]
+    m_star: dict[int, int] = {}
+    certified: dict[int, tuple[int, float]] = {}
+    for p in {s % 2 for s in starts}:
+        m_star[p], bound = certified_truncation(q, t, tol, p + 2, 2, weight)
+        certified[m_star[p]] = (m_star[p], bound)
+    cuts = [max(s, m_star[s % 2]) for s in starts]
+    for cut in set(cuts) - certified.keys():
+        certified[cut] = certified_truncation(q, t, tol, cut + 2, 2, weight)
+    return [certified[cut] for cut in cuts]
+
+
 def tree_heat_kernels(q: int, t: float, radii, tol: float = 1e-12) -> list[TreeHeatValue]:
     """K(t, r) on the (q+1)-regular tree for every r in radii, by the Bessel series.
 
     Each r keeps its own truncation index J_r: the terms (q-1) B(q, r + 2j, t),
     j >= 1, go to bessel.certified_truncation with weight q - 1 on the lattice
-    r + 2, r + 4, ... (at q = 1 that weight is 0 and J_r = 0).  Every value is
+    r + 2, r + 4, ... (at q = 1 that weight is 0 and J_r = 0).  That search
+    started at r ends at cut_r = max(r, m*_{r % 2}), m*_p its end on the
+    lattice p + 2, p + 4, ..., so the row runs one search per parity and
+    reads each tail bound at cut_r (_certified_cuts).  Every value is
     B_r - (q-1)(B_{r+2} + ... + B_{r+2J_r}) read from one building-block
     vector up to max_r (r + 2 J_r), whose length bessel.log_building_blocks
     guards.
@@ -75,7 +108,7 @@ def tree_heat_kernels(q: int, t: float, radii, tol: float = 1e-12) -> list[TreeH
     radii = list(radii)
     if any(r < 0 for r in radii):
         raise ValueError("r must be >= 0")
-    cuts = [certified_truncation(q, t, tol, r + 2, 2, q - 1) for r in radii]
+    cuts = _certified_cuts(q, t, tol, [r + 2 for r in radii], q - 1)
     top = max((order for order, _ in cuts), default=0)
     blocks = np.exp(log_building_blocks(q, top, t))
     values = []
@@ -98,6 +131,8 @@ def tree_heat_kernel_time_derivatives(q: int, t: float, radii) -> list[float]:
     block bound falls in m, so the term (q-1)|B'_{r+2j}| is at most 2 (q^2-1)
     times the bound at order r + 2j - 1: bessel.certified_truncation cuts each
     r's series on that lattice with that weight, at a certified tail of 1e-13.
+    The lattice r + 1, r + 3, ... starts at r - 1 (at 1 for r = 0), so the cut
+    is max(r - 1, m*_p) with one search per parity p (_certified_cuts).
     Every B'_m comes from one bessel.building_block_time_derivatives list per
     (q, t), up to the largest order any r needs: scalar building_block values,
     independent of log_building_blocks.
@@ -107,12 +142,12 @@ def tree_heat_kernel_time_derivatives(q: int, t: float, radii) -> list[float]:
     radii = list(radii)
     if any(r < 0 for r in radii):
         raise ValueError("r must be >= 0")
-    cuts = [certified_truncation(q, t, 1e-13, r + 1, 2, 2 * (q * q - 1))[0] for r in radii]
-    top = max((max(r, order + 1) for r, order in zip(radii, cuts)), default=0)
+    cuts = _certified_cuts(q, t, 1e-13, [r + 1 for r in radii], 2 * (q * q - 1))
+    top = max((max(r, order + 1) for r, (order, _) in zip(radii, cuts)), default=0)
     dots = building_block_time_derivatives(q, top, t)
     return [
         dots[r] - (q - 1) * math.fsum(dots[r + 2 : order + 2 : 2])
-        for r, order in zip(radii, cuts)
+        for r, (order, _) in zip(radii, cuts)
     ]
 
 

@@ -125,7 +125,15 @@ def check_tree_mass() -> CheckResult:
 
 
 def check_counting_oracles(names: Iterable[str]) -> CheckResult:
-    """Recursion counts must equal brute-force enumeration, exactly, to length 10."""
+    """Recursion counts must equal brute-force enumeration, exactly, to length 10.
+
+    Every geodesic shorter than 10 is a prefix of one of length 10, so one
+    depth-10 search per vertex (graphs.enumerate_geodesic_counts) visits
+    every geodesic of every length: its ends at each (k, x) from vertex 0
+    check both recursions, and its closed counts check N_k^0 (vertex 0)
+    and N_k (summed over vertices).  The explicit enumeration is the
+    census's own oracle, once per graph at length 10 from vertex 0.
+    """
     k_max = 10
     worst = 0
     for name in names:
@@ -134,20 +142,23 @@ def check_counting_oracles(names: Iterable[str]) -> CheckResult:
         c_adjacency = graphs.geodesic_counts_recursion(g, 0, k_max)
         n0 = graphs.closed_geodesics_at_vertex(g, 0, k_max)
         n_total = graphs.closed_geodesics_total(g, k_max)
+        censuses = [graphs.enumerate_geodesic_counts(g, v, k_max) for v in range(g.n_vertices)]
+        ends, closed0 = censuses[0]
         for k in range(k_max + 1):
-            walks = graphs.enumerate_geodesics(g, 0, k)
-            by_vertex = [0] * g.n_vertices
-            for w in walks:
-                end = g.terminus[w[-1]] if w else 0
-                by_vertex[end] += 1
             for x in range(g.n_vertices):
-                worst = max(worst, abs(c_transfer[k][x] - by_vertex[x]))
-                worst = max(worst, abs(c_adjacency[k][x] - by_vertex[x]))
+                worst = max(worst, abs(c_transfer[k][x] - ends[k][x]))
+                worst = max(worst, abs(c_adjacency[k][x] - ends[k][x]))
             # at k = 0 each vertex has the empty geodesic: N_0^0 = 1, N_0 = n
-            closed = [len(graphs.enumerate_closed_geodesics(g, 0, k, walks))] + [
-                len(graphs.enumerate_closed_geodesics(g, v, k)) for v in range(1, g.n_vertices)
-            ]
-            worst = max(worst, abs(n0[k] - closed[0]), abs(n_total[k] - sum(closed)))
+            closed_total = sum(closed[k] for _, closed in censuses)
+            worst = max(worst, abs(n0[k] - closed0[k]), abs(n_total[k] - closed_total))
+        walks = graphs.enumerate_geodesics(g, 0, k_max)
+        by_vertex = [0] * g.n_vertices
+        for w in walks:
+            by_vertex[g.terminus[w[-1]]] += 1
+        for x in range(g.n_vertices):
+            worst = max(worst, abs(ends[k_max][x] - by_vertex[x]))
+        closed_walks = graphs.enumerate_closed_geodesics(g, 0, k_max, walks)
+        worst = max(worst, abs(closed0[k_max] - len(closed_walks)))
         # Moebius consistency: sum_{d|m} d pi_d = N_m
         primes = graphs.prime_geodesic_counts(n_total, k_max)
         for m in range(1, k_max + 1):

@@ -87,6 +87,7 @@ def test_every_export_is_called(monkeypatch, capsys, tmp_path):
 ORACLES = (
     "graphs.geodesic_counts",
     "graphs.enumerate_geodesics",
+    "graphs.enumerate_geodesic_counts",
     "graphs.enumerate_closed_geodesics",
     "heat_graph.heat_kernel_series_row",
     "heat_graph.heat_kernel_series",

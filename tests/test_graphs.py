@@ -410,6 +410,54 @@ class TestEnumeration:
             G.enumerate_geodesics(G.builtin_graph("k4"), 0, 13)
 
 
+class TestCensus:
+    """One depth-K search per vertex against the explicit enumeration at every length."""
+
+    @staticmethod
+    def assert_matches_enumeration(g, K):
+        for x0 in range(g.n_vertices):
+            ends, closed = G.enumerate_geodesic_counts(g, x0, K)
+            assert len(ends) == len(closed) == K + 1
+            for k in range(K + 1):
+                walks = G.enumerate_geodesics(g, x0, k)
+                assert ends[k] == brute_force_vertex_counts(g, x0, k)
+                assert closed[k] == len(G.enumerate_closed_geodesics(g, x0, k, walks))
+
+    @given(g=regular_multigraphs(), K=st.integers(0, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_multigraphs_match_enumeration(self, g, K):
+        self.assert_matches_enumeration(g, K)
+
+    @pytest.mark.parametrize("name", ["k4", "c5", "c8", "petersen", "cube", "k33"])
+    def test_builtins_match_enumeration_to_length_10(self, name):
+        self.assert_matches_enumeration(G.builtin_graph(name), 10)
+
+    @given(g=regular_multigraphs(), K=st.integers(0, 8), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_sphere_sizes(self, g, K, data):
+        # the geodesics of length k >= 1 from any vertex number (q+1) q^{k-1}
+        q = g.regularity()
+        ends, _ = G.enumerate_geodesic_counts(g, data.draw(st.integers(0, g.n_vertices - 1)), K)
+        spheres = [1] + [(q + 1) * q ** (k - 1) for k in range(1, K + 1)]
+        assert [sum(row) for row in ends] == spheres
+
+    def test_length_zero(self):
+        g = G.builtin_graph("petersen")
+        assert G.enumerate_geodesic_counts(g, 3, 0) == ([[0, 0, 0, 1, 0, 0, 0, 0, 0, 0]], [1])
+
+    def test_tree_fragment_has_no_closed_geodesics(self):
+        g = G.load_graph("0 1\n1 2\n2 3\n")
+        ends, closed = G.enumerate_geodesic_counts(g, 1, 6)
+        assert closed == [1, 0, 0, 0, 0, 0, 0]
+        assert ends[2] == [0, 0, 0, 1]
+
+    def test_cap(self):
+        with pytest.raises(ValueError, match="cap"):
+            G.enumerate_geodesic_counts(G.builtin_graph("k4"), 0, 13)
+        with pytest.raises(ValueError, match="K must be >= 0"):
+            G.enumerate_geodesic_counts(G.builtin_graph("k4"), 0, -1)
+
+
 class TestPrimeGeodesics:
     def test_k4(self):
         n = G.closed_geodesics_total(G.builtin_graph("k4"), 10)

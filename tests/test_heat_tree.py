@@ -291,3 +291,38 @@ class TestHorocycle:
             + fdot
         )
         assert abs(residual) <= 1e-12
+
+
+class TestParityCuts:
+    """One truncation search per parity gives every radius the cut and tail
+    bound of its own search, bitwise: q 1-7, t 1e-3 to 1e3, tol 1e-8 to 1e-13,
+    radii 0-40, 57 and 100, unsorted and repeated."""
+
+    TIMES = (1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0, 1e3)
+    TOLS = (1e-8, 1e-9, 1e-10, 1e-12, 1e-13)
+    RADII = [57, *range(40, -1, -1), 100, 3, 57, 0]
+
+    @pytest.mark.parametrize("q", range(1, 8))
+    def test_row_cuts_are_the_per_radius_searches(self, q):
+        for t in self.TIMES:
+            for tol in self.TOLS:
+                row = tree_heat_kernels(q, t, self.RADII, tol)
+                for r, value in zip(self.RADII, row):
+                    order, bound = bessel.certified_truncation(q, t, tol, r + 2, 2, q - 1)
+                    assert (value.r, value.truncation_index) == (r, (order - r) // 2)
+                    assert value.tail_bound == bound
+
+    @pytest.mark.parametrize("q", range(1, 8))
+    def test_derivative_row_cuts_are_the_per_radius_searches(self, q):
+        for t in self.TIMES:
+            orders = [
+                bessel.certified_truncation(q, t, 1e-13, r + 1, 2, 2 * (q * q - 1))[0]
+                for r in self.RADII
+            ]
+            top = max(max(r, order + 1) for r, order in zip(self.RADII, orders))
+            dots = bessel.building_block_time_derivatives(q, top, t)
+            expected = [
+                dots[r] - (q - 1) * math.fsum(dots[r + 2 : order + 2 : 2])
+                for r, order in zip(self.RADII, orders)
+            ]
+            assert tree_heat_kernel_time_derivatives(q, t, self.RADII) == expected

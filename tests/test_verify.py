@@ -108,11 +108,50 @@ def test_half_line_checks_evaluate_few_nodes(monkeypatch, check, args, module, i
     assert 0 < len(calls) <= ceiling
 
 
-def test_counting_check_enumerates_each_vertex_and_length_once(monkeypatch):
-    calls = []
-    original = graphs.enumerate_geodesics
+def test_counting_check_runs_one_census_per_vertex_and_one_enumeration(monkeypatch):
+    censuses, enumerations = [], []
+    census, enumerate_geodesics = graphs.enumerate_geodesic_counts, graphs.enumerate_geodesics
     monkeypatch.setattr(
-        graphs, "enumerate_geodesics", lambda g, x0, k: calls.append((x0, k)) or original(g, x0, k)
+        graphs,
+        "enumerate_geodesic_counts",
+        lambda g, x0, K: censuses.append((g.n_vertices, x0, K)) or census(g, x0, K),
     )
+    monkeypatch.setattr(
+        graphs,
+        "enumerate_geodesics",
+        lambda g, x0, k: enumerations.append((x0, k)) or enumerate_geodesics(g, x0, k),
+    )
+    assert verify.check_counting_oracles(verify.FINITE_BUILTINS).passed
+    sizes = [graphs.builtin_graph(name).n_vertices for name in verify.FINITE_BUILTINS]
+    assert censuses == [(n, x0, 10) for n in sizes for x0 in range(n)]
+    assert enumerations == [(0, 10)] * len(verify.FINITE_BUILTINS)
+
+
+@pytest.mark.parametrize("k, x", [(0, 0), (1, 4), (5, 2), (10, 9)])
+def test_counting_check_catches_a_census_off_at_one_end(monkeypatch, k, x):
     assert verify.check_counting_oracles(("petersen",)).passed
-    assert len(calls) == len(set(calls)) == 11 + 10 * 9
+    census = graphs.enumerate_geodesic_counts
+
+    def shifted(g, x0, K):
+        ends, closed = census(g, x0, K)
+        if x0 == 0:
+            ends[k][x] += 1
+        return ends, closed
+
+    monkeypatch.setattr(graphs, "enumerate_geodesic_counts", shifted)
+    assert not verify.check_counting_oracles(("petersen",)).passed
+
+
+@pytest.mark.parametrize("vertex, k", [(0, 0), (0, 5), (7, 6), (3, 10)])
+def test_counting_check_catches_a_census_off_in_one_closed_count(monkeypatch, vertex, k):
+    assert verify.check_counting_oracles(("petersen",)).passed
+    census = graphs.enumerate_geodesic_counts
+
+    def shifted(g, x0, K):
+        ends, closed = census(g, x0, K)
+        if x0 == vertex:
+            closed[k] += 1
+        return ends, closed
+
+    monkeypatch.setattr(graphs, "enumerate_geodesic_counts", shifted)
+    assert not verify.check_counting_oracles(("petersen",)).passed
