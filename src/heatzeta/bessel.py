@@ -9,7 +9,11 @@ spectrally accurate on this smooth 2pi-periodic integrand; _nested_trapezoid,
 the package's one quadrature rule, also serves every integral of heat_tree
 and zeta.  The series rescales itself by exact powers 2^-512, so bessel_i
 is the plain sum and bessel_i_scaled, e^{-t} I_n(t), is in float range at
-any t with no switch of route.  A uniform bound
+any t with no switch of route.  bessel_i_scaled_row gives the orders
+0..N at one t from that one series at orders N and N + 1 and Bessel's
+recurrence I_{k-1} = I_{k+1} + (2k/t) I_k (DLMF 10.29.1), run downward;
+bessel_i_quadrature integrates the same row of orders over one node set.
+A uniform bound
 
     sqrt(t) e^{-t} I_n(t) <= (1 + n/t)^{-n/2}
 
@@ -27,6 +31,7 @@ oracle.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -35,6 +40,7 @@ __all__ = [
     "bessel_i",
     "bessel_i_quadrature",
     "bessel_i_scaled",
+    "bessel_i_scaled_row",
     "building_block",
     "building_block_time_derivatives",
     "certified_truncation",
@@ -55,6 +61,8 @@ _MILLER_LOG = 54.0
 _CHUNK_ENTRIES = 1 << 17
 # the trapezoid rule converges long before this; t up to about 1e10 starts below it
 _MAX_NODES = 1 << 20
+# largest argument of bessel_i_scaled: its exponent k stays below 2^21 (see there)
+MAX_SCALED_ARGUMENT = 1.45e6
 
 
 def _check_order_arg(order: int, t: float) -> None:
@@ -84,9 +92,9 @@ def _power_series(order: int, t: float) -> tuple[float, int]:
     past 2^512 is multiplied by 2^-512, exactly, and s counts those rescales:
     the mantissa ends at most 2^512, and s = 0 below t = 354 (I_order <= e^t).
     """
-    if t == 0.0:
-        return (1.0 if order == 0 else 0.0), 0
     half = t / 2.0
+    if half == 0.0:  # t = 0, or the least subnormal, whose half rounds to 0
+        return (1.0 if order == 0 else 0.0), 0
     if order * math.log(half) - math.lgamma(order + 1) < -745.0:
         return 0.0, 0
     term, s = 1.0, 0
@@ -125,30 +133,61 @@ def bessel_i_scaled(order: int, t: float) -> float:
     2^512 taken from the mantissa and returned by ldexp where s > 0, so that
     the exponential is at least the value and underflows only where it does),
     the value is mantissa e^{k ln2_hi - t} e^{k ln2_lo}, ln 2 split as in fdlibm.
-    ln2_hi has 32 significant bits, so k ln2_hi is exact for k < 2^21 (t up to
-    about 1.4e6); at orders up to t/2 with s > 0, ln I_order(t) <= k ln 2 <=
-    ln I_order(t) + 355 puts k ln2_hi in [t/2, 2t], and by Sterbenz's lemma
-    k ln2_hi - t is exact.
+    ln2_hi has 32 significant bits, so k ln2_hi is exact for k < 2^21; the
+    mantissa exceeds 1 where s > 0, so k < t / ln 2 + 512 < 2^21 for
+    t <= MAX_SCALED_ARGUMENT, and a larger t is refused with ValueError
+    before the series runs.  At orders up to t/2 with s > 0,
+    ln I_order(t) <= k ln 2 <= ln I_order(t) + 355 puts k ln2_hi in [t/2, 2t],
+    and by Sterbenz's lemma k ln2_hi - t is exact.
     """
     _check_order_arg(order, t)
+    if t > MAX_SCALED_ARGUMENT:
+        raise ValueError(
+            f"t = {t}: bessel_i_scaled is exact only up to t = {MAX_SCALED_ARGUMENT:g}"
+        )
     mantissa, s = _power_series(order, t)
     fold = 512 if s else 0
     k = 512 * s + fold
     return math.ldexp(mantissa * math.exp(k * _LN2_HI - t) * math.exp(k * _LN2_LO), -fold)
 
 
-def bessel_i_quadrature(order: int, t: float) -> float:
-    """I_order(t) by _nested_trapezoid on the integral representation, tol 1e-10, from
-    order + 4 sqrt(t + 1) + 8 nodes, which resolve e^{t cos(theta)} cos(order theta)."""
-    _check_order_arg(order, t)
+def bessel_i_scaled_row(N: int, t: float) -> np.ndarray:
+    """e^{-t} I_n(t) for n = 0..N at one t, as one vector.
+
+    bessel_i_scaled gives orders N and N + 1; Bessel's recurrence
+    I_{k-1} = I_{k+1} + (2k/t) I_k (DLMF 10.29.1), scaled by e^{-t}, then
+    runs downward.  I_n is the recurrence's minimal solution, so that
+    direction is stable (Gautschi, SIAM Review 1967), and each step adds
+    two positive terms in three roundings: order k is off by at most the
+    larger relative error of orders N and N + 1 plus about 3 (N - k + 1) eps.
+    Where e^{-t} I_N(t) is not a normal float (t = 0 with N > 0, or t tiny
+    beside N) the start has lost bits, and each order comes from its own
+    series instead.
+    """
+    top = bessel_i_scaled(N, t)
+    if top < sys.float_info.min:
+        return np.array([bessel_i_scaled(n, t) for n in range(N + 1)])
+    current, above = top, bessel_i_scaled(N + 1, t)
+    row = [current]
+    for k in range(N, 0, -1):
+        current, above = above + (2.0 * k / t) * current, current
+        row.append(current)
+    return np.array(row[::-1])
+
+
+def bessel_i_quadrature(N: int, t: float) -> np.ndarray:
+    """I_n(t) for n = 0..N by _nested_trapezoid on the integral representation, one row
+    per order over shared nodes, tol 1e-10, from N + 4 sqrt(t + 1) + 8 nodes, which
+    resolve e^{t cos(theta)} cos(N theta)."""
+    _check_order_arg(N, t)
     if t > _EXP_LIMIT:
         raise OverflowError(f"bessel_i_quadrature overflows for t={t}; use bessel_i_scaled")
-    ends = 0.5 * (math.exp(t) + math.exp(-t) * (-1) ** order)
-    value = _nested_trapezoid(
-        lambda x: np.exp(t * np.cos(x)) * np.cos(order * x)[None, :],
-        np.array([order]), 1.0 / math.pi, 1e-10, order + 4.0 * math.sqrt(t + 1.0) + 8.0, ends,
+    orders = np.arange(N + 1)
+    ends = 0.5 * (math.exp(t) + math.exp(-t) * (-1.0) ** orders)
+    return _nested_trapezoid(
+        lambda x: np.exp(t * np.cos(x)) * np.cos(orders[:, None] * x),
+        orders, 1.0 / math.pi, 1e-10, N + 4.0 * math.sqrt(t + 1.0) + 8.0, ends,
     )
-    return float(value[0])
 
 
 class QuadratureError(RuntimeError):
@@ -164,10 +203,11 @@ def _nested_trapezoid(integrand, rows: np.ndarray, scale, tol: float, start: flo
     """scale (pi/n) (ends + sum_{0<j<n} f(j pi / n)) per row: the trapezoid rule on [0, pi].
 
     f = integrand(nodes) is a (rows x nodes) array, evaluated in chunks of
-    about _CHUNK_ENTRIES entries; ends is half its sum at 0 and pi, which are
-    never evaluated.  n starts at the power of two past start and doubles over
-    nested nodes until each row's |T_2n - T_n| plus QUADPACK's rounding term
-    50 eps (pi/n) |scale| sum |f| is at most max(tol, 10 tol |value|).
+    about _CHUNK_ENTRIES entries; ends, one value or one per row, is half
+    its sum at 0 and pi, which are never evaluated.  n starts at the power
+    of two past start and doubles over nested nodes until each row's
+    |T_2n - T_n| plus QUADPACK's rounding term 50 eps (pi/n) |scale| sum |f|
+    is at most max(tol, 10 tol |value|).
     QuadratureError names the first row whose rounding term alone exceeds
     that guard, or that misses it at _MAX_NODES.
     """
@@ -181,7 +221,8 @@ def _nested_trapezoid(integrand, rows: np.ndarray, scale, tol: float, start: flo
         return both
 
     n = 1 << math.ceil(math.log2(start))
-    total = sums(np.arange(1, n) * (math.pi / n)) + [[ends], [abs(ends)]]
+    ends = np.broadcast_to(ends, rows.shape)
+    total = sums(np.arange(1, n) * (math.pi / n)) + [ends, np.abs(ends)]
     value = scale * (math.pi / n) * total[0]
     while True:
         n *= 2

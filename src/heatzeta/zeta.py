@@ -15,12 +15,13 @@ The bridge is the weighted Laplace transform
 
 which sends each heat-kernel building block of order k to u^{k-1} and the
 diagonal heat kernel to the logarithmic derivative of zeta plus elementary
-terms.  Its half-line integrals, like every integral in the package, run on
-bessel._nested_trapezoid, here in the variable s of the double-exponential
-map t = exp(s - e^{-s}) / decay (Takahasi and Mori 1974; Mori and Sugihara
-2001), decay the integrand's exponential rate: t falls to 0 like e^{-e^{-s}}
-at one end and e^{-decay t} like e^{-e^{s}} at the other, so the cut ends
-are negligible and the nodes gather where the integrand lives.
+terms.  Its half-line integrals, one row of integrands over one node set,
+like every integral in the package run on bessel._nested_trapezoid, here
+in the variable s of the double-exponential map t = exp(s - e^{-s}) / decay
+(Takahasi and Mori 1974; Mori and Sugihara 2001), decay the integrand's
+exponential rate: t falls to 0 like e^{-e^{-s}} at one end and e^{-decay t}
+like e^{-e^{s}} at the other, so the cut ends are negligible and the nodes
+gather where the integrand lives.
 """
 
 from __future__ import annotations
@@ -33,7 +34,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from heatzeta.bessel import QuadratureError, _nested_trapezoid, bessel_i_scaled
+from heatzeta.bessel import (
+    MAX_SCALED_ARGUMENT,
+    QuadratureError,
+    _nested_trapezoid,
+    bessel_i_scaled_row,
+)
 from heatzeta.graphs import Graph
 from heatzeta.heat_graph import b_coefficients, spectral_data
 from heatzeta.series import PowerSeries
@@ -72,9 +78,12 @@ def _double_exponential_cut(y: float) -> float:
     return s
 
 
-def _half_line(f, decay, tol, what, scale=1.0) -> float:
-    """scale times the integral over [0, inf) of f, which decays like e^{-decay t}.
+def _half_line(f, rows, decay, tol, what, scale=1.0, reach=math.inf) -> np.ndarray:
+    """scale times the integral over [0, inf) of each entry of f, which decay like e^{-decay t}.
 
+    f(t) is a row of rows values (a float where rows = 1), one integrand
+    each, so that one node set serves them all: the rows x nodes array goes
+    to bessel._nested_trapezoid, whose guard holds row by row.
     The t-integral runs from tol e^{-20} to upper = (ln(1/tol) + 20) / decay,
     so each cut drops about e^{-20} tol times the size of f.  In between it
     is taken in s on the double-exponential map t = exp(s - e^{-s}) / decay,
@@ -88,9 +97,13 @@ def _half_line(f, decay, tol, what, scale=1.0) -> float:
     s - e^{-s} = ln(decay t) at the t-cuts from below, by
     _double_exponential_cut: the lower one reaches past its t-cut, the upper
     one meets its t-cut to rounding.  s is mapped linearly onto [0, pi] for
-    bessel._nested_trapezoid, from 8 nodes.  RuntimeError where it misses
-    the guard max(tol, 10 tol |value|).
+    bessel._nested_trapezoid, from 8 nodes.  ValueError, before any node,
+    where upper passes reach, the largest t that f takes; RuntimeError
+    where a row misses the guard max(tol, 10 tol |value|).
     """
+    upper = (math.log(1.0 / tol) + 20.0) / decay
+    if upper > reach:
+        raise ValueError(f"{what}: its cut t = {upper:.3g} passes t = {reach:g}, the last f takes")
     lo = _double_exponential_cut(math.log(decay * tol) - 20.0)
     width = _double_exponential_cut(math.log(math.log(1.0 / tol) + 20.0)) - lo
 
@@ -98,13 +111,13 @@ def _half_line(f, decay, tol, what, scale=1.0) -> float:
         s = lo + (width / math.pi) * theta
         e = np.exp(-s)
         t = np.exp(s - e) / decay
-        return (np.array([f(x) for x in t.tolist()]) * t * (1.0 + e))[None, :]
+        values = np.array([f(x) for x in t.tolist()]).reshape(len(t), rows)
+        return values.T * t * (1.0 + e)
 
     try:
-        value = _nested_trapezoid(integrand, np.array([0]), scale * width / math.pi, tol, 8.0)
+        return _nested_trapezoid(integrand, np.arange(rows), scale * width / math.pi, tol, 8.0)
     except QuadratureError as exc:
         raise RuntimeError(f"{what} did not converge: {exc.reason}") from exc
-    return float(value[0])
 
 
 # ---------------------------------------------------------------------------
@@ -333,31 +346,37 @@ def zeta_spectral(measure: AtomicMeasure | TreeDensity, q: int, u: float) -> flo
 
 @dataclass(frozen=True)
 class GTransformResult:
-    """The transform at u; quadrature_error is the guard max(tol, 10 tol |value|),
-    tol = 1e-11, that the trapezoid rule's error estimate met."""
+    """The transform at u, one entry per row of f; quadrature_error is each row's guard
+    max(tol, 10 tol |value|), tol = 1e-11, that the trapezoid rule's error estimate met."""
 
     u: float
-    value: float
-    quadrature_error: float
+    value: np.ndarray
+    quadrature_error: np.ndarray
 
 
 def g_transform_numeric(
-    f: Callable[[float], float],
+    f: Callable[[float], float | np.ndarray],
     q: int,
     u: float,
     growth_rate: float | None = None,
+    rows: int = 1,
 ) -> GTransformResult:
     """(u^{-2} - q) int_0^inf e^{-(qu + 1/u)t} e^{(q+1)t} f(t) dt, numerically.
 
-    growth_rate bounds the exponential growth of e^{(q+1)t} f(t): it
-    defaults to q+1 (right for bounded f such as finite-graph heat
-    kernels); pass 2 sqrt(q) for single tree building blocks.  The
-    truncation point of the t-integral is certified from the resulting
-    decay margin.  Raises RuntimeError when the error estimate misses
-    the guard max(tol, 10 tol |value|), tol = 1e-11.
+    f(t) is a numpy row of rows functions at t (a float where rows = 1), all
+    transformed over one node set by zeta._half_line.  growth_rate bounds
+    the exponential growth of e^{(q+1)t} f(t): it defaults to q+1 (right
+    for bounded f such as finite-graph heat kernels); pass 2 sqrt(q) for
+    tree building blocks.  The truncation point of the t-integral is
+    certified from the resulting decay margin.  ValueError, before any
+    node, where u is not finite and positive, u^2 is not a normal float (so
+    u^{-2} would overflow) or there is no decay margin; RuntimeError where a
+    row's error estimate misses the guard max(tol, 10 tol |value|), tol = 1e-11.
     """
-    if u <= 0:
-        raise ValueError("u must be positive")
+    if not (math.isfinite(u) and u > 0.0):
+        raise ValueError(f"u must be finite and positive, got {u}")
+    if u * u < sys.float_info.min:
+        raise ValueError(f"u = {u}: u^-2 overflows")
     if growth_rate is None:
         growth_rate = q + 1.0
     decay = q * u + 1.0 / u - growth_rate
@@ -368,28 +387,33 @@ def g_transform_numeric(
         )
     rate = (q + 1.0) - q * u - 1.0 / u
     value = _half_line(
-        lambda t: math.exp(rate * t) * f(t), decay, _G_TOL, "G-transform", 1.0 / (u * u) - q
+        lambda t: math.exp(rate * t) * f(t), rows, decay, _G_TOL, "G-transform", 1.0 / (u * u) - q
     )
-    return GTransformResult(u, value, max(_G_TOL, 10.0 * _G_TOL * abs(value)))
+    return GTransformResult(u, value, np.maximum(_G_TOL, 10.0 * _G_TOL * np.abs(value)))
 
 
-def laplace_identity_check(n: int, s: float) -> tuple[float, float]:
-    """Calibration identity for the quadrature stack:
+def laplace_identity_check(N: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Calibration identity for the quadrature stack, for n = 0..N:
 
         int_0^inf e^{-st} e^{-t} I_n(t) dt
             = (s + 1 - sqrt(s^2 + 2s))^n / sqrt(s^2 + 2s).
 
-    Returns (numeric integral at tol 1e-12, closed form).
+    Returns (the numeric row at tol 1e-12, the closed-form row): one
+    half-line integral over one node set, each node's e^{-t} I_n(t) for all
+    n from one bessel.bessel_i_scaled_row.  ValueError, before any node,
+    where s is not finite and positive or the integral's cut passes
+    bessel.MAX_SCALED_ARGUMENT.
     """
-    if s <= 0:
-        raise ValueError("s must be positive")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError(f"s must be finite and positive, got {s}")
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
     numeric = _half_line(
-        lambda t: math.exp(-s * t) * bessel_i_scaled(n, t), s, 1e-12, "calibration integral"
+        lambda t: math.exp(-s * t) * bessel_i_scaled_row(N, t), N + 1, s, 1e-12,
+        "calibration integral", reach=MAX_SCALED_ARGUMENT,
     )
     root = math.sqrt(s * s + 2.0 * s)
-    closed = (s + 1.0 - root) ** n / root
+    closed = np.array([(s + 1.0 - root) ** n / root for n in range(N + 1)])
     return numeric, closed
 
 

@@ -179,7 +179,7 @@ def test_criterion_07_g_transform_building_blocks():
                     u,
                     growth_rate=2.0 * math.sqrt(q),
                 )
-                worst = max(worst, abs(result.value - u ** (k - 1)))
+                worst = max(worst, abs(result.value[0] - u ** (k - 1)))
     report(7, "G-transform building blocks", worst, 1e-6, worst <= 1e-6)
 
 
@@ -206,16 +206,15 @@ def test_criterion_08_diagonal_g_transform_identity():
                 + math.fsum(n0[m] * u ** (m - 1) for m in range(1, 61))
             )
             result = g_transform_numeric(diag, q, u)
-            worst = max(worst, abs(result.value - expected))
+            worst = max(worst, abs(result.value[0] - expected))
     report(8, "diagonal G-transform identity", worst, 1e-6, worst <= 1e-6)
 
 
 def test_criterion_09_laplace_calibration():
     worst = 0.0
-    for n in range(7):
-        for s in (0.5, 1.0, 2.0):
-            numeric, closed = laplace_identity_check(n, s)
-            worst = max(worst, abs(numeric - closed))
+    for s in (0.5, 1.0, 2.0):
+        numeric, closed = laplace_identity_check(6, s)  # n = 0..6
+        worst = max(worst, *(abs(a - b) for a, b in zip(numeric, closed)))
     report(9, "Laplace calibration", worst, 1e-9, worst <= 1e-9)
 
 

@@ -1,15 +1,20 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatzeta import bessel
 from heatzeta.bessel import (
     MAX_RECURRENCE,
+    MAX_SCALED_ARGUMENT,
+    _nested_trapezoid,
     bessel_i,
     bessel_i_quadrature,
     bessel_i_scaled,
+    bessel_i_scaled_row,
     building_block,
     building_block_time_derivatives,
     certified_truncation,
@@ -37,7 +42,7 @@ class TestSeries:
     def test_against_quadrature(self):
         # quadrature of the integral representation is the independent oracle
         assert bessel_i(0, 2.0) == pytest.approx(
-            bessel_i_quadrature(0, 2.0), abs=1e-10
+            bessel_i_quadrature(0, 2.0)[0], abs=1e-10
         )
 
     def test_rejects_negative_order(self):
@@ -59,15 +64,15 @@ class TestSeries:
 
 class TestQuadrature:
     def test_at_zero(self):
-        assert bessel_i_quadrature(0, 0.0) == pytest.approx(1.0, abs=1e-14)
+        assert bessel_i_quadrature(0, 0.0)[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_agrees_with_series_moderate(self):
-        assert bessel_i_quadrature(1, 1.0) == pytest.approx(
+        assert bessel_i_quadrature(1, 1.0)[1] == pytest.approx(
             bessel_i(1, 1.0), abs=1e-10
         )
 
     def test_agrees_with_series_large(self):
-        assert bessel_i_quadrature(5, 10.0) == pytest.approx(
+        assert bessel_i_quadrature(5, 10.0)[5] == pytest.approx(
             bessel_i(5, 10.0), rel=1e-9, abs=0
         )
 
@@ -75,7 +80,7 @@ class TestQuadrature:
     @pytest.mark.parametrize("t", [0.01, 0.1, 1.0, 5.0, 20.0])
     def test_grid_agreement(self, order, t):
         series = bessel_i(order, t)
-        quadrature = bessel_i_quadrature(order, t)
+        quadrature = bessel_i_quadrature(order, t)[order]
         assert abs(series - quadrature) <= 1e-9 * max(1.0, abs(quadrature))
 
 
@@ -109,6 +114,104 @@ class TestScaled:
         with mp.workdps(40):
             exact = mp.exp(-mp.mpf(1e4)) * mp.besseli(3000, mp.mpf(1e4))
         assert bessel_i_scaled(3000, 1e4) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+    def test_refused_past_its_exact_exponent(self, monkeypatch):
+        # k ln2_hi is exact only for k < 2^21: the refusal comes before the series
+        def refuse(order, t):
+            raise AssertionError("the power series ran")
+
+        monkeypatch.setattr(bessel, "_power_series", refuse)
+        for t in (math.nextafter(MAX_SCALED_ARGUMENT, math.inf), 2e6, 1e31):
+            with pytest.raises(ValueError, match="exact only up to"):
+                bessel_i_scaled(0, t)
+        with pytest.raises(ValueError, match="exact only up to"):
+            building_block(1, 0, 1e6)  # tau = 2e6
+
+
+EPS = sys.float_info.epsilon
+ROW_TIMES = [0.0, 1e-300, 1e-15, *np.geomspace(1e-6, 700.0, 12).tolist(), 1e4]
+
+
+class TestScaledRow:
+    @pytest.mark.parametrize("t", ROW_TIMES)
+    def test_matches_per_order_series(self, t):
+        # the docstring's 3 (N - k + 1) eps, plus 100 eps for each series value's
+        # own error (at most 65 eps on this grid against mpmath, at t = 1e4)
+        series = [bessel_i_scaled(k, t) for k in range(41)]
+        for N in range(41):
+            row = bessel_i_scaled_row(N, t)
+            assert row.shape == (N + 1,)
+            for k in range(N + 1):
+                allowance = (3 * (N - k + 1) + 2 * 100) * EPS
+                assert abs(row[k] - series[k]) <= allowance * series[k], (N, k)
+
+    @pytest.mark.parametrize("t", [1e-15, 1e-6, 0.01, 1.0, 20.0, 700.0, 1e4])
+    def test_docstring_bound_against_mpmath(self, t):
+        # relative error at most the start's plus 3 (N - k + 1) eps, at every normal value
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            exact = [mp.exp(-mp.mpf(t)) * mp.besseli(k, mp.mpf(t)) for k in range(42)]
+
+            def rel(value, k):
+                return float(abs(mp.mpf(float(value)) - exact[k]) / exact[k])
+
+            for N in range(41):
+                row = bessel_i_scaled_row(N, t)
+                start = max(rel(bessel_i_scaled(N, t), N), rel(bessel_i_scaled(N + 1, t), N + 1))
+                for k in range(N + 1):
+                    if exact[k] >= sys.float_info.min:
+                        assert rel(row[k], k) <= start + 3 * (N - k + 1) * EPS, (N, k)
+
+    def test_time_zero_is_the_indicator(self):
+        for N in (0, 1, 40):
+            assert bessel_i_scaled_row(N, 0.0).tolist() == [1.0] + [0.0] * N
+
+    @pytest.mark.parametrize("t", [5e-324, 2e-315, 1e-300, 1e-160, 1e-15])
+    def test_start_past_normal_range_falls_back_per_order(self, t):
+        # where e^{-t} I_N(t) is subnormal or 0, the recurrence would start from
+        # lost bits (at t = 1e-160, I_2 is 1.25e-321, good to 4e-3)
+        expected = [bessel_i_scaled(k, t) for k in range(41)]
+        for N in range(41):
+            if expected[N] < sys.float_info.min:
+                assert bessel_i_scaled_row(N, t).tolist() == expected[: N + 1], N
+
+    def test_rejects_bad_input(self):
+        for N, t in ((-1, 1.0), (3, -1.0), (3, math.nan), (3, math.inf), (3, 2e6)):
+            with pytest.raises(ValueError):
+                bessel_i_scaled_row(N, t)
+
+
+class TestNestedTrapezoid:
+    @staticmethod
+    def bessel_rows(t, orders):
+        return lambda x: np.exp(t * np.cos(x)) * np.cos(orders[:, None] * x)
+
+    @pytest.mark.parametrize("t", [0.01, 5.0, 20.0])
+    def test_row_ends_match_per_row_calls(self, t):
+        # ends holds one value per row: I_0..I_20 as one row against one call per order
+        orders = np.arange(21)
+        ends = 0.5 * (math.exp(t) + math.exp(-t) * (-1.0) ** orders)
+        start = 20 + 4.0 * math.sqrt(t + 1.0) + 8.0
+        rows = self.bessel_rows(t, orders)
+        row = _nested_trapezoid(rows, orders, 1 / math.pi, 1e-10, start, ends)
+        assert row.shape == (21,)
+        for n in orders:
+            alone = _nested_trapezoid(
+                self.bessel_rows(t, orders[n : n + 1]), orders[n : n + 1], 1 / math.pi, 1e-10,
+                start, ends[n],
+            )
+            assert row[n] == pytest.approx(alone[0], rel=1e-12, abs=1e-300)
+
+    def test_scalar_ends_bitwise_as_one_per_row(self):
+        # three copies of one integrand with its ends per row give the scalar call's bits
+        ends = 0.5 * (math.e + 1.0 / math.e)
+        one = self.bessel_rows(1.0, np.array([0]))
+        alone = _nested_trapezoid(one, np.array([0]), 1 / math.pi, 1e-12, 8.0, ends)
+        copies = _nested_trapezoid(
+            lambda x: np.repeat(one(x), 3, axis=0), np.arange(3), 1 / math.pi, 1e-12, 8.0,
+            np.full(3, ends),
+        )
+        assert copies.tolist() == [alone[0]] * 3
 
 
 class TestDerivative:
@@ -167,7 +270,7 @@ class TestBuildingBlock:
 
     def test_cross_checked_value(self):
         expected = 0.5 * math.exp(-3.0) * bessel_i(2, 2 * math.sqrt(2.0))
-        quadrature = 0.5 * math.exp(-3.0) * bessel_i_quadrature(2, 2 * math.sqrt(2.0))
+        quadrature = 0.5 * math.exp(-3.0) * bessel_i_quadrature(2, 2 * math.sqrt(2.0))[2]
         value = building_block(2, 2, 1.0)
         assert value == pytest.approx(expected, rel=1e-12, abs=0)
         assert value == pytest.approx(quadrature, rel=1e-10, abs=0)

@@ -94,6 +94,7 @@ ORACLES = (
     "heat_graph.heat_kernel_ode",
     "bessel.bessel_i",
     "bessel.bessel_i_quadrature",
+    "bessel.bessel_i_scaled_row",
     "bessel.building_block",
     "bessel.building_block_time_derivatives",
 )

@@ -52,15 +52,15 @@ def test_tree_formula_check_catches_a_shifted_integral_row(monkeypatch):
 
 def test_laplace_calibration_catches_a_scaled_bessel_factor(monkeypatch):
     assert verify.check_laplace_calibration().passed
-    original = zeta.bessel_i_scaled
-    monkeypatch.setattr(zeta, "bessel_i_scaled", lambda n, t: original(n, t) * (1.0 + 1e-6))
+    original = zeta.bessel_i_scaled_row
+    monkeypatch.setattr(zeta, "bessel_i_scaled_row", lambda N, t: original(N, t) * (1.0 + 1e-6))
     assert not verify.check_laplace_calibration().passed
 
 
 def test_g_transform_of_blocks_catches_a_shifted_block(monkeypatch):
     assert verify.check_g_transform_building_blocks().passed
-    original = bessel.building_block
-    monkeypatch.setattr(bessel, "building_block", lambda *args: original(*args) + 1e-7)
+    original = bessel.bessel_i_scaled_row
+    monkeypatch.setattr(bessel, "bessel_i_scaled_row", lambda N, t: original(N, t) + 1e-7)
     assert not verify.check_g_transform_building_blocks().passed
 
 
@@ -78,18 +78,18 @@ def test_tree_heat_equation_catches_a_shifted_derivative_row(monkeypatch):
 @pytest.mark.parametrize(
     "check, args, module, integrand, ceiling",
     [
-        # a third of the 9,444, 9,963 and 1,020 evaluations of the trapezoid rule in ln t
+        # one integrand row per node, shared by every order of the check
         pytest.param(
-            "check_g_transform_building_blocks", (), bessel, "building_block", 9444 // 3,
+            "check_g_transform_building_blocks", (), bessel, "bessel_i_scaled_row", 252,
             id="g_transform_building_blocks",
         ),
         pytest.param(
-            "check_laplace_calibration", (), zeta, "bessel_i_scaled", 9963 // 3,
+            "check_laplace_calibration", (), zeta, "bessel_i_scaled_row", 189,
             id="laplace_calibration",
         ),
         pytest.param(
             "check_g_transform_diagonal", (("k4", "petersen"),), heat_graph,
-            "heat_kernel_spectral", 1020 // 3,
+            "heat_kernel_spectral", 252,
             id="g_transform_diagonal",
         ),
     ],
@@ -106,6 +106,28 @@ def test_half_line_checks_evaluate_few_nodes(monkeypatch, check, args, module, i
     monkeypatch.setattr(module, integrand, counted)
     assert getattr(verify, check)(*args).passed
     assert 0 < len(calls) <= ceiling
+
+
+def test_tree_checks_run_few_power_series(monkeypatch):
+    # one Bessel row per half-line node and each I_order(t) read once per t
+    runs = []
+    series = bessel._power_series
+    monkeypatch.setattr(
+        bessel, "_power_series", lambda order, t: runs.append((order, t)) or series(order, t)
+    )
+    assert all(result.passed for result in verify.run_tree_checks((3,)))
+    assert len(runs) == 1234
+
+
+def test_bound_check_reads_each_order_once_per_argument(monkeypatch):
+    calls = []
+    bessel_i = bessel.bessel_i
+    monkeypatch.setattr(
+        bessel, "bessel_i", lambda order, t: calls.append((order, t)) or bessel_i(order, t)
+    )
+    assert verify.check_bessel_bound_and_monotonicity().passed
+    # orders 0..21 at five arguments, each once
+    assert len(set(calls)) == len(calls) == 110
 
 
 def test_counting_check_runs_one_census_per_vertex_and_one_enumeration(monkeypatch):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from heatzeta import graphs as G
@@ -236,6 +237,15 @@ class TestGTransform:
         with pytest.raises(ValueError, match="decay"):
             g_transform_numeric(lambda t: 1.0, 2, 0.9, growth_rate=3.0)
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf, 1e-300])
+    def test_unusable_u_refused_before_any_node(self, u):
+        # NaN used to run to the 2^20-node cap and 1e-300 to divide by u^2 = 0
+        def node(t):
+            raise AssertionError("a node was evaluated")
+
+        with pytest.raises(ValueError, match="u"):
+            g_transform_numeric(node, 2, u)
+
     def test_unconverged_quadrature_refused(self):
         # 96,000 jumps on [0, 30]: the trapezoid rule's error falls only like its
         # step, 3e-4 at the 2^20-node cap against the guard 1e-11
@@ -245,7 +255,9 @@ class TestGTransform:
     def test_fast_oscillation_converges(self):
         # (u^-2 - q) w / (a^2 + w^2), a = qu + 1/u - (q + 1) = 1.5, the transform of sin(w t)
         result = g_transform_numeric(lambda t: math.sin(1e4 * t), 2, 0.25)
-        assert result.value == pytest.approx(14.0 * 1e4 / (2.25 + 1e8), abs=result.quadrature_error)
+        assert result.value[0] == pytest.approx(
+            14.0 * 1e4 / (2.25 + 1e8), abs=result.quadrature_error[0]
+        )
 
 
 class TestLaplaceIdentity:
@@ -256,8 +268,8 @@ class TestLaplaceIdentity:
 
     def test_n1_s1(self):
         numeric, closed = laplace_identity_check(1, 1.0)
-        assert closed == pytest.approx((2.0 - math.sqrt(3.0)) / math.sqrt(3.0), rel=1e-14, abs=0)
-        assert numeric == pytest.approx(closed, abs=1e-9)
+        assert closed[1] == pytest.approx((2.0 - math.sqrt(3.0)) / math.sqrt(3.0), rel=1e-14, abs=0)
+        assert numeric[1] == pytest.approx(closed[1], abs=1e-9)
 
     @pytest.mark.parametrize("n", range(7))
     @pytest.mark.parametrize("s", [0.05, 0.1, 0.5, 1.0, 2.0])
@@ -265,20 +277,47 @@ class TestLaplaceIdentity:
         numeric, closed = laplace_identity_check(n, s)
         assert numeric == pytest.approx(closed, abs=1e-9)
 
+    def test_row_matches_one_order_calls(self):
+        numeric, closed = laplace_identity_check(6, 0.5)
+        assert numeric.shape == closed.shape == (7,)
+        for n in range(7):
+            alone, alone_closed = laplace_identity_check(n, 0.5)
+            assert closed[n] == alone_closed[n]
+            assert numeric[n] == pytest.approx(alone[n], abs=1e-11)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, 0.0, -1.0, 1e-30])
+    def test_unusable_s_refused_before_any_node(self, monkeypatch, s):
+        # NaN passed s <= 0; at s = 1e-30 the cut t = 4.8e31 passes the range of
+        # bessel_i_scaled, whose series ran 2.6 s before failing to terminate
+        def node(N, t):
+            raise AssertionError("a node was evaluated")
+
+        monkeypatch.setattr(zeta, "bessel_i_scaled_row", node)
+        with pytest.raises(ValueError, match="s must be|passes"):
+            laplace_identity_check(0, s)
+
+    def test_negative_order_refused(self):
+        with pytest.raises(ValueError, match="N must be"):
+            laplace_identity_check(-1, 1.0)
+
     def test_unconverged_integral_refused(self, monkeypatch):
         # a scaled Bessel factor jumping 40,000 times over [0, 47.6] keeps the
         # trapezoid rule's error at 1e-5 at the 2^20-node cap, and the guard says so
         monkeypatch.setattr(
-            zeta, "bessel_i_scaled", lambda n, t: math.copysign(1.0, math.sin(2.6e3 * t))
+            zeta,
+            "bessel_i_scaled_row",
+            lambda N, t: np.full(N + 1, math.copysign(1.0, math.sin(2.6e3 * t))),
         )
         with pytest.raises(RuntimeError, match="calibration integral did not converge"):
             laplace_identity_check(0, 1.0)
 
     def test_fast_oscillation_converges(self, monkeypatch):
         # int_0^inf e^{-t} sin(w t) dt = w / (1 + w^2)
-        monkeypatch.setattr(zeta, "bessel_i_scaled", lambda n, t: math.sin(2.6e3 * t))
+        monkeypatch.setattr(
+            zeta, "bessel_i_scaled_row", lambda N, t: np.full(N + 1, math.sin(2.6e3 * t))
+        )
         numeric, _ = laplace_identity_check(0, 1.0)
-        assert numeric == pytest.approx(2.6e3 / (1.0 + 2.6e3**2), abs=1e-12)
+        assert numeric[0] == pytest.approx(2.6e3 / (1.0 + 2.6e3**2), abs=1e-12)
 
 
 class TestTwoVariableZeta:
