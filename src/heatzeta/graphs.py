@@ -527,6 +527,12 @@ def check_vertex_transitive(g: Graph) -> tuple[bool | None, dict[int, list[int]]
     to one automorphism (as an image list) sending vertex 0 to v.  The
     verdict is None when the graph has more than TRANSITIVITY_CAP vertices,
     in which case the caller may assert transitivity manually.
+
+    Automorphisms preserve each vertex's distance profile (the sorted
+    multiset of its distances), so every profile must equal vertex 0's.  The
+    sweep runs one BFS per vertex and stops at the first that differs, which
+    on a random regular graph is usually vertex 1.  Once every profile
+    agrees it rules out no candidate image, and the search reads none.
     """
     n = g.n_vertices
     if n > TRANSITIVITY_CAP:
@@ -534,14 +540,12 @@ def check_vertex_transitive(g: Graph) -> tuple[bool | None, dict[int, list[int]]
     degrees = [g.degree(v) for v in range(n)]
     if len(set(degrees)) != 1:
         return False, {}
-    dist = [_bfs(g, s)[0] for s in range(n)]
-    # distance profile: sorted multiset of distances; automorphisms preserve it
-    profiles = [tuple(sorted(row)) for row in dist]
-    if len(set(profiles)) != 1:
+    # BFS vertex order from 0 keeps each new vertex adjacent to a mapped one
+    dist0, order = _bfs(g, 0)
+    profile = sorted(dist0)
+    if any(sorted(_bfs(g, s)[0]) != profile for s in range(1, n)):
         return False, {}
     adj = g.adjacency_counts()
-    # BFS vertex order from 0 keeps each new vertex adjacent to a mapped one
-    order = _bfs(g, 0)[1]
 
     def search(target: int) -> list[int] | None:
         image = [-1] * n
@@ -554,7 +558,7 @@ def check_vertex_transitive(g: Graph) -> tuple[bool | None, dict[int, list[int]]
                 return True
             u = order[idx]
             for cand in range(n):
-                if used[cand] or profiles[cand] != profiles[u]:
+                if used[cand]:
                     continue
                 if any(adj[u][w] != adj[cand][image[w]] for w in order[:idx]):
                     continue

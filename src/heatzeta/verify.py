@@ -32,30 +32,38 @@ class CheckResult:
         return self.worst <= self.budget
 
 
-def check_bessel_agreement() -> CheckResult:
+def bessel_grid_values() -> dict[float, list[float]]:
+    """I_order(t), orders 0..21, on the t grid of both Bessel checks, each read
+    once: their series side."""
+    return {
+        t: [bessel.bessel_i(order, t) for order in range(22)]
+        for t in (0.01, 0.1, 1.0, 5.0, 20.0)
+    }
+
+
+def check_bessel_agreement(values: dict[float, list[float]]) -> CheckResult:
     """Series vs quadrature over a grid of orders and arguments: one quadrature
-    row of orders 0..20 per argument."""
+    row of orders 0..20 per argument against the series values of
+    bessel_grid_values."""
     worst = 0.0
-    for t in (0.01, 0.1, 1.0, 5.0, 20.0):
+    for t, series in values.items():
         quadrature = bessel.bessel_i_quadrature(20, t)
         for order, integral in enumerate(quadrature):
-            series = bessel.bessel_i(order, t)
-            worst = max(worst, abs(series - integral) / max(1.0, abs(integral)))
+            worst = max(worst, abs(series[order] - integral) / max(1.0, abs(integral)))
     return CheckResult("bessel series vs quadrature", worst, 1e-9)
 
 
-def check_bessel_bound_and_monotonicity() -> CheckResult:
+def check_bessel_bound_and_monotonicity(values: dict[float, list[float]]) -> CheckResult:
     """e^{-t} I_order(t) against the uniform bound certified_truncation reads:
     the block bound at q = 1 and t/2, where tau = t and both prefactors are 1.
-    Each I_order(t), orders 0..21, is read once per t."""
+    values is bessel_grid_values(): I_order(t), orders 0..21, per t."""
     worst = 0.0
-    for t in (0.01, 0.1, 1.0, 5.0, 20.0):
-        values = [bessel.bessel_i(order, t) for order in range(22)]
+    for t, row in values.items():
         for order in range(21):
-            scaled = math.exp(-t) * values[order]
+            scaled = math.exp(-t) * row[order]
             bound = math.exp(bessel.log_block_bound(1, order, t / 2))
             worst = max(worst, scaled - bound)
-            worst = max(worst, values[order + 1] - values[order])
+            worst = max(worst, row[order + 1] - row[order])
     return CheckResult("bessel uniform bound and order monotonicity", worst, 0.0)
 
 
@@ -318,9 +326,10 @@ def check_laplace_calibration() -> CheckResult:
 
 
 def run_tree_checks(qs: Iterable[int] = (2, 3, 4)) -> list[CheckResult]:
+    bessel_values = bessel_grid_values()
     return [
-        check_bessel_agreement(),
-        check_bessel_bound_and_monotonicity(),
+        check_bessel_agreement(bessel_values),
+        check_bessel_bound_and_monotonicity(bessel_values),
         check_tree_formula_agreement(qs),
         check_tree_heat_equation(qs),
         check_tree_mass(),

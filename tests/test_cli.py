@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import heatzeta
-from heatzeta import cli, graphs
+from heatzeta import cli, graphs, heat_graph
 from heatzeta.cli import main
 from strategies import regular_multigraphs
 
@@ -32,14 +32,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_cli_process(*argv, timeout=120):
-    """``python -m heatzeta.cli`` in a fresh interpreter that imports this checkout."""
+def run_python(*args, timeout=120):
+    """``python *args`` in a fresh interpreter that imports this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SOURCE_ROOT, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "heatzeta.cli", *argv],
-        capture_output=True, text=True, timeout=timeout, env=env,
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env
     )
+
+
+def run_cli_process(*argv, timeout=120):
+    """``python -m heatzeta.cli`` in a fresh interpreter that imports this checkout."""
+    return run_python("-m", "heatzeta.cli", *argv, timeout=timeout)
 
 
 class TestAnalyze:
@@ -291,6 +295,33 @@ class TestHeat:
         lines = out.strip().splitlines()
         assert lines[0] == "cross_check_delta,t,value,x"
         assert len(lines) == 6
+
+    def test_csv_writes_a_missing_cross_check_as_an_empty_field(self, capsys):
+        # past DENSE_EIGEN_CAP no spectral row exists: JSON null, CSV empty
+        n = heat_graph.DENSE_EIGEN_CAP + 2
+        argv = ("heat", "--graph", f"c{n}", "--t", "0.1")
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "cross_check_delta,t,value,x"
+        assert len(lines) == n + 1
+        assert all(line.split(",")[0] == "" for line in lines[1:])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert all(row["cross_check_delta"] is None for row in json.loads(out)["rows"])
+
+    def test_csv_and_json_print_the_same_fields(self, capsys):
+        for argv in (
+            ("--graph", "cube", "--t", "0.1,2"),
+            ("--graph", "tree", "--q", "3", "--t", "0,0.5", "--order", "4"),
+        ):
+            _, out, _ = run(capsys, "heat", *argv, "--format", "csv")
+            header, *lines = out.splitlines()
+            _, out, _ = run(capsys, "heat", *argv)
+            rows = json.loads(out)["rows"]
+            assert [line.split(",") for line in lines] == [
+                [str(row[key]) for key in header.split(",")] for row in rows
+            ]
 
     def test_bad_time_grid(self, capsys):
         code, _, err = run(capsys, "heat", "--graph", "k4", "--t", "0.5,zebra")
@@ -623,6 +654,26 @@ def _run_script(command, *argv):
     return subprocess.run(
         [*command, *argv], capture_output=True, text=True, timeout=120
     )
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_not_built_at_import(self):
+        proc = run_python(
+            "-c", "import heatzeta.cli as c; print(c.build_parser.cache_info().currsize)"
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+    def test_no_state_carries_over_between_calls(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--tol", "-1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        argv = ("analyze", "--graph", "k4", "--order", "5")
+        fresh = run_cli_process(*argv)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 class TestEntryPoint:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 
 import numpy as np
 import pytest
@@ -18,6 +19,69 @@ def brute_force_vertex_counts(g, x0, k):
         end = g.terminus[w[-1]] if w else x0
         counts[end] += 1
     return counts
+
+
+def transitive_by_all_profiles(g):
+    """The sweep's reference: every vertex's distance profile, then the search
+    restricted to candidates of equal profile."""
+    n = g.n_vertices
+    if n > G.TRANSITIVITY_CAP:
+        return None, {}
+    if len({g.degree(v) for v in range(n)}) != 1:
+        return False, {}
+    profiles = [tuple(sorted(G._bfs(g, s)[0])) for s in range(n)]
+    if len(set(profiles)) != 1:
+        return False, {}
+    adj = g.adjacency_counts()
+    order = G._bfs(g, 0)[1]
+
+    def search(target):
+        image = [-1] * n
+        used = [False] * n
+        image[0] = target
+        used[target] = True
+
+        def extend(idx):
+            if idx == len(order):
+                return True
+            u = order[idx]
+            for cand in range(n):
+                if used[cand] or profiles[cand] != profiles[u]:
+                    continue
+                if any(adj[u][w] != adj[cand][image[w]] for w in order[:idx]):
+                    continue
+                image[u] = cand
+                used[cand] = True
+                if extend(idx + 1):
+                    return True
+                image[u] = -1
+                used[cand] = False
+            return False
+
+        return image if extend(1) else None
+
+    witnesses = {}
+    for v in range(n):
+        found = search(v)
+        if found is None:
+            return False, {}
+        witnesses[v] = found
+    return True, witnesses
+
+
+def random_regular_graph(n, d, rng):
+    """A connected simple d-regular graph on n vertices from the pairing model,
+    redrawn until simple and connected."""
+    while True:
+        points = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(pair)) for pair in zip(points[::2], points[1::2])}
+        if len(edges) < n * d // 2 or any(u == v for u, v in edges):
+            continue
+        try:
+            return G.load_graph({"vertices": n, "edges": sorted(edges)})
+        except GraphError:
+            continue
 
 
 class TestLoading:
@@ -537,6 +601,41 @@ class TestTransitivity:
         verdict, witnesses = G.check_vertex_transitive(G.builtin_graph(f"c{G.TRANSITIVITY_CAP + 1}"))
         assert verdict is None
         assert witnesses == {}
+
+    @pytest.mark.parametrize(
+        "name", list(G.BUILTIN_NAMES) + [f"c{n}" for n in range(3, 13)]
+    )
+    def test_builtins_match_the_all_profiles_rule(self, name):
+        g = G.builtin_graph(name)
+        assert G.check_vertex_transitive(g) == transitive_by_all_profiles(g)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("n", [8, 10, 16, 24, 40, 64])
+    def test_random_regular_graphs_match_the_all_profiles_rule(self, n, d):
+        rng = random.Random(f"transitivity-{n}-{d}")
+        for _ in range(3):
+            g = random_regular_graph(n, d, rng)
+            assert G.check_vertex_transitive(g) == transitive_by_all_profiles(g)
+
+    @given(g=regular_multigraphs())
+    @settings(max_examples=100, deadline=None)
+    def test_multigraphs_match_the_all_profiles_rule(self, g):
+        assert G.check_vertex_transitive(g) == transitive_by_all_profiles(g)
+
+    def test_stops_at_the_first_differing_profile(self, monkeypatch):
+        # two copies of K4 less an edge, joined at the ends of the removed
+        # edges: vertex 0 (an end) and vertex 1 (a middle) differ in profile
+        g = G.load_graph(
+            "0 1\n0 2\n1 2\n1 3\n2 3\n4 5\n4 6\n5 6\n5 7\n6 7\n0 4\n3 7\n"
+        )
+        assert g.regularity() == 2
+        profiles = [sorted(G._bfs(g, s)[0]) for s in (0, 1)]
+        assert profiles[0] != profiles[1]
+        calls = []
+        bfs = G._bfs
+        monkeypatch.setattr(G, "_bfs", lambda g, s: calls.append(s) or bfs(g, s))
+        assert G.check_vertex_transitive(g) == (False, {})
+        assert len(calls) <= 3
 
 
 class TestCountTable:

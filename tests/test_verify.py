@@ -109,14 +109,15 @@ def test_half_line_checks_evaluate_few_nodes(monkeypatch, check, args, module, i
 
 
 def test_tree_checks_run_few_power_series(monkeypatch):
-    # one Bessel row per half-line node and each I_order(t) read once per t
+    # one Bessel row per half-line node and each I_order(t) read once per t,
+    # shared by both Bessel checks
     runs = []
     series = bessel._power_series
     monkeypatch.setattr(
         bessel, "_power_series", lambda order, t: runs.append((order, t)) or series(order, t)
     )
     assert all(result.passed for result in verify.run_tree_checks((3,)))
-    assert len(runs) == 1234
+    assert len(runs) == 1129
 
 
 def test_bound_check_reads_each_order_once_per_argument(monkeypatch):
@@ -125,9 +126,29 @@ def test_bound_check_reads_each_order_once_per_argument(monkeypatch):
     monkeypatch.setattr(
         bessel, "bessel_i", lambda order, t: calls.append((order, t)) or bessel_i(order, t)
     )
-    assert verify.check_bessel_bound_and_monotonicity().passed
-    # orders 0..21 at five arguments, each once
+    values = verify.bessel_grid_values()
+    assert verify.check_bessel_bound_and_monotonicity(values).passed
+    assert verify.check_bessel_agreement(values).passed
+    # orders 0..21 at five arguments, each once, for both checks
     assert len(set(calls)) == len(calls) == 110
+
+
+@pytest.mark.parametrize(
+    "check, t, order, factor",
+    [
+        ("check_bessel_agreement", 1.0, 3, 1.0 + 1e-6),
+        ("check_bessel_agreement", 20.0, 20, 1.0 + 1e-6),
+        # I_5(5) above I_4(5) breaks monotonicity in the order
+        ("check_bessel_bound_and_monotonicity", 5.0, 5, 3.0),
+        # e^{-1} I_0(1) above its bound of 1, with the order still falling
+        ("check_bessel_bound_and_monotonicity", 1.0, 0, 2.2),
+    ],
+)
+def test_bessel_checks_catch_a_scaled_series_value(check, t, order, factor):
+    values = verify.bessel_grid_values()
+    assert getattr(verify, check)(values).passed
+    values[t][order] *= factor
+    assert not getattr(verify, check)(values).passed
 
 
 def test_counting_check_runs_one_census_per_vertex_and_one_enumeration(monkeypatch):
