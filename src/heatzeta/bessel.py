@@ -9,10 +9,8 @@ spectrally accurate on this smooth 2pi-periodic integrand; _nested_trapezoid,
 the package's one quadrature rule, also serves every integral of heat_tree
 and zeta.  The series rescales itself by exact powers 2^-512, so bessel_i
 is the plain sum and bessel_i_scaled, e^{-t} I_n(t), is in float range at
-any t with no switch of route.  bessel_i_scaled_row gives the orders
-0..N at one t from that one series at orders N and N + 1 and Bessel's
-recurrence I_{k-1} = I_{k+1} + (2k/t) I_k (DLMF 10.29.1), run downward;
-bessel_i_quadrature integrates the same row of orders over one node set.
+any t with no switch of route.  bessel_i_quadrature integrates the row
+of orders 0..N over one node set.
 A uniform bound
 
     sqrt(t) e^{-t} I_n(t) <= (1 + n/t)^{-n/2}
@@ -25,7 +23,8 @@ log_building_blocks evaluates the log of the whole vector of building blocks
 at one time from Miller's backward recurrence for the ratios I_{m+1}/I_m:
 the production evaluator behind every heat value, in float range at any t.
 The scalar building_block and the routes above stay as its independent
-oracle.
+oracle, with building_block_row: orders 0..N at one t from the series at
+orders N and N + 1 and Bessel's recurrence (DLMF 10.29.1) run downward.
 """
 
 from __future__ import annotations
@@ -40,8 +39,8 @@ __all__ = [
     "bessel_i",
     "bessel_i_quadrature",
     "bessel_i_scaled",
-    "bessel_i_scaled_row",
     "building_block",
+    "building_block_row",
     "building_block_time_derivatives",
     "certified_truncation",
     "log_block_bound",
@@ -151,30 +150,6 @@ def bessel_i_scaled(order: int, t: float) -> float:
     return math.ldexp(mantissa * math.exp(k * _LN2_HI - t) * math.exp(k * _LN2_LO), -fold)
 
 
-def bessel_i_scaled_row(N: int, t: float) -> np.ndarray:
-    """e^{-t} I_n(t) for n = 0..N at one t, as one vector.
-
-    bessel_i_scaled gives orders N and N + 1; Bessel's recurrence
-    I_{k-1} = I_{k+1} + (2k/t) I_k (DLMF 10.29.1), scaled by e^{-t}, then
-    runs downward.  I_n is the recurrence's minimal solution, so that
-    direction is stable (Gautschi, SIAM Review 1967), and each step adds
-    two positive terms in three roundings: order k is off by at most the
-    larger relative error of orders N and N + 1 plus about 3 (N - k + 1) eps.
-    Where e^{-t} I_N(t) is not a normal float (t = 0 with N > 0, or t tiny
-    beside N) the start has lost bits, and each order comes from its own
-    series instead.
-    """
-    top = bessel_i_scaled(N, t)
-    if top < sys.float_info.min:
-        return np.array([bessel_i_scaled(n, t) for n in range(N + 1)])
-    current, above = top, bessel_i_scaled(N + 1, t)
-    row = [current]
-    for k in range(N, 0, -1):
-        current, above = above + (2.0 * k / t) * current, current
-        row.append(current)
-    return np.array(row[::-1])
-
-
 def bessel_i_quadrature(N: int, t: float) -> np.ndarray:
     """I_n(t) for n = 0..N by _nested_trapezoid on the integral representation, one row
     per order over shared nodes, tol 1e-10, from N + 4 sqrt(t + 1) + 8 nodes, which
@@ -259,6 +234,35 @@ def building_block(q: int, r: int, t: float) -> float:
     _check_order_arg(r, t)
     prefactor = math.exp(-0.5 * r * math.log(q) - (math.sqrt(q) - 1.0) ** 2 * t)
     return prefactor * bessel_i_scaled(r, 2.0 * math.sqrt(q) * t)
+
+
+def building_block_row(q: int, N: int, t: float) -> np.ndarray:
+    """building_block(q, n, t) for n = 0..N at one t, as one vector.
+
+    bessel_i_scaled gives e^{-tau} I_n(tau), tau = 2 sqrt(q) t, at orders N
+    and N + 1; Bessel's recurrence I_{k-1} = I_{k+1} + (2k/tau) I_k, scaled,
+    runs downward.  I_n is its minimal solution, so that direction is stable
+    (Gautschi, SIAM Review 1967); each step adds two positive terms in three
+    roundings, so order k is off by at most the start's larger relative
+    error plus about 3 (N - k + 1) eps.  Where e^{-tau} I_N(tau) is not a
+    normal float (t = 0 with N > 0, or tau tiny beside N), each order comes
+    from its own series.  The row is then multiplied by building_block's
+    prefactor, its exponent the same to the bit (n times -0.5 ln q is -0.5 n
+    times ln q, exactly): exactly 1 at q = 1, where the row at t / 2 is e^{-t} I_n(t).
+    """
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    tau = 2.0 * math.sqrt(q) * t
+    row = [bessel_i_scaled(N, tau)]  # orders N, N - 1, ..., 0
+    if row[0] < sys.float_info.min:
+        row += [bessel_i_scaled(n, tau) for n in range(N - 1, -1, -1)]
+    else:
+        above = bessel_i_scaled(N + 1, tau)
+        for k in range(N, 0, -1):
+            row.append(above + (2.0 * k / tau) * row[-1])
+            above = row[-2]
+    step, shift = -0.5 * math.log(q), (math.sqrt(q) - 1.0) ** 2 * t
+    return np.exp([n * step - shift for n in range(N + 1)]) * np.array(row[::-1])
 
 
 def log_building_blocks(q: int, M: int, t: float) -> np.ndarray:

@@ -134,6 +134,7 @@ def cmd_heat(args) -> int:
         rows = []
         for t in ts:
             values = heat_tree.tree_heat_kernels(q, t, radii, args.tol)
+            cross = [None] * len(values)  # q = 1 has no integral route, t = 0 no integral
             if q >= 2 and t > 0:
                 try:
                     cross = heat_tree.tree_heat_kernel_integrals(
@@ -145,17 +146,15 @@ def cmd_heat(args) -> int:
                         file=sys.stderr,
                     )
                     return EXIT_INVARIANT_FAILURE
-            else:
-                cross = [value.value for value in values]
             rows.extend(
                 {
                     "t": _fmt(t),
                     "r": value.r,
                     "value": _fmt(value.value),
                     "tail_bound": _fmt(value.tail_bound),
-                    "cross_check_delta": _fmt(abs(value.value - integral)),
+                    "cross_check_delta": None if other is None else _fmt(abs(value.value - other)),
                 }
-                for value, integral in zip(values, cross)
+                for value, other in zip(values, cross)
             )
         return _emit_heat(args, "tree", q, rows)
     g = _resolve_graph(args)
@@ -267,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out": {"help": "output path (default stdout)"},
     }
     sub = parser.add_subparsers(dest="command", required=True)
-    # each subcommand accepts exactly the options it reads
+    # each subcommand accepts the options one of its modes reads
     for name, help_text, accepted in (
         ("analyze", "emit exact counting tables", ("--graph", "--q", "--order", "--out")),
         ("heat", "tabulate heat kernel values with cross-checks", tuple(options)),

@@ -25,9 +25,10 @@ exposed as diagonal_tree_decomposition.
 
 b_coefficients builds the exact b_m by their definition from the counting
 engine's c_m on every call, with no cache, so the series oracle shares no
-recursion with heat_kernel_rows.  spectral_data keeps its cache: the
-benchmark reads its cache_info(), and verify's G-transform check integrates
-heat_kernel_spectral at hundreds of quadrature nodes per graph.
+recursion with heat_kernel_rows.  spectral_data caches one graph, as every
+command and verify's run_graph_checks read one graph at a time: that one
+eigendecomposition (32 MB at n = 2,000) serves the hundreds of quadrature
+nodes of verify's G-transform check, and the benchmark reads its cache_info().
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def laplacian(g: Graph) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def spectral_data(g: Graph) -> SpectralData:
     """Dense symmetric eigen-solve; refused above DENSE_EIGEN_CAP vertices."""
     if g.n_vertices > DENSE_EIGEN_CAP:

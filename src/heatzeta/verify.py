@@ -3,18 +3,20 @@
 Each check returns (name, worst_discrepancy, budget, passed); the CLI
 `verify` command and the acceptance tests both drive this module, so a
 green `verify` run means every cross-route identity holds at its stated
-tolerance.
+tolerance.  A NaN discrepancy reads NaN and fails (_worst); each graph
+check takes one graph, which run_graph_checks builds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
 
 from heatzeta import bessel, graphs, heat_graph, heat_tree, zeta
+from heatzeta.graphs import Graph
 
 __all__ = ["CheckResult", "FINITE_BUILTINS", "run_all_checks", "run_graph_checks", "run_tree_checks"]
 
@@ -30,6 +32,12 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.worst <= self.budget
+
+
+def _worst(*values: float) -> float:
+    """The largest of values, or NaN where any is NaN: max alone keeps whichever
+    of a NaN and a number comes first, so a NaN discrepancy could pass."""
+    return math.nan if any(value != value for value in values) else max(values)
 
 
 def bessel_grid_values() -> dict[float, list[float]]:
@@ -49,7 +57,7 @@ def check_bessel_agreement(values: dict[float, list[float]]) -> CheckResult:
     for t, series in values.items():
         quadrature = bessel.bessel_i_quadrature(20, t)
         for order, integral in enumerate(quadrature):
-            worst = max(worst, abs(series[order] - integral) / max(1.0, abs(integral)))
+            worst = _worst(worst, abs(series[order] - integral) / max(1.0, abs(integral)))
     return CheckResult("bessel series vs quadrature", worst, 1e-9)
 
 
@@ -62,8 +70,7 @@ def check_bessel_bound_and_monotonicity(values: dict[float, list[float]]) -> Che
         for order in range(21):
             scaled = math.exp(-t) * row[order]
             bound = math.exp(bessel.log_block_bound(1, order, t / 2))
-            worst = max(worst, scaled - bound)
-            worst = max(worst, row[order + 1] - row[order])
+            worst = _worst(worst, scaled - bound, row[order + 1] - row[order])
     return CheckResult("bessel uniform bound and order monotonicity", worst, 0.0)
 
 
@@ -74,10 +81,10 @@ def check_tree_formula_agreement(qs: Iterable[int]) -> CheckResult:
             series = heat_tree.tree_heat_kernels(q, t, range(11), 1e-12)
             integrals = heat_tree.tree_heat_kernel_integrals(q, t, range(11), 1e-11)
             for value, integral in zip(series, integrals):
-                worst = max(worst, abs(value.value - integral))
+                worst = _worst(worst, abs(value.value - integral))
             # the classical r = 0 integral alone starts from fewer nodes than the row
             alone = heat_tree.tree_heat_kernel_integral(q, t, 0, 1e-11)
-            worst = max(worst, abs(series[0].value - alone))
+            worst = _worst(worst, abs(series[0].value - alone))
     return CheckResult("tree heat kernel series vs integral", worst, 1e-8)
 
 
@@ -87,12 +94,12 @@ def check_tree_heat_equation(qs: Iterable[int]) -> CheckResult:
         for t in (0.1, 0.5, 1.0, 2.0, 5.0):
             values = [value.value for value in heat_tree.tree_heat_kernels(q, t, range(13), 1e-13)]
             dots = heat_tree.tree_heat_kernel_time_derivatives(q, t, range(12))
-            worst = max(worst, abs((q + 1) * values[0] - (q + 1) * values[1] + dots[0]))
+            worst = _worst(worst, abs((q + 1) * values[0] - (q + 1) * values[1] + dots[0]))
             for r in range(1, 11):
                 residual = (
                     (q + 1) * values[r] - q * values[r + 1] - values[r - 1] + dots[r]
                 )
-                worst = max(worst, abs(residual))
+                worst = _worst(worst, abs(residual))
     return CheckResult("tree heat equation residual", worst, 1e-8)
 
 
@@ -116,7 +123,7 @@ def check_horocycle_transform(qs: Iterable[int]) -> CheckResult:
                 transform = math.fsum(w * k.value for w, k in zip(weights, kernel))
                 for n in {r, -r}:
                     expected = heat_tree.horocycle_solution(q, t, n)
-                    worst = max(worst, abs(q ** max(-n, 0) * transform - expected))
+                    worst = _worst(worst, abs(q ** max(-n, 0) * transform - expected))
     return CheckResult("horocyclic transform of the tree heat kernel", worst, 1e-9)
 
 
@@ -132,11 +139,11 @@ def check_tree_mass() -> CheckResult:
         radius = heat_graph.series_truncation_order(q, t, 1e-10)
         values = heat_tree.tree_heat_kernels(q, t, range(radius + 1), 1e-12)
         spheres = [1] + [(q + 1) * q ** (r - 1) for r in range(1, radius + 1)]
-        worst = max(worst, abs(math.fsum(s * v.value for s, v in zip(spheres, values)) - 1.0))
+        worst = _worst(worst, abs(math.fsum(s * v.value for s, v in zip(spheres, values)) - 1.0))
     return CheckResult("tree heat kernel mass conservation", worst, 1e-6)
 
 
-def check_counting_oracles(names: Iterable[str]) -> CheckResult:
+def check_counting_oracles(g: Graph) -> CheckResult:
     """Recursion counts must equal brute-force enumeration, exactly, to length 10.
 
     Every geodesic shorter than 10 is a prefix of one of length 10, so one
@@ -144,162 +151,138 @@ def check_counting_oracles(names: Iterable[str]) -> CheckResult:
     every geodesic of every length: its ends at each (k, x) from vertex 0
     check both recursions, and its closed counts check N_k^0 (vertex 0)
     and N_k (summed over vertices).  The explicit enumeration is the
-    census's own oracle, once per graph at length 10 from vertex 0.
+    census's own oracle, once at length 10 from vertex 0.
     """
     k_max = 10
     worst = 0
-    for name in names:
-        g = graphs.builtin_graph(name)
-        c_transfer = graphs.geodesic_counts(g, 0, k_max)
-        c_adjacency = graphs.geodesic_counts_recursion(g, 0, k_max)
-        n0 = graphs.closed_geodesics_at_vertex(g, 0, k_max)
-        n_total = graphs.closed_geodesics_total(g, k_max)
-        censuses = [graphs.enumerate_geodesic_counts(g, v, k_max) for v in range(g.n_vertices)]
-        ends, closed0 = censuses[0]
-        for k in range(k_max + 1):
-            for x in range(g.n_vertices):
-                worst = max(worst, abs(c_transfer[k][x] - ends[k][x]))
-                worst = max(worst, abs(c_adjacency[k][x] - ends[k][x]))
-            # at k = 0 each vertex has the empty geodesic: N_0^0 = 1, N_0 = n
-            closed_total = sum(closed[k] for _, closed in censuses)
-            worst = max(worst, abs(n0[k] - closed0[k]), abs(n_total[k] - closed_total))
-        walks = graphs.enumerate_geodesics(g, 0, k_max)
-        by_vertex = [0] * g.n_vertices
-        for w in walks:
-            by_vertex[g.terminus[w[-1]]] += 1
+    c_transfer = graphs.geodesic_counts(g, 0, k_max)
+    c_adjacency = graphs.geodesic_counts_recursion(g, 0, k_max)
+    n0 = graphs.closed_geodesics_at_vertex(g, 0, k_max)
+    n_total = graphs.closed_geodesics_total(g, k_max)
+    censuses = [graphs.enumerate_geodesic_counts(g, v, k_max) for v in range(g.n_vertices)]
+    ends, closed0 = censuses[0]
+    for k in range(k_max + 1):
         for x in range(g.n_vertices):
-            worst = max(worst, abs(ends[k_max][x] - by_vertex[x]))
-        closed_walks = graphs.enumerate_closed_geodesics(g, 0, k_max, walks)
-        worst = max(worst, abs(closed0[k_max] - len(closed_walks)))
-        # Moebius consistency: sum_{d|m} d pi_d = N_m
-        primes = graphs.prime_geodesic_counts(n_total, k_max)
-        for m in range(1, k_max + 1):
-            recomposed = sum(d * primes[d] for d in range(1, m + 1) if m % d == 0)
-            worst = max(worst, abs(recomposed - n_total[m]))
-        # transitivity scaling where applicable
-        verdict, _ = graphs.check_vertex_transitive(g)
-        if verdict:
-            for k in range(1, k_max + 1):
-                worst = max(worst, abs(n_total[k] - g.n_vertices * n0[k]))
+            worst = _worst(worst, *(abs(c[k][x] - ends[k][x]) for c in (c_transfer, c_adjacency)))
+        # at k = 0 each vertex has the empty geodesic: N_0^0 = 1, N_0 = n
+        closed_total = sum(closed[k] for _, closed in censuses)
+        worst = _worst(worst, abs(n0[k] - closed0[k]), abs(n_total[k] - closed_total))
+    walks = graphs.enumerate_geodesics(g, 0, k_max)
+    by_vertex = [0] * g.n_vertices
+    for w in walks:
+        by_vertex[g.terminus[w[-1]]] += 1
+    for x in range(g.n_vertices):
+        worst = _worst(worst, abs(ends[k_max][x] - by_vertex[x]))
+    closed_walks = graphs.enumerate_closed_geodesics(g, 0, k_max, walks)
+    worst = _worst(worst, abs(closed0[k_max] - len(closed_walks)))
+    # Moebius consistency: sum_{d|m} d pi_d = N_m
+    primes = graphs.prime_geodesic_counts(n_total, k_max)
+    for m in range(1, k_max + 1):
+        recomposed = sum(d * primes[d] for d in range(1, m + 1) if m % d == 0)
+        worst = _worst(worst, abs(recomposed - n_total[m]))
+    # transitivity scaling where applicable
+    verdict, _ = graphs.check_vertex_transitive(g)
+    if verdict:
+        for k in range(1, k_max + 1):
+            worst = _worst(worst, abs(n_total[k] - g.n_vertices * n0[k]))
     return CheckResult("counting recursions vs enumeration", float(worst), 0.0)
 
 
-def check_three_way_heat(names: Iterable[str]) -> CheckResult:
+def check_three_way_heat(g: Graph) -> CheckResult:
     """Scalar series oracle vs spectral, batched rows and ODE at every (x0, x, t).
 
-    One production pass per graph gives every (t, x0) row; one oracle
-    matrix per (graph, t) gives every x0.
+    One production pass gives every (t, x0) row; one oracle matrix per t
+    gives every x0.
     """
     worst = 0.0
     times = (0.1, 0.5, 1.0, 2.0)
-    for name in names:
-        g = graphs.builtin_graph(name)
-        rows = heat_graph.heat_kernel_rows(g, None, times, 1e-10)  # [i, x, x0]
-        for t, row in zip(times, rows):
-            ode = heat_graph.heat_kernel_ode(g, t)
-            series = heat_graph.heat_kernel_series_row(g, None, t, 1e-10)  # [x][x0]
-            for x0 in range(g.n_vertices):
-                spectral = heat_graph.heat_kernel_spectral_row(g, x0, t)
-                for x in range(g.n_vertices):
-                    value = series[x][x0]
-                    worst = max(worst, abs(value - spectral[x]))
-                    # the batched production route against the scalar oracle
-                    worst = max(worst, abs(value - row[x, x0]))
-                    worst = max(worst, abs(value - ode[x0, x]))
+    rows = heat_graph.heat_kernel_rows(g, None, times, 1e-10)  # [i, x, x0]
+    for t, row in zip(times, rows):
+        series = np.array(heat_graph.heat_kernel_series_row(g, None, t, 1e-10))  # [x, x0]
+        spectral = [heat_graph.heat_kernel_spectral_row(g, x0, t) for x0 in range(g.n_vertices)]
+        # the batched production route against the scalar oracle too
+        for other in (np.transpose(spectral), row, heat_graph.heat_kernel_ode(g, t).T):
+            worst = _worst(worst, float(np.max(np.abs(series - other))))
     return CheckResult("heat kernel series vs spectral vs ODE", worst, 1e-7)
 
 
-def check_diagonal_decomposition(names: Iterable[str]) -> CheckResult:
+def check_diagonal_decomposition(g: Graph) -> CheckResult:
     worst = 0.0
-    for name in names:
-        g = graphs.builtin_graph(name)
-        for t in (0.5, 1.0):
-            lhs = heat_graph.diagonal_tree_decomposition(g, 0, t, 1e-11)
-            rhs = heat_graph.heat_kernel_spectral(g, 0, 0, t)
-            worst = max(worst, abs(lhs - rhs))
+    for t in (0.5, 1.0):
+        lhs = heat_graph.diagonal_tree_decomposition(g, 0, t, 1e-11)
+        rhs = heat_graph.heat_kernel_spectral(g, 0, 0, t)
+        worst = _worst(worst, abs(lhs - rhs))
     return CheckResult("diagonal tree-plus-correction decomposition", worst, 1e-8)
 
 
-def check_four_way_zeta(names: Iterable[str]) -> CheckResult:
+def check_four_way_zeta(g: Graph) -> CheckResult:
     M = 12
-    worst = 0.0
-    for name in names:
-        g = graphs.builtin_graph(name)
-        q = g.regularity()
-        n_total = graphs.closed_geodesics_total(g, M)
-        primes = graphs.prime_geodesic_counts(n_total, M)
-        log_series = zeta.zeta_log_series_from_counts(n_total, M)
-        euler = zeta.euler_product_series(primes, M)
-        if euler != log_series.exp():
-            worst = max(worst, 1.0)
-        det_series = zeta.ihara_determinant_series(g, M)
-        recovered = zeta.recover_counts(det_series)
-        for m in range(1, M + 1):
-            worst = max(worst, float(abs(recovered[m] - n_total[m])))
-        # pointwise spectral zeta at the base vertex (per-vertex counts)
-        verdict, _ = graphs.check_vertex_transitive(g)
-        if verdict:
-            n0 = graphs.closed_geodesics_at_vertex(g, 0, 40)
-            series0 = zeta.zeta_log_series_from_counts(n0, 40)
-            measure = zeta.atomic_measure(g, 0)
-            for u in (0.02, 0.05, 0.1 / q):
-                spectral_recip = zeta.zeta_spectral(measure, q, u)
-                series_recip = math.exp(-series0.evaluate(u))
-                worst = max(worst, abs(spectral_recip - series_recip))
+    q = g.regularity()
+    n_total = graphs.closed_geodesics_total(g, M)
+    primes = graphs.prime_geodesic_counts(n_total, M)
+    log_series = zeta.zeta_log_series_from_counts(n_total, M)
+    worst = float(zeta.euler_product_series(primes, M) != log_series.exp())  # exact: 0 or 1
+    det_series = zeta.ihara_determinant_series(g, M)
+    recovered = zeta.recover_counts(det_series)
+    for m in range(1, M + 1):
+        worst = _worst(worst, float(abs(recovered[m] - n_total[m])))
+    # pointwise spectral zeta at the base vertex (per-vertex counts)
+    verdict, _ = graphs.check_vertex_transitive(g)
+    if verdict:
+        n0 = graphs.closed_geodesics_at_vertex(g, 0, 40)
+        series0 = zeta.zeta_log_series_from_counts(n0, 40)
+        measure = zeta.atomic_measure(g, 0)
+        for u in (0.02, 0.05, 0.1 / q):
+            spectral_recip = zeta.zeta_spectral(measure, q, u)
+            series_recip = math.exp(-series0.evaluate(u))
+            worst = _worst(worst, abs(spectral_recip - series_recip))
     return CheckResult("four-way zeta agreement", worst, 1e-8)
 
 
 def check_g_transform_building_blocks() -> CheckResult:
     """G sends building block k to u^{k-1}: one transform per (q, u) of the row
-    k = 0..6, each node's blocks from one bessel.bessel_i_scaled_row."""
+    k = 0..6, each node's blocks from one bessel.building_block_row."""
     orders = np.arange(7)
     worst = 0.0
     for q in (2, 3):
-        sq = math.sqrt(q)
-
-        def blocks(t, q=q, sq=sq):  # building_block(q, k, t) for k = 0..6
-            prefactor = np.exp(-0.5 * orders * math.log(q) - (sq - 1.0) ** 2 * t)
-            return prefactor * bessel.bessel_i_scaled_row(6, 2.0 * sq * t)
-
         for factor in (0.1, 0.25):
-            u = factor / sq
-            result = zeta.g_transform_numeric(blocks, q, u, growth_rate=2.0 * sq, rows=7)
-            worst = max(worst, float(np.max(np.abs(result.value - u ** (orders - 1.0)))))
+            u = factor / math.sqrt(q)
+            result = zeta.g_transform_numeric(
+                lambda t, q=q: bessel.building_block_row(q, 6, t),
+                q, u, growth_rate=2.0 * math.sqrt(q), rows=7,
+            )
+            worst = _worst(worst, float(np.max(np.abs(result.value - u ** (orders - 1.0)))))
     return CheckResult("G-transform of building blocks", worst, 1e-6)
 
 
-def check_g_transform_diagonal(names: Iterable[str]) -> CheckResult:
+def check_g_transform_diagonal(g: Graph) -> CheckResult:
     """Transform of the diagonal heat kernel vs the zeta logarithmic derivative."""
     worst = 0.0
-    for name in names:
-        g = graphs.builtin_graph(name)
-        q = g.regularity()
-        n0 = graphs.closed_geodesics_at_vertex(g, 0, 60)
-        for u in (0.02, 0.05):
-            transform = zeta.g_transform_numeric(
-                lambda t, g=g: heat_graph.heat_kernel_spectral(g, 0, 0, t), q, u
-            )
-            expected = (
-                1.0 / u
-                - (q - 1) * u / (1.0 - u * u)
-                + math.fsum(n0[m] * u ** (m - 1) for m in range(1, 61))
-            )
-            worst = max(worst, abs(transform.value[0] - expected))
+    q = g.regularity()
+    n0 = graphs.closed_geodesics_at_vertex(g, 0, 60)
+    for u in (0.02, 0.05):
+        transform = zeta.g_transform_numeric(
+            lambda t: heat_graph.heat_kernel_spectral(g, 0, 0, t), q, u
+        )
+        expected = (
+            1.0 / u
+            - (q - 1) * u / (1.0 - u * u)
+            + math.fsum(n0[m] * u ** (m - 1) for m in range(1, 61))
+        )
+        worst = _worst(worst, abs(transform.value[0] - expected))
     return CheckResult("G-transform of diagonal heat kernel", worst, 1e-6)
 
 
-def check_two_variable_zeta(names: Iterable[str]) -> CheckResult:
+def check_two_variable_zeta(g: Graph) -> CheckResult:
     """Off-diagonal two-variable zeta, every x != 0: exact log-series vs spectral.
 
     As |b_m(x)| <= (q+1) q^{m-1}, the series tail past M = 60 is below (qu)^60.
     """
     worst = 0.0
-    for name in names:
-        g = graphs.builtin_graph(name)
-        for x in range(1, g.n_vertices):
-            series, spectral = zeta.two_variable_zeta(g, 0, x, 60)
-            for u in (0.02, 0.05):
-                worst = max(worst, abs(series.evaluate(u) - spectral(u)))
+    for x in range(1, g.n_vertices):
+        series, spectral = zeta.two_variable_zeta(g, 0, x, 60)
+        for u in (0.02, 0.05):
+            worst = _worst(worst, abs(series.evaluate(u) - spectral(u)))
     return CheckResult("two-variable zeta series vs spectral", worst, 1e-8)
 
 
@@ -308,11 +291,11 @@ def check_tree_zeta_identity(qs: Iterable[int]) -> CheckResult:
     for q in qs:
         measure = zeta.kesten_tree_measure(q)
         for u in (0.05, 0.1, 0.2):
-            worst = max(worst, abs(zeta.zeta_spectral(measure, q, u) - 1.0))
+            worst = _worst(worst, abs(zeta.zeta_spectral(measure, q, u) - 1.0))
         walks = zeta.tree_walk_counts(q, 12)
         for k in range(13):
             moment = measure.integrate(lambda lam, k=k: (q + 1.0 - lam) ** k)
-            worst = max(worst, abs(moment - walks[k]) / max(1.0, abs(walks[k])))
+            worst = _worst(worst, abs(moment - walks[k]) / max(1.0, abs(walks[k])))
     return CheckResult("tree zeta identity and spectral moments", worst, 1e-7)
 
 
@@ -321,7 +304,7 @@ def check_laplace_calibration() -> CheckResult:
     worst = 0.0
     for s in (0.5, 1.0, 2.0):
         numeric, closed = zeta.laplace_identity_check(6, s)
-        worst = max(worst, float(np.max(np.abs(numeric - closed))))
+        worst = _worst(worst, float(np.max(np.abs(numeric - closed))))
     return CheckResult("Laplace transform calibration", worst, 1e-9)
 
 
@@ -340,19 +323,31 @@ def run_tree_checks(qs: Iterable[int] = (2, 3, 4)) -> list[CheckResult]:
     ]
 
 
+# each graph check in report order, and the builtins it runs on (None: every graph)
+_GRAPH_CHECKS = (
+    (check_counting_oracles, None),
+    (check_three_way_heat, None),
+    (check_four_way_zeta, None),
+    (check_diagonal_decomposition, ("k4", "petersen", "cube")),
+    (check_g_transform_diagonal, ("k4", "petersen")),
+    (check_two_variable_zeta, ("k4", "petersen", "k33")),
+)
+
+
 def run_graph_checks(names: Iterable[str]) -> list[CheckResult]:
-    """Every graph check on names; the last three only on the builtins each lists."""
-    names = tuple(names)
-    results = [check_counting_oracles(names), check_three_way_heat(names), check_four_way_zeta(names)]
-    for check, builtins in (
-        (check_diagonal_decomposition, ("k4", "petersen", "cube")),
-        (check_g_transform_diagonal, ("k4", "petersen")),
-        (check_two_variable_zeta, ("k4", "petersen", "k33")),
-    ):
-        chosen = tuple(n for n in names if n in builtins)
-        if chosen:
-            results.append(check(chosen))
-    return results
+    """Each check of _GRAPH_CHECKS that covers a graph of names, in that order.
+
+    One graph is built at a time and every check that covers it runs on it,
+    so heat_graph.spectral_data's one-graph cache serves them all; a check
+    reports the _worst of its values over the graphs it ran on.
+    """
+    runs: dict = {check: [] for check, _ in _GRAPH_CHECKS}
+    for name in names:
+        g = graphs.builtin_graph(name)
+        for check, builtins in _GRAPH_CHECKS:
+            if builtins is None or name in builtins:
+                runs[check].append(check(g))
+    return [replace(rs[0], worst=_worst(*(r.worst for r in rs))) for rs in runs.values() if rs]
 
 
 def run_all_checks() -> list[CheckResult]:

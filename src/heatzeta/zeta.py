@@ -38,7 +38,7 @@ from heatzeta.bessel import (
     MAX_SCALED_ARGUMENT,
     QuadratureError,
     _nested_trapezoid,
-    bessel_i_scaled_row,
+    building_block_row,
 )
 from heatzeta.graphs import Graph
 from heatzeta.heat_graph import b_coefficients, spectral_data
@@ -400,7 +400,8 @@ def laplace_identity_check(N: int, s: float) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (the numeric row at tol 1e-12, the closed-form row): one
     half-line integral over one node set, each node's e^{-t} I_n(t) for all
-    n from one bessel.bessel_i_scaled_row.  ValueError, before any node,
+    n from one bessel.building_block_row(1, N, t / 2), which is exactly
+    that row.  ValueError, before any node,
     where s is not finite and positive or the integral's cut passes
     bessel.MAX_SCALED_ARGUMENT.
     """
@@ -409,7 +410,7 @@ def laplace_identity_check(N: int, s: float) -> tuple[np.ndarray, np.ndarray]:
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     numeric = _half_line(
-        lambda t: math.exp(-s * t) * bessel_i_scaled_row(N, t), N + 1, s, 1e-12,
+        lambda t: math.exp(-s * t) * building_block_row(1, N, t / 2), N + 1, s, 1e-12,
         "calibration integral", reach=MAX_SCALED_ARGUMENT,
     )
     root = math.sqrt(s * s + 2.0 * s)

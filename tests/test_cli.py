@@ -320,8 +320,33 @@ class TestHeat:
             _, out, _ = run(capsys, "heat", *argv)
             rows = json.loads(out)["rows"]
             assert [line.split(",") for line in lines] == [
-                [str(row[key]) for key in header.split(",")] for row in rows
+                ["" if row[key] is None else str(row[key]) for key in header.split(",")]
+                for row in rows
             ]
+
+    @pytest.mark.parametrize(
+        "q, ts", [("1", "0.5,5"), ("2", "0"), ("3", "0,0.5")], ids=["q1", "t0", "t0-and-t"]
+    )
+    def test_tree_rows_no_integral_checked_have_no_cross_check(self, capsys, q, ts):
+        # q = 1 has no integral route and t = 0 no integral: JSON null, CSV empty,
+        # where a value compared with itself printed 0
+        argv = ("heat", "--graph", "tree", "--q", q, "--t", ts, "--order", "4")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        checked = [q != "1" and float(row["t"]) > 0 for row in rows]
+        assert [row["cross_check_delta"] is not None for row in rows] == checked
+        assert all(float(row["cross_check_delta"]) <= 1e-10 for row, c in zip(rows, checked) if c)
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        header, *lines = out.splitlines()
+        column = header.split(",").index("cross_check_delta")
+        assert [line.split(",")[column] != "" for line in lines] == checked
+
+    def test_one_spectral_decomposition_held_across_graphs(self, capsys):
+        for name in ("petersen", "cube"):
+            assert run(capsys, "heat", "--graph", name, "--t", "1")[0] == 0
+        assert heat_graph.spectral_data.cache_info().currsize == 1
 
     def test_bad_time_grid(self, capsys):
         code, _, err = run(capsys, "heat", "--graph", "k4", "--t", "0.5,zebra")
@@ -532,6 +557,13 @@ class TestVerify:
         ]
         assert all(lines), out
         assert [(m[1], m[2]) for m in lines] == [(name, f"{b:.14e}") for name, b in checks]
+
+    def test_nan_heat_route_fails_with_exit_three(self, capsys, monkeypatch):
+        rows = heat_graph.heat_kernel_rows
+        monkeypatch.setattr(heat_graph, "heat_kernel_rows", lambda *args: rows(*args) * math.nan)
+        code, out, err = run(capsys, "verify", "--graph", "k4")
+        assert (code, err) == (3, "")
+        assert "[FAIL] heat kernel series vs spectral vs ODE: worst nan (budget" in out
 
     def test_graph_file_refused(self, capsys, tmp_path):
         path = tmp_path / "triangle.txt"

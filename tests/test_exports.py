@@ -94,8 +94,8 @@ ORACLES = (
     "heat_graph.heat_kernel_ode",
     "bessel.bessel_i",
     "bessel.bessel_i_quadrature",
-    "bessel.bessel_i_scaled_row",
     "bessel.building_block",
+    "bessel.building_block_row",
     "bessel.building_block_time_derivatives",
 )
 
@@ -233,5 +233,20 @@ def test_no_verify_check_has_a_default():
         if isinstance(node, ast.FunctionDef)
         and node.name.startswith("check_")
         and (node.args.defaults or any(node.args.kw_defaults))
+    ]
+    assert found == []
+
+
+def test_no_verify_check_builds_a_graph():
+    # run_graph_checks builds each graph once and hands it to every check
+    tree = ast.parse(Path(importlib.import_module("heatzeta.verify").__file__).read_text())
+    found = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "builtin_graph"
     ]
     assert found == []

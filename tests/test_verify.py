@@ -1,8 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from heatzeta import bessel, graphs, heat_graph, heat_tree, verify, zeta
 
+K4, PETERSEN = graphs.builtin_graph("k4"), graphs.builtin_graph("petersen")
 
 ROUTES = ["heat_kernel_rows", "heat_kernel_spectral_row", "heat_kernel_ode", "heat_kernel_series_row"]
 
@@ -14,12 +18,12 @@ ROUTES = ["heat_kernel_rows", "heat_kernel_spectral_row", "heat_kernel_ode", "he
     + [pytest.param("heat_kernel_ode", 5e-7, id="heat_kernel_ode-5e-07")],
 )
 def test_three_way_heat_catches_a_shifted_route(monkeypatch, route, shift):
-    assert verify.check_three_way_heat(("k4",)).passed
+    assert verify.check_three_way_heat(K4).passed
     original = getattr(heat_graph, route)
     monkeypatch.setattr(
         heat_graph, route, lambda *args, **kwargs: np.asarray(original(*args, **kwargs)) + shift
     )
-    assert not verify.check_three_way_heat(("k4",)).passed
+    assert not verify.check_three_way_heat(K4).passed
 
 
 def test_horocycle_check_catches_a_shifted_solution(monkeypatch):
@@ -30,7 +34,7 @@ def test_horocycle_check_catches_a_shifted_solution(monkeypatch):
 
 
 def test_two_variable_zeta_check_catches_a_shifted_spectral_side(monkeypatch):
-    assert verify.check_two_variable_zeta(("k4",)).passed
+    assert verify.check_two_variable_zeta(K4).passed
     original = zeta.two_variable_zeta
 
     def shifted(*args):
@@ -38,7 +42,7 @@ def test_two_variable_zeta_check_catches_a_shifted_spectral_side(monkeypatch):
         return series, lambda u: spectral(u) + 1e-5
 
     monkeypatch.setattr(zeta, "two_variable_zeta", shifted)
-    assert not verify.check_two_variable_zeta(("k4",)).passed
+    assert not verify.check_two_variable_zeta(K4).passed
 
 
 def test_tree_formula_check_catches_a_shifted_integral_row(monkeypatch):
@@ -52,15 +56,17 @@ def test_tree_formula_check_catches_a_shifted_integral_row(monkeypatch):
 
 def test_laplace_calibration_catches_a_scaled_bessel_factor(monkeypatch):
     assert verify.check_laplace_calibration().passed
-    original = zeta.bessel_i_scaled_row
-    monkeypatch.setattr(zeta, "bessel_i_scaled_row", lambda N, t: original(N, t) * (1.0 + 1e-6))
+    original = zeta.building_block_row
+    monkeypatch.setattr(
+        zeta, "building_block_row", lambda q, N, t: original(q, N, t) * (1.0 + 1e-6)
+    )
     assert not verify.check_laplace_calibration().passed
 
 
 def test_g_transform_of_blocks_catches_a_shifted_block(monkeypatch):
     assert verify.check_g_transform_building_blocks().passed
-    original = bessel.bessel_i_scaled_row
-    monkeypatch.setattr(bessel, "bessel_i_scaled_row", lambda N, t: original(N, t) + 1e-7)
+    original = bessel.building_block_row
+    monkeypatch.setattr(bessel, "building_block_row", lambda q, N, t: original(q, N, t) + 1e-7)
     assert not verify.check_g_transform_building_blocks().passed
 
 
@@ -76,25 +82,25 @@ def test_tree_heat_equation_catches_a_shifted_derivative_row(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "check, args, module, integrand, ceiling",
+    "checks, module, integrand, ceiling",
     [
         # one integrand row per node, shared by every order of the check
         pytest.param(
-            "check_g_transform_building_blocks", (), bessel, "bessel_i_scaled_row", 252,
+            [verify.check_g_transform_building_blocks], bessel, "building_block_row", 252,
             id="g_transform_building_blocks",
         ),
         pytest.param(
-            "check_laplace_calibration", (), zeta, "bessel_i_scaled_row", 189,
+            [verify.check_laplace_calibration], zeta, "building_block_row", 189,
             id="laplace_calibration",
         ),
         pytest.param(
-            "check_g_transform_diagonal", (("k4", "petersen"),), heat_graph,
-            "heat_kernel_spectral", 252,
+            [lambda g=g: verify.check_g_transform_diagonal(g) for g in (K4, PETERSEN)],
+            heat_graph, "heat_kernel_spectral", 252,
             id="g_transform_diagonal",
         ),
     ],
 )
-def test_half_line_checks_evaluate_few_nodes(monkeypatch, check, args, module, integrand, ceiling):
+def test_half_line_checks_evaluate_few_nodes(monkeypatch, checks, module, integrand, ceiling):
     # the integrand's only calls are the quadrature nodes, a deterministic count
     calls = []
     original = getattr(module, integrand)
@@ -104,7 +110,7 @@ def test_half_line_checks_evaluate_few_nodes(monkeypatch, check, args, module, i
         return original(*args)
 
     monkeypatch.setattr(module, integrand, counted)
-    assert getattr(verify, check)(*args).passed
+    assert all(check().passed for check in checks)
     assert 0 < len(calls) <= ceiling
 
 
@@ -164,15 +170,16 @@ def test_counting_check_runs_one_census_per_vertex_and_one_enumeration(monkeypat
         "enumerate_geodesics",
         lambda g, x0, k: enumerations.append((x0, k)) or enumerate_geodesics(g, x0, k),
     )
-    assert verify.check_counting_oracles(verify.FINITE_BUILTINS).passed
-    sizes = [graphs.builtin_graph(name).n_vertices for name in verify.FINITE_BUILTINS]
+    built = [graphs.builtin_graph(name) for name in verify.FINITE_BUILTINS]
+    assert all(verify.check_counting_oracles(g).passed for g in built)
+    sizes = [g.n_vertices for g in built]
     assert censuses == [(n, x0, 10) for n in sizes for x0 in range(n)]
     assert enumerations == [(0, 10)] * len(verify.FINITE_BUILTINS)
 
 
 @pytest.mark.parametrize("k, x", [(0, 0), (1, 4), (5, 2), (10, 9)])
 def test_counting_check_catches_a_census_off_at_one_end(monkeypatch, k, x):
-    assert verify.check_counting_oracles(("petersen",)).passed
+    assert verify.check_counting_oracles(PETERSEN).passed
     census = graphs.enumerate_geodesic_counts
 
     def shifted(g, x0, K):
@@ -182,12 +189,12 @@ def test_counting_check_catches_a_census_off_at_one_end(monkeypatch, k, x):
         return ends, closed
 
     monkeypatch.setattr(graphs, "enumerate_geodesic_counts", shifted)
-    assert not verify.check_counting_oracles(("petersen",)).passed
+    assert not verify.check_counting_oracles(PETERSEN).passed
 
 
 @pytest.mark.parametrize("vertex, k", [(0, 0), (0, 5), (7, 6), (3, 10)])
 def test_counting_check_catches_a_census_off_in_one_closed_count(monkeypatch, vertex, k):
-    assert verify.check_counting_oracles(("petersen",)).passed
+    assert verify.check_counting_oracles(PETERSEN).passed
     census = graphs.enumerate_geodesic_counts
 
     def shifted(g, x0, K):
@@ -197,4 +204,133 @@ def test_counting_check_catches_a_census_off_in_one_closed_count(monkeypatch, ve
         return ends, closed
 
     monkeypatch.setattr(graphs, "enumerate_geodesic_counts", shifted)
-    assert not verify.check_counting_oracles(("petersen",)).passed
+    assert not verify.check_counting_oracles(PETERSEN).passed
+
+def _nan_first(original):
+    # the route's first entry (or its one value) reads NaN, the others stay finite
+    def mutant(*args):
+        value = np.array(original(*args), dtype=float)
+        value.flat[0] = math.nan
+        return value
+
+    return mutant
+
+
+def _nan_census(original):
+    def mutant(g, x0, K):
+        ends, closed = original(g, x0, K)
+        ends[3][1] = math.nan
+        return ends, closed
+
+    return mutant
+
+
+def _nan_laplace(original):
+    def mutant(N, s):
+        numeric, closed = original(N, s)
+        numeric[2] = math.nan
+        return numeric, closed
+
+    return mutant
+
+
+def _nan_two_variable(original):
+    def mutant(*args):
+        series, spectral = original(*args)
+        return series, lambda u: math.nan
+
+    return mutant
+
+
+def _nan_transform(original):
+    def mutant(*args, **kwargs):
+        result = original(*args, **kwargs)
+        return dataclasses.replace(result, value=_nan_first(lambda: result.value)())
+
+    return mutant
+
+
+def _nan_tree_kernels(original):
+    def mutant(*args):
+        values = original(*args)
+        return [dataclasses.replace(values[0], value=math.nan)] + values[1:]
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "check, module, route, mutate",
+    [
+        pytest.param(lambda: verify.check_counting_oracles(K4), graphs,
+                     "enumerate_geodesic_counts", _nan_census, id="counting"),
+        pytest.param(lambda: verify.check_three_way_heat(K4), heat_graph,
+                     "heat_kernel_rows", _nan_first, id="three_way_heat"),
+        pytest.param(lambda: verify.check_four_way_zeta(K4), zeta,
+                     "zeta_spectral", _nan_first, id="four_way_zeta"),
+        pytest.param(lambda: verify.check_diagonal_decomposition(K4), heat_graph,
+                     "heat_kernel_spectral", _nan_first, id="diagonal_decomposition"),
+        pytest.param(lambda: verify.check_g_transform_diagonal(K4), zeta,
+                     "g_transform_numeric", _nan_transform, id="g_transform_diagonal"),
+        pytest.param(lambda: verify.check_two_variable_zeta(K4), zeta,
+                     "two_variable_zeta", _nan_two_variable, id="two_variable_zeta"),
+        pytest.param(verify.check_g_transform_building_blocks, zeta,
+                     "g_transform_numeric", _nan_transform, id="g_transform_building_blocks"),
+        pytest.param(verify.check_laplace_calibration, zeta,
+                     "laplace_identity_check", _nan_laplace, id="laplace_calibration"),
+        pytest.param(lambda: verify.check_tree_formula_agreement((2,)), heat_tree,
+                     "tree_heat_kernel_integrals", _nan_first, id="tree_formula"),
+        pytest.param(lambda: verify.check_tree_heat_equation((2,)), heat_tree,
+                     "tree_heat_kernel_time_derivatives", _nan_first, id="tree_heat_equation"),
+        pytest.param(verify.check_tree_mass, heat_tree,
+                     "tree_heat_kernels", _nan_tree_kernels, id="tree_mass"),
+        pytest.param(lambda: verify.check_tree_zeta_identity((2,)), zeta,
+                     "zeta_spectral", _nan_first, id="tree_zeta_identity"),
+        pytest.param(lambda: verify.check_horocycle_transform((2,)), heat_tree,
+                     "horocycle_solution", _nan_first, id="horocycle"),
+    ],
+)
+def test_a_nan_discrepancy_fails_its_check(monkeypatch, check, module, route, mutate):
+    # max(worst, nan) keeps worst; every check's worst value keeps a NaN instead
+    assert check().passed
+    monkeypatch.setattr(module, route, mutate(getattr(module, route)))
+    result = check()
+    assert math.isnan(result.worst) and not result.passed
+
+
+@pytest.mark.parametrize("check", ["check_bessel_agreement", "check_bessel_bound_and_monotonicity"])
+def test_bessel_checks_fail_on_a_nan_series_value(check):
+    values = verify.bessel_grid_values()
+    values[5.0][4] = math.nan
+    result = getattr(verify, check)(values)
+    assert math.isnan(result.worst) and not result.passed
+
+
+def test_a_nan_on_the_last_graph_survives_the_merge(monkeypatch):
+    # petersen reads a finite worst value, then k4 NaN: the merged line keeps the NaN
+    rows = heat_graph.heat_kernel_rows
+    monkeypatch.setattr(
+        heat_graph,
+        "heat_kernel_rows",
+        lambda g, *args: _nan_first(rows)(g, *args) if g.n_vertices == 4 else rows(g, *args),
+    )
+    results = {result.name: result for result in verify.run_graph_checks(("petersen", "k4"))}
+    heat = results["heat kernel series vs spectral vs ODE"]
+    assert math.isnan(heat.worst) and not heat.passed
+    assert all(result.passed for name, result in results.items() if result is not heat)
+
+
+def test_full_verify_builds_each_graph_once_and_caches_one(monkeypatch):
+    built = []
+    builtin_graph = graphs.builtin_graph
+    monkeypatch.setattr(graphs, "builtin_graph", lambda name: built.append(name) or builtin_graph(name))
+    heat_graph.spectral_data.cache_clear()
+    assert all(result.passed for result in verify.run_all_checks())
+    assert built == list(verify.FINITE_BUILTINS)
+    info = heat_graph.spectral_data.cache_info()
+    assert (info.misses, info.maxsize, info.currsize) == (6, 1, 1)
+
+
+def test_graph_checks_report_in_table_order_whatever_the_graph_order():
+    # k33 runs the two-variable check before k4 runs the diagonal ones
+    names = [result.name for result in verify.run_graph_checks(("k33", "k4"))]
+    assert names == [result.name for result in verify.run_graph_checks(("k4",))]

@@ -289,10 +289,10 @@ class TestLaplaceIdentity:
     def test_unusable_s_refused_before_any_node(self, monkeypatch, s):
         # NaN passed s <= 0; at s = 1e-30 the cut t = 4.8e31 passes the range of
         # bessel_i_scaled, whose series ran 2.6 s before failing to terminate
-        def node(N, t):
+        def node(q, N, t):
             raise AssertionError("a node was evaluated")
 
-        monkeypatch.setattr(zeta, "bessel_i_scaled_row", node)
+        monkeypatch.setattr(zeta, "building_block_row", node)
         with pytest.raises(ValueError, match="s must be|passes"):
             laplace_identity_check(0, s)
 
@@ -302,11 +302,12 @@ class TestLaplaceIdentity:
 
     def test_unconverged_integral_refused(self, monkeypatch):
         # a scaled Bessel factor jumping 40,000 times over [0, 47.6] keeps the
-        # trapezoid rule's error at 1e-5 at the 2^20-node cap, and the guard says so
+        # trapezoid rule's error at 1e-5 at the 2^20-node cap, and the guard says so;
+        # the row is read at q = 1 and half the node, so 5.2e3 half is 2.6e3 t
         monkeypatch.setattr(
             zeta,
-            "bessel_i_scaled_row",
-            lambda N, t: np.full(N + 1, math.copysign(1.0, math.sin(2.6e3 * t))),
+            "building_block_row",
+            lambda q, N, half: np.full(N + 1, math.copysign(1.0, math.sin(5.2e3 * half))),
         )
         with pytest.raises(RuntimeError, match="calibration integral did not converge"):
             laplace_identity_check(0, 1.0)
@@ -314,7 +315,7 @@ class TestLaplaceIdentity:
     def test_fast_oscillation_converges(self, monkeypatch):
         # int_0^inf e^{-t} sin(w t) dt = w / (1 + w^2)
         monkeypatch.setattr(
-            zeta, "bessel_i_scaled_row", lambda N, t: np.full(N + 1, math.sin(2.6e3 * t))
+            zeta, "building_block_row", lambda q, N, half: np.full(N + 1, math.sin(5.2e3 * half))
         )
         numeric, _ = laplace_identity_check(0, 1.0)
         assert numeric[0] == pytest.approx(2.6e3 / (1.0 + 2.6e3**2), abs=1e-12)
