@@ -183,8 +183,9 @@ def _nested_trapezoid(integrand, rows: np.ndarray, scale, tol: float, start: flo
     of two past start and doubles over nested nodes until each row's
     |T_2n - T_n| plus QUADPACK's rounding term 50 eps (pi/n) |scale| sum |f|
     is at most max(tol, 10 tol |value|).
-    QuadratureError names the first row whose rounding term alone exceeds
-    that guard, or that misses it at _MAX_NODES.
+    QuadratureError names the first row whose sum of |f| is not finite (at
+    the node set where that first happens), whose rounding term alone
+    exceeds that guard, or that misses it at _MAX_NODES.
     """
     step = max(1, _CHUNK_ENTRIES // max(1, len(rows)))
 
@@ -195,13 +196,19 @@ def _nested_trapezoid(integrand, rows: np.ndarray, scale, tol: float, start: flo
             both += f.sum(axis=1), np.abs(f).sum(axis=1)
         return both
 
+    def finite(total):  # a non-finite f makes every error estimate NaN: refuse it at once
+        bad = ~np.isfinite(total[1])
+        if bad.any():
+            raise QuadratureError(int(rows[np.argmax(bad)]), f"integrand is not finite at {n} nodes")
+        return total
+
     n = 1 << math.ceil(math.log2(start))
     ends = np.broadcast_to(ends, rows.shape)
-    total = sums(np.arange(1, n) * (math.pi / n)) + [ends, np.abs(ends)]
+    total = finite(sums(np.arange(1, n) * (math.pi / n)) + [ends, np.abs(ends)])
     value = scale * (math.pi / n) * total[0]
     while True:
         n *= 2
-        total += sums(np.arange(1, n, 2) * (math.pi / n))
+        total = finite(total + sums(np.arange(1, n, 2) * (math.pi / n)))
         previous, value = value, scale * (math.pi / n) * total[0]
         rounding = 50.0 * np.finfo(float).eps * (math.pi / n) * np.abs(scale) * total[1]
         error = np.abs(value - previous) + rounding

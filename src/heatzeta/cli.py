@@ -90,6 +90,19 @@ def _emit(args, payload: dict | str) -> None:
 
 
 def cmd_analyze(args) -> int:
+    if _is_tree(args):
+        zeros = [0] * args.order
+        payload = {
+            "schema": SCHEMA_VERSION,
+            "graph": "tree",
+            "q": _tree_q(args),
+            "n": None,
+            "vertex_transitive": True,
+            "N_k0": [1, *zeros],
+            "c_k0": [1, *zeros],
+        }
+        _emit(args, payload)
+        return EXIT_OK
     g = _resolve_graph(args)
     q = g.regularity()
     table = graphs.count_table(g, 0, args.order)
@@ -105,22 +118,6 @@ def cmd_analyze(args) -> int:
         "N_k0": table.n0,
         "N_k": table.n_total,
         "pi_k": table.primes,
-    }
-    _emit(args, payload)
-    return EXIT_OK
-
-
-def cmd_analyze_tree(args) -> int:
-    q = _tree_q(args)
-    zeros = [0] * (args.order + 1)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "graph": "tree",
-        "q": q,
-        "n": None,
-        "vertex_transitive": True,
-        "N_k0": [1] + zeros[1:],
-        "c_k0": [1] + zeros[1:],
     }
     _emit(args, payload)
     return EXIT_OK
@@ -244,9 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     Building it costs about a millisecond, a large share of a small command
     in a long-lived process, so later main calls reuse it.  It holds only
-    the fixed command grammar, nothing derived from any input, and
-    parse_args keeps no state between calls.  Nothing builds it at import,
-    so a one-shot command pays for one build and import for none.
+    the fixed command grammar and each subcommand's handler function,
+    nothing derived from any input, and parse_args keeps no state between
+    calls.  Nothing builds it at import, so a one-shot command pays for one
+    build and import for none.
     """
     parser = argparse.ArgumentParser(
         prog="heatzeta",
@@ -266,15 +264,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--out": {"help": "output path (default stdout)"},
     }
     sub = parser.add_subparsers(dest="command", required=True)
-    # each subcommand accepts the options one of its modes reads
-    for name, help_text, accepted in (
-        ("analyze", "emit exact counting tables", ("--graph", "--q", "--order", "--out")),
-        ("heat", "tabulate heat kernel values with cross-checks", tuple(options)),
-        ("zeta", "emit the zeta report (counts, primes, coefficients)",
+    # each subcommand accepts the options one of its modes reads, and names its handler
+    for name, handler, help_text, accepted in (
+        ("analyze", cmd_analyze, "emit exact counting tables",
+         ("--graph", "--q", "--order", "--out")),
+        ("heat", cmd_heat, "tabulate heat kernel values with cross-checks", tuple(options)),
+        ("zeta", cmd_zeta, "emit the zeta report (counts, primes, coefficients)",
          ("--graph", "--order", "--out")),
-        ("verify", "run the full identity suite; nonzero exit on failure", ("--graph", "--q")),
+        ("verify", cmd_verify, "run the full identity suite; nonzero exit on failure",
+         ("--graph", "--q")),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         for option in accepted:
             p.add_argument(option, **options[option])
     return parser
@@ -292,17 +293,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise GraphError("--order must be >= 1")
             if args.order > MAX_ORDER:
                 raise GraphError(f"--order must be at most {MAX_ORDER}, got {args.order}")
-        if args.command == "analyze":
-            if _is_tree(args):
-                return cmd_analyze_tree(args)
-            return cmd_analyze(args)
-        if args.command == "heat":
-            return cmd_heat(args)
-        if args.command == "zeta":
-            return cmd_zeta(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        raise GraphError(f"unknown command {args.command}")  # pragma: no cover
+        return args.handler(args)
     except (ValueError, OSError) as exc:  # GraphError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -246,42 +246,25 @@ def builtin_graph(name: str) -> Graph:
 
 
 def geodesic_counts(g: Graph, x0: int, K: int) -> list[list[int]]:
-    """c_k(x) by the edge-transfer recursion, k = 0..K (oracle).
+    """c_k(x) by edge transfer with Hashimoto's operator B = S - J, k = 0..K (oracle).
 
-    The state is a count per directed edge, and an edge e may be followed
-    by any f with o(f) = t(e), f != bar(e).  Works on any graph, regular
-    or not; production counts come from geodesic_counts_recursion.
+    w_k(e) counts the geodesics of length k from x0 whose last edge is e,
+    and c_k(x) sums w_k over the edges into x.  A geodesic of length k + 1
+    ending with f is one of length k ending at o(f) followed by f, unless
+    its last edge is bar(f): w_{k+1}(f) = c_k(o(f)) - w_k(bar(f)), with
+    w_0 = 0 (Hashimoto 1989; Bass 1992).  Works on any graph, regular or
+    not; production counts come from geodesic_counts_recursion.
     """
-    n = g.n_vertices
-    c0 = [0] * n
-    c0[x0] = 1
-    table = [c0]
-    if K == 0:
-        return table
-    w = [1 if g.origin[e] == x0 else 0 for e in range(g.n_edges)]
-    table.append(_edge_counts_to_vertex(g, w))
-    for _ in range(2, K + 1):
-        nxt = [0] * g.n_edges
-        for f in range(g.n_edges):
-            u = g.origin[f]
-            barf = g.bar(f)
-            total = 0
-            for e in g.out_edges[u]:
-                # incoming edges at u are the bars of outgoing ones
-                incoming = g.bar(e)
-                if incoming != barf:
-                    total += w[incoming]
-            nxt[f] = total
-        w = nxt
-        table.append(_edge_counts_to_vertex(g, w))
+    c = [0] * g.n_vertices
+    c[x0] = 1
+    table, w = [c], [0] * g.n_edges
+    for _ in range(K):
+        w = [c[u] - w[f ^ 1] for f, u in enumerate(g.origin)]
+        c = [0] * g.n_vertices
+        for e, v in enumerate(g.terminus):
+            c[v] += w[e]
+        table.append(c)
     return table
-
-
-def _edge_counts_to_vertex(g: Graph, w: list[int]) -> list[int]:
-    out = [0] * g.n_vertices
-    for e, count in enumerate(w):
-        out[g.terminus[e]] += count
-    return out
 
 
 def _int64_safe(q: int, K: int) -> bool:

@@ -12,8 +12,9 @@ rescaled float arrays through the gather of graphs, against weights built
 ahead from one vector of bessel.log_building_blocks per t.  Every series
 route, the diagonal decomposition included, stops at series_truncation_order:
 bessel.certified_truncation with the coefficient bound |b_m(x)| <= (q+1) q^{m-1}
-as weight.  heat_kernel_spectral_row is the one spectral route;
-heat_kernel_spectral is one entry of it.  The independent oracles that
+as weight.  heat_kernel_spectral_row, V (e^{-lambda t} V[x0]), is the one
+spectral route; heat_kernel_spectral is its entry x by one dot product,
+V[x] . (e^{-lambda t} V[x0]).  The independent oracles that
 verify and the tests compare against are heat_kernel_series_row, which sums
 the exact b_m against one list of scalar building_block values per (graph, t)
 with math.fsum, no arrays; heat_kernel_series, one entry of that row; and
@@ -82,7 +83,6 @@ class SpectralData:
     down by the t = 0 initial condition of the heat kernel.
     """
 
-    q: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
@@ -107,7 +107,7 @@ def spectral_data(g: Graph) -> SpectralData:
     # exact for a connected regular graph; eigh's rounding of it would grow like t
     eigenvalues[0] = 0.0
     eigenvectors[:, 0] = 1.0 / math.sqrt(g.n_vertices)
-    return SpectralData(g.regularity(), eigenvalues, eigenvectors)
+    return SpectralData(eigenvalues, eigenvectors)
 
 
 def b_coefficients(g: Graph, x0: int | None, M: int) -> list[list]:
@@ -294,8 +294,10 @@ def heat_kernel_spectral_row(g: Graph, x0: int, t: float) -> np.ndarray:
 
 
 def heat_kernel_spectral(g: Graph, x0: int, x: int, t: float) -> float:
-    """Spectral heat kernel K(t, x0, x): entry x of heat_kernel_spectral_row."""
-    return float(heat_kernel_spectral_row(g, x0, t)[x])
+    """Spectral heat kernel K(t, x0, x) = V[x] . (e^{-lambda t} V[x0]): one dot product."""
+    _check_time(t)
+    sd = spectral_data(g)
+    return float(sd.eigenvectors[x] @ (np.exp(-sd.eigenvalues * t) * sd.eigenvectors[x0]))
 
 
 def heat_kernel_ode(g: Graph, t: float) -> np.ndarray:

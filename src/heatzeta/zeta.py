@@ -294,9 +294,11 @@ def kesten_tree_measure(q: int) -> TreeDensity:
     return TreeDensity(q)
 
 
-def atomic_measure(g: Graph, x0: int) -> AtomicMeasure:
+def atomic_measure(g: Graph, x0: int, x: int) -> AtomicMeasure:
+    """Atoms at g's Laplacian eigenvalues with weights psi_j(x) psi_j(x0): the
+    spectral measure at x0 for x = x0 (total weight 1), else total weight 0."""
     sd = spectral_data(g)
-    weights = sd.eigenvectors[x0, :] ** 2
+    weights = sd.eigenvectors[x, :] * sd.eigenvectors[x0, :]
     return AtomicMeasure(tuple(sd.eigenvalues.tolist()), tuple(weights.tolist()))
 
 
@@ -316,14 +318,15 @@ def tree_walk_counts(q: int, K: int) -> list[int]:
     return counts
 
 
-def _log_quadratic(alpha: float, q: int, u: float) -> float:
-    value = 1.0 - alpha * u + q * u * u
-    if value <= 0.0:
-        raise AssertionError(
-            f"quadratic 1 - {alpha} u + {q} u^2 is nonpositive at u={u}; "
-            "u is outside the admissible domain"
-        )
-    return math.log(value)
+def _log_determinant(measure: AtomicMeasure | TreeDensity, q: int, u: float) -> float:
+    """int log(1 - (q+1-lam) u + q u^2) dmu(lam), for 0 < u < 1/q only.
+
+    There every logarithm is real: on the spectrum, 0 <= lam <= 2(q+1), the
+    quadratic is at least 1 - (q+1) u + q u^2 = (1 - u)(1 - q u) > 0.
+    """
+    if not 0.0 < u < 1.0 / q:
+        raise ValueError(f"u={u} outside the admissible interval (0, 1/{q})")
+    return measure.integrate(lambda lam: math.log(1.0 - (q + 1.0 - lam) * u + q * u * u))
 
 
 def zeta_spectral(measure: AtomicMeasure | TreeDensity, q: int, u: float) -> float:
@@ -334,10 +337,7 @@ def zeta_spectral(measure: AtomicMeasure | TreeDensity, q: int, u: float) -> flo
 
     Requires 0 < u < 1/q so every logarithm stays real.
     """
-    if not 0.0 < u < 1.0 / q:
-        raise ValueError(f"u={u} outside the admissible interval (0, 1/{q})")
-    integral = measure.integrate(lambda lam: _log_quadratic(q + 1.0 - lam, q, u))
-    return (1.0 - u * u) ** ((q - 1) / 2.0) * math.exp(integral)
+    return (1.0 - u * u) ** ((q - 1) / 2.0) * math.exp(_log_determinant(measure, q, u))
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +437,6 @@ def two_variable_zeta(
     b = b_coefficients(g, x0, M)
     coeffs = [Fraction(0)] + [Fraction(b[m][x], m) for m in range(1, M + 1)]
     series = PowerSeries(coeffs)
-    sd = spectral_data(g)
-    q = sd.q
-    weights = sd.eigenvectors[x, :] * sd.eigenvectors[x0, :]
-    measure = AtomicMeasure(tuple(sd.eigenvalues.tolist()), tuple(weights.tolist()))
-
-    def spectral_log_zeta(u: float) -> float:
-        if not 0.0 < u < 1.0 / q:
-            raise ValueError(f"u={u} outside (0, 1/{q})")
-        return -measure.integrate(lambda lam: _log_quadratic(q + 1.0 - lam, q, u))
-
-    return series, spectral_log_zeta
+    q = g.regularity()
+    measure = atomic_measure(g, x0, x)
+    return series, lambda u: -_log_determinant(measure, q, u)

@@ -255,6 +255,15 @@ class TestPathCounts:
         assert all_python_ints(a0)
 
 
+# irregular graphs as edge lists: a path from its end, a star from its centre,
+# and a self-loop at the base of a path into a triangle
+IRREGULAR = {
+    "path": "0 1\n1 2\n2 3\n3 4\n",
+    "star": "0 1\n0 2\n0 3\n0 4\n",
+    "self_loop": "0 0\n0 1\n1 2\n2 3\n3 1\n",
+}
+
+
 class TestGeodesicCounts:
     def test_k4_length_two(self):
         c = G.geodesic_counts(G.builtin_graph("k4"), 0, 2)
@@ -278,10 +287,11 @@ class TestGeodesicCounts:
         for x0 in range(g.n_vertices):
             assert G.geodesic_counts(g, x0, 12) == G.geodesic_counts_recursion(g, x0, 12)
 
-    @pytest.mark.parametrize("name", ["k4", "c5", "petersen", "cube", "k33"])
+    @pytest.mark.parametrize("name", ["k4", "c5", "petersen", "cube", "k33", *IRREGULAR])
     @pytest.mark.parametrize("k", range(8))
     def test_against_enumeration(self, name, k):
-        g = G.builtin_graph(name)
+        # the edge transfer needs no regularity: irregular graphs, a self-loop
+        g = G.load_graph(IRREGULAR[name]) if name in IRREGULAR else G.builtin_graph(name)
         assert G.geodesic_counts(g, 0, k)[k] == brute_force_vertex_counts(g, 0, k)
 
     def test_multigraph(self):

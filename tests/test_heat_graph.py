@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -186,6 +187,25 @@ class TestThreeWayAgreement:
                 for k in range(-20, 21)
             )
             assert heat_kernel_series(g, 0, x, t, 1e-12) == pytest.approx(wrapped, abs=1e-9)
+
+
+def seeded_cubic_multigraph(n: int, seed: int) -> G.Graph:
+    """A cycle on n vertices plus a seeded random perfect matching: 3-regular."""
+    points = list(range(n))
+    random.Random(seed).shuffle(points)
+    edges = [(v, (v + 1) % n) for v in range(n)] + list(zip(points[::2], points[1::2]))
+    return G.load_graph({"vertices": n, "edges": edges})
+
+
+@pytest.mark.parametrize("name", [*GRAPH_NAMES, "seeded200"])
+def test_spectral_entry_is_the_row_entry(name):
+    # one dot product per entry, the same sum as the row's up to rounding
+    g = seeded_cubic_multigraph(200, 7) if name == "seeded200" else G.builtin_graph(name)
+    for x0 in (0, g.n_vertices // 2):
+        for t in (0.0, 0.3, 2.0, 50.0):
+            row = heat_kernel_spectral_row(g, x0, t)
+            entries = [heat_kernel_spectral(g, x0, x, t) for x in range(g.n_vertices)]
+            assert np.abs(np.array(entries) - row).max() <= 1e-15
 
 
 class TestBatchedRows:

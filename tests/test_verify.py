@@ -33,6 +33,23 @@ def test_horocycle_check_catches_a_shifted_solution(monkeypatch):
     assert not verify.check_horocycle_transform((2,)).passed
 
 
+def test_tree_zeta_check_reads_q_2_or_3(monkeypatch):
+    # run_tree_checks' rule, and its reason: from q = 4 on the 11th spectral
+    # moment's rounding term exceeds TreeDensity.integrate's guard
+    with pytest.raises(bessel.QuadratureError, match="rounding error 2.84e-09 exceeds the guard 1e-09"):
+        verify.check_tree_zeta_identity((4,))
+    seen = []
+
+    def recorded(qs):
+        seen.append(list(qs))
+        return verify.CheckResult("tree zeta identity and spectral moments", 0.0, 1e-7)
+
+    monkeypatch.setattr(verify, "check_tree_zeta_identity", recorded)
+    for qs in ((2,), (3,), (4,), (7,), (2, 3, 4)):
+        verify.run_tree_checks(qs)
+    assert seen == [[2], [3], [2], [2], [2, 3]]
+
+
 def test_two_variable_zeta_check_catches_a_shifted_spectral_side(monkeypatch):
     assert verify.check_two_variable_zeta(K4).passed
     original = zeta.two_variable_zeta

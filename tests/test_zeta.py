@@ -6,7 +6,7 @@ import pytest
 
 from heatzeta import graphs as G
 from heatzeta import zeta
-from heatzeta.bessel import building_block
+from heatzeta.bessel import QuadratureError, building_block
 from heatzeta.heat_graph import spectral_data
 from heatzeta.zeta import (
     atomic_measure,
@@ -115,7 +115,7 @@ class TestSpectralZeta:
     def test_k4_matches_series(self):
         g = G.builtin_graph("k4")
         q = g.regularity()
-        measure = atomic_measure(g, 0)
+        measure = atomic_measure(g, 0, 0)
         n0 = G.closed_geodesics_at_vertex(g, 0, 40)
         series = zeta_log_series_from_counts(n0, 40)
         for u in (0.02, 0.05, 0.1):
@@ -137,16 +137,22 @@ class TestSpectralZeta:
 class TestAtomicMeasure:
     def test_moments_count_closed_walks(self):
         # closed walks of length k at a vertex of K4: (3^k + 3 (-1)^k) / 4
-        measure = atomic_measure(G.builtin_graph("k4"), 0)
+        measure = atomic_measure(G.builtin_graph("k4"), 0, 0)
         assert measure.integrate(lambda lam: 1.0) == pytest.approx(1.0, abs=1e-15)
         for k in range(1, 9):
             moment = measure.integrate(lambda lam, k=k: (3.0 - lam) ** k)
             assert moment == pytest.approx((3**k + 3 * (-1) ** k) / 4, rel=1e-13, abs=1e-13)
 
+    @pytest.mark.parametrize("name", FINITE)
+    def test_weights_sum_to_the_indicator(self, name):
+        # sum_j psi_j(x) psi_j(x0) = [x = x0], as the eigenvectors are orthonormal
+        g = G.builtin_graph(name)
+        for x in range(g.n_vertices):
+            mass = math.fsum(atomic_measure(g, 0, x).weights)
+            assert mass == pytest.approx(1.0 if x == 0 else 0.0, abs=1e-14)
+
     def test_off_diagonal_weights_have_no_mass(self):
-        sd = spectral_data(G.builtin_graph("petersen"))
-        weights = sd.eigenvectors[1, :] * sd.eigenvectors[0, :]
-        measure = zeta.AtomicMeasure(tuple(sd.eigenvalues.tolist()), tuple(weights.tolist()))
+        measure = atomic_measure(G.builtin_graph("petersen"), 0, 1)
         assert measure.integrate(lambda lam: 1.0) == pytest.approx(0.0, abs=1e-15)
         # one step of the walk: the Laplacian's off-diagonal entry -1 for an edge
         assert measure.integrate(lambda lam: lam) == pytest.approx(-1.0, abs=1e-14)
@@ -178,6 +184,17 @@ class TestKestenMoments:
             moment = measure.integrate(lambda lam, k=k: (q + 1.0 - lam) ** k)
             assert round(moment) == walks[k]
             assert moment == pytest.approx(walks[k], rel=1e-9, abs=1e-9)
+
+    def test_non_finite_integrand_refused_at_once(self):
+        calls = []
+
+        def f(lam):
+            calls.append(lam)
+            return math.nan
+
+        with pytest.raises(QuadratureError, match="integrand is not finite at 8 nodes"):
+            kesten_tree_measure(2).integrate(f)
+        assert len(calls) <= 15
 
     def test_walk_counts_exact_small(self):
         # q = 1 tree is the integer line: central binomials
@@ -251,6 +268,26 @@ class TestGTransform:
         # step, 3e-4 at the 2^20-node cap against the guard 1e-11
         with pytest.raises(RuntimeError, match="did not converge"):
             g_transform_numeric(lambda t: math.copysign(1.0, math.sin(1e4 * t)), 2, 0.25)
+
+    @pytest.mark.parametrize(
+        "rows, value",
+        [
+            pytest.param(1, math.nan, id="nan"),
+            pytest.param(7, np.array([1.0, 2.0, 3.0, math.inf, 5.0, 6.0, 7.0]), id="infinite_row"),
+        ],
+    )
+    def test_non_finite_integrand_refused_at_once(self, rows, value):
+        # a NaN made every error estimate NaN, and the rule doubled to 2^20 nodes
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return value
+
+        with pytest.raises(RuntimeError, match="integrand is not finite at 8 nodes") as info:
+            g_transform_numeric(f, 2, 0.05, rows=rows)
+        assert info.value.__cause__.r == (3 if rows == 7 else 0)
+        assert len(calls) <= 15
 
     def test_fast_oscillation_converges(self):
         # (u^-2 - q) w / (a^2 + w^2), a = qu + 1/u - (q + 1) = 1.5, the transform of sin(w t)
