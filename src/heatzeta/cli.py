@@ -38,7 +38,8 @@ def _fmt(x: float) -> str:
 
 def _parse_float_list(text: str) -> list[float]:
     try:
-        values = [float(part) for part in text.split(",") if part.strip()]
+        # + 0.0 turns -0 into 0, so --t -0 prints as --t 0 does
+        values = [float(part) + 0.0 for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise GraphError(f"bad numeric list {text!r}: {exc}") from exc
     if not values:

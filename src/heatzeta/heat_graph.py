@@ -35,7 +35,6 @@ nodes of verify's G-transform check, and the benchmark reads its cache_info().
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -52,7 +51,6 @@ from heatzeta.graphs import Graph, _adjacency_gather, _geodesic_matrices, closed
 from heatzeta.heat_tree import tree_heat_kernel
 
 __all__ = [
-    "SpectralData",
     "b_coefficients",
     "diagonal_tree_decomposition",
     "heat_kernel_ode",
@@ -74,19 +72,6 @@ _LOG_RESCALE = 512 * math.log(2.0)
 _PASS_WEIGHTS = MAX_RECURRENCE
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigendecomposition of the Laplacian of a finite regular graph.
-
-    eigenvectors[:, j] is the orthonormal eigenvector for eigenvalues[j];
-    no 1/n weighting is applied anywhere, which is the normalization pinned
-    down by the t = 0 initial condition of the heat kernel.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def laplacian(g: Graph) -> np.ndarray:
     """(q+1) I minus the adjacency matrix, multi-edges counted."""
     mat = (g.regularity() + 1.0) * np.eye(g.n_vertices)
@@ -95,19 +80,22 @@ def laplacian(g: Graph) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def spectral_data(g: Graph) -> SpectralData:
-    """Dense symmetric eigen-solve; refused above DENSE_EIGEN_CAP vertices."""
+def spectral_data(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Dense symmetric eigen-solve of the Laplacian as numpy's named eigh result:
+    eigenvectors[:, j] is the orthonormal eigenvector for eigenvalues[j]; no
+    1/n weighting is applied anywhere, which is the normalization pinned down
+    by the t = 0 initial condition of the heat kernel.  Refused above
+    DENSE_EIGEN_CAP vertices."""
     if g.n_vertices > DENSE_EIGEN_CAP:
         raise ValueError(
             f"{g.n_vertices} vertices exceeds the dense eigen-solve cap "
             f"({DENSE_EIGEN_CAP}); use the series or ODE routes"
         )
-    lap = laplacian(g)
-    eigenvalues, eigenvectors = np.linalg.eigh(lap)
+    result = np.linalg.eigh(laplacian(g))
     # exact for a connected regular graph; eigh's rounding of it would grow like t
-    eigenvalues[0] = 0.0
-    eigenvectors[:, 0] = 1.0 / math.sqrt(g.n_vertices)
-    return SpectralData(eigenvalues, eigenvectors)
+    result.eigenvalues[0] = 0.0
+    result.eigenvectors[:, 0] = 1.0 / math.sqrt(g.n_vertices)
+    return result
 
 
 def b_coefficients(g: Graph, x0: int | None, M: int) -> list[list]:

@@ -239,20 +239,35 @@ def check_four_way_zeta(g: Graph) -> CheckResult:
     return CheckResult("four-way zeta agreement", worst, 1e-8)
 
 
-def check_g_transform_building_blocks() -> CheckResult:
-    """G sends building block k to u^{k-1}: one transform per (q, u) of the row
-    k = 0..6, each node's blocks from one bessel.building_block_row."""
+def check_g_transform_building_blocks(qs: Iterable[int]) -> CheckResult:
+    """G sends building block k to u^{k-1}, relative to max(1, u^{k-1}): one
+    transform per (q, u) of the row k = 0..6, each node's blocks from one
+    bessel.building_block_row, at u = 0.1 / sqrt(q) and 0.25 / sqrt(q) for
+    each q of qs, and at q = 1.
+
+    The budget 1e-9 sits above the quadrature's guard max(1e-11, 1e-10 |value|),
+    a relative 1e-10 here.  At q = 1 the block is e^{-2t} I_k(2t), so
+    G = (u^{-2} - 1) / 2 times L_k = int_0^inf e^{-st} e^{-t} I_k(t) dt,
+    s = (u + 1/u) / 2 - 1, and G = u^{k-1} is the Laplace identity
+    L_k = u^k / sqrt(s^2 + 2s), checked at u = s + 1 - sqrt(s^2 + 2s) for
+    s = 0.5, 1 and 2.  There a relative error w in G is an error in L_k of
+    w max(1, u^{k-1}) 2 / (u^{-2} - 1): w / 2.9 or less for k >= 1, as
+    (u^{-2} - 1) / 2 is at least 2.9, and w L_0 for k = 0, where
+    L_0 = 1 / sqrt(s^2 + 2s) < 1.  So the budget holds each L_k to 1e-9.
+    """
+    points = [(1, s + 1.0 - math.sqrt(s * s + 2.0 * s)) for s in (0.5, 1.0, 2.0)]
+    points += [(q, factor / math.sqrt(q)) for q in qs for factor in (0.1, 0.25)]
     orders = np.arange(7)
     worst = 0.0
-    for q in (2, 3):
-        for factor in (0.1, 0.25):
-            u = factor / math.sqrt(q)
-            result = zeta.g_transform_numeric(
-                lambda t, q=q: bessel.building_block_row(q, 6, t),
-                q, u, growth_rate=2.0 * math.sqrt(q), rows=7,
-            )
-            worst = _worst(worst, float(np.max(np.abs(result.value - u ** (orders - 1.0)))))
-    return CheckResult("G-transform of building blocks", worst, 1e-6)
+    for q, u in points:
+        result = zeta.g_transform_numeric(
+            lambda t, q=q: bessel.building_block_row(q, 6, t),
+            q, u, growth_rate=2.0 * math.sqrt(q), rows=7,
+        )
+        expected = u ** (orders - 1.0)
+        errors = np.abs(result.value - expected) / np.maximum(1.0, expected)
+        worst = _worst(worst, float(np.max(errors)))
+    return CheckResult("G-transform of building blocks", worst, 1e-9)
 
 
 def check_g_transform_diagonal(g: Graph) -> CheckResult:
@@ -299,21 +314,13 @@ def check_tree_zeta_identity(qs: Iterable[int]) -> CheckResult:
     return CheckResult("tree zeta identity and spectral moments", worst, 1e-7)
 
 
-def check_laplace_calibration() -> CheckResult:
-    """The Laplace transform of e^{-t} I_n(t), n = 0..6: one row per s."""
-    worst = 0.0
-    for s in (0.5, 1.0, 2.0):
-        numeric, closed = zeta.laplace_identity_check(6, s)
-        worst = _worst(worst, float(np.max(np.abs(numeric - closed))))
-    return CheckResult("Laplace transform calibration", worst, 1e-9)
-
-
 def run_tree_checks(qs: Iterable[int] = (2, 3, 4)) -> list[CheckResult]:
-    """The tree checks at each q of qs, but the tree zeta identity at the q of qs
-    in (2, 3) only, or at q = 2 where qs has neither: from q = 4 on,
-    TreeDensity.integrate refuses the 11th spectral moment, whose rounding
-    term (2.84e-9 at q = 4, 8.77e-9 at q = 5) exceeds its guard 1e-9.  So
-    verify --graph tree --q 7 reports that check from q = 2."""
+    """The tree checks at each q of qs, the G-transform of building blocks at
+    q = 1 too, but the tree zeta identity at the q of qs in (2, 3) only, or
+    at q = 2 where qs has neither: from q = 4 on, TreeDensity.integrate
+    refuses the 11th spectral moment, whose rounding term (2.84e-9 at q = 4,
+    8.77e-9 at q = 5) exceeds its guard 1e-9.  So verify --graph tree --q 7
+    reports that check from q = 2."""
     bessel_values = bessel_grid_values()
     return [
         check_bessel_agreement(bessel_values),
@@ -321,9 +328,8 @@ def run_tree_checks(qs: Iterable[int] = (2, 3, 4)) -> list[CheckResult]:
         check_tree_formula_agreement(qs),
         check_tree_heat_equation(qs),
         check_tree_mass(),
-        check_g_transform_building_blocks(),
+        check_g_transform_building_blocks(qs),
         check_tree_zeta_identity([q for q in qs if q in (2, 3)] or (2,)),
-        check_laplace_calibration(),
         check_horocycle_transform(qs),
     ]
 

@@ -15,9 +15,10 @@ The bridge is the weighted Laplace transform
 
 which sends each heat-kernel building block of order k to u^{k-1} and the
 diagonal heat kernel to the logarithmic derivative of zeta plus elementary
-terms.  Its half-line integrals, one row of integrands over one node set,
-like every integral in the package run on bessel._nested_trapezoid, here
-in the variable s of the double-exponential map t = exp(s - e^{-s}) / decay
+terms.  The half-line integral is the G-transform's alone, in
+g_transform_numeric: one row of integrands over one node set, which like
+every integral in the package runs on bessel._nested_trapezoid, here in the
+variable s of the double-exponential map t = exp(s - e^{-s}) / decay
 (Takahasi and Mori 1974; Mori and Sugihara 2001), decay the integrand's
 exponential rate: t falls to 0 like e^{-e^{-s}} at one end and e^{-decay t}
 like e^{-e^{s}} at the other, so the cut ends are negligible and the nodes
@@ -34,12 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from heatzeta.bessel import (
-    MAX_SCALED_ARGUMENT,
-    QuadratureError,
-    _nested_trapezoid,
-    building_block_row,
-)
+from heatzeta.bessel import QuadratureError, _nested_trapezoid
 from heatzeta.graphs import Graph
 from heatzeta.heat_graph import b_coefficients, spectral_data
 from heatzeta.series import PowerSeries
@@ -53,7 +49,6 @@ __all__ = [
     "g_transform_numeric",
     "ihara_determinant_series",
     "kesten_tree_measure",
-    "laplace_identity_check",
     "recover_counts",
     "tree_walk_counts",
     "two_variable_zeta",
@@ -76,48 +71,6 @@ def _double_exponential_cut(y: float) -> float:
         e = math.exp(-s)
         s -= (s - e - y) / (1.0 + e)
     return s
-
-
-def _half_line(f, rows, decay, tol, what, scale=1.0, reach=math.inf) -> np.ndarray:
-    """scale times the integral over [0, inf) of each entry of f, which decay like e^{-decay t}.
-
-    f(t) is a row of rows values (a float where rows = 1), one integrand
-    each, so that one node set serves them all: the rows x nodes array goes
-    to bessel._nested_trapezoid, whose guard holds row by row.
-    The t-integral runs from tol e^{-20} to upper = (ln(1/tol) + 20) / decay,
-    so each cut drops about e^{-20} tol times the size of f.  In between it
-    is taken in s on the double-exponential map t = exp(s - e^{-s}) / decay,
-    dt = t (1 + e^{-s}) ds (Takahasi and Mori 1974; Mori and Sugihara,
-    J. Comput. Appl. Math. 2001).  As s falls, t goes to 0 like e^{-e^{-s}};
-    as s rises, e^{-decay t} goes to 0 like e^{-e^{s}}.  So at both s-cuts
-    the integrand and its derivatives are negligible, the trapezoid rule
-    converges as on the whole line, geometrically (Trefethen and Weideman,
-    SIAM Review 2014), and its nodes crowd at the peak near decay t = 1
-    instead of spreading over the tiny-t end.  The s-cuts solve
-    s - e^{-s} = ln(decay t) at the t-cuts from below, by
-    _double_exponential_cut: the lower one reaches past its t-cut, the upper
-    one meets its t-cut to rounding.  s is mapped linearly onto [0, pi] for
-    bessel._nested_trapezoid, from 8 nodes.  ValueError, before any node,
-    where upper passes reach, the largest t that f takes; RuntimeError
-    where a row misses the guard max(tol, 10 tol |value|).
-    """
-    upper = (math.log(1.0 / tol) + 20.0) / decay
-    if upper > reach:
-        raise ValueError(f"{what}: its cut t = {upper:.3g} passes t = {reach:g}, the last f takes")
-    lo = _double_exponential_cut(math.log(decay * tol) - 20.0)
-    width = _double_exponential_cut(math.log(math.log(1.0 / tol) + 20.0)) - lo
-
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        s = lo + (width / math.pi) * theta
-        e = np.exp(-s)
-        t = np.exp(s - e) / decay
-        values = np.array([f(x) for x in t.tolist()]).reshape(len(t), rows)
-        return values.T * t * (1.0 + e)
-
-    try:
-        return _nested_trapezoid(integrand, np.arange(rows), scale * width / math.pi, tol, 8.0)
-    except QuadratureError as exc:
-        raise RuntimeError(f"{what} did not converge: {exc.reason}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +317,32 @@ def g_transform_numeric(
     """(u^{-2} - q) int_0^inf e^{-(qu + 1/u)t} e^{(q+1)t} f(t) dt, numerically.
 
     f(t) is a numpy row of rows functions at t (a float where rows = 1), all
-    transformed over one node set by zeta._half_line.  growth_rate bounds
-    the exponential growth of e^{(q+1)t} f(t): it defaults to q+1 (right
-    for bounded f such as finite-graph heat kernels); pass 2 sqrt(q) for
-    tree building blocks.  The truncation point of the t-integral is
-    certified from the resulting decay margin.  ValueError, before any
-    node, where u is not finite and positive, u^2 is not a normal float (so
-    u^{-2} would overflow) or there is no decay margin; RuntimeError where a
-    row's error estimate misses the guard max(tol, 10 tol |value|), tol = 1e-11.
+    transformed over one node set: the rows x nodes array goes to
+    bessel._nested_trapezoid, whose guard holds row by row.  growth_rate
+    bounds the exponential growth of e^{(q+1)t} f(t): it defaults to q+1
+    (right for bounded f such as finite-graph heat kernels); pass 2 sqrt(q)
+    for tree building blocks.  The integrand then falls like e^{-decay t},
+    decay = qu + 1/u - growth_rate, the margin that certifies the cuts.
+
+    With tol = 1e-11, the t-integral runs from tol e^{-20} to
+    upper = (ln(1/tol) + 20) / decay, so each cut drops about e^{-20} tol
+    times the size of the integrand.  In between it is taken in s on the
+    double-exponential map t = exp(s - e^{-s}) / decay, dt = t (1 + e^{-s}) ds
+    (Takahasi and Mori 1974; Mori and Sugihara, J. Comput. Appl. Math. 2001).
+    As s falls, t goes to 0 like e^{-e^{-s}}; as s rises, e^{-decay t} goes
+    to 0 like e^{-e^{s}}.  So at both s-cuts the integrand and its
+    derivatives are negligible, the trapezoid rule converges as on the whole
+    line, geometrically (Trefethen and Weideman, SIAM Review 2014), and its
+    nodes crowd at the peak near decay t = 1 instead of spreading over the
+    tiny-t end.  The s-cuts solve s - e^{-s} = ln(decay t) at the t-cuts from
+    below, by _double_exponential_cut: the lower one reaches past its t-cut,
+    the upper one meets its t-cut to rounding.  s is mapped linearly onto
+    [0, pi] for bessel._nested_trapezoid, from 8 nodes.
+
+    ValueError, before any node, where u is not finite and positive, u^2 is
+    not a normal float (so u^{-2} would overflow) or there is no decay
+    margin; RuntimeError where a row's error estimate misses the guard
+    max(tol, 10 tol |value|).
     """
     if not (math.isfinite(u) and u > 0.0):
         raise ValueError(f"u must be finite and positive, got {u}")
@@ -386,36 +357,22 @@ def g_transform_numeric(
             "the transform integral does not converge"
         )
     rate = (q + 1.0) - q * u - 1.0 / u
-    value = _half_line(
-        lambda t: math.exp(rate * t) * f(t), rows, decay, _G_TOL, "G-transform", 1.0 / (u * u) - q
-    )
+    lo = _double_exponential_cut(math.log(decay * _G_TOL) - 20.0)
+    width = _double_exponential_cut(math.log(math.log(1.0 / _G_TOL) + 20.0)) - lo
+
+    def integrand(theta: np.ndarray) -> np.ndarray:
+        s = lo + (width / math.pi) * theta
+        e = np.exp(-s)
+        t = np.exp(s - e) / decay
+        values = np.array([math.exp(rate * x) * f(x) for x in t.tolist()]).reshape(len(t), rows)
+        return values.T * t * (1.0 + e)
+
+    scale = (1.0 / (u * u) - q) * width / math.pi
+    try:
+        value = _nested_trapezoid(integrand, np.arange(rows), scale, _G_TOL, 8.0)
+    except QuadratureError as exc:
+        raise RuntimeError(f"G-transform did not converge: {exc.reason}") from exc
     return GTransformResult(u, value, np.maximum(_G_TOL, 10.0 * _G_TOL * np.abs(value)))
-
-
-def laplace_identity_check(N: int, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Calibration identity for the quadrature stack, for n = 0..N:
-
-        int_0^inf e^{-st} e^{-t} I_n(t) dt
-            = (s + 1 - sqrt(s^2 + 2s))^n / sqrt(s^2 + 2s).
-
-    Returns (the numeric row at tol 1e-12, the closed-form row): one
-    half-line integral over one node set, each node's e^{-t} I_n(t) for all
-    n from one bessel.building_block_row(1, N, t / 2), which is exactly
-    that row.  ValueError, before any node,
-    where s is not finite and positive or the integral's cut passes
-    bessel.MAX_SCALED_ARGUMENT.
-    """
-    if not (math.isfinite(s) and s > 0):
-        raise ValueError(f"s must be finite and positive, got {s}")
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    numeric = _half_line(
-        lambda t: math.exp(-s * t) * building_block_row(1, N, t / 2), N + 1, s, 1e-12,
-        "calibration integral", reach=MAX_SCALED_ARGUMENT,
-    )
-    root = math.sqrt(s * s + 2.0 * s)
-    closed = np.array([(s + 1.0 - root) ** n / root for n in range(N + 1)])
-    return numeric, closed
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from heatzeta import graphs as G
-from heatzeta.bessel import building_block
+from heatzeta.bessel import building_block, building_block_row
 from heatzeta.heat_graph import (
     heat_kernel_ode,
     heat_kernel_series,
@@ -29,7 +29,6 @@ from heatzeta.zeta import (
     g_transform_numeric,
     ihara_determinant_series,
     kesten_tree_measure,
-    laplace_identity_check,
     recover_counts,
     tree_walk_counts,
     zeta_spectral,
@@ -211,9 +210,18 @@ def test_criterion_08_diagonal_g_transform_identity():
 
 
 def test_criterion_09_laplace_calibration():
+    # int_0^inf e^{-st} e^{-t} I_n(t) dt = (s + 1 - sqrt(s^2 + 2s))^n / sqrt(s^2 + 2s):
+    # the q = 1 block at t is e^{-2t} I_n(2t), so the integral is 2G / (u^{-2} - 1)
+    # at u = s + 1 - sqrt(s^2 + 2s)
     worst = 0.0
     for s in (0.5, 1.0, 2.0):
-        numeric, closed = laplace_identity_check(6, s)  # n = 0..6
+        root = math.sqrt(s * s + 2.0 * s)
+        u = s + 1.0 - root
+        result = g_transform_numeric(
+            lambda t: building_block_row(1, 6, t), 1, u, growth_rate=2.0, rows=7
+        )
+        numeric = 2.0 * result.value / (u**-2 - 1.0)
+        closed = [(s + 1.0 - root) ** n / root for n in range(7)]  # n = 0..6
         worst = max(worst, *(abs(a - b) for a, b in zip(numeric, closed)))
     report(9, "Laplace calibration", worst, 1e-9, worst <= 1e-9)
 

@@ -72,19 +72,22 @@ def test_tree_formula_check_catches_a_shifted_integral_row(monkeypatch):
 
 
 def test_laplace_calibration_catches_a_scaled_bessel_factor(monkeypatch):
-    assert verify.check_laplace_calibration().passed
-    original = zeta.building_block_row
+    # the q = 1 rows of the G-transform check are the Laplace calibration
+    assert verify.check_g_transform_building_blocks((2,)).passed
+    original = bessel.building_block_row
     monkeypatch.setattr(
-        zeta, "building_block_row", lambda q, N, t: original(q, N, t) * (1.0 + 1e-6)
+        bessel,
+        "building_block_row",
+        lambda q, N, t: original(q, N, t) * (1.0 + 1e-6 if q == 1 else 1.0),
     )
-    assert not verify.check_laplace_calibration().passed
+    assert not verify.check_g_transform_building_blocks((2,)).passed
 
 
 def test_g_transform_of_blocks_catches_a_shifted_block(monkeypatch):
-    assert verify.check_g_transform_building_blocks().passed
+    assert verify.check_g_transform_building_blocks((2, 3)).passed
     original = bessel.building_block_row
     monkeypatch.setattr(bessel, "building_block_row", lambda q, N, t: original(q, N, t) + 1e-7)
-    assert not verify.check_g_transform_building_blocks().passed
+    assert not verify.check_g_transform_building_blocks((2, 3)).passed
 
 
 def test_tree_heat_equation_catches_a_shifted_derivative_row(monkeypatch):
@@ -102,13 +105,15 @@ def test_tree_heat_equation_catches_a_shifted_derivative_row(monkeypatch):
     "checks, module, integrand, ceiling",
     [
         # one integrand row per node, shared by every order of the check
+        # three transforms at q = 1, 189 nodes, and two at each of q = 2, 3, 252
         pytest.param(
-            [verify.check_g_transform_building_blocks], bessel, "building_block_row", 252,
-            id="g_transform_building_blocks",
+            [lambda: verify.check_g_transform_building_blocks((2, 3))], bessel,
+            "building_block_row", 441, id="g_transform_building_blocks",
         ),
+        # the q = 1 transforms alone, at the Laplace calibration's points
         pytest.param(
-            [verify.check_laplace_calibration], zeta, "building_block_row", 189,
-            id="laplace_calibration",
+            [lambda: verify.check_g_transform_building_blocks(())], bessel,
+            "building_block_row", 189, id="laplace_calibration",
         ),
         pytest.param(
             [lambda g=g: verify.check_g_transform_diagonal(g) for g in (K4, PETERSEN)],
@@ -140,7 +145,7 @@ def test_tree_checks_run_few_power_series(monkeypatch):
         bessel, "_power_series", lambda order, t: runs.append((order, t)) or series(order, t)
     )
     assert all(result.passed for result in verify.run_tree_checks((3,)))
-    assert len(runs) == 1129
+    assert len(runs) == 877
 
 
 def test_bound_check_reads_each_order_once_per_argument(monkeypatch):
@@ -242,15 +247,6 @@ def _nan_census(original):
     return mutant
 
 
-def _nan_laplace(original):
-    def mutant(N, s):
-        numeric, closed = original(N, s)
-        numeric[2] = math.nan
-        return numeric, closed
-
-    return mutant
-
-
 def _nan_two_variable(original):
     def mutant(*args):
         series, spectral = original(*args)
@@ -290,10 +286,8 @@ def _nan_tree_kernels(original):
                      "g_transform_numeric", _nan_transform, id="g_transform_diagonal"),
         pytest.param(lambda: verify.check_two_variable_zeta(K4), zeta,
                      "two_variable_zeta", _nan_two_variable, id="two_variable_zeta"),
-        pytest.param(verify.check_g_transform_building_blocks, zeta,
+        pytest.param(lambda: verify.check_g_transform_building_blocks((2,)), zeta,
                      "g_transform_numeric", _nan_transform, id="g_transform_building_blocks"),
-        pytest.param(verify.check_laplace_calibration, zeta,
-                     "laplace_identity_check", _nan_laplace, id="laplace_calibration"),
         pytest.param(lambda: verify.check_tree_formula_agreement((2,)), heat_tree,
                      "tree_heat_kernel_integrals", _nan_first, id="tree_formula"),
         pytest.param(lambda: verify.check_tree_heat_equation((2,)), heat_tree,

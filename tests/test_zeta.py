@@ -6,7 +6,7 @@ import pytest
 
 from heatzeta import graphs as G
 from heatzeta import zeta
-from heatzeta.bessel import QuadratureError, building_block
+from heatzeta.bessel import QuadratureError, building_block, building_block_row
 from heatzeta.heat_graph import spectral_data
 from heatzeta.zeta import (
     atomic_measure,
@@ -14,7 +14,6 @@ from heatzeta.zeta import (
     g_transform_numeric,
     ihara_determinant_series,
     kesten_tree_measure,
-    laplace_identity_check,
     recover_counts,
     tree_walk_counts,
     two_variable_zeta,
@@ -201,12 +200,28 @@ class TestKestenMoments:
         assert tree_walk_counts(1, 6) == [1, 0, 2, 0, 6, 0, 20]
 
 
+def laplace_u(s):
+    """The u of the Laplace point s = (u + 1/u) / 2 - 1 below 1."""
+    return s + 1.0 - math.sqrt(s * s + 2.0 * s)
+
+
 class TestGTransform:
-    @pytest.mark.parametrize("q", [2, 3])
-    @pytest.mark.parametrize("k", range(7))
-    @pytest.mark.parametrize("factor", [0.1, 0.25, 0.8])
-    def test_building_block_identity(self, q, k, factor):
-        u = factor / math.sqrt(q)
+    @pytest.mark.parametrize(
+        "q, k, u",
+        [
+            pytest.param(q, k, factor / math.sqrt(q), id=f"{factor}-{k}-{q}")
+            for factor in (0.1, 0.25, 0.8)
+            for k in range(7)
+            for q in (2, 3)
+        ]
+        # at q = 1 the Laplace calibration's points
+        + [
+            pytest.param(1, k, laplace_u(s), id=f"laplace{s}-{k}-1")
+            for s in (0.5, 1.0, 2.0)
+            for k in range(7)
+        ],
+    )
+    def test_building_block_identity(self, q, k, u):
         result = g_transform_numeric(
             lambda t: building_block(q, k, t),
             q,
@@ -297,65 +312,55 @@ class TestGTransform:
         )
 
 
+def laplace_identity(s):
+    """int_0^inf e^{-st} e^{-t} I_n(t) dt, n = 0..6, numerically and in closed form.
+
+    The numeric row is 2G / (u^{-2} - 1) of the q = 1 blocks e^{-2t} I_n(2t),
+    u = laplace_u(s); the closed form is (s + 1 - sqrt(s^2 + 2s))^n / sqrt(s^2 + 2s).
+    """
+    u = laplace_u(s)
+    result = g_transform_numeric(
+        lambda t: building_block_row(1, 6, t), 1, u, growth_rate=2.0, rows=7
+    )
+    root = math.sqrt(s * s + 2.0 * s)
+    closed = np.array([(s + 1.0 - root) ** n / root for n in range(7)])
+    return 2.0 * result.value / (u**-2 - 1.0), closed
+
+
 class TestLaplaceIdentity:
     def test_n0_s1(self):
-        numeric, closed = laplace_identity_check(0, 1.0)
-        assert closed == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15, abs=0)
-        assert numeric == pytest.approx(closed, abs=1e-9)
+        numeric, closed = laplace_identity(1.0)
+        assert closed[0] == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15, abs=0)
+        assert numeric[0] == pytest.approx(closed[0], abs=1e-9)
 
     def test_n1_s1(self):
-        numeric, closed = laplace_identity_check(1, 1.0)
+        numeric, closed = laplace_identity(1.0)
         assert closed[1] == pytest.approx((2.0 - math.sqrt(3.0)) / math.sqrt(3.0), rel=1e-14, abs=0)
         assert numeric[1] == pytest.approx(closed[1], abs=1e-9)
 
     @pytest.mark.parametrize("n", range(7))
     @pytest.mark.parametrize("s", [0.05, 0.1, 0.5, 1.0, 2.0])
     def test_grid(self, n, s):
-        numeric, closed = laplace_identity_check(n, s)
-        assert numeric == pytest.approx(closed, abs=1e-9)
+        numeric, closed = laplace_identity(s)
+        assert numeric[n] == pytest.approx(closed[n], abs=1e-9)
 
     def test_row_matches_one_order_calls(self):
-        numeric, closed = laplace_identity_check(6, 0.5)
-        assert numeric.shape == closed.shape == (7,)
+        # the row of building_block_row against one scalar building_block per order
+        u = laplace_u(0.5)
+        numeric, _ = laplace_identity(0.5)
         for n in range(7):
-            alone, alone_closed = laplace_identity_check(n, 0.5)
-            assert closed[n] == alone_closed[n]
-            assert numeric[n] == pytest.approx(alone[n], abs=1e-11)
+            alone = g_transform_numeric(lambda t: building_block(1, n, t), 1, u, growth_rate=2.0)
+            assert numeric[n] == pytest.approx(2.0 * alone.value[0] / (u**-2 - 1.0), abs=1e-11)
 
-    @pytest.mark.parametrize("s", [math.nan, math.inf, 0.0, -1.0, 1e-30])
-    def test_unusable_s_refused_before_any_node(self, monkeypatch, s):
-        # NaN passed s <= 0; at s = 1e-30 the cut t = 4.8e31 passes the range of
-        # bessel_i_scaled, whose series ran 2.6 s before failing to terminate
-        def node(q, N, t):
+    @pytest.mark.parametrize("s", [math.nan, math.inf, 0.0, 1e-30])
+    def test_unusable_s_refused_before_any_node(self, s):
+        # u is NaN, or 1 where the decay margin u + 1/u - 2 is 0: at s = 1e-30 it
+        # rounds to 0, where one ulp more would cut the integral at t = 2e17
+        def node(t):
             raise AssertionError("a node was evaluated")
 
-        monkeypatch.setattr(zeta, "building_block_row", node)
-        with pytest.raises(ValueError, match="s must be|passes"):
-            laplace_identity_check(0, s)
-
-    def test_negative_order_refused(self):
-        with pytest.raises(ValueError, match="N must be"):
-            laplace_identity_check(-1, 1.0)
-
-    def test_unconverged_integral_refused(self, monkeypatch):
-        # a scaled Bessel factor jumping 40,000 times over [0, 47.6] keeps the
-        # trapezoid rule's error at 1e-5 at the 2^20-node cap, and the guard says so;
-        # the row is read at q = 1 and half the node, so 5.2e3 half is 2.6e3 t
-        monkeypatch.setattr(
-            zeta,
-            "building_block_row",
-            lambda q, N, half: np.full(N + 1, math.copysign(1.0, math.sin(5.2e3 * half))),
-        )
-        with pytest.raises(RuntimeError, match="calibration integral did not converge"):
-            laplace_identity_check(0, 1.0)
-
-    def test_fast_oscillation_converges(self, monkeypatch):
-        # int_0^inf e^{-t} sin(w t) dt = w / (1 + w^2)
-        monkeypatch.setattr(
-            zeta, "building_block_row", lambda q, N, half: np.full(N + 1, math.sin(5.2e3 * half))
-        )
-        numeric, _ = laplace_identity_check(0, 1.0)
-        assert numeric[0] == pytest.approx(2.6e3 / (1.0 + 2.6e3**2), abs=1e-12)
+        with pytest.raises(ValueError, match="u must be|decay"):
+            g_transform_numeric(node, 1, laplace_u(s), growth_rate=2.0)
 
 
 class TestTwoVariableZeta:
