@@ -110,7 +110,8 @@ def test_tree_heat_equation_catches_a_shifted_derivative_row(monkeypatch):
             [lambda: verify.check_g_transform_building_blocks((2, 3))], bessel,
             "building_block_row", 441, id="g_transform_building_blocks",
         ),
-        # the q = 1 transforms alone, at the Laplace calibration's points
+        # the q = 1 transforms alone, at the Laplace calibration's points: the
+        # 441 above would not catch these growing while the q = 2, 3 ones shrank
         pytest.param(
             [lambda: verify.check_g_transform_building_blocks(())], bessel,
             "building_block_row", 189, id="laplace_calibration",

@@ -206,22 +206,11 @@ def laplace_u(s):
 
 
 class TestGTransform:
-    @pytest.mark.parametrize(
-        "q, k, u",
-        [
-            pytest.param(q, k, factor / math.sqrt(q), id=f"{factor}-{k}-{q}")
-            for factor in (0.1, 0.25, 0.8)
-            for k in range(7)
-            for q in (2, 3)
-        ]
-        # at q = 1 the Laplace calibration's points
-        + [
-            pytest.param(1, k, laplace_u(s), id=f"laplace{s}-{k}-1")
-            for s in (0.5, 1.0, 2.0)
-            for k in range(7)
-        ],
-    )
-    def test_building_block_identity(self, q, k, u):
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("k", range(7))
+    @pytest.mark.parametrize("factor", [0.1, 0.25, 0.8])
+    def test_building_block_identity(self, q, k, factor):
+        u = factor / math.sqrt(q)
         result = g_transform_numeric(
             lambda t: building_block(q, k, t),
             q,
