@@ -144,41 +144,40 @@ def cmd_heat(args) -> int:
                         file=sys.stderr,
                     )
                     return EXIT_INVARIANT_FAILURE
-            rows.extend(
-                {
-                    "t": _fmt(t),
-                    "r": value.r,
-                    "value": _fmt(value.value),
-                    "tail_bound": _fmt(value.tail_bound),
-                    "cross_check_delta": None if other is None else _fmt(abs(value.value - other)),
-                }
-                for value, other in zip(values, cross)
-            )
-        return _emit_heat(args, "tree", q, rows)
+            rows += [(None if w is None else _fmt(abs(v.value - w)), v.r, _fmt(t),
+                      _fmt(v.tail_bound), _fmt(v.value)) for v, w in zip(values, cross)]
+        return _emit_heat(args, "tree", q, "cross_check_delta,r,t,tail_bound,value", rows)
     g = _resolve_graph(args)
     q = g.regularity()
-    use_spectral = g.n_vertices <= heat_graph.DENSE_EIGEN_CAP
     rows = []
     for t, series in zip(ts, heat_graph.heat_kernel_rows(g, 0, ts, args.tol).tolist()):
-        if use_spectral:
-            spectral = heat_graph.heat_kernel_spectral_row(g, 0, t).tolist()
-        for x, value in enumerate(series):
-            delta = _fmt(abs(value - spectral[x])) if use_spectral else None
-            rows.append({"t": _fmt(t), "x": x, "value": _fmt(value), "cross_check_delta": delta})
-    return _emit_heat(args, args.graph, q, rows)
+        # at q = 1 the Chebyshev row is the Bessel row (see it); no spectral row past the cap
+        other = [None] * len(series)
+        if q >= 2:
+            other = heat_graph.heat_kernel_chebyshev_row(g, 0, t, args.tol).tolist()
+        elif g.n_vertices <= heat_graph.DENSE_EIGEN_CAP:
+            other = heat_graph.heat_kernel_spectral_row(g, 0, t).tolist()
+        text = _fmt(t)
+        rows += [(None if w is None else _fmt(abs(v - w)), text, _fmt(v), x)
+                 for x, (v, w) in enumerate(zip(series, other))]
+    return _emit_heat(args, args.graph, q, "cross_check_delta,t,value,x", rows)
 
 
-def _emit_heat(args, name: str, q: int, rows: list[dict]) -> int:
-    """Write rows, built once with every field as printed, as JSON or CSV;
-    CSV writes a null field (no cross-check) as an empty one."""
+def _emit_heat(args, name: str, q: int, keys: str, rows: list[tuple]) -> int:
+    """Write rows, tuples of the printed fields in the sorted order of keys, as CSV (a
+    null field, no cross-check, empty) or as json.dumps(payload, sort_keys=True, indent=2)
+    would, from one row template: fields are None, ints or _fmt strings, escape-free."""
     if args.format == "csv":
-        keys = sorted(rows[0].keys())
-        lines = [",".join(keys)]
-        for row in rows:
-            lines.append(",".join("" if row[k] is None else str(row[k]) for k in keys))
+        lines = [keys, *(",".join("" if v is None else str(v) for v in row) for row in rows)]
         _emit(args, "\n".join(lines) + "\n")
         return EXIT_OK
-    _emit(args, {"schema": SCHEMA_VERSION, "graph": name, "q": q, "rows": rows})
+    # ints bare, other fields quoted; a None prints "None", which no _fmt string is, then null
+    kinds = ["%d" if type(v) is int else '"%s"' for v in rows[0]]
+    fields = [f'      "{key}": {kind}' for key, kind in zip(keys.split(","), kinds)]
+    template = "    {\n" + ",\n".join(fields) + "\n    }"
+    body = ",\n".join([template % row for row in rows]).replace('"None"', "null")
+    head = f'{{\n  "graph": {json.dumps(name)},\n  "q": {q},\n  "rows": [\n'
+    _emit(args, f'{head}{body}\n  ],\n  "schema": "{SCHEMA_VERSION}"\n}}\n')
     return EXIT_OK
 
 

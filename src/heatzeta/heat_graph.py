@@ -1,9 +1,10 @@
-"""Heat kernel on a finite (q+1)-regular graph, three independent ways.
+"""Heat kernel on a finite (q+1)-regular graph, four independent ways.
 
 1. Bessel series: K(t, x0, x) = e^{-(q+1)t} sum_m b_m(x) q^{-m/2} I_m(2 sqrt(q) t)
    with integer coefficients b_m(x) built from geodesic counts,
 2. finite spectral expansion through the Laplacian eigendecomposition,
-3. the propagator e^{-Lt} of dK/dt = -Laplacian K (oracle only).
+3. the propagator e^{-Lt} of dK/dt = -Laplacian K (oracle only),
+4. heat_kernel_chebyshev_row, a Chebyshev series in A/(q+1): the CLI's check at q >= 2.
 
 The production route, heat_kernel_rows, streams the series in float64 for a
 whole grid of times, one base vertex or all of them: its own three-term
@@ -53,6 +54,7 @@ from heatzeta.heat_tree import tree_heat_kernel
 __all__ = [
     "b_coefficients",
     "diagonal_tree_decomposition",
+    "heat_kernel_chebyshev_row",
     "heat_kernel_ode",
     "heat_kernel_rows",
     "heat_kernel_series",
@@ -286,6 +288,45 @@ def heat_kernel_spectral(g: Graph, x0: int, x: int, t: float) -> float:
     _check_time(t)
     sd = spectral_data(g)
     return float(sd.eigenvectors[x] @ (np.exp(-sd.eigenvalues * t) * sd.eigenvectors[x0]))
+
+
+def heat_kernel_chebyshev_row(g: Graph, x0: int, t: float, tol: float = 1e-10) -> np.ndarray:
+    """The row K(t, x0, .) as a Chebyshev series in X = A/(q+1), with no eigensolve.
+
+    e^{tau cos theta} = I_0(tau) + 2 sum_{k>=1} I_k(tau) cos k theta (DLMF 10.35) on the
+    spectrum of X, in [-1, 1], gives e^{-tL} = sum_k eps_k w_k T_k(X), tau = (q+1) t,
+    w_k = e^{-tau} I_k(tau), eps_0 = 1, eps_k = 2: Tal-Ezer and Kosloff's propagator (J. Chem.
+    Phys. 81, 1984).  ln w_k is log_building_blocks(1, M, tau/2); as |T_k(X) e_x0| <= 1,
+    certified_truncation(1, tau/2, tol, 1, 1, 2.0) holds the tail below tol.  v_k = T_k(X) e_x0
+    follow v_{k+1} = 2 A v_k / (q+1) - v_{k-1}, one gather per order.  At q = 1 the two series
+    agree term by term (b_m = 2 T_m(A/2) e_x0, the same log weights): no check there.
+
+    Rounding, to first order (u = 2^-53, gamma_j = j u / (1 - j u)): step k adds at most
+    gamma_{q+2} (2 X|f_{k-1}| + |f_{k-2}|) to an entry of the computed f = v + e (q
+    additions, a division by the exact (q+1)/2, a subtraction), 3 gamma_{q+3} in 2-norm,
+    as X >= 0, ||X||_2 = 1 and ||f||_2 <= 1 + 1/(q+2).  The errors run the same
+    recurrence, e_k = sum_{j<=k} U_{k-j}(X) delta_j with ||U_j(X)||_2 <= j + 1, so
+    ||e_k||_2 <= 1.5 gamma_{q+3} k (k+1), which bounds ||f||_2 so while below 1/(q+2).
+    As sum_k eps_k w_k k^2 = tau (the DLMF series differentiated twice at theta = 0) and
+    sum_k eps_k w_k k <= sqrt(tau) (Cauchy-Schwarz), the vectors add at most
+    1.5 gamma_{q+3} (tau + sqrt(tau)) to an entry and the row's products and sums
+    2 gamma_{M+1}.  Log weights off by 4 (|ln w_k| + 1) u (under half that against
+    40-digit mpmath, tau <= 4e4) add 4 (ln(M+1) + 3) u, as p_k = eps_k w_k have
+    sum_k p_k |ln p_k| <= ln(M+1) + 1/e.
+    """
+    _check_time(t)
+    q = g.regularity()
+    tau = (q + 1) * t
+    M = certified_truncation(1, tau / 2, tol, 1, 1, 2.0)[0]  # validates tol
+    weights = 2.0 * np.exp(log_building_blocks(1, M, tau / 2))  # eps_k w_k, but w_0 once
+    apply_a = _adjacency_gather(g)
+    prev, cur = np.zeros(g.n_vertices), np.zeros(g.n_vertices)
+    cur[x0] = 1.0
+    row = 0.5 * weights[0] * cur
+    for k in range(1, M + 1):
+        prev, cur = cur, apply_a(cur) / ((q + 1) / 2 if k > 1 else q + 1) - prev
+        row += weights[k] * cur
+    return row
 
 
 def heat_kernel_ode(g: Graph, t: float) -> np.ndarray:

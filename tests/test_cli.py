@@ -21,6 +21,7 @@ import heatzeta
 from heatzeta import cli, graphs, heat_graph, zeta
 from heatzeta.cli import main
 from strategies import regular_multigraphs
+from test_heat_graph import chebyshev_error_bound, seeded_regular_edges
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SOURCE_ROOT = str(Path(heatzeta.__file__).resolve().parents[1])
@@ -310,6 +311,61 @@ class TestHeat:
         assert code == 0
         assert all(row["cross_check_delta"] is None for row in json.loads(out)["rows"])
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_past_the_dense_cap_carry_a_cross_check(self, capsys, tmp_path, fmt):
+        # no spectral row exists past DENSE_EIGEN_CAP; the Chebyshev row needs none
+        n = 2100
+        path = tmp_path / "cubic.json"
+        path.write_text(json.dumps({"vertices": n, "edges": seeded_regular_edges(n, 3, 5)}))
+        code, out, err = run(capsys, "heat", "--graph", str(path), "--t", "1", "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "csv":
+            header, *lines = out.splitlines()
+            deltas = [line.split(",")[header.split(",").index("cross_check_delta")] for line in lines]
+        else:
+            deltas = [row["cross_check_delta"] for row in json.loads(out)["rows"]]
+        assert len(deltas) == n
+        # each row is within --tol of the kernel plus its rounding
+        assert all(delta not in (None, "") and float(delta) <= 1e-10 for delta in deltas)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--graph", "k4", "--t", "0.5,1.0"),
+            ("--graph", "cube", "--t", "0,0.1,2"),
+            ("--graph", "c8", "--t", "1"),
+            ("--graph", "tree", "--q", "1", "--t", "0.5,5", "--order", "4"),
+            ("--graph", "tree", "--q", "3", "--t", "0,0.5", "--order", "4"),
+            ("file",),
+            ("--out",),
+        ],
+        ids=["graph", "graph-t0", "cycle", "tree-q1", "tree-t0", "escaped-path", "out"],
+    )
+    def test_json_is_what_json_dumps_writes(self, capsys, tmp_path, argv):
+        # the template writes json.dumps(payload, sort_keys=True, indent=2) to the
+        # byte, and CSV is that payload's rows, keys sorted and null empty
+        if argv == ("file",):
+            path = tmp_path / 'k"\u00e9.txt'
+            path.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+            argv = ("--graph", str(path), "--t", "0.5")
+        out_path = tmp_path / "out.json"
+        if argv == ("--out",):
+            argv = ("--graph", "petersen", "--t", "0.3", "--out", str(out_path))
+        code, out, err = run(capsys, "heat", *argv)
+        assert (code, err) == (0, "")
+        if "--out" in argv:
+            assert out == ""
+            out = out_path.read_text()
+        assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+        if "--out" in argv:
+            return
+        rows = json.loads(out)["rows"]
+        keys = sorted(rows[0])
+        expected = [",".join(keys)] + [
+            ",".join("" if row[key] is None else str(row[key]) for key in keys) for row in rows
+        ]
+        assert run(capsys, "heat", *argv, "--format", "csv") == (0, "\n".join(expected) + "\n", "")
+
     def test_csv_and_json_print_the_same_fields(self, capsys):
         for argv in (
             ("--graph", "cube", "--t", "0.1,2"),
@@ -344,7 +400,13 @@ class TestHeat:
         assert [line.split(",")[column] != "" for line in lines] == checked
 
     def test_one_spectral_decomposition_held_across_graphs(self, capsys):
+        # graph rows at q >= 2 are checked against the Chebyshev row, with no
+        # eigensolve; the cycles' spectral rows hold one graph's decomposition
+        misses = heat_graph.spectral_data.cache_info().misses
         for name in ("petersen", "cube"):
+            assert run(capsys, "heat", "--graph", name, "--t", "1")[0] == 0
+        assert heat_graph.spectral_data.cache_info().misses == misses
+        for name in ("c5", "c8"):
             assert run(capsys, "heat", "--graph", name, "--t", "1")[0] == 0
         assert heat_graph.spectral_data.cache_info().currsize == 1
 
@@ -386,8 +448,8 @@ class TestHeat:
     )
     def test_series_overflow_is_input_error(self, capsys, graph, t):
         # the b_m no longer leave float range: at t = 1000 the rows answer
-        # within the pinned spectral row's bounds, and k4 at t = 1e6, whose
-        # series needs about 1.9e6 orders, is refused by the recurrence guard
+        # within 1e-12 of the spectral row, and k4 at t = 1e6, whose series
+        # needs about 1.9e6 orders, is refused by the recurrence guard
         code, out, err = run(capsys, "heat", "--graph", graph, "--t", t)
         if float(t) > 1000:
             assert (code, out) == (2, "")
@@ -395,7 +457,12 @@ class TestHeat:
             return
         assert (code, err) == (0, "")
         rows = json.loads(out)["rows"]
-        assert max(float(row["cross_check_delta"]) for row in rows) <= 1e-12
+        g = graphs.builtin_graph(graph)
+        spectral = heat_graph.heat_kernel_spectral_row(g, 0, float(t))
+        assert max(abs(float(row["value"]) - spectral[row["x"]]) for row in rows) <= 1e-12
+        # the cross-check is the Chebyshev row, within its bound of the kernel
+        budget = 1e-12 + chebyshev_error_bound(g.regularity(), float(t), 1e-10)
+        assert max(float(row["cross_check_delta"]) for row in rows) <= budget
         assert math.fsum(float(row["value"]) for row in rows) == pytest.approx(1.0, abs=1e-11)
 
     def test_u_option_removed(self, capsys):

@@ -9,11 +9,12 @@ from scipy.integrate import solve_ivp
 
 from heatzeta import graphs as G
 from heatzeta import heat_graph
-from heatzeta.bessel import bessel_i, building_block
+from heatzeta.bessel import bessel_i, building_block, certified_truncation
 from heatzeta.heat_graph import (
     DENSE_EIGEN_CAP,
     b_coefficients,
     diagonal_tree_decomposition,
+    heat_kernel_chebyshev_row,
     heat_kernel_ode,
     heat_kernel_rows,
     heat_kernel_series,
@@ -189,23 +190,103 @@ class TestThreeWayAgreement:
             assert heat_kernel_series(g, 0, x, t, 1e-12) == pytest.approx(wrapped, abs=1e-9)
 
 
-def seeded_cubic_multigraph(n: int, seed: int) -> G.Graph:
-    """A cycle on n vertices plus a seeded random perfect matching: 3-regular."""
-    points = list(range(n))
-    random.Random(seed).shuffle(points)
-    edges = [(v, (v + 1) % n) for v in range(n)] + list(zip(points[::2], points[1::2]))
-    return G.load_graph({"vertices": n, "edges": edges})
+def seeded_regular_edges(n: int, degree: int, seed: int) -> list:
+    """A cycle on n vertices plus degree - 2 seeded random perfect matchings."""
+    rng, edges = random.Random(seed), [(v, (v + 1) % n) for v in range(n)]
+    for _ in range(degree - 2):
+        points = list(range(n))
+        rng.shuffle(points)
+        edges += zip(points[::2], points[1::2])
+    return edges
+
+
+def seeded_regular_multigraph(n: int, degree: int, seed: int) -> G.Graph:
+    """seeded_regular_edges as a graph: degree-regular, connected, multi-edges possible."""
+    return G.load_graph({"vertices": n, "edges": seeded_regular_edges(n, degree, seed)})
 
 
 @pytest.mark.parametrize("name", [*GRAPH_NAMES, "seeded200"])
 def test_spectral_entry_is_the_row_entry(name):
     # one dot product per entry, the same sum as the row's up to rounding
-    g = seeded_cubic_multigraph(200, 7) if name == "seeded200" else G.builtin_graph(name)
+    g = seeded_regular_multigraph(200, 3, 7) if name == "seeded200" else G.builtin_graph(name)
     for x0 in (0, g.n_vertices // 2):
         for t in (0.0, 0.3, 2.0, 50.0):
             row = heat_kernel_spectral_row(g, x0, t)
             entries = [heat_kernel_spectral(g, x0, x, t) for x in range(g.n_vertices)]
             assert np.abs(np.array(entries) - row).max() <= 1e-15
+
+
+def chebyshev_error_bound(q: int, t: float, tol: float) -> float:
+    """heat_kernel_chebyshev_row's certified tail plus its docstring's rounding bound."""
+    u = 2.0**-53
+
+    def gamma(j):
+        return j * u / (1 - j * u)
+
+    tau = (q + 1) * t
+    M, tail = certified_truncation(1, tau / 2, tol, 1, 1, 2.0)
+    vectors = 1.5 * gamma(q + 3) * (tau + math.sqrt(tau))
+    return tail + vectors + 2 * gamma(M + 1) + 4 * (math.log(M + 1) + 3) * u
+
+
+def k6_graph() -> G.Graph:
+    return G.load_graph({"vertices": 6, "edges": [(u, v) for u in range(6) for v in range(u)]})
+
+
+CHEBYSHEV_GRAPHS = {
+    "k4": lambda: G.builtin_graph("k4"),
+    "petersen": lambda: G.builtin_graph("petersen"),
+    "cube": lambda: G.builtin_graph("cube"),
+    "k33": lambda: G.builtin_graph("k33"),
+    "cubic80": lambda: seeded_regular_multigraph(80, 3, 11),
+    "quartic60": lambda: seeded_regular_multigraph(60, 4, 12),
+    "k6": k6_graph,
+}
+
+
+class TestChebyshevRow:
+    # The bound over the largest deviation from the spectral row, measured: at
+    # tol 1e-10 at least 38 (k4, t = 1000, where the deviation, 2.6e-12, is the
+    # truncation tail) and 80 (K6, t = 60,000); at tol 1e-22, where the tail is
+    # negligible, the rounding bound alone is at least 9.8 times the deviation
+    # (cube and k33 at t = 0.01, where it is the spectral row's own rounding),
+    # 816 at k4, t = 1000, and 678 at K6, t = 60,000.
+    @pytest.mark.parametrize(
+        "name, t",
+        [(name, t) for name in ("k4", "petersen", "cube", "k33") for t in (0.01, 0.5, 3.0, 20.0, 200.0)]
+        + [("cubic80", 2.0), ("cubic80", 500.0), ("quartic60", 0.1), ("quartic60", 50.0),
+           ("k6", 60000.0), ("k4", 1000.0)],
+    )
+    def test_within_its_bound_of_the_spectral_row(self, name, t):
+        g = CHEBYSHEV_GRAPHS[name]()
+        q = g.regularity()
+        for x0 in (0, g.n_vertices // 2):
+            spectral = heat_kernel_spectral_row(g, x0, t)
+            for tol in (1e-10, 1e-22):
+                deviation = np.abs(heat_kernel_chebyshev_row(g, x0, t, tol) - spectral).max()
+                assert deviation <= chebyshev_error_bound(q, t, tol)
+
+    @given(g=regular_multigraphs(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_multigraphs_within_the_bound(self, g, data):
+        # self-loops and multi-edges repeat in the gather, as in A
+        x0 = data.draw(st.integers(0, g.n_vertices - 1))
+        for t in (0.1, 2.0, 20.0):
+            deviation = np.abs(heat_kernel_chebyshev_row(g, x0, t) - heat_kernel_spectral_row(g, x0, t))
+            assert deviation.max() <= chebyshev_error_bound(g.regularity(), t, 1e-10)
+
+    def test_t_zero_is_the_indicator(self):
+        g = G.builtin_graph("petersen")
+        assert heat_kernel_chebyshev_row(g, 3, 0.0).tolist() == [float(x == 3) for x in range(10)]
+
+    @pytest.mark.parametrize("name", ["c5", "c8"])
+    @pytest.mark.parametrize("t", [0.1, 2.0, 300.0])
+    def test_is_the_bessel_row_on_cycles(self, name, t):
+        # at q = 1, b_m = 2 T_m(A/2) e_x0 against the same log weights and order:
+        # the rows differ only where np.exp and math.exp round apart
+        g = G.builtin_graph(name)
+        row = heat_kernel_rows(g, 0, [t])[0]
+        assert np.abs(heat_kernel_chebyshev_row(g, 0, t) - row).max() <= 4 * np.finfo(float).eps
 
 
 class TestBatchedRows:
@@ -368,12 +449,14 @@ def test_rescales_fire_on_the_builtins(name, t, rescales):
         lambda g, t: heat_kernel_rows(g, 0, [t]),
         lambda g, t: heat_kernel_spectral(g, 0, 1, t),
         lambda g, t: heat_kernel_spectral_row(g, 0, t),
+        lambda g, t: heat_kernel_chebyshev_row(g, 0, t),
         lambda g, t: heat_kernel_ode(g, t),
         lambda g, t: diagonal_tree_decomposition(g, 0, t),
         lambda g, t: tree_heat_kernel(g.regularity(), t, 0),
         lambda g, t: horocycle_solution(g.regularity(), t, 1),
     ],
-    ids=["series", "row", "spectral", "spectral_row", "ode", "diagonal", "tree", "horocycle"],
+    ids=["series", "row", "spectral", "spectral_row", "chebyshev_row", "ode", "diagonal", "tree",
+         "horocycle"],
 )
 def test_time_validated(route, t):
     with pytest.raises(ValueError, match="t must be finite and >= 0, got"):
