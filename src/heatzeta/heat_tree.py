@@ -20,8 +20,8 @@ lattice starts at start_r, of parity p, at max(start_r, m*_p)
 tree_heat_kernel and tree_heat_kernel_integral are one entry of their rows.
 The horocycle solution and the time-derivative row
 tree_heat_kernel_time_derivatives read the scalar building_block (the row
-from one list of blocks per t), so the heat-equation residual and verify's
-horocycle check also test the log evaluator against it.
+takes every B'_m from one list of blocks per t), so the heat-equation
+residual and verify's horocycle check also test the log evaluator against it.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from heatzeta.bessel import (
+    _check_q,
     _check_time,
     _check_tol,
     _nested_trapezoid,
     building_block,
-    building_block_time_derivatives,
     certified_truncation,
     log_building_blocks,
 )
@@ -54,8 +54,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TreeHeatValue:
-    q: int
-    t: float
     r: int
     value: float
     truncation_index: int
@@ -101,8 +99,7 @@ def tree_heat_kernels(q: int, t: float, radii, tol: float = 1e-12) -> list[TreeH
     vector up to max_r (r + 2 J_r), whose length bessel.log_building_blocks
     guards.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    _check_q(q)
     _check_tol(tol)
     _check_time(t)
     radii = list(radii)
@@ -114,7 +111,7 @@ def tree_heat_kernels(q: int, t: float, radii, tol: float = 1e-12) -> list[TreeH
     values = []
     for r, (order, bound) in zip(radii, cuts):
         value = blocks[r] - (q - 1) * math.fsum(blocks[r + 2 : order + 1 : 2])
-        values.append(TreeHeatValue(q, t, r, float(value), (order - r) // 2, bound))
+        values.append(TreeHeatValue(r, float(value), (order - r) // 2, bound))
     return values
 
 
@@ -133,18 +130,21 @@ def tree_heat_kernel_time_derivatives(q: int, t: float, radii) -> list[float]:
     r's series on that lattice with that weight, at a certified tail of 1e-13.
     The lattice r + 1, r + 3, ... starts at r - 1 (at 1 for r = 0), so the cut
     is max(r - 1, m*_p) with one search per parity p (_certified_cuts).
-    Every B'_m comes from one bessel.building_block_time_derivatives list per
-    (q, t), up to the largest order any r needs: scalar building_block values,
-    independent of log_building_blocks.
+    B'_m follows from 2 I_m' = I_{m-1} + I_{m+1}, with B_{-1} = q B_1 as I_{-1} = I_1,
+    on one list of scalar building_block values B_0..B_{top+1} per (q, t), top the
+    largest order any r needs: independent of log_building_blocks.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    _check_q(q)
+    if t <= 0:
+        raise ValueError("t must be positive")
     radii = list(radii)
     if any(r < 0 for r in radii):
         raise ValueError("r must be >= 0")
     cuts = _certified_cuts(q, t, 1e-13, [r + 1 for r in radii], 2 * (q * q - 1))
     top = max((max(r, order + 1) for r, (order, _) in zip(radii, cuts)), default=0)
-    dots = building_block_time_derivatives(q, top, t)
+    blocks = [building_block(q, m, t) for m in range(top + 2)]
+    below = [q * blocks[1]] + blocks[:top]
+    dots = [below[m] + q * blocks[m + 1] - (q + 1) * blocks[m] for m in range(top + 1)]
     return [
         dots[r] - (q - 1) * math.fsum(dots[r + 2 : order + 2 : 2])
         for r, (order, _) in zip(radii, cuts)

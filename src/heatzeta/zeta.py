@@ -35,14 +35,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from heatzeta.bessel import QuadratureError, _nested_trapezoid
+from heatzeta.bessel import QuadratureError, _check_q, _nested_trapezoid
 from heatzeta.graphs import Graph
 from heatzeta.heat_graph import b_coefficients, spectral_data
 from heatzeta.series import PowerSeries
 
 __all__ = [
     "AtomicMeasure",
-    "GTransformResult",
     "TreeDensity",
     "atomic_measure",
     "euler_product_series",
@@ -56,7 +55,7 @@ __all__ = [
     "zeta_spectral",
 ]
 
-# tol of the G-transform's half-line integral, which its guard also reports
+# tol of the G-transform's half-line integral
 _G_TOL = 1e-11
 # largest distance from an integer that recover_counts rounds away
 _ROUNDING_GUARD = 1e-6
@@ -242,8 +241,7 @@ class TreeDensity:
 
 
 def kesten_tree_measure(q: int) -> TreeDensity:
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    _check_q(q)
     return TreeDensity(q)
 
 
@@ -261,8 +259,7 @@ def tree_walk_counts(q: int, K: int) -> list[int]:
     Distance-layer recursion: from the root there are q+1 ways outward;
     from distance d >= 1 there are q ways outward and one way inward.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    _check_q(q)
     layers, counts = [1] + [0] * (K + 1), [1]  # walks ending at distance 0..K+1
     for _ in range(K):
         outward = [0, (q + 1) * layers[0]] + [q * w for w in layers[1:-1]]
@@ -297,31 +294,22 @@ def zeta_spectral(measure: AtomicMeasure | TreeDensity, q: int, u: float) -> flo
 # the G-transform
 
 
-@dataclass(frozen=True)
-class GTransformResult:
-    """The transform at u, one entry per row of f; quadrature_error is each row's guard
-    max(tol, 10 tol |value|), tol = 1e-11, that the trapezoid rule's error estimate met."""
-
-    u: float
-    value: np.ndarray
-    quadrature_error: np.ndarray
-
-
 def g_transform_numeric(
     f: Callable[[float], float | np.ndarray],
     q: int,
     u: float,
     growth_rate: float | None = None,
     rows: int = 1,
-) -> GTransformResult:
+) -> np.ndarray:
     """(u^{-2} - q) int_0^inf e^{-(qu + 1/u)t} e^{(q+1)t} f(t) dt, numerically.
 
     f(t) is a numpy row of rows functions at t (a float where rows = 1), all
     transformed over one node set: the rows x nodes array goes to
-    bessel._nested_trapezoid, whose guard holds row by row.  growth_rate
-    bounds the exponential growth of e^{(q+1)t} f(t): it defaults to q+1
-    (right for bounded f such as finite-graph heat kernels); pass 2 sqrt(q)
-    for tree building blocks.  The integrand then falls like e^{-decay t},
+    bessel._nested_trapezoid.  The result is one value per row, each one's error
+    estimate within the guard max(tol, 10 tol |value|), tol = 1e-11.  growth_rate
+    bounds the exponential growth of e^{(q+1)t} f(t): it defaults to q+1 (right
+    for bounded f such as finite-graph heat kernels); pass 2 sqrt(q) for tree
+    building blocks.  The integrand then falls like e^{-decay t},
     decay = qu + 1/u - growth_rate, the margin that certifies the cuts.
 
     With tol = 1e-11, the t-integral runs from tol e^{-20} to
@@ -369,10 +357,9 @@ def g_transform_numeric(
 
     scale = (1.0 / (u * u) - q) * width / math.pi
     try:
-        value = _nested_trapezoid(integrand, np.arange(rows), scale, _G_TOL, 8.0)
+        return _nested_trapezoid(integrand, np.arange(rows), scale, _G_TOL, 8.0)
     except QuadratureError as exc:
         raise RuntimeError(f"G-transform did not converge: {exc.reason}") from exc
-    return GTransformResult(u, value, np.maximum(_G_TOL, 10.0 * _G_TOL * np.abs(value)))
 
 
 # ---------------------------------------------------------------------------

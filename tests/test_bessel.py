@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 
@@ -16,11 +17,11 @@ from heatzeta.bessel import (
     bessel_i_scaled,
     building_block,
     building_block_row,
-    building_block_time_derivatives,
     certified_truncation,
     log_block_bound,
     log_building_blocks,
 )
+from heatzeta.heat_tree import tree_heat_kernel_time_derivatives, tree_heat_kernels
 
 
 def central_difference(f, t, h=1e-5):
@@ -250,7 +251,7 @@ class TestNestedTrapezoid:
 
 
 class TestDerivative:
-    # the recurrence 2 I_r' = I_{r-1} + I_{r+1} that building_block_time_derivatives uses
+    # the recurrence 2 I_r' = I_{r-1} + I_{r+1} that tree_heat_kernel_time_derivatives uses
     @pytest.mark.parametrize("order", range(0, 12, 3))
     @pytest.mark.parametrize("t", [0.1, 1.0, 5.0])
     def test_recurrence_residual(self, order, t):
@@ -314,23 +315,32 @@ class TestBuildingBlock:
         assert 0.0 < building_block(2, 1, 400.0) < 1.0
 
     def test_derivative_matches_finite_difference(self):
-        fd = central_difference(lambda s: building_block(2, 3, s), 1.5)
-        assert building_block_time_derivatives(2, 3, 1.5)[3] == pytest.approx(fd, abs=1e-9)
+        # the tree row's B'_m, which it builds from the scalar blocks, against the
+        # central difference of the value rows at t +- h, h = 1e-5
+        q, t, h = 2, 1.5, 1e-5
+        radii = range(12)
+        ahead, behind = (tree_heat_kernels(q, s, radii, 1e-15) for s in (t + h, t - h))
+        dots = tree_heat_kernel_time_derivatives(q, t, radii)
+        for dot, plus, minus in zip(dots, ahead, behind):
+            assert dot == pytest.approx((plus.value - minus.value) / (2 * h), abs=1e-9)
 
     @pytest.mark.parametrize("q", [1, 2, 4])
     @pytest.mark.parametrize("t", [0.01, 0.7, 3.0, 130.0, 300.0])
     def test_derivative_matches_product_rule(self, q, t):
-        # q^{-r/2} e^{-(q+1)t} (sqrt(q) (I_{|r-1|} + I_{r+1}) - (q+1) I_r),
-        # with the e^{-2 sqrt(q) t} scaling moved into I
-        arg = 2.0 * math.sqrt(q) * t
-        dots = building_block_time_derivatives(q, 11, t)
-        i = lambda n: bessel_i_scaled(n, arg)
+        # B'_m = q^{-m/2} e^{-(q+1)t} (sqrt(q) (I_{|m-1|} + I_{m+1}) - (q+1) I_m), with the
+        # e^{-2 sqrt(q) t} scaling moved into I, summed over the row's own cuts
+        i = functools.cache(lambda n: bessel_i_scaled(n, 2.0 * math.sqrt(q) * t))
+
+        def block_dot(m):
+            prefactor = math.exp(-0.5 * m * math.log(q) - (math.sqrt(q) - 1.0) ** 2 * t)
+            return prefactor * (math.sqrt(q) * (i(abs(m - 1)) + i(m + 1)) - (q + 1) * i(m))
+
+        row = tree_heat_kernel_time_derivatives(q, t, range(12))
         for r in range(12):
-            prefactor = math.exp(-0.5 * r * math.log(q) - (math.sqrt(q) - 1.0) ** 2 * t)
-            expected = prefactor * (math.sqrt(q) * (i(abs(r - 1)) + i(r + 1)) - (q + 1) * i(r))
-            assert dots[r] == pytest.approx(
-                expected, rel=1e-11, abs=1e-16
-            )
+            order, _ = certified_truncation(q, t, 1e-13, r + 1, 2, 2 * (q * q - 1))
+            terms = [block_dot(m + 1) for m in range(r + 1, order + 1, 2)]
+            expected = block_dot(r) - (q - 1) * math.fsum(terms)
+            assert row[r] == pytest.approx(expected, rel=1e-11, abs=1e-16)
 
 
 class TestBlockBound:
@@ -566,3 +576,32 @@ class TestBuildingBlocks:
         # refused before anything is allocated; at t = 1e308, tau is inf
         with pytest.raises(ValueError, match=f"more than {MAX_RECURRENCE}"):
             log_building_blocks(2, M, t)
+
+
+class TestLogBlockRounding:
+    """heat_kernel_chebyshev_row takes its log weights ln w_k = log_building_blocks(1, M, tau/2)
+    as off by at most 4 (|ln w_k| + 1) u, u = 2^-53: a factor measured, not derived.  Against
+    40-digit mpmath at every 8th order to the 1e-20 cut the largest ratio reads 1.93
+    (tau = 1, m = 8)."""
+
+    def test_q_one_logs_within_the_measured_factor(self):
+        mp = pytest.importorskip("mpmath")
+        worst = (0.0, ())
+        for tau in (1e-3, 0.1, 1.0, 10.0, 1e3, 4e4):
+            M = certified_truncation(1, tau / 2, 1e-20, 1, 1, 2.0)[0]
+            logs = log_building_blocks(1, M, tau / 2)
+            with mp.workdps(40):
+                x = mp.mpf(tau)
+                # mpmath's I_{M+1} and I_M (its series needs more terms at tau = 4e4,
+                # and takes 1 s an order there from m = 1,500 on), then Bessel's
+                # recurrence I_{k-1} = I_{k+1} + (2k/tau) I_k downward, where I is minimal
+                row = [mp.besseli(M + 1, x, maxterms=10**6), mp.besseli(M, x, maxterms=10**6)]
+                for k in range(M, 0, -1):
+                    row.append(row[-2] + 2 * k / x * row[-1])
+                row.reverse()
+                for m in range(0, M + 1, 8):
+                    exact = mp.log(row[m]) - x
+                    error = abs(float(mp.mpf(float(logs[m])) - exact))
+                    worst = max(worst, (error / ((abs(float(exact)) + 1.0) * 2.0**-53), (tau, m)))
+        print(f"largest ratio {worst[0]:.3g} at (tau, m) = {worst[1]}")
+        assert worst[0] <= 4.0

@@ -646,9 +646,9 @@ class TestVerify:
         transform = zeta.g_transform_numeric
 
         def nan_row(*args, **kwargs):
-            result = transform(*args, **kwargs)
-            result.value[2] = math.nan
-            return result
+            row = transform(*args, **kwargs)
+            row[2] = math.nan
+            return row
 
         monkeypatch.setattr(zeta, "g_transform_numeric", nan_row)
         code, out, err = run(capsys, "verify", "--graph", "tree", "--q", "2")

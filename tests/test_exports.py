@@ -21,9 +21,6 @@ import heatzeta
 from heatzeta import cli
 
 MODULES = ("cli", "verify", "graphs", "heat_graph", "heat_tree", "bessel", "series", "zeta")
-# BENCHMARK.json's per-layer metrics name heat_graph.heat_kernel_series, and the
-# benchmark's own tests call it; the CLI and verify use heat_kernel_series_row
-EXEMPT = {"heat_graph.heat_kernel_series"}
 
 K4_EDGES = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 
@@ -79,11 +76,11 @@ def test_every_export_is_called(monkeypatch, capsys, tmp_path):
     ):
         assert cli.main(argv) == 0, argv
     capsys.readouterr()
-    assert "heat_graph.heat_kernel_series" in exports
-    assert sorted(set(exports) - EXEMPT - called) == []
+    assert sorted(set(exports) - called) == []
 
 
-# the slow independent routes that only verify and the tests may run
+# the slow independent routes, and the routes of verify's identities, that only
+# verify and the tests may run
 ORACLES = (
     "graphs.geodesic_counts",
     "graphs.enumerate_geodesics",
@@ -96,7 +93,12 @@ ORACLES = (
     "bessel.bessel_i_quadrature",
     "bessel.building_block",
     "bessel.building_block_row",
-    "bessel.building_block_time_derivatives",
+    "heat_tree.tree_heat_kernel_time_derivatives",
+    "heat_tree.horocycle_solution",
+    "heat_graph.diagonal_tree_decomposition",
+    "zeta.g_transform_numeric",
+    "zeta.euler_product_series",
+    "zeta.two_variable_zeta",
 )
 
 

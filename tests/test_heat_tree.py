@@ -15,6 +15,14 @@ from heatzeta.heat_tree import (
 )
 
 
+def block_dots(q, t, top):
+    """B'_m = B_{m-1} + q B_{m+1} - (q+1) B_m, B_{-1} = q B_1, for m = 0..top, from one
+    list of scalar building blocks B_0..B_{top+1}."""
+    blocks = [building_block(q, m, t) for m in range(top + 2)]
+    below = [q * blocks[1]] + blocks[:top]
+    return [below[m] + q * blocks[m + 1] - (q + 1) * blocks[m] for m in range(top + 1)]
+
+
 class TestSeries:
     def test_initial_condition(self):
         for q in (1, 2, 3):
@@ -218,6 +226,11 @@ class TestHeatEquation:
             assert row[r] == block_dot(r) - (q - 1) * math.fsum(terms)
             assert tree_heat_kernel_time_derivatives(q, t, (r,)) == [row[r]]
 
+    def test_derivative_row_needs_positive_time(self):
+        for t in (0.0, -1.0):
+            with pytest.raises(ValueError, match="t must be positive"):
+                tree_heat_kernel_time_derivatives(2, t, [0, 1])
+
     def test_derivative_row_needs_nonnegative_radii(self):
         with pytest.raises(ValueError, match="r must be >= 0"):
             tree_heat_kernel_time_derivatives(2, 1.0, [0, -1])
@@ -280,10 +293,8 @@ class TestHorocycle:
 
     def test_residual_with_analytic_derivative(self):
         # derivative through the Bessel recurrence instead of differencing
-        from heatzeta.bessel import building_block_time_derivatives
-
         q, t, n = 2, 1.0, 0
-        fdot = building_block_time_derivatives(q, n, t)[n]
+        fdot = block_dots(q, t, n)[n]
         residual = (
             (q + 1) * horocycle_solution(q, t, n)
             - q * horocycle_solution(q, t, n + 1)
@@ -320,7 +331,7 @@ class TestParityCuts:
                 for r in self.RADII
             ]
             top = max(max(r, order + 1) for r, order in zip(self.RADII, orders))
-            dots = bessel.building_block_time_derivatives(q, top, t)
+            dots = block_dots(q, t, top)
             expected = [
                 dots[r] - (q - 1) * math.fsum(dots[r + 2 : order + 2 : 2])
                 for r, order in zip(self.RADII, orders)
