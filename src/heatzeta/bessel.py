@@ -326,7 +326,8 @@ def log_building_blocks(q: int, M: int, t: float) -> np.ndarray:
         log_rel = np.cumsum(logs)
         before = np.concatenate(([0.0], log_rel[:-1]))
         added = log_rel - before
-        rounding = np.nan_to_num((before - (log_rel - added)) + (logs - added), nan=0.0)
+        rounding = (before - (log_rel - added)) + (logs - added)
+    rounding[np.isnan(rounding)] = 0.0  # a -inf log gives NaN here, never +-inf
     log_rel += np.cumsum(rounding)
     log_norm = math.log(2.0 * np.exp(log_rel).sum() - 1.0)  # ln(e^tau / I_0)
     # the constants first: each rounding at the size of ln B costs about |ln B| eps

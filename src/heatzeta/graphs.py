@@ -16,10 +16,11 @@ Counting functions, all relative to a base vertex x0:
 
 Routes.  This module is the integer counting engine: the three-term
 non-backtracking recursion run on integer arrays (``_geodesic_matrices``)
-through one gather over the neighbour table (``_adjacency_gather``).  One
-indicator column gives c_k(x) for one base vertex, the identity gives every
-base vertex at once, and the traces give the loop totals behind N_k (the
-integer form of the Ihara-Bass identity).  ``count_table`` runs the identity
+through one gather (``_adjacency_gather``) over the neighbour table that
+each graph builds once (``Graph.neighbours``).  One indicator column gives
+c_k(x) for one base vertex, the identity gives every base vertex at once,
+and the traces give the loop totals behind N_k (the integer form of the
+Ihara-Bass identity).  ``count_table`` runs the identity
 once and, beside it, the gather on the indicator of x0 for the walks a_k.
 Arrays are int64 only while a proved bound (``_int64_safe``, and the walk
 bound at ``count_table``) shows no entry can overflow, and dtype=object
@@ -37,6 +38,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -106,6 +108,15 @@ class Graph:
         if d < 2:
             raise GraphError(f"degree {d} < 2: no q >= 1 exists")
         return d - 1
+
+    @cached_property
+    def neighbours(self) -> np.ndarray:
+        """The (n, q+1) neighbour table of a regular graph, read-only: row v holds
+        the termini of out_edges[v].  Built on first use and kept on the graph, which
+        is frozen; it is no field, so equality and the hash ignore it."""
+        table = np.array([[self.terminus[e] for e in es] for es in self.out_edges])
+        table.flags.writeable = False
+        return table
 
     def adjacency_counts(self) -> list[Counter]:
         """adjacency_counts()[u][v] = number of directed edges u -> v."""
@@ -282,8 +293,8 @@ def _int64_safe(q: int, K: int) -> bool:
 
 
 def _adjacency_gather(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
-    """M -> A M in M's dtype, a gather over the (n, q+1) neighbour table of a regular g."""
-    nbr = np.array([[g.terminus[e] for e in es] for es in g.out_edges])
+    """M -> A M in M's dtype, a gather over g.neighbours, g regular."""
+    nbr = g.neighbours
 
     def apply_a(m: np.ndarray) -> np.ndarray:
         out = m[nbr[:, 0]]
@@ -299,7 +310,7 @@ def _geodesic_matrices(g: Graph, K: int, x0: int | None = None) -> Iterator[np.n
 
     C_0 = X, C_1 = A X, C_2 = A C_1 - (q+1) X and C_k = A C_{k-1} - q C_{k-2},
     where X = e_{x0} (C_k[x] = c_k(x)) or, when x0 is None, X = I
-    (C_k[x, y] = c_k(x) from base vertex y).  In _adjacency_gather's table
+    (C_k[x, y] = c_k(x) from base vertex y).  In the neighbour table
     multi-edges and self-loops repeat, so the recursion holds on every
     (q+1)-regular graph of this module.
     The dtype is int64 where _int64_safe allows it and object otherwise.

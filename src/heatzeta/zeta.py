@@ -22,7 +22,10 @@ variable s of the double-exponential map t = exp(s - e^{-s}) / decay
 (Takahasi and Mori 1974; Mori and Sugihara 2001), decay the integrand's
 exponential rate: t falls to 0 like e^{-e^{-s}} at one end and e^{-decay t}
 like e^{-e^{s}} at the other, so the cut ends are negligible and the nodes
-gather where the integrand lives.
+gather where the integrand lives.  Both cuts are on decay t, so the s-window
+is the same two constants for every call, and a factor e^{(q+1-qu-1/u)t}
+that would leave float range inside it is refused in closed form before any
+node.
 """
 
 from __future__ import annotations
@@ -57,19 +60,13 @@ __all__ = [
 
 # tol of the G-transform's half-line integral
 _G_TOL = 1e-11
+# its s-window on the map decay t = exp(s - e^{-s}): s - e^{-s} is ln(tol) - 20
+# at _S_LO and ln(ln(1/tol) + 20) at _S_HI, where decay t = _FAR_END
+_S_LO = -3.728108051172721
+_S_HI = 3.8355245723043865
+_FAR_END = math.exp(_S_HI - math.exp(-_S_HI))
 # largest distance from an integer that recover_counts rounds away
 _ROUNDING_GUARD = 1e-6
-
-
-def _double_exponential_cut(y: float) -> float:
-    """s with s - e^{-s} = y, from below: four Newton steps from y (y >= 0) or
-    -ln(1 - y), where s - e^{-s} - y is -e^{-y} and -ln(1 - y) - 1, both < 0.
-    On this concave increasing function every Newton step stays below the root."""
-    s = y if y >= 0.0 else -math.log1p(-y)
-    for _ in range(4):
-        e = math.exp(-s)
-        s -= (s - e - y) / (1.0 + e)
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +309,9 @@ def g_transform_numeric(
     building blocks.  The integrand then falls like e^{-decay t},
     decay = qu + 1/u - growth_rate, the margin that certifies the cuts.
 
-    With tol = 1e-11, the t-integral runs from tol e^{-20} to
-    upper = (ln(1/tol) + 20) / decay, so each cut drops about e^{-20} tol
-    times the size of the integrand.  In between it is taken in s on the
+    With tol = 1e-11, the t-integral runs from decay t = tol e^{-20} to
+    decay t = ln(1/tol) + 20, so each cut drops about e^{-20} tol times the
+    size of the integrand.  In between it is taken in s on the
     double-exponential map t = exp(s - e^{-s}) / decay, dt = t (1 + e^{-s}) ds
     (Takahasi and Mori 1974; Mori and Sugihara, J. Comput. Appl. Math. 2001).
     As s falls, t goes to 0 like e^{-e^{-s}}; as s rises, e^{-decay t} goes
@@ -322,14 +319,21 @@ def g_transform_numeric(
     derivatives are negligible, the trapezoid rule converges as on the whole
     line, geometrically (Trefethen and Weideman, SIAM Review 2014), and its
     nodes crowd at the peak near decay t = 1 instead of spreading over the
-    tiny-t end.  The s-cuts solve s - e^{-s} = ln(decay t) at the t-cuts from
-    below, by _double_exponential_cut: the lower one reaches past its t-cut,
-    the upper one meets its t-cut to rounding.  s is mapped linearly onto
-    [0, pi] for bessel._nested_trapezoid, from 8 nodes.
+    tiny-t end.  Both cuts are on decay t and the map is scale-free, so the
+    s-window is the same for every call: the module constants _S_LO and
+    _S_HI, where s - e^{-s} meets ln(tol) - 20 and ln(ln(1/tol) + 20).
+    s is mapped linearly onto [0, pi] for bessel._nested_trapezoid, from 8
+    nodes.
 
     ValueError, before any node, where u is not finite and positive, u^2 is
-    not a normal float (so u^{-2} would overflow) or there is no decay
-    margin; RuntimeError where a row's error estimate misses the guard
+    not a normal float (so u^{-2} would overflow), there is no decay margin,
+    or the factor e^{(q+1-qu-1/u)t} passes float range at the window's far
+    end, decay t = _FAR_END = ln(1/tol) + 20: where
+    (q+1-qu-1/u) _FAR_END > ln(DBL_MAX) decay.  With the default
+    growth_rate that exponent is -decay t and this never fires; tree blocks
+    carry the e^{-(sqrt(q)-1)^2 t} that cancels the factor, but only after
+    it is formed, so at u = 0.25 / sqrt(q) it fires from q = 1,557 on.
+    RuntimeError where a row's error estimate misses the guard
     max(tol, 10 tol |value|).
     """
     if not (math.isfinite(u) and u > 0.0):
@@ -345,11 +349,15 @@ def g_transform_numeric(
             "the transform integral does not converge"
         )
     rate = (q + 1.0) - q * u - 1.0 / u
-    lo = _double_exponential_cut(math.log(decay * _G_TOL) - 20.0)
-    width = _double_exponential_cut(math.log(math.log(1.0 / _G_TOL) + 20.0)) - lo
+    if rate * _FAR_END > math.log(sys.float_info.max) * decay:
+        raise ValueError(
+            f"q = {q}, u = {u}: the G-transform's factor e^((q+1-qu-1/u)t) passes "
+            f"float range before the end of its window, t = {_FAR_END / decay:.4g}"
+        )
+    width = _S_HI - _S_LO
 
     def integrand(theta: np.ndarray) -> np.ndarray:
-        s = lo + (width / math.pi) * theta
+        s = _S_LO + (width / math.pi) * theta
         e = np.exp(-s)
         t = np.exp(s - e) / decay
         values = np.array([math.exp(rate * x) * f(x) for x in t.tolist()]).reshape(len(t), rows)

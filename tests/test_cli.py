@@ -668,6 +668,15 @@ class TestVerify:
         assert (code, err) == (0, "")
         assert seen == [1, 1, 1, 7, 7]
 
+    @pytest.mark.parametrize("q", ["2000", "1000000"])
+    def test_tree_refuses_q_whose_transform_leaves_float_range(self, capsys, q):
+        # from q = 1,557 the G-transform of blocks at u = 0.25 / sqrt(q) would form
+        # e^{(q+1-qu-1/u)t} past float range; it was an OverflowError traceback
+        code, out, err = run(capsys, "verify", "--graph", "tree", "--q", q)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert re.match(rf"error: q = {q}, u = \S+: .*float range", err)
+
     def test_graph_file_refused(self, capsys, tmp_path):
         path = tmp_path / "triangle.txt"
         path.write_text("0 1\n1 2\n2 0\n")
@@ -727,7 +736,7 @@ FUZZ_GRAPHS = [None, "k4", "c5", "c8", "petersen", "cube", "k33", "tree", "file"
 FUZZ_T = ["0", "0.1", "2", "60", "200", "1e4", "1e6", "1e8", "1e300", "inf", "nan", "-1", "a"]
 FUZZ_TOL = ["1e-10", "0", "nan", "-1"]
 FUZZ_ORDER = ["0", "1", "6", "12", "2001"]
-FUZZ_Q = ["0", "1", "2", "3"]
+FUZZ_Q = ["0", "1", "2", "3", "2000", "1000000"]
 FUZZ_FORMAT = ["csv", "json"]
 
 

@@ -264,6 +264,30 @@ IRREGULAR = {
 }
 
 
+class TestNeighbourTable:
+    def test_built_once_and_read_only(self):
+        g = G.builtin_graph("petersen")
+        table = g.neighbours
+        assert g.neighbours is table
+        assert not table.flags.writeable
+        assert [sorted(row) for row in table.tolist()] == [
+            sorted(g.terminus[e] for e in es) for es in g.out_edges
+        ]
+
+    def test_equality_and_hash_ignore_it(self):
+        # spectral_data's cache is keyed on the graph
+        g, h = G.builtin_graph("cube"), G.builtin_graph("cube")
+        g.neighbours
+        assert g == h and hash(g) == hash(h)
+        assert "neighbours" not in repr(g)
+
+    @pytest.mark.parametrize("name", list(IRREGULAR))
+    def test_irregular_graphs_load_without_it(self, name):
+        g = G.load_graph(IRREGULAR[name])
+        with pytest.raises(ValueError):
+            g.neighbours
+
+
 class TestGeodesicCounts:
     def test_k4_length_two(self):
         c = G.geodesic_counts(G.builtin_graph("k4"), 0, 2)

@@ -293,6 +293,44 @@ class TestGTransform:
         assert info.value.__cause__.r == (3 if rows == 7 else 0)
         assert len(calls) <= 15
 
+    def test_window_meets_its_cut_rules(self):
+        # decay t = exp(s - e^{-s}) runs from tol e^{-20} to ln(1/tol) + 20, and no wider
+        def log_decay_t(s):
+            return s - math.exp(-s)
+
+        low, high = math.log(zeta._G_TOL) - 20.0, math.log(math.log(1.0 / zeta._G_TOL) + 20.0)
+        assert log_decay_t(zeta._S_LO) <= low < log_decay_t(zeta._S_LO + 1e-9)
+        assert log_decay_t(zeta._S_HI - 1e-9) < high <= log_decay_t(zeta._S_HI)
+        assert zeta._FAR_END == pytest.approx(math.log(1.0 / zeta._G_TOL) + 20.0, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("q", [1557, 2000, 10**6, 10**9])
+    def test_overflowing_factor_refused_before_any_node(self, q):
+        # tree blocks at u = 0.25 / sqrt(q), as verify transforms them: from q = 1,557
+        # e^{(q+1-qu-1/u)t} passes float range before the window's far end
+        calls = []
+        u, growth = 0.25 / math.sqrt(q), 2.0 * math.sqrt(q)
+        with pytest.raises(ValueError, match=f"q = {q}, u = .*float range"):
+            g_transform_numeric(calls.append, q, u, growth_rate=growth)
+        assert calls == []
+
+    def test_largest_unrefused_tree_q_transforms(self):
+        q = 1556
+        u = 0.25 / math.sqrt(q)
+        (value,) = g_transform_numeric(
+            lambda t: building_block(q, 0, t), q, u, growth_rate=2.0 * math.sqrt(q)
+        )
+        assert value == pytest.approx(1.0 / u, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("q", [1, 2, 2000, 10**6, 10**9])
+    @pytest.mark.parametrize("factor", [1e-6, 0.5, 0.999, 2.0 * 10**9])
+    def test_bounded_integrand_never_refused(self, q, factor):
+        # growth q + 1: the factor is e^{-decay t}, and G1 = (u^-2 - q) / decay,
+        # to the guard max(1e-11, 1e-10 |value|)
+        u = factor / q
+        decay = q * u + 1.0 / u - (q + 1.0)
+        (value,) = g_transform_numeric(lambda t: 1.0, q, u)
+        assert value == pytest.approx((u**-2 - q) / decay, rel=1e-9, abs=1e-11)
+
     def test_fast_oscillation_converges(self):
         # (u^-2 - q) w / (a^2 + w^2), a = qu + 1/u - (q + 1) = 1.5, the transform of sin(w t)
         # to the guard its error estimate met, max(1e-11, 1e-10 |value|)
