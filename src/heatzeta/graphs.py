@@ -264,7 +264,8 @@ def geodesic_counts(g: Graph, x0: int, K: int) -> list[list[int]]:
     ending with f is one of length k ending at o(f) followed by f, unless
     its last edge is bar(f): w_{k+1}(f) = c_k(o(f)) - w_k(bar(f)), with
     w_0 = 0 (Hashimoto 1989; Bass 1992).  Works on any graph, regular or
-    not; production counts come from geodesic_counts_recursion.
+    not; production counts come from _geodesic_matrices, whose list form
+    geodesic_counts_recursion only verify and the tests call.
     """
     c = [0] * g.n_vertices
     c[x0] = 1

@@ -74,10 +74,18 @@ def check_bessel_bound_and_monotonicity(values: dict[float, list[float]]) -> Che
     return CheckResult("bessel uniform bound and order monotonicity", worst, 0.0)
 
 
+def _decay_times(q: int, times: tuple[float, ...]) -> tuple[float, list[float]]:
+    """(scale, [c / scale for c in times]), scale = max(1, (sqrt(q) - 1)^2): the
+    times c in units of the tree kernel's decay time, as K carries the factor
+    e^{-(sqrt(q)-1)^2 t}; at q <= 4 the scale is 1 and the times are c."""
+    scale = max(1.0, (math.sqrt(q) - 1.0) ** 2)
+    return scale, [c / scale for c in times]
+
+
 def check_tree_formula_agreement(qs: Iterable[int]) -> CheckResult:
     worst = 0.0
     for q in qs:
-        for t in (0.1, 0.5, 1.0, 2.0, 5.0):
+        for t in _decay_times(q, (0.1, 0.5, 1.0, 2.0, 5.0))[1]:
             series = heat_tree.tree_heat_kernels(q, t, range(11), 1e-12)
             integrals = heat_tree.tree_heat_kernel_integrals(q, t, range(11), 1e-11)
             for value, integral in zip(series, integrals):
@@ -89,22 +97,26 @@ def check_tree_formula_agreement(qs: Iterable[int]) -> CheckResult:
 
 
 def check_tree_heat_equation(qs: Iterable[int]) -> CheckResult:
+    """The residual of dK/dt = -LK at the times of _decay_times, divided by their
+    scale: the residual of dK/ds = -LK / scale in s = scale t."""
     worst = 0.0
     for q in qs:
-        for t in (0.1, 0.5, 1.0, 2.0, 5.0):
+        scale, times = _decay_times(q, (0.1, 0.5, 1.0, 2.0, 5.0))
+        for t in times:
             values = [value.value for value in heat_tree.tree_heat_kernels(q, t, range(13), 1e-13)]
             dots = heat_tree.tree_heat_kernel_time_derivatives(q, t, range(12))
-            worst = _worst(worst, abs((q + 1) * values[0] - (q + 1) * values[1] + dots[0]))
+            worst = _worst(worst, abs((q + 1) * values[0] - (q + 1) * values[1] + dots[0]) / scale)
             for r in range(1, 11):
                 residual = (
                     (q + 1) * values[r] - q * values[r + 1] - values[r - 1] + dots[r]
                 )
-                worst = _worst(worst, abs(residual))
+                worst = _worst(worst, abs(residual) / scale)
     return CheckResult("tree heat equation residual", worst, 1e-8)
 
 
 def check_horocycle_transform(qs: Iterable[int]) -> CheckResult:
-    """Tree kernel summed over the horocycle at height n = -3..3 vs horocycle_solution.
+    """Tree kernel summed over the horocycle at height n = -3..3 vs horocycle_solution,
+    at the times of _decay_times.
 
     As 0 <= K <= the building block, the sums at heights r and -r stop where
     bessel.certified_truncation puts the tail below 1e-11 for the larger lead's
@@ -113,7 +125,7 @@ def check_horocycle_transform(qs: Iterable[int]) -> CheckResult:
     """
     worst = 0.0
     for q in qs:
-        for t in (0.5, 2.0, 5.0):
+        for t in _decay_times(q, (0.5, 2.0, 5.0))[1]:
             for r in range(4):
                 weight = (q - 1) * q ** (r / 2 - 1)
                 top, _ = bessel.certified_truncation(q, t, 1e-11, r + 2, 2, weight, 0.5)
@@ -240,11 +252,16 @@ def check_four_way_zeta(g: Graph) -> CheckResult:
     return CheckResult("four-way zeta agreement", worst, 1e-8)
 
 
-def check_g_transform_building_blocks(qs: Iterable[int]) -> CheckResult:
+def check_g_transform_building_blocks() -> CheckResult:
     """G sends building block k to u^{k-1}, relative to max(1, u^{k-1}): one
-    transform per (q, u) of the row k = 0..6, each node's blocks from one
-    bessel.building_block_row, at u = 0.1 / sqrt(q) and 0.25 / sqrt(q) for
-    each q of qs, and at q = 1.
+    transform per u of the q = 1 row k = 0..6, each node's blocks from one
+    bessel.building_block_row.
+
+    q = 1 serves every q: t -> t / sqrt(q) gives G_q B_k(u) =
+    q^{(1-k)/2} G_1 B_k(sqrt(q) u); direct transforms at q = 2, 3, 4, 7, 50
+    and 1,556, cut at the blocks' own growth rate 2 sqrt(q), met it to
+    3.3e-15 relative.  So u = 0.1 and 0.25 here are the images of
+    0.1 / sqrt(q) and 0.25 / sqrt(q) at every q.
 
     The budget 1e-9 sits above the quadrature's guard max(1e-11, 1e-10 |value|),
     a relative 1e-10 here.  At q = 1 the block is e^{-2t} I_k(2t), so
@@ -256,14 +273,12 @@ def check_g_transform_building_blocks(qs: Iterable[int]) -> CheckResult:
     (u^{-2} - 1) / 2 is at least 2.9, and w L_0 for k = 0, where
     L_0 = 1 / sqrt(s^2 + 2s) < 1.  So the budget holds each L_k to 1e-9.
     """
-    points = [(1, s + 1.0 - math.sqrt(s * s + 2.0 * s)) for s in (0.5, 1.0, 2.0)]
-    points += [(q, factor / math.sqrt(q)) for q in qs for factor in (0.1, 0.25)]
+    points = [s + 1.0 - math.sqrt(s * s + 2.0 * s) for s in (0.5, 1.0, 2.0)] + [0.1, 0.25]
     orders = np.arange(7)
     worst = 0.0
-    for q, u in points:
+    for u in points:
         transform = zeta.g_transform_numeric(
-            lambda t, q=q: bessel.building_block_row(q, 6, t),
-            q, u, growth_rate=2.0 * math.sqrt(q), rows=7,
+            lambda t: bessel.building_block_row(1, 6, t), 1, u, rows=7
         )
         expected = u ** (orders - 1.0)
         errors = np.abs(transform - expected) / np.maximum(1.0, expected)
@@ -316,12 +331,13 @@ def check_tree_zeta_identity(qs: Iterable[int]) -> CheckResult:
 
 
 def run_tree_checks(qs: Iterable[int] = (2, 3, 4)) -> list[CheckResult]:
-    """The tree checks at each q of qs, the G-transform of building blocks at
-    q = 1 too, but the tree zeta identity at the q of qs in (2, 3) only, or
-    at q = 2 where qs has neither: from q = 4 on, TreeDensity.integrate
-    refuses the 11th spectral moment, whose rounding term (2.84e-9 at q = 4,
-    8.77e-9 at q = 5) exceeds its guard 1e-9.  So verify --graph tree --q 7
-    reports that check from q = 2."""
+    """The tree checks at each q of qs, but the G-transform of building blocks
+    at q = 1 alone, which by its scaling identity stands for every q, and the
+    tree zeta identity at the q of qs in (2, 3) only, or at q = 2 where qs
+    has neither: from q = 4 on, TreeDensity.integrate refuses the 11th
+    spectral moment, whose rounding term (2.84e-9 at q = 4, 8.77e-9 at
+    q = 5) exceeds its guard 1e-9.  So verify --graph tree --q 7 reports the
+    G-transform line from q = 1 and the zeta line from q = 2."""
     bessel_values = bessel_grid_values()
     return [
         check_bessel_agreement(bessel_values),
@@ -329,7 +345,7 @@ def run_tree_checks(qs: Iterable[int] = (2, 3, 4)) -> list[CheckResult]:
         check_tree_formula_agreement(qs),
         check_tree_heat_equation(qs),
         check_tree_mass(),
-        check_g_transform_building_blocks(qs),
+        check_g_transform_building_blocks(),
         check_tree_zeta_identity([q for q in qs if q in (2, 3)] or (2,)),
         check_horocycle_transform(qs),
     ]

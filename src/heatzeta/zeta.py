@@ -23,9 +23,8 @@ variable s of the double-exponential map t = exp(s - e^{-s}) / decay
 exponential rate: t falls to 0 like e^{-e^{-s}} at one end and e^{-decay t}
 like e^{-e^{s}} at the other, so the cut ends are negligible and the nodes
 gather where the integrand lives.  Both cuts are on decay t, so the s-window
-is the same two constants for every call, and a factor e^{(q+1-qu-1/u)t}
-that would leave float range inside it is refused in closed form before any
-node.
+is the same two constants for every call.  decay = (1 - u)(1 - qu)/u is
+positive for u < 1/q and u > 1, the transform's domain.
 """
 
 from __future__ import annotations
@@ -61,10 +60,9 @@ __all__ = [
 # tol of the G-transform's half-line integral
 _G_TOL = 1e-11
 # its s-window on the map decay t = exp(s - e^{-s}): s - e^{-s} is ln(tol) - 20
-# at _S_LO and ln(ln(1/tol) + 20) at _S_HI, where decay t = _FAR_END
+# at _S_LO and ln(ln(1/tol) + 20) at _S_HI
 _S_LO = -3.728108051172721
 _S_HI = 3.8355245723043865
-_FAR_END = math.exp(_S_HI - math.exp(-_S_HI))
 # largest distance from an integer that recover_counts rounds away
 _ROUNDING_GUARD = 1e-6
 
@@ -292,22 +290,18 @@ def zeta_spectral(measure: AtomicMeasure | TreeDensity, q: int, u: float) -> flo
 
 
 def g_transform_numeric(
-    f: Callable[[float], float | np.ndarray],
-    q: int,
-    u: float,
-    growth_rate: float | None = None,
-    rows: int = 1,
+    f: Callable[[float], float | np.ndarray], q: int, u: float, rows: int = 1
 ) -> np.ndarray:
     """(u^{-2} - q) int_0^inf e^{-(qu + 1/u)t} e^{(q+1)t} f(t) dt, numerically.
 
     f(t) is a numpy row of rows functions at t (a float where rows = 1), all
     transformed over one node set: the rows x nodes array goes to
     bessel._nested_trapezoid.  The result is one value per row, each one's error
-    estimate within the guard max(tol, 10 tol |value|), tol = 1e-11.  growth_rate
-    bounds the exponential growth of e^{(q+1)t} f(t): it defaults to q+1 (right
-    for bounded f such as finite-graph heat kernels); pass 2 sqrt(q) for tree
-    building blocks.  The integrand then falls like e^{-decay t},
-    decay = qu + 1/u - growth_rate, the margin that certifies the cuts.
+    estimate within the guard max(tol, 10 tol |value|), tol = 1e-11.  f is taken
+    as bounded, so the integrand e^{-decay t} f(t) falls at the margin
+    decay = qu + 1/u - (q + 1) = (1 - u)(1 - qu)/u, which certifies the cuts:
+    the domain is u < 1/q or u > 1.  Tree building blocks need no other rate:
+    G_q B_k(u) = q^{(1-k)/2} G_1 B_k(sqrt(q) u) (substitute t -> t / sqrt(q)).
 
     With tol = 1e-11, the t-integral runs from decay t = tol e^{-20} to
     decay t = ln(1/tol) + 20, so each cut drops about e^{-20} tol times the
@@ -326,33 +320,19 @@ def g_transform_numeric(
     nodes.
 
     ValueError, before any node, where u is not finite and positive, u^2 is
-    not a normal float (so u^{-2} would overflow), there is no decay margin,
-    or the factor e^{(q+1-qu-1/u)t} passes float range at the window's far
-    end, decay t = _FAR_END = ln(1/tol) + 20: where
-    (q+1-qu-1/u) _FAR_END > ln(DBL_MAX) decay.  With the default
-    growth_rate that exponent is -decay t and this never fires; tree blocks
-    carry the e^{-(sqrt(q)-1)^2 t} that cancels the factor, but only after
-    it is formed, so at u = 0.25 / sqrt(q) it fires from q = 1,557 on.
-    RuntimeError where a row's error estimate misses the guard
+    not a normal float (so u^{-2} would overflow), or there is no decay
+    margin.  RuntimeError where a row's error estimate misses the guard
     max(tol, 10 tol |value|).
     """
     if not (math.isfinite(u) and u > 0.0):
         raise ValueError(f"u must be finite and positive, got {u}")
     if u * u < sys.float_info.min:
         raise ValueError(f"u = {u}: u^-2 overflows")
-    if growth_rate is None:
-        growth_rate = q + 1.0
-    decay = q * u + 1.0 / u - growth_rate
+    decay = q * u + 1.0 / u - (q + 1.0)
     if decay <= 0:
         raise ValueError(
             f"u={u} gives no exponential decay margin (rate {decay}); "
             "the transform integral does not converge"
-        )
-    rate = (q + 1.0) - q * u - 1.0 / u
-    if rate * _FAR_END > math.log(sys.float_info.max) * decay:
-        raise ValueError(
-            f"q = {q}, u = {u}: the G-transform's factor e^((q+1-qu-1/u)t) passes "
-            f"float range before the end of its window, t = {_FAR_END / decay:.4g}"
         )
     width = _S_HI - _S_LO
 
@@ -360,8 +340,8 @@ def g_transform_numeric(
         s = _S_LO + (width / math.pi) * theta
         e = np.exp(-s)
         t = np.exp(s - e) / decay
-        values = np.array([math.exp(rate * x) * f(x) for x in t.tolist()]).reshape(len(t), rows)
-        return values.T * t * (1.0 + e)
+        values = np.array([f(x) for x in t.tolist()]).reshape(len(t), rows)
+        return values.T * np.exp(-decay * t) * t * (1.0 + e)
 
     scale = (1.0 / (u * u) - q) * width / math.pi
     try:

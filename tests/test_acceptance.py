@@ -172,12 +172,7 @@ def test_criterion_07_g_transform_building_blocks():
         for k in range(7):
             for factor in (0.1, 0.25):
                 u = factor / math.sqrt(q)
-                (value,) = g_transform_numeric(
-                    lambda t: building_block(q, k, t),
-                    q,
-                    u,
-                    growth_rate=2.0 * math.sqrt(q),
-                )
+                (value,) = g_transform_numeric(lambda t: building_block(q, k, t), q, u)
                 worst = max(worst, abs(value - u ** (k - 1)))
     report(7, "G-transform building blocks", worst, 1e-6, worst <= 1e-6)
 
@@ -218,7 +213,7 @@ def test_criterion_09_laplace_calibration():
         root = math.sqrt(s * s + 2.0 * s)
         u = s + 1.0 - root
         transform = g_transform_numeric(
-            lambda t: building_block_row(1, 6, t), 1, u, growth_rate=2.0, rows=7
+            lambda t: building_block_row(1, 6, t), 1, u, rows=7
         )
         numeric = 2.0 * transform / (u**-2 - 1.0)
         closed = [(s + 1.0 - root) ** n / root for n in range(7)]  # n = 0..6

@@ -72,22 +72,22 @@ def test_tree_formula_check_catches_a_shifted_integral_row(monkeypatch):
 
 
 def test_laplace_calibration_catches_a_scaled_bessel_factor(monkeypatch):
-    # the q = 1 rows of the G-transform check are the Laplace calibration
-    assert verify.check_g_transform_building_blocks((2,)).passed
+    # the G-transform check's rows are all q = 1: a Laplace calibration
+    assert verify.check_g_transform_building_blocks().passed
     original = bessel.building_block_row
     monkeypatch.setattr(
         bessel,
         "building_block_row",
-        lambda q, N, t: original(q, N, t) * (1.0 + 1e-6 if q == 1 else 1.0),
+        lambda q, N, t: original(q, N, t) * (1.0 + 1e-6),
     )
-    assert not verify.check_g_transform_building_blocks((2,)).passed
+    assert not verify.check_g_transform_building_blocks().passed
 
 
 def test_g_transform_of_blocks_catches_a_shifted_block(monkeypatch):
-    assert verify.check_g_transform_building_blocks((2, 3)).passed
+    assert verify.check_g_transform_building_blocks().passed
     original = bessel.building_block_row
     monkeypatch.setattr(bessel, "building_block_row", lambda q, N, t: original(q, N, t) + 1e-7)
-    assert not verify.check_g_transform_building_blocks((2, 3)).passed
+    assert not verify.check_g_transform_building_blocks().passed
 
 
 def test_diagonal_decomposition_catches_a_shifted_series_row(monkeypatch):
@@ -98,6 +98,27 @@ def test_diagonal_decomposition_catches_a_shifted_series_row(monkeypatch):
         heat_graph, "heat_kernel_series_row", lambda *args: np.asarray(original(*args)) + 1e-7
     )
     assert not verify.check_diagonal_decomposition(K4).passed
+
+
+@pytest.mark.parametrize("q", [2, 7, 50, 300, 1556, 2000, 10**6, 10**9])
+def test_tree_checks_catch_a_scaled_series_at_every_q(monkeypatch, q):
+    # the checks run at times in units of the decay time 1 / (sqrt(q) - 1)^2,
+    # so a relative 1e-7 shows at every q, not only where K has not underflowed
+    checks = (
+        verify.check_tree_formula_agreement,
+        verify.check_tree_heat_equation,
+        verify.check_horocycle_transform,
+    )
+    assert all(check((q,)).passed for check in checks)
+    original = heat_tree.tree_heat_kernels
+    monkeypatch.setattr(
+        heat_tree,
+        "tree_heat_kernels",
+        lambda *args: [
+            dataclasses.replace(k, value=k.value * (1.0 + 1e-7)) for k in original(*args)
+        ],
+    )
+    assert not any(check((q,)).passed for check in checks)
 
 
 def test_tree_heat_equation_catches_a_shifted_derivative_row(monkeypatch):
@@ -114,17 +135,11 @@ def test_tree_heat_equation_catches_a_shifted_derivative_row(monkeypatch):
 @pytest.mark.parametrize(
     "checks, module, integrand, ceiling",
     [
-        # one integrand row per node, shared by every order of the check
-        # three transforms at q = 1, 189 nodes, and two at each of q = 2, 3, 252
+        # one integrand row per node, shared by every order of the check:
+        # five transforms at q = 1
         pytest.param(
-            [lambda: verify.check_g_transform_building_blocks((2, 3))], bessel,
-            "building_block_row", 441, id="g_transform_building_blocks",
-        ),
-        # the q = 1 transforms alone, at the Laplace calibration's points: the
-        # 441 above would not catch these growing while the q = 2, 3 ones shrank
-        pytest.param(
-            [lambda: verify.check_g_transform_building_blocks(())], bessel,
-            "building_block_row", 189, id="laplace_calibration",
+            [verify.check_g_transform_building_blocks], bessel,
+            "building_block_row", 315, id="g_transform_building_blocks",
         ),
         pytest.param(
             [lambda g=g: verify.check_g_transform_diagonal(g) for g in (K4, PETERSEN)],
@@ -291,7 +306,7 @@ def _nan_tree_kernels(original):
                      "g_transform_numeric", _nan_first, id="g_transform_diagonal"),
         pytest.param(lambda: verify.check_two_variable_zeta(K4), zeta,
                      "two_variable_zeta", _nan_two_variable, id="two_variable_zeta"),
-        pytest.param(lambda: verify.check_g_transform_building_blocks((2,)), zeta,
+        pytest.param(verify.check_g_transform_building_blocks, zeta,
                      "g_transform_numeric", _nan_first, id="g_transform_building_blocks"),
         pytest.param(lambda: verify.check_tree_formula_agreement((2,)), heat_tree,
                      "tree_heat_kernel_integrals", _nan_first, id="tree_formula"),
