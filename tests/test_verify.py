@@ -133,22 +133,30 @@ def test_tree_heat_equation_catches_a_shifted_derivative_row(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "checks, module, integrand, ceiling",
+    "checks, module, integrand, transforms, ceiling",
     [
         # one integrand row per node, shared by every order of the check:
         # five transforms at q = 1
         pytest.param(
             [verify.check_g_transform_building_blocks], bessel,
-            "building_block_row", 315, id="g_transform_building_blocks",
+            "building_block_row", slice(None), 315, id="g_transform_building_blocks",
+        ),
+        # the first three transforms alone, at the Laplace calibration's points:
+        # the 315 above would not catch these growing while the other two shrank
+        pytest.param(
+            [verify.check_g_transform_building_blocks], bessel,
+            "building_block_row", slice(0, 3), 189, id="laplace_calibration",
         ),
         pytest.param(
             [lambda g=g: verify.check_g_transform_diagonal(g) for g in (K4, PETERSEN)],
-            heat_graph, "heat_kernel_spectral", 252,
+            heat_graph, "heat_kernel_spectral", slice(None), 252,
             id="g_transform_diagonal",
         ),
     ],
 )
-def test_half_line_checks_evaluate_few_nodes(monkeypatch, checks, module, integrand, ceiling):
+def test_half_line_checks_evaluate_few_nodes(
+    monkeypatch, checks, module, integrand, transforms, ceiling
+):
     # the integrand's only calls are the quadrature nodes, a deterministic count
     calls = []
     original = getattr(module, integrand)
@@ -157,9 +165,21 @@ def test_half_line_checks_evaluate_few_nodes(monkeypatch, checks, module, integr
         calls.append(args)
         return original(*args)
 
+    # nodes per transform, in the order the checks run them
+    nodes = []
+    transform = zeta.g_transform_numeric
+
+    def counted_transform(*args, **kwargs):
+        start = len(calls)
+        result = transform(*args, **kwargs)
+        nodes.append(len(calls) - start)
+        return result
+
     monkeypatch.setattr(module, integrand, counted)
+    monkeypatch.setattr(zeta, "g_transform_numeric", counted_transform)
     assert all(check().passed for check in checks)
-    assert 0 < len(calls) <= ceiling
+    assert sum(nodes) == len(calls)
+    assert 0 < sum(nodes[transforms]) <= ceiling
 
 
 def test_tree_checks_run_few_power_series(monkeypatch):
