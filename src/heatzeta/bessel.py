@@ -23,14 +23,13 @@ log_building_blocks evaluates the log of the whole vector of building blocks
 at one time from Miller's backward recurrence for the ratios I_{m+1}/I_m:
 the production evaluator behind every heat value, in float range at any t.
 The scalar building_block and the routes above stay as its independent
-oracle, with building_block_row: orders 0..N at one t from the series at
-orders N and N + 1 and Bessel's recurrence (DLMF 10.29.1) run downward.
+oracle, and verify's G-transform of building blocks integrates it against
+the paper's closed form u^{k-1}.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -40,7 +39,6 @@ __all__ = [
     "bessel_i_quadrature",
     "bessel_i_scaled",
     "building_block",
-    "building_block_row",
     "certified_truncation",
     "log_block_bound",
     "log_building_blocks",
@@ -247,34 +245,6 @@ def building_block(q: int, r: int, t: float) -> float:
     _check_order_arg(r, t)
     prefactor = math.exp(-0.5 * r * math.log(q) - (math.sqrt(q) - 1.0) ** 2 * t)
     return prefactor * bessel_i_scaled(r, 2.0 * math.sqrt(q) * t)
-
-
-def building_block_row(q: int, N: int, t: float) -> np.ndarray:
-    """building_block(q, n, t) for n = 0..N at one t, as one vector.
-
-    bessel_i_scaled gives e^{-tau} I_n(tau), tau = 2 sqrt(q) t, at orders N
-    and N + 1; Bessel's recurrence I_{k-1} = I_{k+1} + (2k/tau) I_k, scaled,
-    runs downward.  I_n is its minimal solution, so that direction is stable
-    (Gautschi, SIAM Review 1967); each step adds two positive terms in three
-    roundings, so order k is off by at most the start's larger relative
-    error plus about 3 (N - k + 1) eps.  Where e^{-tau} I_N(tau) is not a
-    normal float (t = 0 with N > 0, or tau tiny beside N), each order comes
-    from its own series.  The row is then multiplied by building_block's
-    prefactor, its exponent the same to the bit (n times -0.5 ln q is -0.5 n
-    times ln q, exactly): exactly 1 at q = 1, where the row at t / 2 is e^{-t} I_n(t).
-    """
-    _check_q(q)
-    tau = 2.0 * math.sqrt(q) * t
-    row = [bessel_i_scaled(N, tau)]  # orders N, N - 1, ..., 0
-    if row[0] < sys.float_info.min:
-        row += [bessel_i_scaled(n, tau) for n in range(N - 1, -1, -1)]
-    else:
-        above = bessel_i_scaled(N + 1, tau)
-        for k in range(N, 0, -1):
-            row.append(above + (2.0 * k / tau) * row[-1])
-            above = row[-2]
-    step, shift = -0.5 * math.log(q), (math.sqrt(q) - 1.0) ** 2 * t
-    return np.exp([n * step - shift for n in range(N + 1)]) * np.array(row[::-1])
 
 
 def log_building_blocks(q: int, M: int, t: float) -> np.ndarray:

@@ -57,7 +57,6 @@ __all__ = [
     "enumerate_geodesic_counts",
     "enumerate_geodesics",
     "geodesic_counts",
-    "geodesic_counts_recursion",
     "load_graph",
     "prime_geodesic_counts",
 ]
@@ -264,8 +263,8 @@ def geodesic_counts(g: Graph, x0: int, K: int) -> list[list[int]]:
     ending with f is one of length k ending at o(f) followed by f, unless
     its last edge is bar(f): w_{k+1}(f) = c_k(o(f)) - w_k(bar(f)), with
     w_0 = 0 (Hashimoto 1989; Bass 1992).  Works on any graph, regular or
-    not; production counts come from _geodesic_matrices, whose list form
-    geodesic_counts_recursion only verify and the tests call.
+    not; production counts come from _geodesic_matrices, which verify's
+    counting check compares with it.
     """
     c = [0] * g.n_vertices
     c[x0] = 1
@@ -334,15 +333,6 @@ def _geodesic_matrices(g: Graph, K: int, x0: int | None = None) -> Iterator[np.n
             nxt -= (q + 1 if k == 2 else q) * prev
         prev, cur = cur, nxt
         yield cur
-
-
-def geodesic_counts_recursion(g: Graph, x0: int, K: int) -> list[list[int]]:
-    """c_k(x) for k = 0..K from base vertex x0 (regular graphs only).
-
-    The single-vertex entry point of the counting engine: c_1 = A e_{x0},
-    c_2 = A c_1 - (q+1) c_0 and c_{k+1} = A c_k - q c_{k-1} for k >= 2.
-    """
-    return [c.tolist() for c in _geodesic_matrices(g, K, x0)]
 
 
 def closed_geodesics_at_vertex(g: Graph, x0: int, K: int) -> list[int]:

@@ -355,20 +355,22 @@ def g_transform_numeric(
 
 
 def two_variable_zeta(
-    g: Graph, x0: int, x: int, M: int
-) -> tuple[PowerSeries, Callable[[float], float]]:
-    """Off-diagonal two-variable zeta: series and spectral closed form.
+    g: Graph, x0: int, M: int
+) -> dict[int, tuple[PowerSeries, Callable[[float], float]]]:
+    """Off-diagonal two-variable zeta at every x != x0: series and spectral closed form.
 
-    Returns (log-series sum_m b_m(x) u^m / m with exact coefficients, and a
+    Returns {x: (log-series sum_m b_m(x) u^m / m with exact coefficients, a
     callable evaluating -sum_j psi_j(x) psi_j(x0) log(1 - (q+1-lambda_j) u
-    + q u^2)); the two agree on (0, 1/q) (verify checks it).  The diagonal
-    x = x0 carries an extra d/du log u term and is not served here.
+    + q u^2))}, every series from one b_coefficients run; each pair agrees on
+    (0, 1/q) (verify checks it).  The diagonal x = x0 carries an extra
+    d/du log u term and is not served here.
     """
-    if x == x0:
-        raise ValueError("diagonal case is served by zeta_log_series_from_counts")
     b = b_coefficients(g, x0, M)
-    coeffs = [Fraction(0)] + [Fraction(b[m][x], m) for m in range(1, M + 1)]
-    series = PowerSeries(coeffs)
     q = g.regularity()
-    measure = atomic_measure(g, x0, x)
-    return series, lambda u: -_log_determinant(measure, q, u)
+
+    def pair(x: int) -> tuple[PowerSeries, Callable[[float], float]]:
+        series = PowerSeries([Fraction(0)] + [Fraction(b[m][x], m) for m in range(1, M + 1)])
+        measure = atomic_measure(g, x0, x)
+        return series, lambda u: -_log_determinant(measure, q, u)
+
+    return {x: pair(x) for x in range(g.n_vertices) if x != x0}

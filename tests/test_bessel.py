@@ -1,6 +1,5 @@
 import functools
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from heatzeta.bessel import (
     bessel_i_quadrature,
     bessel_i_scaled,
     building_block,
-    building_block_row,
     certified_truncation,
     log_block_bound,
     log_building_blocks,
@@ -127,94 +125,6 @@ class TestScaled:
                 bessel_i_scaled(0, t)
         with pytest.raises(ValueError, match="exact only up to"):
             building_block(1, 0, 1e6)  # tau = 2e6
-
-
-EPS = sys.float_info.epsilon
-ROW_TIMES = [0.0, 1e-300, 1e-15, *np.geomspace(1e-6, 700.0, 12).tolist(), 1e4]
-
-
-def scaled_row(N, t):
-    # e^{-t} I_n(t), n = 0..N: Bessel's recurrence run down from the series at N and N + 1
-    top = bessel_i_scaled(N, t)
-    if top < sys.float_info.min:
-        return np.array([bessel_i_scaled(n, t) for n in range(N + 1)])
-    current, above = top, bessel_i_scaled(N + 1, t)
-    row = [current]
-    for k in range(N, 0, -1):
-        current, above = above + (2.0 * k / t) * current, current
-        row.append(current)
-    return np.array(row[::-1])
-
-
-class TestScaledRow:
-    # building_block_row: at q = 1 its prefactor is exactly 1 and tau = 2 t, so the
-    # row at t / 2 is the scaled row e^{-t} I_n(t)
-    @pytest.mark.parametrize("t", ROW_TIMES)
-    def test_unit_q_is_the_scaled_row_bitwise(self, t):
-        for N in range(41):
-            assert building_block_row(1, N, t / 2).tolist() == scaled_row(N, t).tolist(), N
-
-    @pytest.mark.parametrize("t", ROW_TIMES)
-    def test_matches_per_order_series(self, t):
-        # the docstring's 3 (N - k + 1) eps, plus 100 eps for each series value's
-        # own error (at most 65 eps on this grid against mpmath, at t = 1e4)
-        series = [bessel_i_scaled(k, t) for k in range(41)]
-        for N in range(41):
-            row = building_block_row(1, N, t / 2)
-            assert row.shape == (N + 1,)
-            for k in range(N + 1):
-                allowance = (3 * (N - k + 1) + 2 * 100) * EPS
-                assert abs(row[k] - series[k]) <= allowance * series[k], (N, k)
-
-    @pytest.mark.parametrize("q", [2, 3, 4])
-    @pytest.mark.parametrize("t", [1e-6, 0.01, 0.3, 1.0, 20.0, 300.0])
-    def test_matches_scalar_blocks(self, q, t):
-        # the bound above, plus 4 eps for the two prefactors (np.exp against
-        # math.exp, and one product each), at every normal block
-        blocks = [building_block(q, k, t) for k in range(41)]
-        for N in range(41):
-            row = building_block_row(q, N, t)
-            for k in range(N + 1):
-                if blocks[k] >= sys.float_info.min:
-                    allowance = (3 * (N - k + 1) + 2 * 100 + 4) * EPS
-                    assert abs(row[k] - blocks[k]) <= allowance * blocks[k], (N, k)
-
-    @pytest.mark.parametrize("t", [1e-15, 1e-6, 0.01, 1.0, 20.0, 700.0, 1e4])
-    def test_docstring_bound_against_mpmath(self, t):
-        # relative error at most the start's plus 3 (N - k + 1) eps, at every normal value
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(40):
-            exact = [mp.exp(-mp.mpf(t)) * mp.besseli(k, mp.mpf(t)) for k in range(42)]
-
-            def rel(value, k):
-                return float(abs(mp.mpf(float(value)) - exact[k]) / exact[k])
-
-            for N in range(41):
-                row = building_block_row(1, N, t / 2)
-                start = max(rel(bessel_i_scaled(N, t), N), rel(bessel_i_scaled(N + 1, t), N + 1))
-                for k in range(N + 1):
-                    if exact[k] >= sys.float_info.min:
-                        assert rel(row[k], k) <= start + 3 * (N - k + 1) * EPS, (N, k)
-
-    def test_time_zero_is_the_indicator(self):
-        for q in (1, 2, 3, 4):
-            for N in (0, 1, 40):
-                assert building_block_row(q, N, 0.0).tolist() == [1.0] + [0.0] * N
-
-    @pytest.mark.parametrize("t", [5e-324, 2e-315, 1e-300, 1e-160, 1e-15])
-    def test_start_past_normal_range_falls_back_per_order(self, t):
-        # where e^{-tau} I_N(tau) is subnormal or 0, the recurrence would start from
-        # lost bits (at tau = 2e-160, I_2 is 5e-321, good to 1e-3); at q = 1, tau = 2 t
-        expected = [bessel_i_scaled(k, 2 * t) for k in range(41)]
-        for N in range(41):
-            if expected[N] < sys.float_info.min:
-                assert building_block_row(1, N, t).tolist() == expected[: N + 1], N
-
-    def test_rejects_bad_input(self):
-        for q, N, t in ((1, -1, 1.0), (1, 3, -1.0), (1, 3, math.nan), (1, 3, math.inf),
-                        (1, 3, 1e6), (0, 3, 1.0)):
-            with pytest.raises(ValueError):
-                building_block_row(q, N, t)
 
 
 class TestNestedTrapezoid:

@@ -92,7 +92,6 @@ ORACLES = (
     "bessel.bessel_i",
     "bessel.bessel_i_quadrature",
     "bessel.building_block",
-    "bessel.building_block_row",
     "heat_tree.tree_heat_kernel_time_derivatives",
     "heat_tree.horocycle_solution",
     "heat_graph.diagonal_tree_decomposition",

@@ -288,6 +288,11 @@ class TestNeighbourTable:
             g.neighbours
 
 
+def engine_rows(g, x0, K):
+    """c_k(x) for k = 0..K from the counting engine's indicator column, as lists."""
+    return [c.tolist() for c in G._geodesic_matrices(g, K, x0)]
+
+
 class TestGeodesicCounts:
     def test_k4_length_two(self):
         c = G.geodesic_counts(G.builtin_graph("k4"), 0, 2)
@@ -309,7 +314,7 @@ class TestGeodesicCounts:
     def test_transfer_vs_adjacency_recursion(self, name):
         g = G.builtin_graph(name)
         for x0 in range(g.n_vertices):
-            assert G.geodesic_counts(g, x0, 12) == G.geodesic_counts_recursion(g, x0, 12)
+            assert G.geodesic_counts(g, x0, 12) == engine_rows(g, x0, 12)
 
     @pytest.mark.parametrize("name", ["k4", "c5", "petersen", "cube", "k33", *IRREGULAR])
     @pytest.mark.parametrize("k", range(8))
@@ -323,7 +328,7 @@ class TestGeodesicCounts:
         c = G.geodesic_counts(g, 0, 4)
         # two parallel edges: each step may continue through the other edge
         assert c[2][0] == 2
-        assert G.geodesic_counts_recursion(g, 0, 4) == c
+        assert engine_rows(g, 0, 4) == c
 
 
 def oracle_loop_totals(g, K):
@@ -347,7 +352,7 @@ class TestCountingEngine:
     @settings(max_examples=150, deadline=None)
     def test_single_vertex_rows_match_oracle(self, g, K, data):
         x0 = data.draw(st.integers(0, g.n_vertices - 1))
-        rows = G.geodesic_counts_recursion(g, x0, K)
+        rows = engine_rows(g, x0, K)
         assert rows == G.geodesic_counts(g, x0, K)
         assert all(all_python_ints(row) for row in rows)
 
@@ -416,7 +421,7 @@ class TestCountingEngine:
         for K, dtype in ((39, np.int64), (40, object), (45, object)):
             assert all(c.dtype == dtype for c in G._geodesic_matrices(k5, K, 0))
             assert all(c.dtype == dtype for c in G._geodesic_matrices(k5, K))
-            rows = G.geodesic_counts_recursion(k5, 0, K)
+            rows = engine_rows(k5, 0, K)
             assert rows == G.geodesic_counts(k5, 0, K)
             assert all(all_python_ints(row) for row in rows)
             totals = oracle_loop_totals(k5, K)
@@ -426,7 +431,7 @@ class TestCountingEngine:
             n0 = G.closed_geodesics_at_vertex(k5, 0, K)
             assert all_python_ints(n0) and [5 * v for v in n0[1:]] == n_total[1:]
         # by K = 45 every single count exceeds int64
-        assert min(G.geodesic_counts_recursion(k5, 0, 45)[45]) > 2**63
+        assert min(engine_rows(k5, 0, 45)[45]) > 2**63
 
     def test_out_edges_built_at_construction(self):
         g = G.builtin_graph("k4")

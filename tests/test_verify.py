@@ -55,8 +55,10 @@ def test_two_variable_zeta_check_catches_a_shifted_spectral_side(monkeypatch):
     original = zeta.two_variable_zeta
 
     def shifted(*args):
-        series, spectral = original(*args)
-        return series, lambda u: spectral(u) + 1e-5
+        return {
+            x: (series, lambda u, spectral=spectral: spectral(u) + 1e-5)
+            for x, (series, spectral) in original(*args).items()
+        }
 
     monkeypatch.setattr(zeta, "two_variable_zeta", shifted)
     assert not verify.check_two_variable_zeta(K4).passed
@@ -71,22 +73,11 @@ def test_tree_formula_check_catches_a_shifted_integral_row(monkeypatch):
     assert not verify.check_tree_formula_agreement((2,)).passed
 
 
-def test_laplace_calibration_catches_a_scaled_bessel_factor(monkeypatch):
-    # the G-transform check's rows are all q = 1: a Laplace calibration
+def test_g_transform_of_blocks_catches_log_blocks_shifted_by_1e_9(monkeypatch):
+    # the check integrates the production evaluator: 1e-9 in every ln B fails it
     assert verify.check_g_transform_building_blocks().passed
-    original = bessel.building_block_row
-    monkeypatch.setattr(
-        bessel,
-        "building_block_row",
-        lambda q, N, t: original(q, N, t) * (1.0 + 1e-6),
-    )
-    assert not verify.check_g_transform_building_blocks().passed
-
-
-def test_g_transform_of_blocks_catches_a_shifted_block(monkeypatch):
-    assert verify.check_g_transform_building_blocks().passed
-    original = bessel.building_block_row
-    monkeypatch.setattr(bessel, "building_block_row", lambda q, N, t: original(q, N, t) + 1e-7)
+    original = bessel.log_building_blocks
+    monkeypatch.setattr(bessel, "log_building_blocks", lambda q, M, t: original(q, M, t) + 1e-9)
     assert not verify.check_g_transform_building_blocks().passed
 
 
@@ -139,13 +130,13 @@ def test_tree_heat_equation_catches_a_shifted_derivative_row(monkeypatch):
         # five transforms at q = 1
         pytest.param(
             [verify.check_g_transform_building_blocks], bessel,
-            "building_block_row", slice(None), 315, id="g_transform_building_blocks",
+            "log_building_blocks", slice(None), 315, id="g_transform_building_blocks",
         ),
         # the first three transforms alone, at the Laplace calibration's points:
         # the 315 above would not catch these growing while the other two shrank
         pytest.param(
             [verify.check_g_transform_building_blocks], bessel,
-            "building_block_row", slice(0, 3), 189, id="laplace_calibration",
+            "log_building_blocks", slice(0, 3), 189, id="laplace_calibration",
         ),
         pytest.param(
             [lambda g=g: verify.check_g_transform_diagonal(g) for g in (K4, PETERSEN)],
@@ -183,15 +174,15 @@ def test_half_line_checks_evaluate_few_nodes(
 
 
 def test_tree_checks_run_few_power_series(monkeypatch):
-    # one Bessel row per half-line node and each I_order(t) read once per t,
-    # shared by both Bessel checks
+    # each I_order(t) read once per t, shared by both Bessel checks; the
+    # half-line nodes read log_building_blocks, which runs no power series
     runs = []
     series = bessel._power_series
     monkeypatch.setattr(
         bessel, "_power_series", lambda order, t: runs.append((order, t)) or series(order, t)
     )
     assert all(result.passed for result in verify.run_tree_checks((3,)))
-    assert len(runs) == 877
+    assert len(runs) == 247
 
 
 def test_bound_check_reads_each_order_once_per_argument(monkeypatch):
@@ -295,8 +286,10 @@ def _nan_census(original):
 
 def _nan_two_variable(original):
     def mutant(*args):
-        series, spectral = original(*args)
-        return series, lambda u: math.nan
+        pairs = original(*args)
+        x = min(pairs)
+        pairs[x] = (pairs[x][0], lambda u: math.nan)
+        return pairs
 
     return mutant
 
