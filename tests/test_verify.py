@@ -73,7 +73,20 @@ def test_tree_formula_check_catches_a_shifted_integral_row(monkeypatch):
     assert not verify.check_tree_formula_agreement((2,)).passed
 
 
-def test_g_transform_of_blocks_catches_log_blocks_shifted_by_1e_9(monkeypatch):
+def test_laplace_calibration_catches_a_scaled_bessel_factor(monkeypatch):
+    # the G-transform check's rows are all q = 1: a Laplace calibration;
+    # I_0 alone scaled by 1 + 1e-6 fails it
+    assert verify.check_g_transform_building_blocks().passed
+    original = bessel.log_building_blocks
+    monkeypatch.setattr(
+        bessel,
+        "log_building_blocks",
+        lambda q, M, t: original(q, M, t) + np.where(np.arange(M + 1) == 0, math.log1p(1e-6), 0.0),
+    )
+    assert not verify.check_g_transform_building_blocks().passed
+
+
+def test_g_transform_of_blocks_catches_a_shifted_block(monkeypatch):
     # the check integrates the production evaluator: 1e-9 in every ln B fails it
     assert verify.check_g_transform_building_blocks().passed
     original = bessel.log_building_blocks
