@@ -221,7 +221,13 @@ def cmd_verify(args) -> int:
                 f"verify runs on builtin graphs only (k4, c{{n}}, petersen, cube, k33, "
                 f"tree), not {args.graph!r}: its enumeration oracles are sized for them"
             )
-        results = verify.run_graph_checks((args.graph.lower(),))
+        name = args.graph.lower()
+        if name[0] == "c" and name[1:].isdigit() and int(name[1:]) > graphs.TRANSITIVITY_CAP:
+            raise GraphError(
+                f"verify runs on cycles of at most {graphs.TRANSITIVITY_CAP} vertices, not "
+                f"{name!r}: its checks read a vertex-transitivity search that stops there"
+            )
+        results = verify.run_graph_checks((name,))
     else:
         results = verify.run_all_checks()
     failed = False

@@ -9,7 +9,7 @@
 The production route, heat_kernel_rows, streams the series in float64 for a
 whole grid of times, one base vertex or all of them: its own three-term
 recursion for b_m, which depends on neither t nor x0, runs once per grid on
-rescaled float arrays through the gather of graphs, against weights built
+float arrays of b_m / q^m through the gather of graphs, against weights built
 ahead from one vector of bessel.log_building_blocks per t.  Every series
 route, the diagonal decomposition included, stops at series_truncation_order:
 bessel.certified_truncation with the coefficient bound |b_m(x)| <= (q+1) q^{m-1}
@@ -67,9 +67,6 @@ __all__ = [
 ]
 
 DENSE_EIGEN_CAP = 2048
-# heat_kernel_rows' rescale; times 2^9, ln 2 keeps its float's relative error, 3e-17
-_UNSCALE = 2.0**-512
-_LOG_RESCALE = 512 * math.log(2.0)
 # weights (t, order) one pass of heat_kernel_rows holds: 8 MB, one t at the recurrence guard
 _PASS_WEIGHTS = MAX_RECURRENCE
 
@@ -166,40 +163,6 @@ def heat_kernel_series(g: Graph, x0: int, x: int, t: float, tol: float = 1e-10) 
     return heat_kernel_series_row(g, x0, t, tol)[x]
 
 
-def _rescale_schedule(q: int, M: int) -> np.ndarray:
-    """r_m for m = 0..M: the exact 2^-512 rescales heat_kernel_rows has taken by order m.
-
-    r_m is the least r >= 0 with beta_m 2^{-512 r} <= 2^512, where beta_0 = 1
-    and beta_m = (q+1) q^{m-1} >= |b_m| (series_truncation_order).
-    Throughout, M <= MAX_RECURRENCE, as the guard of bessel.log_building_blocks
-    enforces, and q < 10^8.  The float log2 then misses r_m's test by less
-    than a factor 1 + 1e-8, so S_m = beta_m 2^{-512 r_m} lies in [1/2, 2^513],
-    and r grows by at most 1 a step.
-
-    No entry of the recursion passes 2^1023.  Step m forms, at scale
-    2^{-512 r_{m-1}}, A v_{m-1} - s v_{m-2} (s = 2q at m = 2, else q) from
-    v_k = 2^{-512 r_k} b_k, then multiplies both arrays by 2^-512 where r
-    grows.  The terms' absolute values add up to at most
-    ((q+1) beta_{m-1} + 2q beta_{m-2}) 2^{-512 r_{m-1}} <= 4 beta_m 2^{-512 r_{m-1}}
-    <= 4 (q+1) 2^513 in exact arithmetic.  In floats, if every computed
-    f_k = v_k + e_k, k < m, has |f_k| <= 2 beta_k 2^{-512 r_k}, step m adds a
-    rounding delta_m of at most 8 gamma beta_m 2^{-512 r_m}, gamma = gamma_{2q+5}
-    = (2q+5) u / (1 - (2q+5) u), u = 2^-53: q+2 roundings, and q+3 possible
-    underflows, each off by less than 2^-1074 <= u S_m.  The exact rescales
-    carry errors along unchanged and from order 3 on they follow the same
-    recursion, so e_m = sum_{k<=m} U_{m-k}(A) delta_k 2^{-512(r_m - r_k)} with
-    U_j(A) = C_j + C_{j-2} + ... (C_j of graphs._geodesic_matrices),
-    nonnegative with row sums at most 3 q^j for q >= 2 and j + 1 for q = 1.
-    As beta_k q^{m-k} = beta_m, |e_m| <= 24 gamma M beta_m 2^{-512 r_m} for
-    q >= 2 and <= 4 gamma M (M+1) beta_m for q = 1, both at most
-    beta_m 2^{-512 r_m}.  So |f_m| <= 2 beta_m 2^{-512 r_m}, and every float
-    partial sum is at most 9 (q+1) 2^513 < 2^1023.
-    """
-    m = np.arange(M + 1)
-    log2_bound = math.log2(q + 1) + (m - 1) * math.log2(q)
-    return np.maximum(np.ceil(log2_bound / 512.0) - 1.0, 0.0).astype(np.int64)
-
-
 def heat_kernel_rows(
     g: Graph, x0: int | None, ts: Iterable[float], tol: float = 1e-10
 ) -> np.ndarray:
@@ -208,12 +171,11 @@ def heat_kernel_rows(
     A (T, n) array for an int x0; for x0 = None a (T, n, n) array whose
     [i, x, y] is K(t_i, y, x), the X = I layout of graphs._geodesic_matrices.
     Each t_i gets the certified order M_i of heat_kernel_series.  One run of
-    the integer recursion b_2 = A b_1 - 2q b_0, b_m = A b_{m-1} - q b_{m-2}
-    on float arrays, up to the largest M_i, serves the whole grid, so no
-    rounding bias builds up over m.  After _rescale_schedule's exact 2^-512
-    steps the arrays hold v_m = 2^{-512 r_m} b_m, and row i adds
-    W[i, m] v_m with W[i, m] = e^{ln B_m(t_i) + 512 r_m ln 2}, zero past M_i,
-    and ln B_m from bessel.log_building_blocks.  The schedule depends on q
+    the integer recursion b_2 = A b_1 - 2q b_0, b_m = A b_{m-1} - q b_{m-2},
+    divided through by q^m, on float arrays up to the largest M_i serves the
+    whole grid, so no rounding bias builds up over m.  Row i adds
+    W[i, m] b_m / q^m with W[i, m] = e^{ln B_m(t_i) + m ln q}, zero past M_i,
+    and ln B_m from bessel.log_building_blocks.  The recursion depends on q
     and m only, so row i is bitwise the row of t_i alone, and column y of the
     x0 = None block is bitwise the row of x0 = y.  A grid runs in consecutive
     passes of at most _PASS_WEIGHTS weights.
@@ -241,22 +203,37 @@ def _rows_pass(g: Graph, q: int, x0: int | None, ts: list[float], orders: list[i
     By A c_0 = c_1, A c_1 = c_2 + (q+1) c_0 and A c_m = c_{m+1} + q c_{m-1}
     (m >= 2, graphs._geodesic_matrices), b_2 = c_2 - (q-1) c_0 = A b_1 - 2q b_0;
     for m >= 3, A c_i summed over the terms of T_{m-1} = c_{m-3} + c_{m-5} + ...
-    is T_m + q T_{m-2}, so A b_{m-1} = b_m + q b_{m-2}.  As |b_0| <= 1 and
-    |b_m| <= (q+1) q^{m-1} (series_truncation_order), A b_{m-1} and its partial
-    sums are at most (q+1)^2 q^{m-2} in absolute value, and 2q |b_0| and
-    q |b_{m-2}| are smaller: while that is below 2^53 and no rescale has
-    fired, every array entry is the exact integer b_m(x).
+    is T_m + q T_{m-2}, so A b_{m-1} = b_m + q b_{m-2}.  It runs on w_m = b_m / q^m:
+    w_1 = A w_0 / q, w_2 = (A w_1 - 2 w_0) / q and w_m = (A w_{m-1} - w_{m-2}) / q.
+    As |b_m| <= (q+1) q^{m-1} (series_truncation_order), |w_m| <= omega = (q+1)/q,
+    and A w_{m-1} and its partial sums are at most (q+1)^2 q^{m-2} / q^{m-1}: for q
+    a power of two, while (q+1)^2 q^{m-2} < 2^53, every entry is exactly b_m(x) / q^m.
+    By sum_k I_k(tau) z^k = e^{(tau/2)(z + 1/z)} (DLMF 10.35.1, I_{-k} = I_k) at
+    z = sqrt(q), the weights W_m = q^{m/2} e^{-(q+1)t} I_m(2 sqrt(q) t) sum to at most 1.
+
+    Rounding (u = 2^-53, gamma_j = j u / (1 - j u), gamma = gamma_{q+2}): from the
+    computed f_k = w_k + e_k, |f_k| <= 2 omega, step m's q + 2 roundings add
+    |delta_m| <= 6 gamma omega + 2^-1074 (an underflow of the division).  The errors
+    run the same recursion (at m = 2 against e_0 = 0), so
+    e_m = sum_{k<=m} q^{-(m-k)} U_{m-k}(A) delta_k, where U_j = C_j + C_{j-2} + ...
+    (graphs._geodesic_matrices) is nonnegative with row sums at most 3 q^j for q >= 2
+    and j + 1 for q = 1.  So |e_m| <= 3 sum_k |delta_k| <= 18 gamma m omega for q >= 2
+    and 6 gamma m (m+1) for q = 1 (plus 3 m^2 2^-1074), below omega for q < 10^8 up to
+    MAX_RECURRENCE, which keeps |f_m| <= 2 omega.  As sum_m W_m <= 1, the vectors add at
+    most 18 gamma M omega to an entry (q = 1: 6 gamma (t + sqrt(t)), as sum_m W_m m^2 = t),
+    the M + 1 products and sums 2 gamma_{M+1} omega, weights off by rho_m relative
+    sum_m rho_m W_m omega (the rounding of ln B_m, ln q, m ln q and their sum, and
+    math.exp's), and underflows less than 4 (M+1)^2 2^-1074; the certified tail the rest.
     """
     top = max(orders)
     columns = []  # log_building_blocks refuses a t before anything of its size is allocated
     for t, M in zip(ts, orders):
-        exponents = log_building_blocks(q, M, t) + _rescale_schedule(q, M) * _LOG_RESCALE
+        exponents = log_building_blocks(q, M, t) + np.arange(M + 1) * math.log(q)
         # math.exp: np.exp can differ from it in the last bit
         columns.append(np.fromiter(map(math.exp, exponents), float, M + 1))
     weights = np.zeros((top + 1, len(ts)))
     for i, column in enumerate(columns):
         weights[: len(column), i] = column
-    rescale_at = set((np.flatnonzero(np.diff(_rescale_schedule(q, top))) + 1).tolist())
     if x0 is None:
         cur = np.eye(g.n_vertices)
         weights = weights[:, :, None, None]
@@ -268,10 +245,7 @@ def _rows_pass(g: Graph, q: int, x0: int | None, ts: list[float], orders: list[i
     prev = np.zeros_like(cur)
     rows = weights[0] * cur
     for m in range(1, top + 1):
-        prev, cur = cur, apply_a(cur) - (2 * q if m == 2 else q) * prev
-        if m in rescale_at:
-            prev *= _UNSCALE
-            cur *= _UNSCALE
+        prev, cur = cur, (apply_a(cur) - (2.0 * prev if m == 2 else prev)) / q
         rows += weights[m] * cur
     return rows
 

@@ -492,16 +492,20 @@ class TestLogBlockRounding:
     """heat_kernel_chebyshev_row takes its log weights ln w_k = log_building_blocks(1, M, tau/2)
     as off by at most 4 (|ln w_k| + 1) u, u = 2^-53: a factor measured, not derived.  Against
     40-digit mpmath at every 8th order to the 1e-20 cut the largest ratio reads 1.93
-    (tau = 1, m = 8)."""
+    (tau = 1, m = 8).  The bound on heat_kernel_rows' rounding
+    (tests/test_heat_graph.py::weight_rounding_bound) takes ln B_m at q >= 2 as off by
+    at most 8 (|ln B_m| + 1) u; at q = 2, 3, 4, 6 the largest ratio reads 5.08
+    (q = 2, t = 1000, m = 8)."""
 
-    def test_q_one_logs_within_the_measured_factor(self):
+    @staticmethod
+    def largest_ratio(q: int, ts) -> tuple:
         mp = pytest.importorskip("mpmath")
         worst = (0.0, ())
-        for tau in (1e-3, 0.1, 1.0, 10.0, 1e3, 4e4):
-            M = certified_truncation(1, tau / 2, 1e-20, 1, 1, 2.0)[0]
-            logs = log_building_blocks(1, M, tau / 2)
+        for t in ts:
+            M = certified_truncation(q, t, 1e-20, 1, 1, (q + 1) / q, 1.0)[0]
+            logs = log_building_blocks(q, M, t)
             with mp.workdps(40):
-                x = mp.mpf(tau)
+                x = 2 * mp.sqrt(q) * mp.mpf(t)
                 # mpmath's I_{M+1} and I_M (its series needs more terms at tau = 4e4,
                 # and takes 1 s an order there from m = 1,500 on), then Bessel's
                 # recurrence I_{k-1} = I_{k+1} + (2k/tau) I_k downward, where I is minimal
@@ -510,8 +514,16 @@ class TestLogBlockRounding:
                     row.append(row[-2] + 2 * k / x * row[-1])
                 row.reverse()
                 for m in range(0, M + 1, 8):
-                    exact = mp.log(row[m]) - x
+                    exact = mp.log(row[m]) - (q + 1) * mp.mpf(t) - m * mp.log(q) / 2
                     error = abs(float(mp.mpf(float(logs[m])) - exact))
-                    worst = max(worst, (error / ((abs(float(exact)) + 1.0) * 2.0**-53), (tau, m)))
-        print(f"largest ratio {worst[0]:.3g} at (tau, m) = {worst[1]}")
-        assert worst[0] <= 4.0
+                    worst = max(worst, (error / ((abs(float(exact)) + 1.0) * 2.0**-53), (q, t, m)))
+        print(f"largest ratio {worst[0]:.3g} at (q, t, m) = {worst[1]}")
+        return worst
+
+    def test_q_one_logs_within_the_measured_factor(self):
+        taus = (1e-3, 0.1, 1.0, 10.0, 1e3, 4e4)
+        assert self.largest_ratio(1, [tau / 2 for tau in taus])[0] <= 4.0
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 6])
+    def test_logs_above_q_one_within_the_measured_factor(self, q):
+        assert self.largest_ratio(q, (1e-3, 0.1, 2.0, 20.0, 200.0, 1e3))[0] <= 8.0

@@ -681,6 +681,17 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: verify runs on builtin graphs only")
 
+    def test_cycle_past_the_transitivity_cap_refused(self, capsys):
+        # past the cap the transitivity search gives no verdict, and the checks that
+        # read it would print [pass] on less than they name
+        code, out, err = run(capsys, "verify", "--graph", f"c{graphs.TRANSITIVITY_CAP + 1}")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: verify runs on cycles of at most {graphs.TRANSITIVITY_CAP} vertices, not "
+            f"'c{graphs.TRANSITIVITY_CAP + 1}': its checks read a vertex-transitivity search "
+            "that stops there\n"
+        )
+
     def test_bad_tolerance(self, capsys):
         # verify reads no tolerance; --tol is checked where heat reads it
         with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 
 from heatzeta import graphs as G
 from heatzeta import heat_graph
-from heatzeta.bessel import bessel_i, building_block, certified_truncation
+from heatzeta.bessel import bessel_i, building_block, certified_truncation, log_building_blocks
 from heatzeta.heat_graph import (
     DENSE_EIGEN_CAP,
     b_coefficients,
@@ -229,6 +229,36 @@ def chebyshev_error_bound(q: int, t: float, tol: float) -> float:
     return tail + vectors + 2 * gamma(M + 1) + 4 * (math.log(M + 1) + 3) * u
 
 
+def weight_rounding_bound(q: int, t: float, M: int) -> float:
+    """sum_m rho_m W_m, the weights' rounding in _rows_pass' docstring, as the tests bound it.
+
+    It takes ln B_m as off by 8 (|ln B_m| + 1) u, the factor that TestLogBlockRounding
+    pins at q >= 2; with the roundings of ln q, m ln q, their sum and math.exp,
+    rho_m <= 9 (|ln B_m| + 1) u + 4 m ln q u + 2 u.  As sum_m W_m <= 1,
+    sum_m W_m |ln W_m| <= ln(M+1) + 1/e, and |ln B_m| <= |ln W_m| + m ln q.
+    sum_m m W_m <= (q-1) t + 1/2: the generating function differentiated once at
+    z = sqrt(q) is (q-1) t, and its orders k < 0 take away
+    sum_k k q^{-k} W_k <= 1/2 for q >= 2.
+    """
+    mean, log_q = (q - 1) * t + 0.5, math.log(q)
+    logs = math.log(M + 1) + 1 / math.e + 1 + mean * log_q
+    return (9 * logs + 4 * mean * log_q + 2) * 2.0**-53
+
+
+def series_error_bound(q: int, t: float, tol: float) -> float:
+    """heat_kernel_rows' certified tail plus _rows_pass' docstring rounding bound."""
+    u = 2.0**-53
+
+    def gamma(j):
+        return j * u / (1 - j * u)
+
+    M, tail = certified_truncation(q, t, tol, 1, 1, (q + 1) / q, 1.0)
+    omega = (q + 1) / q
+    vectors = 6 * gamma(3) * (t + math.sqrt(t)) if q == 1 else 18 * gamma(q + 2) * M * omega
+    weights = omega * weight_rounding_bound(q, t, M)
+    return tail + vectors + 2 * gamma(M + 1) * omega + weights + 4 * (M + 1) ** 2 * 2.0**-1074
+
+
 def k6_graph() -> G.Graph:
     return G.load_graph({"vertices": 6, "edges": [(u, v) for u in range(6) for v in range(u)]})
 
@@ -289,6 +319,33 @@ class TestChebyshevRow:
         assert np.abs(heat_kernel_chebyshev_row(g, 0, t) - row).max() <= 4 * np.finfo(float).eps
 
 
+class TestSeriesRowBound:
+    # The bound over the largest deviation from the spectral row, measured: at tol
+    # 1e-10 at least 5,480 (k4, t = 1000, where the certified tail, near 1e-10, is most
+    # of the bound); at tol 1e-22 the rounding bound alone is at least 537 times the
+    # deviation (quartic60 at t = 0.1, where it is the spectral row's own rounding) and
+    # 1,370 at k4, t = 1000; on 300 seeded multigraphs at t = 0.1-200, at least 106.
+    @pytest.mark.parametrize("name", list(CHEBYSHEV_GRAPHS))
+    def test_within_its_bound_of_the_spectral_row(self, name):
+        g = CHEBYSHEV_GRAPHS[name]()
+        q, ts = g.regularity(), (0.1, 2.0, 20.0, 200.0, 1000.0)
+        for x0 in (0, g.n_vertices // 2):
+            for tol in (1e-10, 1e-22):
+                for t, row in zip(ts, heat_kernel_rows(g, x0, ts, tol)):
+                    deviation = np.abs(row - heat_kernel_spectral_row(g, x0, t)).max()
+                    assert deviation <= series_error_bound(q, t, tol)
+
+    @given(g=regular_multigraphs(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_multigraphs_within_the_bound(self, g, data):
+        # q = 1 included, where the bound reads sum_m W_m m^2 = t
+        x0 = data.draw(st.integers(0, g.n_vertices - 1))
+        ts = (0.1, 2.0, 20.0, 200.0)
+        for t, row in zip(ts, heat_kernel_rows(g, x0, ts)):
+            deviation = np.abs(row - heat_kernel_spectral_row(g, x0, t)).max()
+            assert deviation <= series_error_bound(g.regularity(), t, 1e-10)
+
+
 class TestBatchedRows:
     @given(g=regular_multigraphs(), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -342,7 +399,8 @@ class TestBatchedRows:
         assert np.abs(row - heat_kernel_spectral_row(g, 0, 200.0)).max() <= 1e-12
 
 
-# t = 0, small times, and t = 200, where every q >= 2 takes 2^-512 rescales (q = 4 seven)
+# t = 0, small times, and t = 200, where q^M passes float range for q >= 3, so only the
+# arrays of b_m / q^m, not b_m, stay in it
 GRID = (0.0, 0.1, 2.0, 200.0)
 
 
@@ -359,7 +417,7 @@ class TestGridRows:
     @given(g=regular_multigraphs())
     @settings(max_examples=25, deadline=None)
     def test_all_base_vertices_are_the_columns(self, g):
-        # the fixed rescale schedule makes every column the same float computation
+        # the recursion depends on q and m only, so every column is the same float computation
         block = heat_kernel_rows(g, None, GRID)
         assert block.shape == (len(GRID), g.n_vertices, g.n_vertices)
         for y in range(g.n_vertices):
@@ -368,15 +426,17 @@ class TestGridRows:
     @given(g=regular_multigraphs(), m=st.integers(0, 20), data=st.data())
     @settings(max_examples=50, deadline=None)
     def test_rows_run_the_b_recursion_exactly(self, g, m, data):
-        # weight 1 at order m and 0 at every other: the rows are b_m, exactly,
-        # as up to order 20 the entries stay below 2^53 and no rescale fires
+        # the exponent -m ln q at order m and -inf at every other make weight 1, exactly,
+        # at order m, so the rows are the arrays w_m: b_m / q^m exactly for q = 1, 2, 4,
+        # as up to order 20 (q+1)^2 q^{m-2} < 2^53, and for q = 3 within _rows_pass' bound
+        # 18 gamma_{q+2} m (q+1)/q, plus the rounding of b_m / q^m itself
         q = g.regularity()
         M = series_truncation_order(q, 2.0, 1e-10)
-        assert M >= 20 and heat_graph._rescale_schedule(q, 20).max() == 0
+        assert M >= 20
 
         def one_block(q, M, t):
             exponents = np.full(M + 1, -np.inf)
-            exponents[m] = 0.0
+            exponents[m] = -(np.arange(M + 1) * math.log(q))[m]
             return exponents
 
         x0 = data.draw(st.integers(0, g.n_vertices - 1))
@@ -384,8 +444,16 @@ class TestGridRows:
             mp.setattr(heat_graph, "log_building_blocks", one_block)
             row = heat_kernel_rows(g, x0, [2.0])[0]
             block = heat_kernel_rows(g, None, [2.0])[0]
-        assert row.tolist() == b_coefficients(g, x0, M)[m]
-        assert block.tolist() == b_coefficients(g, None, M)[m]
+        expected_row = [b / q**m for b in b_coefficients(g, x0, M)[m]]
+        expected_block = [[b / q**m for b in bs] for bs in b_coefficients(g, None, M)[m]]
+        if q != 3:
+            assert row.tolist() == expected_row
+            assert block.tolist() == expected_block
+        else:
+            u = 2.0**-53
+            bound = (18 * 5 * u / (1 - 5 * u) * m + u) * (q + 1) / q
+            assert np.abs(row - expected_row).max() <= bound
+            assert np.abs(block - expected_block).max() <= bound
 
     @given(g=regular_multigraphs())
     @settings(max_examples=25, deadline=None)
@@ -424,21 +492,19 @@ class TestGridRows:
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 6])
-def test_rescale_schedule_keeps_the_bound_in_range(q):
-    # beta_m = (q+1) q^{m-1} bounds |b_m|; the schedule keeps beta_m 2^{-512 r_m} in [1, 2^513]
-    scales = heat_graph._rescale_schedule(q, 3000).tolist()
-    assert scales[0] == 0
-    assert all(r - before in (0, 1) for before, r in zip(scales, scales[1:]))
-    beta = 1
-    for m, r in enumerate(scales):
-        assert 2 ** (512 * r) <= beta <= 2 ** (512 * r + 513)
-        beta = q + 1 if m == 0 else beta * q
-
-
-@pytest.mark.parametrize("name, t, rescales", [("petersen", 1000.0, 4), ("k4", 200.0, 1)])
-def test_rescales_fire_on_the_builtins(name, t, rescales):
-    q = G.builtin_graph(name).regularity()
-    assert heat_graph._rescale_schedule(q, series_truncation_order(q, t, 1e-10))[-1] == rescales
+def test_weights_sum_to_at_most_one(q):
+    # W_m = q^m B_m = q^{m/2} e^{-(q+1)t} I_m(2 sqrt(q) t), the weights of the arrays
+    # b_m / q^m: the blocks' generating function at z = sqrt(q) holds their sum to 1,
+    # so neither an exponent nor the sum passes it beyond its rounding (rho_m of
+    # weight_rounding_bound): the sum reads 1 + 3.0e-12 at q = 6, t = 1e4, within 1.3e-10
+    u, log_q = 2.0**-53, math.log(q)
+    for t in (1e-3, 0.1, 2.0, 20.0, 200.0, 1e3, 1e4):
+        M = series_truncation_order(q, t, 1e-10)
+        log_blocks = log_building_blocks(q, M, t)
+        powers = np.arange(M + 1) * log_q
+        exponents = log_blocks + powers
+        assert np.all(exponents <= (9 * (np.abs(log_blocks) + 1) + 4 * powers) * u)
+        assert math.fsum(map(math.exp, exponents)) <= 1 + weight_rounding_bound(q, t, M)
 
 
 @pytest.mark.parametrize("t", [math.inf, math.nan, -0.5])
