@@ -20,8 +20,9 @@ certified_truncation turns it into the one truncation rule of every
 building-block series in the package, whatever its weights.
 
 log_building_blocks evaluates the log of the whole vector of building blocks
-at one time from Miller's backward recurrence for the ratios I_{m+1}/I_m:
-the production evaluator behind every heat value, in float range at any t.
+at one time, or at every time of a grid in one call, from Miller's backward
+recurrence for the ratios I_{m+1}/I_m: the production evaluator behind every
+heat value, in float range at any t.
 The scalar building_block and the routes above stay as its independent
 oracle, and verify's G-transform of building blocks integrates it against
 the paper's closed form u^{k-1}.
@@ -29,6 +30,7 @@ the paper's closed form u^{k-1}.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -53,6 +55,8 @@ _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 MAX_RECURRENCE = 1_000_000
 # L of the Miller start of log_building_blocks
 _MILLER_LOG = 54.0
+# ratios (T x (N_max + 1)) one log_building_blocks call holds: no more than one t at the guard
+_GRID_ENTRIES = MAX_RECURRENCE + 1
 # (rows x nodes) entries per chunk of the trapezoid rule: 2^17 floats are 1 MB an array
 _CHUNK_ENTRIES = 1 << 17
 # the trapezoid rule converges long before this; t up to about 1e10 starts below it
@@ -247,8 +251,58 @@ def building_block(q: int, r: int, t: float) -> float:
     return prefactor * bessel_i_scaled(r, 2.0 * math.sqrt(q) * t)
 
 
-def log_building_blocks(q: int, M: int, t: float) -> np.ndarray:
-    """ln building_block(q, m, t) for m = 0..M at one t, as one vector.
+def _miller_margin(q: int, M: int, t: float) -> int:
+    """ceil(d), d = L/3 + sqrt(L^2/9 + 2 L tau), tau = 2 sqrt(q) t: log_building_blocks
+    starts the recurrence of t at M + ceil(d); 0 at t = 0, which runs none.
+    ValueError where M + d > MAX_RECURRENCE."""
+    if t == 0.0:
+        return 0
+    tau = 2.0 * math.sqrt(q) * t
+    third = _MILLER_LOG / 3.0
+    margin = third + math.hypot(third, math.sqrt(2.0 * _MILLER_LOG) * math.sqrt(tau))
+    if M + margin > MAX_RECURRENCE:  # in float, so that tau = inf refuses too
+        raise ValueError(
+            f"t = {t}: the Bessel ratio recurrence needs {M + margin:.4g} terms, "
+            f"more than {MAX_RECURRENCE}"
+        )
+    return math.ceil(margin)
+
+
+def _check_times(t) -> tuple[list[float], bool]:
+    """(the times of t as floats, whether t is a 1-D array of them rather than one
+    float); ValueError at the first time that is not finite and >= 0, or where t
+    has more axes."""
+    if isinstance(t, (float, int)):
+        _check_time(t)
+        return [float(t)], False
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"t must be a float or a 1-D array of times, got {times.ndim} axes")
+    values = times.ravel().tolist()
+    for value in values:
+        _check_time(value)
+    return values, times.ndim == 1
+
+
+def _grid_passes(q: int, tops: list[int], times: list[float], cap: int = _GRID_ENTRIES):
+    """Consecutive slices of times, each one log_building_blocks(q, M, times[slice]) call,
+    M the largest of its tops, whose T (N_max + 1) entries stay within cap; a time whose
+    call alone passes it gets a slice of its own.  ValueError, from _miller_margin,
+    where one time's recurrence passes MAX_RECURRENCE."""
+    margins = [_miller_margin(q, top, t) for top, t in zip(tops, times)]
+    start, top, margin = 0, 0, 0
+    for i, (M, d) in enumerate(zip(tops, margins)):
+        top, margin = max(top, M), max(margin, d)
+        if i > start and (i - start + 1) * (top + margin + 1) > cap:
+            yield slice(start, i)
+            start, top, margin = i, M, d
+    if times:
+        yield slice(start, len(times))
+
+
+def log_building_blocks(q: int, M: int, t) -> np.ndarray:
+    """ln building_block(q, m, t) for m = 0..M: a vector at one t, or a (T, M + 1) array
+    whose row i is the vector at t[i] for a 1-D array t of T times.
 
     With tau = 2 sqrt(q) t, Miller's backward recurrence
     r_k = 1 / (2(k+1)/tau + r_{k+1}) from r_N = 0 (Gautschi, SIAM Review 1967)
@@ -266,43 +320,72 @@ def log_building_blocks(q: int, M: int, t: float) -> np.ndarray:
     (4N + 5 + 3 tau / N) e^{-A}, A = sum_{k=M}^N a_k.  As a_{M+j} >= ln(1 + j/tau),
     A >= (tau + d) ln(1 + d/tau) - d >= d^2 / (2 tau + 2d/3) >= L, and with
     N <= MAX_RECURRENCE no ln value is off by 2e-17 before rounding.
-    ValueError, before anything is allocated, where M + d > MAX_RECURRENCE.
-    Rounding (measured, not derived): ln B is off by 1.93 (|ln B| + 1) u, u = 2^-53, or less at
-    q = 1, tau 1e-3 to 4e4 (TestLogBlockRounding pins 4), but by 5.2 at q = 2, tau = 4e4.
+
+    A grid runs each t's recurrence in Python floats from its own start
+    N_t = M + d_t, as a lone call does, into one (T, N_max + 1) array padded
+    with ratios 1; the logs, the compensated sums, the exponentials and, by
+    np.add.reduceat, each row's normalising sum over its own N_t + 1 terms
+    run once over it, so every row is bitwise the lone call at its t.
+    ValueError, before anything of the grid's size is allocated, at the first
+    t that is not finite and >= 0, where some M + d_t passes MAX_RECURRENCE,
+    or where T (N_max + 1) passes _GRID_ENTRIES.
+    Rounding (measured, not derived): ln B is off by at most 1.93 (|ln B| + 1) u,
+    u = 2^-53, at every 8th order at q = 1, tau 1e-3 to 4e4 (TestLogBlockRounding
+    pins 4), and 5.08 at q = 2, 3, 4, 6, t 1e-3 to 1000 (pinned at 8); every order
+    at q = 2 reads 5.32 at t = 1000 and 5.61 at t = 5,000.
     """
     _check_q(q)
     if M < 0:
         raise ValueError(f"order must be >= 0, got {M}")
-    _check_time(t)
-    if t == 0.0:
-        return np.where(np.arange(M + 1) == 0, 0.0, -np.inf)
-    tau = 2.0 * math.sqrt(q) * t
-    third = _MILLER_LOG / 3.0
-    margin = third + math.hypot(third, math.sqrt(2.0 * _MILLER_LOG) * math.sqrt(tau))
-    if M + margin > MAX_RECURRENCE:  # in float, so that tau = inf refuses too
+    times, grid = _check_times(t)
+    margins = [_miller_margin(q, M, x) for x in times]
+    width = M + max(margins, default=0) + 1
+    if len(times) * width > _GRID_ENTRIES:
         raise ValueError(
-            f"t = {t}: the Bessel ratio recurrence needs {M + margin:.4g} terms, "
-            f"more than {MAX_RECURRENCE}"
+            f"{len(times)} times of {width} ratios each: more than {_GRID_ENTRIES} in one call"
         )
-    ratio, ratios = 0.0, []
-    for k in range(M + math.ceil(margin), 0, -1):
-        ratio = 1.0 / (2.0 * k / tau + ratio)  # I_k / I_{k-1}
-        ratios.append(ratio)
+    # padded with ratios 1, whose logs 0 add nothing (and cost numpy less than -inf)
+    ratios = np.empty((len(times), width))
+    ratios.fill(1.0)
+    sqrt_q, zeros = math.sqrt(q), False
+    for row, x, d in zip(ratios, times, margins):
+        if not d:  # t = 0: I_m(0) = 0 from m = 1 on
+            row[1:], zeros = 0.0, True
+            continue
+        tau = 2.0 * sqrt_q * x
+        ratio, column = 0.0, [1.0] * (M + d + 1)
+        for k in range(M + d, 0, -1):
+            column[k] = ratio = 1.0 / (2.0 * k / tau + ratio)  # I_k / I_{k-1}
+        row[: M + d + 1] = column
+        # the least ratio, 0 where tau is so small that 2 N_t / tau overflows
+        zeros = zeros or column[M + d] == 0.0
     # TwoSum: each addition's exact rounding error, summed apart; the plain
-    # cumulative sum loses about 1e-11 relative at t = 1e4.  Where tau is
-    # subnormal, 2k / tau overflows and the ratios are 0.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log([1.0] + ratios[::-1])
-        log_rel = np.cumsum(logs)
-        before = np.concatenate(([0.0], log_rel[:-1]))
+    # cumulative sum loses about 1e-11 relative at t = 1e4.  A row holds 0, the
+    # cumulative sums, and a spare 0 that ends every reduceat segment below.
+    cumulative = np.zeros((len(times), width + 2))
+    log_rel, before = cumulative[:, 1:-1], cumulative[:, :-2]
+    # only a ratio 0 makes a log -inf and a rounding NaN: numpy's error state costs a call
+    with np.errstate(divide="ignore", invalid="ignore") if zeros else contextlib.nullcontext():
+        logs = np.log(ratios)
+        np.add.accumulate(logs, axis=1, out=log_rel)
         added = log_rel - before
         rounding = (before - (log_rel - added)) + (logs - added)
-    rounding[np.isnan(rounding)] = 0.0  # a -inf log gives NaN here, never +-inf
-    log_rel += np.cumsum(rounding)
-    log_norm = math.log(2.0 * np.exp(log_rel).sum() - 1.0)  # ln(e^tau / I_0)
-    # the constants first: each rounding at the size of ln B costs about |ln B| eps
-    offset = 0.5 * math.log(q) * np.arange(M + 1) + (log_norm + (math.sqrt(q) - 1.0) ** 2 * t)
-    return log_rel[: M + 1] - offset
+    if zeros:
+        rounding[np.isnan(rounding)] = 0.0  # a -inf log gives NaN here, never +-inf
+    log_rel += np.add.accumulate(rounding, axis=1)
+    # each row's N_t + 1 terms I_m / I_0 after a 0: np.add.reduceat sums that segment as
+    # numpy sums the terms of a lone row, 0 plus their pairwise sum, whatever the padding
+    terms = np.exp(cumulative)
+    terms[:, 0] = 0.0
+    stride = width + 2
+    bounds = [b for i, d in enumerate(margins) for b in (i * stride, i * stride + M + 2 + d)]
+    sums = np.add.reduceat(terms.ravel(), bounds)[::2]
+    # ln(e^tau / I_0) + (sqrt(q)-1)^2 t, the constants first: each rounding at the
+    # size of ln B costs about |ln B| eps
+    decay = (sqrt_q - 1.0) ** 2
+    constants = [math.log(2.0 * total - 1.0) + decay * x for total, x in zip(sums.tolist(), times)]
+    blocks = log_rel[:, : M + 1] - np.add.outer(constants, 0.5 * math.log(q) * np.arange(M + 1))
+    return blocks if grid else blocks[0]
 
 
 def log_block_bound(q: int, m: int, t: float) -> float:

@@ -10,14 +10,15 @@ The production route, heat_kernel_rows, streams the series in float64 for a
 whole grid of times, one base vertex or all of them: its own three-term
 recursion for b_m, which depends on neither t nor x0, runs once per grid on
 float arrays of b_m / q^m through the gather of graphs, against weights built
-ahead from one vector of bessel.log_building_blocks per t.  Every series
+ahead from one bessel.log_building_blocks call per grid.  Every series
 route, the diagonal decomposition included, stops at series_truncation_order:
 bessel.certified_truncation with the coefficient bound |b_m(x)| <= (q+1) q^{m-1}
 as weight.  heat_kernel_spectral_row, V (e^{-lambda t} V[x0]), is the one
 spectral route; heat_kernel_spectral is its entry x by one dot product,
-V[x] . (e^{-lambda t} V[x0]).  The independent oracles that
-verify and the tests compare against are heat_kernel_series_row, which sums
-the exact b_m against one list of scalar building_block values per (graph, t)
+V[x] . (e^{-lambda t} V[x0]), or for a grid of times by one matrix-vector
+product.  The independent oracles that verify and the tests compare against
+are heat_kernel_series_row, which builds the exact b_m once per grid of times
+and sums them against one list of scalar building_block values per (graph, t)
 with math.fsum, no arrays; heat_kernel_series, one entry of that row; and
 heat_kernel_ode, the whole propagator e^{-Lt} by Taylor scaling and squaring.
 
@@ -42,8 +43,10 @@ from typing import Iterable
 import numpy as np
 
 from heatzeta.bessel import (
-    MAX_RECURRENCE,
+    _GRID_ENTRIES,
     _check_time,
+    _check_times,
+    _grid_passes,
     building_block,
     certified_truncation,
     log_building_blocks,
@@ -67,8 +70,8 @@ __all__ = [
 ]
 
 DENSE_EIGEN_CAP = 2048
-# weights (t, order) one pass of heat_kernel_rows holds: 8 MB, one t at the recurrence guard
-_PASS_WEIGHTS = MAX_RECURRENCE
+# ratios (t, order) of one pass of heat_kernel_rows, whose weights are fewer: bessel's cap
+_PASS_WEIGHTS = _GRID_ENTRIES
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -135,27 +138,33 @@ def series_truncation_order(q: int, t: float, tol: float) -> int:
     return certified_truncation(q, t, tol, 1, 1, (q + 1) / q, 1.0)[0]
 
 
-def heat_kernel_series_row(g: Graph, x0: int | None, t: float, tol: float = 1e-10) -> list:
-    """Bessel-series row K(t, x0, .) from scalar building blocks (oracle).
+def heat_kernel_series_row(g: Graph, x0: int | None, t, tol: float = 1e-10) -> list:
+    """Bessel-series row K(t, x0, .) from scalar building blocks (oracle); for a 1-D
+    array t of times, the list of the rows of its times.
 
-    One certified order M, the exact b_m and one list of scalar
-    building_block values per (graph, t), then one math.fsum per entry: no
-    arrays and no log blocks, so the oracle stays independent of
-    heat_kernel_rows.  For x0 = None it is the matrix whose [x][y] is
-    K(t, y, x), as b_coefficients lays it out.  A b value too large for a
-    float raises OverflowError.
+    One certified order M_i per time, the exact b_m once, to the largest M_i, and
+    one list of scalar building_block values per (graph, t_i), then one math.fsum
+    over orders 0..M_i per entry: no arrays and no log blocks, so the oracle stays
+    independent of heat_kernel_rows.  For x0 = None a row is the matrix whose
+    [x][y] is K(t, y, x), as b_coefficients lays it out.  A b value too large for
+    a float raises OverflowError.
     """
     q = g.regularity()
-    M = series_truncation_order(q, t, tol)  # validates t; M = 0 at t = 0, where the row is e_{x0}
-    b = b_coefficients(g, x0, M)
-    blocks = [building_block(q, m, t) for m in range(M + 1)]
+    times, grid = _check_times(t)
+    orders = [series_truncation_order(q, x, tol) for x in times]  # M = 0 at t = 0: e_{x0}
+    b = b_coefficients(g, x0, max(orders, default=0))
 
-    def entry(coefficients) -> float:
+    def entry(coefficients, blocks) -> float:
         return math.fsum(c * block for c, block in zip(coefficients, blocks))
 
-    if x0 is None:
-        return [[entry(col) for col in zip(*rows)] for rows in zip(*b)]
-    return [entry(col) for col in zip(*b)]
+    rows = []
+    for x, M in zip(times, orders):
+        blocks = [building_block(q, m, x) for m in range(M + 1)]
+        if x0 is None:
+            rows.append([[entry(col, blocks) for col in zip(*by_y)] for by_y in zip(*b)])
+        else:
+            rows.append([entry(col, blocks) for col in zip(*b)])
+    return rows if grid else rows[0]
 
 
 def heat_kernel_series(g: Graph, x0: int, x: int, t: float, tol: float = 1e-10) -> float:
@@ -175,29 +184,29 @@ def heat_kernel_rows(
     divided through by q^m, on float arrays up to the largest M_i serves the
     whole grid, so no rounding bias builds up over m.  Row i adds
     W[i, m] b_m / q^m with W[i, m] = e^{ln B_m(t_i) + m ln q}, zero past M_i,
-    and ln B_m from bessel.log_building_blocks.  The recursion depends on q
-    and m only, so row i is bitwise the row of t_i alone, and column y of the
-    x0 = None block is bitwise the row of x0 = y.  A grid runs in consecutive
-    passes of at most _PASS_WEIGHTS weights.
+    and ln B_m from one bessel.log_building_blocks call per pass, to the
+    pass's largest M_i.  The recursion depends on q and m only, so column y of the
+    x0 = None block is bitwise the row of x0 = y, and row i is the row of t_i
+    alone but for where that call starts the ratio recurrence of t_i: at that
+    largest M_j plus d_i, not M_i + d_i, which moves no ln B_m by 2e-17 before
+    rounding.  Bitwise on the grids of the tests; on k4, the row of t = 50 in
+    a grid with t = 3,000 lies 3.6e-16 from its own.  A grid runs in
+    consecutive passes (bessel._grid_passes) whose calls hold at most
+    _PASS_WEIGHTS ratios, and so at most as many weights.
     """
     q = g.regularity()
     ts = list(ts)
     orders = [series_truncation_order(q, t, tol) for t in ts]  # validates every t
     n = g.n_vertices
     rows = np.empty((len(ts), n) if x0 is not None else (len(ts), n, n))
-    start, top = 0, -1
-    for i, M in enumerate(orders):
-        if i > start and (i - start + 1) * (max(top, M) + 1) > _PASS_WEIGHTS:
-            rows[start:i] = _rows_pass(g, q, x0, ts[start:i], orders[start:i])
-            start, top = i, -1
-        top = max(top, M)
-    if ts:
-        rows[start:] = _rows_pass(g, q, x0, ts[start:], orders[start:])
+    for part in _grid_passes(q, orders, ts, _PASS_WEIGHTS):
+        rows[part] = _rows_pass(g, q, x0, ts[part], orders[part])
     return rows
 
 
 def _rows_pass(g: Graph, q: int, x0: int | None, ts: list[float], orders: list[int]) -> np.ndarray:
-    """One recursion to max(orders) against weights built ahead: heat_kernel_rows of ts.
+    """One recursion to max(orders) against the weights of one
+    bessel.log_building_blocks call: heat_kernel_rows of ts.
 
     The recursion is b_1 = A b_0, b_2 = A b_1 - 2q b_0, b_m = A b_{m-1} - q b_{m-2}.
     By A c_0 = c_1, A c_1 = c_2 + (q+1) c_0 and A c_m = c_{m+1} + q c_{m-1}
@@ -226,14 +235,11 @@ def _rows_pass(g: Graph, q: int, x0: int | None, ts: list[float], orders: list[i
     math.exp's), and underflows less than 4 (M+1)^2 2^-1074; the certified tail the rest.
     """
     top = max(orders)
-    columns = []  # log_building_blocks refuses a t before anything of its size is allocated
-    for t, M in zip(ts, orders):
-        exponents = log_building_blocks(q, M, t) + np.arange(M + 1) * math.log(q)
-        # math.exp: np.exp can differ from it in the last bit
-        columns.append(np.fromiter(map(math.exp, exponents), float, M + 1))
+    exponents = log_building_blocks(q, top, ts) + np.arange(top + 1) * math.log(q)
     weights = np.zeros((top + 1, len(ts)))
-    for i, column in enumerate(columns):
-        weights[: len(column), i] = column
+    for i, (row, M) in enumerate(zip(exponents.tolist(), orders)):
+        # math.exp: np.exp can differ from it in the last bit
+        weights[: M + 1, i] = np.fromiter(map(math.exp, row[: M + 1]), float, M + 1)
     if x0 is None:
         cur = np.eye(g.n_vertices)
         weights = weights[:, :, None, None]
@@ -257,11 +263,14 @@ def heat_kernel_spectral_row(g: Graph, x0: int, t: float) -> np.ndarray:
     return sd.eigenvectors @ (np.exp(-sd.eigenvalues * t) * sd.eigenvectors[x0, :])
 
 
-def heat_kernel_spectral(g: Graph, x0: int, x: int, t: float) -> float:
-    """Spectral heat kernel K(t, x0, x) = V[x] . (e^{-lambda t} V[x0]): one dot product."""
-    _check_time(t)
+def heat_kernel_spectral(g: Graph, x0: int, x: int, t):
+    """Spectral heat kernel K(t, x0, x) = (e^{-lambda t} V[x0]) . V[x]: one dot product;
+    for a 1-D array t of times, the array of its values, by one matrix-vector product."""
+    times, grid = _check_times(t)
     sd = spectral_data(g)
-    return float(sd.eigenvectors[x] @ (np.exp(-sd.eigenvalues * t) * sd.eigenvectors[x0]))
+    decays = np.exp(np.multiply.outer(times if grid else times[0], -sd.eigenvalues))
+    values = (decays * sd.eigenvectors[x0]) @ sd.eigenvectors[x]
+    return values if grid else float(values)
 
 
 def heat_kernel_chebyshev_row(g: Graph, x0: int, t: float, tol: float = 1e-10) -> np.ndarray:

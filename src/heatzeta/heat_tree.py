@@ -5,7 +5,8 @@ The production route is the alternating Bessel series
     K(t, r) = B(q, r, t) - (q - 1) sum_{j>=1} B(q, r + 2j, t),
 
 with B the building block from heatzeta.bessel: tree_heat_kernels reads a
-whole table row per t from one vector of bessel.log_building_blocks.  The second
+whole table row per t, and the rows of a grid of times from one
+bessel.log_building_blocks call.  The second
 route is a pair of classical oscillatory integrals over [0, pi], which
 tree_heat_kernel_integrals evaluates for a whole row per t with the
 package's trapezoid rule, and the third is the horocycle-coordinate solution
@@ -34,7 +35,9 @@ import numpy as np
 from heatzeta.bessel import (
     _check_q,
     _check_time,
+    _check_times,
     _check_tol,
+    _grid_passes,
     _nested_trapezoid,
     building_block,
     certified_truncation,
@@ -86,8 +89,9 @@ def _certified_cuts(
     return [certified[cut] for cut in cuts]
 
 
-def tree_heat_kernels(q: int, t: float, radii, tol: float = 1e-12) -> list[TreeHeatValue]:
-    """K(t, r) on the (q+1)-regular tree for every r in radii, by the Bessel series.
+def tree_heat_kernels(q: int, t, radii, tol: float = 1e-12) -> list:
+    """K(t, r) on the (q+1)-regular tree for every r in radii, by the Bessel series:
+    a list of TreeHeatValue, or for a 1-D array t of times one such list per time.
 
     Each r keeps its own truncation index J_r: the terms (q-1) B(q, r + 2j, t),
     j >= 1, go to bessel.certified_truncation with weight q - 1 on the lattice
@@ -96,23 +100,29 @@ def tree_heat_kernels(q: int, t: float, radii, tol: float = 1e-12) -> list[TreeH
     lattice p + 2, p + 4, ..., so the row runs one search per parity and
     reads each tail bound at cut_r (_certified_cuts).  Every value is
     B_r - (q-1)(B_{r+2} + ... + B_{r+2J_r}) read from one building-block
-    vector up to max_r (r + 2 J_r), whose length bessel.log_building_blocks
-    guards.
+    vector up to max_r (r + 2 J_r); a grid of times reads its vectors from one
+    bessel.log_building_blocks call, to the largest such order over the grid
+    (consecutive calls where that would pass the evaluator's cap:
+    bessel._grid_passes), which guards their length.
     """
     _check_q(q)
     _check_tol(tol)
-    _check_time(t)
+    times, grid = _check_times(t)
     radii = list(radii)
     if any(r < 0 for r in radii):
         raise ValueError("r must be >= 0")
-    cuts = _certified_cuts(q, t, tol, [r + 2 for r in radii], q - 1)
-    top = max((order for order, _ in cuts), default=0)
-    blocks = np.exp(log_building_blocks(q, top, t))
-    values = []
-    for r, (order, bound) in zip(radii, cuts):
-        value = blocks[r] - (q - 1) * math.fsum(blocks[r + 2 : order + 1 : 2])
-        values.append(TreeHeatValue(r, float(value), (order - r) // 2, bound))
-    return values
+    cuts = [_certified_cuts(q, x, tol, [r + 2 for r in radii], q - 1) for x in times]
+    tops = [max((order for order, _ in row), default=0) for row in cuts]
+    tables = []
+    for part in _grid_passes(q, tops, times):
+        exps = np.exp(log_building_blocks(q, max(tops[part]), times[part]))
+        for blocks, row in zip(exps, cuts[part]):
+            values = []
+            for r, (order, bound) in zip(radii, row):
+                value = blocks[r] - (q - 1) * math.fsum(blocks[r + 2 : order + 1 : 2])
+                values.append(TreeHeatValue(r, float(value), (order - r) // 2, bound))
+            tables.append(values)
+    return tables if grid else tables[0]
 
 
 def tree_heat_kernel(q: int, t: float, r: int, tol: float = 1e-12) -> TreeHeatValue:

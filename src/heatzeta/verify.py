@@ -83,10 +83,11 @@ def _decay_times(q: int, times: tuple[float, ...]) -> tuple[float, list[float]]:
 
 
 def check_tree_formula_agreement(qs: Iterable[int]) -> CheckResult:
+    """Series rows, one grid per q, against the integral rows and the classical r = 0 integral."""
     worst = 0.0
     for q in qs:
-        for t in _decay_times(q, (0.1, 0.5, 1.0, 2.0, 5.0))[1]:
-            series = heat_tree.tree_heat_kernels(q, t, range(11), 1e-12)
+        times = _decay_times(q, (0.1, 0.5, 1.0, 2.0, 5.0))[1]
+        for t, series in zip(times, heat_tree.tree_heat_kernels(q, times, range(11), 1e-12)):
             integrals = heat_tree.tree_heat_kernel_integrals(q, t, range(11), 1e-11)
             for value, integral in zip(series, integrals):
                 worst = _worst(worst, abs(value.value - integral))
@@ -98,12 +99,12 @@ def check_tree_formula_agreement(qs: Iterable[int]) -> CheckResult:
 
 def check_tree_heat_equation(qs: Iterable[int]) -> CheckResult:
     """The residual of dK/dt = -LK at the times of _decay_times, divided by their
-    scale: the residual of dK/ds = -LK / scale in s = scale t."""
+    scale: the residual of dK/ds = -LK / scale in s = scale t.  One series grid per q."""
     worst = 0.0
     for q in qs:
         scale, times = _decay_times(q, (0.1, 0.5, 1.0, 2.0, 5.0))
-        for t in times:
-            values = [value.value for value in heat_tree.tree_heat_kernels(q, t, range(13), 1e-13)]
+        for t, row in zip(times, heat_tree.tree_heat_kernels(q, times, range(13), 1e-13)):
+            values = [value.value for value in row]
             dots = heat_tree.tree_heat_kernel_time_derivatives(q, t, range(12))
             worst = _worst(worst, abs((q + 1) * values[0] - (q + 1) * values[1] + dots[0]) / scale)
             for r in range(1, 11):
@@ -203,14 +204,14 @@ def check_counting_oracles(g: Graph) -> CheckResult:
 def check_three_way_heat(g: Graph) -> CheckResult:
     """Scalar series oracle vs spectral, batched rows and ODE at every (x0, x, t).
 
-    One production pass gives every (t, x0) row; one oracle matrix per t
-    gives every x0.
+    One production pass gives every (t, x0) row; one oracle call, its exact
+    b_m built once, every (t, x0) row too.
     """
     worst = 0.0
     times = (0.1, 0.5, 1.0, 2.0)
     rows = heat_graph.heat_kernel_rows(g, None, times, 1e-10)  # [i, x, x0]
-    for t, row in zip(times, rows):
-        series = np.array(heat_graph.heat_kernel_series_row(g, None, t, 1e-10))  # [x, x0]
+    oracle = np.array(heat_graph.heat_kernel_series_row(g, None, times, 1e-10))  # [i, x, x0]
+    for t, row, series in zip(times, rows, oracle):
         spectral = [heat_graph.heat_kernel_spectral_row(g, x0, t) for x0 in range(g.n_vertices)]
         # the batched production route against the scalar oracle too
         for other in (np.transpose(spectral), row, heat_graph.heat_kernel_ode(g, t).T):
@@ -254,9 +255,10 @@ def check_four_way_zeta(g: Graph) -> CheckResult:
 
 def check_g_transform_building_blocks() -> CheckResult:
     """G sends building block k to u^{k-1}, relative to max(1, u^{k-1}): one
-    transform per u of the q = 1 row k = 0..6, each node's blocks from one
-    bessel.log_building_blocks, exponentiated.  So the paper's identity checks
-    the production evaluator itself, against the quadrature and the closed form.
+    transform per u of the q = 1 row k = 0..6, the blocks of each quadrature
+    level's nodes from one bessel.log_building_blocks call, exponentiated.  So
+    the paper's identity checks the production evaluator itself, against the
+    quadrature and the closed form.
 
     q = 1 serves every q: t -> t / sqrt(q) gives G_q B_k(u) =
     q^{(1-k)/2} G_1 B_k(sqrt(q) u); direct transforms at q = 2, 3, 4, 7, 50
@@ -288,7 +290,8 @@ def check_g_transform_building_blocks() -> CheckResult:
 
 
 def check_g_transform_diagonal(g: Graph) -> CheckResult:
-    """Transform of the diagonal heat kernel vs the zeta logarithmic derivative."""
+    """Transform of the diagonal heat kernel vs the zeta logarithmic derivative: each
+    quadrature level's nodes from one heat_kernel_spectral product."""
     worst = 0.0
     q = g.regularity()
     n0 = graphs.closed_geodesics_at_vertex(g, 0, 60)

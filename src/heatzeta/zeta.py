@@ -290,15 +290,17 @@ def zeta_spectral(measure: AtomicMeasure | TreeDensity, q: int, u: float) -> flo
 
 
 def g_transform_numeric(
-    f: Callable[[float], float | np.ndarray], q: int, u: float, rows: int = 1
+    f: Callable[[np.ndarray], np.ndarray], q: int, u: float, rows: int = 1
 ) -> np.ndarray:
     """(u^{-2} - q) int_0^inf e^{-(qu + 1/u)t} e^{(q+1)t} f(t) dt, numerically.
 
-    f(t) is a numpy row of rows functions at t (a float where rows = 1), all
-    transformed over one node set: the rows x nodes array goes to
-    bessel._nested_trapezoid.  The result is one value per row, each one's error
-    estimate within the guard max(tol, 10 tol |value|), tol = 1e-11.  f is taken
-    as bounded, so the integrand e^{-decay t} f(t) falls at the margin
+    f takes the 1-D array of the nodes t_i that bessel._nested_trapezoid adds at
+    one level (or a chunk of it) and returns the (nodes, rows) array of the rows
+    functions at them ((nodes,) where rows = 1), all transformed over one node
+    set: the rows x nodes array goes to bessel._nested_trapezoid.  The result is
+    one value per row, each one's error estimate within the guard
+    max(tol, 10 tol |value|), tol = 1e-11.  f is taken as bounded, so the
+    integrand e^{-decay t} f(t) falls at the margin
     decay = qu + 1/u - (q + 1) = (1 - u)(1 - qu)/u, which certifies the cuts:
     the domain is u < 1/q or u > 1.  Tree building blocks need no other rate:
     G_q B_k(u) = q^{(1-k)/2} G_1 B_k(sqrt(q) u) (substitute t -> t / sqrt(q)).
@@ -340,7 +342,7 @@ def g_transform_numeric(
         s = _S_LO + (width / math.pi) * theta
         e = np.exp(-s)
         t = np.exp(s - e) / decay
-        values = np.array([f(x) for x in t.tolist()]).reshape(len(t), rows)
+        values = np.asarray(f(t), dtype=float).reshape(len(t), rows)
         return values.T * np.exp(-decay * t) * t * (1.0 + e)
 
     scale = (1.0 / (u * u) - q) * width / math.pi

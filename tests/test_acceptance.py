@@ -173,7 +173,8 @@ def test_criterion_07_g_transform_building_blocks():
         for k in range(7):
             for factor in (0.1, 0.25):
                 u = factor / math.sqrt(q)
-                (value,) = g_transform_numeric(lambda t: building_block(q, k, t), q, u)
+                block = np.vectorize(lambda t: building_block(q, k, t), otypes=[float])
+                (value,) = g_transform_numeric(block, q, u)
                 worst = max(worst, abs(value - u ** (k - 1)))
     report(7, "G-transform building blocks", worst, 1e-6, worst <= 1e-6)
 
@@ -200,7 +201,7 @@ def test_criterion_08_diagonal_g_transform_identity():
                 - (q - 1) * u / (1.0 - u * u)
                 + math.fsum(n0[m] * u ** (m - 1) for m in range(1, 61))
             )
-            (value,) = g_transform_numeric(diag, q, u)
+            (value,) = g_transform_numeric(np.vectorize(diag, otypes=[float]), q, u)
             worst = max(worst, abs(value - expected))
     report(8, "diagonal G-transform identity", worst, 1e-6, worst <= 1e-6)
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -495,15 +496,17 @@ class TestLogBlockRounding:
     (tau = 1, m = 8).  The bound on heat_kernel_rows' rounding
     (tests/test_heat_graph.py::weight_rounding_bound) takes ln B_m at q >= 2 as off by
     at most 8 (|ln B_m| + 1) u; at q = 2, 3, 4, 6 the largest ratio reads 5.08
-    (q = 2, t = 1000, m = 8)."""
+    (q = 2, t = 1000, m = 8).  Both read the rows of one grid call to the largest cut,
+    as heat_kernel_rows and the tree tables call it, and the rows of a grid call are
+    bitwise the lone calls of the same order."""
 
     @staticmethod
     def largest_ratio(q: int, ts) -> tuple:
         mp = pytest.importorskip("mpmath")
         worst = (0.0, ())
-        for t in ts:
-            M = certified_truncation(q, t, 1e-20, 1, 1, (q + 1) / q, 1.0)[0]
-            logs = log_building_blocks(q, M, t)
+        cuts = [certified_truncation(q, t, 1e-20, 1, 1, (q + 1) / q, 1.0)[0] for t in ts]
+        grid = log_building_blocks(q, max(cuts), ts)
+        for t, M, logs in zip(ts, cuts, grid):
             with mp.workdps(40):
                 x = 2 * mp.sqrt(q) * mp.mpf(t)
                 # mpmath's I_{M+1} and I_M (its series needs more terms at tau = 4e4,
@@ -527,3 +530,64 @@ class TestLogBlockRounding:
     @pytest.mark.parametrize("q", [2, 3, 4, 6])
     def test_logs_above_q_one_within_the_measured_factor(self, q):
         assert self.largest_ratio(q, (1e-3, 0.1, 2.0, 20.0, 200.0, 1e3))[0] <= 8.0
+
+    # zeros, a subnormal time whose ratios are 0, repeats, and 1e-6 to 1e4: at q = 1 a
+    # sum over the row padded out to t = 3,000 or 1e4 moves t = 100's last bits
+    GRID = (0.0, 2.5, 5e-324, 1e-6, 0.1, 0.0, 1e3, 2.5, 37.0, 100.0, 3e3, 1e4)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("M", [0, 6, 60, 600])
+    def test_grid_rows_are_the_lone_calls(self, q, M):
+        # each row runs its own recurrence from its own start, and np.add.reduceat sums
+        # its terms as numpy sums a lone row: no padding moves a bit
+        grid = log_building_blocks(q, M, np.array(self.GRID))
+        assert grid.shape == (len(self.GRID), M + 1)
+        for t, row in zip(self.GRID, grid):
+            assert row.tobytes() == log_building_blocks(q, M, t).tobytes(), t
+        # a list, a tuple and a one-time array are grids too
+        assert log_building_blocks(q, M, list(self.GRID)).tobytes() == grid.tobytes()
+        assert log_building_blocks(q, M, [2.5]).shape == (1, M + 1)
+
+    def test_zero_times_in_a_grid_read_the_indicator(self):
+        grid = log_building_blocks(3, 5, [0.0, 1.0, 0.0])
+        for row in grid[::2]:
+            assert row.tolist() == [0.0] + [-math.inf] * 5
+        assert np.all(np.isfinite(grid[1]))
+        assert log_building_blocks(3, 5, []).shape == (0, 6)
+
+    @staticmethod
+    def peak_bytes(call) -> tuple[int, str]:
+        """The most memory that call held at once, traced, and the message of the
+        ValueError it must raise."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                call()
+            return tracemalloc.get_traced_memory()[1], str(info.value)
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("where", [0, 31, 63])
+    def test_bad_time_in_a_grid_refused_before_allocating(self, bad, where):
+        # 64 times of 10,572 ratios are 5.4 MB an array: the refusal comes before any
+        ts = np.full(64, 1e3)
+        ts[where] = bad
+        peak, message = self.peak_bytes(lambda: log_building_blocks(2, 10_000, ts))
+        assert message.startswith("t must be finite and >= 0, got")
+        assert peak < 100_000
+
+    def test_grid_past_the_cap_refused_before_allocating(self):
+        # 100 times of 10,045 ratios: 1.0e6 entries, past the cap of one t at the guard
+        assert bessel._GRID_ENTRIES == MAX_RECURRENCE + 1
+        ts = np.full(100, 1.0)
+        peak, message = self.peak_bytes(lambda: log_building_blocks(2, 10_000, ts))
+        assert message == f"100 times of 10045 ratios each: more than {MAX_RECURRENCE + 1} in one call"
+        assert peak < 100_000
+        # one time at the recurrence guard is refused by that guard, not by the cap
+        with pytest.raises(ValueError, match=f"more than {MAX_RECURRENCE}$"):
+            log_building_blocks(2, MAX_RECURRENCE, [1.0])
+
+    def test_grid_of_more_axes_refused(self):
+        with pytest.raises(ValueError, match="1-D array of times, got 2 axes"):
+            log_building_blocks(2, 3, [[1.0, 2.0]])

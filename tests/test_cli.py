@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import heatzeta
-from heatzeta import cli, graphs, heat_graph, zeta
+from heatzeta import cli, graphs, heat_graph, heat_tree, zeta
 from heatzeta.cli import main
 from strategies import regular_multigraphs
 from test_heat_graph import chebyshev_error_bound, seeded_regular_edges
@@ -133,6 +133,20 @@ class TestHeat:
         for row in rows:
             assert float(row["cross_check_delta"]) <= 1e-8
             assert 0.0 < float(row["value"]) < 1.0
+
+    def test_tree_table_makes_one_evaluator_call(self, capsys, monkeypatch):
+        # the five times' block vectors come from one grid call
+        calls = []
+        original = heat_tree.log_building_blocks
+        monkeypatch.setattr(
+            heat_tree, "log_building_blocks", lambda *args: calls.append(args) or original(*args)
+        )
+        code, out, err = run(
+            capsys, "heat", "--graph", "tree", "--q", "3", "--order", "30", "--t", "0.1,0.5,1,2,3"
+        )
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["rows"]) == 5 * 31
+        assert [list(args[2]) for args in calls] == [[0.1, 0.5, 1.0, 2.0, 3.0]]
 
     def test_tree_order_past_power_overflow(self, capsys):
         # q ** (r/2 - 1) leaves float range from r = 208 at q = 1000 (r = 2050 at q = 2)

@@ -25,7 +25,7 @@ from heatzeta.heat_graph import (
     series_truncation_order,
     spectral_data,
 )
-from heatzeta.heat_tree import horocycle_solution, tree_heat_kernel
+from heatzeta.heat_tree import horocycle_solution, tree_heat_kernel, tree_heat_kernels
 from strategies import regular_multigraphs
 
 GRAPH_NAMES = ["k4", "c5", "c8", "cube", "k33", "petersen"]
@@ -170,6 +170,18 @@ class TestThreeWayAgreement:
             spectral = heat_kernel_spectral(g, 0, x, t)
             assert abs(series - spectral) <= 1e-7
             assert abs(series - ode_row[x]) <= 1e-6
+
+    @pytest.mark.parametrize("name", GRAPH_NAMES)
+    def test_spectral_grid_is_the_single_time_values(self, name):
+        # one matrix-vector product against one dot product per time: the sums
+        # may group differently, so the values agree to a few ulps of 1
+        g = G.builtin_graph(name)
+        ts = np.linspace(0.0, 30.0, 61)
+        for x in (0, g.n_vertices - 1):
+            grid = heat_kernel_spectral(g, 0, x, ts)
+            assert grid.shape == ts.shape
+            alone = [heat_kernel_spectral(g, 0, x, float(t)) for t in ts]
+            assert np.abs(grid - alone).max() <= 4 * np.finfo(float).eps
 
     def test_k4_diagonal_closed_form(self):
         g = G.builtin_graph("k4")
@@ -434,9 +446,9 @@ class TestGridRows:
         M = series_truncation_order(q, 2.0, 1e-10)
         assert M >= 20
 
-        def one_block(q, M, t):
-            exponents = np.full(M + 1, -np.inf)
-            exponents[m] = -(np.arange(M + 1) * math.log(q))[m]
+        def one_block(q, M, t):  # t a grid of times, as _rows_pass hands it
+            exponents = np.full((len(t), M + 1), -np.inf)
+            exponents[:, m] = -(np.arange(M + 1) * math.log(q))[m]
             return exponents
 
         x0 = data.draw(st.integers(0, g.n_vertices - 1))
@@ -468,6 +480,24 @@ class TestGridRows:
         b = b_coefficients(g, None, M)
         for y in range(g.n_vertices):
             assert [[row[y] for row in b_m] for b_m in b] == b_coefficients(g, y, M)
+
+    @given(g=regular_multigraphs())
+    @settings(max_examples=15, deadline=None)
+    def test_series_oracle_grid_builds_b_once(self, g):
+        # the rows of a grid are the single-time rows, from one run of b to the
+        # largest order (t = 200 left out, as above)
+        q, times = g.regularity(), (0.0, 0.1, 2.0, 20.0, 0.1)
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                heat_graph, "b_coefficients", lambda *args: runs.append(args[1:]) or b_coefficients(*args)
+            )
+            rows = heat_kernel_series_row(g, 0, times)
+            matrices = heat_kernel_series_row(g, None, times)
+        assert runs == [(x0, series_truncation_order(q, 20.0, 1e-10)) for x0 in (0, None)]
+        for t, row, matrix in zip(times, rows, matrices):
+            assert row == heat_kernel_series_row(g, 0, t)
+            assert matrix == heat_kernel_series_row(g, None, t)
 
     @given(g=regular_multigraphs(), data=st.data())
     @settings(max_examples=25, deadline=None)
@@ -520,9 +550,12 @@ def test_weights_sum_to_at_most_one(q):
         lambda g, t: diagonal_tree_decomposition(g, 0, t),
         lambda g, t: tree_heat_kernel(g.regularity(), t, 0),
         lambda g, t: horocycle_solution(g.regularity(), t, 1),
+        lambda g, t: heat_kernel_series_row(g, 0, [0.5, t]),
+        lambda g, t: heat_kernel_spectral(g, 0, 1, [0.5, t]),
+        lambda g, t: tree_heat_kernels(g.regularity(), [0.5, t], range(3)),
     ],
     ids=["series", "row", "spectral", "spectral_row", "chebyshev_row", "ode", "diagonal", "tree",
-         "horocycle"],
+         "horocycle", "series_grid", "spectral_grid", "tree_grid"],
 )
 def test_time_validated(route, t):
     with pytest.raises(ValueError, match="t must be finite and >= 0, got"):

@@ -3,7 +3,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from heatzeta import bessel
+from heatzeta import bessel, heat_tree
 from heatzeta.bessel import MAX_RECURRENCE, bessel_i, bessel_i_scaled, building_block
 from heatzeta.heat_tree import (
     horocycle_solution,
@@ -191,6 +191,45 @@ class TestRows:
     def test_integral_row_entry_is_the_scalar_integral(self, t):
         for r in (0, 1, 9):
             assert tree_heat_kernel_integral(3, t, r) == tree_heat_kernel_integrals(3, t, (r,))[0]
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 7])
+    def test_grid_tables_are_the_single_time_tables(self, q):
+        # one evaluator call to the grid's largest order starts each time's ratio
+        # recurrence further out than its own call does, which moves no log by 2e-17
+        # before rounding: bitwise here, the cuts and tail bounds by construction
+        grid = [0.0, 0.1, 3.0, 0.5, 20.0, 3.0]
+        calls = []
+        original = heat_tree.log_building_blocks
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heat_tree, "log_building_blocks", counted)
+            tables = tree_heat_kernels(q, grid, range(31), 1e-10)
+        assert len(calls) == 1
+        assert tables == [tree_heat_kernels(q, t, range(31), 1e-10) for t in grid]
+
+    def test_grid_past_the_evaluator_cap_runs_in_passes(self, monkeypatch):
+        # a cap that holds two of these times at a time: three calls, the same table
+        grid = [0.1, 0.5, 1.0, 2.0, 3.0]
+        expected = tree_heat_kernels(3, grid, range(31))
+        passes = []
+        original = heat_tree._grid_passes
+
+        def capped(q, tops, times):
+            width = max(tops) + bessel._miller_margin(q, max(tops), max(times)) + 1
+            parts = list(original(q, tops, times, 2 * width))
+            passes.append([len(times[part]) for part in parts])
+            return parts
+
+        monkeypatch.setattr(heat_tree, "_grid_passes", capped)
+        tables = tree_heat_kernels(3, grid, range(31))
+        assert passes == [[2, 2, 1]]
+        assert [v.value for row in tables for v in row] == pytest.approx(
+            [v.value for row in expected for v in row], rel=1e-15, abs=0.0
+        )
 
     def test_series_row_needs_nonnegative_radii(self):
         with pytest.raises(ValueError, match="r must be >= 0"):

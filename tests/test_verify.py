@@ -26,6 +26,21 @@ def test_three_way_heat_catches_a_shifted_route(monkeypatch, route, shift):
     assert not verify.check_three_way_heat(K4).passed
 
 
+def test_three_way_heat_makes_one_oracle_call_per_graph(monkeypatch):
+    # the scalar oracle takes the check's four times at once and builds b once
+    calls, runs = [], []
+    series_row, b_coefficients = heat_graph.heat_kernel_series_row, heat_graph.b_coefficients
+    monkeypatch.setattr(
+        heat_graph, "heat_kernel_series_row", lambda *args: calls.append(args[2]) or series_row(*args)
+    )
+    monkeypatch.setattr(
+        heat_graph, "b_coefficients", lambda *args: runs.append(args[1:]) or b_coefficients(*args)
+    )
+    assert verify.check_three_way_heat(PETERSEN).passed
+    assert calls == [(0.1, 0.5, 1.0, 2.0)]
+    assert runs == [(None, heat_graph.series_truncation_order(2, 2.0, 1e-10))]
+
+
 def test_horocycle_check_catches_a_shifted_solution(monkeypatch):
     assert verify.check_horocycle_transform((2,)).passed
     original = heat_tree.horocycle_solution
@@ -115,13 +130,13 @@ def test_tree_checks_catch_a_scaled_series_at_every_q(monkeypatch, q):
     )
     assert all(check((q,)).passed for check in checks)
     original = heat_tree.tree_heat_kernels
-    monkeypatch.setattr(
-        heat_tree,
-        "tree_heat_kernels",
-        lambda *args: [
-            dataclasses.replace(k, value=k.value * (1.0 + 1e-7)) for k in original(*args)
-        ],
-    )
+
+    def scaled(q, t, *args):  # a list per time where t is a grid
+        rows = original(q, t, *args) if np.ndim(t) else [original(q, t, *args)]
+        rows = [[dataclasses.replace(k, value=k.value * (1.0 + 1e-7)) for k in row] for row in rows]
+        return rows if np.ndim(t) else rows[0]
+
+    monkeypatch.setattr(heat_tree, "tree_heat_kernels", scaled)
     assert not any(check((q,)).passed for check in checks)
 
 
@@ -161,12 +176,12 @@ def test_tree_heat_equation_catches_a_shifted_derivative_row(monkeypatch):
 def test_half_line_checks_evaluate_few_nodes(
     monkeypatch, checks, module, integrand, transforms, ceiling
 ):
-    # the integrand's only calls are the quadrature nodes, a deterministic count
+    # the integrand's only times are the quadrature nodes, a deterministic count
     calls = []
     original = getattr(module, integrand)
 
     def counted(*args):
-        calls.append(args)
+        calls.extend(np.ravel(args[-1]))
         return original(*args)
 
     # nodes per transform, in the order the checks run them
@@ -184,6 +199,38 @@ def test_half_line_checks_evaluate_few_nodes(
     assert all(check().passed for check in checks)
     assert sum(nodes) == len(calls)
     assert 0 < sum(nodes[transforms]) <= ceiling
+
+
+@pytest.mark.parametrize(
+    "checks, module, integrand",
+    [
+        pytest.param([verify.check_g_transform_building_blocks], bessel, "log_building_blocks",
+                     id="g_transform_building_blocks"),
+        pytest.param([lambda g=g: verify.check_g_transform_diagonal(g) for g in (K4, PETERSEN)],
+                     heat_graph, "heat_kernel_spectral", id="g_transform_diagonal"),
+    ],
+)
+def test_half_line_checks_make_one_call_per_level(monkeypatch, checks, module, integrand):
+    # the trapezoid rule starts from 7 nodes and adds 8, 16, 32, ...: one call each
+    sizes = []
+    original = getattr(module, integrand)
+    monkeypatch.setattr(
+        module, integrand, lambda *args: sizes.append(np.size(args[-1])) or original(*args)
+    )
+    per_transform = []
+    transform = zeta.g_transform_numeric
+
+    def counted_transform(*args, **kwargs):
+        start = len(sizes)
+        result = transform(*args, **kwargs)
+        per_transform.append(sizes[start:])
+        return result
+
+    monkeypatch.setattr(zeta, "g_transform_numeric", counted_transform)
+    assert all(check().passed for check in checks)
+    assert len(per_transform) in (5, 4)
+    for levels in per_transform:
+        assert levels == [7] + [8 << i for i in range(len(levels) - 1)]
 
 
 def test_tree_checks_run_few_power_series(monkeypatch):

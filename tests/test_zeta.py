@@ -24,6 +24,11 @@ from heatzeta.zeta import (
 FINITE = ["k4", "c5", "c8", "cube", "k33", "petersen"]
 
 
+def nodewise(f):
+    """A scalar f as g_transform_numeric's integrand: f at each node of the array it is handed."""
+    return np.vectorize(f, otypes=[float])
+
+
 class TestLogSeries:
     def test_zero_counts_give_zero_series(self):
         series = zeta_log_series_from_counts([0] * 13, 12)
@@ -212,17 +217,20 @@ class TestGTransform:
     def test_building_block_identity(self, q, k, factor):
         u = factor / math.sqrt(q)
         if u < 1.0 / q:
-            (result,) = g_transform_numeric(lambda t: building_block(q, k, t), q, u)
+            (result,) = g_transform_numeric(nodewise(lambda t: building_block(q, k, t)), q, u)
         else:  # past the domain's end 1/q: G_q B_k(u) = q^{(1-k)/2} G_1 B_k(sqrt(q) u)
-            (g1,) = g_transform_numeric(lambda t: building_block(1, k, t), 1, factor)
+            (g1,) = g_transform_numeric(nodewise(lambda t: building_block(1, k, t)), 1, factor)
             result = q ** ((1 - k) / 2) * g1
         assert result == pytest.approx(u ** (k - 1), abs=1e-6)
 
     def test_tree_diagonal_closed_form(self):
-        from heatzeta.heat_tree import tree_heat_kernel
+        from heatzeta.heat_tree import tree_heat_kernels
 
+        # the tree rows of each level's nodes from one grid
         q, u = 2, 0.2
-        result = g_transform_numeric(lambda t: tree_heat_kernel(q, t, 0, 1e-13).value, q, u)
+        result = g_transform_numeric(
+            lambda ts: [row[0].value for row in tree_heat_kernels(q, ts, (0,), 1e-13)], q, u
+        )
         expected = 1.0 / u - (q - 1) * u / (1.0 - u * u)
         assert result == pytest.approx(expected, abs=1e-7)
 
@@ -245,12 +253,12 @@ class TestGTransform:
             - (q - 1) * u / (1.0 - u * u)
             + math.fsum(n0[m] * u ** (m - 1) for m in range(1, 61))
         )
-        result = g_transform_numeric(diag, q, u)
+        result = g_transform_numeric(nodewise(diag), q, u)
         assert result == pytest.approx(expected, abs=1e-6)
 
     def test_divergent_domain_rejected(self):
         with pytest.raises(ValueError, match="decay"):
-            g_transform_numeric(lambda t: 1.0, 2, 0.9)
+            g_transform_numeric(np.ones_like, 2, 0.9)
 
     @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf, 1e-300])
     def test_unusable_u_refused_before_any_node(self, u):
@@ -265,7 +273,7 @@ class TestGTransform:
         # 96,000 jumps on [0, 30]: the trapezoid rule's error falls only like its
         # step, 3e-4 at the 2^20-node cap against the guard 1e-11
         with pytest.raises(RuntimeError, match="did not converge"):
-            g_transform_numeric(lambda t: math.copysign(1.0, math.sin(1e4 * t)), 2, 0.25)
+            g_transform_numeric(lambda t: np.copysign(1.0, np.sin(1e4 * t)), 2, 0.25)
 
     @pytest.mark.parametrize(
         "rows, value",
@@ -276,16 +284,16 @@ class TestGTransform:
     )
     def test_non_finite_integrand_refused_at_once(self, rows, value):
         # a NaN made every error estimate NaN, and the rule doubled to 2^20 nodes
-        calls = []
+        nodes = []
 
         def f(t):
-            calls.append(t)
-            return value
+            nodes.extend(t)
+            return np.broadcast_to(value, (len(t), rows))
 
         with pytest.raises(RuntimeError, match="integrand is not finite at 8 nodes") as info:
             g_transform_numeric(f, 2, 0.05, rows=rows)
         assert info.value.__cause__.r == (3 if rows == 7 else 0)
-        assert len(calls) <= 15
+        assert len(nodes) <= 15
 
     def test_window_meets_its_cut_rules(self):
         # decay t = exp(s - e^{-s}) runs from tol e^{-20} to ln(1/tol) + 20, and no wider
@@ -303,13 +311,13 @@ class TestGTransform:
         # to the guard max(1e-11, 1e-10 |value|)
         u = factor / q
         decay = q * u + 1.0 / u - (q + 1.0)
-        (value,) = g_transform_numeric(lambda t: 1.0, q, u)
+        (value,) = g_transform_numeric(np.ones_like, q, u)
         assert value == pytest.approx((u**-2 - q) / decay, rel=1e-9, abs=1e-11)
 
     def test_fast_oscillation_converges(self):
         # (u^-2 - q) w / (a^2 + w^2), a = qu + 1/u - (q + 1) = 1.5, the transform of sin(w t)
         # to the guard its error estimate met, max(1e-11, 1e-10 |value|)
-        (value,) = g_transform_numeric(lambda t: math.sin(1e4 * t), 2, 0.25)
+        (value,) = g_transform_numeric(lambda t: np.sin(1e4 * t), 2, 0.25)
         guard = max(1e-11, 1e-10 * abs(value))
         assert value == pytest.approx(14.0 * 1e4 / (2.25 + 1e8), abs=guard)
 
@@ -349,7 +357,7 @@ class TestLaplaceIdentity:
         u = laplace_u(0.5)
         numeric, _ = laplace_identity(0.5)
         for n in range(7):
-            alone = g_transform_numeric(lambda t: building_block(1, n, t), 1, u)
+            alone = g_transform_numeric(nodewise(lambda t: building_block(1, n, t)), 1, u)
             assert numeric[n] == pytest.approx(2.0 * alone[0] / (u**-2 - 1.0), abs=1e-11)
 
     @pytest.mark.parametrize("s", [math.nan, math.inf, 0.0, 1e-30])
