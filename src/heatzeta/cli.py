@@ -4,16 +4,21 @@ Exit codes: 0 all good, 2 input error, 3 invariant failure.  Output is
 deterministic: floats are printed with 15 significant digits in scientific
 notation and JSON keys are emitted in sorted order, so identical configs
 produce byte-identical reports.
+
+The command line is read by _parse from one grammar table, OPTIONS and
+COMMANDS: the subcommand first, then the options it accepts, each by a
+unique prefix, as --name value or --name=value.  It imports no parsing
+module (argument parsing, gettext and locale took about 4 ms of a fresh
+process), builds nothing at import and keeps no state between main calls.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from heatzeta import bessel, graphs, heat_graph, heat_tree, verify, zeta
 from heatzeta.graphs import GraphError
@@ -148,14 +153,14 @@ def cmd_heat(args) -> int:
         return _emit_heat(args, "tree", q, "cross_check_delta,r,t,tail_bound,value", rows)
     g = _resolve_graph(args)
     q = g.regularity()
-    rows = []
-    for t, series in zip(ts, heat_graph.heat_kernel_rows(g, 0, ts, args.tol).tolist()):
-        # at q = 1 the Chebyshev row is the Bessel row (see it); no spectral row past the cap
-        other = [None] * len(series)
-        if q >= 2:
-            other = heat_graph.heat_kernel_chebyshev_row(g, 0, t, args.tol).tolist()
-        elif g.n_vertices <= heat_graph.DENSE_EIGEN_CAP:
-            other = heat_graph.heat_kernel_spectral_row(g, 0, t).tolist()
+    rows, series_rows = [], heat_graph.heat_kernel_rows(g, 0, ts, args.tol).tolist()
+    # at q = 1 the Chebyshev row is the Bessel row (see it); no spectral row past the cap
+    others = [[None] * g.n_vertices] * len(ts)
+    if q >= 2:
+        others = heat_graph.heat_kernel_chebyshev_row(g, 0, ts, args.tol).tolist()
+    elif g.n_vertices <= heat_graph.DENSE_EIGEN_CAP:
+        others = [heat_graph.heat_kernel_spectral_row(g, 0, t).tolist() for t in ts]
+    for t, series, other in zip(ts, series_rows, others):
         text = _fmt(t)
         rows += [(None if w is None else _fmt(abs(v - w)), text, _fmt(v), x)
                  for x, (v, w) in enumerate(zip(series, other))]
@@ -240,56 +245,122 @@ def cmd_verify(args) -> int:
     return EXIT_INVARIANT_FAILURE if failed else EXIT_OK
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser, built once per process, on the first main call.
+# the command grammar: each option's type, default, choices and help, and each
+# subcommand's handler, help and the options that one of its modes reads
+OPTIONS = {
+    "--graph": {"help": "builtin name or path to an edge-list file"},
+    "--q": {"type": int, "help": "tree degree parameter (tree mode)"},
+    "--order": {"type": int, "default": 10, "help": "table/series order M"},
+    "--t": {"help": "comma-separated time grid"},
+    "--tol": {"type": float, "default": 1e-10, "help": "series truncation tolerance"},
+    "--format": {"choices": ("csv", "json"), "default": "json", "help": "output format"},
+    "--out": {"help": "output path (default stdout)"},
+}
+COMMANDS = {
+    "analyze": (cmd_analyze, "emit exact counting tables", ("--graph", "--q", "--order", "--out")),
+    "heat": (cmd_heat, "tabulate heat kernel values with cross-checks", tuple(OPTIONS)),
+    "zeta": (cmd_zeta, "emit the zeta report (counts, primes, coefficients)",
+             ("--graph", "--order", "--out")),
+    "verify": (cmd_verify, "run the full identity suite; nonzero exit on failure",
+               ("--graph", "--q")),
+}
+DESCRIPTION = (
+    "Heat kernels and Ihara-type zeta functions on regular graphs. Graphs: a builtin\n"
+    "name (k4, c{n}, petersen, cube, k33, tree) or a file with 'u v' edge lines / a\n"
+    "JSON {vertices, edges} document."
+)
 
-    Building it costs 2-3 ms in a fresh interpreter, 1.2-1.5 ms of that
-    argparse's first gettext lookup; a large share of a small command in a
-    long-lived process, so later main calls reuse it.  It holds only
-    the fixed command grammar and each subcommand's handler function,
-    nothing derived from any input, and parse_args keeps no state between
-    calls.  Nothing builds it at import, so a one-shot command pays for one
-    build and import for none.
+
+def _metavar(option: str) -> str:
+    choices = OPTIONS[option].get("choices")
+    return "{" + ",".join(choices) + "}" if choices else option[2:].upper()
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: heatzeta [-h] {{{','.join(COMMANDS)}}} ..."
+    words = [f"[{option} {_metavar(option)}]" for option in COMMANDS[command][2]]
+    return f"usage: heatzeta {command} [-h] {' '.join(words)}"
+
+
+def _help(command: str | None) -> None:
+    """Print the usage and help of the command line, or of one subcommand, and exit 0."""
+    if command is None:
+        lines = [DESCRIPTION, "", "commands:"]
+        lines += [f"  {name:<9}{help_text}" for name, (_, help_text, _) in COMMANDS.items()]
+    else:
+        lines = [COMMANDS[command][1], "", "options:", f"  {'-h, --help':<22}show this help"]
+        for option in COMMANDS[command][2]:
+            lines.append(f"  {option + ' ' + _metavar(option):<22}{OPTIONS[option]['help']}")
+    sys.stdout.write(_usage(command) + "\n\n" + "\n".join(lines) + "\n")
+    raise SystemExit(EXIT_OK)
+
+
+def _fail(command: str | None, message: str) -> None:
+    prog = "heatzeta" if command is None else f"heatzeta {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_INPUT_ERROR)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """argv read by the grammar of OPTIONS and COMMANDS: the subcommand, then its
+    options as --name value or --name=value, the last occurrence winning, a unique
+    prefix naming an option; -h or --help prints help and exits 0.
+
+    The namespace holds the command, its handler and each option the subcommand
+    accepts, converted by its type, or its default.  A separate value may not look
+    like an option: a "-" then neither a digit nor a dot.  Every refusal writes the
+    usage and an error: line to stderr, in the wording of the standard library's
+    parser, and exits 2.
     """
-    parser = argparse.ArgumentParser(
-        prog="heatzeta",
-        description=(
-            "Heat kernels and Ihara-type zeta functions on regular graphs. "
-            "Graphs: a builtin name (k4, c{n}, petersen, cube, k33, tree) or "
-            "a file with 'u v' edge lines / a JSON {vertices, edges} document."
-        ),
-    )
-    options = {
-        "--graph": {"help": "builtin name or path to an edge-list file"},
-        "--q": {"type": int, "help": "tree degree parameter (tree mode)"},
-        "--order": {"type": int, "default": 10, "help": "table/series order M"},
-        "--t": {"help": "comma-separated time grid"},
-        "--tol": {"type": float, "default": 1e-10},
-        "--format": {"choices": ("csv", "json"), "default": "json"},
-        "--out": {"help": "output path (default stdout)"},
-    }
-    sub = parser.add_subparsers(dest="command", required=True)
-    # each subcommand accepts the options one of its modes reads, and names its handler
-    for name, handler, help_text, accepted in (
-        ("analyze", cmd_analyze, "emit exact counting tables",
-         ("--graph", "--q", "--order", "--out")),
-        ("heat", cmd_heat, "tabulate heat kernel values with cross-checks", tuple(options)),
-        ("zeta", cmd_zeta, "emit the zeta report (counts, primes, coefficients)",
-         ("--graph", "--order", "--out")),
-        ("verify", cmd_verify, "run the full identity suite; nonzero exit on failure",
-         ("--graph", "--q")),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        for option in accepted:
-            p.add_argument(option, **options[option])
-    return parser
+    if not argv:
+        _fail(None, "the following arguments are required: command")
+    command, tokens = argv[0], argv[1:]
+    if command in ("-h", "--help"):
+        _help(None)
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    handler, _, accepted = COMMANDS[command]
+    values = {option[2:]: OPTIONS[option].get("default") for option in accepted}
+    known, unknown, i = (*accepted, "--help"), [], 0
+    while i < len(tokens):
+        token = tokens[i]
+        i += 1
+        name, equals, value = token.partition("=")
+        matches = [o for o in known if len(name) > 2 and o.startswith(name)]
+        if name in known:
+            matches = [name]
+        if len(matches) > 1:
+            _fail(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+        if token == "-h" or matches == ["--help"]:
+            _help(command)
+        if not matches:
+            unknown.append(token)
+            continue
+        option = matches[0]
+        if not equals:
+            if i == len(tokens) or (tokens[i][:1] == "-" and tokens[i][1:2] not in "0123456789."):
+                _fail(command, f"argument {option}: expected one argument")
+            value = tokens[i]
+            i += 1
+        kind = OPTIONS[option].get("type", str)
+        try:
+            value = kind(value)
+        except ValueError:
+            _fail(command, f"argument {option}: invalid {kind.__name__} value: {value!r}")
+        choices = OPTIONS[option].get("choices")
+        if choices and value not in choices:
+            listed = ", ".join(map(repr, choices))
+            _fail(command, f"argument {option}: invalid choice: {value!r} (choose from {listed})")
+        values[option[2:]] = value
+    if unknown:
+        _fail(command, f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(command=command, handler=handler, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         if hasattr(args, "tol") and not (math.isfinite(args.tol) and args.tol > 0):
             raise GraphError(f"--tol must be finite and positive, got {args.tol}")

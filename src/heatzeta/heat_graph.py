@@ -4,7 +4,8 @@
    with integer coefficients b_m(x) built from geodesic counts,
 2. finite spectral expansion through the Laplacian eigendecomposition,
 3. the propagator e^{-Lt} of dK/dt = -Laplacian K (oracle only),
-4. heat_kernel_chebyshev_row, a Chebyshev series in A/(q+1): the CLI's check at q >= 2.
+4. heat_kernel_chebyshev_row, a Chebyshev series in A/(q+1), a grid of times from one
+   recursion: the CLI's check at q >= 2.
 
 The production route, heat_kernel_rows, streams the series in float64 for a
 whole grid of times, one base vertex or all of them: its own three-term
@@ -70,7 +71,8 @@ __all__ = [
 ]
 
 DENSE_EIGEN_CAP = 2048
-# ratios (t, order) of one pass of heat_kernel_rows, whose weights are fewer: bessel's cap
+# ratios (t, order) of one pass of heat_kernel_rows or heat_kernel_chebyshev_row, whose
+# weights are fewer: bessel's cap
 _PASS_WEIGHTS = _GRID_ENTRIES
 
 
@@ -167,9 +169,11 @@ def heat_kernel_series_row(g: Graph, x0: int | None, t, tol: float = 1e-10) -> l
     return rows if grid else rows[0]
 
 
-def heat_kernel_series(g: Graph, x0: int, x: int, t: float, tol: float = 1e-10) -> float:
-    """Bessel-series heat kernel value K(t, x0, x): entry x of heat_kernel_series_row."""
-    return heat_kernel_series_row(g, x0, t, tol)[x]
+def heat_kernel_series(g: Graph, x0: int, x: int, t, tol: float = 1e-10):
+    """Bessel-series heat kernel value K(t, x0, x): entry x of heat_kernel_series_row;
+    for a 1-D array t of times, the list of its values, from one row call."""
+    rows = heat_kernel_series_row(g, x0, t, tol)
+    return [row[x] for row in rows] if np.ndim(t) else rows[x]
 
 
 def heat_kernel_rows(
@@ -273,8 +277,9 @@ def heat_kernel_spectral(g: Graph, x0: int, x: int, t):
     return values if grid else float(values)
 
 
-def heat_kernel_chebyshev_row(g: Graph, x0: int, t: float, tol: float = 1e-10) -> np.ndarray:
-    """The row K(t, x0, .) as a Chebyshev series in X = A/(q+1), with no eigensolve.
+def heat_kernel_chebyshev_row(g: Graph, x0: int, t, tol: float = 1e-10) -> np.ndarray:
+    """The row K(t, x0, .) as a Chebyshev series in X = A/(q+1), with no eigensolve; for
+    a 1-D array t of times, the (T, n) array of their rows.
 
     e^{tau cos theta} = I_0(tau) + 2 sum_{k>=1} I_k(tau) cos k theta (DLMF 10.35) on the
     spectrum of X, in [-1, 1], gives e^{-tL} = sum_k eps_k w_k T_k(X), tau = (q+1) t,
@@ -283,6 +288,11 @@ def heat_kernel_chebyshev_row(g: Graph, x0: int, t: float, tol: float = 1e-10) -
     certified_truncation(1, tau/2, tol, 1, 1, 2.0) holds the tail below tol.  v_k = T_k(X) e_x0
     follow v_{k+1} = 2 A v_k / (q+1) - v_{k-1}, one gather per order.  At q = 1 the two series
     agree term by term (b_m = 2 T_m(A/2) e_x0, the same log weights): no check there.
+    The v_k depend on neither t nor the weights, so a grid runs one recursion to its largest
+    M against a (M + 1, T) weight array from one log_building_blocks call, each time's
+    weights zero past its own M, in passes as heat_kernel_rows runs (bessel._grid_passes).
+    One time does the lone work; in a grid a row moves only where that call starts the
+    time's ratio recurrence further out (see heat_kernel_rows).
 
     Rounding, to first order (u = 2^-53, gamma_j = j u / (1 - j u)): step k adds at most
     gamma_{q+2} (2 X|f_{k-1}| + |f_{k-2}|) to an entry of the computed f = v + e (q
@@ -297,19 +307,29 @@ def heat_kernel_chebyshev_row(g: Graph, x0: int, t: float, tol: float = 1e-10) -
     40-digit mpmath, tau <= 4e4) add 4 (ln(M+1) + 3) u, as p_k = eps_k w_k have
     sum_k p_k |ln p_k| <= ln(M+1) + 1/e.
     """
-    _check_time(t)
+    times, grid = _check_times(t)
     q = g.regularity()
-    tau = (q + 1) * t
-    M = certified_truncation(1, tau / 2, tol, 1, 1, 2.0)[0]  # validates tol
-    weights = 2.0 * np.exp(log_building_blocks(1, M, tau / 2))  # eps_k w_k, but w_0 once
+    halves = [(q + 1) * x / 2 for x in times]  # tau / 2
+    orders = [certified_truncation(1, h, tol, 1, 1, 2.0)[0] for h in halves]  # validates tol
     apply_a = _adjacency_gather(g)
-    prev, cur = np.zeros(g.n_vertices), np.zeros(g.n_vertices)
-    cur[x0] = 1.0
-    row = 0.5 * weights[0] * cur
-    for k in range(1, M + 1):
-        prev, cur = cur, apply_a(cur) / ((q + 1) / 2 if k > 1 else q + 1) - prev
-        row += weights[k] * cur
-    return row
+    rows = np.empty((len(times), g.n_vertices))
+    for part in _grid_passes(1, orders, halves, _PASS_WEIGHTS):
+        top = max(orders[part])
+        weights = 2.0 * np.exp(log_building_blocks(1, top, halves[part]))  # eps_k w_k, but w_0 once
+        for row, M in zip(weights, orders[part]):
+            row[M + 1 :] = 0.0
+        # per order, the times' weights as floats: a float times a vector costs numpy
+        # less than a broadcast, and one time does the lone row's work
+        weights = weights.T.tolist()
+        prev, cur = np.zeros(g.n_vertices), np.zeros(g.n_vertices)
+        cur[x0] = 1.0
+        part_rows = [0.5 * w * cur for w in weights[0]]
+        for k in range(1, top + 1):
+            prev, cur = cur, apply_a(cur) / ((q + 1) / 2 if k > 1 else q + 1) - prev
+            for row, w in zip(part_rows, weights[k]):
+                row += w * cur
+        rows[part] = part_rows
+    return rows if grid else rows[0]
 
 
 def heat_kernel_ode(g: Graph, t: float) -> np.ndarray:
@@ -335,19 +355,24 @@ def heat_kernel_ode(g: Graph, t: float) -> np.ndarray:
     return propagator
 
 
-def diagonal_tree_decomposition(g: Graph, x0: int, t: float, tol: float = 1e-10) -> float:
-    """Diagonal heat kernel as tree value plus closed-geodesic correction.
+def diagonal_tree_decomposition(g: Graph, x0: int, t, tol: float = 1e-10):
+    """Diagonal heat kernel as tree value plus closed-geodesic correction; for a
+    1-D array t of times, the list of its values.
 
     K(t, x0, x0) = K_tree(t, 0) + e^{-(q+1)t} sum_{m>=1} N_m^0 q^{-m/2} I_m(...),
     valid on vertex-transitive graphs (the caller asserts transitivity).  The
     correction terms are exp(ln N_m^0 + ln B_m): N_m^0 leaves float range
-    from m = 1026 on k4.
+    from m = 1026 on k4.  A grid runs the counting engine once, to its largest
+    order, and reads its tree values and its log blocks from one grid call each.
     """
-    _check_time(t)
+    times, grid = _check_times(t)
     q = g.regularity()
-    tree_part = tree_heat_kernel(q, t, 0, tol).value
-    M = series_truncation_order(q, t, tol)
-    n0 = closed_geodesics_at_vertex(g, x0, M)
-    log_blocks = log_building_blocks(q, M, t)
-    terms = [math.exp(math.log(n0[m]) + log_blocks[m]) for m in range(1, M + 1) if n0[m]]
-    return tree_part + math.fsum(terms)
+    tree_parts = tree_heat_kernel(q, times, 0, tol)
+    orders = [series_truncation_order(q, x, tol) for x in times]
+    n0 = closed_geodesics_at_vertex(g, x0, max(orders))
+    blocks = log_building_blocks(q, max(orders), times)
+    values = []
+    for tree_part, log_blocks, M in zip(tree_parts, blocks, orders):
+        terms = [math.exp(math.log(n0[m]) + log_blocks[m]) for m in range(1, M + 1) if n0[m]]
+        values.append(tree_part.value + math.fsum(terms))
+    return values if grid else values[0]

@@ -125,9 +125,11 @@ def tree_heat_kernels(q: int, t, radii, tol: float = 1e-12) -> list:
     return tables if grid else tables[0]
 
 
-def tree_heat_kernel(q: int, t: float, r: int, tol: float = 1e-12) -> TreeHeatValue:
-    """K(t, r) on the (q+1)-regular tree: the single entry of tree_heat_kernels."""
-    return tree_heat_kernels(q, t, (r,), tol)[0]
+def tree_heat_kernel(q: int, t, r: int, tol: float = 1e-12):
+    """K(t, r) on the (q+1)-regular tree: the single entry of tree_heat_kernels; for a
+    1-D array t of times, the list of its values, from one tree_heat_kernels call."""
+    tables = tree_heat_kernels(q, t, (r,), tol)
+    return [table[0] for table in tables] if np.ndim(t) else tables[0]
 
 
 def tree_heat_kernel_time_derivatives(q: int, t: float, radii) -> list[float]:

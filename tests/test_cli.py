@@ -47,6 +47,25 @@ def run_cli_process(*argv, timeout=120):
     return run_python("-m", "heatzeta.cli", *argv, timeout=timeout)
 
 
+def _exit(argv):
+    """(exit code, stdout, stderr) of main(argv), which may raise SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _refused(argv):
+    code, out, err = _exit(argv)
+    assert (code, out) == (2, ""), argv
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: heatzeta") and lines[-1].startswith("heatzeta"), err
+    return lines[-1]
+
+
 class TestAnalyze:
     def test_k4_counts(self, capsys):
         code, out, _ = run(capsys, "analyze", "--graph", "k4", "--order", "6")
@@ -147,6 +166,19 @@ class TestHeat:
         assert (code, err) == (0, "")
         assert len(json.loads(out)["rows"]) == 5 * 31
         assert [list(args[2]) for args in calls] == [[0.1, 0.5, 1.0, 2.0, 3.0]]
+
+    def test_graph_rows_make_one_chebyshev_call(self, capsys, monkeypatch):
+        # the grid's cross-check rows come from one recursion and one evaluator call
+        calls = []
+        original = heat_graph.heat_kernel_chebyshev_row
+        monkeypatch.setattr(
+            heat_graph, "heat_kernel_chebyshev_row",
+            lambda *args: calls.append(args[2]) or original(*args),
+        )
+        code, out, err = run(capsys, "heat", "--graph", "cube", "--t", "0.1,1.0,5.0")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["rows"]) == 3 * 8
+        assert calls == [[0.1, 1.0, 5.0]]
 
     def test_tree_order_past_power_overflow(self, capsys):
         # q ** (r/2 - 1) leaves float range from r = 208 at q = 1000 (r = 2050 at q = 2)
@@ -774,10 +806,11 @@ def test_fuzz_exit_codes_and_error_lines(tmp_path, data):
     draw = data.draw
     argv = [draw(st.sampled_from(["analyze", "heat", "zeta", "verify"]))]
     # half the draws pass only options the subcommand reads, so that the
-    # accepted paths are reached as often as the argparse refusals
+    # accepted paths are reached as often as the parser's refusals
     skipped = {opt for cmd, opt, _ in DROPPED_OPTIONS if cmd == argv[0]}
     if draw(st.booleans()):
         skipped = set()
+    spaced = draw(st.booleans())  # --name value, or --name=value
     graph = draw(st.sampled_from(FUZZ_GRAPHS))  # "file": a tests/strategies.py graph
     if graph == "file":
         g = draw(regular_multigraphs())
@@ -789,7 +822,7 @@ def test_fuzz_exit_codes_and_error_lines(tmp_path, data):
     elif graph == "missing":
         graph = str(tmp_path / "missing.txt")
     if graph is not None:
-        argv.append(f"--graph={graph}")
+        argv += ["--graph", graph] if spaced else [f"--graph={graph}"]
     for option, values in (
         ("--q", FUZZ_Q),
         ("--order", FUZZ_ORDER),
@@ -800,14 +833,8 @@ def test_fuzz_exit_codes_and_error_lines(tmp_path, data):
     ):
         value = draw(st.none() | st.sampled_from(values))  # absent half the time
         if value is not None and option not in skipped:
-            argv.append(f"{option}={value}")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    stderr = err.getvalue()
+            argv += [option, value] if spaced else [f"{option}={value}"]
+    code, _, stderr = _exit(argv)
     assert code in (0, 2, 3), (argv, stderr)
     assert "Traceback" not in stderr, argv
     if code != 0:
@@ -821,15 +848,85 @@ def _run_script(command, *argv):
     )
 
 
-class TestParser:
-    def test_built_once_per_process(self):
-        assert cli.build_parser() is cli.build_parser()
+# per subcommand: a command line in the space form, the options it accepts, and an
+# ambiguous prefix of two of them (verify has none)
+GRAMMAR = {
+    "analyze": (["--graph", "k4", "--order", "3"], ["--graph", "--q", "--order", "--out"], "--o"),
+    "heat": (
+        ["--graph", "k4", "--t", "0.5,1", "--format", "csv"],
+        ["--graph", "--q", "--order", "--t", "--tol", "--format", "--out"],
+        "--o",
+    ),
+    "zeta": (["--graph", "k4", "--order", "3"], ["--graph", "--order", "--out"], "--o"),
+    "verify": (["--graph", "c5"], ["--graph", "--q"], None),
+}
 
-    def test_not_built_at_import(self):
-        proc = run_python(
-            "-c", "import heatzeta.cli as c; print(c.build_parser.cache_info().currsize)"
+
+
+class TestParser:
+    def test_import_and_main_load_no_parser_module(self):
+        # the grammar table is read by hand: no argparse, gettext or locale at
+        # import, and a whole command imports no module
+        code = (
+            "import sys; import heatzeta.cli as cli; before = set(sys.modules); "
+            "print(sorted({'argparse', 'gettext', 'locale'} & before), file=sys.stderr); "
+            "assert cli.main(['zeta', '--graph', 'k4', '--order', '3']) == 0; "
+            "print(sorted(set(sys.modules) - before), file=sys.stderr)"
         )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+        proc = run_python("-c", code)
+        assert (proc.returncode, proc.stderr) == (0, "[]\n[]\n")
+
+    @pytest.mark.parametrize("command", GRAMMAR)
+    def test_grammar_table(self, command):
+        argv, accepted, ambiguous = GRAMMAR[command]
+        spaced = _exit([command, *argv])
+        assert spaced[0] == 0 and spaced[1] and spaced[2] == "", spaced
+        pairs = list(zip(argv[::2], argv[1::2]))
+        assert _exit([command, *(f"{o}={v}" for o, v in pairs)]) == spaced
+        # a unique prefix, and the last occurrence wins
+        assert _exit([command, "--gr", "nosuchgraph", *argv]) == spaced
+        assert _exit([command, "--graph", "nosuchgraph", f"--gra={argv[1]}", *argv[2:]]) == spaced
+        if ambiguous:
+            last = _refused([command, *argv, ambiguous, "3"])
+            assert last.startswith(f"heatzeta {command}: error: ambiguous option: {ambiguous} ")
+        for flag in ("-h", "--help"):
+            code, out, err = _exit([command, flag])
+            assert (code, err) == (0, "")
+            assert out.startswith(f"usage: heatzeta {command} [-h]")
+            named = set(re.findall(r"--[a-z]+", out)) - {"--help"}
+            assert named == set(accepted)
+        # a missing value, a bad int and a bad --format
+        int_option = "--q" if command == "verify" else "--order"
+        for bad, message in (
+            ([*argv, "--graph"], "argument --graph: expected one argument"),
+            (["--graph", "--q", "2"], "argument --graph: expected one argument"),
+            ([*argv, int_option, "x"], f"argument {int_option}: invalid int value: 'x'"),
+            (
+                [*argv, "--format", "xml"],
+                "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"
+                if "--format" in accepted
+                else "unrecognized arguments: --format xml",
+            ),
+        ):
+            assert _refused([command, *bad]) == f"heatzeta {command}: error: {message}"
+
+    def test_top_level_refusals_and_help(self):
+        assert _refused([]) == "heatzeta: error: the following arguments are required: command"
+        assert _refused(["bogus"]) == (
+            "heatzeta: error: argument command: invalid choice: 'bogus' "
+            "(choose from 'analyze', 'heat', 'zeta', 'verify')"
+        )
+        code, out, err = _exit(["--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: heatzeta [-h] {analyze,heat,zeta,verify} ...")
+        assert all(command in out for command in GRAMMAR)
+
+    @pytest.mark.parametrize("value", ["-1", "-.5", "-1e-10", "-", ""])
+    def test_values_that_do_not_look_like_options_are_read(self, capsys, value):
+        # a "-" then a digit or a dot is a value, as are "-" and "": the program refuses them
+        code, out, err = run(capsys, "heat", "--graph", "k4", "--t", value)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "usage" not in err
 
     def test_no_state_carries_over_between_calls(self, capsys):
         with pytest.raises(SystemExit) as exc:

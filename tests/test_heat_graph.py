@@ -331,6 +331,45 @@ class TestChebyshevRow:
         assert np.abs(heat_kernel_chebyshev_row(g, 0, t) - row).max() <= 4 * np.finfo(float).eps
 
 
+class TestChebyshevGrid:
+    @given(g=regular_multigraphs(), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_grid_rows_are_the_single_time_rows(self, g, data):
+        # one recursion to the largest order and one evaluator call, each time's
+        # weights zero past its own order; a one-time grid is the lone row
+        x0 = data.draw(st.integers(0, g.n_vertices - 1))
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                heat_graph, "log_building_blocks",
+                lambda *args: calls.append(args) or log_building_blocks(*args),
+            )
+            rows = heat_kernel_chebyshev_row(g, x0, GRID)
+        assert len(calls) == 1
+        assert rows.shape == (len(GRID), g.n_vertices)
+        for i, t in enumerate(GRID):
+            lone = heat_kernel_chebyshev_row(g, x0, t)
+            assert heat_kernel_chebyshev_row(g, x0, [t])[0].tobytes() == lone.tobytes()
+            assert rows[i].tobytes() == lone.tobytes()
+
+    @given(g=regular_multigraphs(), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_long_grid_runs_in_passes(self, g, data):
+        x0 = data.draw(st.integers(0, g.n_vertices - 1))
+        grid = GRID + (0.1, 20.0)
+        expected = [heat_kernel_chebyshev_row(g, x0, t).tobytes() for t in grid]
+        tops = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heat_graph, "_PASS_WEIGHTS", 1000)
+            mp.setattr(
+                heat_graph, "log_building_blocks",
+                lambda *args: tops.append(len(args[2])) or log_building_blocks(*args),
+            )
+            rows = heat_kernel_chebyshev_row(g, x0, grid)
+        assert len(tops) > 1 and sum(tops) == len(grid)
+        assert [row.tobytes() for row in rows] == expected
+
+
 class TestSeriesRowBound:
     # The bound over the largest deviation from the spectral row, measured: at tol
     # 1e-10 at least 5,480 (k4, t = 1000, where the certified tail, near 1e-10, is most
@@ -553,9 +592,14 @@ def test_weights_sum_to_at_most_one(q):
         lambda g, t: heat_kernel_series_row(g, 0, [0.5, t]),
         lambda g, t: heat_kernel_spectral(g, 0, 1, [0.5, t]),
         lambda g, t: tree_heat_kernels(g.regularity(), [0.5, t], range(3)),
+        lambda g, t: heat_kernel_series(g, 0, 1, [0.5, t]),
+        lambda g, t: heat_kernel_chebyshev_row(g, 0, [0.5, t]),
+        lambda g, t: diagonal_tree_decomposition(g, 0, [0.5, t]),
+        lambda g, t: tree_heat_kernel(g.regularity(), [0.5, t], 0),
     ],
     ids=["series", "row", "spectral", "spectral_row", "chebyshev_row", "ode", "diagonal", "tree",
-         "horocycle", "series_grid", "spectral_grid", "tree_grid"],
+         "horocycle", "series_grid", "spectral_grid", "tree_grid", "series_entry_grid",
+         "chebyshev_grid", "diagonal_grid", "tree_entry_grid"],
 )
 def test_time_validated(route, t):
     with pytest.raises(ValueError, match="t must be finite and >= 0, got"):
@@ -707,6 +751,26 @@ class TestDiagonalTreeDecomposition:
         g = G.builtin_graph(name)
         value = diagonal_tree_decomposition(g, 0, t, tol)
         assert abs(value - heat_kernel_rows(g, 0, [t], tol)[0, 0]) <= tol
+
+    @pytest.mark.parametrize("name", ["k4", "petersen", "cube"])
+    def test_grid_is_the_single_time_values(self, name):
+        # one counting run to the largest order, one tree table and one block grid
+        g = G.builtin_graph(name)
+        times = (0.5, 1.0, 0.0, 6.0, 0.1)
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                heat_graph, "closed_geodesics_at_vertex",
+                lambda *args: runs.append(args[2]) or G.closed_geodesics_at_vertex(*args),
+            )
+            values = diagonal_tree_decomposition(g, 0, times, 1e-11)
+            entries = heat_kernel_series(g, 0, 0, times, 1e-11)
+        assert runs == [series_truncation_order(g.regularity(), 6.0, 1e-11)]
+        assert values == [diagonal_tree_decomposition(g, 0, t, 1e-11) for t in times]
+        assert entries == [heat_kernel_series(g, 0, 0, t, 1e-11) for t in times]
+        assert tree_heat_kernel(g.regularity(), times, 0) == [
+            tree_heat_kernel(g.regularity(), t, 0) for t in times
+        ]
 
     @pytest.mark.parametrize("name,t", [("k4", 0.5), ("petersen", 1.0), ("cube", 0.7)])
     def test_matches_spectral_diagonal(self, name, t):

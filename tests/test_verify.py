@@ -48,6 +48,36 @@ def test_horocycle_check_catches_a_shifted_solution(monkeypatch):
     assert not verify.check_horocycle_transform((2,)).passed
 
 
+@pytest.mark.parametrize("q", [2, 7, 10**6])
+def test_horocycle_check_reads_one_table_per_time(monkeypatch, q):
+    # the four heights' sums read radii 0..top_max of one table, at 1e-12 / q^top_max
+    calls = []
+    original = heat_tree.tree_heat_kernels
+    monkeypatch.setattr(
+        heat_tree, "tree_heat_kernels", lambda *args: calls.append(args) or original(*args)
+    )
+    assert verify.check_horocycle_transform((q,)).passed
+    assert len(calls) == 3
+    for _, t, radii, tol in calls:
+        assert radii == range(radii.stop) and tol == 1e-12 / q ** (radii.stop - 1)
+
+
+def test_diagonal_decomposition_runs_counting_and_b_once(monkeypatch):
+    # both times from one counting run and one b run, each to the larger order
+    counts, runs = [], []
+    at_vertex, b_coefficients = heat_graph.closed_geodesics_at_vertex, heat_graph.b_coefficients
+    monkeypatch.setattr(
+        heat_graph, "closed_geodesics_at_vertex",
+        lambda *args: counts.append(args[1:]) or at_vertex(*args),
+    )
+    monkeypatch.setattr(
+        heat_graph, "b_coefficients", lambda *args: runs.append(args[1:]) or b_coefficients(*args)
+    )
+    assert verify.check_diagonal_decomposition(PETERSEN).passed
+    M = heat_graph.series_truncation_order(2, 1.0, 1e-11)
+    assert (counts, runs) == ([(0, M)], [(0, M)])
+
+
 def test_tree_zeta_check_reads_q_2_or_3(monkeypatch):
     # run_tree_checks' rule, and its reason: from q = 4 on the 11th spectral
     # moment's rounding term exceeds TreeDensity.integrate's guard
