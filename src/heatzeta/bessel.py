@@ -22,7 +22,8 @@ building-block series in the package, whatever its weights.
 log_building_blocks evaluates the log of the whole vector of building blocks
 at one time, or at every time of a grid in one call, from Miller's backward
 recurrence for the ratios I_{m+1}/I_m: the production evaluator behind every
-heat value, in float range at any t.
+heat value, in float range at any t, which every heat route reads through
+_grid_passes, the one rule that splits a grid of times into its calls.
 The scalar building_block and the routes above stay as its independent
 oracle, and verify's G-transform of building blocks integrates it against
 the paper's closed form u^{k-1}.
@@ -284,20 +285,20 @@ def _check_times(t) -> tuple[list[float], bool]:
     return values, times.ndim == 1
 
 
-def _grid_passes(q: int, tops: list[int], times: list[float], cap: int = _GRID_ENTRIES):
-    """Consecutive slices of times, each one log_building_blocks(q, M, times[slice]) call,
-    M the largest of its tops, whose T (N_max + 1) entries stay within cap; a time whose
-    call alone passes it gets a slice of its own.  ValueError, from _miller_margin,
-    where one time's recurrence passes MAX_RECURRENCE."""
+def _grid_passes(q: int, tops: list[int], times: list[float]):
+    """(part, log_building_blocks(q, M, times[part])) for consecutive slices part of
+    times, M the largest of their tops, each call's T (N_max + 1) ratios within
+    _GRID_ENTRIES, which holds any one time _miller_margin accepts.  ValueError, from
+    _miller_margin, where one time's recurrence passes MAX_RECURRENCE."""
     margins = [_miller_margin(q, top, t) for top, t in zip(tops, times)]
     start, top, margin = 0, 0, 0
     for i, (M, d) in enumerate(zip(tops, margins)):
+        if (i - start + 1) * (max(top, M) + max(margin, d) + 1) > _GRID_ENTRIES:
+            yield slice(start, i), log_building_blocks(q, top, times[start:i])
+            start, top, margin = i, 0, 0
         top, margin = max(top, M), max(margin, d)
-        if i > start and (i - start + 1) * (top + margin + 1) > cap:
-            yield slice(start, i)
-            start, top, margin = i, M, d
     if times:
-        yield slice(start, len(times))
+        yield slice(start, len(times)), log_building_blocks(q, top, times[start:])
 
 
 def log_building_blocks(q: int, M: int, t) -> np.ndarray:

@@ -11,7 +11,8 @@ The production route, heat_kernel_rows, streams the series in float64 for a
 whole grid of times, one base vertex or all of them: its own three-term
 recursion for b_m, which depends on neither t nor x0, runs once per grid on
 float arrays of b_m / q^m through the gather of graphs, against weights built
-ahead from one bessel.log_building_blocks call per grid.  Every series
+ahead from the log blocks of bessel._grid_passes, which the Chebyshev row and
+the diagonal decomposition read too.  Every series
 route, the diagonal decomposition included, stops at series_truncation_order:
 bessel.certified_truncation with the coefficient bound |b_m(x)| <= (q+1) q^{m-1}
 as weight.  heat_kernel_spectral_row, V (e^{-lambda t} V[x0]), is the one
@@ -44,13 +45,11 @@ from typing import Iterable
 import numpy as np
 
 from heatzeta.bessel import (
-    _GRID_ENTRIES,
     _check_time,
     _check_times,
     _grid_passes,
     building_block,
     certified_truncation,
-    log_building_blocks,
 )
 from heatzeta.graphs import Graph, _adjacency_gather, _geodesic_matrices, closed_geodesics_at_vertex
 from heatzeta.heat_tree import tree_heat_kernel
@@ -71,9 +70,6 @@ __all__ = [
 ]
 
 DENSE_EIGEN_CAP = 2048
-# ratios (t, order) of one pass of heat_kernel_rows or heat_kernel_chebyshev_row, whose
-# weights are fewer: bessel's cap
-_PASS_WEIGHTS = _GRID_ENTRIES
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -188,29 +184,30 @@ def heat_kernel_rows(
     divided through by q^m, on float arrays up to the largest M_i serves the
     whole grid, so no rounding bias builds up over m.  Row i adds
     W[i, m] b_m / q^m with W[i, m] = e^{ln B_m(t_i) + m ln q}, zero past M_i,
-    and ln B_m from one bessel.log_building_blocks call per pass, to the
-    pass's largest M_i.  The recursion depends on q and m only, so column y of the
+    and ln B_m from one pass of bessel._grid_passes, to the pass's largest M_i.
+    The recursion depends on q and m only, so column y of the
     x0 = None block is bitwise the row of x0 = y, and row i is the row of t_i
     alone but for where that call starts the ratio recurrence of t_i: at that
     largest M_j plus d_i, not M_i + d_i, which moves no ln B_m by 2e-17 before
     rounding.  Bitwise on the grids of the tests; on k4, the row of t = 50 in
-    a grid with t = 3,000 lies 3.6e-16 from its own.  A grid runs in
-    consecutive passes (bessel._grid_passes) whose calls hold at most
-    _PASS_WEIGHTS ratios, and so at most as many weights.
+    a grid with t = 3,000 lies 3.6e-16 from its own.  A pass holds at most
+    bessel._GRID_ENTRIES ratios, and so at most as many weights.
     """
     q = g.regularity()
     ts = list(ts)
     orders = [series_truncation_order(q, t, tol) for t in ts]  # validates every t
     n = g.n_vertices
     rows = np.empty((len(ts), n) if x0 is not None else (len(ts), n, n))
-    for part in _grid_passes(q, orders, ts, _PASS_WEIGHTS):
-        rows[part] = _rows_pass(g, q, x0, ts[part], orders[part])
+    for part, log_blocks in _grid_passes(q, orders, ts):
+        rows[part] = _rows_pass(g, q, x0, log_blocks, orders[part])
     return rows
 
 
-def _rows_pass(g: Graph, q: int, x0: int | None, ts: list[float], orders: list[int]) -> np.ndarray:
-    """One recursion to max(orders) against the weights of one
-    bessel.log_building_blocks call: heat_kernel_rows of ts.
+def _rows_pass(
+    g: Graph, q: int, x0: int | None, log_blocks: np.ndarray, orders: list[int]
+) -> np.ndarray:
+    """One recursion to max(orders) against the weights of log_blocks, one pass of
+    bessel._grid_passes: heat_kernel_rows of the pass's times.
 
     The recursion is b_1 = A b_0, b_2 = A b_1 - 2q b_0, b_m = A b_{m-1} - q b_{m-2}.
     By A c_0 = c_1, A c_1 = c_2 + (q+1) c_0 and A c_m = c_{m+1} + q c_{m-1}
@@ -239,8 +236,8 @@ def _rows_pass(g: Graph, q: int, x0: int | None, ts: list[float], orders: list[i
     math.exp's), and underflows less than 4 (M+1)^2 2^-1074; the certified tail the rest.
     """
     top = max(orders)
-    exponents = log_building_blocks(q, top, ts) + np.arange(top + 1) * math.log(q)
-    weights = np.zeros((top + 1, len(ts)))
+    exponents = log_blocks + np.arange(top + 1) * math.log(q)
+    weights = np.zeros((top + 1, len(orders)))
     for i, (row, M) in enumerate(zip(exponents.tolist(), orders)):
         # math.exp: np.exp can differ from it in the last bit
         weights[: M + 1, i] = np.fromiter(map(math.exp, row[: M + 1]), float, M + 1)
@@ -289,8 +286,8 @@ def heat_kernel_chebyshev_row(g: Graph, x0: int, t, tol: float = 1e-10) -> np.nd
     follow v_{k+1} = 2 A v_k / (q+1) - v_{k-1}, one gather per order.  At q = 1 the two series
     agree term by term (b_m = 2 T_m(A/2) e_x0, the same log weights): no check there.
     The v_k depend on neither t nor the weights, so a grid runs one recursion to its largest
-    M against a (M + 1, T) weight array from one log_building_blocks call, each time's
-    weights zero past its own M, in passes as heat_kernel_rows runs (bessel._grid_passes).
+    M against a (M + 1, T) weight array from the log blocks of one pass of
+    bessel._grid_passes, each time's weights zero past its own M.
     One time does the lone work; in a grid a row moves only where that call starts the
     time's ratio recurrence further out (see heat_kernel_rows).
 
@@ -313,9 +310,9 @@ def heat_kernel_chebyshev_row(g: Graph, x0: int, t, tol: float = 1e-10) -> np.nd
     orders = [certified_truncation(1, h, tol, 1, 1, 2.0)[0] for h in halves]  # validates tol
     apply_a = _adjacency_gather(g)
     rows = np.empty((len(times), g.n_vertices))
-    for part in _grid_passes(1, orders, halves, _PASS_WEIGHTS):
+    for part, log_blocks in _grid_passes(1, orders, halves):
         top = max(orders[part])
-        weights = 2.0 * np.exp(log_building_blocks(1, top, halves[part]))  # eps_k w_k, but w_0 once
+        weights = 2.0 * np.exp(log_blocks)  # eps_k w_k, but w_0 once
         for row, M in zip(weights, orders[part]):
             row[M + 1 :] = 0.0
         # per order, the times' weights as floats: a float times a vector costs numpy
@@ -363,16 +360,17 @@ def diagonal_tree_decomposition(g: Graph, x0: int, t, tol: float = 1e-10):
     valid on vertex-transitive graphs (the caller asserts transitivity).  The
     correction terms are exp(ln N_m^0 + ln B_m): N_m^0 leaves float range
     from m = 1026 on k4.  A grid runs the counting engine once, to its largest
-    order, and reads its tree values and its log blocks from one grid call each.
+    order, and reads its tree values from one grid call and its log blocks
+    through bessel._grid_passes.
     """
     times, grid = _check_times(t)
     q = g.regularity()
     tree_parts = tree_heat_kernel(q, times, 0, tol)
     orders = [series_truncation_order(q, x, tol) for x in times]
-    n0 = closed_geodesics_at_vertex(g, x0, max(orders))
-    blocks = log_building_blocks(q, max(orders), times)
+    n0 = closed_geodesics_at_vertex(g, x0, max(orders, default=0))
     values = []
-    for tree_part, log_blocks, M in zip(tree_parts, blocks, orders):
-        terms = [math.exp(math.log(n0[m]) + log_blocks[m]) for m in range(1, M + 1) if n0[m]]
-        values.append(tree_part.value + math.fsum(terms))
+    for part, blocks in _grid_passes(q, orders, times):
+        for tree_part, log_blocks, M in zip(tree_parts[part], blocks, orders[part]):
+            terms = [math.exp(math.log(n0[m]) + log_blocks[m]) for m in range(1, M + 1) if n0[m]]
+            values.append(tree_part.value + math.fsum(terms))
     return values if grid else values[0]

@@ -5,8 +5,8 @@ The production route is the alternating Bessel series
     K(t, r) = B(q, r, t) - (q - 1) sum_{j>=1} B(q, r + 2j, t),
 
 with B the building block from heatzeta.bessel: tree_heat_kernels reads a
-whole table row per t, and the rows of a grid of times from one
-bessel.log_building_blocks call.  The second
+whole table row per t, and the rows of a grid of times from the passes of
+bessel._grid_passes, as the graph heat routes do.  The second
 route is a pair of classical oscillatory integrals over [0, pi], which
 tree_heat_kernel_integrals evaluates for a whole row per t with the
 package's trapezoid rule, and the third is the horocycle-coordinate solution
@@ -41,7 +41,6 @@ from heatzeta.bessel import (
     _nested_trapezoid,
     building_block,
     certified_truncation,
-    log_building_blocks,
 )
 
 __all__ = [
@@ -100,10 +99,9 @@ def tree_heat_kernels(q: int, t, radii, tol: float = 1e-12) -> list:
     lattice p + 2, p + 4, ..., so the row runs one search per parity and
     reads each tail bound at cut_r (_certified_cuts).  Every value is
     B_r - (q-1)(B_{r+2} + ... + B_{r+2J_r}) read from one building-block
-    vector up to max_r (r + 2 J_r); a grid of times reads its vectors from one
-    bessel.log_building_blocks call, to the largest such order over the grid
-    (consecutive calls where that would pass the evaluator's cap:
-    bessel._grid_passes), which guards their length.
+    vector up to max_r (r + 2 J_r); a grid of times reads its vectors from the
+    passes of bessel._grid_passes, each to the largest such order over its
+    times (one pass unless that would pass the evaluator's cap).
     """
     _check_q(q)
     _check_tol(tol)
@@ -114,9 +112,8 @@ def tree_heat_kernels(q: int, t, radii, tol: float = 1e-12) -> list:
     cuts = [_certified_cuts(q, x, tol, [r + 2 for r in radii], q - 1) for x in times]
     tops = [max((order for order, _ in row), default=0) for row in cuts]
     tables = []
-    for part in _grid_passes(q, tops, times):
-        exps = np.exp(log_building_blocks(q, max(tops[part]), times[part]))
-        for blocks, row in zip(exps, cuts[part]):
+    for part, log_blocks in _grid_passes(q, tops, times):
+        for blocks, row in zip(np.exp(log_blocks), cuts[part]):
             values = []
             for r, (order, bound) in zip(radii, row):
                 value = blocks[r] - (q - 1) * math.fsum(blocks[r + 2 : order + 1 : 2])

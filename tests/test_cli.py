@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import heatzeta
-from heatzeta import cli, graphs, heat_graph, heat_tree, zeta
+from heatzeta import bessel, cli, graphs, heat_graph, zeta
 from heatzeta.cli import main
 from strategies import regular_multigraphs
 from test_heat_graph import chebyshev_error_bound, seeded_regular_edges
@@ -156,9 +156,9 @@ class TestHeat:
     def test_tree_table_makes_one_evaluator_call(self, capsys, monkeypatch):
         # the five times' block vectors come from one grid call
         calls = []
-        original = heat_tree.log_building_blocks
+        original = bessel.log_building_blocks
         monkeypatch.setattr(
-            heat_tree, "log_building_blocks", lambda *args: calls.append(args) or original(*args)
+            bessel, "log_building_blocks", lambda *args: calls.append(args) or original(*args)
         )
         code, out, err = run(
             capsys, "heat", "--graph", "tree", "--q", "3", "--order", "30", "--t", "0.1,0.5,1,2,3"

@@ -183,6 +183,30 @@ def test_no_module_uses_numpy_fft():
     assert found == []
 
 
+def test_bessel_owns_the_time_grid():
+    # every heat route reads its blocks through bessel._grid_passes, so a patch of
+    # bessel's evaluator or cap reaches them all; verify's G-transform of blocks
+    # reads the evaluator as bessel.log_building_blocks
+    owners = {"_GRID_ENTRIES": {"bessel.py"}, "log_building_blocks": {"bessel.py", "verify.py"}}
+    found = []
+    for path in sorted(Path(heatzeta.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if path.name not in owners.get(name, {path.name})
+            ]
+    assert found == []
+
+
 def test_fresh_verify_loads_no_scipy():
     code = (
         "import sys; import heatzeta.cli as cli; "

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from heatzeta import graphs as G
-from heatzeta import heat_graph
+from heatzeta import bessel, heat_graph
 from heatzeta.bessel import bessel_i, building_block, certified_truncation, log_building_blocks
 from heatzeta.heat_graph import (
     DENSE_EIGEN_CAP,
@@ -341,7 +341,7 @@ class TestChebyshevGrid:
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(
-                heat_graph, "log_building_blocks",
+                bessel, "log_building_blocks",
                 lambda *args: calls.append(args) or log_building_blocks(*args),
             )
             rows = heat_kernel_chebyshev_row(g, x0, GRID)
@@ -360,9 +360,9 @@ class TestChebyshevGrid:
         expected = [heat_kernel_chebyshev_row(g, x0, t).tobytes() for t in grid]
         tops = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(heat_graph, "_PASS_WEIGHTS", 1000)
+            mp.setattr(bessel, "_GRID_ENTRIES", 1000)
             mp.setattr(
-                heat_graph, "log_building_blocks",
+                bessel, "log_building_blocks",
                 lambda *args: tops.append(len(args[2])) or log_building_blocks(*args),
             )
             rows = heat_kernel_chebyshev_row(g, x0, grid)
@@ -492,7 +492,7 @@ class TestGridRows:
 
         x0 = data.draw(st.integers(0, g.n_vertices - 1))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(heat_graph, "log_building_blocks", one_block)
+            mp.setattr(bessel, "log_building_blocks", one_block)
             row = heat_kernel_rows(g, x0, [2.0])[0]
             block = heat_kernel_rows(g, None, [2.0])[0]
         expected_row = [b / q**m for b in b_coefficients(g, x0, M)[m]]
@@ -543,21 +543,28 @@ class TestGridRows:
     def test_long_grid_runs_in_passes(self, g, data):
         x0 = data.draw(st.integers(0, g.n_vertices - 1))
         grid = GRID + (0.1, 200.0)
-        orders = {t: series_truncation_order(g.regularity(), t, 1e-10) for t in grid}
-        cap = 2 * (orders[200.0] + 1)
+        q = g.regularity()
+        orders = {t: series_truncation_order(q, t, 1e-10) for t in grid}
+        # ratios, margins included, of two calls of t = 200 alone
+        cap = 2 * (orders[200.0] + bessel._miller_margin(q, orders[200.0], 200.0) + 1)
         expected = [heat_kernel_rows(g, x0, [t])[0].tobytes() for t in grid]
         passes = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(heat_graph, "_PASS_WEIGHTS", cap)
-            original = heat_graph._rows_pass
+            mp.setattr(bessel, "_GRID_ENTRIES", cap)
             mp.setattr(
-                heat_graph, "_rows_pass", lambda *args: passes.append(args[3]) or original(*args)
+                bessel, "log_building_blocks",
+                lambda *args: passes.append(args[2]) or log_building_blocks(*args),
             )
             rows = heat_kernel_rows(g, x0, grid)
-        assert len(passes) > 1
-        for ts in passes:
+            row_passes = passes[:]
+            values = diagonal_tree_decomposition(g, x0, grid)
+        assert len(row_passes) > 1
+        for ts in row_passes:
             assert len(ts) * (max(orders[t] for t in ts) + 1) <= cap
         assert [row.tobytes() for row in rows] == expected
+        # the diagonal reads its blocks through the same passes, its tree table's included
+        assert len(passes) - len(row_passes) > 2
+        assert values == [diagonal_tree_decomposition(g, x0, t) for t in grid]
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 6])
@@ -604,6 +611,27 @@ def test_weights_sum_to_at_most_one(q):
 def test_time_validated(route, t):
     with pytest.raises(ValueError, match="t must be finite and >= 0, got"):
         route(G.builtin_graph("k4"), t)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda g: log_building_blocks(g.regularity(), 5, []),
+        lambda g: heat_kernel_rows(g, 0, []),
+        lambda g: heat_kernel_rows(g, None, []),
+        lambda g: heat_kernel_chebyshev_row(g, 0, []),
+        lambda g: heat_kernel_series_row(g, 0, []),
+        lambda g: heat_kernel_series(g, 0, 1, []),
+        lambda g: heat_kernel_spectral(g, 0, 1, []),
+        lambda g: diagonal_tree_decomposition(g, 0, []),
+        lambda g: tree_heat_kernels(g.regularity(), [], range(3)),
+        lambda g: tree_heat_kernel(g.regularity(), [], 0),
+    ],
+    ids=["blocks", "rows", "rows_all", "chebyshev_row", "series_row", "series_entry",
+         "spectral", "diagonal", "tree", "tree_entry"],
+)
+def test_empty_grid_gives_an_empty_result(route):
+    assert len(route(G.builtin_graph("k4"))) == 0
 
 
 @pytest.mark.parametrize("t", [3000.0, 60000.0])

@@ -3,7 +3,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from heatzeta import bessel, heat_tree
+from heatzeta import bessel
 from heatzeta.bessel import MAX_RECURRENCE, bessel_i, bessel_i_scaled, building_block
 from heatzeta.heat_tree import (
     horocycle_solution,
@@ -199,14 +199,14 @@ class TestRows:
         # before rounding: bitwise here, the cuts and tail bounds by construction
         grid = [0.0, 0.1, 3.0, 0.5, 20.0, 3.0]
         calls = []
-        original = heat_tree.log_building_blocks
+        original = bessel.log_building_blocks
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(heat_tree, "log_building_blocks", counted)
+            mp.setattr(bessel, "log_building_blocks", counted)
             tables = tree_heat_kernels(q, grid, range(31), 1e-10)
         assert len(calls) == 1
         assert tables == [tree_heat_kernels(q, t, range(31), 1e-10) for t in grid]
@@ -215,18 +215,16 @@ class TestRows:
         # a cap that holds two of these times at a time: three calls, the same table
         grid = [0.1, 0.5, 1.0, 2.0, 3.0]
         expected = tree_heat_kernels(3, grid, range(31))
+        top = max(v.truncation_index * 2 + v.r for row in expected for v in row)
+        width = top + bessel._miller_margin(3, top, max(grid)) + 1
         passes = []
-        original = heat_tree._grid_passes
-
-        def capped(q, tops, times):
-            width = max(tops) + bessel._miller_margin(q, max(tops), max(times)) + 1
-            parts = list(original(q, tops, times, 2 * width))
-            passes.append([len(times[part]) for part in parts])
-            return parts
-
-        monkeypatch.setattr(heat_tree, "_grid_passes", capped)
+        original = bessel.log_building_blocks
+        monkeypatch.setattr(bessel, "_GRID_ENTRIES", 2 * width)
+        monkeypatch.setattr(
+            bessel, "log_building_blocks", lambda *args: passes.append(len(args[2])) or original(*args)
+        )
         tables = tree_heat_kernels(3, grid, range(31))
-        assert passes == [[2, 2, 1]]
+        assert passes == [2, 2, 1]
         assert [v.value for row in tables for v in row] == pytest.approx(
             [v.value for row in expected for v in row], rel=1e-15, abs=0.0
         )

@@ -139,6 +139,21 @@ def test_g_transform_of_blocks_catches_a_shifted_block(monkeypatch):
     assert not verify.check_g_transform_building_blocks().passed
 
 
+def test_a_shifted_block_evaluator_reaches_every_route(monkeypatch):
+    # the tree and graph routes read their blocks through bessel._grid_passes, which
+    # calls the evaluator at call time: 1e-7 in every ln B fails the checks built on them
+    checks = [
+        lambda: verify.check_tree_formula_agreement((2,)),
+        lambda: verify.check_tree_heat_equation((2,)),
+        lambda: verify.check_horocycle_transform((2,)),
+        lambda: verify.check_diagonal_decomposition(K4),
+    ]
+    assert all(check().passed for check in checks)
+    original = bessel.log_building_blocks
+    monkeypatch.setattr(bessel, "log_building_blocks", lambda q, M, t: original(q, M, t) + 1e-7)
+    assert not any(check().passed for check in checks)
+
+
 def test_diagonal_decomposition_catches_a_shifted_series_row(monkeypatch):
     # the Bessel-series diagonal, the paper's side of the identity, is checked on its own
     assert verify.check_diagonal_decomposition(K4).passed
