@@ -15,18 +15,28 @@ Counting functions, all relative to a base vertex x0:
 * pi_k: prime geodesic classes of length k.
 
 Routes.  This module is the integer counting engine: the three-term
-non-backtracking recursion run on integer arrays (``_geodesic_matrices``)
-through one gather (``_adjacency_gather``) over the neighbour table that
-each graph builds once (``Graph.neighbours``).  One indicator column gives
-c_k(x) for one base vertex, the identity gives every base vertex at once,
-and the traces give the loop totals behind N_k (the integer form of the
-Ihara-Bass identity).  ``count_table`` runs the identity
-once and, beside it, the gather on the indicator of x0 for the walks a_k.
-Arrays are int64 only while a proved bound (``_int64_safe``, and the walk
-bound at ``count_table``) shows no entry can overflow, and dtype=object
-(Python ints) above it; every value leaves the engine as a Python int, so
-results are exact at any length.  ``heat_graph`` builds the heat
-coefficients b_m from the engine's c_k by their definition.
+non-backtracking recursion C_k = P_k(A) run on integer arrays
+(``_geodesic_matrices``) through one gather (``_adjacency_gather``) over the
+neighbour table that each graph builds once (``Graph.neighbours``).  One
+indicator column gives c_k(x) for one base vertex, and the identity gives
+every base vertex at once.  The loop totals behind N_k are the traces
+tr C_k (the integer form of the Ihara-Bass identity), and ``_loop_counts``
+takes every one up to K, with the entry C_k[x0, x0], from one run of the
+identity to R = ceil(K/2): above R the product rule of Cartier (1973) and
+Lubotzky-Phillips-Sarnak (1988) reads tr C_k from the Frobenius product
+<C_r, C_s>, r + s = k, and the lower traces.  The split rule
+(``_half_order``): R = ceil(K/2) while a proved bound shows every product
+fits int64, and R = K above it, where the traces are the diagonals of the
+full recursion, as Python-int products would cost more than the steps they
+save.  The identity runs in column panels of b = max(1, _PANEL_ENTRIES // n)
+columns, one at a time, so memory is O(n b), not n x n arrays.
+``count_table`` runs ``_loop_counts`` once and, beside it, the gather on
+the indicator of x0 for the walks a_k.  Arrays are int64 only while a
+proved bound (``_int64_safe``, ``_half_order``, and the walk bound at
+``count_table``) shows no number can overflow, and dtype=object (Python
+ints) above it; every value leaves the engine as a Python int, so results
+are exact at any length.  ``heat_graph`` builds the heat coefficients b_m
+from the engine's c_k by their definition.
 The edge-transfer recursion ``geodesic_counts``, the depth-first census
 ``enumerate_geodesic_counts`` and the explicit enumerations are oracles:
 ``verify`` and the tests compare the engine against them, and no
@@ -39,6 +49,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -79,14 +90,17 @@ class Graph:
     n_vertices: int
     origin: tuple[int, ...]
     terminus: tuple[int, ...]
-    # out_edges[v]: edge indices leaving v, built once at construction
+    # out_edges[v]: edge indices leaving v, and the sorted set of the vertex
+    # degrees, both built once at construction
     out_edges: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    degrees: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         out: list[list[int]] = [[] for _ in range(self.n_vertices)]
         for e, u in enumerate(self.origin):
             out[u].append(e)
         object.__setattr__(self, "out_edges", tuple(tuple(es) for es in out))
+        object.__setattr__(self, "degrees", tuple(sorted({len(es) for es in out})))
 
     @property
     def n_edges(self) -> int:
@@ -100,10 +114,9 @@ class Graph:
 
     def regularity(self) -> int:
         """Return q such that every vertex has degree q+1, else raise."""
-        degrees = {self.degree(v) for v in range(self.n_vertices)}
-        if len(degrees) != 1:
-            raise GraphError(f"graph is not regular: degrees {sorted(degrees)}")
-        d = degrees.pop()
+        if len(self.degrees) != 1:
+            raise GraphError(f"graph is not regular: degrees {list(self.degrees)}")
+        d = self.degrees[0]
         if d < 2:
             raise GraphError(f"degree {d} < 2: no q >= 1 exists")
         return d - 1
@@ -111,9 +124,13 @@ class Graph:
     @cached_property
     def neighbours(self) -> np.ndarray:
         """The (n, q+1) neighbour table of a regular graph, read-only: row v holds
-        the termini of out_edges[v].  Built on first use and kept on the graph, which
-        is frozen; it is no field, so equality and the hash ignore it."""
-        table = np.array([[self.terminus[e] for e in es] for es in self.out_edges])
+        the termini of out_edges[v], taken by one index of the terminus array by the
+        out-edges in order.  Column-major, so each column that the counting
+        engine's gather reads is contiguous.  Built on first use and kept on the
+        graph, which is frozen; it is no field, so equality and the hash ignore it."""
+        q = self.regularity()
+        order = np.fromiter(chain.from_iterable(self.out_edges), np.intp, self.n_edges)
+        table = np.asfortranarray(np.array(self.terminus)[order].reshape(self.n_vertices, q + 1))
         table.flags.writeable = False
         return table
 
@@ -292,17 +309,50 @@ def _int64_safe(q: int, K: int) -> bool:
     return (q + 1) ** 2 * q ** max(K - 2, 0) < 2**63
 
 
+def _half_order(n: int, q: int, K: int) -> int:
+    """The order R to which _loop_counts runs the recursion for the traces up to K:
+    ceil(K/2) while no Frobenius product of the product rule can overflow int64, else K.
+
+    Each product is <C_r, C_s> = sum_{x,y} C_r[x, y] C_s[x, y] with r + s = k <= K
+    and r, s >= 1, summed in int64 over one column panel (or one column).  Its
+    terms are nonnegative, so every partial sum is at most the whole.  Column y
+    of C_s sums to (q+1) q^{s-1}, the geodesics of length s from y, and every
+    entry of C_r is at most (q+1) q^{r-1} (_int64_safe), so one column's terms
+    sum to at most (q+1)^2 q^{k-2} and the n columns to n (q+1)^2 q^{K-2}: the
+    test below.  Panels are summed as Python ints.  The recursion's own numbers
+    to R <= K are smaller, so _int64_safe(q, R) holds as well.  Above the
+    bound Python-int products would cost more than the steps they save, and
+    the traces come from the diagonals of the full recursion (R = K).
+    """
+    return (K + 1) // 2 if n * (q + 1) ** 2 * q ** max(K - 2, 0) < 2**63 else K
+
+
 def _adjacency_gather(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
-    """M -> A M in M's dtype, a gather over g.neighbours, g regular."""
-    nbr = g.neighbours
+    """M -> A M in M's dtype, a gather over g.neighbours, g regular: the rows of M
+    at each column of the table, added in column order."""
+    first, *rest = g.neighbours.T
 
     def apply_a(m: np.ndarray) -> np.ndarray:
-        out = m[nbr[:, 0]]
-        for j in range(1, nbr.shape[1]):
-            out += m[nbr[:, j]]
+        out = m.take(first, axis=0)
+        for column in rest:
+            out += m.take(column, axis=0)
         return out
 
     return apply_a
+
+
+def _recursion(g: Graph, start: np.ndarray, K: int) -> Iterator[np.ndarray]:
+    """Yield C_k X, k = 0..K, for the start X = start (rows are vertices), in its dtype."""
+    q = g.regularity()
+    apply_a = _adjacency_gather(g)
+    prev = cur = start
+    yield cur
+    for k in range(1, K + 1):
+        nxt = apply_a(cur)
+        if k >= 2:
+            nxt -= (q + 1 if k == 2 else q) * prev
+        prev, cur = cur, nxt
+        yield cur
 
 
 def _geodesic_matrices(g: Graph, K: int, x0: int | None = None) -> Iterator[np.ndarray]:
@@ -315,24 +365,72 @@ def _geodesic_matrices(g: Graph, K: int, x0: int | None = None) -> Iterator[np.n
     (q+1)-regular graph of this module.
     The dtype is int64 where _int64_safe allows it and object otherwise.
     """
-    q = g.regularity()
     n = g.n_vertices
-    dtype = np.int64 if _int64_safe(q, K) else object
-    apply_a = _adjacency_gather(g)
+    dtype = np.int64 if _int64_safe(g.regularity(), K) else object
     if x0 is None:
-        cur = np.zeros((n, n), dtype)
-        cur[np.arange(n), np.arange(n)] = 1
+        start = np.eye(n, dtype=dtype)
     else:
-        cur = np.zeros(n, dtype)
-        cur[x0] = 1
-    prev = cur
-    yield cur
-    for k in range(1, K + 1):
-        nxt = apply_a(cur)
-        if k >= 2:
-            nxt -= (q + 1 if k == 2 else q) * prev
-        prev, cur = cur, nxt
-        yield cur
+        start = np.zeros(n, dtype)
+        start[x0] = 1
+    yield from _recursion(g, start, K)
+
+
+# entries of one column panel of the X = I recursion in _loop_counts (1 MB in int64)
+_PANEL_ENTRIES = 2**17
+
+
+def _loop_counts(g: Graph, K: int, x0: int | None = None) -> tuple[list[int], list[int]]:
+    """(tr C_k, C_k[x0, x0]) for k = 0..K from one run of the X = I recursion to
+    R = _half_order(n, q, K); the second list is zeros when x0 is None.
+
+    For k > R, with s = k // 2 and r = k - s, the product rule for r >= s >= 1,
+    C_r C_s = C_k + (q-1) sum_{j=1}^{s-1} q^{j-1} C_{k-2j} + c C_{r-s}, c = q^s
+    for r > s and (q+1) q^{s-1} for r = s (Cartier 1973; Lubotzky, Phillips and
+    Sarnak 1988), gives tr C_k from tr(C_r C_s) = <C_r, C_s>, a Frobenius
+    product as C_k is symmetric, and the lower traces (_from_products).  The
+    entry (x0, x0) follows the same rule with <C_r[:, x0], C_s[:, x0]>.  X = I
+    runs in column panels of max(1, _PANEL_ENTRIES // n) columns, one at a time;
+    each step adds its panel's share of the diagonal (k <= R) and of the two
+    products <C_k, C_k> (for 2k) and <C_k, C_{k-1}> (for 2k - 1) that the
+    traces above R read, so memory is a few panels, not n x n arrays.
+    """
+    q, n = g.regularity(), g.n_vertices
+    R = _half_order(n, q, K)
+    dtype = np.int64 if _int64_safe(q, R) else object
+    totals, at_x0 = [0] * (K + 1), [0] * (K + 1)
+    width = max(1, _PANEL_ENTRIES // n)
+    for first in range(0, n, width):
+        panel = np.eye(n, min(width, n - first), -first, dtype)  # columns first, first + 1, ...
+        col = x0 - first if x0 is not None and 0 <= x0 - first < panel.shape[1] else None
+        prev = panel
+        for k, cur in enumerate(_recursion(g, panel, R)):
+            totals[k] += sum(cur.diagonal(-first).tolist())
+            if col is not None:
+                at_x0[k] = int(cur[x0, col])
+            for j, other in ((2 * k - 1, prev), (2 * k, cur)):
+                if R < j <= K:
+                    totals[j] += int(np.vdot(cur, other))
+                    if col is not None:
+                        at_x0[j] = int(np.dot(cur[:, col], other[:, col]))
+            prev = cur
+    return _from_products(totals, q, R), _from_products(at_x0, q, R)
+
+
+def _from_products(raw: list[int], q: int, R: int) -> list[int]:
+    """tr C_k for k = 0..K from raw[k] = tr C_k (k <= R) and <C_r, C_s> (k > R).
+
+    The product rule of _loop_counts reads tr C_k = <C_r, C_s> - (q-1) U_k - c tr C_{r-s},
+    with U_k = sum_{j=1}^{s-1} q^{j-1} tr C_{k-2j}, carried as U_2 = U_3 = 0
+    and U_{k+2} = tr C_k + q U_k, so each k costs a few Python ints.
+    """
+    traces, tails = list(raw), [0, 0]  # tails[k % 2] = U_k
+    for k in range(2, len(traces)):
+        s = k // 2
+        if k > R:
+            c = q**s if k % 2 else (q + 1) * q ** (s - 1)
+            traces[k] -= (q - 1) * tails[k % 2] + c * traces[k % 2]
+        tails[k % 2] = traces[k] + q * tails[k % 2]
+    return traces
 
 
 def closed_geodesics_at_vertex(g: Graph, x0: int, K: int) -> list[int]:
@@ -356,12 +454,12 @@ def _closed_from_loops(c_loops: list[int], q: int, base_zero: int) -> list[int]:
 def closed_geodesics_total(g: Graph, K: int) -> list[int]:
     """N_k: closed geodesics of length k over all starting vertices.
 
-    Uses c_k = tr C_k, the geodesic loops summed over base vertices, and
-    the same alternating-tail recursion; N_0 is set to the vertex count by
-    the zero-path convention but never enters a zeta coefficient.
+    Uses c_k = tr C_k, the geodesic loops summed over base vertices, from
+    _loop_counts, and the same alternating-tail recursion; N_0 is set to the
+    vertex count by the zero-path convention but never enters a zeta
+    coefficient.
     """
-    c_total = [sum(c.diagonal().tolist()) for c in _geodesic_matrices(g, K)]
-    return _closed_from_loops(c_total, g.regularity(), g.n_vertices)
+    return _closed_from_loops(_loop_counts(g, K)[0], g.regularity(), g.n_vertices)
 
 
 def mobius(m: int) -> int:
@@ -573,8 +671,8 @@ def check_vertex_transitive(g: Graph) -> tuple[bool | None, dict[int, list[int]]
 def count_table(g: Graph, x0: int, K: int) -> CountTable:
     """The counts of analyze for one base vertex from one run of the counting engine.
 
-    The identity run gives c_k(x0) (entry (x0, x0)) and the loop totals (the
-    traces); beside it the gather carries the walk vector A^k e_{x0}.  The
+    One run of _loop_counts gives c_k(x0) (entry (x0, x0)) and the loop totals
+    (the traces); beside it the gather carries the walk vector A^k e_{x0}.  The
     walks of length k from x0 number (q+1)^k, which bounds every entry and
     partial sum of that vector, so it is int64 while (q+1)^K < 2^63 and
     dtype=object above.
@@ -587,13 +685,11 @@ def count_table(g: Graph, x0: int, K: int) -> CountTable:
     apply_a = _adjacency_gather(g)
     walks = np.zeros(g.n_vertices, np.int64 if (q + 1) ** K < 2**63 else object)
     walks[x0] = 1
-    a0, c0, c_total = [], [], []
-    for k, mat in enumerate(_geodesic_matrices(g, K)):
-        if k:
-            walks = apply_a(walks)
+    a0 = [1]
+    for _ in range(K):
+        walks = apply_a(walks)
         a0.append(int(walks[x0]))
-        c0.append(int(mat[x0, x0]))
-        c_total.append(sum(mat.diagonal().tolist()))
+    c_total, c0 = _loop_counts(g, K, x0)
     n_total = _closed_from_loops(c_total, q, base_zero=g.n_vertices)
     return CountTable(
         a0=a0,

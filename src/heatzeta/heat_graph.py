@@ -39,6 +39,7 @@ nodes of verify's G-transform check, and the benchmark reads its cache_info().
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
 from typing import Iterable
 
@@ -79,6 +80,15 @@ def laplacian(g: Graph) -> np.ndarray:
     return mat
 
 
+def _require_dense_eigensolve(g: Graph) -> None:
+    """ValueError above DENSE_EIGEN_CAP vertices, before any eigen-solve."""
+    if g.n_vertices > DENSE_EIGEN_CAP:
+        raise ValueError(
+            f"{g.n_vertices} vertices exceeds the dense eigen-solve cap "
+            f"({DENSE_EIGEN_CAP}); use the series or ODE routes"
+        )
+
+
 @lru_cache(maxsize=1)
 def spectral_data(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Dense symmetric eigen-solve of the Laplacian as numpy's named eigh result:
@@ -86,11 +96,7 @@ def spectral_data(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     1/n weighting is applied anywhere, which is the normalization pinned down
     by the t = 0 initial condition of the heat kernel.  Refused above
     DENSE_EIGEN_CAP vertices."""
-    if g.n_vertices > DENSE_EIGEN_CAP:
-        raise ValueError(
-            f"{g.n_vertices} vertices exceeds the dense eigen-solve cap "
-            f"({DENSE_EIGEN_CAP}); use the series or ODE routes"
-        )
+    _require_dense_eigensolve(g)
     result = np.linalg.eigh(laplacian(g))
     # exact for a connected regular graph; eigh's rounding of it would grow like t
     result.eigenvalues[0] = 0.0
@@ -358,19 +364,25 @@ def diagonal_tree_decomposition(g: Graph, x0: int, t, tol: float = 1e-10):
 
     K(t, x0, x0) = K_tree(t, 0) + e^{-(q+1)t} sum_{m>=1} N_m^0 q^{-m/2} I_m(...),
     valid on vertex-transitive graphs (the caller asserts transitivity).  The
-    correction terms are exp(ln N_m^0 + ln B_m): N_m^0 leaves float range
-    from m = 1026 on k4.  A grid runs the counting engine once, to its largest
-    order, and reads its tree values from one grid call and its log blocks
-    through bessel._grid_passes.
+    correction terms are sign(N_m^0) exp(ln |N_m^0| + ln B_m): N_m^0 leaves
+    float range from m = 1026 on k4, and off transitive graphs the formula
+    N_m^0 of closed_geodesics_at_vertex can be negative, so the sum is total.
+    A grid runs the counting engine once, to its largest order, takes each
+    ln |N_m^0| once, and reads its tree values from one grid call and its log
+    blocks through bessel._grid_passes.
     """
     times, grid = _check_times(t)
     q = g.regularity()
     tree_parts = tree_heat_kernel(q, times, 0, tol)
     orders = [series_truncation_order(q, x, tol) for x in times]
     n0 = closed_geodesics_at_vertex(g, x0, max(orders, default=0))
+    # (m, sign, ln |N_m^0|) of the nonzero counts, in order of m
+    signed_logs = [(m, -1.0 if c < 0 else 1.0, math.log(abs(c))) for m, c in enumerate(n0) if m and c]
     values = []
     for part, blocks in _grid_passes(q, orders, times):
         for tree_part, log_blocks, M in zip(tree_parts[part], blocks, orders[part]):
-            terms = [math.exp(math.log(n0[m]) + log_blocks[m]) for m in range(1, M + 1) if n0[m]]
+            row = log_blocks.tolist()
+            upto = bisect_right(signed_logs, M, key=lambda entry: entry[0])
+            terms = [sign * math.exp(ln + row[m]) for m, sign, ln in signed_logs[:upto]]
             values.append(tree_part.value + math.fsum(terms))
     return values if grid else values[0]

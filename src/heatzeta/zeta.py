@@ -39,7 +39,7 @@ import numpy as np
 
 from heatzeta.bessel import QuadratureError, _check_q, _nested_trapezoid
 from heatzeta.graphs import Graph
-from heatzeta.heat_graph import b_coefficients, spectral_data
+from heatzeta.heat_graph import _require_dense_eigensolve, b_coefficients, laplacian, spectral_data
 from heatzeta.series import PowerSeries
 
 __all__ = [
@@ -112,13 +112,14 @@ def _determinant_order_limit(n: int, q: int, M: int) -> int | None:
     times U_{m-k} = sum_{i<=m-k} beta^i beta'^{m-k-i}, and ds_m/dalpha = m U_{m-1}:
     |U_j| is about q^j for real roots far apart (alpha = -(q+1), bipartite) and
     (j+1) q^{j/2} where they meet (alpha = -2 sqrt(q), an even cycle's
-    eigenvalue 4).  eigh's eigenvalue errors of a few eps and each step's
+    eigenvalue 4).  eigvalsh's eigenvalue errors of a few eps and each step's
     rounding of eps/2 (q+1) q^{k-1} so add up to a few eps m (q^m + m q^{m/2})
     per power sum.  Worst-case alignment would make c a few tens; c = 8 is
-    five times the largest measured ratio to eps n m (q^m + m q^{m/2}): 1.5
-    (c8, m = 1) on c3-c20 to order 2000 and k4, petersen, cube, k33 to 60,
-    0.83 on seeded random 3-, 4- and 6-regular graphs.  Against eps n m q^m
-    alone the even cycles reach 250-1000.
+    more than five times the largest measured ratio to eps n m (q^m + m q^{m/2})
+    under eigvalsh: 1.34 (k33, m = 54) on c3-c20 to order 2000, k4, petersen,
+    cube and k33 to 60, and eight seeded random 3- and 4-regular graphs on 64
+    vertices to 200 (0.92 at most there).  Against eps n m q^m alone c4, c6,
+    c10 and c16 reach 250-1334.
     """
 
     def bound(m: int) -> float:  # increasing in m: the search stops before q^m leaves float range
@@ -136,13 +137,15 @@ def ihara_determinant_series(g: Graph, M: int) -> PowerSeries:
 
         m [u^m] log zeta^{Ih} = sum_j s_m(alpha_j) + n (q - 1) [m even].
 
-    Coefficients are floats (they come through the eigen-solve); use
-    recover_counts to round them back to the integers N_m.  ValueError,
+    Coefficients are floats (they come through the eigen-solve, eigenvalues
+    only, numpy's eigvalsh of the Laplacian with lambda_0 = 0 set exactly);
+    use recover_counts to round them back to the integers N_m.  ValueError,
     before the eigen-solve, from the first order where the rounding bound
-    of _determinant_order_limit reaches 1/2; below it |s_m| <= 2 q^m stays
-    far inside float range.  An admitted order is pinned only to within
-    1/2: k33 at order 40 is off by 3.9e-2, and from order 26 on k33
-    misses the 1e-6 guard of recover_counts.
+    of _determinant_order_limit reaches 1/2 (below it |s_m| <= 2 q^m stays
+    far inside float range), then above DENSE_EIGEN_CAP vertices.  An
+    admitted order is pinned only to within 1/2: k33 at order 40 is off by
+    7.8e-2 and cube at 39 by 3.8e-2, and from order 25 on both miss the 1e-6
+    guard of recover_counts.
     """
     n = g.n_vertices
     q = g.regularity()
@@ -153,7 +156,10 @@ def ihara_determinant_series(g: Graph, M: int) -> PowerSeries:
             f"{_DETERMINANT_ROUNDING} eps n m (q^m + m q^(m/2)) reaches 1/2, so it cannot "
             f"resolve N_m; use order {limit - 1} or less"
         )
-    alphas = (q + 1.0) - spectral_data(g).eigenvalues
+    _require_dense_eigensolve(g)
+    eigenvalues = np.linalg.eigvalsh(laplacian(g))
+    eigenvalues[0] = 0.0  # exact for a connected regular graph
+    alphas = (q + 1.0) - eigenvalues
     s_prev = np.full_like(alphas, 2.0)  # s_0 = 2 roots
     s_cur = alphas.copy()  # s_1
     coeffs = [0.0, float(np.sum(s_cur))]

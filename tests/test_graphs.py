@@ -1,12 +1,17 @@
+import contextlib
 import dataclasses
+import importlib.util
+import io
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatzeta import cli
 from heatzeta import graphs as G
 from heatzeta.graphs import GraphError
 from strategies import regular_multigraphs
@@ -287,6 +292,33 @@ class TestNeighbourTable:
         with pytest.raises(ValueError):
             g.neighbours
 
+    @given(g=regular_multigraphs())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_are_the_out_edges_in_order(self, g):
+        # self-loops and multi-edges repeat, in out_edges' order
+        expected = [[g.terminus[e] for e in es] for es in g.out_edges]
+        assert g.neighbours.tolist() == expected
+
+
+class TestDegrees:
+    @pytest.mark.parametrize(
+        "text, degrees", [(IRREGULAR["path"], (1, 2)), (IRREGULAR["star"], (1, 4)), ("0 1\n", (1,))]
+    )
+    def test_irregular_and_degree_one_graphs_refused(self, text, degrees):
+        g = G.load_graph(text)
+        assert g.degrees == degrees
+        match = "degree 1 < 2" if len(degrees) == 1 else rf"not regular: degrees \[{degrees[0]}, "
+        with pytest.raises(GraphError, match=match):
+            g.regularity()
+
+    def test_built_once_outside_equality_hash_and_repr(self):
+        g = G.load_graph("0 0\n0 1\n0 1\n1 1\n")
+        assert g.degrees == (4,) and g.regularity() == 3
+        h = G.Graph(g.n_vertices, g.origin, g.terminus)
+        assert g == h and hash(g) == hash(h)
+        assert "degrees" not in repr(g)
+        assert "degrees" not in [f.name for f in dataclasses.fields(g) if f.compare or f.init]
+
 
 def engine_rows(g, x0, K):
     """c_k(x) for k = 0..K from the counting engine's indicator column, as lists."""
@@ -439,6 +471,111 @@ class TestCountingEngine:
         assert "out_edges" not in repr(g)
         assert g == G.Graph(g.n_vertices, g.origin, g.terminus)
         assert hash(g) == hash(G.Graph(g.n_vertices, g.origin, g.terminus))
+
+
+def full_recursion_loops(g, K, x0=0):
+    """tr C_k and C_k[x0, x0], k = 0..K, from every step of the full-length X = I
+    recursion: the trace loop the engine ran before the half route."""
+    totals, at_x0 = [], []
+    for mat in G._geodesic_matrices(g, K):
+        totals.append(sum(mat.diagonal().tolist()))
+        at_x0.append(int(mat[x0, x0]))
+    return totals, at_x0
+
+
+def assert_half_route_is_the_oracle(g, K, x0=0, oracle=None):
+    """closed_geodesics_total and count_table against the full recursion, whose
+    run to a larger order may be passed as oracle (every prefix is its own run)."""
+    q = g.regularity()
+    totals, at_x0 = oracle or full_recursion_loops(g, K, x0)
+    n_total = G._closed_from_loops(totals[: K + 1], q, base_zero=g.n_vertices)
+    assert G.closed_geodesics_total(g, K) == n_total
+    table = G.count_table(g, x0, K)
+    assert table.c0 == at_x0[: K + 1]
+    assert table.n0 == G._closed_from_loops(at_x0[: K + 1], q, base_zero=1)
+    assert table.n_total == n_total
+    assert all_python_ints(n_total + table.c0)
+
+
+def benchmark_generator():
+    """perfbench/gen.py, the benchmark's seeded graph generator."""
+    spec = importlib.util.spec_from_file_location(
+        "gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def seeded_graph(n, d, K):
+    return random_regular_graph(n, d, random.Random(f"half/{n}/{d}/{K}"))
+
+
+class TestHalfRecursion:
+    """Traces to K from the recursion to ceil(K/2) by the product rule, in panels."""
+
+    @pytest.mark.parametrize("name", ["k4", "c5", "c8", "petersen", "cube", "k33"])
+    def test_builtins_equal_the_full_recursion_to_order_200(self, name):
+        g = G.builtin_graph(name)
+        for x0 in (0, g.n_vertices - 1):
+            oracle = full_recursion_loops(g, 200, x0)
+            for K in range(201):
+                assert_half_route_is_the_oracle(g, K, x0, oracle)
+
+    @given(g=regular_multigraphs(), K=st.integers(0, 70), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_multigraphs_equal_the_full_recursion(self, g, K, data):
+        # self-loops, multi-edges and q = 1 to 4; at n = 8, q = 4 the split is K = 29
+        x0 = data.draw(st.integers(0, g.n_vertices - 1))
+        assert_half_route_is_the_oracle(g, K, x0)
+
+    @pytest.mark.parametrize("n, d, split", [(40, 3, 56), (64, 3, 55), (40, 4, 35), (64, 4, 35)])
+    def test_seeded_graphs_on_both_sides_of_the_split(self, n, d, split):
+        # the last order whose products fit int64, n (q+1)^2 q^{K-2} < 2^63
+        q = d - 1
+        assert G._half_order(n, q, split) == (split + 1) // 2
+        assert G._half_order(n, q, split + 1) == split + 1
+        g = seeded_graph(n, d, split)
+        oracle = full_recursion_loops(g, split + 2, n // 2)
+        for K in (12, split - 1, split, split + 1, split + 2):
+            assert_half_route_is_the_oracle(g, K, n // 2, oracle)
+
+    def test_products_past_int64_take_the_full_recursion(self, tmp_path):
+        # the seeded 4-regular benchmark graph on 200 vertices: half products at
+        # order 60 would pass int64 (analyze printed pi_40 as a negative fraction)
+        path = benchmark_generator().write_regular_graph(tmp_path / "x.json", 200, 4, "x/200/4")
+        g = G.load_graph(path)
+        assert (G._half_order(200, 3, 34), G._half_order(200, 3, 35)) == (17, 35)
+        assert G._half_order(200, 3, 60) == 60
+        assert_half_route_is_the_oracle(g, 60)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["analyze", "--graph", str(path), "--order", "60"]) == 0
+        assert json.loads(out.getvalue())["N_k"] == G.closed_geodesics_total(g, 60)
+
+    @pytest.mark.parametrize("entries", [1, 17, 25])
+    @pytest.mark.parametrize("name", ["k4", "c5", "petersen", "cube", "k33"])
+    def test_panels_give_the_one_panel_totals(self, monkeypatch, name, entries):
+        # widths max(1, entries // n): 1 column, or 2-6 with a shorter last panel
+        g = G.builtin_graph(name)
+        runs = {K: [G.count_table(g, x0, K) for x0 in range(g.n_vertices)] for K in (0, 1, 2, 5, 12, 61)}
+        monkeypatch.setattr(G, "_PANEL_ENTRIES", entries)
+        for K, tables in runs.items():
+            assert [G.count_table(g, x0, K) for x0 in range(g.n_vertices)] == tables
+            assert G.closed_geodesics_total(g, K) == tables[0].n_total
+
+    def test_order_12_runs_six_steps(self, monkeypatch):
+        gathers = []
+        gather = G._adjacency_gather
+
+        def counted(g):
+            apply_a = gather(g)
+            return lambda m: gathers.append(m.shape) or apply_a(m)
+
+        monkeypatch.setattr(G, "_adjacency_gather", counted)
+        g = G.builtin_graph("petersen")
+        assert G.closed_geodesics_total(g, 12)[5] == 120
+        assert gathers == [(10, 10)] * 6
 
 
 class TestClosedGeodesics:

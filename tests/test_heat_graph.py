@@ -800,6 +800,25 @@ class TestDiagonalTreeDecomposition:
             tree_heat_kernel(g.regularity(), t, 0) for t in times
         ]
 
+    def test_negative_formula_counts_enter_with_their_sign(self):
+        # a 4-regular multigraph with a self-loop, not vertex-transitive: the
+        # formula N_m^0 at x0 = 0 reads N_3^0 = -2, whose logarithm once raised
+        g = G.Graph(
+            5,
+            origin=(0, 1, 1, 2, 2, 3, 3, 4, 4, 0, 1, 2, 0, 0, 4, 3, 1, 3, 2, 4),
+            terminus=(1, 0, 2, 1, 3, 2, 4, 3, 0, 4, 2, 1, 0, 0, 3, 4, 3, 1, 4, 2),
+        )
+        q, times = g.regularity(), (0.1, 1.0, 6.0)
+        assert G.closed_geodesics_at_vertex(g, 0, 3)[3] == -2
+        values = diagonal_tree_decomposition(g, 0, times, 1e-11)
+        for t, value in zip(times, values):
+            M = series_truncation_order(q, t, 1e-11)
+            n0 = G.closed_geodesics_at_vertex(g, 0, M)
+            correction = math.fsum(n0[m] * building_block(q, m, t) for m in range(1, M + 1))
+            expected = tree_heat_kernel(q, t, 0, 1e-11).value + correction
+            assert value == pytest.approx(expected, abs=1e-14)
+            assert value == diagonal_tree_decomposition(g, 0, t, 1e-11)
+
     @pytest.mark.parametrize("name,t", [("k4", 0.5), ("petersen", 1.0), ("cube", 0.7)])
     def test_matches_spectral_diagonal(self, name, t):
         g = G.builtin_graph(name)

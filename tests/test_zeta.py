@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from heatzeta import graphs as G
-from heatzeta import zeta
+from heatzeta import heat_graph, zeta
 from heatzeta.bessel import QuadratureError, building_block, log_building_blocks
 from heatzeta.heat_graph import spectral_data
 from heatzeta.zeta import (
@@ -98,8 +98,27 @@ class TestDeterminantFormula:
             raise AssertionError("eigen-solve ran before the refusal")
 
         monkeypatch.setattr(zeta, "spectral_data", eigensolve)
+        monkeypatch.setattr(zeta, "laplacian", eigensolve)
         with pytest.raises(ValueError, match=rf"^order 60: from order {limit} .* use order {limit - 1} or less$"):
             ihara_determinant_series(G.builtin_graph(name), 60)
+
+    def test_eigenvalues_only(self, monkeypatch):
+        # no eigenvectors: the cached eigh of spectral_data is not read
+        def eigensolve(g):
+            raise AssertionError("the determinant route read eigenvectors")
+
+        monkeypatch.setattr(zeta, "spectral_data", eigensolve)
+        g = G.builtin_graph("petersen")
+        assert recover_counts(ihara_determinant_series(g, 12))[1:] == G.closed_geodesics_total(g, 12)[1:]
+
+    def test_dense_cap_refused_before_the_eigensolve(self, monkeypatch):
+        def eigensolve(g):
+            raise AssertionError("eigen-solve ran before the refusal")
+
+        monkeypatch.setattr(heat_graph, "DENSE_EIGEN_CAP", 9)
+        monkeypatch.setattr(zeta, "laplacian", eigensolve)
+        with pytest.raises(ValueError, match=r"^10 vertices exceeds the dense eigen-solve cap \(9\); "):
+            ihara_determinant_series(G.builtin_graph("petersen"), 12)
 
     def test_guard_rejects_noise(self):
         from heatzeta.series import PowerSeries
