@@ -176,12 +176,14 @@ def bessel_i_quadrature(N: int, t: float) -> np.ndarray:
 
 
 class QuadratureError(RuntimeError):
-    """The trapezoid rule missed its error guard; r is the first row (radius or order) that did."""
+    """The trapezoid rule missed its error guard; r is the first row (radius or order) that
+    did, and t its time where the rows of a grid of times shared the rule (else None)."""
 
-    def __init__(self, r: int, reason: str):
-        super().__init__(f"r = {r}: {reason}")
+    def __init__(self, r: int, reason: str, t: float | None = None):
+        super().__init__(f"r = {r}: {reason}" if t is None else f"t = {t}, r = {r}: {reason}")
         self.r = r
         self.reason = reason
+        self.t = t
 
 
 def _nested_trapezoid(integrand, rows: np.ndarray, scale, tol: float, start: float, ends=0.0):
@@ -389,6 +391,13 @@ def log_building_blocks(q: int, M: int, t) -> np.ndarray:
     return blocks if grid else blocks[0]
 
 
+def _log_bound(q: int, t: float):
+    """m -> log_block_bound(q, m, t), its m-free terms computed once."""
+    log_q, tau = math.log(q), 2.0 * math.sqrt(q) * t
+    decay, half_log_tau = (math.sqrt(q) - 1.0) ** 2 * t, 0.5 * math.log(tau)
+    return lambda m: -0.5 * m * log_q - decay - half_log_tau - 0.5 * m * math.log1p(m / tau)
+
+
 def log_block_bound(q: int, m: int, t: float) -> float:
     """ln of a bound on building_block(q, m, t), t > 0, in float range for every m.
 
@@ -396,13 +405,26 @@ def log_block_bound(q: int, m: int, t: float) -> float:
     uniform bound on e^{-tau} I_m(tau), tau = 2 sqrt(q) t: it falls in m and
     is concave in m, as m ln(1 + m/tau) is convex.
     """
-    tau = 2.0 * math.sqrt(q) * t
-    return (
-        -0.5 * m * math.log(q)
-        - (math.sqrt(q) - 1.0) ** 2 * t
-        - 0.5 * math.log(tau)
-        - 0.5 * m * math.log1p(m / tau)
-    )
+    return _log_bound(q, t)(m)
+
+
+def _log_tail(q: int, t: float, step: int, weight: float, power: float = 0.0):
+    """m -> ln of certified_truncation's tail bound past m (inf before the peak of
+    beta), for weight > 0 and t > 0; beta's m-free terms are computed once."""
+    log_weight, log_q, bound = math.log(weight), math.log(q), _log_bound(q, t)
+
+    def beta(m: int) -> float:
+        return log_weight + power * m * log_q + bound(m)
+
+    def log_tail(m: int) -> float:
+        current, following = beta(m), beta(m + step)
+        if following == -math.inf:  # 1 + m/tau overflows where t is subnormal
+            return -math.inf
+        if following >= current:
+            return math.inf
+        return following - math.log1p(-math.exp(following - current))
+
+    return log_tail
 
 
 def certified_truncation(
@@ -426,19 +448,7 @@ def certified_truncation(
     start = first - step if first >= step else first
     if weight == 0.0 or t == 0.0:
         return start, 0.0
-    log_tol = math.log(tol)
-
-    def beta(m: int) -> float:
-        return math.log(weight) + power * m * math.log(q) + log_block_bound(q, m, t)
-
-    def log_tail(m: int) -> float:
-        current, following = beta(m), beta(m + step)
-        if following == -math.inf:  # 1 + m/tau overflows where t is subnormal
-            return -math.inf
-        if following >= current:
-            return math.inf
-        return following - math.log1p(-math.exp(following - current))
-
+    log_tol, log_tail = math.log(tol), _log_tail(q, t, step, weight, power)
     # lo is uncertified (start - step stands for "no order yet") and hi certified
     lo, width = start - step, step
     while log_tail(lo + width) >= log_tol:

@@ -8,8 +8,11 @@ with B the building block from heatzeta.bessel: tree_heat_kernels reads a
 whole table row per t, and the rows of a grid of times from the passes of
 bessel._grid_passes, as the graph heat routes do.  The second
 route is a pair of classical oscillatory integrals over [0, pi], which
-tree_heat_kernel_integrals evaluates for a whole row per t with the
-package's trapezoid rule, and the third is the horocycle-coordinate solution
+tree_heat_kernel_integrals evaluates for a whole row per t, or for a grid of
+times, with the package's trapezoid rule: the times that the rule would start
+at the same power of two of nodes (max r + 4 sqrt(tau + 1) + 8, tau =
+2 sqrt(q) t) integrate their (t, r) rows on one node set, so the workload grid
+0.1-3 runs one rule and 0.01, 1000 two.  The third is the horocycle-coordinate solution
 of the associated difference-differential equation, the sum of K over a
 horocycle.  The series and its time derivative stop where
 bessel.certified_truncation certifies the tail, and the tail bound is
@@ -17,7 +20,8 @@ reported with each value.  Its tail test reads the order m only, not the
 radius, and once past the peak of the bound it holds for good, so a row
 runs one search per parity p, from p to m*_p, and cuts the radius whose
 lattice starts at start_r, of parity p, at max(start_r, m*_p)
-(_certified_cuts).  The single-radius
+(_certified_cuts), reading the tail bound of each further cut from one
+evaluation of that search's log tail.  The single-radius
 tree_heat_kernel and tree_heat_kernel_integral are one entry of their rows.
 The horocycle solution and the time-derivative row
 tree_heat_kernel_time_derivatives read the scalar building_block (the row
@@ -33,11 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from heatzeta.bessel import (
+    QuadratureError,
     _check_q,
     _check_time,
     _check_times,
     _check_tol,
     _grid_passes,
+    _log_tail,
     _nested_trapezoid,
     building_block,
     certified_truncation,
@@ -72,20 +78,21 @@ def _certified_cuts(
     first where first < 2) and returns the first order m >= s of that parity
     whose tail test holds.  The test reads m only and holds for good past the
     peak of the bound, so that order is max(s, m*_p), with m*_p the end of
-    the search started at p = s % 2.  Where s passes m*_p,
-    certified_truncation started at s certifies it at once and gives its
-    tail bound, once per distinct cut.
+    the search started at p = s % 2.  Where s passes m*_p, certified_truncation
+    started at s would certify it at once: its tail bound is one evaluation of
+    the search's log tail at s (0 for a zero weight or t = 0, which have no tail).
     """
     starts = [first - 2 if first >= 2 else first for first in firsts]
     m_star: dict[int, int] = {}
-    certified: dict[int, tuple[int, float]] = {}
+    certified: dict[int, float] = {}
     for p in {s % 2 for s in starts}:
-        m_star[p], bound = certified_truncation(q, t, tol, p + 2, 2, weight)
-        certified[m_star[p]] = (m_star[p], bound)
+        m_star[p], certified[m_star[p]] = certified_truncation(q, t, tol, p + 2, 2, weight)
     cuts = [max(s, m_star[s % 2]) for s in starts]
-    for cut in set(cuts) - certified.keys():
-        certified[cut] = certified_truncation(q, t, tol, cut + 2, 2, weight)
-    return [certified[cut] for cut in cuts]
+    missing = set(cuts) - certified.keys()
+    if missing and weight != 0.0 and t != 0.0:
+        log_tail = _log_tail(q, t, 2, weight)
+        certified.update((cut, math.exp(log_tail(cut))) for cut in missing)
+    return [(cut, certified.get(cut, 0.0)) for cut in cuts]
 
 
 def tree_heat_kernels(q: int, t, radii, tol: float = 1e-12) -> list:
@@ -160,7 +167,7 @@ def tree_heat_kernel_time_derivatives(q: int, t: float, radii) -> list[float]:
     ]
 
 
-def tree_heat_kernel_integrals(q: int, t: float, radii, tol: float = 1e-10) -> np.ndarray:
+def tree_heat_kernel_integrals(q: int, t, radii, tol: float = 1e-10) -> np.ndarray:
     """K(t, r) for every r in radii by the trapezoid rule on the integral formula
 
         (2 e^{-(q+1)t} / (pi q^{r/2-1})) *
@@ -168,34 +175,56 @@ def tree_heat_kernel_integrals(q: int, t: float, radii, tol: float = 1e-10) -> n
                  / ((q+1)^2 - 4q cos^2 u) du,
 
     at r = 0 the classical (2 q (q+1) e^{-(q+1)t} / pi) int_0^pi e^{2t sqrt(q) cos u}
-    sin^2 u / ((q+1)^2 - 4q cos^2 u) du.  With e^{2t sqrt(q)} moved into the
+    sin^2 u / ((q+1)^2 - 4q cos^2 u) du: a vector, or for a 1-D array t of times a
+    (T, R) array whose row i is for t[i].  With e^{2t sqrt(q)} moved into the
     prefactor, e^{2t sqrt(q)(cos u - 1)} <= 1 stays inside.  The integrand is
     even, 2 pi-periodic, analytic in |Im u| < ln(q)/2 and 0 at 0 and pi, so
     bessel._nested_trapezoid converges geometrically (Trefethen and Weideman,
     SIAM Review 2014) from max r + 4 sqrt(tau + 1) + 8 nodes, tau = 2 sqrt(q) t,
-    which resolve the peak of e^{tau(cos u - 1)}; bessel.QuadratureError names the
-    first r that misses the guard max(tol, 10 tol |value|).  q = 1, where the
-    denominators degenerate, is refused: the series serves it.
+    which resolve the peak of e^{tau(cos u - 1)}.  The times that the rule would
+    start at the same power of two of nodes integrate all their (t, r) rows on one
+    node set, which doubles until every row meets its guard max(tol, 10 tol |value|):
+    one time gets the lone call's bits, and a grid row, summed past the node count
+    its lone call stops at, differs from it within that guard.  bessel.QuadratureError
+    names the first r that misses the guard, and for a grid its time t.  q = 1,
+    where the denominators degenerate, is refused: the series serves it.
     """
     if q < 2:
         raise ValueError("integral route requires q >= 2; use the series for q = 1")
     _check_tol(tol)
-    _check_time(t)
+    times, grid = _check_times(t)
     radii = np.array(list(radii), dtype=int)
     if radii.size and radii.min() < 0:
         raise ValueError("r must be >= 0")
     sq = math.sqrt(q)
-    tau = 2.0 * t * sq
-    # q^{1 - r/2} enters the exponent: q ** (r/2 - 1) alone overflows from r = 2050 at q = 2
-    prefactor = 2.0 * np.exp(-(sq - 1.0) ** 2 * t - (radii / 2.0 - 1.0) * math.log(q)) / math.pi
+    starts = [radii.max(initial=0) + 4.0 * math.sqrt(2.0 * x * sq + 1.0) + 8.0 for x in times]
+    node_sets: dict[int, list[int]] = {}
+    for i, start in enumerate(starts):
+        node_sets.setdefault(math.ceil(math.log2(start)), []).append(i)
+    values = np.empty((len(times), radii.size))
+    for members in node_sets.values():
+        part = np.array([times[i] for i in members])
+        taus = 2.0 * part * sq
+        # q^{1 - r/2} enters the exponent: q ** (r/2 - 1) alone overflows from r = 2050 at q = 2
+        exponents = np.subtract.outer(-(sq - 1.0) ** 2 * part, (radii / 2.0 - 1.0) * math.log(q))
+        prefactor = 2.0 * np.exp(exponents.ravel()) / math.pi
 
-    def integrand(x):
-        cos = np.cos(x)
-        weight = np.exp(tau * (cos - 1.0)) * np.sin(x) / ((q + 1) ** 2 - 4 * q * cos**2)
-        return weight * (q * np.sin(np.outer(radii + 1, x)) - np.sin(np.outer(radii - 1, x)))
+        def integrand(x):
+            cos = np.cos(x)
+            peaks = np.exp(np.multiply.outer(taus, cos - 1.0))
+            weight = peaks * np.sin(x) / ((q + 1) ** 2 - 4 * q * cos**2)
+            waves = q * np.sin(np.outer(radii + 1, x)) - np.sin(np.outer(radii - 1, x))
+            return (weight[:, None, :] * waves).reshape(-1, len(x))
 
-    start = radii.max(initial=0) + 4.0 * math.sqrt(tau + 1.0) + 8.0
-    return _nested_trapezoid(integrand, radii, prefactor, tol, start)
+        rows = np.arange(prefactor.size)  # row i R + j is (t, r) = (part[i], radii[j])
+        try:
+            found = _nested_trapezoid(integrand, rows, prefactor, tol, starts[members[0]])
+        except QuadratureError as exc:
+            i, j = divmod(exc.r, radii.size)
+            when = times[members[i]] if grid else None
+            raise QuadratureError(int(radii[j]), exc.reason, when) from None
+        values[members] = found.reshape(len(members), radii.size)
+    return values if grid else values[0]
 
 
 def tree_heat_kernel_integral(q: int, t: float, r: int, tol: float = 1e-10) -> float:

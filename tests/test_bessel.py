@@ -355,6 +355,37 @@ class TestCertifiedTruncation:
                     below, at, after = _log_terms(q, t, weight, power, np.array([M - step, M, M + step]))
                     assert at >= below or at - math.log1p(-math.exp(at - below)) >= math.log(tol)
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 7, 1000])
+    def test_tail_is_beta_from_log_block_bound_bitwise(self, q):
+        # the search computes beta's m-free terms once per call, in log_block_bound's order
+        def written_out(m, t):
+            tau = 2.0 * math.sqrt(q) * t
+            return (
+                -0.5 * m * math.log(q)
+                - (math.sqrt(q) - 1.0) ** 2 * t
+                - 0.5 * math.log(tau)
+                - 0.5 * m * math.log1p(m / tau)
+            )
+
+        for t in [1e-320, *CERT_TIMES, 1e300]:
+            for weight, power, first, step in _lattices(q):
+                if weight == 0:
+                    continue
+                log_tail = bessel._log_tail(q, t, step, weight, power)
+                for m in [*range(first, first + 60 * step, step), 10**6, 2**52]:
+                    assert log_block_bound(q, m, t) == written_out(m, t)
+                    beta = [
+                        math.log(weight) + power * k * math.log(q) + written_out(k, t)
+                        for k in (m, m + step)
+                    ]
+                    if beta[1] == -math.inf:
+                        expected = -math.inf
+                    elif beta[1] >= beta[0]:
+                        expected = math.inf
+                    else:
+                        expected = beta[1] - math.log1p(-math.exp(beta[1] - beta[0]))
+                    assert log_tail(m) == expected
+
     def test_time_zero_and_zero_weight_have_no_tail(self):
         assert certified_truncation(3, 0.0, 1e-10, 1, 1, 4 / 3, 1.0) == (0, 0.0)
         assert certified_truncation(1, 5.0, 1e-10, 9, 2, 0.0) == (7, 0.0)

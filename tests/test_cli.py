@@ -18,9 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import heatzeta
-from heatzeta import bessel, cli, graphs, heat_graph, zeta
+from heatzeta import bessel, cli, graphs, heat_graph, heat_tree, zeta
 from heatzeta.cli import main
 from strategies import regular_multigraphs
+from test_graphs import column_loop
 from test_heat_graph import chebyshev_error_bound, seeded_regular_edges
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -167,6 +168,28 @@ class TestHeat:
         assert len(json.loads(out)["rows"]) == 5 * 31
         assert [list(args[2]) for args in calls] == [[0.1, 0.5, 1.0, 2.0, 3.0]]
 
+    def test_tree_table_makes_one_integral_call(self, capsys, monkeypatch):
+        # the five times' cross-check rows come from one grid call, on one node set
+        calls, node_sets = [], []
+        integrals, trapezoid = heat_tree.tree_heat_kernel_integrals, heat_tree._nested_trapezoid
+        monkeypatch.setattr(
+            heat_tree, "tree_heat_kernel_integrals",
+            lambda *args: calls.append(args[1]) or integrals(*args),
+        )
+        monkeypatch.setattr(
+            heat_tree, "_nested_trapezoid",
+            lambda *args: node_sets.append(args[4]) or trapezoid(*args),
+        )
+        code, out, err = run(
+            capsys, "heat", "--graph", "tree", "--q", "3", "--order", "30", "--t", "0,0.1,0.5,1,2,3"
+        )
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 6 * 31
+        assert calls == [[0.1, 0.5, 1.0, 2.0, 3.0]] and len(node_sets) == 1
+        # t = 0 keeps no cross-check, every other row one
+        assert [row["cross_check_delta"] is None for row in rows] == [True] * 31 + [False] * 5 * 31
+
     def test_graph_rows_make_one_chebyshev_call(self, capsys, monkeypatch):
         # the grid's cross-check rows come from one recursion and one evaluator call
         calls = []
@@ -224,6 +247,16 @@ class TestHeat:
         assert out == ""
         assert "error: t = 1.0, r = 0: integral cross-check failed" in err
         assert "Traceback" not in err
+
+    def test_tree_grid_cross_check_failure_names_the_time(self, capsys):
+        # the grid's rows share one node set; the first row past the guard names its t
+        code, out, err = run(
+            capsys, "heat", "--graph", "tree", "--q", "2", "--order", "2", "--t", "0,1,0.5",
+            "--tol", "1e-16",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: t = 1.0, r = 0: integral cross-check failed (rounding error")
+        assert len(err.splitlines()) == 1
 
     def test_tree_cross_check_failure_prints_one_line(self):
         # the trapezoid row's error guard decides, and its error: line is all of stderr
@@ -356,6 +389,18 @@ class TestHeat:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert all(row["cross_check_delta"] is None for row in json.loads(out)["rows"])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_graph_rows_are_the_column_loop_rows(self, capsys, tmp_path, monkeypatch, fmt):
+        # the series and Chebyshev recursions gather vectors with one take and one
+        # axis-0 reduction: the same bytes as the column loop matrices keep
+        path = tmp_path / "quartic.json"
+        path.write_text(json.dumps({"vertices": 100, "edges": seeded_regular_edges(100, 4, 9)}))
+        argv = ("heat", "--graph", str(path), "--t", "0.1,20,200", "--format", fmt)
+        expected = run(capsys, *argv)
+        monkeypatch.setattr(heat_graph, "_adjacency_gather", lambda g: lambda m: column_loop(g, m))
+        assert run(capsys, *argv) == expected
+        assert expected[0] == 0 and expected[1].count("\n") > 300
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rows_past_the_dense_cap_carry_a_cross_check(self, capsys, tmp_path, fmt):

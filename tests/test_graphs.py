@@ -300,6 +300,67 @@ class TestNeighbourTable:
         assert g.neighbours.tolist() == expected
 
 
+def column_loop(g, m):
+    """A M as the gather added it for every input before vectors took the whole table:
+    the rows of m at each column of g.neighbours, added in column order."""
+    first, *rest = g.neighbours.T
+    out = m.take(first, axis=0)
+    for column in rest:
+        out += m.take(column, axis=0)
+    return out
+
+
+def gather_inputs(n, seed):
+    """An int64, an object (Python ints past int64) and a float vector, the floats
+    spread over 60 decades so that the order of the additions shows in their bits."""
+    rng = np.random.default_rng(seed)
+    ints = rng.integers(-(2**40), 2**40, n)
+    huge = np.array([x * 2**70 for x in ints.tolist()], dtype=object)
+    return ints, huge, rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+
+
+def assert_gather_is_the_column_loop(g, seed):
+    apply_a = G._adjacency_gather(g)
+    for v in gather_inputs(g.n_vertices, seed):
+        got, want = apply_a(v), column_loop(g, v)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if v.dtype == object:
+            assert [type(x) for x in got.tolist()] == [int] * g.n_vertices
+            assert got.tolist() == want.tolist()
+        else:
+            assert got.tobytes() == want.tobytes()
+
+
+class TestAdjacencyGather:
+    """A vector takes the whole neighbour table at once and adds its rows with one
+    np.add.reduce along axis 0, which adds them in table order: bitwise the loop."""
+
+    @pytest.mark.parametrize("name", ["k4", "c5", "c8", "cube", "k33", "petersen"])
+    def test_vector_is_the_column_loop_on_builtins(self, name):
+        assert_gather_is_the_column_loop(G.builtin_graph(name), 1)
+
+    @given(g=regular_multigraphs(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_vector_is_the_column_loop_on_multigraphs(self, g, seed):
+        # self-loops and multi-edges repeat in the table, and so in the sum
+        assert_gather_is_the_column_loop(g, seed)
+
+    def test_vector_is_the_column_loop_at_2000_vertices(self):
+        g = random_regular_graph(2000, 4, random.Random(2000))
+        assert_gather_is_the_column_loop(g, 2000)
+        # the float test can see the order: the table's columns added in reverse differ
+        floats = gather_inputs(g.n_vertices, 2000)[2]
+        backwards = sum(floats.take(column) for column in g.neighbours.T[::-1])
+        assert backwards.tobytes() != G._adjacency_gather(g)(floats).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int64, object, float])
+    def test_matrix_is_the_column_loop(self, dtype):
+        g = G.builtin_graph("petersen")
+        m = np.arange(40).reshape(10, 4).astype(dtype) * (0.1 if dtype is float else 1)
+        got = G._adjacency_gather(g)(m)
+        assert got.dtype == m.dtype and got.tolist() == column_loop(g, m).tolist()
+
+
 class TestDegrees:
     @pytest.mark.parametrize(
         "text, degrees", [(IRREGULAR["path"], (1, 2)), (IRREGULAR["star"], (1, 4)), ("0 1\n", (1,))]

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from heatzeta import bessel
+from heatzeta import bessel, heat_tree
 from heatzeta.bessel import MAX_RECURRENCE, bessel_i, bessel_i_scaled, building_block
 from heatzeta.heat_tree import (
     horocycle_solution,
@@ -178,6 +179,88 @@ class TestIntegralRoute:
         with pytest.raises(RuntimeError, match=f"^r = {failed}: rounding error") as exc:
             tree_heat_kernel_integrals(2, 1.0, radii, 1e-16)
         assert exc.value.r == failed
+
+
+def one_time_integrals(q, t, radii, tol):
+    """The integral row of one time as each time had it before grids shared node sets:
+    its own integrand, prefactor and start, through bessel._nested_trapezoid."""
+    radii = np.array(list(radii), dtype=int)
+    sq = math.sqrt(q)
+    tau = 2.0 * t * sq
+    prefactor = 2.0 * np.exp(-(sq - 1.0) ** 2 * t - (radii / 2.0 - 1.0) * math.log(q)) / math.pi
+
+    def integrand(x):
+        cos = np.cos(x)
+        weight = np.exp(tau * (cos - 1.0)) * np.sin(x) / ((q + 1) ** 2 - 4 * q * cos**2)
+        return weight * (q * np.sin(np.outer(radii + 1, x)) - np.sin(np.outer(radii - 1, x)))
+
+    start = radii.max(initial=0) + 4.0 * math.sqrt(tau + 1.0) + 8.0
+    return bessel._nested_trapezoid(integrand, radii, prefactor, tol, start)
+
+
+class TestIntegralGrid:
+    @pytest.mark.parametrize("q", [2, 3, 4, 7])
+    @pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 3.0, 8.0])
+    def test_lone_call_is_the_one_time_rule(self, q, t):
+        for radii in (range(31), (0,), (9, 2, 5)):
+            lone = tree_heat_kernel_integrals(q, t, radii, 1e-11)
+            assert lone.tobytes() == one_time_integrals(q, t, radii, 1e-11).tobytes()
+            assert tree_heat_kernel_integrals(q, [t], radii, 1e-11)[0].tobytes() == lone.tobytes()
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 7])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    def test_grid_rows_lie_within_the_guard_of_their_lone_calls(self, q, tol):
+        # a row shares the doublings of its node set, so it may be summed past its own stop
+        grid = [0.0, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 8.0, 20.0]
+        rows = tree_heat_kernel_integrals(q, grid, range(31), tol)
+        assert rows.shape == (len(grid), 31)
+        for t, row in zip(grid, rows):
+            lone = tree_heat_kernel_integrals(q, t, range(31), tol)
+            assert np.all(np.abs(row - lone) <= np.maximum(tol, 10.0 * tol * np.abs(lone)))
+
+    @pytest.mark.parametrize(
+        "grid, sets", [([0.01, 1000.0], 2), ([0.1, 0.5, 1.0, 2.0, 3.0], 1), ([0.0, 20.0, 0.1], 2)]
+    )
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_times_share_a_node_set_that_starts_at_one_count(self, monkeypatch, q, grid, sets):
+        # times share nodes only where the rule would start them at one power of two
+        starts = []
+        original = heat_tree._nested_trapezoid
+        monkeypatch.setattr(
+            heat_tree, "_nested_trapezoid", lambda *args: starts.append(args[4]) or original(*args)
+        )
+        tree_heat_kernel_integrals(q, grid, range(31))
+        assert len(starts) == sets
+        counts = [
+            1 << math.ceil(math.log2(30 + 4.0 * math.sqrt(2.0 * t * math.sqrt(q) + 1.0) + 8.0))
+            for t in grid
+        ]
+        assert len(set(counts)) == sets
+
+    def test_duplicate_times_keep_their_rows(self):
+        rows = tree_heat_kernel_integrals(3, [1.0, 0.5, 1.0], range(11))
+        assert rows.shape == (3, 11) and rows[0].tobytes() == rows[2].tobytes()
+
+    def test_empty_grid(self):
+        assert tree_heat_kernel_integrals(3, [], range(7)).shape == (0, 7)
+
+    @pytest.mark.parametrize("grid", [[1.0, -1.0], [0.5, math.nan], [math.inf]])
+    def test_grid_times_are_checked(self, grid):
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            tree_heat_kernel_integrals(2, grid, range(3))
+
+    def test_grid_of_more_axes_is_refused(self):
+        with pytest.raises(ValueError, match="1-D array of times"):
+            tree_heat_kernel_integrals(2, [[1.0]], range(3))
+
+    def test_grid_error_names_time_and_radius(self):
+        # no double-precision rule meets a 1e-16 guard; the lone call names r alone
+        with pytest.raises(bessel.QuadratureError, match="^t = 0.5, r = 0: rounding error") as exc:
+            tree_heat_kernel_integrals(2, [0.5, 1.0], range(3), 1e-16)
+        assert (exc.value.t, exc.value.r) == (0.5, 0)
+        with pytest.raises(bessel.QuadratureError, match="^r = 0: rounding error") as exc:
+            tree_heat_kernel_integrals(2, 0.5, range(3), 1e-16)
+        assert exc.value.t is None
 
 
 class TestRows:
@@ -359,6 +442,15 @@ class TestParityCuts:
                     order, bound = bessel.certified_truncation(q, t, tol, r + 2, 2, q - 1)
                     assert (value.r, value.truncation_index) == (r, (order - r) // 2)
                     assert value.tail_bound == bound
+
+    @pytest.mark.parametrize("q", range(1, 8))
+    def test_time_zero_row_has_no_tails(self, q):
+        # t = 0 (and q = 1, weight 0) certifies at the search's start with bound 0
+        row = tree_heat_kernels(q, 0.0, self.RADII, 1e-10)
+        assert [(v.r, v.truncation_index, v.tail_bound) for v in row] == [
+            (r, 0, 0.0) for r in self.RADII
+        ]
+        assert [v.value for v in row] == [float(r == 0) for r in self.RADII]
 
     @pytest.mark.parametrize("q", range(1, 8))
     def test_derivative_row_cuts_are_the_per_radius_searches(self, q):
