@@ -5,12 +5,16 @@ trapezoidal quadrature of the integral representation
 
     I_n(t) = (1/pi) int_0^pi e^{t cos(theta)} cos(n theta) dtheta,
 
-spectrally accurate on this smooth 2pi-periodic integrand; _nested_trapezoid,
-the package's one quadrature rule, also serves every integral of heat_tree
-and zeta.  The series rescales itself by exact powers 2^-512, so bessel_i
-is the plain sum and bessel_i_scaled, e^{-t} I_n(t), is in float range at
-any t with no switch of route.  bessel_i_quadrature integrates the row
-of orders 0..N over one node set.
+spectrally accurate on this smooth 2pi-periodic integrand.  _nested_trapezoid
+is the package's one quadrature rule, and _tree_measure, the one integral
+against the Kesten-McKay spectral measure of the (q+1)-regular tree, holds
+that measure's density and runs every tree integral on the rule:
+bessel_i_quadrature is its q = 1 case, where the measure is dtheta / pi, and
+heat_tree's integral route and zeta's TreeDensity call it too; zeta's
+G-transform calls the rule itself.  The series rescales itself by exact
+powers 2^-512, so bessel_i is the plain sum and bessel_i_scaled,
+e^{-t} I_n(t), is in float range at any t with no switch of route.
+bessel_i_quadrature integrates the row of orders 0..N over one node set.
 A uniform bound
 
     sqrt(t) e^{-t} I_n(t) <= (1 + n/t)^{-n/2}
@@ -161,17 +165,16 @@ def bessel_i_scaled(order: int, t: float) -> float:
 
 
 def bessel_i_quadrature(N: int, t: float) -> np.ndarray:
-    """I_n(t) for n = 0..N by _nested_trapezoid on the integral representation, one row
-    per order over shared nodes, tol 1e-10, from N + 4 sqrt(t + 1) + 8 nodes, which
-    resolve e^{t cos(theta)} cos(N theta)."""
+    """I_n(t) for n = 0..N by _tree_measure at q = 1, whose measure is dtheta / pi, on
+    the integral representation, one row per order over shared nodes, tol 1e-10, from
+    N + 4 sqrt(t + 1) + 8 nodes, which resolve e^{t cos(theta)} cos(N theta)."""
     _check_order_arg(N, t)
     if t > _EXP_LIMIT:
         raise OverflowError(f"bessel_i_quadrature overflows for t={t}; use bessel_i_scaled")
     orders = np.arange(N + 1)
-    ends = 0.5 * (math.exp(t) + math.exp(-t) * (-1.0) ** orders)
-    return _nested_trapezoid(
-        lambda x: np.exp(t * np.cos(x)) * np.cos(orders[:, None] * x),
-        orders, 1.0 / math.pi, 1e-10, N + 4.0 * math.sqrt(t + 1.0) + 8.0, ends,
+    return _tree_measure(
+        1, lambda x: np.exp(t * np.cos(x)) * np.cos(orders[:, None] * x),
+        orders, 1.0, 1e-10, N + 4.0 * math.sqrt(t + 1.0) + 8.0,
     )
 
 
@@ -239,6 +242,28 @@ def _nested_trapezoid(integrand, rows: np.ndarray, scale, tol: float, start: flo
                 int(rows[first]),
                 f"estimated error {error[first]:.3g} > guard {guard[first]:.3g} at {n} nodes",
             )
+
+
+def _tree_measure(q: int, rows, names: np.ndarray, scale, tol: float, start: float):
+    """scale int_0^pi rows(theta) dmu_q(theta) per row by _nested_trapezoid, mu_q the
+    Kesten-McKay spectral measure of the (q+1)-regular tree at lambda = q + 1 -
+    2 sqrt(q) cos(theta), whose density in theta is
+
+        (2 q (q+1) / pi) sin^2(theta) / ((q-1)^2 + 4q sin^2(theta)).
+
+    rows(theta) is the (rows x nodes) array of the integrand, names the row labels
+    that a QuadratureError reports, scale one value or one per row.  The density is
+    analytic in |Im theta| < ln(q)/2 and 0 at 0 and pi, which are never evaluated,
+    but for q = 1, where it is 1/pi and those ends come from rows at 0 and pi.
+    """
+
+    def integrand(theta: np.ndarray) -> np.ndarray:
+        sin2 = np.sin(theta) ** 2
+        return rows(theta) * (sin2 / ((q - 1.0) ** 2 + 4.0 * q * sin2))
+
+    ends = 0.125 * rows(np.array([0.0, math.pi])).sum(axis=1) if q == 1 else 0.0
+    density = 2.0 * q * (q + 1.0) / math.pi
+    return _nested_trapezoid(integrand, names, scale * density, tol, start, ends)
 
 
 def building_block(q: int, r: int, t: float) -> float:

@@ -135,21 +135,19 @@ def cmd_heat(args) -> int:
         q = _tree_q(args)
         radii = range(args.order + 1)
         tables = heat_tree.tree_heat_kernels(q, ts, radii, args.tol)
-        crosses = iter([])  # q = 1 has no integral route, t = 0 no integral
-        if q >= 2:
-            try:
-                crosses = iter(heat_tree.tree_heat_kernel_integrals(
-                    q, [t for t in ts if t > 0], radii, min(args.tol, 1e-10)
-                ).tolist())
-            except bessel.QuadratureError as exc:
-                print(
-                    f"error: t = {exc.t}, r = {exc.r}: integral cross-check failed ({exc.reason})",
-                    file=sys.stderr,
-                )
-                return EXIT_INVARIANT_FAILURE
+        try:  # t = 0 has no integral
+            crosses = iter(heat_tree.tree_heat_kernel_integrals(
+                q, [t for t in ts if t > 0], radii, min(args.tol, 1e-10)
+            ).tolist())
+        except bessel.QuadratureError as exc:
+            print(
+                f"error: t = {exc.t}, r = {exc.r}: integral cross-check failed ({exc.reason})",
+                file=sys.stderr,
+            )
+            return EXIT_INVARIANT_FAILURE
         rows = []
         for t, values in zip(ts, tables):
-            cross = next(crosses) if q >= 2 and t > 0 else [None] * len(values)
+            cross = next(crosses) if t > 0 else [None] * len(values)
             rows += [(None if w is None else _fmt(abs(v.value - w)), v.r, _fmt(t),
                       _fmt(v.tail_bound), _fmt(v.value)) for v, w in zip(values, cross)]
         return _emit_heat(args, "tree", q, "cross_check_delta,r,t,tail_bound,value", rows)
@@ -215,12 +213,7 @@ def cmd_zeta(args) -> int:
 
 def cmd_verify(args) -> int:
     if _is_tree(args):
-        if args.q is None or args.q < 2:
-            raise GraphError(
-                "verify --graph tree needs --q >= 2: its tree heat kernel series vs "
-                "integral check has no integral route for q = 1"
-            )
-        results = verify.run_tree_checks((args.q,))
+        results = verify.run_tree_checks((_tree_q(args),))
     elif args.graph:
         if not _is_builtin(args.graph):
             raise GraphError(

@@ -7,12 +7,13 @@ The production route is the alternating Bessel series
 with B the building block from heatzeta.bessel: tree_heat_kernels reads a
 whole table row per t, and the rows of a grid of times from the passes of
 bessel._grid_passes, as the graph heat routes do.  The second
-route is a pair of classical oscillatory integrals over [0, pi], which
-tree_heat_kernel_integrals evaluates for a whole row per t, or for a grid of
-times, with the package's trapezoid rule: the times that the rule would start
-at the same power of two of nodes (max r + 4 sqrt(tau + 1) + 8, tau =
-2 sqrt(q) t) integrate their (t, r) rows on one node set, so the workload grid
-0.1-3 runs one rule and 0.01, 1000 two.  The third is the horocycle-coordinate solution
+route, at every q >= 1, is the integral of e^{-lambda t} times the spherical
+function against the tree's spectral measure, bessel._tree_measure over
+[0, pi], which tree_heat_kernel_integrals evaluates for a whole row per t, or
+for a grid of times: the times that the trapezoid rule would start at the
+same power of two of nodes (max r + 4 sqrt(tau + 1) + 8, tau = 2 sqrt(q) t)
+integrate their (t, r) rows on one node set, so the workload grid 0.1-3 runs
+one rule and 0.01, 1000 two.  The third is the horocycle-coordinate solution
 of the associated difference-differential equation, the sum of K over a
 horocycle.  The series and its time derivative stop where
 bessel.certified_truncation certifies the tail, and the tail bound is
@@ -44,7 +45,7 @@ from heatzeta.bessel import (
     _check_tol,
     _grid_passes,
     _log_tail,
-    _nested_trapezoid,
+    _tree_measure,
     building_block,
     certified_truncation,
 )
@@ -168,29 +169,27 @@ def tree_heat_kernel_time_derivatives(q: int, t: float, radii) -> list[float]:
 
 
 def tree_heat_kernel_integrals(q: int, t, radii, tol: float = 1e-10) -> np.ndarray:
-    """K(t, r) for every r in radii by the trapezoid rule on the integral formula
+    """K(t, r) for every r in radii as the integral of e^{-lambda t} phi_r(lambda) against
+    the tree's spectral measure, bessel._tree_measure (Cartier 1973; Figa-Talamanca and
+    Nebbia 1991): with lambda = q + 1 - 2 sqrt(q) cos u the spherical function is
 
-        (2 e^{-(q+1)t} / (pi q^{r/2-1})) *
-        int_0^pi e^{2t sqrt(q) cos u} sin u (q sin((r+1)u) - sin((r-1)u))
-                 / ((q+1)^2 - 4q cos^2 u) du,
+        phi_r = q^{-r/2} (q sin((r+1)u) - sin((r-1)u)) / ((q+1) sin u),
 
-    at r = 0 the classical (2 q (q+1) e^{-(q+1)t} / pi) int_0^pi e^{2t sqrt(q) cos u}
-    sin^2 u / ((q+1)^2 - 4q cos^2 u) du: a vector, or for a 1-D array t of times a
-    (T, R) array whose row i is for t[i].  With e^{2t sqrt(q)} moved into the
-    prefactor, e^{2t sqrt(q)(cos u - 1)} <= 1 stays inside.  The integrand is
-    even, 2 pi-periodic, analytic in |Im u| < ln(q)/2 and 0 at 0 and pi, so
-    bessel._nested_trapezoid converges geometrically (Trefethen and Weideman,
-    SIAM Review 2014) from max r + 4 sqrt(tau + 1) + 8 nodes, tau = 2 sqrt(q) t,
-    which resolve the peak of e^{tau(cos u - 1)}.  The times that the rule would
-    start at the same power of two of nodes integrate all their (t, r) rows on one
-    node set, which doubles until every row meets its guard max(tol, 10 tol |value|):
-    one time gets the lone call's bits, and a grid row, summed past the node count
-    its lone call stops at, differs from it within that guard.  bessel.QuadratureError
-    names the first r that misses the guard, and for a grid its time t.  q = 1,
-    where the denominators degenerate, is refused: the series serves it.
+    cos(ru) at q = 1, and e^{-lambda t} = e^{-(sqrt(q)-1)^2 t} e^{tau(cos u - 1)},
+    tau = 2 sqrt(q) t, whose first factor and q^{-r/2} go to the scale, so
+    e^{tau(cos u - 1)} <= 1 stays inside: a vector, or for a 1-D array t of times a
+    (T, R) array whose row i is for t[i].  The integrand is even, 2 pi-periodic and
+    analytic in |Im u| < ln(q)/2 (entire at q = 1), so bessel._nested_trapezoid
+    converges geometrically (Trefethen and Weideman, SIAM Review 2014) from
+    max r + 4 sqrt(tau + 1) + 8 nodes, which resolve the peak of e^{tau(cos u - 1)}.
+    The times that the rule would start at the same power of two of nodes integrate
+    all their (t, r) rows on one node set, which doubles until every row meets its
+    guard max(tol, 10 tol |value|): one time gets the lone call's bits, and a grid
+    row, summed past the node count its lone call stops at, differs from it within
+    that guard.  bessel.QuadratureError names the first r that misses the guard, and
+    for a grid its time t.
     """
-    if q < 2:
-        raise ValueError("integral route requires q >= 2; use the series for q = 1")
+    _check_q(q)
     _check_tol(tol)
     times, grid = _check_times(t)
     radii = np.array(list(radii), dtype=int)
@@ -205,20 +204,21 @@ def tree_heat_kernel_integrals(q: int, t, radii, tol: float = 1e-10) -> np.ndarr
     for members in node_sets.values():
         part = np.array([times[i] for i in members])
         taus = 2.0 * part * sq
-        # q^{1 - r/2} enters the exponent: q ** (r/2 - 1) alone overflows from r = 2050 at q = 2
-        exponents = np.subtract.outer(-(sq - 1.0) ** 2 * part, (radii / 2.0 - 1.0) * math.log(q))
-        prefactor = 2.0 * np.exp(exponents.ravel()) / math.pi
+        # q^{-r/2} enters the exponent, as q ** (r/2) alone overflows from r = 2048 at q = 2
+        scale = np.exp(np.subtract.outer(-(sq - 1.0) ** 2 * part, radii / 2.0 * math.log(q)))
 
-        def integrand(x):
-            cos = np.cos(x)
-            peaks = np.exp(np.multiply.outer(taus, cos - 1.0))
-            weight = peaks * np.sin(x) / ((q + 1) ** 2 - 4 * q * cos**2)
-            waves = q * np.sin(np.outer(radii + 1, x)) - np.sin(np.outer(radii - 1, x))
-            return (weight[:, None, :] * waves).reshape(-1, len(x))
+        def spherical(x):
+            peaks = np.exp(np.multiply.outer(taus, np.cos(x) - 1.0))
+            if q == 1:
+                waves = np.cos(np.outer(radii, x))
+            else:
+                peaks /= (q + 1) * np.sin(x)
+                waves = q * np.sin(np.outer(radii + 1, x)) - np.sin(np.outer(radii - 1, x))
+            return (peaks[:, None, :] * waves).reshape(-1, len(x))
 
-        rows = np.arange(prefactor.size)  # row i R + j is (t, r) = (part[i], radii[j])
+        rows = np.arange(scale.size)  # row i R + j is (t, r) = (part[i], radii[j])
         try:
-            found = _nested_trapezoid(integrand, rows, prefactor, tol, starts[members[0]])
+            found = _tree_measure(q, spherical, rows, scale.ravel(), tol, starts[members[0]])
         except QuadratureError as exc:
             i, j = divmod(exc.r, radii.size)
             when = times[members[i]] if grid else None

@@ -344,10 +344,10 @@ def check_tree_zeta_identity(qs: Iterable[int]) -> CheckResult:
 
 def run_tree_checks(qs: Iterable[int] = (2, 3, 4)) -> list[CheckResult]:
     """The tree checks at each q of qs, but the G-transform of building blocks
-    at q = 1 alone, which by its scaling identity stands for every q, and the
-    tree zeta identity at the q of qs in (2, 3) only, or at q = 2 where qs
-    has neither: from q = 4 on, TreeDensity.integrate refuses the 11th
-    spectral moment, whose rounding term (2.84e-9 at q = 4, 8.77e-9 at
+    at q = 1 alone, which by its scaling identity stands for every q, the mass
+    check at q = 2 alone, and the tree zeta identity at the q <= 3 of qs only,
+    or at q = 2 where qs has none: from q = 4 on, TreeDensity.integrate refuses
+    the 11th spectral moment, whose rounding term (2.84e-9 at q = 4, 8.77e-9 at
     q = 5) exceeds its guard 1e-9.  So verify --graph tree --q 7 reports the
     G-transform line from q = 1 and the zeta line from q = 2."""
     bessel_values = bessel_grid_values()
@@ -358,7 +358,7 @@ def run_tree_checks(qs: Iterable[int] = (2, 3, 4)) -> list[CheckResult]:
         check_tree_heat_equation(qs),
         check_tree_mass(),
         check_g_transform_building_blocks(),
-        check_tree_zeta_identity([q for q in qs if q in (2, 3)] or (2,)),
+        check_tree_zeta_identity([q for q in qs if q <= 3] or (2,)),
         check_horocycle_transform(qs),
     ]
 

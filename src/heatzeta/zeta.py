@@ -7,7 +7,8 @@ log zeta is computed four ways and cross-checked:
 * from the determinant formula through Laplacian eigenvalues, in floats,
   refused from the order where their rounding bound reaches 1/2,
 * pointwise from a spectral measure (atomic for finite graphs, the
-  arcsine-type density of the infinite regular tree otherwise).
+  Kesten-McKay density of the infinite regular tree otherwise, integrated
+  by bessel._tree_measure at every q >= 1).
 
 The bridge is the weighted Laplace transform
 
@@ -17,8 +18,9 @@ which sends each heat-kernel building block of order k to u^{k-1} and the
 diagonal heat kernel to the logarithmic derivative of zeta plus elementary
 terms.  The half-line integral is the G-transform's alone, in
 g_transform_numeric: one row of integrands over one node set, which like
-every integral in the package runs on bessel._nested_trapezoid, here in the
-variable s of the double-exponential map t = exp(s - e^{-s}) / decay
+every integral in the package runs on bessel._nested_trapezoid (its one
+caller outside bessel: every tree integral goes through _tree_measure), here
+in the variable s of the double-exponential map t = exp(s - e^{-s}) / decay
 (Takahasi and Mori 1974; Mori and Sugihara 2001), decay the integrand's
 exponential rate: t falls to 0 like e^{-e^{-s}} at one end and e^{-decay t}
 like e^{-e^{s}} at the other, so the cut ends are negligible and the nodes
@@ -37,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from heatzeta.bessel import QuadratureError, _check_q, _nested_trapezoid
+from heatzeta.bessel import QuadratureError, _check_q, _nested_trapezoid, _tree_measure
 from heatzeta.graphs import Graph
 from heatzeta.heat_graph import _require_dense_eigensolve, b_coefficients, laplacian, spectral_data
 from heatzeta.series import PowerSeries
@@ -220,25 +222,15 @@ class TreeDensity:
     q: int
 
     def integrate(self, f: Callable[[float], float]) -> float:
-        """Integral of f against the measure by bessel._nested_trapezoid in theta,
-        q + 1 - lam = 2 sqrt(q) cos(theta), density (2q(q+1)/pi) sin^2 / ((q-1)^2 + 4q sin^2).
+        """Integral of f against the measure by bessel._tree_measure, f called on
+        lambda at each node.  Its tol is 1e-9 as the guard is absolute near 0, where
+        the rounding term alone reaches 1e-10 (the 11th moment at q = 3)."""
+        q, sq = self.q, math.sqrt(self.q)
 
-        It is analytic in |Im theta| < ln(q)/2 and vanishes at 0 and pi, but
-        for q = 1, where it is 1/pi and those ends enter in closed form.  Its
-        tol is 1e-9 as the guard is absolute near 0, where the rounding term
-        alone reaches 1e-10 (the 11th moment at q = 3).
-        """
-        q = self.q
-        sq = math.sqrt(q)
+        def rows(theta: np.ndarray) -> np.ndarray:
+            return np.array([[f(q + 1.0 - 2.0 * sq * c) for c in np.cos(theta)]])
 
-        def integrand(theta: np.ndarray) -> np.ndarray:
-            sin2 = np.sin(theta) ** 2
-            weight = sin2 / ((q - 1.0) ** 2 + 4.0 * q * sin2)
-            return (np.array([f(q + 1.0 - 2.0 * sq * c) for c in np.cos(theta)]) * weight)[None, :]
-
-        ends = 0.125 * (f(q + 1.0 - 2.0 * sq) + f(q + 1.0 + 2.0 * sq)) if q == 1 else 0.0
-        scale = 2.0 * q * (q + 1.0) / math.pi
-        return float(_nested_trapezoid(integrand, np.array([0]), scale, 1e-9, 8.0, ends)[0])
+        return float(_tree_measure(q, rows, np.array([0]), 1.0, 1e-9, 8.0)[0])
 
 
 def kesten_tree_measure(q: int) -> TreeDensity:

@@ -171,14 +171,13 @@ class TestHeat:
     def test_tree_table_makes_one_integral_call(self, capsys, monkeypatch):
         # the five times' cross-check rows come from one grid call, on one node set
         calls, node_sets = [], []
-        integrals, trapezoid = heat_tree.tree_heat_kernel_integrals, heat_tree._nested_trapezoid
+        integrals, measure = heat_tree.tree_heat_kernel_integrals, heat_tree._tree_measure
         monkeypatch.setattr(
             heat_tree, "tree_heat_kernel_integrals",
             lambda *args: calls.append(args[1]) or integrals(*args),
         )
         monkeypatch.setattr(
-            heat_tree, "_nested_trapezoid",
-            lambda *args: node_sets.append(args[4]) or trapezoid(*args),
+            heat_tree, "_tree_measure", lambda *args: node_sets.append(args[5]) or measure(*args)
         )
         code, out, err = run(
             capsys, "heat", "--graph", "tree", "--q", "3", "--order", "30", "--t", "0,0.1,0.5,1,2,3"
@@ -237,10 +236,11 @@ class TestHeat:
         for row in json.loads(out)["rows"]:
             assert float(row["cross_check_delta"]) <= 1e-10
 
-    def test_tree_cross_check_failure_is_invariant_failure(self, capsys):
+    @pytest.mark.parametrize("q", ["1", "2"])
+    def test_tree_cross_check_failure_is_invariant_failure(self, capsys, q):
         # no double-precision quadrature meets a 1e-16 error guard
         code, out, err = run(
-            capsys, "heat", "--graph", "tree", "--q", "2", "--order", "2", "--t", "1",
+            capsys, "heat", "--graph", "tree", "--q", q, "--order", "2", "--t", "1",
             "--tol", "1e-16",
         )
         assert code == 3
@@ -472,18 +472,18 @@ class TestHeat:
             ]
 
     @pytest.mark.parametrize(
-        "q, ts", [("1", "0.5,5"), ("2", "0"), ("3", "0,0.5")], ids=["q1", "t0", "t0-and-t"]
+        "q, ts", [("1", "0,0.5,5"), ("2", "0"), ("3", "0,0.5")], ids=["q1", "t0", "t0-and-t"]
     )
     def test_tree_rows_no_integral_checked_have_no_cross_check(self, capsys, q, ts):
-        # q = 1 has no integral route and t = 0 no integral: JSON null, CSV empty,
-        # where a value compared with itself printed 0
+        # t = 0 has no integral: JSON null, CSV empty, where a value compared with
+        # itself printed 0; every q, q = 1 too, checks each row with t > 0
         argv = ("heat", "--graph", "tree", "--q", q, "--t", ts, "--order", "4")
         code, out, _ = run(capsys, *argv)
         assert code == 0
         rows = json.loads(out)["rows"]
-        checked = [q != "1" and float(row["t"]) > 0 for row in rows]
+        checked = [float(row["t"]) > 0 for row in rows]
         assert [row["cross_check_delta"] is not None for row in rows] == checked
-        assert all(float(row["cross_check_delta"]) <= 1e-10 for row, c in zip(rows, checked) if c)
+        assert all(float(row["cross_check_delta"]) <= 1e-14 for row, c in zip(rows, checked) if c)
         code, out, _ = run(capsys, *argv, "--format", "csv")
         assert code == 0
         header, *lines = out.splitlines()
@@ -715,9 +715,10 @@ class TestVerify:
             (("--graph", "c5"), C5_CHECKS),
         ]
         # the block transform runs at q = 1 and the other tree checks in units of
-        # the decay time, so at large q nothing leaves float range or underflows
-        + [(("--graph", "tree", "--q", q), TREE_CHECKS) for q in LARGE_Q],
-        ids=["tree", "k4", "k33", "c5"] + [f"tree-{q}" for q in LARGE_Q],
+        # the decay time, so at large q nothing leaves float range or underflows;
+        # q = 1 runs every check, the series vs integral one on its measure dtheta / pi
+        + [(("--graph", "tree", "--q", q), TREE_CHECKS) for q in ("1", *LARGE_Q)],
+        ids=["tree", "k4", "k33", "c5"] + [f"tree-{q}" for q in ("1", *LARGE_Q)],
     )
     def test_check_list_pinned(self, capsys, argv, checks):
         # a speed-up must not drop, rename, reorder or loosen a check
@@ -792,16 +793,13 @@ class TestVerify:
         assert captured.out == ""
         assert "unrecognized arguments: --tol -1" in captured.err
 
-    @pytest.mark.parametrize("q", ["1", "0", None])
-    def test_tree_needs_q_at_least_two(self, capsys, q):
-        # the tree series-vs-integral check has no integral route at q = 1
+    @pytest.mark.parametrize("q", ["0", None])
+    def test_tree_needs_q_at_least_one(self, capsys, q):
+        # verify reads --q as heat and analyze do; q = 1 is pinned with the check list
         argv = ["verify", "--graph", "tree"] + (["--q", q] if q else [])
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == (
-            "error: verify --graph tree needs --q >= 2: its tree heat kernel series vs "
-            "integral check has no integral route for q = 1\n"
-        )
+        assert err == "error: tree mode needs --q >= 1\n"
 
 
 DROPPED_OPTIONS = [

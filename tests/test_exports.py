@@ -183,11 +183,9 @@ def test_no_module_uses_numpy_fft():
     assert found == []
 
 
-def test_bessel_owns_the_time_grid():
-    # every heat route reads its blocks through bessel._grid_passes, so a patch of
-    # bessel's evaluator or cap reaches them all; verify's G-transform of blocks
-    # reads the evaluator as bessel.log_building_blocks
-    owners = {"_GRID_ENTRIES": {"bessel.py"}, "log_building_blocks": {"bessel.py", "verify.py"}}
+def names_outside(owners: dict[str, set[str]]) -> list[str]:
+    """file:line: name for each name of owners, as a name, an attribute or an import,
+    in a module of the package outside that name's owning files."""
     found = []
     for path in sorted(Path(heatzeta.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -204,7 +202,21 @@ def test_bessel_owns_the_time_grid():
                 for name in names
                 if path.name not in owners.get(name, {path.name})
             ]
-    assert found == []
+    return found
+
+
+def test_bessel_owns_the_time_grid():
+    # every heat route reads its blocks through bessel._grid_passes, so a patch of
+    # bessel's evaluator or cap reaches them all; verify's G-transform of blocks
+    # reads the evaluator as bessel.log_building_blocks
+    owners = {"_GRID_ENTRIES": {"bessel.py"}, "log_building_blocks": {"bessel.py", "verify.py"}}
+    assert names_outside(owners) == []
+
+
+def test_trapezoid_rule_serves_the_tree_measure_and_the_g_transform():
+    # every tree-measure integral runs through bessel._tree_measure, which holds the
+    # tree's density once; zeta's half-line G-transform is the rule's one other caller
+    assert names_outside({"_nested_trapezoid": {"bessel.py", "zeta.py"}}) == []
 
 
 def test_fresh_verify_loads_no_scipy():

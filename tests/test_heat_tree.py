@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ive
 
 from heatzeta import bessel, heat_tree
 from heatzeta.bessel import MAX_RECURRENCE, bessel_i, bessel_i_scaled, building_block
@@ -144,9 +145,11 @@ class TestIntegralRoute:
         assert 0.0 <= value < 1e-300
         assert value == pytest.approx(tree_heat_kernel(2, 1.0, 2100).value, abs=1e-300)
 
-    def test_q_one_refused(self):
-        with pytest.raises(ValueError):
-            tree_heat_kernel_integral(1, 1.0, 0)
+    def test_q_one_rows_are_scaled_bessel_values(self):
+        # at q = 1 the measure is dtheta / pi and the row e^{-2t} I_r(2t)
+        for t in (1e-6, 0.1, 1.0, 20.0, 100.0):
+            row = tree_heat_kernel_integrals(1, t, range(31))
+            assert np.all(np.abs(row - ive(np.arange(31), 2.0 * t)) <= 1e-15), t
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     @pytest.mark.parametrize("t", [0.0, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0])
@@ -183,23 +186,25 @@ class TestIntegralRoute:
 
 def one_time_integrals(q, t, radii, tol):
     """The integral row of one time as each time had it before grids shared node sets:
-    its own integrand, prefactor and start, through bessel._nested_trapezoid."""
+    its own spherical rows, scale and start, through bessel._tree_measure."""
     radii = np.array(list(radii), dtype=int)
     sq = math.sqrt(q)
     tau = 2.0 * t * sq
-    prefactor = 2.0 * np.exp(-(sq - 1.0) ** 2 * t - (radii / 2.0 - 1.0) * math.log(q)) / math.pi
+    scale = np.exp(-(sq - 1.0) ** 2 * t - radii / 2.0 * math.log(q))
 
-    def integrand(x):
-        cos = np.cos(x)
-        weight = np.exp(tau * (cos - 1.0)) * np.sin(x) / ((q + 1) ** 2 - 4 * q * cos**2)
-        return weight * (q * np.sin(np.outer(radii + 1, x)) - np.sin(np.outer(radii - 1, x)))
+    def spherical(x):
+        peaks = np.exp(tau * (np.cos(x) - 1.0))
+        if q == 1:
+            return peaks * np.cos(np.outer(radii, x))
+        waves = q * np.sin(np.outer(radii + 1, x)) - np.sin(np.outer(radii - 1, x))
+        return peaks / ((q + 1) * np.sin(x)) * waves
 
     start = radii.max(initial=0) + 4.0 * math.sqrt(tau + 1.0) + 8.0
-    return bessel._nested_trapezoid(integrand, radii, prefactor, tol, start)
+    return bessel._tree_measure(q, spherical, radii, scale, tol, start)
 
 
 class TestIntegralGrid:
-    @pytest.mark.parametrize("q", [2, 3, 4, 7])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 7])
     @pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 3.0, 8.0])
     def test_lone_call_is_the_one_time_rule(self, q, t):
         for radii in (range(31), (0,), (9, 2, 5)):
@@ -225,9 +230,9 @@ class TestIntegralGrid:
     def test_times_share_a_node_set_that_starts_at_one_count(self, monkeypatch, q, grid, sets):
         # times share nodes only where the rule would start them at one power of two
         starts = []
-        original = heat_tree._nested_trapezoid
+        original = heat_tree._tree_measure
         monkeypatch.setattr(
-            heat_tree, "_nested_trapezoid", lambda *args: starts.append(args[4]) or original(*args)
+            heat_tree, "_tree_measure", lambda *args: starts.append(args[5]) or original(*args)
         )
         tree_heat_kernel_integrals(q, grid, range(31))
         assert len(starts) == sets

@@ -79,8 +79,8 @@ def test_diagonal_decomposition_runs_counting_and_b_once(monkeypatch):
 
 
 def test_tree_zeta_check_reads_q_2_or_3(monkeypatch):
-    # run_tree_checks' rule, and its reason: from q = 4 on the 11th spectral
-    # moment's rounding term exceeds TreeDensity.integrate's guard
+    # run_tree_checks' rule, the q <= 3 of qs or else q = 2, and its reason: from
+    # q = 4 on the 11th spectral moment's rounding term exceeds TreeDensity.integrate's guard
     with pytest.raises(bessel.QuadratureError, match="rounding error 2.84e-09 exceeds the guard 1e-09"):
         verify.check_tree_zeta_identity((4,))
     seen = []
@@ -90,9 +90,9 @@ def test_tree_zeta_check_reads_q_2_or_3(monkeypatch):
         return verify.CheckResult("tree zeta identity and spectral moments", 0.0, 1e-7)
 
     monkeypatch.setattr(verify, "check_tree_zeta_identity", recorded)
-    for qs in ((2,), (3,), (4,), (7,), (2, 3, 4)):
+    for qs in ((1,), (2,), (3,), (4,), (7,), (2, 3, 4)):
         verify.run_tree_checks(qs)
-    assert seen == [[2], [3], [2], [2], [2, 3]]
+    assert seen == [[1], [2], [3], [2], [2], [2, 3]]
 
 
 def test_two_variable_zeta_check_catches_a_shifted_spectral_side(monkeypatch):
