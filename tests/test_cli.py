@@ -236,11 +236,21 @@ class TestHeat:
         for row in json.loads(out)["rows"]:
             assert float(row["cross_check_delta"]) <= 1e-10
 
-    @pytest.mark.parametrize("q", ["1", "2"])
-    def test_tree_cross_check_failure_is_invariant_failure(self, capsys, q):
+    def test_tree_cross_check_failure_is_invariant_failure(self, capsys):
         # no double-precision quadrature meets a 1e-16 error guard
         code, out, err = run(
-            capsys, "heat", "--graph", "tree", "--q", q, "--order", "2", "--t", "1",
+            capsys, "heat", "--graph", "tree", "--q", "2", "--order", "2", "--t", "1",
+            "--tol", "1e-16",
+        )
+        assert code == 3
+        assert out == ""
+        assert "error: t = 1.0, r = 0: integral cross-check failed" in err
+        assert "Traceback" not in err
+
+    def test_tree_q_one_cross_check_failure_is_invariant_failure(self, capsys):
+        # the q = 1 integral route meets the same 1e-16 guard the same way
+        code, out, err = run(
+            capsys, "heat", "--graph", "tree", "--q", "1", "--order", "2", "--t", "1",
             "--tol", "1e-16",
         )
         assert code == 3
