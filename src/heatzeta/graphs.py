@@ -14,10 +14,13 @@ Counting functions, all relative to a base vertex x0:
 * N_k: closed geodesics from any starting vertex, with direction,
 * pi_k: prime geodesic classes of length k.
 
-Routes.  This module is the integer counting engine: the three-term
-non-backtracking recursion C_k = P_k(A) run on integer arrays
-(``_geodesic_matrices``) through one gather (``_adjacency_gather``) over the
-neighbour table that each graph builds once (``Graph.neighbours``).  A vector
+Routes.  Every walk of the package is one loop, ``_recursion``: from a start
+e_{x0} or I (``_unit``) it yields v_k = step(k, A v_{k-1}, v_{k-2}) for its
+caller's step, and it is the one caller of the gather (``_adjacency_gather``)
+over the neighbour table that each graph builds once (``Graph.neighbours``).
+The steps are the integer counting engine's non-backtracking C_k = P_k(A)
+(``_geodesic_step``), the walks A^k e_{x0}, and heat_graph's series and
+Chebyshev rows, which weight their v_k through ``_weighted_sum``.  A vector
 (one base vertex, and every heat row) takes the whole (q+1) x n table in one
 ``take`` and adds its rows with one ``np.add.reduce`` along axis 0, in table
 order, so the sums are the column loop's; a matrix keeps that loop, one
@@ -36,8 +39,8 @@ fits int64, and R = K above it, where the traces are the diagonals of the
 full recursion, as Python-int products would cost more than the steps they
 save.  The identity runs in column panels of b = max(1, _PANEL_ENTRIES // n)
 columns, one at a time, so memory is O(n b), not n x n arrays.
-``count_table`` runs ``_loop_counts`` once and, beside it, the gather on
-the indicator of x0 for the walks a_k.  Arrays are int64 only while a
+``count_table`` runs ``_loop_counts`` once and, beside it, the walks a_k
+from the indicator of x0.  Arrays are int64 only while a
 proved bound (``_int64_safe``, ``_half_order``, and the walk bound at
 ``count_table``) shows no number can overflow, and dtype=object (Python
 ints) above it; every value leaves the engine as a Python int, so results
@@ -57,7 +60,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -354,18 +357,42 @@ def _adjacency_gather(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
     return apply_a
 
 
-def _recursion(g: Graph, start: np.ndarray, K: int) -> Iterator[np.ndarray]:
-    """Yield C_k X, k = 0..K, for the start X = start (rows are vertices), in its dtype."""
-    q = g.regularity()
+def _unit(n: int, x0: int | None, dtype) -> np.ndarray:
+    """The start of a recursion in dtype: the indicator e_{x0}, or I when x0 is None."""
+    if x0 is None:
+        return np.eye(n, dtype=dtype)
+    start = np.zeros(n, dtype)
+    start[x0] = 1
+    return start
+
+
+def _recursion(g: Graph, start: np.ndarray, K: int, step: Callable) -> Iterator[np.ndarray]:
+    """Yield v_0 = start and v_k = step(k, A v_{k-1}, v_{k-2}), k = 1..K, with v_{-1} = 0:
+    the one loop of the package over the gather.  A v_{k-1} is a fresh array, so a
+    step may change it in place."""
     apply_a = _adjacency_gather(g)
-    prev = cur = start
+    prev, cur = 0, start
     yield cur
     for k in range(1, K + 1):
-        nxt = apply_a(cur)
-        if k >= 2:
-            nxt -= (q + 1 if k == 2 else q) * prev
-        prev, cur = cur, nxt
+        prev, cur = cur, step(k, apply_a(cur), prev)
         yield cur
+
+
+def _weighted_sum(vectors: Iterable[np.ndarray], weights: Iterable) -> list[np.ndarray]:
+    """[sum_k weights[k][i] v_k for each i], k in order: per order a list of floats, as
+    a float times an array costs numpy less than a broadcast."""
+    pairs = zip(vectors, weights)
+    v, row = next(pairs)
+    sums = [w * v for w in row]
+    for v, row in pairs:
+        for total, w in zip(sums, row):
+            total += w * v
+    return sums
+
+
+def _geodesic_step(q: int) -> Callable:
+    """The step of C_k: A C_{k-1} - (q+1) C_0 at k = 2 and A C_{k-1} - q C_{k-2} above."""
+    return lambda k, a, prev: a if k == 1 else np.subtract(a, (q + 1 if k == 2 else q) * prev, out=a)
 
 
 def _geodesic_matrices(g: Graph, K: int, x0: int | None = None) -> Iterator[np.ndarray]:
@@ -378,14 +405,9 @@ def _geodesic_matrices(g: Graph, K: int, x0: int | None = None) -> Iterator[np.n
     (q+1)-regular graph of this module.
     The dtype is int64 where _int64_safe allows it and object otherwise.
     """
-    n = g.n_vertices
-    dtype = np.int64 if _int64_safe(g.regularity(), K) else object
-    if x0 is None:
-        start = np.eye(n, dtype=dtype)
-    else:
-        start = np.zeros(n, dtype)
-        start[x0] = 1
-    yield from _recursion(g, start, K)
+    q = g.regularity()
+    start = _unit(g.n_vertices, x0, np.int64 if _int64_safe(q, K) else object)
+    yield from _recursion(g, start, K, _geodesic_step(q))
 
 
 # entries of one column panel of the X = I recursion in _loop_counts (1 MB in int64)
@@ -416,7 +438,7 @@ def _loop_counts(g: Graph, K: int, x0: int | None = None) -> tuple[list[int], li
         panel = np.eye(n, min(width, n - first), -first, dtype)  # columns first, first + 1, ...
         col = x0 - first if x0 is not None and 0 <= x0 - first < panel.shape[1] else None
         prev = panel
-        for k, cur in enumerate(_recursion(g, panel, R)):
+        for k, cur in enumerate(_recursion(g, panel, R, _geodesic_step(q))):
             totals[k] += sum(cur.diagonal(-first).tolist())
             if col is not None:
                 at_x0[k] = int(cur[x0, col])
@@ -685,7 +707,7 @@ def count_table(g: Graph, x0: int, K: int) -> CountTable:
     """The counts of analyze for one base vertex from one run of the counting engine.
 
     One run of _loop_counts gives c_k(x0) (entry (x0, x0)) and the loop totals
-    (the traces); beside it the gather carries the walk vector A^k e_{x0}.  The
+    (the traces); beside it _recursion carries the walk vector A^k e_{x0}.  The
     walks of length k from x0 number (q+1)^k, which bounds every entry and
     partial sum of that vector, so it is int64 while (q+1)^K < 2^63 and
     dtype=object above.
@@ -695,13 +717,8 @@ def count_table(g: Graph, x0: int, K: int) -> CountTable:
     check's) to decide whether to trust it.
     """
     q = g.regularity()
-    apply_a = _adjacency_gather(g)
-    walks = np.zeros(g.n_vertices, np.int64 if (q + 1) ** K < 2**63 else object)
-    walks[x0] = 1
-    a0 = [1]
-    for _ in range(K):
-        walks = apply_a(walks)
-        a0.append(int(walks[x0]))
+    walks = _unit(g.n_vertices, x0, np.int64 if (q + 1) ** K < 2**63 else object)
+    a0 = [int(a[x0]) for a in _recursion(g, walks, K, lambda k, a, prev: a)]
     c_total, c0 = _loop_counts(g, K, x0)
     n_total = _closed_from_loops(c_total, q, base_zero=g.n_vertices)
     return CountTable(

@@ -8,11 +8,12 @@
    recursion: the CLI's check at q >= 2.
 
 The production route, heat_kernel_rows, streams the series in float64 for a
-whole grid of times, one base vertex or all of them: its own three-term
+whole grid of times, one base vertex or all of them: the three-term
 recursion for b_m, which depends on neither t nor x0, runs once per grid on
-float arrays of b_m / q^m through the gather of graphs, against weights built
-ahead from the log blocks of bessel._grid_passes, which the Chebyshev row and
-the diagonal decomposition read too.  Every series
+float arrays of b_m / q^m as a step of graphs._recursion, the package's one
+walk loop, against weights built ahead from the log blocks of
+bessel._grid_passes, which the Chebyshev row and the diagonal decomposition
+read too.  Every series
 route, the diagonal decomposition included, stops at series_truncation_order:
 bessel.certified_truncation with the coefficient bound |b_m(x)| <= (q+1) q^{m-1}
 as weight.  heat_kernel_spectral_row, V (e^{-lambda t} V[x0]), is the one
@@ -52,7 +53,14 @@ from heatzeta.bessel import (
     building_block,
     certified_truncation,
 )
-from heatzeta.graphs import Graph, _adjacency_gather, _geodesic_matrices, closed_geodesics_at_vertex
+from heatzeta.graphs import (
+    Graph,
+    _geodesic_matrices,
+    _recursion,
+    _unit,
+    _weighted_sum,
+    closed_geodesics_at_vertex,
+)
 from heatzeta.heat_tree import tree_heat_kernel
 
 __all__ = [
@@ -186,9 +194,10 @@ def heat_kernel_rows(
     A (T, n) array for an int x0; for x0 = None a (T, n, n) array whose
     [i, x, y] is K(t_i, y, x), the X = I layout of graphs._geodesic_matrices.
     Each t_i gets the certified order M_i of heat_kernel_series.  One run of
-    the integer recursion b_2 = A b_1 - 2q b_0, b_m = A b_{m-1} - q b_{m-2},
-    divided through by q^m, on float arrays up to the largest M_i serves the
-    whole grid, so no rounding bias builds up over m.  Row i adds
+    graphs._recursion with the integer recursion b_2 = A b_1 - 2q b_0,
+    b_m = A b_{m-1} - q b_{m-2} as its step, divided through by q^m, on float
+    arrays up to the largest M_i serves the whole grid, so no rounding bias
+    builds up over m.  Row i adds, through graphs._weighted_sum,
     W[i, m] b_m / q^m with W[i, m] = e^{ln B_m(t_i) + m ln q}, zero past M_i,
     and ln B_m from one pass of bessel._grid_passes, to the pass's largest M_i.
     The recursion depends on q and m only, so column y of the
@@ -211,9 +220,10 @@ def heat_kernel_rows(
 
 def _rows_pass(
     g: Graph, q: int, x0: int | None, log_blocks: np.ndarray, orders: list[int]
-) -> np.ndarray:
-    """One recursion to max(orders) against the weights of log_blocks, one pass of
-    bessel._grid_passes: heat_kernel_rows of the pass's times.
+) -> list[np.ndarray]:
+    """One graphs._recursion to max(orders), summed by graphs._weighted_sum against the
+    weights of log_blocks, one pass of bessel._grid_passes: heat_kernel_rows of the
+    pass's times.  This module owns the step and the weights; graphs owns the loop.
 
     The recursion is b_1 = A b_0, b_2 = A b_1 - 2q b_0, b_m = A b_{m-1} - q b_{m-2}.
     By A c_0 = c_1, A c_1 = c_2 + (q+1) c_0 and A c_m = c_{m+1} + q c_{m-1}
@@ -242,25 +252,13 @@ def _rows_pass(
     math.exp's), and underflows less than 4 (M+1)^2 2^-1074; the certified tail the rest.
     """
     top = max(orders)
-    exponents = log_blocks + np.arange(top + 1) * math.log(q)
-    weights = np.zeros((top + 1, len(orders)))
-    for i, (row, M) in enumerate(zip(exponents.tolist(), orders)):
-        # math.exp: np.exp can differ from it in the last bit
-        weights[: M + 1, i] = np.fromiter(map(math.exp, row[: M + 1]), float, M + 1)
-    if x0 is None:
-        cur = np.eye(g.n_vertices)
-        weights = weights[:, :, None, None]
-    else:
-        cur = np.zeros(g.n_vertices)
-        cur[x0] = 1.0
-        weights = weights[:, :, None]
-    apply_a = _adjacency_gather(g)
-    prev = np.zeros_like(cur)
-    rows = weights[0] * cur
-    for m in range(1, top + 1):
-        prev, cur = cur, (apply_a(cur) - (2.0 * prev if m == 2 else prev)) / q
-        rows += weights[m] * cur
-    return rows
+    exponents = (log_blocks + np.arange(top + 1) * math.log(q)).tolist()
+    # per time, zero past its M; math.exp: np.exp can differ from it in the last bit
+    by_time = [[*map(math.exp, row[: M + 1]), *[0.0] * (top - M)] for row, M in zip(exponents, orders)]
+    vectors = _recursion(
+        g, _unit(g.n_vertices, x0, float), top, lambda m, a, p: (a - (2.0 * p if m == 2 else p)) / q
+    )
+    return _weighted_sum(vectors, zip(*by_time))
 
 
 def heat_kernel_spectral_row(g: Graph, x0: int, t: float) -> np.ndarray:
@@ -289,11 +287,12 @@ def heat_kernel_chebyshev_row(g: Graph, x0: int, t, tol: float = 1e-10) -> np.nd
     w_k = e^{-tau} I_k(tau), eps_0 = 1, eps_k = 2: Tal-Ezer and Kosloff's propagator (J. Chem.
     Phys. 81, 1984).  ln w_k is log_building_blocks(1, M, tau/2); as |T_k(X) e_x0| <= 1,
     certified_truncation(1, tau/2, tol, 1, 1, 2.0) holds the tail below tol.  v_k = T_k(X) e_x0
-    follow v_{k+1} = 2 A v_k / (q+1) - v_{k-1}, one gather per order.  At q = 1 the two series
-    agree term by term (b_m = 2 T_m(A/2) e_x0, the same log weights): no check there.
-    The v_k depend on neither t nor the weights, so a grid runs one recursion to its largest
-    M against a (M + 1, T) weight array from the log blocks of one pass of
-    bessel._grid_passes, each time's weights zero past its own M.
+    follow v_1 = A v_0 / (q+1) and v_{k+1} = 2 A v_k / (q+1) - v_{k-1}, the step of one
+    graphs._recursion, one gather per order.  At q = 1 the two series agree term by term
+    (b_m = 2 T_m(A/2) e_x0, the same log weights): no check there.  The v_k depend on neither
+    t nor the weights, so a grid runs one recursion to its largest M, which
+    graphs._weighted_sum adds against the weights eps_k w_k of one pass of
+    bessel._grid_passes, per order a list of the times' floats, each time's zero past its M.
     One time does the lone work; in a grid a row moves only where that call starts the
     time's ratio recurrence further out (see heat_kernel_rows).
 
@@ -314,24 +313,15 @@ def heat_kernel_chebyshev_row(g: Graph, x0: int, t, tol: float = 1e-10) -> np.nd
     q = g.regularity()
     halves = [(q + 1) * x / 2 for x in times]  # tau / 2
     orders = [certified_truncation(1, h, tol, 1, 1, 2.0)[0] for h in halves]  # validates tol
-    apply_a = _adjacency_gather(g)
     rows = np.empty((len(times), g.n_vertices))
     for part, log_blocks in _grid_passes(1, orders, halves):
-        top = max(orders[part])
-        weights = 2.0 * np.exp(log_blocks)  # eps_k w_k, but w_0 once
+        weights = np.exp(log_blocks)  # eps_k w_k
+        weights[:, 1:] *= 2.0
         for row, M in zip(weights, orders[part]):
             row[M + 1 :] = 0.0
-        # per order, the times' weights as floats: a float times a vector costs numpy
-        # less than a broadcast, and one time does the lone row's work
-        weights = weights.T.tolist()
-        prev, cur = np.zeros(g.n_vertices), np.zeros(g.n_vertices)
-        cur[x0] = 1.0
-        part_rows = [0.5 * w * cur for w in weights[0]]
-        for k in range(1, top + 1):
-            prev, cur = cur, apply_a(cur) / ((q + 1) / 2 if k > 1 else q + 1) - prev
-            for row, w in zip(part_rows, weights[k]):
-                row += w * cur
-        rows[part] = part_rows
+        start, top = _unit(g.n_vertices, x0, float), max(orders[part])
+        vectors = _recursion(g, start, top, lambda k, a, p: a / ((q + 1) / 2 if k > 1 else q + 1) - p)
+        rows[part] = _weighted_sum(vectors, weights.T.tolist())
     return rows if grid else rows[0]
 
 

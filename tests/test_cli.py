@@ -408,7 +408,7 @@ class TestHeat:
         path.write_text(json.dumps({"vertices": 100, "edges": seeded_regular_edges(100, 4, 9)}))
         argv = ("heat", "--graph", str(path), "--t", "0.1,20,200", "--format", fmt)
         expected = run(capsys, *argv)
-        monkeypatch.setattr(heat_graph, "_adjacency_gather", lambda g: lambda m: column_loop(g, m))
+        monkeypatch.setattr(graphs, "_adjacency_gather", lambda g: lambda m: column_loop(g, m))
         assert run(capsys, *argv) == expected
         assert expected[0] == 0 and expected[1].count("\n") > 300
 

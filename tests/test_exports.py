@@ -213,6 +213,12 @@ def test_bessel_owns_the_time_grid():
     assert names_outside(owners) == []
 
 
+def test_one_recursion_owns_the_gather():
+    # every walk of the package, series and Chebyshev rows, geodesic counts and walk
+    # counts, runs through graphs._recursion, the one caller of the gather
+    assert names_outside({"_adjacency_gather": {"graphs.py"}}) == []
+
+
 def test_trapezoid_rule_serves_the_tree_measure_and_the_g_transform():
     # every tree-measure integral runs through bessel._tree_measure, which holds the
     # tree's density once; zeta's half-line G-transform is the rule's one other caller
