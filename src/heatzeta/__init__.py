@@ -5,7 +5,7 @@ Everything is organized around one family of functions,
     q^{-r/2} e^{-(q+1)t} I_r(2 sqrt(q) t),
 
 with I_r the modified Bessel function of integer order.  The tree heat
-kernel is an alternating series in these building blocks, the heat kernel
+kernel is a series of positive terms in these building blocks, the heat kernel
 of any regular graph is obtained by weighting them with non-backtracking
 walk counts, and a weighted Laplace transform of the heat kernel produces
 the logarithmic derivative of the Ihara zeta function.  Each quantity is

@@ -1,11 +1,19 @@
 """Heat kernel on the (q+1)-regular tree, by three mutually checking routes.
 
-The production route is the alternating Bessel series
+The paper writes the kernel as the alternating Bessel series
 
     K(t, r) = B(q, r, t) - (q - 1) sum_{j>=1} B(q, r + 2j, t),
 
-with B the building block from heatzeta.bessel: tree_heat_kernels reads a
-whole table row per t, and the rows of a grid of times from the passes of
+with B the building block from heatzeta.bessel.  The recurrence
+B_{m-1} - q B_{m+1} = (m/t) B_m (DLMF 10.29.1) turns it, for t > 0, into
+the production route, a series of positive terms
+
+    K(t, r) = (1/t) sum_{j>=0} (r + 2j + 1) B(q, r + 2j + 1, t),
+
+so K_r = K_{r+2} + ((r+1)/t) B_{r+1}: tree_heat_kernels sums one suffix
+sum per parity for a whole table row per t, cut where
+bessel.certified_truncation certifies the tail relative to the least value
+of that parity, and reads the rows of a grid of times from the passes of
 bessel._grid_passes, as the graph heat routes do.  The second
 route, at every q >= 1, is the integral of e^{-lambda t} times the spherical
 function against the tree's spectral measure, bessel._tree_measure over
@@ -15,19 +23,13 @@ same power of two of nodes (max r + 4 sqrt(tau + 1) + 8, tau = 2 sqrt(q) t)
 integrate their (t, r) rows on one node set, so the workload grid 0.1-3 runs
 one rule and 0.01, 1000 two.  The third is the horocycle-coordinate solution
 of the associated difference-differential equation, the sum of K over a
-horocycle.  The series and its time derivative stop where
-bessel.certified_truncation certifies the tail, and the tail bound is
-reported with each value.  Its tail test reads the order m only, not the
-radius, and once past the peak of the bound it holds for good, so a row
-runs one search per parity p, from p to m*_p, and cuts the radius whose
-lattice starts at start_r, of parity p, at max(start_r, m*_p)
-(_certified_cuts), reading the tail bound of each further cut from one
-evaluation of that search's log tail.  The single-radius
-tree_heat_kernel and tree_heat_kernel_integral are one entry of their rows.
-The horocycle solution and the time-derivative row
-tree_heat_kernel_time_derivatives read the scalar building_block (the row
-takes every B'_m from one list of blocks per t), so the heat-equation
-residual and verify's horocycle check also test the log evaluator against it.
+horocycle.  The single-radius tree_heat_kernel and tree_heat_kernel_integral
+are one entry of their rows.  The time-derivative row
+tree_heat_kernel_time_derivatives differentiates the alternating series, cut
+at a certified absolute tail, and with the horocycle solution reads the
+scalar building_block (the row takes every B'_m from one list of blocks per
+t), so the heat-equation residual and verify's horocycle check also test the
+log evaluator against it.
 """
 
 from __future__ import annotations
@@ -38,13 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from heatzeta.bessel import (
+    _EXP_LIMIT,
     QuadratureError,
     _check_q,
     _check_time,
     _check_times,
     _check_tol,
     _grid_passes,
-    _log_tail,
     _tree_measure,
     building_block,
     certified_truncation,
@@ -69,47 +71,31 @@ class TreeHeatValue:
     tail_bound: float
 
 
-def _certified_cuts(
-    q: int, t: float, tol: float, firsts: list[int], weight: float
-) -> list[tuple[int, float]]:
-    """certified_truncation(q, t, tol, first, 2, weight) for every first, from
-    one search per parity.
-
-    A search on the lattice first, first + 2, ... starts at s = first - 2 (at
-    first where first < 2) and returns the first order m >= s of that parity
-    whose tail test holds.  The test reads m only and holds for good past the
-    peak of the bound, so that order is max(s, m*_p), with m*_p the end of
-    the search started at p = s % 2.  Where s passes m*_p, certified_truncation
-    started at s would certify it at once: its tail bound is one evaluation of
-    the search's log tail at s (0 for a zero weight or t = 0, which have no tail).
-    """
-    starts = [first - 2 if first >= 2 else first for first in firsts]
-    m_star: dict[int, int] = {}
-    certified: dict[int, float] = {}
-    for p in {s % 2 for s in starts}:
-        m_star[p], certified[m_star[p]] = certified_truncation(q, t, tol, p + 2, 2, weight)
-    cuts = [max(s, m_star[s % 2]) for s in starts]
-    missing = set(cuts) - certified.keys()
-    if missing and weight != 0.0 and t != 0.0:
-        log_tail = _log_tail(q, t, 2, weight)
-        certified.update((cut, math.exp(log_tail(cut))) for cut in missing)
-    return [(cut, certified.get(cut, 0.0)) for cut in cuts]
-
-
 def tree_heat_kernels(q: int, t, radii, tol: float = 1e-12) -> list:
-    """K(t, r) on the (q+1)-regular tree for every r in radii, by the Bessel series:
-    a list of TreeHeatValue, or for a 1-D array t of times one such list per time.
+    """K(t, r) on the (q+1)-regular tree for every r in radii, by the positive Bessel
+    series: a list of TreeHeatValue, or for a 1-D array t of times one such list per time.
 
-    Each r keeps its own truncation index J_r: the terms (q-1) B(q, r + 2j, t),
-    j >= 1, go to bessel.certified_truncation with weight q - 1 on the lattice
-    r + 2, r + 4, ... (at q = 1 that weight is 0 and J_r = 0).  That search
-    started at r ends at cut_r = max(r, m*_{r % 2}), m*_p its end on the
-    lattice p + 2, p + 4, ..., so the row runs one search per parity and
-    reads each tail bound at cut_r (_certified_cuts).  Every value is
-    B_r - (q-1)(B_{r+2} + ... + B_{r+2J_r}) read from one building-block
-    vector up to max_r (r + 2 J_r); a grid of times reads its vectors from the
-    passes of bessel._grid_passes, each to the largest such order over its
-    times (one pass unless that would pass the evaluator's cap).
+    The recurrence B_{m-1} - q B_{m+1} = (m/t) B_m (DLMF 10.29.1) turns the paper's
+    alternating series into K(t, r) = (1/t) sum_{j>=0} (r + 2j + 1) B_{r+2j+1}, so
+    K_r = K_{r+2} + ((r+1)/t) B_{r+1}: within a parity K falls in r, and every value of
+    parity p is a suffix sum of one sequence of positive terms, whose largest radius
+    R_p has the least value and the least lead ((R_p+1)/t) B_{R_p+1}.  As the blocks
+    are nonnegative, the recurrence gives (m/t) B_m <= B_{m-1}: each term past a cut
+    is at most the block one order below it.  So one bessel.certified_truncation per
+    parity, on the block lattice R_p, R_p + 2, ... with weight
+    exp(min(700, ln t - ln(R_p + 1) - ln B_{R_p+1})), cuts every radius of that
+    parity at one order M_p.  tail_bound is that search's bound on the tail over the
+    lead, so relative to each value of a parity whose lead is above e^{-700}, and
+    relative to e^{-700} below that.
+    truncation_index counts the (M_p - r)/2 terms past the first.  The leads come from
+    one pass of bessel._grid_passes to the largest R_p + 1, and the terms, as
+    e^{ln B_m - ln t} m, from a second to each time's largest M_p + 1; a grid makes
+    more passes only where one would pass the evaluator's cap.  A suffix sum of n
+    positive terms, summed from the smallest, is off by at most (n - 1) u relative,
+    u = 2^-53, on top of the rounding of its log blocks, about |ln B| u each, which at
+    t = 1e-305 reads 1.1e-13 on K_0.  Where B_1 is 0, at t = 0 and where 2/tau
+    overflows (tau = 2 sqrt(q) t below about 1e-308), K is [r = 0], with J = 0 and
+    no tail, as 1 - K_0 <= (q+1) t and K_r <= t^r are below float resolution.
     """
     _check_q(q)
     _check_tol(tol)
@@ -117,16 +103,27 @@ def tree_heat_kernels(q: int, t, radii, tol: float = 1e-12) -> list:
     radii = list(radii)
     if any(r < 0 for r in radii):
         raise ValueError("r must be >= 0")
-    cuts = [_certified_cuts(q, x, tol, [r + 2 for r in radii], q - 1) for x in times]
-    tops = [max((order for order, _ in row), default=0) for row in cuts]
+    lasts = {p: max(r for r in radii if r % 2 == p) for p in {r % 2 for r in radii}}
+    top = max(lasts.values(), default=0) + 1
+    leads = [row for _, rows in _grid_passes(q, [top] * len(times), times) for row in rows]
+
+    def search(x, row, last):  # weight 1 / ((R_p+1)/t) B_{R_p+1}, capped; t = 0 has no tail
+        log_weight = math.log(x) - math.log(last + 1) - row[last + 1] if x else -math.inf
+        return certified_truncation(q, x, tol, last + 2, 2, math.exp(min(_EXP_LIMIT, log_weight)))
+
+    cuts = [{p: search(x, row, last) for p, last in lasts.items()} for x, row in zip(times, leads)]
+    tops = [max((order + 1 for order, _ in cut.values()), default=1) for cut in cuts]
     tables = []
     for part, log_blocks in _grid_passes(q, tops, times):
-        for blocks, row in zip(np.exp(log_blocks), cuts[part]):
-            values = []
-            for r, (order, bound) in zip(radii, row):
-                value = blocks[r] - (q - 1) * math.fsum(blocks[r + 2 : order + 1 : 2])
-                values.append(TreeHeatValue(r, float(value), (order - r) // 2, bound))
-            tables.append(values)
+        for x, blocks, cut in zip(times[part], log_blocks, cuts[part]):
+            if blocks[1] == -math.inf:  # t = 0, or 2/tau overflows
+                tables.append([TreeHeatValue(r, float(r == 0), 0, 0.0) for r in radii])
+                continue
+            # terms[m - 1] = (m/t) B_m, from B_m / t <= 1/m; a parity's sums end at its cut
+            terms = np.exp(blocks[1:] - math.log(x)) * np.arange(1, len(blocks))
+            sums = {p: np.cumsum(terms[order::-2])[::-1].tolist() for p, (order, _) in cut.items()}
+            tables.append([TreeHeatValue(r, sums[r % 2][r // 2], (cut[r % 2][0] - r) // 2,
+                                         cut[r % 2][1]) for r in radii])
     return tables if grid else tables[0]
 
 
@@ -145,8 +142,9 @@ def tree_heat_kernel_time_derivatives(q: int, t: float, radii) -> list[float]:
     block bound falls in m, so the term (q-1)|B'_{r+2j}| is at most 2 (q^2-1)
     times the bound at order r + 2j - 1: bessel.certified_truncation cuts each
     r's series on that lattice with that weight, at a certified tail of 1e-13.
-    The lattice r + 1, r + 3, ... starts at r - 1 (at 1 for r = 0), so the cut
-    is max(r - 1, m*_p) with one search per parity p (_certified_cuts).
+    The lattice r + 1, r + 3, ... starts at |r - 1|, and the search's tail test
+    reads the order only and holds for good past the peak of the bound, so the cut
+    is max(|r - 1|, m*_p), m*_p the end of one search per parity p from p.
     B'_m follows from 2 I_m' = I_{m-1} + I_{m+1}, with B_{-1} = q B_1 as I_{-1} = I_1,
     on one list of scalar building_block values B_0..B_{top+1} per (q, t), top the
     largest order any r needs: independent of log_building_blocks.
@@ -157,14 +155,15 @@ def tree_heat_kernel_time_derivatives(q: int, t: float, radii) -> list[float]:
     radii = list(radii)
     if any(r < 0 for r in radii):
         raise ValueError("r must be >= 0")
-    cuts = _certified_cuts(q, t, 1e-13, [r + 1 for r in radii], 2 * (q * q - 1))
-    top = max((max(r, order + 1) for r, (order, _) in zip(radii, cuts)), default=0)
+    weight, parities = 2 * (q * q - 1), {(r + 1) % 2 for r in radii}
+    ends = {p: certified_truncation(q, t, 1e-13, p + 2, 2, weight)[0] for p in parities}
+    cuts = [max(abs(r - 1), ends[(r + 1) % 2]) for r in radii]
+    top = max((max(r, order + 1) for r, order in zip(radii, cuts)), default=0)
     blocks = [building_block(q, m, t) for m in range(top + 2)]
     below = [q * blocks[1]] + blocks[:top]
     dots = [below[m] + q * blocks[m + 1] - (q + 1) * blocks[m] for m in range(top + 1)]
     return [
-        dots[r] - (q - 1) * math.fsum(dots[r + 2 : order + 2 : 2])
-        for r, (order, _) in zip(radii, cuts)
+        dots[r] - (q - 1) * math.fsum(dots[r + 2 : order + 2 : 2]) for r, order in zip(radii, cuts)
     ]
 
 

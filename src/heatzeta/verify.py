@@ -121,10 +121,10 @@ def check_horocycle_transform(qs: Iterable[int]) -> CheckResult:
 
     As 0 <= K <= the building block, the sums at heights r and -r stop where
     bessel.certified_truncation puts the tail below 1e-11 for the larger lead's
-    weight (q-1) q^{(m-r)/2-1} q^r on the lattice r + 2, r + 4, ...  Each
-    K(t, m) enters with weight at most q^m, m <= top, and every r reads one table
-    of radii 0..top_max, the largest top of the four, computed to
-    1e-12 / q^top_max <= 1e-12 / q^top.
+    weight (q-1) q^{(m-r)/2-1} q^r on the lattice r + 2, r + 4, ...  Every r
+    reads one table of radii 0..max top of the four, computed to 1e-12: each
+    value's tail bound is relative, so a sum of values with positive weights is
+    certified relative to itself too.
     """
     worst = 0.0
     for q in qs:
@@ -133,8 +133,7 @@ def check_horocycle_transform(qs: Iterable[int]) -> CheckResult:
             for r in range(4):
                 weight = (q - 1) * q ** (r / 2 - 1)
                 tops.append(bessel.certified_truncation(q, t, 1e-11, r + 2, 2, weight, 0.5)[0])
-            top_max = max(tops)
-            table = heat_tree.tree_heat_kernels(q, t, range(top_max + 1), 1e-12 / q**top_max)
+            table = heat_tree.tree_heat_kernels(q, t, range(max(tops) + 1), 1e-12)
             for r, top in enumerate(tops):
                 kernel = table[r : top + 1 : 2]
                 weights = [1] + [(q - 1) * q ** (i - 1) for i in range(1, len(kernel))]

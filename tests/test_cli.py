@@ -155,7 +155,7 @@ class TestHeat:
             assert 0.0 < float(row["value"]) < 1.0
 
     def test_tree_table_makes_one_evaluator_call(self, capsys, monkeypatch):
-        # the five times' block vectors come from one grid call
+        # the five times' leads come from one grid call, and their terms from one more
         calls = []
         original = bessel.log_building_blocks
         monkeypatch.setattr(
@@ -166,7 +166,7 @@ class TestHeat:
         )
         assert (code, err) == (0, "")
         assert len(json.loads(out)["rows"]) == 5 * 31
-        assert [list(args[2]) for args in calls] == [[0.1, 0.5, 1.0, 2.0, 3.0]]
+        assert [list(args[2]) for args in calls] == [[0.1, 0.5, 1.0, 2.0, 3.0]] * 2
 
     def test_tree_table_makes_one_integral_call(self, capsys, monkeypatch):
         # the five times' cross-check rows come from one grid call, on one node set
@@ -227,6 +227,17 @@ class TestHeat:
         assert (code, err) == (0, "")
         for row in json.loads(out)["rows"]:
             assert float(row["value"]) == pytest.approx(0.2, abs=1e-10)
+
+    def test_tree_value_at_t_100_is_relative(self, capsys):
+        # K(100, 0) is mostly cancellation in the paper's alternating series: its
+        # positive form holds it to the --tol of 1e-10 relative
+        code, out, err = run(
+            capsys, "heat", "--graph", "tree", "--q", "3", "--order", "2", "--t", "100"
+        )
+        assert (code, err) == (0, "")
+        row = json.loads(out)["rows"][0]
+        assert float(row["value"]) == pytest.approx(1.92539109852715e-27, rel=1e-10, abs=0)
+        assert float(row["tail_bound"]) <= 1e-10
 
     def test_tree_rows_at_larger_time(self, capsys):
         code, out, _ = run(

@@ -219,6 +219,12 @@ def test_one_recursion_owns_the_gather():
     assert names_outside({"_adjacency_gather": {"graphs.py"}}) == []
 
 
+def test_bessel_owns_the_log_tail():
+    # the tree values cut at one certified_truncation per parity, so only bessel reads
+    # the log tail of its bound
+    assert names_outside({"_log_tail": {"bessel.py"}}) == []
+
+
 def test_trapezoid_rule_serves_the_tree_measure_and_the_g_transform():
     # every tree-measure integral runs through bessel._tree_measure, which holds the
     # tree's density once; zeta's half-line G-transform is the rule's one other caller

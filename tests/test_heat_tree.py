@@ -25,12 +25,45 @@ def block_dots(q, t, top):
     return [below[m] + q * blocks[m + 1] - (q + 1) * blocks[m] for m in range(top + 1)]
 
 
+def mp_tree_kernels(q, t, top):
+    """K(t, r) for r = 0..top in 50-digit mpmath, t > 0, by the positive series: I_m(tau)
+    from mpmath's I_N and I_{N+1} by the downward recurrence I_{m-1} = (2m/tau) I_m + I_{m+1},
+    N past every term above 1e-40 of K(t, top)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        q, t = mp.mpf(q), mp.mpf(t)
+        tau = 2 * mp.sqrt(q) * t
+        N = top + 40 + int(math.sqrt(160 * float(tau)))
+        bessel_values = [mp.mpf(0)] * (N + 2)
+        bessel_values[N], bessel_values[N + 1] = mp.besseli(N, tau), mp.besseli(N + 1, tau)
+        for m in range(N, 0, -1):
+            bessel_values[m - 1] = 2 * m / tau * bessel_values[m] + bessel_values[m + 1]
+        scale = mp.exp(-(q + 1) * t) / t
+        terms = [m * q ** (-mp.mpf(m) / 2) * scale * bessel_values[m] for m in range(N + 1)]
+        sums, kernel = [mp.mpf(0), mp.mpf(0)], [None] * N
+        for m in range(N, 0, -1):
+            sums[m % 2] += terms[m]
+            kernel[m - 1] = sums[m % 2]
+        assert terms[N] < mp.mpf(10) ** -40 * kernel[top]
+        return kernel[: top + 1]
+
+
 class TestSeries:
     def test_initial_condition(self):
         for q in (1, 2, 3):
             assert tree_heat_kernel(q, 0.0, 0).value == 1.0
             for r in (1, 2, 5):
                 assert tree_heat_kernel(q, 0.0, r).value == 0.0
+
+    def test_subnormal_time_is_the_initial_condition(self):
+        # where 2/tau overflows the evaluator's B_1 is 0, and so would be every term
+        # (m/t) B_m: K is [r = 0], as 1 - K_0 <= (q+1) t and K_r <= t^r round away
+        for t in (1e-310, 5e-324):
+            row = tree_heat_kernels(2, [t], range(3))[0]
+            assert [(v.value, v.truncation_index, v.tail_bound) for v in row] == [
+                (1.0, 0, 0.0), (0.0, 0, 0.0), (0.0, 0, 0.0)
+            ]
+        assert tree_heat_kernel(2, 1e-300, 0).value == pytest.approx(1.0, rel=1e-12, abs=0)
 
     def test_q_one_closed_form(self):
         for r in range(5):
@@ -50,7 +83,8 @@ class TestSeries:
                     assert 0.0 < v < 1.0
 
     def test_positivity_despite_alternation(self):
-        # the correction series is subtracted, so positivity is nontrivial
+        # the paper's series subtracts its corrections, so positivity is not evident
+        # from it; the production sum's terms are positive
         for t in (0.05, 0.5, 2.0, 10.0):
             assert tree_heat_kernel(4, t, 0, 1e-13).value > 0.0
 
@@ -72,39 +106,48 @@ class TestSeries:
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     @pytest.mark.parametrize("t", [0.0, 0.1, 2.0, 8.0])
     def test_matches_scalar_alternating_sum(self, q, t):
-        # the truncation rule and the per-term sum of scalar building blocks,
-        # written out independently of bessel's helpers: J is the first index
-        # whose next log bound term has fallen and whose concave tail
-        # next / (1 - next / current) is below tol
+        # the paper's alternating series of scalar building blocks, summed until its blocks
+        # fall below 1e-30 of B_30: where it cancels less than tenfold it rounds to within
+        # 1e-14 relative, and there the value is within tol of it; every value is within
+        # tol plus rounding of mpmath's
         tol = 1e-12
-
-        def log_term(order):
-            # ln of (q-1) q^{-order/2} e^{-(sqrt(q)-1)^2 t} tau^{-1/2} (1 + order/tau)^{-order/2}
-            return (
-                math.log(q - 1)
-                - 0.5 * order * math.log(q)
-                - (math.sqrt(q) - 1.0) ** 2 * t
-                - 0.5 * math.log(tau)
-                - 0.5 * order * math.log1p(order / tau)
-            )
-
+        blocks = [building_block(q, m, t) for m in range(31)]
+        while blocks[-1] > 1e-30 * blocks[30]:
+            blocks.append(building_block(q, len(blocks), t))
+        exact = mp_tree_kernels(q, t, 30) if t else [float(r == 0) for r in range(31)]
+        compared = 0
         for r in range(31):
             result = tree_heat_kernel(q, t, r, tol)
-            j, bound, value = 0, 0.0, building_block(q, r, t)
-            if q > 1 and t > 0:
-                tau = 2.0 * math.sqrt(q) * t
-                while True:
-                    current, following = log_term(r + 2 * j), log_term(r + 2 * j + 2)
-                    if following < current:
-                        bound = math.exp(following) / (1.0 - math.exp(following - current))
-                        if bound < tol:
-                            break
-                    j += 1
-                    value -= (q - 1) * building_block(q, r + 2 * j, t)
-            assert result.truncation_index == j
-            # the two log-domain routes round apart by up to 1.7e-14 relative (q = 4, t = 0.1)
-            assert result.tail_bound == pytest.approx(bound, rel=2e-14, abs=0)
-            assert result.value == pytest.approx(value, abs=1e-13)
+            alternating = blocks[r] - (q - 1) * math.fsum(blocks[r + 2 :: 2])
+            if blocks[r] <= 10.0 * alternating:
+                compared += 1
+                assert result.value == pytest.approx(alternating, rel=tol + 1e-14, abs=0)
+            assert result.value == pytest.approx(float(exact[r]), rel=tol + 1e-13, abs=0)
+        assert compared >= 12
+
+    def test_values_meet_their_relative_bounds(self):
+        # every value within its relative tail_bound of 50-digit mpmath, plus rounding: the
+        # log blocks' pinned 8 (|ln B| + 1) u each (TestLogBlockRounding), taken at K, the
+        # n - 1 additions' u each, and n steps of the subnormal grid; below e^-700 the tail
+        # is relative to e^-700.  Each step K_r - K_{r+2} is the term ((r+1)/t) B_{r+1}
+        # of the scalar building block.
+        u, floor = 2.0**-53, math.exp(-700.0)
+        for q in range(2, 8):
+            for t in (0.1, 3.0, 20.0, 100.0, 1000.0):
+                exact = [float(k) for k in mp_tree_kernels(q, t, 30)]
+                for tol in (1e-10, 1e-16):
+                    row = tree_heat_kernels(q, t, range(31), tol)
+                    for v, k in zip(row, exact):
+                        n = v.truncation_index + 1
+                        rounding = (8.0 * (abs(math.log(k)) + 1.0) + n) * u if k else 0.0
+                        slack = v.tail_bound * max(k, floor) + rounding * k + n * 2.0**-1074
+                        assert abs(v.value - k) <= slack, (q, t, tol, v)
+                    for r in range(29):
+                        step = row[r].value - row[r + 2].value
+                        lead = (r + 1) / t * building_block(q, r + 1, t)
+                        k = exact[r]
+                        bound = 8.0 * (abs(math.log(k)) + 1.0) * u * k if k else 2.0**-1074
+                        assert abs(step - lead) <= bound, (q, t, tol, r)
 
     def test_large_time_finishes(self):
         # every block underflows at t = 1e6, and so does the log bound of the
@@ -272,8 +315,15 @@ class TestRows:
     @pytest.mark.parametrize("q", [1, 2, 4])
     @pytest.mark.parametrize("t", [0.0, 0.7, 5.0])
     def test_series_row_entries_are_the_scalar_values(self, q, t):
+        # a lone call cuts at its own lead: the largest radius of each parity, 23 and 24,
+        # is its lone call bitwise, and the others lie within both cuts' tails
         row = tree_heat_kernels(q, t, range(25), 1e-12)
-        assert row == [tree_heat_kernel(q, t, r, 1e-12) for r in range(25)]
+        for r, value in enumerate(row):
+            lone = tree_heat_kernel(q, t, r, 1e-12)
+            if r >= 23:
+                assert value == lone
+            else:
+                assert value.value == pytest.approx(lone.value, rel=2e-12, abs=0)
 
     @pytest.mark.parametrize("t", [0.0, 0.7, 5.0])
     def test_integral_row_entry_is_the_scalar_integral(self, t):
@@ -282,9 +332,10 @@ class TestRows:
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 7])
     def test_grid_tables_are_the_single_time_tables(self, q):
-        # one evaluator call to the grid's largest order starts each time's ratio
-        # recurrence further out than its own call does, which moves no log by 2e-17
-        # before rounding: bitwise here, the cuts and tail bounds by construction
+        # one evaluator call reads every time's leads, at the orders its own call reads,
+        # so the cuts and tail bounds are its own; one more to the grid's largest cut
+        # starts each time's ratio recurrence further out than its own call does, which
+        # moves no log by 2e-17 before rounding: bitwise here
         grid = [0.0, 0.1, 3.0, 0.5, 20.0, 3.0]
         calls = []
         original = bessel.log_building_blocks
@@ -296,14 +347,15 @@ class TestRows:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bessel, "log_building_blocks", counted)
             tables = tree_heat_kernels(q, grid, range(31), 1e-10)
-        assert len(calls) == 1
+        assert [(args[1], list(args[2])) for args in calls] == [(31, grid), (calls[1][1], grid)]
         assert tables == [tree_heat_kernels(q, t, range(31), 1e-10) for t in grid]
 
     def test_grid_past_the_evaluator_cap_runs_in_passes(self, monkeypatch):
-        # a cap that holds two of these times at a time: three calls, the same table
+        # a cap that holds two of these times at a time: three calls for the leads and
+        # three for the terms, the same table
         grid = [0.1, 0.5, 1.0, 2.0, 3.0]
         expected = tree_heat_kernels(3, grid, range(31))
-        top = max(v.truncation_index * 2 + v.r for row in expected for v in row)
+        top = max(v.r + 2 * v.truncation_index + 1 for row in expected for v in row)
         width = top + bessel._miller_margin(3, top, max(grid)) + 1
         passes = []
         original = bessel.log_building_blocks
@@ -312,7 +364,7 @@ class TestRows:
             bessel, "log_building_blocks", lambda *args: passes.append(len(args[2])) or original(*args)
         )
         tables = tree_heat_kernels(3, grid, range(31))
-        assert passes == [2, 2, 1]
+        assert passes == [2, 2, 1, 2, 2, 1]
         assert [v.value for row in tables for v in row] == pytest.approx(
             [v.value for row in expected for v in row], rel=1e-15, abs=0.0
         )
@@ -362,15 +414,16 @@ class TestHeatEquation:
 
 
 class TestMassConservation:
-    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("q", [2, 3, 4, 7])
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 2.0])
     def test_sphere_weighted_sum(self, q, t):
+        # each value's tail is relative, so the weighted sum keeps it: rounding level
         radius = int(2 * math.sqrt(q) * t) + 60
         total = tree_heat_kernel(q, t, 0, 1e-13).value
         for r in range(1, radius):
             sphere = (q + 1) * q ** (r - 1)
             total += sphere * tree_heat_kernel(q, t, r, 1e-13).value
-        assert total == pytest.approx(1.0, abs=1e-6)
+        assert total == pytest.approx(1.0, abs=1e-14)
 
 
 class TestHorocycle:
@@ -430,21 +483,38 @@ class TestHorocycle:
 
 
 class TestParityCuts:
-    """One truncation search per parity gives every radius the cut and tail
-    bound of its own search, bitwise: q 1-7, t 1e-3 to 1e3, tol 1e-8 to 1e-13,
-    radii 0-40, 57 and 100, unsorted and repeated."""
+    """One truncation search per parity gives every radius its cut, bitwise: the
+    value row's search at the lead of the parity's largest radius, and the
+    derivative row's the cut of each radius's own search: q 1-7, t 1e-3 to 1e3,
+    tol 1e-8 to 1e-13, radii 0-40, 57 and 100, unsorted and repeated."""
 
     TIMES = (1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0, 1e3)
     TOLS = (1e-8, 1e-9, 1e-10, 1e-12, 1e-13)
     RADII = [57, *range(40, -1, -1), 100, 3, 57, 0]
 
     @pytest.mark.parametrize("q", range(1, 8))
-    def test_row_cuts_are_the_per_radius_searches(self, q):
+    def test_row_cuts_are_the_per_radius_searches(self, monkeypatch, q):
+        # every radius of parity p is cut where the one search of that parity, on the
+        # block lattice R_p, R_p + 2, ..., stops, weighted by 1 / ((R_p+1)/t) B_{R_p+1}
+        # up to e^700, with R_p = 100 and 57 the largest radii
+        searches = []
+        original = heat_tree.certified_truncation
+        monkeypatch.setattr(
+            heat_tree, "certified_truncation", lambda *args: searches.append(args) or original(*args)
+        )
         for t in self.TIMES:
+            logs = bessel.log_building_blocks(q, 101, t)
             for tol in self.TOLS:
+                searches.clear()
                 row = tree_heat_kernels(q, t, self.RADII, tol)
+                assert sorted(args[3] for args in searches) == [59, 102]
+                cuts = {}
+                for p, last in ((0, 100), (1, 57)):
+                    log_weight = math.log(t) - math.log(last + 1) - logs[last + 1]
+                    weight = math.exp(min(700.0, log_weight))
+                    cuts[p] = bessel.certified_truncation(q, t, tol, last + 2, 2, weight)
                 for r, value in zip(self.RADII, row):
-                    order, bound = bessel.certified_truncation(q, t, tol, r + 2, 2, q - 1)
+                    order, bound = cuts[r % 2]
                     assert (value.r, value.truncation_index) == (r, (order - r) // 2)
                     assert value.tail_bound == bound
 
