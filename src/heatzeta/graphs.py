@@ -38,11 +38,12 @@ Lubotzky-Phillips-Sarnak (1988) reads tr C_k from the Frobenius product
 fits int64, and R = K above it, where the traces are the diagonals of the
 full recursion, as Python-int products would cost more than the steps they
 save.  The identity runs in column panels of b = max(1, _PANEL_ENTRIES // n)
-columns, one at a time, so memory is O(n b), not n x n arrays.
+columns, one at a time (``_panel_products``, which ``_walk_traces`` runs for
+zeta's tr A^k too), so memory is O(n b), not n x n arrays.
 ``count_table`` runs ``_loop_counts`` once and, beside it, the walks a_k
 from the indicator of x0.  Arrays are int64 only while a
-proved bound (``_int64_safe``, ``_half_order``, and the walk bound at
-``count_table``) shows no number can overflow, and dtype=object (Python
+proved bound (``_int64_safe``, ``_half_order``, ``_walk_traces``, and the walk
+bound at ``count_table``) shows no number can overflow, and dtype=object (Python
 ints) above it; every value leaves the engine as a Python int, so results
 are exact at any length.  ``heat_graph`` builds the heat coefficients b_m
 from the engine's c_k by their definition.
@@ -423,22 +424,33 @@ def _loop_counts(g: Graph, K: int, x0: int | None = None) -> tuple[list[int], li
     for r > s and (q+1) q^{s-1} for r = s (Cartier 1973; Lubotzky, Phillips and
     Sarnak 1988), gives tr C_k from tr(C_r C_s) = <C_r, C_s>, a Frobenius
     product as C_k is symmetric, and the lower traces (_from_products).  The
-    entry (x0, x0) follows the same rule with <C_r[:, x0], C_s[:, x0]>.  X = I
-    runs in column panels of max(1, _PANEL_ENTRIES // n) columns, one at a time;
-    each step adds its panel's share of the diagonal (k <= R) and of the two
-    products <C_k, C_k> (for 2k) and <C_k, C_{k-1}> (for 2k - 1) that the
-    traces above R read, so memory is a few panels, not n x n arrays.
+    entry (x0, x0) follows the same rule with <C_r[:, x0], C_s[:, x0]>.  The
+    diagonals and products come from _panel_products.
     """
     q, n = g.regularity(), g.n_vertices
     R = _half_order(n, q, K)
     dtype = np.int64 if _int64_safe(q, R) else object
+    totals, at_x0 = _panel_products(g, K, R, _geodesic_step(q), dtype, x0)
+    return _from_products(totals, q, R), _from_products(at_x0, q, R)
+
+
+def _panel_products(
+    g: Graph, K: int, R: int, step: Callable, dtype, x0: int | None = None
+) -> tuple[list[int], list[int]]:
+    """(raw, at_x0), k = 0..K, of the X = I recursion V_k of step run to R >= K/2:
+    raw[k] = tr V_k (k <= R) or <V_{k-s}, V_s>, s = k // 2 (V_k symmetric); at_x0
+    the same of entry and column x0, zeros for x0 None.  Panels of
+    max(1, _PANEL_ENTRIES // n) columns run one at a time, each step adding its
+    share of the diagonal, <V_k, V_k> and <V_k, V_{k-1}>; dtype must hold every
+    entry and every partial sum of a panel's products."""
+    n = g.n_vertices
     totals, at_x0 = [0] * (K + 1), [0] * (K + 1)
     width = max(1, _PANEL_ENTRIES // n)
     for first in range(0, n, width):
         panel = np.eye(n, min(width, n - first), -first, dtype)  # columns first, first + 1, ...
         col = x0 - first if x0 is not None and 0 <= x0 - first < panel.shape[1] else None
         prev = panel
-        for k, cur in enumerate(_recursion(g, panel, R, _geodesic_step(q))):
+        for k, cur in enumerate(_recursion(g, panel, R, step)):
             totals[k] += sum(cur.diagonal(-first).tolist())
             if col is not None:
                 at_x0[k] = int(cur[x0, col])
@@ -448,7 +460,26 @@ def _loop_counts(g: Graph, K: int, x0: int | None = None) -> tuple[list[int], li
                     if col is not None:
                         at_x0[j] = int(np.dot(cur[:, col], other[:, col]))
             prev = cur
-    return _from_products(totals, q, R), _from_products(at_x0, q, R)
+    return totals, at_x0
+
+
+def _walk_traces(g: Graph, L: int) -> list[int]:
+    """The closed-walk traces tr A^k, k = 0..L, from _panel_products on the walk
+    recursion A^k = A A^{k-1}.
+
+    The walks of length k from a vertex number (q+1)^k, which bounds every
+    entry of A^k and of a gather, and tr A^k <= n (q+1)^k.  So while
+    n (q+1)^L < 2^63 the recursion runs to ceil(L/2) in int64 and tr A^k above
+    it is the Frobenius product <A^{k-s}, A^s>, s = k // 2, whose partial sums
+    are nonnegative and at most tr A^k.  Above that bound it runs to L for the
+    diagonals alone, as Python-int products cost more than the steps they save
+    (0.34 s against 0.20 s at n = 200, q = 3, L = 60), in int64 while
+    (q+1)^L < 2^63 and Python ints above.
+    """
+    n, q = g.n_vertices, g.regularity()
+    R = (L + 1) // 2 if n * (q + 1) ** L < 2**63 else L
+    dtype = np.int64 if (q + 1) ** L < 2**63 else object
+    return _panel_products(g, L, R, lambda k, a, prev: a, dtype)[0]
 
 
 def _from_products(raw: list[int], q: int, R: int) -> list[int]:

@@ -88,23 +88,18 @@ def laplacian(g: Graph) -> np.ndarray:
     return mat
 
 
-def _require_dense_eigensolve(g: Graph) -> None:
-    """ValueError above DENSE_EIGEN_CAP vertices, before any eigen-solve."""
-    if g.n_vertices > DENSE_EIGEN_CAP:
-        raise ValueError(
-            f"{g.n_vertices} vertices exceeds the dense eigen-solve cap "
-            f"({DENSE_EIGEN_CAP}); use the series or ODE routes"
-        )
-
-
 @lru_cache(maxsize=1)
 def spectral_data(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Dense symmetric eigen-solve of the Laplacian as numpy's named eigh result:
     eigenvectors[:, j] is the orthonormal eigenvector for eigenvalues[j]; no
     1/n weighting is applied anywhere, which is the normalization pinned down
     by the t = 0 initial condition of the heat kernel.  Refused above
-    DENSE_EIGEN_CAP vertices."""
-    _require_dense_eigensolve(g)
+    DENSE_EIGEN_CAP vertices, before any eigen-solve."""
+    if g.n_vertices > DENSE_EIGEN_CAP:
+        raise ValueError(
+            f"{g.n_vertices} vertices exceeds the dense eigen-solve cap "
+            f"({DENSE_EIGEN_CAP}); use the series or ODE routes"
+        )
     result = np.linalg.eigh(laplacian(g))
     # exact for a connected regular graph; eigh's rounding of it would grow like t
     result.eigenvalues[0] = 0.0

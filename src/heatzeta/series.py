@@ -1,9 +1,10 @@
-"""Truncated formal power series with exact or floating coefficients.
+"""Truncated formal power series with exact rational coefficients.
 
-Coefficients default to exact rationals (Fraction); any field supporting
-+, *, / works, so the same class carries float series coming from
-eigenvalue computations.  A product truncates to the smaller order of its
-factors, and exp/log are mutually inverse to the order of their argument.
+Every series the package builds holds Fractions: log zeta from the counts,
+the Euler product, the determinant formula and the two-variable zeta, and
+evaluate reads one at a float point.  A product truncates to the smaller
+order of its factors, and exp/log are mutually inverse to the order of
+their argument.
 """
 
 from __future__ import annotations

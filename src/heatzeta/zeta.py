@@ -4,8 +4,8 @@ log zeta is computed four ways and cross-checked:
 
 * directly from closed-geodesic counts, sum_m N_m u^m / m, exact rationals,
 * as an Euler product over prime geodesic classes, prod (1 - u^k)^{-pi_k},
-* from the determinant formula through Laplacian eigenvalues, in floats,
-  refused from the order where their rounding bound reaches 1/2,
+* from the determinant formula, exact rationals from the closed-walk traces
+  tr A^k and, past order n, the characteristic polynomial of A,
 * pointwise from a spectral measure (atomic for finite graphs, the
   Kesten-McKay density of the infinite regular tree otherwise, integrated
   by bessel._tree_measure at every q >= 1).
@@ -40,8 +40,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from heatzeta.bessel import QuadratureError, _check_q, _nested_trapezoid, _tree_measure
-from heatzeta.graphs import Graph
-from heatzeta.heat_graph import _require_dense_eigensolve, b_coefficients, laplacian, spectral_data
+from heatzeta.graphs import Graph, _walk_traces
+from heatzeta.heat_graph import b_coefficients, spectral_data
 from heatzeta.series import PowerSeries
 
 __all__ = [
@@ -65,8 +65,6 @@ _G_TOL = 1e-11
 # at _S_LO and ln(ln(1/tol) + 20) at _S_HI
 _S_LO = -3.728108051172721
 _S_HI = 3.8355245723043865
-# largest distance from an integer that recover_counts rounds away
-_ROUNDING_GUARD = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -100,93 +98,60 @@ def euler_product_series(pi_table: Sequence[int], M: int) -> PowerSeries:
     return result
 
 
-# c of the float determinant route's rounding bound (see _determinant_order_limit)
-_DETERMINANT_ROUNDING = 8
-
-
-def _determinant_order_limit(n: int, q: int, M: int) -> int | None:
-    """First order m <= M at which c eps n m (q^m + m q^{m/2}), the rounding bound
-    of m det_m, reaches 1/2, so that the float route no longer pins N_m; or None.
-
-    zeta.ihara_determinant_series sums n power sums s_m = beta^m + beta'^m,
-    beta beta' = q, |alpha| = |beta + beta'| <= q + 1, so |beta|, |beta'| <= q,
-    by s_m = alpha s_{m-1} - q s_{m-2}.  An error entering at step k reaches m
-    times U_{m-k} = sum_{i<=m-k} beta^i beta'^{m-k-i}, and ds_m/dalpha = m U_{m-1}:
-    |U_j| is about q^j for real roots far apart (alpha = -(q+1), bipartite) and
-    (j+1) q^{j/2} where they meet (alpha = -2 sqrt(q), an even cycle's
-    eigenvalue 4).  eigvalsh's eigenvalue errors of a few eps and each step's
-    rounding of eps/2 (q+1) q^{k-1} so add up to a few eps m (q^m + m q^{m/2})
-    per power sum.  Worst-case alignment would make c a few tens; c = 8 is
-    more than five times the largest measured ratio to eps n m (q^m + m q^{m/2})
-    under eigvalsh: 1.34 (k33, m = 54) on c3-c20 to order 2000, k4, petersen,
-    cube and k33 to 60, and eight seeded random 3- and 4-regular graphs on 64
-    vertices to 200 (0.92 at most there).  Against eps n m q^m alone c4, c6,
-    c10 and c16 reach 250-1334.
-    """
-
-    def bound(m: int) -> float:  # increasing in m: the search stops before q^m leaves float range
-        return _DETERMINANT_ROUNDING * sys.float_info.epsilon * n * m * (q**m + m * q ** (m / 2))
-
-    return next((m for m in range(1, M + 1) if bound(m) >= 0.5), None)
-
-
 def ihara_determinant_series(g: Graph, M: int) -> PowerSeries:
-    """log zeta^{Ih} to order M from the determinant formula.
+    """log zeta^{Ih} to order M from the determinant formula, exact rationals N_m / m.
 
-    With alpha_j = q + 1 - lambda_j, the reciprocal zeta is
-    (1 - u^2)^{n(q-1)/2} prod_j (1 - alpha_j u + q u^2); taking -log and
-    expanding via Newton power sums s_m = alpha s_{m-1} - q s_{m-2} gives
+    1/zeta(u) = (1 - u^2)^{n(q-1)/2} det(I - uA + q u^2 I) (Ihara 1966; Bass 1992).
+    Factor each 1 - u lambda + q u^2, lambda an eigenvalue of A, as
+    (1 - alpha u)(1 - beta u) with alpha + beta = lambda, alpha beta = q; then
+    alpha^m + beta^m = S_m(lambda), S_0 = 2, S_1 = x, S_m = x S_{m-1} - q S_{m-2},
+    and taking -log gives
 
-        m [u^m] log zeta^{Ih} = sum_j s_m(alpha_j) + n (q - 1) [m even].
+        N_m = m [u^m] log zeta^{Ih} = tr S_m(A) + n (q - 1) [m even].
 
-    Coefficients are floats (they come through the eigen-solve, eigenvalues
-    only, numpy's eigvalsh of the Laplacian with lambda_0 = 0 set exactly);
-    use recover_counts to round them back to the integers N_m.  ValueError,
-    before the eigen-solve, from the first order where the rounding bound
-    of _determinant_order_limit reaches 1/2 (below it |s_m| <= 2 q^m stays
-    far inside float range), then above DENSE_EIGEN_CAP vertices.  An
-    admitted order is pinned only to within 1/2: k33 at order 40 is off by
-    7.8e-2 and cube at 39 by 3.8e-2, and from order 25 on both miss the 1e-6
-    guard of recover_counts.
+    tr S_m(A) = sum_k s_{m,k} p_k over S_m's integer coefficients s_{m,k} and the
+    closed-walk traces p_k = tr A^k, k <= min(M, n), of graphs._walk_traces.
+    From M >= n,
+    Newton's identities k c_k = -sum_{i=1}^{k} c_{k-i} p_i give the
+    characteristic polynomial chi_A = x^n + c_1 x^{n-1} + ... + c_n exactly,
+    and each S_m is kept reduced modulo chi_A (Cayley-Hamilton), one O(n) fold
+    per step.  No eigen-solve and no rounding: ArithmeticError if a Newton
+    division is not exact.
     """
-    n = g.n_vertices
-    q = g.regularity()
-    limit = _determinant_order_limit(n, q, M)
-    if limit is not None:
-        raise ValueError(
-            f"order {M}: from order {limit} the float determinant route's rounding bound "
-            f"{_DETERMINANT_ROUNDING} eps n m (q^m + m q^(m/2)) reaches 1/2, so it cannot "
-            f"resolve N_m; use order {limit - 1} or less"
-        )
-    _require_dense_eigensolve(g)
-    eigenvalues = np.linalg.eigvalsh(laplacian(g))
-    eigenvalues[0] = 0.0  # exact for a connected regular graph
-    alphas = (q + 1.0) - eigenvalues
-    s_prev = np.full_like(alphas, 2.0)  # s_0 = 2 roots
-    s_cur = alphas.copy()  # s_1
-    coeffs = [0.0, float(np.sum(s_cur))]
-    for m in range(2, M + 1):
-        s_next = alphas * s_cur - q * s_prev
-        s_prev, s_cur = s_cur, s_next
-        total = float(np.sum(s_cur))
-        if m % 2 == 0:
-            total += n * (q - 1)
-        coeffs.append(total / m)
-    return PowerSeries(coeffs)
+    n, q = g.n_vertices, g.regularity()
+    p = _walk_traces(g, min(M, n))
+    chi = [1]  # 1, c_1, ..., c_n, read only from M >= n
+    for k in range(1, n + 1 if M >= n else 1):
+        kc = -sum(chi[k - i] * p[i] for i in range(1, k + 1))
+        if kc % k:
+            raise ArithmeticError(f"Newton's identities: {k} c_{k} = {kc}, not a multiple of {k}")
+        chi.append(kc // k)
+    # x^n = -(c_n + c_{n-1} x + ... + c_1 x^{n-1}) modulo chi_A; for M < n, S_0..S_M fit
+    # M + 1 coefficients unreduced, and a zero fold only cuts the unused S_{M+1}
+    fold = chi[:0:-1] if M >= n else [0] * (M + 1)
+
+    def times_x(poly: list[int]) -> list[int]:
+        return [a - poly[-1] * c for a, c in zip([0, *poly], fold)]
+
+    unit = [1] + [0] * (len(fold) - 1)
+    older, s, counts = [2 * a for a in unit], times_x(unit), [0]
+    for m in range(1, M + 1):
+        counts.append(sum(a * t for a, t in zip(s, p)) + (0 if m % 2 else n * (q - 1)))
+        older, s = s, [a - q * b for a, b in zip(times_x(s), older)]
+    return zeta_log_series_from_counts(counts, M)
 
 
 def recover_counts(log_series: PowerSeries) -> list[int]:
-    """m * [u^m] of a float log-zeta series, rounded to the integers N_m.
+    """m * [u^m] of a log-zeta series, read exactly, as the integers N_m.
 
-    Raises if any pre-round deviation exceeds _ROUNDING_GUARD.
+    Raises ValueError if any m * [u^m] is not an integer.
     """
     counts = [0]
     for m in range(1, log_series.order + 1):
-        raw = m * float(log_series[m])
-        rounded = round(raw)
-        if abs(raw - rounded) > _ROUNDING_GUARD:
-            raise ValueError(f"coefficient m={m}: {raw} is not integral within {_ROUNDING_GUARD}")
-        counts.append(int(rounded))
+        value = m * Fraction(log_series[m])
+        if value.denominator != 1:
+            raise ValueError(f"coefficient m={m}: {value} is not an integer")
+        counts.append(value.numerator)
     return counts
 
 

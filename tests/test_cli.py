@@ -10,9 +10,11 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from importlib.metadata import EntryPoint, entry_points
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -589,15 +591,24 @@ class TestHeat:
         assert first == second
 
 
+def exact_zeta(capsys, graph: str, order: int) -> dict:
+    """The zeta report of graph at order, after checking that it exits 0 with no
+    stderr and that the determinant formula equals the counts N_m / m exactly."""
+    code, out, err = run(capsys, "zeta", "--graph", graph, "--order", str(order))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["max_discrepancy"] == "0.00000000000000e+00"
+    expected = ["0"] + [str(Fraction(n, m)) for m, n in enumerate(payload["N_m"]) if m]
+    assert payload["determinant_formula_coefficients"] == payload["log_zeta_coefficients"] == expected
+    return payload
+
+
 class TestZeta:
     def test_k4_report(self, capsys):
-        code, out, _ = run(capsys, "zeta", "--graph", "k4", "--order", "8")
-        assert code == 0
-        payload = json.loads(out)
+        payload = exact_zeta(capsys, "k4", 8)
         assert payload["N_m"][3] == 24
         assert payload["pi_m"][3] == 8
         assert payload["log_zeta_coefficients"][3] == "8"
-        assert float(payload["max_discrepancy"]) <= 1e-6
 
     def test_petersen_report(self, capsys):
         code, out, _ = run(capsys, "zeta", "--graph", "petersen", "--order", "6")
@@ -612,51 +623,37 @@ class TestZeta:
         assert first == second
 
     def test_order_past_float_range_refused(self, capsys):
-        # N_1024 = 2^1024 + ... on k4 is past the largest float; the rounding
-        # bound refuses long before, and before any counting
+        # N_1024 = 2^1024 + ... on k4 is past the largest float; the float route
+        # refused from order 41, and a float coefficient overflowed from about 1035
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(capsys, "zeta", "--graph", "k4", "--order", "1100")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: order 1100: from order 41 ")
-        assert err.count("\n") == 1
+            payload = exact_zeta(capsys, "k4", 1100)
+        assert Fraction(payload["determinant_formula_coefficients"][1024]) * 1024 > 2**1024
 
     def test_order_past_exact_float_integers_refused(self, capsys):
-        # 8 eps n m (q^m + m q^(m/2)) reaches 1/2 at order 41 on k4, where the
-        # float determinant route drifts (max_discrepancy 2.0 at order 53, 384 at 60)
-        code, out, err = run(capsys, "zeta", "--graph", "k4", "--order", "60")
-        assert (code, out) == (2, "")
-        assert err.startswith(
-            "error: order 60: from order 41 the float determinant route's rounding bound"
-        )
-        assert err.endswith("use order 40 or less\n")
+        # the float route refused from order 41 on k4 and drifted past it
+        # (max_discrepancy 2.0 at order 53, 384 at 60); the exact one agrees
+        exact_zeta(capsys, "k4", 60)
 
     @pytest.mark.parametrize("order", [44, 51])
     def test_cancelling_float_terms_refused(self, capsys, order):
-        # k33's odd N_m are 0, but float terms of size 2^m cancel to them, and
-        # max_discrepancy reads about 0.5 at order 44 and 1e2 at 51 while N_m
-        # is still below 2^53
-        code, out, err = run(capsys, "zeta", "--graph", "k33", "--order", str(order))
-        assert (code, out) == (2, "")
-        assert err.endswith("use order 40 or less\n")
+        # k33's odd N_m are 0, which float terms of size 2^m cancelled to within
+        # 0.5 at order 44 and 1e2 at 51; the exact traces give 0
+        payload = exact_zeta(capsys, "k33", order)
+        assert payload["determinant_formula_coefficients"][1::2] == ["0"] * ((order + 1) // 2)
 
     @pytest.mark.parametrize("graph, limit", [("k4", 41), ("k33", 41), ("petersen", 40), ("cube", 40)])
     def test_refusal_order_pinned(self, capsys, graph, limit):
-        # below the refusal order the rounding bound, and so max_discrepancy, is under 1/2
-        code, out, _ = run(capsys, "zeta", "--graph", graph, "--order", str(limit - 1))
-        assert code == 0
-        assert float(json.loads(out)["max_discrepancy"]) < 0.5
-        code, out, err = run(capsys, "zeta", "--graph", graph, "--order", str(limit))
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: order {limit}: from order {limit} ")
-        assert err.count("\n") == 1
+        # the float route's refusal order and the one below it both agree exactly
+        exact_zeta(capsys, graph, limit - 1)
+        exact_zeta(capsys, graph, limit)
 
     @pytest.mark.parametrize("graph", ["k4", "random"])
     def test_determinant_refusals_come_before_counting(self, capsys, monkeypatch, tmp_path, graph):
-        # k4 at order 60 is past the rounding bound; a 4-regular graph on 2,100
-        # vertices is past the dense eigen-solve cap
-        argv = ["zeta", "--graph", "k4", "--order", "60"]
-        expected = "error: order 60: from order 41 "
+        # k4 at order 60 was past the float route's rounding bound and a 4-regular
+        # graph on 2,100 vertices past the dense eigen-solve cap: both answer, and
+        # no eigen-solve runs
+        spec, order = "k4", 60
         if graph == "random":
             n, rng = 2100, random.Random(0)
             points = [v for v in range(n) for _ in range(2)]
@@ -664,28 +661,41 @@ class TestZeta:
             edges = [(v, (v + 1) % n) for v in range(n)] + list(zip(points[::2], points[1::2]))
             path = tmp_path / "random4.txt"
             path.write_text("".join(f"{u} {v}\n" for u, v in edges))
-            argv = ["zeta", "--graph", str(path), "--order", "12"]
-            expected = "error: 2100 vertices exceeds the dense eigen-solve cap"
+            spec, order = str(path), 12
 
-        def counting(*args):
-            raise AssertionError("zeta counted before refusing")
+        def eigensolve(*args, **kwargs):
+            raise AssertionError("zeta ran an eigen-solve")
 
-        monkeypatch.setattr(graphs, "closed_geodesics_total", counting)
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err.startswith(expected)
-        assert err.count("\n") == 1
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, eigensolve)
+        assert exact_zeta(capsys, spec, order)["n"] == (2100 if graph == "random" else 4)
 
     def test_order_below_exact_float_integers_answers(self, capsys):
-        code, out, _ = run(capsys, "zeta", "--graph", "k4", "--order", "40")
-        assert code == 0
-        assert float(json.loads(out)["max_discrepancy"]) <= 1e-6
+        exact_zeta(capsys, "k4", 40)
 
     def test_cycle_answers_at_the_order_cap(self, capsys):
-        # q = 1: the bound grows like m^2 only, 8 eps n m (1 + m) = 5.7e-8 at 2000
-        code, out, _ = run(capsys, "zeta", "--graph", "c8", "--order", "2000")
-        assert code == 0
-        assert float(json.loads(out)["max_discrepancy"]) <= 1e-6
+        exact_zeta(capsys, "c8", 2000)
+
+    @pytest.mark.parametrize("graph", ["k4", "petersen", "cube", "k33", "c5"])
+    def test_every_builtin_answers_at_the_order_cap(self, capsys, graph):
+        # c8 is test_cycle_answers_at_the_order_cap's
+        exact_zeta(capsys, graph, cli.MAX_ORDER)
+
+    def test_disagreeing_routes_exit_3(self, capsys, monkeypatch):
+        # one N_m of the counting route off by 1: one error line naming it, no report
+        def counting(g, M):
+            counts = closed_geodesics_total(g, M)
+            counts[3] += 1
+            return counts
+
+        closed_geodesics_total = graphs.closed_geodesics_total
+        monkeypatch.setattr(graphs, "closed_geodesics_total", counting)
+        code, out, err = run(capsys, "zeta", "--graph", "k4", "--order", "8")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: order 3: the determinant formula gives N_m = 24, "
+            "the closed-geodesic count 25\n"
+        )
 
     def test_bad_order(self, capsys):
         code, _, err = run(capsys, "zeta", "--graph", "k4", "--order", "0")

@@ -219,6 +219,12 @@ def test_one_recursion_owns_the_gather():
     assert names_outside({"_adjacency_gather": {"graphs.py"}}) == []
 
 
+def test_zeta_runs_no_eigensolve():
+    # the determinant formula reads closed-walk traces: only heat_graph's spectral
+    # routes build the Laplacian, and nothing calls eigvalsh
+    assert names_outside({"laplacian": {"heat_graph.py"}, "eigvalsh": set()}) == []
+
+
 def test_bessel_owns_the_log_tail():
     # the tree values cut at one certified_truncation per parity, so only bessel reads
     # the log tail of its bound

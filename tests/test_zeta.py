@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from heatzeta import graphs as G
 from heatzeta import heat_graph, zeta
@@ -20,8 +21,19 @@ from heatzeta.zeta import (
     zeta_log_series_from_counts,
     zeta_spectral,
 )
+from strategies import regular_multigraphs
 
 FINITE = ["k4", "c5", "c8", "cube", "k33", "petersen"]
+
+
+def no_eigensolve(monkeypatch):
+    """Make every eigen-solve the package could reach raise."""
+
+    def eigensolve(*args, **kwargs):
+        raise AssertionError("an eigen-solve ran")
+
+    for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (zeta, "spectral_data")):
+        monkeypatch.setattr(module, name, eigensolve)
 
 
 def nodewise(f):
@@ -93,32 +105,57 @@ class TestDeterminantFormula:
 
     @pytest.mark.parametrize("name, limit", [("k4", 41), ("cube", 40)])
     def test_unresolved_order_refused_before_the_eigensolve(self, monkeypatch, name, limit):
-        # at order 60 the float route returns wrong N_m (k4 from N_53, cube N_54)
-        def eigensolve(g):
-            raise AssertionError("eigen-solve ran before the refusal")
-
-        monkeypatch.setattr(zeta, "spectral_data", eigensolve)
-        monkeypatch.setattr(zeta, "laplacian", eigensolve)
-        with pytest.raises(ValueError, match=rf"^order 60: from order {limit} .* use order {limit - 1} or less$"):
-            ihara_determinant_series(G.builtin_graph(name), 60)
+        # the float route refused order 60 from these limits, and past them returned
+        # wrong N_m (k4 from N_53, cube N_54); the exact route answers with no eigen-solve
+        no_eigensolve(monkeypatch)
+        g = G.builtin_graph(name)
+        series = ihara_determinant_series(g, 60)
+        assert series.order == 60 >= limit
+        assert [m * series[m] for m in range(1, 61)] == G.closed_geodesics_total(g, 60)[1:]
 
     def test_eigenvalues_only(self, monkeypatch):
-        # no eigenvectors: the cached eigh of spectral_data is not read
-        def eigensolve(g):
-            raise AssertionError("the determinant route read eigenvectors")
-
-        monkeypatch.setattr(zeta, "spectral_data", eigensolve)
+        # no eigen-solve at all: neither eigvalsh nor eigh, nor the cached one of spectral_data
+        no_eigensolve(monkeypatch)
         g = G.builtin_graph("petersen")
         assert recover_counts(ihara_determinant_series(g, 12))[1:] == G.closed_geodesics_total(g, 12)[1:]
 
     def test_dense_cap_refused_before_the_eigensolve(self, monkeypatch):
-        def eigensolve(g):
-            raise AssertionError("eigen-solve ran before the refusal")
-
+        # the dense eigen-solve cap, which the float route obeyed, no longer bounds the route
         monkeypatch.setattr(heat_graph, "DENSE_EIGEN_CAP", 9)
-        monkeypatch.setattr(zeta, "laplacian", eigensolve)
-        with pytest.raises(ValueError, match=r"^10 vertices exceeds the dense eigen-solve cap \(9\); "):
-            ihara_determinant_series(G.builtin_graph("petersen"), 12)
+        no_eigensolve(monkeypatch)
+        g = G.builtin_graph("petersen")
+        series = ihara_determinant_series(g, 12)
+        assert [m * series[m] for m in range(1, 13)] == G.closed_geodesics_total(g, 12)[1:]
+
+    @given(g=regular_multigraphs())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_counts_on_multigraphs(self, g):
+        # orders below, at and past n, where the route reduces S_m modulo chi_A; n = 1
+        # (one vertex with loops) reduces S_1 = x itself
+        n = g.n_vertices
+        for M in (1, n, n + 1, 2 * n + 5, 40):
+            series = ihara_determinant_series(g, M)
+            assert [m * series[m] for m in range(1, M + 1)] == G.closed_geodesics_total(g, M)[1:]
+
+    def test_inexact_newton_division_raises(self, monkeypatch):
+        # one trace off by 1 (k4's tr A^2 = 12 read as 13) makes 2 c_2 odd
+        def traces(*args):
+            p = walk_traces(*args)
+            p[2] += 1
+            return p
+
+        walk_traces = zeta._walk_traces
+        monkeypatch.setattr(zeta, "_walk_traces", traces)
+        message = r"^Newton's identities: 2 c_2 = -13, not a multiple of 2$"
+        with pytest.raises(ArithmeticError, match=message):
+            ihara_determinant_series(G.builtin_graph("k4"), 8)
+
+    @pytest.mark.parametrize("M", [60, 1100])
+    def test_recovery_is_exact_past_float_integers(self, M):
+        # m det_m leaves the floats' exact integers at m = 56 on k4 (> 2^53) and
+        # float range past order 1,024, so recover_counts reads no float
+        g = G.builtin_graph("k4")
+        assert recover_counts(ihara_determinant_series(g, M))[1:] == G.closed_geodesics_total(g, M)[1:]
 
     def test_guard_rejects_noise(self):
         from heatzeta.series import PowerSeries
