@@ -15,11 +15,14 @@ G-transform calls the rule itself.  The series rescales itself by exact
 powers 2^-512, so bessel_i is the plain sum and bessel_i_scaled,
 e^{-t} I_n(t), is in float range at any t with no switch of route.
 bessel_i_quadrature integrates the row of orders 0..N over one node set.
-A uniform bound
+Two bounds, the uniform one and one from the generating function
+e^{(t/2)(z + 1/z)} = sum_k I_k(t) z^k (DLMF 10.35.1) at z = e^s, sinh s = n/t,
 
-    sqrt(t) e^{-t} I_n(t) <= (1 + n/t)^{-n/2}
+    sqrt(t) e^{-t} I_n(t) <= (1 + n/t)^{-n/2},
+    e^{-t} I_n(t) <= e^{t (sqrt(1 + (n/t)^2) - 1) - n asinh(n/t)},
 
-in log form gives log_block_bound, the one bound on a building block;
+the second far below the first where n is near t, give in log form, the
+lesser of the two, log_block_bound, the one bound on a building block;
 certified_truncation turns it into the one truncation rule of every
 building-block series in the package, whatever its weights.
 
@@ -420,15 +423,30 @@ def _log_bound(q: int, t: float):
     """m -> log_block_bound(q, m, t), its m-free terms computed once."""
     log_q, tau = math.log(q), 2.0 * math.sqrt(q) * t
     decay, half_log_tau = (math.sqrt(q) - 1.0) ** 2 * t, 0.5 * math.log(tau)
-    return lambda m: -0.5 * m * log_q - decay - half_log_tau - 0.5 * m * math.log1p(m / tau)
+
+    def bound(m):
+        p = m / tau
+        uniform = -half_log_tau - 0.5 * m * math.log1p(p)
+        # tau (sqrt(1 + p^2) - 1) = m p / (1 + hypot(1, p)); NaN where p overflows
+        sharp = m * (p / (1.0 + math.hypot(1.0, p)) - math.asinh(p))
+        return -0.5 * m * log_q - decay + (sharp if sharp < uniform else uniform)
+
+    return bound
 
 
 def log_block_bound(q: int, m: int, t: float) -> float:
     """ln of a bound on building_block(q, m, t), t > 0, in float range for every m.
 
-    -(m/2) ln q - (sqrt(q)-1)^2 t plus the log of the module docstring's
-    uniform bound on e^{-tau} I_m(tau), tau = 2 sqrt(q) t: it falls in m and
-    is concave in m, as m ln(1 + m/tau) is convex.
+    -(m/2) ln q - (sqrt(q)-1)^2 t plus the lesser of two bounds on
+    ln(e^{-tau} I_m(tau)), tau = 2 sqrt(q) t, p = m/tau: the log of the module
+    docstring's uniform bound, -(1/2) ln tau - (m/2) ln(1 + p), and
+    tau (sqrt(1 + p^2) - 1) - m asinh(p).  The second is DLMF 10.35.1,
+    e^{tau cosh s} = sum_k I_k(tau) e^{ks} over all integers k, whose terms are
+    positive: so I_m(tau) <= e^{tau cosh s - m s} for every s, least at
+    sinh s = p.  Both fall in m and are concave in m: m ln(1 + p) is convex,
+    and the second's derivative in m is -asinh(p), which falls.  So their
+    minimum is concave too.  Where p overflows (a subnormal t) the second is
+    NaN and the uniform bound stands alone.
     """
     return _log_bound(q, t)(m)
 

@@ -141,7 +141,8 @@ def tree_heat_kernel_time_derivatives(q: int, t: float, radii) -> list[float]:
     B'_m = B_{m-1} + q B_{m+1} - (q+1) B_m with nonnegative blocks, and the
     block bound falls in m, so the term (q-1)|B'_{r+2j}| is at most 2 (q^2-1)
     times the bound at order r + 2j - 1: bessel.certified_truncation cuts each
-    r's series on that lattice with that weight, at a certified tail of 1e-13.
+    r's series on that lattice with that weight, at a certified absolute tail of
+    1e-16, below the rounding of the O(1) values and derivatives at small t.
     The lattice r + 1, r + 3, ... starts at |r - 1|, and the search's tail test
     reads the order only and holds for good past the peak of the bound, so the cut
     is max(|r - 1|, m*_p), m*_p the end of one search per parity p from p.
@@ -156,7 +157,7 @@ def tree_heat_kernel_time_derivatives(q: int, t: float, radii) -> list[float]:
     if any(r < 0 for r in radii):
         raise ValueError("r must be >= 0")
     weight, parities = 2 * (q * q - 1), {(r + 1) % 2 for r in radii}
-    ends = {p: certified_truncation(q, t, 1e-13, p + 2, 2, weight)[0] for p in parities}
+    ends = {p: certified_truncation(q, t, 1e-16, p + 2, 2, weight)[0] for p in parities}
     cuts = [max(abs(r - 1), ends[(r + 1) % 2]) for r in radii]
     top = max((max(r, order + 1) for r, order in zip(radii, cuts)), default=0)
     blocks = [building_block(q, m, t) for m in range(top + 2)]

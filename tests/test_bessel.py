@@ -32,6 +32,17 @@ def uniform_bound(n, t):
     return t**-0.5 * (1.0 + n / t) ** (-n / 2)
 
 
+def sharp_bound(n, t):
+    """The generating-function bound e^{t cosh s - n s - t}, sinh s = n/t, on e^{-t} I_n(t)."""
+    s = math.asinh(n / t)
+    return math.exp(t * math.cosh(s) - n * s - t)
+
+
+def block_bound(n, t):
+    """The lesser of the two bounds on e^{-t} I_n(t) that log_block_bound reads."""
+    return min(uniform_bound(n, t), sharp_bound(n, t))
+
+
 class TestSeries:
     def test_order_zero_at_zero(self):
         assert bessel_i(0, 0.0) == 1.0
@@ -173,15 +184,18 @@ class TestDerivative:
 
 
 class TestUpperBound:
-    # the block bound at q = 1 and t/2 is the uniform bound at t, as verify reads it
+    # the block bound at q = 1 and t/2 is the lesser bound at t, as verify reads it
     def test_order_zero(self):
-        assert math.exp(log_block_bound(1, 0, 0.5)) == uniform_bound(0, 1.0) == 1.0
+        assert math.exp(log_block_bound(1, 0, 0.5)) == block_bound(0, 1.0) == 1.0
         assert math.exp(-1.0) * bessel_i(0, 1.0) <= 1.0
 
     def test_order_ten(self):
+        # here the generating-function bound is the lesser, 7,600 times below 11^-5
         bound = math.exp(log_block_bound(1, 10, 0.5))
-        assert bound == pytest.approx(uniform_bound(10, 1.0), rel=1e-12, abs=0)
-        assert bound == pytest.approx(11.0 ** -5, rel=1e-12, abs=0)
+        assert bound == pytest.approx(block_bound(10, 1.0), rel=1e-12, abs=0)
+        sharp = math.exp(math.sqrt(101.0) - 1.0 - 10.0 * math.asinh(10.0))
+        assert bound == pytest.approx(sharp, rel=1e-12, abs=0)
+        assert bound < 11.0**-5 / 7600
         assert math.exp(-1.0) * bessel_i(10, 1.0) <= bound
 
     def test_order_four(self):
@@ -248,7 +262,7 @@ class TestBuildingBlock:
 
         row = tree_heat_kernel_time_derivatives(q, t, range(12))
         for r in range(12):
-            order, _ = certified_truncation(q, t, 1e-13, r + 1, 2, 2 * (q * q - 1))
+            order, _ = certified_truncation(q, t, 1e-16, r + 1, 2, 2 * (q * q - 1))
             terms = [block_dot(m + 1) for m in range(r + 1, order + 1, 2)]
             expected = block_dot(r) - (q - 1) * math.fsum(terms)
             assert row[r] == pytest.approx(expected, rel=1e-11, abs=1e-16)
@@ -267,12 +281,12 @@ class TestBlockBound:
     @pytest.mark.parametrize("q,m,t", [(2, 30, 1.0), (3, 120, 8.0), (7, 300, 40.0)])
     def test_power_is_a_factor_of_q(self, q, m, t):
         # a coefficient bound q^{m-1} adds (m-1) ln q to the log form of
-        # q^{-m/2} e^{-(sqrt(q)-1)^2 t} uniform_bound(m, 2 sqrt(q) t)
+        # q^{-m/2} e^{-(sqrt(q)-1)^2 t} block_bound(m, 2 sqrt(q) t)
         product = (
             q ** (m - 1)
             * q ** (-m / 2)
             * math.exp(-((math.sqrt(q) - 1.0) ** 2) * t)
-            * uniform_bound(m, 2.0 * math.sqrt(q) * t)
+            * block_bound(m, 2.0 * math.sqrt(q) * t)
         )
         assert math.exp(log_block_bound(q, m, t) + (m - 1) * math.log(q)) == pytest.approx(
             product, rel=1e-11, abs=0
@@ -291,20 +305,67 @@ class TestBlockBound:
         assert all(b < a for a, b in zip(values, values[1:]))
         assert all(c - 2 * b + a <= 1e-9 * abs(b) for a, b, c in zip(values, values[1:], values[2:]))
 
+    def test_bounds_the_block_at_forty_digits(self):
+        # ln B_m against 40-digit mpmath, tau = 2 sqrt(q) t from 0.01 to 1e4 and m up to
+        # 40,000; the least margin, 0.00998, is e^{-tau} I_0(tau) <= 1 at tau = 0.01
+        least = math.inf
+        for q in (1, 2, 3, 7):
+            for tau in (0.01, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4):
+                t = tau / (2.0 * math.sqrt(q))
+                for m in (0, 1, 2, 3, 5, 10, 30, 100, 300, 1000, 3000, 10000, 40000):
+                    exact = _exact_log_block(q, m, t)
+                    assert exact <= log_block_bound(q, m, t), (q, tau, m)
+                    least = min(least, log_block_bound(q, m, t) - exact)
+        assert least > 0.009
+
+    @pytest.mark.parametrize("q", range(1, 8))
+    @pytest.mark.parametrize("t", [5.0, 200.0, 3000.0])
+    def test_beta_concave_across_the_switch(self, q, t):
+        # the uniform term is the lesser at small m and the generating-function term past
+        # m of about tau^{2/3} (2 ln tau)^{1/3}; beta is concave on every lattice across both
+        tau = 2.0 * math.sqrt(q) * t
+        log_q = math.log(q)
+        for weight, power, first, step in _lattices(q):
+            if weight == 0:
+                continue
+            start = first - step if first >= step else first
+            ms = np.arange(start, start + 3000 * step, step)
+            beta = [
+                math.log(weight) + power * m * log_q + log_block_bound(q, int(m), t) for m in ms
+            ]
+            for a, b, c in zip(beta, beta[1:], beta[2:]):
+                assert c - 2 * b + a <= 1e-12 * max(1.0, abs(a), abs(c))
+            if start == 0:
+                p = ms / tau
+                uniform = -0.5 * math.log(tau) - 0.5 * ms * np.log1p(p)
+                sharp = ms * p / (1.0 + np.hypot(1.0, p)) - ms * np.arcsinh(p)
+                assert uniform[1] < sharp[1] and sharp[-1] < uniform[-1]
+
+    @pytest.mark.parametrize("q", range(1, 8))
+    def test_never_nan_at_extreme_times(self, q):
+        # at a subnormal t, m / tau overflows and the sharp term is inf - inf = NaN
+        for t in (1e-320, 5e-324, 1e300):
+            for m in (0, 1, 2, 7, 100, 10**6, 2**52):
+                value = log_block_bound(q, m, t)
+                assert not math.isnan(value) and value < math.inf, (t, m)
+
 
 CERT_TIMES = [0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 8.0, 20.0, 40.0, 200.0, 3000.0, 60000.0]
 CERT_TOLS = [1e-3, 1e-8, 1e-12, 1e-16]
 
 
 def _log_terms(q, t, weight, power, m):
-    """ln of weight q^{power m} q^{-m/2} e^{-(sqrt(q)-1)^2 t} tau^{-1/2} (1 + m/tau)^{-m/2}."""
+    """ln of weight q^{power m} q^{-m/2} e^{-(sqrt(q)-1)^2 t} times the lesser of
+    tau^{-1/2} (1 + p)^{-m/2} and e^{tau (sqrt(1 + p^2) - 1) - m asinh(p)}, p = m / tau."""
     tau = 2.0 * math.sqrt(q) * t
+    p = m / tau
+    uniform = -0.5 * math.log(tau) - 0.5 * m * np.log1p(p)
+    sharp = m * p / (1.0 + np.hypot(1.0, p)) - m * np.arcsinh(p)
     return (
         math.log(weight)
         + (power - 0.5) * m * math.log(q)
         - (math.sqrt(q) - 1.0) ** 2 * t
-        - 0.5 * math.log(tau)
-        - 0.5 * m * np.log1p(m / tau)
+        + np.minimum(uniform, sharp)
     )
 
 
@@ -338,7 +399,7 @@ class TestCertifiedTruncation:
     @pytest.mark.parametrize("t", CERT_TIMES)
     def test_tail_below_tol_and_order_smallest(self, q, t):
         # includes the cases whose next bound's Bessel factor is subnormal
-        # (q = 4, 5 at t = 40) or 0.0 as a float (q = 6, 7 at t = 20)
+        # (q = 6 at t = 200) or 0.0 as a float (q = 7 at t = 200, q >= 2 from t = 3,000)
         for tol in CERT_TOLS:
             for weight, power, first, step in _lattices(q):
                 M, bound = certified_truncation(q, t, tol, first, step, weight, power)
@@ -357,15 +418,15 @@ class TestCertifiedTruncation:
 
     @pytest.mark.parametrize("q", [1, 2, 3, 7, 1000])
     def test_tail_is_beta_from_log_block_bound_bitwise(self, q):
-        # the search computes beta's m-free terms once per call, in log_block_bound's order
+        # the search computes beta's m-free terms once per call, in log_block_bound's order;
+        # where m / tau overflows (t = 1e-320) the sharp term is NaN and the uniform one stands
         def written_out(m, t):
             tau = 2.0 * math.sqrt(q) * t
-            return (
-                -0.5 * m * math.log(q)
-                - (math.sqrt(q) - 1.0) ** 2 * t
-                - 0.5 * math.log(tau)
-                - 0.5 * m * math.log1p(m / tau)
-            )
+            p = m / tau
+            uniform = -0.5 * math.log(tau) - 0.5 * m * math.log1p(p)
+            sharp = m * (p / (1.0 + math.hypot(1.0, p)) - math.asinh(p))
+            lesser = uniform if math.isnan(sharp) else min(uniform, sharp)
+            return -0.5 * m * math.log(q) - (math.sqrt(q) - 1.0) ** 2 * t + lesser
 
         for t in [1e-320, *CERT_TIMES, 1e300]:
             for weight, power, first, step in _lattices(q):
@@ -403,6 +464,30 @@ class TestCertifiedTruncation:
         for t in (1e300, 1e307):
             with pytest.raises(ValueError, match="runs past order 2\\^53"):
                 certified_truncation(3, t, 1e-10, 1, 1, 4 / 3, 1.0)
+
+    def test_no_order_grows_past_the_uniform_bound(self, monkeypatch):
+        # the lesser of two bounds only shortens a series: no lattice's order may
+        # exceed its order under the uniform bound alone
+        def uniform_log_bound(q, t):
+            log_q, tau = math.log(q), 2.0 * math.sqrt(q) * t
+            decay, half_log_tau = (math.sqrt(q) - 1.0) ** 2 * t, 0.5 * math.log(tau)
+            return lambda m: -0.5 * m * log_q - decay - half_log_tau - 0.5 * m * math.log1p(m / tau)
+
+        cases = [
+            (q, float(t), tol, lattice)
+            for q in range(1, 8)
+            for t in np.geomspace(1e-3, 1e4, 15)
+            for tol in (1e-8, 1e-10, 1e-16)
+            for lattice in _lattices(q)
+        ]
+        def orders():
+            return [certified_truncation(q, t, tol, f, s, w, p)[0] for q, t, tol, (w, p, f, s) in cases]
+
+        sharp = orders()
+        monkeypatch.setattr(bessel, "_log_bound", uniform_log_bound)
+        uniform = orders()
+        assert all(m <= u for m, u in zip(sharp, uniform))
+        assert sum(sharp) < sum(uniform)
 
 
 def _exact_log_block(q, m, t):

@@ -321,7 +321,7 @@ class TestHeat:
         assert run(capsys, "heat", "--graph", "k4", "--t", "60", "--order", order) == expected
 
     def test_k6_at_huge_time_answers(self, capsys, tmp_path):
-        # K6, q = 4: at t = 60000 the certified order is 523,345, which the
+        # K6, q = 4: at t = 60000 the certified order is 184,071, which the
         # float rows reach in O(n) memory; the row is 1/6 within the pinned
         # spectral row's bounds
         path = tmp_path / "k6.txt"
@@ -499,8 +499,9 @@ class TestHeat:
     )
     def test_tree_rows_no_integral_checked_have_no_cross_check(self, capsys, q, ts):
         # t = 0 has no integral: JSON null, CSV empty, where a value compared with
-        # itself printed 0; every q, q = 1 too, checks each row with t > 0
-        argv = ("heat", "--graph", "tree", "--q", q, "--t", ts, "--order", "4")
+        # itself printed 0; every q, q = 1 too, checks each row with t > 0.  The
+        # series stops nearer --tol than 1e-14 at the default, so ask for 1e-14
+        argv = ("heat", "--graph", "tree", "--q", q, "--t", ts, "--order", "4", "--tol", "1e-14")
         code, out, _ = run(capsys, *argv)
         assert code == 0
         rows = json.loads(out)["rows"]
@@ -563,7 +564,8 @@ class TestHeat:
     def test_series_overflow_is_input_error(self, capsys, graph, t):
         # the b_m no longer leave float range: at t = 1000 the rows answer
         # within 1e-12 of the spectral row, and k4 at t = 1e6, whose series
-        # needs about 1.9e6 orders, is refused by the recurrence guard
+        # needs about 1.0e6 orders and Miller's start margin past them, is
+        # refused by the recurrence guard
         code, out, err = run(capsys, "heat", "--graph", graph, "--t", t)
         if float(t) > 1000:
             assert (code, out) == (2, "")

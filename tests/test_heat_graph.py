@@ -431,7 +431,7 @@ class TestBatchedRows:
                     assert row[x] == math.fsum(b[m][x] * blocks[m] for m in range(M + 1))
 
     def test_overflow_contract_kept(self):
-        # M = 2062 at t = 1000: the scalar oracle still raises converting its
+        # M = 1394 at t = 1000: the scalar oracle still raises converting its
         # exact b rows to float, while the float row answers within the
         # pinned spectral row's bounds
         g = G.builtin_graph("petersen")
@@ -443,9 +443,9 @@ class TestBatchedRows:
 
     @pytest.mark.parametrize("name", ["k4", "petersen"])
     def test_rows_at_t_200(self, name):
-        # M = 512 there; the row matches the spectral one
+        # M = 375 there; the row matches the spectral one
         g = G.builtin_graph(name)
-        assert series_truncation_order(2, 200.0, 1e-10) == 512
+        assert series_truncation_order(2, 200.0, 1e-10) == 375
         row = heat_kernel_rows(g, 0, [200.0])[0]
         assert np.abs(row - heat_kernel_spectral_row(g, 0, 200.0)).max() <= 1e-12
 
@@ -482,7 +482,7 @@ class TestGridRows:
         # as up to order 20 (q+1)^2 q^{m-2} < 2^53, and for q = 3 within _rows_pass' bound
         # 18 gamma_{q+2} m (q+1)/q, plus the rounding of b_m / q^m itself
         q = g.regularity()
-        M = series_truncation_order(q, 2.0, 1e-10)
+        M = series_truncation_order(q, 3.0, 1e-10)
         assert M >= 20
 
         def one_block(q, M, t):  # t a grid of times, as _rows_pass hands it
@@ -493,8 +493,8 @@ class TestGridRows:
         x0 = data.draw(st.integers(0, g.n_vertices - 1))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bessel, "log_building_blocks", one_block)
-            row = heat_kernel_rows(g, x0, [2.0])[0]
-            block = heat_kernel_rows(g, None, [2.0])[0]
+            row = heat_kernel_rows(g, x0, [3.0])[0]
+            block = heat_kernel_rows(g, None, [3.0])[0]
         expected_row = [b / q**m for b in b_coefficients(g, x0, M)[m]]
         expected_block = [[b / q**m for b in bs] for bs in b_coefficients(g, None, M)[m]]
         if q != 3:
@@ -652,6 +652,18 @@ def test_truncation_tol_validated(tol):
 
 # (q, t, tol): M of bessel.certified_truncation
 PINNED_ORDERS = {
+    (1, 8.0, 1e-10): 30,
+    (2, 1.0, 1e-10): 17,
+    (3, 8.0, 1e-12): 64,
+    (4, 40.0, 1e-10): 223,
+    (5, 40.0, 1e-14): 294,
+    (6, 20.0, 1e-8): 178,
+    (7, 20.0, 1e-10): 214,
+}
+
+# the same orders under the uniform block bound alone, which the
+# generating-function bound only shortens
+UNIFORM_ORDERS = {
     (1, 8.0, 1e-10): 37,
     (2, 1.0, 1e-10): 27,
     (3, 8.0, 1e-12): 102,
@@ -668,9 +680,9 @@ PINNED_ORDERS = {
         (1, 8.0, 1e-10, 37),
         (2, 1.0, 1e-10, 27),
         (3, 8.0, 1e-12, 120),
-        (4, 40.0, 1e-10, 817),  # the next bound's Bessel factor is subnormal
+        (4, 40.0, 1e-10, 817),
         (5, 40.0, 1e-14, 847),
-        (6, 20.0, 1e-8, 705),  # the next bound's Bessel factor is 0.0
+        (6, 20.0, 1e-8, 705),
         (7, 20.0, 1e-10, 722),
     ],
 )
@@ -679,25 +691,29 @@ def test_truncation_orders_pinned(q, t, tol, scan_M):
     # tail test replaced, which never needs more orders
     M = series_truncation_order(q, t, tol)
     assert M == PINNED_ORDERS[q, t, tol]
-    assert M <= scan_M
+    assert M <= UNIFORM_ORDERS[q, t, tol] <= scan_M
 
 
 @pytest.mark.parametrize("q", [5, 6, 7])
 @pytest.mark.parametrize("t", [30.0, 40.0, 200.0])
 def test_truncation_certified_where_the_power_leaves_float_range(q, t):
     # q^{m/2} alone passes 1e308 within the scan; the next term's bound,
-    # (q+1) q^{m-1} q^{-m/2} e^{-(sqrt(q)-1)^2 t} tau^{-1/2} (1 + m/tau)^{-m/2},
+    # (q+1) q^{m-1} q^{-m/2} e^{-(sqrt(q)-1)^2 t} times the lesser of
+    # tau^{-1/2} (1 + p)^{-m/2} and e^{tau (sqrt(1 + p^2) - 1) - m asinh(p)}, p = m/tau,
     # written out as a logarithm, must be below tol
     tol = 1e-10
     M = series_truncation_order(q, t, tol)
     tau = 2.0 * math.sqrt(q) * t
     m = M + 1
+    p = m / tau
     log_bound = (
         math.log(q + 1)
         + (m / 2 - 1) * math.log(q)
         - (math.sqrt(q) - 1.0) ** 2 * t
-        - 0.5 * math.log(tau)
-        - 0.5 * m * math.log1p(m / tau)
+        + min(
+            -0.5 * math.log(tau) - 0.5 * m * math.log1p(p),
+            tau * (math.hypot(1.0, p) - 1.0) - m * math.asinh(p),
+        )
     )
     assert M > tau
     assert log_bound < math.log(tol)

@@ -398,7 +398,7 @@ class TestHeatEquation:
 
         row = tree_heat_kernel_time_derivatives(q, t, range(12))
         for r in range(12):
-            order, _ = bessel.certified_truncation(q, t, 1e-13, r + 1, 2, 2 * (q * q - 1))
+            order, _ = bessel.certified_truncation(q, t, 1e-16, r + 1, 2, 2 * (q * q - 1))
             terms = [block_dot(m + 1) for m in range(r + 1, order + 1, 2)]
             assert row[r] == block_dot(r) - (q - 1) * math.fsum(terms)
             assert tree_heat_kernel_time_derivatives(q, t, (r,)) == [row[r]]
@@ -531,7 +531,7 @@ class TestParityCuts:
     def test_derivative_row_cuts_are_the_per_radius_searches(self, q):
         for t in self.TIMES:
             orders = [
-                bessel.certified_truncation(q, t, 1e-13, r + 1, 2, 2 * (q * q - 1))[0]
+                bessel.certified_truncation(q, t, 1e-16, r + 1, 2, 2 * (q * q - 1))[0]
                 for r in self.RADII
             ]
             top = max(max(r, order + 1) for r, order in zip(self.RADII, orders))
