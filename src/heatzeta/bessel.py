@@ -27,10 +27,13 @@ certified_truncation turns it into the one truncation rule of every
 building-block series in the package, whatever its weights.
 
 log_building_blocks evaluates the log of the whole vector of building blocks
-at one time, or at every time of a grid in one call, from Miller's backward
-recurrence for the ratios I_{m+1}/I_m: the production evaluator behind every
-heat value, in float range at any t, which every heat route reads through
-_grid_passes, the one rule that splits a grid of times into its calls.
+at one time, or at every time of a grid in one call, each time to its own
+order, from Miller's backward recurrence for the ratios I_{m+1}/I_m: the
+production evaluator behind every heat value, in float range at any t, which
+every heat route reads through _grid_passes, the one rule that splits a grid
+of times into its calls.  Each time starts its recurrence at its own order
+plus its own margin, and reads zero blocks past its order, so a grid value is
+bitwise the lone call's, whatever times share its call.
 The scalar building_block and the routes above stay as its independent
 oracle, and verify's G-transform of building blocks integrates it against
 the paper's closed form u^{k-1}.
@@ -316,24 +319,25 @@ def _check_times(t) -> tuple[list[float], bool]:
 
 
 def _grid_passes(q: int, tops: list[int], times: list[float]):
-    """(part, log_building_blocks(q, M, times[part])) for consecutive slices part of
-    times, M the largest of their tops, each call's T (N_max + 1) ratios within
-    _GRID_ENTRIES, which holds any one time _miller_margin accepts.  ValueError, from
-    _miller_margin, where one time's recurrence passes MAX_RECURRENCE."""
-    margins = [_miller_margin(q, top, t) for top, t in zip(tops, times)]
-    start, top, margin = 0, 0, 0
-    for i, (M, d) in enumerate(zip(tops, margins)):
-        if (i - start + 1) * (max(top, M) + max(margin, d) + 1) > _GRID_ENTRIES:
-            yield slice(start, i), log_building_blocks(q, top, times[start:i])
-            start, top, margin = i, 0, 0
-        top, margin = max(top, M), max(margin, d)
+    """(part, log_building_blocks(q, tops[part], times[part])) for consecutive slices
+    part of times, each call's T (max(M_t + d_t) + 1) ratios within _GRID_ENTRIES,
+    which holds any one time _miller_margin accepts.  ValueError, from _miller_margin,
+    where one time's recurrence passes MAX_RECURRENCE."""
+    ends = [M + _miller_margin(q, M, t) for M, t in zip(tops, times)]
+    start, width = 0, 0
+    for i, end in enumerate(ends):
+        if (i - start + 1) * max(width, end + 1) > _GRID_ENTRIES:
+            yield slice(start, i), log_building_blocks(q, tops[start:i], times[start:i])
+            start, width = i, 0
+        width = max(width, end + 1)
     if times:
-        yield slice(start, len(times)), log_building_blocks(q, top, times[start:])
+        yield slice(start, len(times)), log_building_blocks(q, tops[start:], times[start:])
 
 
-def log_building_blocks(q: int, M: int, t) -> np.ndarray:
-    """ln building_block(q, m, t) for m = 0..M: a vector at one t, or a (T, M + 1) array
-    whose row i is the vector at t[i] for a 1-D array t of T times.
+def log_building_blocks(q: int, M, t) -> np.ndarray:
+    """ln building_block(q, m, t) for m = 0..M: a vector at one t, or a (T, max M + 1)
+    array whose row i is the vector at t[i] for a 1-D array t of T times, to its own
+    order M[i] where M is a sequence of T orders (one M serves every time).
 
     With tau = 2 sqrt(q) t, Miller's backward recurrence
     r_k = 1 / (2(k+1)/tau + r_{k+1}) from r_N = 0 (Gautschi, SIAM Review 1967)
@@ -353,24 +357,28 @@ def log_building_blocks(q: int, M: int, t) -> np.ndarray:
     N <= MAX_RECURRENCE no ln value is off by 2e-17 before rounding.
 
     A grid runs each t's recurrence in Python floats from its own start
-    N_t = M + d_t, as a lone call does, into one (T, N_max + 1) array padded
+    N_t = M_t + d_t, as a lone call does, into one (T, max N_t + 1) array padded
     with ratios 1; the logs, the compensated sums, the exponentials and, by
     np.add.reduceat, each row's normalising sum over its own N_t + 1 terms
-    run once over it, so every row is bitwise the lone call at its t.
+    run once over it, and a row reads -inf, a zero block, past its M_t, so every
+    row is bitwise the lone call at its t and order.
     ValueError, before anything of the grid's size is allocated, at the first
-    t that is not finite and >= 0, where some M + d_t passes MAX_RECURRENCE,
-    or where T (N_max + 1) passes _GRID_ENTRIES.
+    t that is not finite and >= 0, at an order below 0, where M is neither one
+    order nor T of them, where some M_t + d_t passes MAX_RECURRENCE, or where
+    T (max N_t + 1) passes _GRID_ENTRIES.
     Rounding (measured, not derived): ln B is off by at most 1.93 (|ln B| + 1) u,
     u = 2^-53, at every 8th order at q = 1, tau 1e-3 to 4e4 (TestLogBlockRounding
     pins 4), and 5.08 at q = 2, 3, 4, 6, t 1e-3 to 1000 (pinned at 8); every order
     at q = 2 reads 5.32 at t = 1000 and 5.61 at t = 5,000.
     """
     _check_q(q)
-    if M < 0:
-        raise ValueError(f"order must be >= 0, got {M}")
     times, grid = _check_times(t)
-    margins = [_miller_margin(q, M, x) for x in times]
-    width = M + max(margins, default=0) + 1
+    scalar = isinstance(M, (int, np.integer))
+    orders, top = ([M] * len(times), M) if scalar else (list(M), max(M, default=0))
+    if len(orders) != len(times) or min(orders, default=top) < 0:
+        raise ValueError(f"orders must be >= 0, one per time, got {M}")
+    ends = [m + _miller_margin(q, m, x) for m, x in zip(orders, times)]
+    width = max(ends, default=top) + 1
     if len(times) * width > _GRID_ENTRIES:
         raise ValueError(
             f"{len(times)} times of {width} ratios each: more than {_GRID_ENTRIES} in one call"
@@ -379,17 +387,17 @@ def log_building_blocks(q: int, M: int, t) -> np.ndarray:
     ratios = np.empty((len(times), width))
     ratios.fill(1.0)
     sqrt_q, zeros = math.sqrt(q), False
-    for row, x, d in zip(ratios, times, margins):
-        if not d:  # t = 0: I_m(0) = 0 from m = 1 on
+    for row, x, end in zip(ratios, times, ends):
+        if not x:  # I_m(0) = 0 from m = 1 on
             row[1:], zeros = 0.0, True
             continue
         tau = 2.0 * sqrt_q * x
-        ratio, column = 0.0, [1.0] * (M + d + 1)
-        for k in range(M + d, 0, -1):
+        ratio, column = 0.0, [1.0] * (end + 1)
+        for k in range(end, 0, -1):
             column[k] = ratio = 1.0 / (2.0 * k / tau + ratio)  # I_k / I_{k-1}
-        row[: M + d + 1] = column
+        row[: end + 1] = column
         # the least ratio, 0 where tau is so small that 2 N_t / tau overflows
-        zeros = zeros or column[M + d] == 0.0
+        zeros = zeros or column[end] == 0.0
     # TwoSum: each addition's exact rounding error, summed apart; the plain
     # cumulative sum loses about 1e-11 relative at t = 1e4.  A row holds 0, the
     # cumulative sums, and a spare 0 that ends every reduceat segment below.
@@ -409,13 +417,16 @@ def log_building_blocks(q: int, M: int, t) -> np.ndarray:
     terms = np.exp(cumulative)
     terms[:, 0] = 0.0
     stride = width + 2
-    bounds = [b for i, d in enumerate(margins) for b in (i * stride, i * stride + M + 2 + d)]
+    bounds = [b for i, end in enumerate(ends) for b in (i * stride, i * stride + end + 2)]
     sums = np.add.reduceat(terms.ravel(), bounds)[::2]
     # ln(e^tau / I_0) + (sqrt(q)-1)^2 t, the constants first: each rounding at the
     # size of ln B costs about |ln B| eps
     decay = (sqrt_q - 1.0) ** 2
     constants = [math.log(2.0 * total - 1.0) + decay * x for total, x in zip(sums.tolist(), times)]
-    blocks = log_rel[:, : M + 1] - np.add.outer(constants, 0.5 * math.log(q) * np.arange(M + 1))
+    blocks = log_rel[:, : top + 1] - np.add.outer(constants, 0.5 * math.log(q) * np.arange(top + 1))
+    for row, m in zip(blocks, orders):  # -inf, a zero block, past each time's own order
+        if m < top:
+            row[m + 1 :] = -math.inf
     return blocks if grid else blocks[0]
 
 

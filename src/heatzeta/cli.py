@@ -135,9 +135,13 @@ def cmd_heat(args) -> int:
         q = _tree_q(args)
         radii = range(args.order + 1)
         tables = heat_tree.tree_heat_kernels(q, ts, radii, args.tol)
+        # the trapezoid's rounding term, 50 eps int |f| dmu, is at most 50 eps, as
+        # |f| = |e^{-lambda t} phi_r| <= 1 on the tree's probability measure: a guard of
+        # twice that leaves the rule's own error the other half
+        tol = max(min(args.tol, 1e-10), 100.0 * sys.float_info.epsilon)
         try:  # t = 0 has no integral
             crosses = iter(heat_tree.tree_heat_kernel_integrals(
-                q, [t for t in ts if t > 0], radii, min(args.tol, 1e-10)
+                q, [t for t in ts if t > 0], radii, tol
             ).tolist())
         except bessel.QuadratureError as exc:
             print(

@@ -686,8 +686,7 @@ def check_vertex_transitive(g: Graph) -> tuple[bool | None, dict[int, list[int]]
     n = g.n_vertices
     if n > TRANSITIVITY_CAP:
         return None, {}
-    degrees = [g.degree(v) for v in range(n)]
-    if len(set(degrees)) != 1:
+    if len(g.degrees) != 1:
         return False, {}
     # BFS vertex order from 0 keeps each new vertex adjacent to a mapped one
     dist0, order = _bfs(g, 0)

@@ -13,7 +13,8 @@ recursion for b_m, which depends on neither t nor x0, runs once per grid on
 float arrays of b_m / q^m as a step of graphs._recursion, the package's one
 walk loop, against weights built ahead from the log blocks of
 bessel._grid_passes, which the Chebyshev row and the diagonal decomposition
-read too.  Every series
+read too: each time's blocks to its own order and zero past it, so a grid row
+is bitwise its lone call and no route trims its weights.  Every series
 route, the diagonal decomposition included, stops at series_truncation_order:
 bessel.certified_truncation with the coefficient bound |b_m(x)| <= (q+1) q^{m-1}
 as weight.  heat_kernel_spectral_row, V (e^{-lambda t} V[x0]), is the one
@@ -40,7 +41,6 @@ nodes of verify's G-transform check, and the benchmark reads its cache_info().
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from functools import lru_cache
 from typing import Iterable
 
@@ -193,15 +193,12 @@ def heat_kernel_rows(
     b_m = A b_{m-1} - q b_{m-2} as its step, divided through by q^m, on float
     arrays up to the largest M_i serves the whole grid, so no rounding bias
     builds up over m.  Row i adds, through graphs._weighted_sum,
-    W[i, m] b_m / q^m with W[i, m] = e^{ln B_m(t_i) + m ln q}, zero past M_i,
-    and ln B_m from one pass of bessel._grid_passes, to the pass's largest M_i.
-    The recursion depends on q and m only, so column y of the
-    x0 = None block is bitwise the row of x0 = y, and row i is the row of t_i
-    alone but for where that call starts the ratio recurrence of t_i: at that
-    largest M_j plus d_i, not M_i + d_i, which moves no ln B_m by 2e-17 before
-    rounding.  Bitwise on the grids of the tests; on k4, the row of t = 50 in
-    a grid with t = 3,000 lies 3.6e-16 from its own.  A pass holds at most
-    bessel._GRID_ENTRIES ratios, and so at most as many weights.
+    W[i, m] b_m / q^m with W[i, m] = e^{ln B_m(t_i) + m ln q} and ln B_m from one
+    pass of bessel._grid_passes, to t_i's own M_i and -inf past it, so W is zero
+    there.  The recursion depends on q and m only, so column y of the
+    x0 = None block is bitwise the row of x0 = y, and row i is bitwise the row of
+    t_i alone.  A pass holds at most bessel._GRID_ENTRIES ratios, and so at most
+    as many weights.
     """
     q = g.regularity()
     ts = list(ts)
@@ -209,16 +206,15 @@ def heat_kernel_rows(
     n = g.n_vertices
     rows = np.empty((len(ts), n) if x0 is not None else (len(ts), n, n))
     for part, log_blocks in _grid_passes(q, orders, ts):
-        rows[part] = _rows_pass(g, q, x0, log_blocks, orders[part])
+        rows[part] = _rows_pass(g, q, x0, log_blocks)
     return rows
 
 
-def _rows_pass(
-    g: Graph, q: int, x0: int | None, log_blocks: np.ndarray, orders: list[int]
-) -> list[np.ndarray]:
-    """One graphs._recursion to max(orders), summed by graphs._weighted_sum against the
-    weights of log_blocks, one pass of bessel._grid_passes: heat_kernel_rows of the
-    pass's times.  This module owns the step and the weights; graphs owns the loop.
+def _rows_pass(g: Graph, q: int, x0: int | None, log_blocks: np.ndarray) -> list[np.ndarray]:
+    """One graphs._recursion to the last order of log_blocks, one pass of
+    bessel._grid_passes, summed by graphs._weighted_sum against its weights:
+    heat_kernel_rows of the pass's times.  This module owns the step and the weights;
+    graphs owns the loop.
 
     The recursion is b_1 = A b_0, b_2 = A b_1 - 2q b_0, b_m = A b_{m-1} - q b_{m-2}.
     By A c_0 = c_1, A c_1 = c_2 + (q+1) c_0 and A c_m = c_{m+1} + q c_{m-1}
@@ -246,10 +242,10 @@ def _rows_pass(
     sum_m rho_m W_m omega (the rounding of ln B_m, ln q, m ln q and their sum, and
     math.exp's), and underflows less than 4 (M+1)^2 2^-1074; the certified tail the rest.
     """
-    top = max(orders)
+    top = log_blocks.shape[1] - 1
     exponents = (log_blocks + np.arange(top + 1) * math.log(q)).tolist()
-    # per time, zero past its M; math.exp: np.exp can differ from it in the last bit
-    by_time = [[*map(math.exp, row[: M + 1]), *[0.0] * (top - M)] for row, M in zip(exponents, orders)]
+    # math.exp: np.exp can differ from it in the last bit
+    by_time = [list(map(math.exp, row)) for row in exponents]
     vectors = _recursion(
         g, _unit(g.n_vertices, x0, float), top, lambda m, a, p: (a - (2.0 * p if m == 2 else p)) / q
     )
@@ -287,9 +283,8 @@ def heat_kernel_chebyshev_row(g: Graph, x0: int, t, tol: float = 1e-10) -> np.nd
     (b_m = 2 T_m(A/2) e_x0, the same log weights): no check there.  The v_k depend on neither
     t nor the weights, so a grid runs one recursion to its largest M, which
     graphs._weighted_sum adds against the weights eps_k w_k of one pass of
-    bessel._grid_passes, per order a list of the times' floats, each time's zero past its M.
-    One time does the lone work; in a grid a row moves only where that call starts the
-    time's ratio recurrence further out (see heat_kernel_rows).
+    bessel._grid_passes, per order a list of the times' floats, each time's zero past its
+    own M: a grid row is bitwise its lone call.
 
     Rounding, to first order (u = 2^-53, gamma_j = j u / (1 - j u)): step k adds at most
     gamma_{q+2} (2 X|f_{k-1}| + |f_{k-2}|) to an entry of the computed f = v + e (q
@@ -312,9 +307,7 @@ def heat_kernel_chebyshev_row(g: Graph, x0: int, t, tol: float = 1e-10) -> np.nd
     for part, log_blocks in _grid_passes(1, orders, halves):
         weights = np.exp(log_blocks)  # eps_k w_k
         weights[:, 1:] *= 2.0
-        for row, M in zip(weights, orders[part]):
-            row[M + 1 :] = 0.0
-        start, top = _unit(g.n_vertices, x0, float), max(orders[part])
+        start, top = _unit(g.n_vertices, x0, float), weights.shape[1] - 1
         vectors = _recursion(g, start, top, lambda k, a, p: a / ((q + 1) / 2 if k > 1 else q + 1) - p)
         rows[part] = _weighted_sum(vectors, weights.T.tolist())
     return rows if grid else rows[0]
@@ -354,7 +347,8 @@ def diagonal_tree_decomposition(g: Graph, x0: int, t, tol: float = 1e-10):
     N_m^0 of closed_geodesics_at_vertex can be negative, so the sum is total.
     A grid runs the counting engine once, to its largest order, takes each
     ln |N_m^0| once, and reads its tree values from one grid call and its log
-    blocks through bessel._grid_passes.
+    blocks, each time's to its own order and -inf past it, through
+    bessel._grid_passes: a grid value is bitwise its lone call.
     """
     times, grid = _check_times(t)
     q = g.regularity()
@@ -365,9 +359,8 @@ def diagonal_tree_decomposition(g: Graph, x0: int, t, tol: float = 1e-10):
     signed_logs = [(m, -1.0 if c < 0 else 1.0, math.log(abs(c))) for m, c in enumerate(n0) if m and c]
     values = []
     for part, blocks in _grid_passes(q, orders, times):
-        for tree_part, log_blocks, M in zip(tree_parts[part], blocks, orders[part]):
-            row = log_blocks.tolist()
-            upto = bisect_right(signed_logs, M, key=lambda entry: entry[0])
-            terms = [sign * math.exp(ln + row[m]) for m, sign, ln in signed_logs[:upto]]
+        for tree_part, log_blocks in zip(tree_parts[part], blocks):
+            row = log_blocks.tolist()  # -inf, a zero term, past the time's own order
+            terms = [sign * math.exp(ln + row[m]) for m, sign, ln in signed_logs if m < len(row)]
             values.append(tree_part.value + math.fsum(terms))
     return values if grid else values[0]

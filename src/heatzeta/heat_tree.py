@@ -14,7 +14,8 @@ so K_r = K_{r+2} + ((r+1)/t) B_{r+1}: tree_heat_kernels sums one suffix
 sum per parity for a whole table row per t, cut where
 bessel.certified_truncation certifies the tail relative to the least value
 of that parity, and reads the rows of a grid of times from the passes of
-bessel._grid_passes, as the graph heat routes do.  The second
+bessel._grid_passes, as the graph heat routes do, each time to its own order,
+so a grid table is bitwise its lone call's.  The second
 route, at every q >= 1, is the integral of e^{-lambda t} times the spherical
 function against the tree's spectral measure, bessel._tree_measure over
 [0, pi], which tree_heat_kernel_integrals evaluates for a whole row per t, or
@@ -89,7 +90,8 @@ def tree_heat_kernels(q: int, t, radii, tol: float = 1e-12) -> list:
     relative to e^{-700} below that.
     truncation_index counts the (M_p - r)/2 terms past the first.  The leads come from
     one pass of bessel._grid_passes to the largest R_p + 1, and the terms, as
-    e^{ln B_m - ln t} m, from a second to each time's largest M_p + 1; a grid makes
+    e^{ln B_m - ln t} m, from a second, each time's to its own largest M_p + 1 and
+    zero past it, so a grid table is bitwise the table of its time alone; a grid makes
     more passes only where one would pass the evaluator's cap.  A suffix sum of n
     positive terms, summed from the smallest, is off by at most (n - 1) u relative,
     u = 2^-53, on top of the rounding of its log blocks, about |ln B| u each, which at

@@ -612,16 +612,15 @@ class TestLogBlockRounding:
     (tau = 1, m = 8).  The bound on heat_kernel_rows' rounding
     (tests/test_heat_graph.py::weight_rounding_bound) takes ln B_m at q >= 2 as off by
     at most 8 (|ln B_m| + 1) u; at q = 2, 3, 4, 6 the largest ratio reads 5.08
-    (q = 2, t = 1000, m = 8).  Both read the rows of one grid call to the largest cut,
-    as heat_kernel_rows and the tree tables call it, and the rows of a grid call are
-    bitwise the lone calls of the same order."""
+    (q = 2, t = 1000, m = 8).  Both read one grid call with each time's own cut, as
+    heat_kernel_rows and the tree tables call it, whose rows are bitwise the lone calls."""
 
     @staticmethod
     def largest_ratio(q: int, ts) -> tuple:
         mp = pytest.importorskip("mpmath")
         worst = (0.0, ())
         cuts = [certified_truncation(q, t, 1e-20, 1, 1, (q + 1) / q, 1.0)[0] for t in ts]
-        grid = log_building_blocks(q, max(cuts), ts)
+        grid = log_building_blocks(q, cuts, ts)
         for t, M, logs in zip(ts, cuts, grid):
             with mp.workdps(40):
                 x = 2 * mp.sqrt(q) * mp.mpf(t)
@@ -663,6 +662,39 @@ class TestLogBlockRounding:
         # a list, a tuple and a one-time array are grids too
         assert log_building_blocks(q, M, list(self.GRID)).tobytes() == grid.tobytes()
         assert log_building_blocks(q, M, [2.5]).shape == (1, M + 1)
+
+    # one order per time of GRID: large times at small orders and small at large ones
+    ORDERS = (0, 600, 6, 60, 600, 3, 600, 0, 600, 60, 60, 6)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 6])
+    def test_grid_rows_at_their_own_orders_are_the_lone_calls(self, q):
+        # each row runs from its own M_t + d_t and reads -inf, a zero block, past M_t
+        grid = log_building_blocks(q, self.ORDERS, self.GRID)
+        assert grid.shape == (len(self.GRID), max(self.ORDERS) + 1)
+        for t, M, row in zip(self.GRID, self.ORDERS, grid):
+            assert row[: M + 1].tobytes() == log_building_blocks(q, M, t).tobytes(), (t, M)
+            assert np.all(row[M + 1 :] == -math.inf)
+        # one order per time, all equal, is the one M that serves them all
+        same = log_building_blocks(q, [60] * len(self.GRID), self.GRID)
+        assert same.tobytes() == log_building_blocks(q, 60, self.GRID).tobytes()
+        lone = log_building_blocks(q, 6, 2.5)
+        assert log_building_blocks(q, [6], 2.5).tobytes() == lone.tobytes()
+
+    @pytest.mark.parametrize("M", [-1, [5, -1], [5], [5, 6, 7], []])
+    def test_orders_are_nonnegative_and_one_per_time(self, M):
+        with pytest.raises(ValueError, match="orders must be >= 0, one per time, got"):
+            log_building_blocks(2, M, [1.0, 2.0])
+
+    def test_passes_hand_each_call_its_times_orders(self, monkeypatch):
+        # a pass holds times while their running width max(M_t + d_t) + 1 fits the cap
+        orders, times = [600, 6, 6, 600, 6], [1.0, 3e3, 3e3, 1.0, 1.0]
+        ends = [M + bessel._miller_margin(2, M, t) for M, t in zip(orders, times)]
+        monkeypatch.setattr(bessel, "_GRID_ENTRIES", 2 * max(ends) + 2)
+        passes = [(part, blocks) for part, blocks in bessel._grid_passes(2, orders, times)]
+        assert [part for part, _ in passes] == [slice(0, 2), slice(2, 4), slice(4, 5)]
+        rows = [row for _, blocks in passes for row in blocks]
+        for t, M, row in zip(times, orders, rows):
+            assert row[: M + 1].tobytes() == log_building_blocks(2, M, t).tobytes()
 
     def test_zero_times_in_a_grid_read_the_indicator(self):
         grid = log_building_blocks(3, 5, [0.0, 1.0, 0.0])

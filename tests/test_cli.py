@@ -50,6 +50,27 @@ def run_cli_process(*argv, timeout=120):
     return run_python("-m", "heatzeta.cli", *argv, timeout=timeout)
 
 
+UNPATCHED_TRAPEZOID = bessel._nested_trapezoid
+
+
+def _unmet_trapezoid(integrand, rows, scale, tol, *rest):
+    """bessel._nested_trapezoid at tol 1e-16, whatever it is asked: a guard that its
+    rounding term, 50 eps int |f| dmu, exceeds, so the rule refuses."""
+    return UNPATCHED_TRAPEZOID(integrand, rows, scale, 1e-16, *rest)
+
+
+# main(sys.argv[1:]) in a fresh interpreter with the rule above patched in
+UNMET_TRAPEZOID_MAIN = (
+    "import sys\n"
+    "from heatzeta import bessel\n"
+    "from heatzeta.cli import main\n"
+    "rule = bessel._nested_trapezoid\n"
+    "bessel._nested_trapezoid = lambda f, rows, scale, tol, *rest: (\n"
+    "    rule(f, rows, scale, 1e-16, *rest))\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
 def _exit(argv):
     """(exit code, stdout, stderr) of main(argv), which may raise SystemExit."""
     out, err = io.StringIO(), io.StringIO()
@@ -249,33 +270,44 @@ class TestHeat:
         for row in json.loads(out)["rows"]:
             assert float(row["cross_check_delta"]) <= 1e-10
 
-    def test_tree_cross_check_failure_is_invariant_failure(self, capsys):
-        # no double-precision quadrature meets a 1e-16 error guard
+    def test_tree_tight_tol_prints_values(self, capsys):
+        # the series meets --tol 1e-15; the integral's guard stays above its rounding term
         code, out, err = run(
             capsys, "heat", "--graph", "tree", "--q", "2", "--order", "2", "--t", "1",
-            "--tol", "1e-16",
+            "--tol", "1e-15",
+        )
+        assert (code, err) == (0, "")
+        for row in json.loads(out)["rows"]:
+            assert float(row["cross_check_delta"]) <= 1e-15
+            assert float(row["tail_bound"]) <= 1e-15
+
+    def test_tree_cross_check_failure_is_invariant_failure(self, capsys, monkeypatch):
+        # no double-precision quadrature meets a 1e-16 error guard
+        monkeypatch.setattr(bessel, "_nested_trapezoid", _unmet_trapezoid)
+        code, out, err = run(
+            capsys, "heat", "--graph", "tree", "--q", "2", "--order", "2", "--t", "1",
         )
         assert code == 3
         assert out == ""
         assert "error: t = 1.0, r = 0: integral cross-check failed" in err
         assert "Traceback" not in err
 
-    def test_tree_q_one_cross_check_failure_is_invariant_failure(self, capsys):
-        # the q = 1 integral route meets the same 1e-16 guard the same way
+    def test_tree_q_one_cross_check_failure_is_invariant_failure(self, capsys, monkeypatch):
+        # the q = 1 integral route misses the same 1e-16 guard the same way
+        monkeypatch.setattr(bessel, "_nested_trapezoid", _unmet_trapezoid)
         code, out, err = run(
             capsys, "heat", "--graph", "tree", "--q", "1", "--order", "2", "--t", "1",
-            "--tol", "1e-16",
         )
         assert code == 3
         assert out == ""
         assert "error: t = 1.0, r = 0: integral cross-check failed" in err
         assert "Traceback" not in err
 
-    def test_tree_grid_cross_check_failure_names_the_time(self, capsys):
+    def test_tree_grid_cross_check_failure_names_the_time(self, capsys, monkeypatch):
         # the grid's rows share one node set; the first row past the guard names its t
+        monkeypatch.setattr(bessel, "_nested_trapezoid", _unmet_trapezoid)
         code, out, err = run(
             capsys, "heat", "--graph", "tree", "--q", "2", "--order", "2", "--t", "0,1,0.5",
-            "--tol", "1e-16",
         )
         assert (code, out) == (3, "")
         assert err.startswith("error: t = 1.0, r = 0: integral cross-check failed (rounding error")
@@ -283,8 +315,9 @@ class TestHeat:
 
     def test_tree_cross_check_failure_prints_one_line(self):
         # the trapezoid row's error guard decides, and its error: line is all of stderr
-        proc = run_cli_process(
-            "heat", "--graph", "tree", "--q", "2", "--order", "2", "--t", "1", "--tol", "1e-16"
+        proc = run_python(
+            "-c", UNMET_TRAPEZOID_MAIN,
+            "heat", "--graph", "tree", "--q", "2", "--order", "2", "--t", "1",
         )
         assert proc.returncode == 3
         assert proc.stdout == ""

@@ -205,12 +205,33 @@ def names_outside(owners: dict[str, set[str]]) -> list[str]:
     return found
 
 
+def importers(module: str) -> list[str]:
+    """file:line of each import of module in a module of the package."""
+    found = []
+    for path in sorted(Path(heatzeta.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name == module]
+    return found
+
+
 def test_bessel_owns_the_time_grid():
     # every heat route reads its blocks through bessel._grid_passes, so a patch of
     # bessel's evaluator or cap reaches them all; verify's G-transform of blocks
-    # reads the evaluator as bessel.log_building_blocks
-    owners = {"_GRID_ENTRIES": {"bessel.py"}, "log_building_blocks": {"bessel.py", "verify.py"}}
+    # reads the evaluator as bessel.log_building_blocks.  Each time's start and cut
+    # are bessel's too: no other module names the Miller margin or bisects orders
+    owners = {
+        "_GRID_ENTRIES": {"bessel.py"},
+        "_miller_margin": {"bessel.py"},
+        "log_building_blocks": {"bessel.py", "verify.py"},
+    }
     assert names_outside(owners) == []
+    assert importers("bisect") == []
 
 
 def test_one_recursion_owns_the_gather():

@@ -485,7 +485,8 @@ class TestGridRows:
         M = series_truncation_order(q, 3.0, 1e-10)
         assert M >= 20
 
-        def one_block(q, M, t):  # t a grid of times, as _rows_pass hands it
+        def one_block(q, orders, t):  # one order per time of a grid, as _grid_passes hands them
+            assert list(orders) == [M] * len(t)
             exponents = np.full((len(t), M + 1), -np.inf)
             exponents[:, m] = -(np.arange(M + 1) * math.log(q))[m]
             return exponents
@@ -565,6 +566,34 @@ class TestGridRows:
         # the diagonal reads its blocks through the same passes, its tree table's included
         assert len(passes) - len(row_passes) > 2
         assert values == [diagonal_tree_decomposition(g, x0, t) for t in grid]
+
+
+class TestOneOrderPerTime:
+    """Grids that mix small and large times: each time's ratio recurrence starts at its own
+    order plus its own margin, so no row depends on the times beside it.  Where a call
+    started every time at the pass's largest order, k4's t = 50 row moved 3.6e-16 beside
+    t = 3,000, its Chebyshev row at t = 300 2.2e-16 beside t = 500, and the two k4 diagonal
+    values of a 600-time grid in 2,000-3,000 5.7e-14 and 5.9e-14 relative."""
+
+    K4_DIAGONAL_GRID = [*np.linspace(2000.0, 3000.0, 600)[[418, 427]].tolist(), 2800.0]
+
+    @pytest.mark.parametrize("x0", [0, None])
+    def test_series_rows_are_their_lone_calls(self, x0):
+        g, grid = G.builtin_graph("k4"), [0.0, 50.0, 3000.0, 0.1]
+        rows = heat_kernel_rows(g, x0, grid)
+        for t, row in zip(grid, rows):
+            assert row.tobytes() == heat_kernel_rows(g, x0, [t])[0].tobytes(), t
+
+    def test_chebyshev_rows_are_their_lone_calls(self):
+        g, grid = G.builtin_graph("k4"), [0.0, 300.0, 500.0, 0.1]
+        rows = heat_kernel_chebyshev_row(g, 0, grid)
+        for t, row in zip(grid, rows):
+            assert row.tobytes() == heat_kernel_chebyshev_row(g, 0, t).tobytes(), t
+
+    def test_diagonal_values_are_their_lone_calls(self):
+        g = G.builtin_graph("k4")
+        values = diagonal_tree_decomposition(g, 0, self.K4_DIAGONAL_GRID)
+        assert values == [diagonal_tree_decomposition(g, 0, t) for t in self.K4_DIAGONAL_GRID]
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 6])

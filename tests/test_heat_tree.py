@@ -333,9 +333,8 @@ class TestRows:
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 7])
     def test_grid_tables_are_the_single_time_tables(self, q):
         # one evaluator call reads every time's leads, at the orders its own call reads,
-        # so the cuts and tail bounds are its own; one more to the grid's largest cut
-        # starts each time's ratio recurrence further out than its own call does, which
-        # moves no log by 2e-17 before rounding: bitwise here
+        # so the cuts and tail bounds are its own; one more reads each time's terms to
+        # its own cut, from its own start, so every table is bitwise its lone call's
         grid = [0.0, 0.1, 3.0, 0.5, 20.0, 3.0]
         calls = []
         original = bessel.log_building_blocks
@@ -347,8 +346,18 @@ class TestRows:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bessel, "log_building_blocks", counted)
             tables = tree_heat_kernels(q, grid, range(31), 1e-10)
-        assert [(args[1], list(args[2])) for args in calls] == [(31, grid), (calls[1][1], grid)]
+        tops = [max(v.r + 2 * v.truncation_index for v in table) + 1 for table in tables]
+        assert [(list(args[1]), list(args[2])) for args in calls] == [([31] * len(grid), grid),
+                                                                      (tops, grid)]
         assert tables == [tree_heat_kernels(q, t, range(31), 1e-10) for t in grid]
+
+    def test_grid_tables_beside_a_large_time_are_the_single_time_tables(self):
+        # each time's terms run from its own cut plus its own margin: where the call
+        # started every time at the grid's largest cut, q = 2's t = 70 table moved
+        # 3.0e-15 relative beside t = 3,000
+        grid = [0.0, 70.0, 3000.0, 0.1]
+        tables = tree_heat_kernels(2, grid, range(31))
+        assert tables == [tree_heat_kernels(2, t, range(31)) for t in grid]
 
     def test_grid_past_the_evaluator_cap_runs_in_passes(self, monkeypatch):
         # a cap that holds two of these times at a time: three calls for the leads and
